@@ -8,12 +8,16 @@ so that multiplication of jets is truncated coefficient convolution and
 polynomial lifts are exact in floating point up to rounding.  Entries of
 the square table with i + j > d are kept at zero.
 
-Jets are batched: the coefficient array has shape (*batch, d+1, d+1) and
-every operation is vectorized over the leading axes.  This is how grid
-evaluation is parallelized - one jet pipeline runs for all grid points at
-once.  Values are stored complex; real-valued pipelines simply carry a
-zero imaginary part, and holomorphic lifts keep their complex structure
-for Wirtinger work (d = (d/dx - i d/dy)/2).
+Jets are batched and every operation is vectorized over the batch axes.
+This is how grid evaluation is parallelized - one jet pipeline runs for
+all grid points at once.  The table is stored coefficient-leading, with
+shape (d+1, d+1, *batch), so that each coefficient c[i, j] is one
+contiguous plane over the batch and a product works on whole rows of
+such planes.  The public layout is batch-leading: `Jet(c)` takes, and
+`Jet.c` returns as a view, an array of shape (*batch, d+1, d+1).  Values
+are stored complex; real-valued pipelines simply carry a zero imaginary
+part, and holomorphic lifts keep their complex structure for Wirtinger
+work (d = (d/dx - i d/dy)/2).
 
 Division and square root are power series in the normalized remainder
 u = a/a0 - 1, which is nilpotent at order d+1, so `order` Horner steps
@@ -29,12 +33,12 @@ import math
 
 import numpy as np
 
-from .cpoly import cp_max_abs
 from .errors import DegenerateJet, RankDeficient
 
 DEFAULT_ORDER = 4
 
 _TRI = {}
+_MUL_PLAN = {}
 
 
 def _tri(D):
@@ -46,6 +50,33 @@ def _tri(D):
     return m
 
 
+def _mul_plan(D):
+    """Schedule of the truncated product of two order-(D-1) tables.
+
+    Returns (left rows, output rows, steps).  The steps follow the right
+    factor's coefficients (i, j) in the order i, then j; each lists the
+    row segments it touches as index pairs into the two row lists: row p
+    of the left factor, columns 0..n-1, adds onto output row p + i,
+    columns j..j+n-1, with n = D - i - j - p so that only the triangle is
+    written.  Every segment is listed once, so a product slices each once.
+    """
+    plan = _MUL_PLAN.get(D)
+    if plan is None:
+        left, out, steps = {}, {}, []
+        for i in range(D):
+            for j in range(D - i):
+                pairs = []
+                for p in range(D - i - j):
+                    n = D - i - j - p
+                    pairs.append((left.setdefault((p, n), len(left)),
+                                  out.setdefault((p + i, j, n), len(out))))
+                steps.append(((i, slice(j, j + 1)), pairs))
+        plan = ([(p, slice(0, n)) for p, n in left],
+                [(row, slice(col, col + n)) for row, col, n in out], steps)
+        _MUL_PLAN[D] = plan
+    return plan
+
+
 def _sqrt_series(order):
     # binomial(1/2, k) for k = 0..order
     out = [1.0]
@@ -54,13 +85,36 @@ def _sqrt_series(order):
     return out
 
 
-class Jet:
-    """One truncated Taylor table, batched over leading axes."""
+def _with_rank(t, rank):
+    """Table `t` with 1-axes inserted before its batch axes up to `rank`."""
+    lead = rank - (t.ndim - 2)
+    return t if lead <= 0 else t.reshape(t.shape[:2] + (1,) * lead + t.shape[2:])
 
-    __slots__ = ("c",)
+
+class Jet:
+    """One truncated Taylor table, batched over trailing axes.
+
+    `t` stores the table as (d+1, d+1, *batch), each coefficient a
+    contiguous plane over the batch; `Jet(c)` and `.c` use the
+    batch-leading (*batch, d+1, d+1) layout.
+    """
+
+    __slots__ = ("t",)
 
     def __init__(self, c):
-        self.c = c
+        self.t = np.ascontiguousarray(np.moveaxis(np.asarray(c), (-2, -1), (0, 1)))
+
+    @staticmethod
+    def _of(t):
+        """The jet whose stored (d+1, d+1, *batch) table is `t` (no copy)."""
+        jet = Jet.__new__(Jet)
+        jet.t = t
+        return jet
+
+    @property
+    def c(self):
+        """The table as a (*batch, d+1, d+1) view."""
+        return np.moveaxis(self.t, (0, 1), (-2, -1))
 
     # -- constructors --------------------------------------------------
 
@@ -68,49 +122,49 @@ class Jet:
     def const(value, order, batch=()):
         value = np.asarray(value, dtype=complex)
         shape = np.broadcast_shapes(value.shape, tuple(batch))
-        c = np.zeros(shape + (order + 1, order + 1), dtype=complex)
-        c[..., 0, 0] = value
-        return Jet(c)
+        t = np.zeros((order + 1, order + 1) + shape, dtype=complex)
+        t[0, 0] = value
+        return Jet._of(t)
 
     @staticmethod
     def zeros(order, batch=()):
-        return Jet(np.zeros(tuple(batch) + (order + 1, order + 1), dtype=complex))
+        return Jet._of(np.zeros((order + 1, order + 1) + tuple(batch), dtype=complex))
 
     @staticmethod
     def coordinate(x0, axis, order, batch=None):
         """The jet of the coordinate function x (axis=0) or y (axis=1)."""
         x0 = np.asarray(x0, dtype=complex)
         shape = x0.shape if batch is None else tuple(batch)
-        c = np.zeros(shape + (order + 1, order + 1), dtype=complex)
-        c[..., 0, 0] = x0
+        t = np.zeros((order + 1, order + 1) + shape, dtype=complex)
+        t[0, 0] = x0
         if order >= 1:
             if axis == 0:
-                c[..., 1, 0] = 1.0
+                t[1, 0] = 1.0
             else:
-                c[..., 0, 1] = 1.0
-        return Jet(c)
+                t[0, 1] = 1.0
+        return Jet._of(t)
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def order(self):
-        return self.c.shape[-1] - 1
+        return self.t.shape[0] - 1
 
     @property
     def batch(self):
-        return self.c.shape[:-2]
+        return self.t.shape[2:]
 
     def value(self):
-        return self.c[..., 0, 0]
+        return self.t[0, 0, ...]
 
     def deriv(self, i, j):
         """Derivative value d^{i+j}/dx^i dy^j (unscaled)."""
         if i + j > self.order:
             raise ValueError(f"derivative ({i},{j}) beyond jet order {self.order}")
-        return self.c[..., i, j] * (math.factorial(i) * math.factorial(j))
+        return self.t[i, j, ...] * (math.factorial(i) * math.factorial(j))
 
     def copy(self):
-        return Jet(self.c.copy())
+        return Jet._of(self.t.copy())
 
     def truncate(self, order):
         if order == self.order:
@@ -118,51 +172,68 @@ class Jet:
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
         D = order + 1
-        return Jet(self.c[..., :D, :D] * _tri(D))
+        return Jet._of(self.t[:D, :D] * _with_rank(_tri(D), self.t.ndim - 2))
 
     # -- ring operations -------------------------------------------------
 
     def _pair(self, other):
+        """Both jets at the lower order, with batch axes of equal rank."""
+        a, b = self.t, other.t
+        if a.shape == b.shape:
+            return a, b
         k = min(self.order, other.order)
-        return self.truncate(k), other.truncate(k)
+        a, b = self.truncate(k).t, other.truncate(k).t
+        rank = max(a.ndim, b.ndim) - 2
+        return _with_rank(a, rank), _with_rank(b, rank)
 
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b = self._pair(other)
-            return Jet(a.c + b.c)
+            return Jet._of(a + b)
         return self.add_const(other)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             a, b = self._pair(other)
-            return Jet(a.c - b.c)
+            return Jet._of(a - b)
         return self.add_const(-np.asarray(other, dtype=complex))
 
     def __neg__(self):
-        return Jet(-self.c)
+        return Jet._of(-self.t)
 
     def add_const(self, value):
-        c = self.c.copy()
-        c[..., 0, 0] += np.asarray(value, dtype=complex)
-        return Jet(c)
+        t = self.t.copy()
+        t[0, 0] += np.asarray(value, dtype=complex)
+        return Jet._of(t)
 
     def __mul__(self, other):
+        """Truncated Cauchy product, written only on the triangle p + q <= d.
+
+        Each output coefficient receives its terms a[p, q] * b[i, j] in
+        the order of (i, j), starting from zero, one row segment of `a`
+        per numpy call.  The right factor's coefficient keeps a length-1
+        axis so that both operands of every call have equal rank.
+        """
         if not isinstance(other, Jet):
             return self.scale(other)
         a, b = self._pair(other)
-        D = a.order + 1
-        batch = np.broadcast_shapes(a.batch, b.batch)
-        out = np.zeros(batch + (D, D), dtype=complex)
-        ac, bc = a.c, b.c
-        for i in range(D):
-            for j in range(D - i):
-                out[..., i:, j:] += ac[..., : D - i, : D - j] * bc[..., i : i + 1, j : j + 1]
-        out *= _tri(D)
-        return Jet(out)
+        D = a.shape[0]
+        batch = a.shape[2:] if a.shape == b.shape else np.broadcast_shapes(a.shape[2:], b.shape[2:])
+        out = np.zeros((D, D) + batch, dtype=complex)
+        left, rows, steps = _mul_plan(D)
+        left = [a[k] for k in left]
+        rows = [out[k] for k in rows]
+        add, mul = np.add, np.multiply
+        for ij, pairs in steps:
+            bij = b[ij]
+            for k, r in pairs:
+                o = rows[r]
+                add(o, mul(left[k], bij), out=o)
+        return Jet._of(out)
 
     def scale(self, s):
         s = np.asarray(s, dtype=complex)
-        return Jet(self.c * s[..., None, None])
+        return Jet._of(_with_rank(self.t, s.ndim) * s)
 
     def _guard_value(self, guard, bad, what):
         v = self.value()
@@ -182,32 +253,30 @@ class Jet:
         and left for the caller's mask.
         """
         v = self.value()
-        scale = np.max(np.abs(self.c), axis=(-2, -1))
+        scale = np.max(np.abs(self.t), axis=(0, 1))
         bad = ~(np.abs(v) > 1e-12 * scale)
         safe = self._guard_value(guard, bad, "division by a vanishing jet")
-        u = Jet(self.c / safe[..., None, None])
-        uc = u.c
-        uc[..., 0, 0] = 0.0
+        u = Jet._of(_with_rank(self.t, safe.ndim) / safe)
+        u.t[0, 0] = 0.0
         acc = Jet.const(np.ones(u.batch), self.order)
         for _ in range(self.order):
             acc = -(u * acc)
-            acc.c[..., 0, 0] += 1.0
-        return Jet(acc.c / safe[..., None, None])
+            acc.t[0, 0] += 1.0
+        return Jet._of(acc.t / safe)
 
     def sqrt(self, guard=None):
         """Principal square root; order-0 coefficient must be a positive real."""
         v = self.value()
         bad = ~((v.real > 0) & (np.abs(v.imag) <= 1e-9 * np.abs(v) + 1e-300))
         safe = self._guard_value(guard, bad, "square root needs a positive real value")
-        u = Jet(self.c / safe[..., None, None])
-        uc = u.c
-        uc[..., 0, 0] = 0.0
+        u = Jet._of(_with_rank(self.t, safe.ndim) / safe)
+        u.t[0, 0] = 0.0
         series = _sqrt_series(self.order)
         acc = Jet.const(np.full(u.batch, series[-1]), self.order)
         for k in range(self.order - 1, -1, -1):
             acc = u * acc
-            acc.c[..., 0, 0] += series[k]
-        return Jet(acc.c * np.sqrt(safe)[..., None, None])
+            acc.t[0, 0] += series[k]
+        return Jet._of(acc.t * np.sqrt(safe))
 
     def div(self, other, guard=None):
         return self * other.recip(guard=guard)
@@ -219,27 +288,27 @@ class Jet:
         if D < 2:
             raise ValueError("cannot differentiate an order-0 jet")
         w = np.arange(1, D, dtype=float)[:, None]
-        return Jet(self.c[..., 1:, :-1] * w)
+        return Jet._of(self.t[1:, :-1] * _with_rank(w, self.t.ndim - 2))
 
     def dy(self):
         D = self.order + 1
         if D < 2:
             raise ValueError("cannot differentiate an order-0 jet")
         w = np.arange(1, D, dtype=float)[None, :]
-        return Jet(self.c[..., :-1, 1:] * w)
+        return Jet._of(self.t[:-1, 1:] * _with_rank(w, self.t.ndim - 2))
 
     def wirtinger(self):
         """The Wirtinger derivative (d/dx - i d/dy)/2 as a jet of order-1."""
-        return Jet(0.5 * (self.dx().c - 1j * self.dy().c))
+        return Jet._of(0.5 * (self.dx().t - 1j * self.dy().t))
 
     def real(self):
-        return Jet(self.c.real.astype(complex))
+        return Jet._of(self.t.real.astype(complex))
 
     def imag(self):
-        return Jet(self.c.imag.astype(complex))
+        return Jet._of(self.t.imag.astype(complex))
 
     def conj(self):
-        return Jet(np.conj(self.c))
+        return Jet._of(np.conj(self.t))
 
 
 class JetVec:
@@ -342,23 +411,6 @@ class JetVec:
 # -- public operations -------------------------------------------------------
 
 
-def jet_arith(a, b, op):
-    """Named arithmetic on jets: add | sub | mul | div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a.div(b)
-    raise ValueError(f"unknown jet operation {op!r}")
-
-
-def jet_dot(u, v):
-    return u.dot(v)
-
-
 def jet_lift(curve, x, y, order=DEFAULT_ORDER):
     """Lift a holomorphic polynomial curve to complex jets at z = x + iy.
 
@@ -372,11 +424,11 @@ def jet_lift(curve, x, y, order=DEFAULT_ORDER):
     y = np.asarray(y, dtype=float)
     batch = np.broadcast_shapes(x.shape, y.shape)
     D = order + 1
-    zc = np.zeros(batch + (D, D), dtype=complex)
-    zc[..., 0, 0] = x + 1j * y
-    zc[..., 1, 0] = 1.0
-    zc[..., 0, 1] = 1j
-    Z = Jet(zc)
+    zt = np.zeros((D, D) + batch, dtype=complex)
+    zt[0, 0] = x + 1j * y
+    zt[1, 0] = 1.0
+    zt[0, 1] = 1j
+    Z = Jet._of(zt)
     comps = []
     for p in curve:
         if not p:
@@ -385,27 +437,9 @@ def jet_lift(curve, x, y, order=DEFAULT_ORDER):
         acc = Jet.const(np.full(batch, p[-1], dtype=complex), order)
         for c in reversed(p[:-1]):
             acc = acc * Z
-            acc.c[..., 0, 0] += c
+            acc.t[0, 0] += c
         comps.append(acc)
     return JetVec(comps)
-
-
-def lift_scalar_polynomial(coeffs, x, y, order=DEFAULT_ORDER):
-    """Lift a real bivariate polynomial sum a[i,j] x^i y^j to a jet."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    batch = np.broadcast_shapes(x.shape, y.shape)
-    X = Jet.coordinate(np.broadcast_to(x, batch), 0, order)
-    Y = Jet.coordinate(np.broadcast_to(y, batch), 1, order)
-    acc = Jet.zeros(order, batch)
-    for row in coeffs[::-1]:
-        racc = Jet.zeros(order, batch)
-        for c in row[::-1]:
-            racc = racc * Y
-            racc.c[..., 0, 0] += c
-        acc = acc * X + racc
-    return acc
 
 
 def jet_gram_schmidt(vectors, eps=1e-9, guard=None, with_coeffs=False):
@@ -455,7 +489,3 @@ def jet_gram_schmidt(vectors, eps=1e-9, guard=None, with_coeffs=False):
         return (frames, rows, ok) if guard is not None else (frames, rows)
     return (frames, ok) if guard is not None else frames
 
-
-def curve_coefficient_scale(curve):
-    """Largest coefficient magnitude over a polynomial curve (0 if empty)."""
-    return max((cp_max_abs(p) for p in curve), default=0.0)

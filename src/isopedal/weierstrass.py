@@ -42,7 +42,7 @@ from .cpoly import (
     cv_trim,
 )
 from .errors import ConfigError, IsotropyViolation
-from .jets import DEFAULT_ORDER, JetVec, jet_lift, lift_scalar_polynomial
+from .jets import DEFAULT_ORDER, JetVec, jet_lift
 
 ISOTROPY_RTOL = 1e-10
 
@@ -83,11 +83,7 @@ class SurfaceEvaluator:
         inner = self.fn
 
         def fn(x, y, order=DEFAULT_ORDER):
-            jv = inner(x, y, order)
-            out = jv.scale(c)
-            for k, comp in enumerate(out):
-                comp.c[..., 0, 0] += v[k]
-            return out
+            return inner(x, y, order).scale(c).translate(v)
 
         return SurfaceEvaluator(self.ambient_dim, "composite", fn, self.mask_fn)
 
@@ -245,30 +241,6 @@ def surface_evaluator(curve: IsotropicCurve) -> SurfaceEvaluator:
         return jet_lift(phi, x, y, order).real()
 
     return SurfaceEvaluator(len(phi), curve.provenance, fn)
-
-
-def curve_evaluator(curve: IsotropicCurve) -> SurfaceEvaluator:
-    """Complex jets of phi itself (for Wirtinger-side diagnostics)."""
-    phi = curve.phi
-
-    def fn(x, y, order=DEFAULT_ORDER):
-        return jet_lift(phi, x, y, order)
-
-    return SurfaceEvaluator(len(phi), curve.provenance, fn)
-
-
-def polynomial_surface(components) -> SurfaceEvaluator:
-    """A real polynomial surface patch (control surfaces for tests).
-
-    `components` is a list of 2-D real coefficient arrays a[i, j] of
-    x^i y^j, one per ambient coordinate.
-    """
-    comps = [np.asarray(c, dtype=float) for c in components]
-
-    def fn(x, y, order=DEFAULT_ORDER):
-        return JetVec([lift_scalar_polynomial(c, x, y, order) for c in comps])
-
-    return SurfaceEvaluator(len(comps), "graph", fn)
 
 
 def rotated_curve(curve: IsotropicCurve, matrix) -> IsotropicCurve:

@@ -131,6 +131,48 @@ def test_batched_matches_scalar_loop():
         assert np.max(np.abs(batch.c[k] - single.c)) < 1e-14
 
 
+def square_block_mul(ac, bc):
+    """Reference product on (*batch, D, D) tables: each coefficient (i, j)
+    of the right factor adds a whole shifted square block, and the result
+    is masked to the triangle at the end."""
+    D = min(ac.shape[-1], bc.shape[-1])
+    tri = np.add.outer(np.arange(D), np.arange(D)) < D
+    if ac.shape[-1] > D:
+        ac = ac[..., :D, :D] * tri
+    if bc.shape[-1] > D:
+        bc = bc[..., :D, :D] * tri
+    out = np.zeros(np.broadcast_shapes(ac.shape[:-2], bc.shape[:-2]) + (D, D), dtype=complex)
+    for i in range(D):
+        for j in range(D - i):
+            out[..., i:, j:] += ac[..., : D - i, : D - j] * bc[..., i : i + 1, j : j + 1]
+    out *= tri
+    return out
+
+
+@pytest.mark.parametrize("order", range(2, 7))
+def test_product_is_bitwise_the_square_block_product(order):
+    rng = np.random.default_rng(100 + order)
+
+    def table(batch, k):
+        D = k + 1
+        tri = np.add.outer(np.arange(D), np.arange(D)) < D
+        shape = batch + (D, D)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * tri
+
+    cases = [((), (), order), ((1,), (1,), order), ((7,), (7,), order),
+             ((3, 4), (3, 4), order), ((), (5,), order), ((5,), (), order),
+             ((7,), (7,), order + 1), ((3, 4), (4,), order - 1)]
+    for batch_a, batch_b, order_b in cases:
+        ac, bc = table(batch_a, order), table(batch_b, order_b)
+        got = (Jet(ac) * Jet(bc)).c
+        want = square_block_mul(ac, bc)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), (batch_a, batch_b, order_b)
+        for c in (ac, bc):
+            back = Jet(c).c
+            assert back.shape == c.shape and np.array_equal(back, c)
+
+
 def test_jetvec_dot_is_bilinear():
     order = 3
     i_jet = Jet.const(np.asarray(1j), order)
