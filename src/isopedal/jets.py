@@ -113,8 +113,13 @@ class Jet:
 
     @property
     def c(self):
-        """The table as a (*batch, d+1, d+1) view."""
-        return np.moveaxis(self.t, (0, 1), (-2, -1))
+        """The table as a (*batch, d+1, d+1) view.
+
+        It is the view `np.moveaxis(t, (0, 1), (-2, -1))` gives, built
+        with one `transpose` call, which costs far less per access.
+        """
+        t = self.t
+        return t.transpose(tuple(range(2, t.ndim)) + (0, 1))
 
     # -- constructors --------------------------------------------------
 
@@ -220,9 +225,9 @@ class Jet:
         D = a.shape[0]
         batch = a.shape[2:] if a.shape == b.shape else np.broadcast_shapes(a.shape[2:], b.shape[2:])
         out = np.zeros((D, D) + batch, dtype=complex)
-        left, rows, steps = _mul_plan(D)
-        left = [a[k] for k in left]
-        rows = [out[k] for k in rows]
+        left_index, row_index, steps = _mul_plan(D)
+        left = [a[k] for k in left_index]
+        rows = [out[k] for k in row_index]
         add, mul = np.add, np.multiply
         for ij, pairs in steps:
             bij = b[ij]
