@@ -294,8 +294,11 @@ def minimality_residuals(pedal_bundle, centers, radius: float):
     data, plus the resulting ||H|| of the inverted pedal.
 
     Returns dict with arrays over (centers, points): r1, r2, r3,
-    mean_norm, and the per-center infeasibility margin
-    max-over-points of the combined normalized residual.
+    mean_norm, pos_sq = ||g - p0||^2 (floored at 1e-300), and the
+    per-center infeasibility margin max-over-points of the combined
+    normalized residual.  Every array is at most (centers, points), so a
+    caller with a large lattice passes it in blocks of centers to bound
+    memory; each center's row does not depend on the other centers.
     """
     pb = pedal_bundle
     base = pb.base
@@ -346,10 +349,13 @@ def minimality_residuals(pedal_bundle, centers, radius: float):
     mean_norm = (2.0 / radius**2) * np.sqrt(
         np.maximum((r1**2 + r2**2) / np.maximum(theta, 1e-300) + r3**2, 0.0)
     )
-    # normalize each residual by a natural scale of the same homogeneity
-    pos_sq = np.maximum(
-        np.sum((gflat[:, None, :] - C.T[:, :, None]) ** 2, axis=0), 1e-300
-    )  # ||g - p0||^2, (centers, points)
+    # normalize each residual by a natural scale of the same homogeneity:
+    # ||g - p0||^2 over (centers, points), summed axis by axis in the order
+    # of an axis-0 sum but without an (n, centers, points) temporary
+    pos_sq = (gflat[0] - C[:, :1]) ** 2
+    for k in range(1, n):
+        pos_sq += (gflat[k] - C[:, k:k + 1]) ** 2
+    np.maximum(pos_sq, 1e-300, out=pos_sq)
     norm1 = np.abs(r1) / pos_sq
     norm2 = np.abs(r2) / pos_sq
     norm3 = np.abs(r3) / np.sqrt(pos_sq)
@@ -361,6 +367,7 @@ def minimality_residuals(pedal_bundle, centers, radius: float):
         "r2": r2,
         "r3": r3,
         "mean_norm": mean_norm,
+        "pos_sq": pos_sq,
         "margin_per_center": margin,
         "margin": float(margin.min()) if margin.size else float("nan"),
         "valid": valid,

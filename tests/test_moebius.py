@@ -147,3 +147,20 @@ def test_minimality_residual_system_positive_on_lattice():
     assert out["margin"] > 1e-3
     # the inverted pedal's mean curvature never vanishes on the grid
     assert np.min(out["mean_norm"]) > 0.0
+
+
+def test_minimality_residuals_rows_do_not_depend_on_the_block():
+    grid = Grid(nx=7, ny=7)
+    x, y = grid.points()
+    pb = pedal_split(holo3(), x, y, 4)
+    rng = np.random.default_rng(9)
+    centers = rng.uniform(-1.6, 1.6, size=(20, 6))
+    whole = minimality_residuals(pb, centers, radius=1.0)
+    g = pb.foot.value().real.reshape(6, -1)
+    dense_sq = np.sum((g[:, None, :] - centers.T[:, :, None]) ** 2, axis=0)
+    assert np.array_equal(whole["pos_sq"], np.maximum(dense_sq, 1e-300))
+    # blocks of two or more centers reproduce the whole call's rows bit for bit
+    for lo, hi in ((0, 2), (2, 9), (9, 20)):
+        part = minimality_residuals(pb, centers[lo:hi], radius=1.0)
+        for key in ("r1", "r2", "r3", "mean_norm", "pos_sq", "margin_per_center"):
+            assert np.array_equal(part[key], whole[key][lo:hi]), key

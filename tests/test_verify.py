@@ -7,17 +7,24 @@ fully excluded grids) must degrade to explicit non-evaluated statuses
 rather than numbers.
 """
 
-import numpy as np
+import itertools
 
+import numpy as np
+import pytest
+
+from isopedal import moebius, verify
 from isopedal.config import RunConfig
 from isopedal.cpoly import cv_linear_map
 from isopedal.grid import Grid
 from isopedal.pedal import pedal_surface
 from isopedal.verify import (
     DEFAULT_TOLERANCES,
+    SurfacePipeline,
+    _center_lattice,
     normal_shadow_evaluator,
     report_to_json,
     run_all,
+    verify_inversion_minimality,
 )
 from isopedal.weierstrass import ambient_curve, preset_curve, surface_evaluator
 
@@ -174,3 +181,73 @@ def test_report_json_is_sorted_and_versioned():
     text = report_to_json(report)
     assert '"version"' in text
     assert text.index('"checks"') < text.index('"environment"')  # sorted keys
+
+
+def _dense_inversion_defects(pipe, centers, radius):
+    """The whole-lattice evaluation: inversion.norm and inversion.system
+    defects from dense (centers, points) arrays, rho recomputed here."""
+    res = moebius.minimality_residuals(pipe.split, centers, radius)
+    valid = res["valid"] & pipe.mask()
+    g = pipe.split.foot.value().real.reshape(pipe.curve.ambient_dim, -1)
+    rho = np.maximum(
+        np.sum((g[:, None, :] - centers.T[:, :, None]) ** 2, axis=0), 1e-300
+    )
+    xi1, xi2 = pipe.pedal.traceless_second()
+    xi1, xi2 = xi1.value().real, xi2.value().real
+    tr_scale = np.sqrt(2.0 * (np.sum(xi1 * xi1, axis=0) + np.sum(xi2 * xi2, axis=0)))
+    hn = res["mean_norm"] * radius**2 / (2.0 * rho)
+    ratio = 2.0 * hn / np.maximum(tr_scale[None, :], 1e-300)
+    ratio = np.where(valid[None, :], ratio, np.inf)
+    combined = np.maximum(
+        np.maximum(np.abs(res["r1"]) / rho, np.abs(res["r2"]) / rho),
+        np.abs(res["r3"]) / np.sqrt(rho),
+    )
+    combined = np.where(valid[None, :], combined, 0.0)
+    return float(np.min(ratio)), float(combined.max(axis=1).min())
+
+
+def test_center_lattice_is_the_product_order():
+    for n, per in ((4, 3), (6, 3), (8, 3), (5, 1), (3, 4)):
+        axis = np.linspace(-1.6, 1.6, per)
+        ref = np.array(list(itertools.product(axis, repeat=n)), dtype=float)
+        got = _center_lattice(n, {"per_axis": per, "lo": -1.6, "hi": 1.6})
+        assert got.shape == (per**n, n)
+        assert np.array_equal(got, ref)
+
+
+# 729 centers at 81 points: 50 centers a block leaves a ragged block of 29,
+# and 8 a block would leave a single center, which the blocking avoids
+@pytest.mark.parametrize("per_block", [50, 8])
+def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block):
+    pipe = SurfacePipeline(preset_curve("holo3"), SMALL_GRID, 4, "surface")
+    lattice = {"per_axis": 3, "lo": -1.6, "hi": 1.6, "radius": 1.0}
+    centers = _center_lattice(6, lattice)
+    ref_norm, ref_system = _dense_inversion_defects(pipe, centers, 1.0)
+
+    block = per_block * SMALL_GRID.size
+    monkeypatch.setattr(verify, "_LATTICE_BLOCK", block)
+    calls = []
+
+    def spy(pedal_bundle, C, radius):
+        calls.append((C.shape[0], pedal_bundle.valid.size))
+        return moebius.minimality_residuals(pedal_bundle, C, radius)
+
+    monkeypatch.setattr(verify, "minimality_residuals", spy)
+    got = {r.check_id: r for r in verify_inversion_minimality(pipe, lattice=lattice)}
+    assert got["inversion.norm"].defect == ref_norm
+    assert got["inversion.system"].defect == ref_system
+
+    lattice_calls = [c for c, pts in calls if pts == SMALL_GRID.size]
+    assert sum(lattice_calls) == centers.shape[0]
+    assert len(lattice_calls) > 2 and min(lattice_calls) > 1
+    assert lattice_calls[-1] != per_block
+    assert all(c * pts <= block for c, pts in calls)
+
+
+def test_inversion_crosscheck_samples_distinct_centers():
+    lattice = {"per_axis": 1, "lo": -1.6, "hi": 1.6, "radius": 1.0}
+    out = verify_inversion_minimality(preset_curve("holo3"), SMALL_GRID, 4,
+                                      lattice=lattice)
+    got = {r.check_id: r for r in out}
+    assert got["inversion.norm"].details["centers"] == 1
+    assert got["inversion.crosscheck"].details["sampled_centers"] == 1
