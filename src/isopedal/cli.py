@@ -31,13 +31,8 @@ from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
 from .geometry import SurfaceJets
 from .grid import Grid
 from .moebius import InversionSpec, invert_evaluator
-from .pedal import pedal_regularity, pedal_surface
-from .verify import (
-    _generic_vector,
-    normal_shadow_evaluator,
-    report_to_json,
-    run_all,
-)
+from .pedal import normal_part_evaluator, pedal_regularity, pedal_surface
+from .verify import _generic_vector, report_to_json, run_all
 from .weierstrass import surface_evaluator
 
 DEFAULT_CONFIG = {"seed_preset": "holo3"}
@@ -115,7 +110,7 @@ def _surface_pair(cfg: RunConfig):
     if c == 0.0:
         if v is None:
             raise ConfigError("scale 0 needs a translation vector")
-        return base.affine(scale=0.0, translation=v), normal_shadow_evaluator(base, v)
+        return base.affine(scale=0.0, translation=v), normal_part_evaluator(base, v)
     if c != 1.0 or v is not None:
         f_eval = base.affine(scale=c, translation=v)
     else:

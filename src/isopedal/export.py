@@ -91,9 +91,9 @@ def export_obj(surface: SurfaceEvaluator, grid: Grid, path, projection=None,
     dropped so the visible mesh is trustworthy.
     """
     x, y = grid.points()
-    jets = surface.jets(x, y, 2)
+    jets, valid = surface.evaluate(x, y, 2)
     values = jets.value().real  # (n, P)
-    keep = grid.premask() & np.broadcast_to(surface.mask(x, y), x.shape)
+    keep = grid.premask() & valid
     if projection is None:
         proj = default_projection(surface.ambient_dim)
         proj_note = "projection: first 3 of %d coordinates" % surface.ambient_dim

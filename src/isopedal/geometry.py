@@ -111,12 +111,12 @@ class SurfaceJets:
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.order = order
-        self.f = surface.jets(self.x, self.y, order)
+        self.f, base = surface.evaluate(self.x, self.y, order)
         self.n = len(self.f)
         self.batch = self.f.batch
         self._partials = {(0, 0): self.f}
 
-        base = np.broadcast_to(surface.mask(self.x, self.y), self.batch)
+        base = np.broadcast_to(base, self.batch)
         fx, fy = self.partial(1, 0), self.partial(0, 1)
         E0 = fx.norm_sq().value().real
         F0 = fx.dot(fy).value().real

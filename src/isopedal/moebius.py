@@ -86,7 +86,7 @@ def invert_evaluator(surface: SurfaceEvaluator, inv: InversionSpec) -> SurfaceEv
 
     Inversion is an analytic ambient map, so jets compose without order
     loss.  Points closer than POLE_RTOL * radius to the center are
-    masked invalid rather than evaluated.
+    masked invalid, on top of the surface's own mask.
     """
     if len(inv.center) != surface.ambient_dim:
         raise ConfigError(
@@ -98,27 +98,20 @@ def invert_evaluator(surface: SurfaceEvaluator, inv: InversionSpec) -> SurfaceEv
     limit_sq = (POLE_RTOL * inv.radius) ** 2
 
     def fn(x, y, order):
-        f = surface.jets(x, y, order)
+        f, valid = surface.evaluate(x, y, order)
+        vals = f.value().real
+        pole_sq = np.sum((vals - c.reshape((-1,) + (1,) * (vals.ndim - 1))) ** 2, axis=0)
         d = f.translate(-c)
         dsq = d.norm_sq()
         good = np.abs(dsq.value()) > limit_sq
         scale = dsq.recip(guard=good).scale(R2)
-        return d.scale(scale).translate(c)
-
-    def mask_fn(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        base = np.broadcast_to(surface.mask(x, y), np.broadcast(x, y).shape)
-        vals = surface.jets(x, y, 2).value().real
-        dsq = np.sum((vals - c.reshape((-1,) + (1,) * (vals.ndim - 1))) ** 2, axis=0)
-        return base & (dsq > limit_sq)
+        return d.scale(scale).translate(c), valid & (pole_sq > limit_sq)
 
     return SurfaceEvaluator(
         ambient_dim=surface.ambient_dim,
         provenance=f"invert({surface.provenance}; "
         f"center={np.round(c, 6).tolist()}, radius={inv.radius:g})",
         fn=fn,
-        mask_fn=mask_fn,
     )
 
 
@@ -282,7 +275,25 @@ def first_normal_rank(surface: SurfaceEvaluator, p, order: int = 2) -> int:
     return int(rank[0])
 
 
-def minimality_residuals(pedal_bundle, centers, radius: float):
+def _minimality_points(pb):
+    """Per-point arrays of the residual system, flattened to (n, points)
+    or (points,); they depend on the pedal bundle only, so each bundle
+    computes them once for all its blocks of centers."""
+    if "minimality" not in pb._cache:
+        n = len(pb.foot)
+        lev1 = pb.base.flag(1)[0]
+        fields = (pb.foot, pb.tangent_part, pb.first_normal_part, pb.higher_normal_part,
+                  pb.base.e1, pb.base.e2, lev1.frames[0], lev1.frames[1])
+        g, Z, delta, eta, *frames = (_nvalue(v).reshape(n, -1) for v in fields)
+        pb._cache["minimality"] = (
+            g, np.sum(g * g, axis=0), Z - delta, np.sum(delta * delta, axis=0),
+            pb.rotation_section().reshape(n, -1), eta, np.sum(eta * eta, axis=0),
+            frames, pb.osc_norm_sq.value().real.reshape(-1),
+        )
+    return pb._cache["minimality"]
+
+
+def minimality_residuals(pedal_bundle, centers, radius: float, valid=None):
     """Residual system for "some inversion makes the pedal minimal".
 
     The inverted pedal is minimal at a point only if three residuals
@@ -296,33 +307,17 @@ def minimality_residuals(pedal_bundle, centers, radius: float):
     Returns dict with arrays over (centers, points): r1, r2, r3,
     mean_norm, pos_sq = ||g - p0||^2 (floored at 1e-300), and the
     per-center infeasibility margin max-over-points of the combined
-    normalized residual.  Every array is at most (centers, points), so a
-    caller with a large lattice passes it in blocks of centers to bound
-    memory; each center's row does not depend on the other centers.
+    normalized residual, taken over the flat point mask `valid`
+    (default: the pedal bundle's flag mask).  Every array is at most
+    (centers, points), so a caller with a large lattice passes it in
+    blocks of centers to bound memory; each center's row does not
+    depend on the other centers.
     """
-    pb = pedal_bundle
-    base = pb.base
-    g = _nvalue(pb.foot)             # (n, *batch)
+    g, g_sq, z_minus_delta, delta_sq, rot, eta, eta_sq, frames, theta = (
+        _minimality_points(pedal_bundle))
     n = g.shape[0]
-    gflat = g.reshape(n, -1)
-    Z = _nvalue(pb.tangent_part).reshape(n, -1)
-    delta = _nvalue(pb.first_normal_part).reshape(n, -1)
-    eta = _nvalue(pb.higher_normal_part).reshape(n, -1)
-    theta = pb.osc_norm_sq.value().real.reshape(-1)
-    e1 = _nvalue(base.e1).reshape(n, -1)
-    e2 = _nvalue(base.e2).reshape(n, -1)
-    lev1 = base.flag(1)[0]
-    e3 = _nvalue(lev1.frames[0]).reshape(n, -1)
-    e4 = _nvalue(lev1.frames[1]).reshape(n, -1)
-    valid = pb.valid.reshape(-1)
-
-    # rotate the tangential part in the tangent plane and the first-normal
-    # part in its oriented plane, then add
-    z1 = np.sum(Z * e1, axis=0)
-    z2 = np.sum(Z * e2, axis=0)
-    d3 = np.sum(delta * e3, axis=0)
-    d4 = np.sum(delta * e4, axis=0)
-    rot = (z1 * e2 - z2 * e1) + (d3 * e4 - d4 * e3)
+    if valid is None:
+        valid = pedal_bundle.valid.reshape(-1)
 
     C = np.asarray(centers, dtype=float)
     if C.ndim == 1:
@@ -330,20 +325,13 @@ def minimality_residuals(pedal_bundle, centers, radius: float):
     if C.shape[1] != n:
         raise ConfigError(f"centers have dimension {C.shape[1]}, surface {n}")
 
-    g_sq = np.sum(gflat * gflat, axis=0)
-    delta_sq = np.sum(delta * delta, axis=0)
+    c_sq = np.sum(C * C, axis=1)[:, None]
     # r1 = ||g - p0||^2 - ||delta||^2 - <p0, Z - delta>
-    r1 = (
-        g_sq + np.sum(C * C, axis=1)[:, None]
-        - 2.0 * C @ gflat
-        - delta_sq
-        - C @ (Z - delta)
-    )
+    r1 = g_sq + c_sq - 2.0 * C @ g - delta_sq - C @ z_minus_delta
     r2 = C @ rot
     # r3 = || eta - (component of p0 orthogonal to tangent + first normal) ||
-    eta_sq = np.sum(eta * eta, axis=0)
-    proj_sq = sum((C @ fr) ** 2 for fr in (e1, e2, e3, e4))
-    r3_sq = eta_sq - 2.0 * (C @ eta) + np.sum(C * C, axis=1)[:, None] - proj_sq
+    proj_sq = sum((C @ fr) ** 2 for fr in frames)
+    r3_sq = eta_sq - 2.0 * (C @ eta) + c_sq - proj_sq
     r3 = np.sqrt(np.maximum(r3_sq, 0.0))
 
     mean_norm = (2.0 / radius**2) * np.sqrt(
@@ -352,9 +340,9 @@ def minimality_residuals(pedal_bundle, centers, radius: float):
     # normalize each residual by a natural scale of the same homogeneity:
     # ||g - p0||^2 over (centers, points), summed axis by axis in the order
     # of an axis-0 sum but without an (n, centers, points) temporary
-    pos_sq = (gflat[0] - C[:, :1]) ** 2
+    pos_sq = (g[0] - C[:, :1]) ** 2
     for k in range(1, n):
-        pos_sq += (gflat[k] - C[:, k:k + 1]) ** 2
+        pos_sq += (g[k] - C[:, k:k + 1]) ** 2
     np.maximum(pos_sq, 1e-300, out=pos_sq)
     norm1 = np.abs(r1) / pos_sq
     norm2 = np.abs(r2) / pos_sq

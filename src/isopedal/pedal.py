@@ -28,11 +28,11 @@ k + 1 (the evaluator below does this automatically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotImmersion, PedalDegenerate
+from .errors import ConfigError, NotImmersion, PedalDegenerate
 from .jets import DEFAULT_ORDER, Jet, JetVec
 from .geometry import SurfaceJets, _nvalue
 from .weierstrass import SurfaceEvaluator
@@ -52,6 +52,26 @@ class PedalBundle:
     higher_normal_part: JetVec  # g minus that component
     osc_norm_sq: Jet          # ||tangent_part||^2 + ||first_normal_part||^2
     valid: np.ndarray
+    # per-point data derived from this bundle by its consumers (the
+    # inversion residual system), kept for the bundle's lifetime
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def rotation_section(self) -> np.ndarray:
+        """Values of JZ + J1(delta), shape (n, *batch).
+
+        The tangential part turned a quarter in the tangent plane plus
+        the first-normal part turned a quarter in its oriented plane.
+        """
+        Z = _nvalue(self.tangent_part)
+        delta = _nvalue(self.first_normal_part)
+        e1, e2 = _nvalue(self.base.e1), _nvalue(self.base.e2)
+        lev1 = self.base.flag(1)[0]
+        e3, e4 = _nvalue(lev1.frames[0]), _nvalue(lev1.frames[1])
+        z1 = np.sum(Z * e1, axis=0)
+        z2 = np.sum(Z * e2, axis=0)
+        d3 = np.sum(delta * e3, axis=0)
+        d4 = np.sum(delta * e4, axis=0)
+        return (z1 * e2 - z2 * e1) + (d3 * e4 - d4 * e3)
 
     def mean_curvature_predicted(self) -> JetVec:
         """(2 / osc_norm_sq)(tangent_part - first_normal_part) as jets."""
@@ -101,35 +121,46 @@ def pedal_split(surface_or_bundle, x=None, y=None, order: int = DEFAULT_ORDER) -
     )
 
 
-def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
-    """Evaluator of the pedal surface of `surface`.
+def normal_part(bundle: SurfaceJets, order: int, v=None):
+    """(jets, valid) of w - e1<w, e1> - e2<w, e2> truncated to `order`,
+    for w the position f (the pedal) or the constant vector v (its
+    normal shadow); exact to one order less than the bundle."""
+    w = bundle.f
+    if v is not None:
+        w = JetVec([Jet.const(np.full(bundle.batch, val), w.order) for val in v])
+    part = w - bundle.e1.scale(w.dot(bundle.e1)) - bundle.e2.scale(w.dot(bundle.e2))
+    return part.truncate(order), bundle.valid
 
-    Requests jets one order higher from the base surface so the returned
-    pedal jets are exact at the requested order.  The mask marks points
-    where the base surface is an immersion with well-conditioned frames;
-    degeneracy of the pedal itself (K * osc_norm_sq -> 0) is a property
-    of the pedal's own metric and is detected by whatever geometry is
-    computed downstream.
+
+def normal_part_evaluator(surface: SurfaceEvaluator, v=None) -> SurfaceEvaluator:
+    """Evaluator of the normal part of a vector field along `surface`.
+
+    With v None this is the pedal surface of `surface`; with a constant
+    vector v it is the normal shadow of v, the c = 0 member of the
+    shifted pedal family (the pedal of c*f + v is c*(pedal of f) +
+    (shadow of v), and the shadow survives c -> 0).  Base jets are
+    requested one order higher, so the result is exact at the requested
+    order.  The mask marks points where the base surface is an immersion
+    with well-conditioned frames; degeneracy of the result's own metric
+    (for the pedal, K * osc_norm_sq -> 0) is left to downstream geometry.
     """
+    kind = "pedal" if v is None else "shadow"
+    if v is not None:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (surface.ambient_dim,):
+            raise ConfigError(
+                f"shadow vector has dimension {v.shape}, surface {surface.ambient_dim}"
+            )
 
     def fn(x, y, order):
-        bundle = SurfaceJets(surface, x, y, order + 1)
-        z1 = bundle.f.dot(bundle.e1)
-        z2 = bundle.f.dot(bundle.e2)
-        foot = bundle.f - bundle.e1.scale(z1) - bundle.e2.scale(z2)
-        return foot.truncate(order)
+        return normal_part(SurfaceJets(surface, x, y, order + 1), order, v)
 
-    def mask_fn(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return SurfaceJets(surface, x, y, 2).valid
+    return SurfaceEvaluator(surface.ambient_dim, f"{kind}({surface.provenance})", fn)
 
-    return SurfaceEvaluator(
-        ambient_dim=surface.ambient_dim,
-        provenance=f"pedal({surface.provenance})",
-        fn=fn,
-        mask_fn=mask_fn,
-    )
+
+def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
+    """Evaluator of the pedal surface of `surface`."""
+    return normal_part_evaluator(surface)
 
 
 def regularity_flags(pb: PedalBundle):

@@ -58,9 +58,15 @@ from .geometry import (
     hodge_relation_residuals,
 )
 from .grid import Grid
-from .jets import DEFAULT_ORDER, Jet, JetVec
+from .jets import DEFAULT_ORDER, JetVec
 from .moebius import InversionSpec, invert_evaluator, minimality_residuals
-from .pedal import PedalBundle, pedal_split, pedal_surface
+from .pedal import (
+    PedalBundle,
+    normal_part,
+    normal_part_evaluator,
+    pedal_split,
+    pedal_surface,
+)
 from .weierstrass import (
     IsotropicCurve,
     IsotropicSpec,
@@ -253,10 +259,12 @@ class SurfacePipeline:
 
     @property
     def pedal(self) -> SurfaceJets:
+        """The pedal's bundle, composed on the base bundle's jets."""
         if "pedal" not in self._cache:
-            self._cache["pedal"] = SurfaceJets(
-                self.pedal_evaluator, self.x, self.y, self.order - 1
-            )
+            k = self.order - 1
+            evaluated = SurfaceEvaluator.of_jets(
+                self.pedal_evaluator.provenance, self.x, self.y, *normal_part(self.base, k))
+            self._cache["pedal"] = SurfaceJets(evaluated, self.x, self.y, k)
         return self._cache["pedal"]
 
     def mask(self, *extra) -> np.ndarray:
@@ -499,13 +507,8 @@ def verify_normal_span(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     e1, e2 = _values(base.e1), _values(base.e2)
     lev1 = base.flag(1)[0]
     e3, e4 = _values(lev1.frames[0]), _values(lev1.frames[1])
-
-    z1 = np.sum(Z * e1, axis=0)
-    z2 = np.sum(Z * e2, axis=0)
-    d3 = np.sum(delta * e3, axis=0)
-    d4 = np.sum(delta * e4, axis=0)
     u1 = Z - delta
-    u2 = (z1 * e2 - z2 * e1) + (d3 * e4 - d4 * e3)
+    u2 = sp.rotation_section()
 
     gx = _values(gb.partial(1, 0))
     gy = _values(gb.partial(0, 1))
@@ -623,19 +626,10 @@ def _pedal_wirtinger_data(pipe: SurfacePipeline):
     base = pipe.base
     sp = pipe.split
     ag = pipe.pedal.alpha_wirtinger().value()  # complex (n, points)
-    Z = _values(sp.tangent_part)
-    delta = _values(sp.first_normal_part)
     theta = sp.osc_norm_sq.value().real
-    e1, e2 = _values(base.e1), _values(base.e2)
     lev = base.flag(min(2, base.flag_capacity()))
-    e3, e4 = _values(lev[0].frames[0]), _values(lev[0].frames[1])
-    z1 = np.sum(Z * e1, axis=0)
-    z2 = np.sum(Z * e2, axis=0)
-    d3 = np.sum(delta * e3, axis=0)
-    d4 = np.sum(delta * e4, axis=0)
-    u1 = Z - delta
-    u2 = (z1 * e2 - z2 * e1) + (d3 * e4 - d4 * e3)
-    return ag, u1, u2, theta, lev
+    u1 = _values(sp.tangent_part) - _values(sp.first_normal_part)
+    return ag, u1, sp.rotation_section(), theta, lev
 
 
 def _secondform_span_pairing(pipe: SurfacePipeline):
@@ -1100,17 +1094,12 @@ def verify_inversion_minimality(fspec, grid=None, order=DEFAULT_ORDER,
     tr_scale = np.sqrt(2.0 * (_norms(_values(xi1)) ** 2 + _norms(_values(xi2)) ** 2))
     ratio_mins, margins = [], []
     for block in _lattice_blocks(centers.shape[0], valid.size):
-        res = minimality_residuals(sp, centers[block], radius)
+        res = minimality_residuals(sp, centers[block], radius, valid=valid)
         rho = res["pos_sq"]
         hn = res["mean_norm"] * radius**2 / (2.0 * rho)  # sqrt((r1^2+r2^2)/th + r3^2)
         ratio = 2.0 * hn / np.maximum(tr_scale[None, :], _TINY)
         ratio_mins.append(np.min(np.where(valid[None, :], ratio, np.inf)))
-        combined = np.maximum(
-            np.maximum(np.abs(res["r1"]) / rho, np.abs(res["r2"]) / rho),
-            np.abs(res["r3"]) / np.sqrt(rho),
-        )
-        combined = np.where(valid[None, :], combined, 0.0)
-        margins.append(combined.max(axis=1))
+        margins.append(res["margin_per_center"])
     margins = np.concatenate(margins)
 
     norm_defect = float(np.min(ratio_mins)) if np.any(valid) else None
@@ -1144,16 +1133,17 @@ def verify_inversion_minimality(fspec, grid=None, order=DEFAULT_ORDER,
     sx, sy = sub.points()
     # distinct indices, so a one-center lattice is sampled once
     picks = sorted({0, centers.shape[0] // 2, centers.shape[0] - 1})
-    sub_base = SurfaceJets(pipe.evaluator, sx, sy, order)
-    sub_split = pedal_split(sub_base)
-    sxi1, sxi2 = SurfaceJets(pipe.pedal_evaluator, sx, sy, 2).traceless_second()
+    sub_split = pedal_split(SurfaceJets(pipe.evaluator, sx, sy, order))
+    # one pedal evaluation on the subgrid feeds its own geometry and the
+    # sampled inversions
+    sub_pedal = pipe.pedal_evaluator.evaluated(sx, sy, 2)
+    sxi1, sxi2 = SurfaceJets(sub_pedal, sx, sy, 2).traceless_second()
     strs = np.sqrt(2.0 * (_norms(_values(sxi1)) ** 2 + _norms(_values(sxi2)) ** 2))
     worst = None
     for idx in picks:
         c = centers[idx]
         inv = InversionSpec(center=tuple(c), radius=radius)
-        inv_eval = invert_evaluator(pipe.pedal_evaluator, inv)
-        bundle = SurfaceJets(inv_eval, sx, sy, 2)
+        bundle = SurfaceJets(invert_evaluator(sub_pedal, inv), sx, sy, 2)
         m = sub.premask() & bundle.valid & sub_split.valid
         if not np.any(m):
             continue
@@ -1192,40 +1182,6 @@ def verify_inversion_minimality(fspec, grid=None, order=DEFAULT_ORDER,
 # ---------------------------------------------------------------------------
 
 
-def normal_shadow_evaluator(surface: SurfaceEvaluator, v) -> SurfaceEvaluator:
-    """The surface x -> component of the constant vector v normal to f at x.
-
-    This is the c = 0 member of the shifted pedal family: the pedal of
-    c*f + v equals c*(pedal of f) + (normal shadow of v), and the shadow
-    survives the degeneration c -> 0 even though c*f + v itself stops
-    being an immersion.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (surface.ambient_dim,):
-        raise ConfigError(
-            f"shadow vector has dimension {v.shape}, surface {surface.ambient_dim}"
-        )
-
-    def fn(x, y, order):
-        bundle = SurfaceJets(surface, x, y, order + 1)
-        vc = JetVec([Jet.const(np.full(bundle.batch, val), bundle.f.order)
-                     for val in v])
-        shadow = vc - bundle.e1.scale(vc.dot(bundle.e1)) - bundle.e2.scale(vc.dot(bundle.e2))
-        return shadow.truncate(order)
-
-    def mask_fn(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return SurfaceJets(surface, x, y, 2).valid
-
-    return SurfaceEvaluator(
-        ambient_dim=surface.ambient_dim,
-        provenance=f"shadow({surface.provenance})",
-        fn=fn,
-        mask_fn=mask_fn,
-    )
-
-
 def _rank_defect(bundle: SurfaceJets, mask):
     rank, _ = first_normal_rank(bundle)
     dev = np.abs(rank.astype(float) - 3.0)
@@ -1233,9 +1189,11 @@ def _rank_defect(bundle: SurfaceJets, mask):
 
 
 def _random_inversion_rank_defect(pedal_eval, grid, rng, count, span):
-    """Worst |rank - 3| of the first normal bundle over random inversions."""
+    """Worst |rank - 3| of the first normal bundle over random inversions,
+    all composed on one evaluation of the pedal over the grid."""
     x, y = grid.points()
     pre = grid.premask()
+    pedal_at = pedal_eval.evaluated(x, y, 2)
     worst = 0.0
     evaluated = 0
     for _ in range(count):
@@ -1243,7 +1201,7 @@ def _random_inversion_rank_defect(pedal_eval, grid, rng, count, span):
         direction /= np.linalg.norm(direction)
         center = span * direction
         inv = InversionSpec(center=tuple(center), radius=1.0)
-        bundle = SurfaceJets(invert_evaluator(pedal_eval, inv), x, y, 2)
+        bundle = SurfaceJets(invert_evaluator(pedal_at, inv), x, y, 2)
         m = pre & bundle.valid
         if not np.any(m):
             continue
@@ -1308,7 +1266,7 @@ def verify_shifted_pedals(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None
     shifted = pipe.evaluator.affine(scale=cc, translation=v)
     g_shift = SurfaceJets(pedal_surface(shifted), sx, sy, 2)
     g_base = SurfaceJets(pipe.pedal_evaluator, sx, sy, 2)
-    shadow_eval = normal_shadow_evaluator(pipe.evaluator, v)
+    shadow_eval = normal_part_evaluator(pipe.evaluator, v)
     shadow = SurfaceJets(shadow_eval, sx, sy, 2)
     lhs = _values(g_shift.f)
     rhs = cc * _values(g_base.f) + _values(shadow.f)

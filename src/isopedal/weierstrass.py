@@ -49,30 +49,51 @@ ISOTROPY_RTOL = 1e-10
 
 @dataclass
 class SurfaceEvaluator:
-    """A surface patch as a jet source: (x, y, order) -> jets of the map.
+    """A surface patch as a jet source.
 
-    `fn` must be deterministic and consistent across orders (lower-order
-    requests are truncations of higher ones).  `mask_fn` marks the points
-    where the jets are trustworthy; callers AND it into their own
-    regularity masks.  `provenance` records how the surface was built
+    `fn(x, y, order)` makes one evaluation and returns `(jets, valid)`:
+    the jets of the map at the points, and a boolean mask of the points
+    where they are trustworthy, or None when every point is.  `fn` must
+    be deterministic and consistent across orders (lower-order requests
+    are truncations of higher ones).  Callers AND `valid` into their own
+    regularity masks; `evaluate` is the one call, and `jets` / `mask`
+    read one half of it.  `provenance` records how the surface was built
     (generated curve, doubled holomorphic curve, pedal, inversion, ...).
     """
 
     ambient_dim: int
     provenance: str
     fn: Callable
-    mask_fn: Optional[Callable] = None
 
-    def jets(self, x, y, order=DEFAULT_ORDER) -> JetVec:
-        return self.fn(x, y, order)
-
-    def mask(self, x, y):
+    def evaluate(self, x, y, order=DEFAULT_ORDER):
+        """(jets, valid) at the points, valid broadcast to their shape."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        jets, valid = self.fn(x, y, order)
         shape = np.broadcast_shapes(x.shape, y.shape)
-        if self.mask_fn is None:
-            return np.ones(shape, dtype=bool)
-        return np.broadcast_to(self.mask_fn(x, y), shape)
+        return jets, np.broadcast_to(True if valid is None else valid, shape)
+
+    def jets(self, x, y, order=DEFAULT_ORDER) -> JetVec:
+        return self.evaluate(x, y, order)[0]
+
+    def mask(self, x, y):
+        return self.evaluate(x, y, 2)[1]
+
+    def evaluated(self, x, y, order) -> "SurfaceEvaluator":
+        """This surface evaluated once at the points (x, y) up to `order`."""
+        return SurfaceEvaluator.of_jets(self.provenance, x, y, *self.evaluate(x, y, order))
+
+    @staticmethod
+    def of_jets(provenance, x, y, jets: JetVec, valid) -> "SurfaceEvaluator":
+        """An evaluator serving jets already computed at (x, y): at those
+        points only, and at any order up to theirs, by truncation."""
+
+        def fn(xq, yq, order):  # truncate raises ValueError above jets.order
+            if not (np.array_equal(xq, x) and np.array_equal(yq, y)):
+                raise ValueError("jets were evaluated at other points")
+            return jets.truncate(order), valid
+
+        return SurfaceEvaluator(len(jets), provenance, fn)
 
     def affine(self, scale=1.0, translation=None) -> "SurfaceEvaluator":
         """The surface c*f + v (ambient scaling and translation)."""
@@ -83,9 +104,10 @@ class SurfaceEvaluator:
         inner = self.fn
 
         def fn(x, y, order=DEFAULT_ORDER):
-            return inner(x, y, order).scale(c).translate(v)
+            jets, valid = inner(x, y, order)
+            return jets.scale(c).translate(v), valid
 
-        return SurfaceEvaluator(self.ambient_dim, "composite", fn, self.mask_fn)
+        return SurfaceEvaluator(self.ambient_dim, "composite", fn)
 
 
 @dataclass(frozen=True)
@@ -238,7 +260,7 @@ def surface_evaluator(curve: IsotropicCurve) -> SurfaceEvaluator:
     phi = curve.phi
 
     def fn(x, y, order=DEFAULT_ORDER):
-        return jet_lift(phi, x, y, order).real()
+        return jet_lift(phi, x, y, order).real(), None
 
     return SurfaceEvaluator(len(phi), curve.provenance, fn)
 

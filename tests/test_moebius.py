@@ -13,6 +13,7 @@ from isopedal.errors import ConfigError, PoleProximity
 from isopedal.geometry import SurfaceJets
 from isopedal.grid import Grid
 from isopedal.moebius import (
+    POLE_RTOL,
     InversionSpec,
     first_normal_rank,
     invert_evaluator,
@@ -23,8 +24,8 @@ from isopedal.moebius import (
     normal_isometry,
     transformation_residuals,
 )
-from isopedal.pedal import pedal_split, pedal_surface
-from isopedal.weierstrass import preset_curve, surface_evaluator
+from isopedal.pedal import PedalBundle, pedal_split, pedal_surface
+from isopedal.weierstrass import holomorphic_curve, preset_curve, surface_evaluator
 
 
 def holo3():
@@ -164,3 +165,71 @@ def test_minimality_residuals_rows_do_not_depend_on_the_block():
         part = minimality_residuals(pb, centers[lo:hi], radius=1.0)
         for key in ("r1", "r2", "r3", "mean_norm", "pos_sq", "margin_per_center"):
             assert np.array_equal(part[key], whole[key][lo:hi]), key
+
+
+def _parent_mask_route(surface, inv, x, y):
+    """The mask of invert_evaluator(pedal_surface(surface), inv) the way
+    two-callable evaluators built it: the pedal's mask was the validity
+    of an order-2 bundle of `surface`, and the inversion ANDed a pole
+    test on order-2 pedal values into it."""
+    pedal_mask = SurfaceJets(surface, x, y, 2).valid
+    vals = pedal_surface(surface).jets(x, y, 2).value().real
+    c = inv.center_array.reshape((-1,) + (1,) * (vals.ndim - 1))
+    dsq = np.sum((vals - c) ** 2, axis=0)
+    return pedal_mask & (dsq > (POLE_RTOL * inv.radius) ** 2)
+
+
+def test_evaluate_masks_the_pole_and_the_degenerate_base_points():
+    # (z^2, z^3) doubled has a branch point at z = 0, the grid center
+    ev = surface_evaluator(holomorphic_curve([[0, 0, 1], [0, 0, 0, 1]]))
+    x, y = Grid(-0.5, 0.5, -0.5, 0.5, 5, 5).points()
+    g = pedal_surface(ev)
+    pole = g.jets(x, y, 2).value().real[:, 7]
+    inv = InversionSpec(center=tuple(pole), radius=1.0)
+    want = _parent_mask_route(ev, inv, x, y)
+    assert not want[7] and not want[12] and np.sum(~want) == 2
+    for order in (2, 3):
+        jets, valid = invert_evaluator(g, inv).evaluate(x, y, order)
+        assert jets.order == order
+        assert valid.dtype == bool and np.array_equal(valid, want)
+    # the pedal alone masks only the branch point, a plain surface nothing
+    assert np.array_equal(g.evaluate(x, y, 2)[1], np.arange(25) != 12)
+    assert np.all(ev.evaluate(x, y, 2)[1])
+
+
+def test_minimality_setup_is_computed_once_per_pedal_bundle(monkeypatch):
+    x, y = Grid(nx=7, ny=7).points()
+    pb = pedal_split(holo3(), x, y, 4)
+    calls = []
+    rotation = PedalBundle.rotation_section
+
+    def spy(self):
+        calls.append(self)
+        return rotation(self)
+
+    monkeypatch.setattr(PedalBundle, "rotation_section", spy)
+    centers = np.random.default_rng(9).uniform(-1.6, 1.6, size=(20, 6))
+    for block in (slice(0, 7), slice(7, 20)):
+        minimality_residuals(pb, centers[block], radius=1.0)
+    assert calls == [pb]
+
+
+def test_minimality_margin_runs_over_the_callers_mask():
+    x, y = Grid(nx=7, ny=7).points()
+    pb = pedal_split(holo3(), x, y, 4)
+    centers = np.random.default_rng(9).uniform(-1.6, 1.6, size=(20, 6))
+    mask = pb.valid.reshape(-1).copy()
+    mask[::3] = False
+    out = minimality_residuals(pb, centers, radius=1.0, valid=mask)
+    rho = out["pos_sq"]
+    combined = np.maximum(
+        np.maximum(np.abs(out["r1"]) / rho, np.abs(out["r2"]) / rho),
+        np.abs(out["r3"]) / np.sqrt(rho),
+    )
+    want = np.where(mask[None, :], combined, 0.0).max(axis=1)
+    assert np.array_equal(out["margin_per_center"], want)
+    assert out["margin"] == want.min()
+    # without a mask the margin runs over the bundle's own flag mask
+    plain = minimality_residuals(pb, centers, radius=1.0)
+    assert np.array_equal(plain["margin_per_center"],
+                          np.where(pb.valid.reshape(-1)[None, :], combined, 0.0).max(axis=1))

@@ -16,12 +16,11 @@ from isopedal import moebius, verify
 from isopedal.config import RunConfig
 from isopedal.cpoly import cv_linear_map
 from isopedal.grid import Grid
-from isopedal.pedal import pedal_surface
+from isopedal.pedal import normal_part_evaluator, pedal_surface
 from isopedal.verify import (
     DEFAULT_TOLERANCES,
     SurfacePipeline,
     _center_lattice,
-    normal_shadow_evaluator,
     report_to_json,
     run_all,
     verify_inversion_minimality,
@@ -166,7 +165,7 @@ def test_tolerance_override_respected():
 def test_shadow_surface_is_pedal_family_limit():
     ev = surface_evaluator(preset_curve("holo3"))
     v = np.array([0.9, -0.4, 0.7, 0.3, -0.8, 0.5])
-    shadow = normal_shadow_evaluator(ev, v)
+    shadow = normal_part_evaluator(ev, v)
     x = np.array([0.6, 1.0])
     y = np.array([0.8, 0.5])
     c = 0.25
@@ -228,9 +227,9 @@ def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block
     monkeypatch.setattr(verify, "_LATTICE_BLOCK", block)
     calls = []
 
-    def spy(pedal_bundle, C, radius):
+    def spy(pedal_bundle, C, radius, **kw):
         calls.append((C.shape[0], pedal_bundle.valid.size))
-        return moebius.minimality_residuals(pedal_bundle, C, radius)
+        return moebius.minimality_residuals(pedal_bundle, C, radius, **kw)
 
     monkeypatch.setattr(verify, "minimality_residuals", spy)
     got = {r.check_id: r for r in verify_inversion_minimality(pipe, lattice=lattice)}
@@ -251,3 +250,46 @@ def test_inversion_crosscheck_samples_distinct_centers():
     got = {r.check_id: r for r in out}
     assert got["inversion.norm"].details["centers"] == 1
     assert got["inversion.crosscheck"].details["sampled_centers"] == 1
+
+
+def test_random_inversions_share_one_pedal_evaluation():
+    ev = surface_evaluator(preset_curve("holo3"))
+    grid = Grid(nx=5, ny=5)
+    pedal = pedal_surface(ev)
+    calls = []
+    inner = pedal.fn
+    pedal.fn = lambda *args: calls.append(args[2]) or inner(*args)
+    worst, evaluated = verify._random_inversion_rank_defect(
+        pedal, grid, np.random.default_rng(3), 10, 4.0)
+    assert calls == [2] and evaluated == 10
+    # the same defect as inverting a fresh pedal evaluation each time
+    x, y = grid.points()
+    rng = np.random.default_rng(3)
+    want = 0.0
+    for _ in range(10):
+        direction = rng.normal(size=6)
+        center = 4.0 * direction / np.linalg.norm(direction)
+        inv = moebius.InversionSpec(center=tuple(center), radius=1.0)
+        bundle = verify.SurfaceJets(moebius.invert_evaluator(pedal_surface(ev), inv), x, y, 2)
+        want = max(want, verify._rank_defect(bundle, grid.premask() & bundle.valid)[0])
+    assert worst == want
+
+
+def test_pipeline_pedal_is_composed_on_the_base_bundle(monkeypatch):
+    pipe = SurfacePipeline(preset_curve("holo3"), SMALL_GRID, 4, "surface")
+    base = pipe.base
+    builds = []
+    init = verify.SurfaceJets.__init__
+
+    def spy(self, surface, *args, **kw):
+        builds.append(surface.provenance)
+        init(self, surface, *args, **kw)
+
+    monkeypatch.setattr(verify.SurfaceJets, "__init__", spy)
+    got = pipe.pedal
+    assert builds == [pipe.pedal_evaluator.provenance] and pipe.base is base
+    monkeypatch.undo()
+    want = verify.SurfaceJets(pipe.pedal_evaluator, pipe.x, pipe.y, 3)
+    assert np.array_equal(got.valid, want.valid)
+    for a, b in zip(got.f, want.f):
+        assert np.array_equal(a.t, b.t)

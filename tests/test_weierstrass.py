@@ -184,3 +184,26 @@ def test_affine_evaluator_scales_and_translates():
     # derivatives scale without the translation
     ddiff = got.deriv(1, 0).real - (-2.0) * base.deriv(1, 0).real
     assert np.max(np.abs(ddiff)) < 1e-13
+
+
+def test_evaluated_surface_answers_up_to_its_order_at_its_points():
+    ev = surface_evaluator(preset_curve("holo3"))
+    x = np.array([0.5, 1.0, 0.8])
+    y = np.array([0.6, 0.9, 0.3])
+    jets, valid = ev.evaluate(x, y, 3)
+    calls = []
+    inner = ev.fn
+    ev.fn = lambda *args: calls.append(args[2]) or inner(*args)
+    frozen = ev.evaluated(x, y, 3)
+    assert frozen.provenance == ev.provenance
+    for order in (3, 2, 3):
+        got, got_valid = frozen.evaluate(x, y, order)
+        assert np.array_equal(got_valid, valid)
+        for a, b in zip(got, jets.truncate(order)):
+            assert np.array_equal(a.t, b.t)
+    assert calls == [3]
+    # it holds no jets above its order and no jets at other points
+    with pytest.raises(ValueError, match="order"):
+        frozen.evaluate(x, y, 4)
+    with pytest.raises(ValueError, match="points"):
+        frozen.evaluate(x + 0.1, y, 2)
