@@ -13,14 +13,10 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    DegenerateEllipse,
     DegenerateJet,
     IsopedalError,
     IsotropyViolation,
-    NotImmersion,
     NotRegular,
-    PedalDegenerate,
-    PoleProximity,
     RankDeficient,
 )
 from .grid import Grid
@@ -37,14 +33,10 @@ from .weierstrass import (
 __all__ = [
     "__version__",
     "ConfigError",
-    "DegenerateEllipse",
     "DegenerateJet",
     "IsopedalError",
     "IsotropyViolation",
-    "NotImmersion",
     "NotRegular",
-    "PedalDegenerate",
-    "PoleProximity",
     "RankDeficient",
     "Grid",
     "IsotropicCurve",

@@ -28,7 +28,7 @@ import numpy as np
 from .config import RunConfig, encode_complex
 from .errors import ConfigError, IsotropyViolation
 from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
-from .geometry import SurfaceJets
+from .geometry import SurfaceJets, isotropy_order
 from .grid import Grid
 from .moebius import InversionSpec, invert_evaluator
 from .pedal import normal_part_evaluator, pedal_regularity, pedal_surface
@@ -129,19 +129,9 @@ def _exclusion_exit(excluded: int, total: int) -> int:
 
 def _count_circles(curve) -> int:
     """Leading curvature ellipses that are circles, at fixed probe points."""
-    ev = surface_evaluator(curve)
-    x = np.asarray(PROBE_X)
-    y = np.asarray(PROBE_Y)
     cap = max((curve.ambient_dim - 1) // 2, 1)
-    bundle = SurfaceJets(ev, x, y, cap + 1)
-    count = 0
-    for s in range(1, bundle.flag_capacity() + 1):
-        defect, _, _ = bundle.circle_defect(s)
-        mask = bundle.valid if s == 1 else bundle.flag(s)[s - 1].valid
-        if not np.any(mask) or np.max(defect[mask]) > CIRCLE_PROBE_TOL:
-            break
-        count += 1
-    return count
+    return isotropy_order(surface_evaluator(curve), PROBE_X, PROBE_Y,
+                          order=cap + 1, tol=CIRCLE_PROBE_TOL)[0]
 
 
 def cmd_generate(cfg: RunConfig, args) -> int:
@@ -256,11 +246,7 @@ def cmd_export(cfg: RunConfig, args) -> int:
     else:
         path = os.path.join(out, f"{args.what}.csv")
         order = max(2, cfg.jet_order)
-        rows = write_geometry_csv(target, grid, path, order=order)
-        x, y = grid.points()
-        bundle = SurfaceJets(target, x, y, 2)
-        excluded = int(np.sum(~(grid.premask() & bundle.valid)))
-        assert rows == grid.size
+        _, excluded = write_geometry_csv(target, grid, path, order=order)
     print(f"wrote {path}")
     print(f"excluded points: {excluded} of {grid.size}")
     ranks = rank_note(target, grid)

@@ -152,17 +152,6 @@ class RunConfig:
             source=doc,
         )
 
-    @staticmethod
-    def from_path(path) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-        return RunConfig.from_document(doc)
-
     def canonical_document(self) -> dict:
         doc = {
             "ambient_curve": [[encode_complex(c) for c in p] for p in self.curve.phi],

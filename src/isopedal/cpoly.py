@@ -72,31 +72,6 @@ def cp_int(p) -> CPoly:
     return cp_trim([complex(0)] + [complex(c) / (k + 1) for k, c in enumerate(p)])
 
 
-def cp_arith(a, b, op: str) -> CPoly:
-    """Named dispatcher over the ring operations (op: add|sub|mul|scale).
-
-    For `scale`, b is a complex scalar.
-    """
-    if op == "add":
-        return cp_add(a, b)
-    if op == "sub":
-        return cp_sub(a, b)
-    if op == "mul":
-        return cp_mul(a, b)
-    if op == "scale":
-        return cp_scale(a, b)
-    raise ValueError(f"unknown polynomial operation {op!r}")
-
-
-def cp_calculus(a, op: str) -> CPoly:
-    """Named dispatcher over d/dz and its inverse (op: differentiate|integrate)."""
-    if op == "differentiate":
-        return cp_diff(a)
-    if op == "integrate":
-        return cp_int(a)
-    raise ValueError(f"unknown calculus operation {op!r}")
-
-
 def cp_eval(p, z):
     """Horner evaluation; `z` may be a scalar or an ndarray."""
     if np.ndim(z) == 0:
@@ -118,19 +93,6 @@ def cp_max_abs(p) -> float:
 
 def cv_trim(u) -> CVecPoly:
     return [cp_trim(p) for p in u]
-
-
-def cv_add(u, v) -> CVecPoly:
-    if len(u) != len(v):
-        raise ValueError(f"component mismatch: {len(u)} vs {len(v)}")
-    return [cp_add(p, q) for p, q in zip(u, v)]
-
-
-def cv_scale(u, c) -> CVecPoly:
-    """Scale every component, by a constant or by a polynomial."""
-    if isinstance(c, (list, tuple)):
-        return [cp_mul(p, list(c)) for p in u]
-    return [cp_scale(p, c) for p in u]
 
 
 def cv_dot(u, v) -> CPoly:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Grid pipelines generally *mask* bad points instead of raising; these
-exceptions are for the single-point / construction APIs where silently
-continuing would hand the caller garbage.
+Grid pipelines *mask* bad points instead of raising; these exceptions
+are for inputs and constructions where silently continuing would hand
+the caller garbage.
 """
 
 
@@ -23,26 +23,9 @@ class RankDeficient(IsopedalError):
     """Gram-Schmidt input vectors are linearly dependent at the point."""
 
 
-class NotImmersion(IsopedalError):
-    """The differential fails to have rank 2 at the point."""
-
-
 class NotRegular(IsopedalError):
     """A higher normal space does not attain its expected dimension."""
 
 
-class DegenerateEllipse(IsopedalError):
-    """Curvature-ellipse data collapses (zero semi-diameters) at the point."""
-
-
 class IsotropyViolation(IsopedalError):
     """Generated curve fails the exact isotropy identity beyond tolerance."""
-
-
-class PedalDegenerate(IsopedalError):
-    """Pedal decomposition breaks down (position vector tangent/normal
-    degeneracy) at the point."""
-
-
-class PoleProximity(IsopedalError):
-    """Inversion evaluated too close to its pole."""

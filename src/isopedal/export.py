@@ -159,13 +159,14 @@ def geometry_table(surface: SurfaceEvaluator, grid: Grid, order: int = 4):
 
 
 def write_geometry_csv(surface: SurfaceEvaluator, grid: Grid, path, order: int = 4):
+    """Curvature invariants over the grid as CSV; returns (rows, excluded)."""
     rows = geometry_table(surface, grid, order)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GEOMETRY_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    return len(rows)
+    return len(rows), sum(row[-1] for row in rows)
 
 
 def pedal_columns(ambient_dim: int):

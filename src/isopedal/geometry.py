@@ -28,20 +28,20 @@ Conventions fixed here and used by the rest of the package:
   is max(|<u,v>|, a * | ||u|| - ||v|| |) / a^2 with a = max(||u||,||v||):
   dimensionless, zero exactly for circles.
 
-Grid pipelines never raise on degenerate points: every batched quantity
-carries a validity mask and bad points are excluded from reports.  The
-single-point wrappers at the bottom raise instead.
+Nothing here raises on degenerate points: every batched quantity
+carries a validity mask and bad points are excluded from reports.  A
+single point is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateEllipse, NotImmersion, NotRegular
+from .errors import NotRegular
 from .jets import DEFAULT_ORDER, Jet, JetVec, jet_gram_schmidt
 from .weierstrass import SurfaceEvaluator
 
@@ -367,9 +367,6 @@ class SurfaceJets:
         dx_c, dy_c = domain_vec
         return w.dx().scale(dx_c) + w.dy().scale(dy_c)
 
-    def normal_project(self, v: JetVec) -> JetVec:
-        return v.project_off([self.e1, self.e2])
-
     def connection_forms(self):
         """Connection 1-forms on the frame directions.
 
@@ -378,11 +375,13 @@ class SurfaceJets:
           omega: array (2, nf, nf, *batch), omega[i, a, b] = <D_{e_i} e_{a+3}, e_{b+3}>
           frames: the normal frame jets used
           valid: mask
-        Needs jets of order >= 1 + the flag depth.
+        Only flag levels whose frames are jets of order >= 1 (levels up
+        to jet order - 2) can be differentiated, so deeper levels are left
+        out.
         """
         key = "connection"
         if key not in self._cache:
-            nfr = self.normal_frames()
+            nfr = self.normal_frames(min(self.flag_capacity(), self.order - 2))
             X = self.frame_domain_vectors()
             psi = np.stack(
                 [self.directional(self.e1, Xi).dot(self.e2).value().real for Xi in X]
@@ -515,7 +514,7 @@ def third_form_recursive_defect(bundle: SurfaceJets):
     for (i, j), fld in h.items():
         for axis in (0, 1):
             der = fld.dx() if axis == 0 else fld.dy()
-            rec = bundle.normal_project(der).project_off(n1_frames)
+            rec = bundle.tangent_project_off(der).project_off(n1_frames)
             tgt = osc[(i + 1, j)] if axis == 0 else osc[(i, j + 1)]
             diff = np.max(np.abs(_nvalue(rec) - _nvalue(tgt)), axis=0)
             worst = np.maximum(worst, diff / scale)
@@ -567,246 +566,3 @@ def isotropy_order(surface: SurfaceEvaluator, x, y, order=DEFAULT_ORDER, tol=1e-
         else:
             break
     return result, defects
-
-
-# -- per-point sample API -----------------------------------------------------
-
-
-@dataclass
-class GeometrySample:
-    """Invariants of the surface at one parameter point."""
-
-    x: float
-    y: float
-    E: float
-    F: float
-    G: float
-    K: float
-    K_N: float
-    H_norm_sq: float
-    wintgen_defect: float
-    circle_defect_1: float
-    circle_defect_2: Optional[float]
-    lambda_2: Optional[float]
-    H: np.ndarray
-    excluded: bool
-    tangent_frame: Optional[tuple] = None          # (e1, e2) ambient values
-    alpha11: Optional[np.ndarray] = None
-    alpha12: Optional[np.ndarray] = None
-    alpha22: Optional[np.ndarray] = None
-    xi1: Optional[np.ndarray] = None
-    xi2: Optional[np.ndarray] = None
-    iso_kappa: Optional[float] = None              # first-ellipse radius when circular
-
-
-class Curvatures(NamedTuple):
-    K: float
-    K_N: float
-    H_norm_sq: float
-    wintgen_defect: float
-
-
-def _single(surface, p, order):
-    bundle = SurfaceJets(surface, np.asarray([p[0]]), np.asarray([p[1]]), order)
-    if not bundle.immersed[0]:
-        raise NotImmersion(f"differential rank < 2 at {tuple(p)}")
-    return bundle
-
-
-def first_fundamental(surface, p, order=DEFAULT_ORDER):
-    """(E, F, G, (e1, e2)) at one point; raises NotImmersion when degenerate.
-
-    The frame entries are jet vectors (batch of one), so callers can
-    differentiate them further.
-    """
-    b = _single(surface, p, order)
-    E, F, G = b.first_fundamental()
-    return (
-        float(E.value().real[0]),
-        float(F.value().real[0]),
-        float(G.value().real[0]),
-        (b.e1, b.e2),
-    )
-
-
-def second_fundamental(surface, p, order=DEFAULT_ORDER):
-    """(a11, a12, a22, H, xi1, xi2) on the orthonormal frame, as vectors."""
-    b = _single(surface, p, order)
-    a11, a12, a22 = b.second_fundamental()
-    v11, v12, v22 = _nvalue(a11)[:, 0], _nvalue(a12)[:, 0], _nvalue(a22)[:, 0]
-    return v11, v12, v22, (v11 + v22) / 2, (v11 - v22) / 2, v12
-
-
-def curvatures(surface, p, order=DEFAULT_ORDER) -> Curvatures:
-    b = _single(surface, p, order)
-    sc = b.curvature_scalars()
-    return Curvatures(
-        K=float(sc["K"][0]),
-        K_N=float(sc["K_N"][0]),
-        H_norm_sq=float(sc["H_norm_sq"][0]),
-        wintgen_defect=float(sc["wintgen_defect"][0]),
-    )
-
-
-@dataclass
-class EllipseSample:
-    level: int
-    u: np.ndarray
-    v: np.ndarray
-    semi_axes: tuple
-    lam: float
-    circle_defect: float
-    square_defect: float
-
-
-def ellipse_test(surface, p, s=1, order=DEFAULT_ORDER) -> EllipseSample:
-    """Curvature-ellipse data of level s at one point."""
-    b = _single(surface, p, order)
-    if s == 1:
-        xi1, xi2 = b.traceless_second()
-        u0, v0 = _nvalue(xi1)[:, 0], _nvalue(xi2)[:, 0]
-    else:
-        lev = b.flag(s)[s - 1]
-        if not lev.valid[0] and lev.expected_rank >= 2:
-            raise NotRegular(f"normal space {s} degenerate at {tuple(p)}")
-        u0, v0 = _nvalue(lev.u)[:, 0], _nvalue(lev.v)[:, 0]
-    a, bax, lam, defect, square = _ellipse_from_diameters(u0[:, None], v0[:, None])
-    if a[0] <= 1e-14:
-        raise DegenerateEllipse(f"level-{s} ellipse collapses at {tuple(p)}")
-    return EllipseSample(s, u0, v0, (float(a[0]), float(bax[0])), float(lam[0]),
-                         float(defect[0]), float(square[0]))
-
-
-def higher_fundamental(surface, p, s, order=DEFAULT_ORDER):
-    """Values of the s-th fundamental form on the orthonormal frame.
-
-    Entry k of the returned list is the form on (e1, ..., e1, e2, ..., e2)
-    with k copies of e2 (the tensor is symmetric, so only the count
-    matters), computed by projecting the s-th derivative tensor onto the
-    orthogonal complement of the (s-2)-nd osculating space and
-    contracting with the frame coefficients.
-    """
-    if s < 2:
-        raise ValueError("fundamental forms start at order 2")
-    b = _single(surface, p, order)
-    if s == 2:
-        projs = [b.tangent_project_off(b.partial(2 - k, k)) for k in range(3)]
-    else:
-        levels = b.flag(s - 2)
-        if not levels[-1].valid[0]:
-            raise NotRegular(f"osculating rank drops at {tuple(p)} below order {s}")
-        frames_all = [b.e1, b.e2] + b.normal_frames(s - 2)
-        projs = [b.partial(s - k, k).project_off(frames_all) for k in range(s + 1)]
-    pv = [_nvalue(v)[:, 0] for v in projs]  # index = number of y-derivatives
-    a, bb, c = (float(j.value().real[0]) for j in b.tangent_coeff_jets())
-    out = []
-    for k in range(s + 1):  # k = number of e2 arguments
-        acc = np.zeros(b.n)
-        for j in range(k + 1):  # j = number of f_y factors from the e2's
-            acc += math.comb(k, j) * (bb ** (k - j)) * (c ** j) * pv[j]
-        out.append((a ** (s - k)) * acc)
-    return out
-
-
-def _plane_rotation(u, v):
-    """Matrix rotating span{u, v} by +90 deg (u -> v), zero elsewhere."""
-    return np.outer(v, u) - np.outer(u, v)
-
-
-def normal_flag(surface, p, order=DEFAULT_ORDER):
-    """Oriented normal flag at a point, with its rotation operators.
-
-    Returns a dict: `levels` (rank, frames, axis ratio per level),
-    `tangent_rotation` (e1 -> e2 on the tangent plane), `level_rotations`
-    (+90 deg in each oriented rank-2 normal plane), and
-    `normal_rotation_12` (their sum over the first two normal levels,
-    the complex structure of N_1 + N_2 where both have rank 2).
-    """
-    b = _single(surface, p, order)
-    levels = b.flag()
-    out = []
-    rotations = []
-    for lev in levels:
-        if lev.expected_rank > 0 and not lev.valid[0]:
-            raise NotRegular(
-                f"normal space {lev.index}: rank {int(lev.rank[0])}, "
-                f"expected {lev.expected_rank} at {tuple(p)}"
-            )
-        frames = [_nvalue(fr)[:, 0] for fr in lev.frames]
-        out.append({
-            "index": lev.index,
-            "rank": int(lev.rank[0]),
-            "frames": frames,
-            "lam": float(lev.lam[0]),
-        })
-        rotations.append(_plane_rotation(frames[0], frames[1]) if len(frames) == 2 else None)
-    J = _plane_rotation(_nvalue(b.e1)[:, 0], _nvalue(b.e2)[:, 0])
-    J12 = None
-    if len(rotations) >= 2 and rotations[0] is not None and rotations[1] is not None:
-        J12 = rotations[0] + rotations[1]
-    return {
-        "levels": out,
-        "tangent_rotation": J,
-        "level_rotations": rotations,
-        "normal_rotation_12": J12,
-    }
-
-
-@dataclass
-class ConnectionSample:
-    """Connection forms at one point, on the orthonormal frame directions."""
-
-    psi: np.ndarray          # <D_{e_i} e1, e2>, shape (2,)
-    omega_table: np.ndarray  # omega[i, a, b] = <D_{e_i} e_{a+3}, e_{b+3}>
-    omega: np.ndarray        # the distinguished form <D_{e_i} e3, e5>, shape (2,)
-    lam: float               # axis ratio of the second curvature ellipse
-    valid: bool
-
-
-def connection_forms(surface, p, order=DEFAULT_ORDER) -> ConnectionSample:
-    b = _single(surface, p, order)
-    conn = b.connection_forms()
-    table = conn["omega"][..., 0]
-    lam = float("nan")
-    omega_dist = np.full(2, np.nan)
-    if b.flag_capacity() >= 2 and b.flag(2)[1].expected_rank >= 1:
-        lam = float(b.flag(2)[1].lam[0])
-        if table.shape[1] >= 3:
-            omega_dist = table[:, 0, 2]
-    return ConnectionSample(
-        psi=conn["psi"][:, 0],
-        omega_table=table,
-        omega=omega_dist,
-        lam=lam,
-        valid=bool(conn["valid"][0]),
-    )
-
-
-def geometry_sample(surface, p, order=DEFAULT_ORDER) -> GeometrySample:
-    b = _single(surface, p, order)
-    E, F, G = (j.value().real[0] for j in b.first_fundamental())
-    sc = b.curvature_scalars()
-    d1, _, _ = b.circle_defect(1)
-    d2 = lam2 = None
-    if b.flag_capacity() >= 2 and b.flag(2)[1].expected_rank == 2:
-        dd, _, ll = b.circle_defect(2)
-        if b.flag(2)[1].valid[0]:
-            d2, lam2 = float(dd[0]), float(ll[0])
-    a11, a12, a22 = b.second_fundamental()
-    v11, v12, v22 = _nvalue(a11)[:, 0], _nvalue(a12)[:, 0], _nvalue(a22)[:, 0]
-    xi1, xi2 = (v11 - v22) / 2, v12
-    kappa = None
-    if float(d1[0]) <= 1e-6:
-        kappa = float(np.linalg.norm(xi1))
-    return GeometrySample(
-        x=float(p[0]), y=float(p[1]), E=float(E), F=float(F), G=float(G),
-        K=float(sc["K"][0]), K_N=float(sc["K_N"][0]),
-        H_norm_sq=float(sc["H_norm_sq"][0]),
-        wintgen_defect=float(sc["wintgen_defect"][0]),
-        circle_defect_1=float(d1[0]), circle_defect_2=d2, lambda_2=lam2,
-        H=_nvalue(b.mean_curvature())[:, 0],
-        excluded=not bool(b.valid[0]),
-        tangent_frame=(_nvalue(b.e1)[:, 0], _nvalue(b.e2)[:, 0]),
-        alpha11=v11, alpha12=v12, alpha22=v22, xi1=xi1, xi2=xi2,
-        iso_kappa=kappa,
-    )

@@ -283,9 +283,6 @@ class Jet:
             acc.t[0, 0] += series[k]
         return Jet._of(acc.t * np.sqrt(safe))
 
-    def div(self, other, guard=None):
-        return self * other.recip(guard=guard)
-
     # -- calculus ----------------------------------------------------------
 
     def dx(self):

@@ -24,18 +24,16 @@ where d_normal is the component of d orthogonal to the tangent plane.
 by comparing against direct jet differentiation through the inversion.)
 
 Everything degenerates on the sphere center: points within
-POLE_RTOL * R of the center are masked out in grid pipelines and raise
-PoleProximity in the single-point API.
+POLE_RTOL * R of the center are masked out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PoleProximity
-from .jets import DEFAULT_ORDER, JetVec
+from .errors import ConfigError
 from .geometry import SurfaceJets, _nvalue
 from .weierstrass import SurfaceEvaluator
 
@@ -113,20 +111,6 @@ def invert_evaluator(surface: SurfaceEvaluator, inv: InversionSpec) -> SurfaceEv
         f"center={np.round(c, 6).tolist()}, radius={inv.radius:g})",
         fn=fn,
     )
-
-
-def invert_point(surface: SurfaceEvaluator, inv: InversionSpec, p, order: int = DEFAULT_ORDER) -> JetVec:
-    """Jets of the inverted surface at one point; raises PoleProximity."""
-    x = np.asarray([p[0]], dtype=float)
-    y = np.asarray([p[1]], dtype=float)
-    vals = surface.jets(x, y, 2).value().real[:, 0]
-    dist = np.linalg.norm(vals - inv.center_array)
-    if dist <= POLE_RTOL * inv.radius:
-        raise PoleProximity(
-            f"surface point at {tuple(p)} lies {dist:.3e} from the inversion "
-            f"center (limit {POLE_RTOL * inv.radius:.3e})"
-        )
-    return invert_evaluator(surface, inv).jets(x, y, order)
 
 
 def _coordinate_shape_data(bundle: SurfaceJets):
@@ -207,72 +191,6 @@ def transformation_residuals(surface: SurfaceEvaluator, inv: InversionSpec, x, y
         "H_law": H_law,
         "valid": valid,
     }
-
-
-def mean_curvature_norm(surface: SurfaceEvaluator, x, y, order: int = 2):
-    """||H|| over a batch, with the validity mask (convenience)."""
-    bundle = SurfaceJets(surface, x, y, order)
-    H = _nvalue(bundle.mean_curvature())
-    return np.linalg.norm(H, axis=0), bundle.valid
-
-
-def normal_isometry(at_point, mu, inv: InversionSpec):
-    """Transport a normal vector through the inversion (a reflection).
-
-    `at_point` is the ambient base point q of the normal mu; the result
-    is normal to the inverted surface at I(q), with the same length.
-    Raises PoleProximity at the sphere center.
-    """
-    q = np.asarray(at_point, dtype=float)
-    d = q - inv.center_array
-    dsq = float(d @ d)
-    if dsq <= (POLE_RTOL * inv.radius) ** 2:
-        raise PoleProximity("normal transport undefined at the inversion center")
-    mu = np.asarray(mu, dtype=float)
-    return mu - 2.0 * float(mu @ d) / dsq * d
-
-
-def inverted_shape_and_mean(surface: SurfaceEvaluator, p, inv: InversionSpec,
-                            order: int = 3):
-    """Both routes to the inverted surface's shape data at one point.
-
-    Returns a dict holding, for each first-normal direction of the base
-    surface, the shape endomorphism of the inverted surface along the
-    transported normal computed (a) directly from inverted jets and
-    (b) from the closed-form inversion law, plus the mean curvature
-    vector both ways.  Raises PoleProximity / NotImmersion.
-    """
-    from .errors import NotImmersion
-
-    x = np.asarray([p[0]], dtype=float)
-    y = np.asarray([p[1]], dtype=float)
-    fv = surface.jets(x, y, 2).value().real[:, 0]
-    dist = np.linalg.norm(fv - inv.center_array)
-    if dist <= POLE_RTOL * inv.radius:
-        raise PoleProximity(f"point {tuple(p)} maps into the inversion center")
-    res = transformation_residuals(surface, inv, x, y, order)
-    if not res["valid"][0]:
-        raise NotImmersion(f"surface or its inversion degenerates at {tuple(p)}")
-    return {
-        "shape_residual": float(res["shape_residual"][0]),
-        "mean_residual": float(res["mean_residual"][0]),
-        "H_direct": res["H_direct"][:, 0],
-        "H_law": res["H_law"][:, 0],
-    }
-
-
-def first_normal_rank(surface: SurfaceEvaluator, p, order: int = 2) -> int:
-    """Rank of the span of the second-form values at one point."""
-    from .errors import NotImmersion
-    from .geometry import first_normal_rank as batched_rank
-
-    x = np.asarray([p[0]], dtype=float)
-    y = np.asarray([p[1]], dtype=float)
-    bundle = SurfaceJets(surface, x, y, order)
-    if not bundle.immersed[0]:
-        raise NotImmersion(f"differential rank < 2 at {tuple(p)}")
-    rank, _ = batched_rank(bundle)
-    return int(rank[0])
 
 
 def _minimality_points(pb):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NotImmersion, PedalDegenerate
+from .errors import ConfigError
 from .jets import DEFAULT_ORDER, Jet, JetVec
 from .geometry import SurfaceJets, _nvalue
 from .weierstrass import SurfaceEvaluator
@@ -231,62 +231,3 @@ def pedal_regularity(surface: SurfaceEvaluator, x, y, order: int = 3):
         "excluded": excluded,
         "reasons": reasons,
     }
-
-
-@dataclass
-class PedalSample:
-    """Pointwise pedal decomposition values at one parameter point."""
-
-    x: float
-    y: float
-    foot: np.ndarray                   # the pedal point itself
-    tangent_part: np.ndarray           # ambient vector
-    tangent_coords: tuple              # its coordinates in the (e1, e2) frame
-    first_normal_part: np.ndarray
-    higher_normal_part: np.ndarray
-    osc_norm_sq: float
-    mean_curvature_predicted: np.ndarray
-    conformal_factor: float
-    tangent_nonzero: bool
-    first_normal_nonzero: bool
-    immersed: bool
-
-
-def pedal_decompose(surface: SurfaceEvaluator, p, order: int = DEFAULT_ORDER) -> PedalSample:
-    """Pedal decomposition at one point; raises PedalDegenerate if unusable."""
-    xs = np.asarray([p[0]], dtype=float)
-    ys = np.asarray([p[1]], dtype=float)
-    pb = pedal_split(surface, xs, ys, order)
-    if not pb.base.immersed[0]:
-        raise NotImmersion(f"base surface degenerates at {tuple(p)}")
-    if not pb.valid[0]:
-        raise PedalDegenerate(f"normal flag degenerates at {tuple(p)}")
-    osc = float(pb.osc_norm_sq.value().real[0])
-    if abs(osc) < 1e-14:
-        raise PedalDegenerate(
-            f"position vector orthogonal to the second osculating space at {tuple(p)}"
-        )
-    z1 = float(pb.base.f.dot(pb.base.e1).value().real[0])
-    z2 = float(pb.base.f.dot(pb.base.e2).value().real[0])
-    tangent_nonzero, first_normal_nonzero = regularity_flags(pb)
-    gx = pb.foot.dx()
-    gy = pb.foot.dy()
-    gxs = float(gx.norm_sq().value().real[0])
-    gys = float(gy.norm_sq().value().real[0])
-    gxy = float(gx.dot(gy).value().real[0])
-    immersed = gxs * gys - gxy * gxy > PEDAL_IMMERSION_RTOL * max(gxs, gys) ** 2
-    Hp = _nvalue(pb.mean_curvature_predicted())[:, 0]
-    return PedalSample(
-        x=float(p[0]), y=float(p[1]),
-        foot=_nvalue(pb.foot)[:, 0],
-        tangent_part=_nvalue(pb.tangent_part)[:, 0],
-        tangent_coords=(z1, z2),
-        first_normal_part=_nvalue(pb.first_normal_part)[:, 0],
-        higher_normal_part=_nvalue(pb.higher_normal_part)[:, 0],
-        osc_norm_sq=osc,
-        mean_curvature_predicted=Hp,
-        conformal_factor=float(pb.conformal_factor_predicted()[0]),
-        tangent_nonzero=bool(tangent_nonzero[0]),
-        first_normal_nonzero=bool(first_normal_nonzero[0]),
-        immersed=bool(immersed),
-    )

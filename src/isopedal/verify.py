@@ -621,6 +621,24 @@ def _complex_dot(values_c, frame_values):
     return np.sum(values_c * frame_values, axis=0)
 
 
+def _alpha_dz_position(base: SurfaceJets, Z, n3, n4):
+    """Base second form on (Wirtinger vector, Z) and its pairing with a
+    first-normal frame: (alpha(dz, Z), <alpha(dz, Z), n3 + i n4>).
+
+    alpha(dz, Z) is assembled from the coordinate partials and the frame
+    coefficients of the tangent vector Z; Z, n3 and n4 are values.
+    """
+    hxx, hxy, hyy = (_values(base.tangent_project_off(base.partial(*key)))
+                     for key in ((2, 0), (1, 1), (0, 2)))
+    a, b, c = (j.value().real for j in base.tangent_coeff_jets())
+    z1 = np.sum(Z * _values(base.e1), axis=0)
+    z2 = np.sum(Z * _values(base.e2), axis=0)
+    p = z1 * a + z2 * b
+    q = z2 * c
+    alpha = 0.5 * ((p * hxx + q * hxy) - 1j * (p * hxy + q * hyy))
+    return alpha, _complex_dot(alpha, n3) + 1j * _complex_dot(alpha, n4)
+
+
 def _pedal_wirtinger_data(pipe: SurfacePipeline):
     """alpha_g(dz,dz) of the pedal plus the base-side pairing sections."""
     base = pipe.base
@@ -668,25 +686,8 @@ def _secondform_top_defect(pipe: SurfacePipeline, tolerances):
     lam = lev[1].lam
 
     # connection form on the Wirtinger vector: <D_dz f3, f5>
-    d3dz = JetVec([(c.dx() - c.dy().scale(1j)).scale(0.5) for c in f3])
-    omega_dz = d3dz.dot(f5).value()
-
-    # base second form on (dz, Z): assembled from coordinate partials
-    h = {
-        key: base.tangent_project_off(base.partial(*key))
-        for key in ((2, 0), (1, 1), (0, 2))
-    }
-    a, b, c = (j.value().real for j in base.tangent_coeff_jets())
-    Z = _values(sp.tangent_part)
-    e1v, e2v = _values(base.e1), _values(base.e2)
-    z1 = np.sum(Z * e1v, axis=0)
-    z2 = np.sum(Z * e2v, axis=0)
-    p = z1 * a + z2 * b
-    q = z2 * c
-    hxx, hxy, hyy = (_values(h[k]) for k in ((2, 0), (1, 1), (0, 2)))
-    alpha_dz_Z = 0.5 * ((p * hxx + q * hxy) - 1j * (p * hxy + q * hyy))
-    zpair = (_complex_dot(alpha_dz_Z, _values(f3))
-             + 1j * _complex_dot(alpha_dz_Z, _values(f4)))
+    omega_dz = f3.wirtinger().dot(f5).value()
+    _, zpair = _alpha_dz_position(base, _values(sp.tangent_part), _values(f3), _values(f4))
 
     carried = omega_dz * zpair
     lhs5 = _complex_dot(ag, _values(f5))
@@ -753,7 +754,11 @@ def verify_pedal_secondform(fspec, grid=None, order=DEFAULT_ORDER, tolerances=No
         threshold=_tol(tolerances, "secondform_pairing"),
     )))
 
-    if pipe.base.flag_capacity() >= 2:
+    # both checks pair with a rank-2 second normal plane: in R^5 the
+    # flag reaches level 2 but that level has rank 1
+    plane2 = (pipe.base.flag_capacity() >= 2
+              and pipe.base.flag(2)[1].expected_rank == 2)
+    if plane2:
         top_d, lam = _secondform_top_defect(pipe, tolerances)
         out.append(_finish(CheckResult(
             check_id="pedal_secondform.normal2",
@@ -802,7 +807,7 @@ def verify_pedal_secondform(fspec, grid=None, order=DEFAULT_ORDER, tolerances=No
 
     # the connection forms differentiate the level-2 frames, which are
     # order-(jet order - 3) jets: one more order than the flag itself
-    if pipe.base.flag_capacity() >= 2 and order >= 4:
+    if plane2 and order >= 4:
         hodge = hodge_relation_residuals(pipe.base)
         hodge_mask = pipe.pre & hodge["valid"]
         out.append(_finish(CheckResult(
@@ -923,8 +928,7 @@ def verify_swillmore(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     gb = pipe.pedal
     mask = pipe.mask()
     H = gb.mean_curvature()
-    dH = JetVec([(c.dx() - c.dy().scale(1j)).scale(0.5) for c in H])
-    nabH = dH.project_off([gb.e1, gb.e2]).value()
+    nabH = H.wirtinger().project_off([gb.e1, gb.e2]).value()
     ag = gb.alpha_wirtinger().value()
     direct, both_ok = _plane_angle_defect(nabH, ag)
     mask_d = mask & both_ok
@@ -952,8 +956,7 @@ def verify_swillmore(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     f3, f4 = lev[0].frames
     e4 = f4.scale(e3.dot(f3)) - f3.scale(e3.dot(f4))
     f5 = lev[1].frames[0]
-    de3dz = JetVec([(c.dx() - c.dy().scale(1j)).scale(0.5) for c in e3])
-    omega_dz = de3dz.dot(f5).value()
+    omega_dz = e3.wirtinger().dot(f5).value()
 
     alpha_zz = base.alpha_wirtinger()
     A3 = alpha_zz.dot(e3).value()
@@ -962,20 +965,7 @@ def verify_swillmore(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     Z = sp.tangent_part
     pairing_Z = fz.dot(Z).value()
 
-    h = {
-        key: base.tangent_project_off(base.partial(*key))
-        for key in ((2, 0), (1, 1), (0, 2))
-    }
-    a, b, c = (j.value().real for j in base.tangent_coeff_jets())
-    Zv = _values(Z)
-    z1 = np.sum(Zv * _values(base.e1), axis=0)
-    z2 = np.sum(Zv * _values(base.e2), axis=0)
-    p = z1 * a + z2 * b
-    q = z2 * c
-    hxx, hxy, hyy = (_values(h[k]) for k in ((2, 0), (1, 1), (0, 2)))
-    alpha_dz_Z = 0.5 * ((p * hxx + q * hxy) - 1j * (p * hxy + q * hyy))
-    zpair = (_complex_dot(alpha_dz_Z, _values(e3))
-             + 1j * _complex_dot(alpha_dz_Z, _values(e4)))
+    alpha_dz_Z, zpair = _alpha_dz_position(base, _values(Z), _values(e3), _values(e4))
 
     scalar = omega_dz * (dval * A3 + pairing_Z * zpair)
     scale = np.abs(omega_dz) * (

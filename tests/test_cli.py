@@ -27,14 +27,22 @@ def count_prefixed(path, prefix):
 # ---------------------------------------------------------------------------
 
 
-def test_generate_summary_and_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize("preset, summary, requested, circles", [
+    ("holo3", "ambient dimension 6, degree 3", 2, 2),
+    ("holo4", "ambient dimension 8, degree 4", None, 3),
+    ("noniso", "ambient dimension 6, degree 7", 1, 1),
+], ids=["holo3", "holo4", "noniso"])
+def test_generate_summary_and_roundtrip(tmp_path, capsys, preset, summary, requested,
+                                        circles):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
-    assert main(["generate", "--out", str(d1)]) == 0
+    assert main(["generate", "--seed-preset", preset, "--out", str(d1)]) == 0
     out = capsys.readouterr().out
-    assert "ambient dimension 6, degree 3" in out
-    assert "requested curvature circles: 2" in out
-    assert "curvature circles at probe points: 2" in out
+    assert summary in out
+    assert ("requested curvature circles" in out) == (requested is not None)
+    if requested is not None:
+        assert f"requested curvature circles: {requested}" in out
+    assert f"curvature circles at probe points: {circles}" in out
     # the written coefficients reproduce the curve bit for bit
     assert main(["generate", "--config", str(d1 / "curve.json"),
                  "--out", str(d2)]) == 0
@@ -173,6 +181,10 @@ def test_export_geometry_csv_columns(tmp_path, capsys):
     assert header == ",".join(GEOMETRY_COLUMNS)
     out = capsys.readouterr().out
     assert "first normal bundle rank over the grid: [3]" in out
+    # a window through the origin, where the pedal degenerates
+    assert main(["export", "--what", "g", "--format", "csv",
+                 "--grid=-0.5,0.5,-0.5,0.5,5,5", "--out", str(tmp_path)]) == 0
+    assert "excluded points: 1 of 25" in capsys.readouterr().out
 
 
 def test_export_inverted_mesh(tmp_path):

@@ -104,8 +104,8 @@ def test_grid_faces_count_without_mask():
 
 def test_geometry_csv_columns_and_content(tmp_path):
     path = tmp_path / "geom.csv"
-    rows = write_geometry_csv(holo3(), Grid(nx=4, ny=3), path)
-    assert rows == 12
+    rows, excluded = write_geometry_csv(holo3(), Grid(nx=4, ny=3), path)
+    assert rows == 12 and excluded == 0
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(GEOMETRY_COLUMNS)
     assert lines[0] == ("x,y,K,K_N,Hnorm2,wintgen_defect,circle_defect_1,"

@@ -11,21 +11,14 @@ the two-circle surface in R^6 — the real part of the doubled degree-
 """
 
 import numpy as np
-import pytest
 import sympy as sp
 
-from isopedal.errors import NotImmersion
 from isopedal.geometry import (
     SurfaceJets,
-    curvatures,
-    ellipse_test,
-    first_fundamental,
     first_normal_rank,
-    geometry_sample,
     hodge_relation_residuals,
     intrinsic_gauss,
     isotropy_order,
-    second_fundamental,
     third_form_recursive_defect,
 )
 from isopedal.grid import Grid
@@ -49,7 +42,7 @@ def test_frozen_position_and_metric_at_probe():
     fy = b.partial(0, 1).value().real[:, 0]
     assert np.max(np.abs(fx - np.array([1, 0, 2, 0, 2, 0]))) < 1e-14
     assert np.max(np.abs(fy - np.array([0, -1, 0, -2, 0, -2]))) < 1e-14
-    E, F, G, _ = first_fundamental(ev, (1.0, 0.0))
+    E, F, G = (j.value().real[0] for j in b.first_fundamental())
     assert abs(E - 9) < 1e-12 and abs(G - 9) < 1e-12 and abs(F) < 1e-12
 
 
@@ -64,8 +57,10 @@ def test_gauss_curvature_closed_form_on_grid():
 
 
 def test_gauss_curvature_at_origin():
-    assert abs(curvatures(holo3(), (0.0, 0.0)).K + 8.0) < 1e-12
-    assert abs(curvatures(holo3(), (1.0, 0.0)).K + 8.0 / 81.0) < 1e-12
+    b = SurfaceJets(holo3(), np.array([0.0, 1.0]), np.array([0.0, 0.0]), 4)
+    K = b.curvature_scalars()["K"]
+    assert abs(K[0] + 8.0) < 1e-12
+    assert abs(K[1] + 8.0 / 81.0) < 1e-12
 
 
 def test_extrinsic_matches_intrinsic_gauss():
@@ -128,24 +123,29 @@ def test_noniso_preset_has_one_circle_only():
 
 
 def test_ellipse_samples_match_flag_levels():
-    ev = holo3()
-    s1 = ellipse_test(ev, (0.8, 0.6), s=1)
-    s2 = ellipse_test(ev, (0.8, 0.6), s=2)
-    assert s1.circle_defect < 1e-12
-    assert s2.circle_defect < 1e-12
-    assert abs(s1.lam - 1.0) < 1e-12  # circles: axis ratio 1
-    assert abs(s2.lam - 1.0) < 1e-12
+    b = SurfaceJets(holo3(), np.array([0.8]), np.array([0.6]), 4)
+    d1, _, lam1 = b.circle_defect(1)
+    d2, _, lam2 = b.circle_defect(2)
+    assert b.flag(2)[1].valid[0]
+    assert d1[0] < 1e-12
+    assert d2[0] < 1e-12
+    assert abs(lam1[0] - 1.0) < 1e-12  # circles: axis ratio 1
+    assert abs(lam2[0] - 1.0) < 1e-12
 
 
 def test_wintgen_equality_for_superconformal_minimal():
     # K + |K_N| <= ||H||^2 with equality iff the first ellipse is a circle
-    ev = holo3()
-    c = curvatures(ev, (0.9, 0.4))
-    assert abs(c.K + abs(c.K_N) - c.H_norm_sq) < 1e-12 * max(abs(c.K), 1.0)
+    b = SurfaceJets(holo3(), np.array([0.9]), np.array([0.4]), 4)
+    sc = b.curvature_scalars()
+    K, KN, H2 = sc["K"][0], sc["K_N"][0], sc["H_norm_sq"][0]
+    assert abs(K + abs(KN) - H2) < 1e-12 * max(abs(K), 1.0)
 
 
 def test_second_fundamental_traceless_split():
-    v11, v12, v22, H, xi1, xi2 = second_fundamental(holo3(), (1.1, 0.3))
+    b = SurfaceJets(holo3(), np.array([1.1]), np.array([0.3]), 4)
+    v11 = b.second_fundamental()[0].value().real[:, 0]
+    H = b.mean_curvature().value().real[:, 0]
+    xi1, xi2 = (xi.value().real[:, 0] for xi in b.traceless_second())
     assert np.max(np.abs(H)) < 1e-12 * np.max(np.abs(v11))
     assert np.max(np.abs(xi1 - v11)) < 1e-12 * np.max(np.abs(v11))
     # circle condition: ||xi1|| = ||xi2||, <xi1, xi2> = 0
@@ -189,20 +189,25 @@ def test_third_form_two_routes_agree():
     assert np.max(third_form_recursive_defect(b)) < 1e-10
 
 
-def test_not_immersion_raised_at_degenerate_point():
+def test_degenerate_point_is_not_immersed():
     # doubled curve with derivative vanishing at the origin
     from isopedal.weierstrass import holomorphic_curve
 
     ev = surface_evaluator(holomorphic_curve([[0, 0, 1]]))  # w = z^2
-    with pytest.raises(NotImmersion):
-        curvatures(ev, (0.0, 0.0))
+    b = SurfaceJets(ev, np.array([0.0, 0.5]), np.array([0.0, 0.5]), 4)
+    assert not b.immersed[0] and b.immersed[1]
+    assert not b.valid[0]
 
 
 def test_geometry_sample_roundtrip():
-    s = geometry_sample(holo3(), (0.9, 0.9))
-    assert not s.excluded
-    assert abs(s.K - closed_form_K(0.9, 0.9)) < 1e-10
-    assert s.circle_defect_1 < 1e-12
-    assert s.circle_defect_2 is not None and s.circle_defect_2 < 1e-12
-    assert abs(s.lambda_2 - 1.0) < 1e-10
-    assert abs(s.E - s.G) < 1e-10 * abs(s.E) and abs(s.F) < 1e-10 * abs(s.E)
+    b = SurfaceJets(holo3(), np.array([0.9]), np.array([0.9]), 4)
+    assert b.valid[0]
+    assert abs(b.curvature_scalars()["K"][0] - closed_form_K(0.9, 0.9)) < 1e-10
+    assert b.circle_defect(1)[0][0] < 1e-12
+    lev2 = b.flag(2)[1]
+    assert lev2.expected_rank == 2 and lev2.valid[0]
+    d2, _, lam2 = b.circle_defect(2)
+    assert d2[0] < 1e-12
+    assert abs(lam2[0] - 1.0) < 1e-10
+    E, F, G = (j.value().real[0] for j in b.first_fundamental())
+    assert abs(E - G) < 1e-10 * abs(E) and abs(F) < 1e-10 * abs(E)

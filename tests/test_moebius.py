@@ -9,19 +9,14 @@ near-isometry far away) is exercised on raw points.
 import numpy as np
 import pytest
 
-from isopedal.errors import ConfigError, PoleProximity
-from isopedal.geometry import SurfaceJets
+from isopedal.errors import ConfigError
+from isopedal.geometry import SurfaceJets, first_normal_rank
 from isopedal.grid import Grid
 from isopedal.moebius import (
     POLE_RTOL,
     InversionSpec,
-    first_normal_rank,
     invert_evaluator,
-    invert_point,
-    inverted_shape_and_mean,
-    mean_curvature_norm,
     minimality_residuals,
-    normal_isometry,
     transformation_residuals,
 )
 from isopedal.pedal import PedalBundle, pedal_split, pedal_surface
@@ -79,24 +74,23 @@ def test_transformation_laws_close_on_grid():
 
 
 def test_single_point_shape_routes_agree():
-    out = inverted_shape_and_mean(
-        holo3(), (0.9, 0.7), InversionSpec(center=(0, 0, 0, 0, 0, 3.0), radius=2.0)
+    out = transformation_residuals(
+        holo3(), InversionSpec(center=(0, 0, 0, 0, 0, 3.0), radius=2.0),
+        np.array([0.9]), np.array([0.7]), order=3,
     )
-    assert out["shape_residual"] < 1e-11
-    assert out["mean_residual"] < 1e-11
+    assert out["valid"][0]
+    assert out["shape_residual"][0] < 1e-11
+    assert out["mean_residual"][0] < 1e-11
     # a minimal surface does not stay minimal: the law adds the normal
     # displacement term, nonzero for generic centers
-    assert np.linalg.norm(out["H_direct"]) > 1e-3
+    assert np.linalg.norm(out["H_direct"][:, 0]) > 1e-3
 
 
-def test_pole_proximity_raised_at_center():
+def test_pole_is_masked_at_center():
     ev = holo3()
     # center the sphere exactly on a surface point
     p0 = ev.jets(np.array([0.8]), np.array([0.5]), 2).value().real[:, 0]
     inv = InversionSpec(center=tuple(p0), radius=1.0)
-    with pytest.raises(PoleProximity):
-        invert_point(ev, inv, (0.8, 0.5))
-    # the batched evaluator masks instead of raising
     tilted = invert_evaluator(ev, inv)
     m = tilted.mask(np.array([0.8, 1.2]), np.array([0.5, 0.9]))
     assert not bool(m[0]) and bool(m[1])
@@ -108,7 +102,7 @@ def test_normal_isometry_preserves_length_and_normality():
     b = SurfaceJets(ev, np.array([0.7]), np.array([0.9]), 3)
     q = b.f.value().real[:, 0]
     mu = b.flag(1)[0].frames[0].value().real[:, 0]
-    nu = normal_isometry(q, mu, inv)
+    nu = inv.reflect(q, mu)
     assert abs(np.linalg.norm(nu) - np.linalg.norm(mu)) < 1e-12
     # normal to the inverted surface: orthogonal to its tangent plane
     tilted = SurfaceJets(invert_evaluator(ev, inv), np.array([0.7]), np.array([0.9]), 2)
@@ -125,14 +119,17 @@ def test_far_away_inversion_nearly_preserves_mean_curvature():
     inv = InversionSpec(center=tuple(far), radius=40.0)
     x = np.array([0.8])
     y = np.array([0.8])
-    h0, _ = mean_curvature_norm(ev, x, y)
-    h1, _ = mean_curvature_norm(invert_evaluator(ev, inv), x, y)
+    h0, h1 = (np.linalg.norm(SurfaceJets(s, x, y, 2).mean_curvature().value().real, axis=0)
+              for s in (ev, invert_evaluator(ev, inv)))
     assert abs(h1[0] - h0[0]) < 0.05 * h0[0]
 
 
 def test_first_normal_rank_point_api():
-    assert first_normal_rank(holo3(), (0.7, 0.6)) == 2
-    assert first_normal_rank(pedal_surface(holo3()), (0.7, 0.6), order=2) == 3
+    x, y = np.array([0.7]), np.array([0.6])
+    for surface, rank in ((holo3(), 2), (pedal_surface(holo3()), 3)):
+        b = SurfaceJets(surface, x, y, 2)
+        assert b.immersed[0]
+        assert first_normal_rank(b)[0][0] == rank
 
 
 def test_minimality_residual_system_positive_on_lattice():

@@ -14,12 +14,9 @@ parameter point (1, 0):
 """
 
 import numpy as np
-import pytest
 
-from isopedal.errors import PedalDegenerate
 from isopedal.geometry import SurfaceJets
 from isopedal.pedal import (
-    pedal_decompose,
     pedal_regularity,
     pedal_split,
     pedal_surface,
@@ -33,21 +30,24 @@ def holo3():
 
 
 def test_frozen_decomposition_at_probe():
-    s = pedal_decompose(holo3(), (1.0, 0.0), order=4)
+    x, y = np.array([1.0]), np.array([0.0])
+    pb = pedal_split(holo3(), x, y, 4)
+    reg = pedal_regularity(holo3(), x, y, 4)
     Z = (13 / 27) * np.array([1, 0, 2, 0, 2, 0.0])
     g = np.array([14, 0, 1, 0, -8, 0.0]) / 27
     delta = np.array([10, 0, 5, 0, -10, 0.0]) / 27
     eta = np.array([4, 0, -4, 0, 2, 0.0]) / 27
-    assert np.max(np.abs(s.tangent_part - Z)) < 1e-13
-    assert np.max(np.abs(s.foot - g)) < 1e-13
-    assert np.max(np.abs(s.first_normal_part - delta)) < 1e-13
-    assert np.max(np.abs(s.higher_normal_part - eta)) < 1e-13
-    assert abs(s.osc_norm_sq - 194 / 81) < 1e-13
+    assert np.max(np.abs(pb.tangent_part.value().real[:, 0] - Z)) < 1e-13
+    assert np.max(np.abs(pb.foot.value().real[:, 0] - g)) < 1e-13
+    assert np.max(np.abs(pb.first_normal_part.value().real[:, 0] - delta)) < 1e-13
+    assert np.max(np.abs(pb.higher_normal_part.value().real[:, 0] - eta)) < 1e-13
+    assert abs(pb.osc_norm_sq.value().real[0] - 194 / 81) < 1e-13
     assert abs(np.dot(Z, Z) - 169 / 81) < 1e-13  # oracle self-consistency
     H = (9 / 97) * np.array([1, 0, 7, 0, 12, 0.0])
-    assert np.max(np.abs(s.mean_curvature_predicted - H)) < 1e-13
-    assert abs(s.conformal_factor - 776 / 6561) < 1e-15
-    assert s.tangent_nonzero and s.first_normal_nonzero and s.immersed
+    assert np.max(np.abs(pb.mean_curvature_predicted().value().real[:, 0] - H)) < 1e-13
+    assert abs(reg["predicted"][0] - 776 / 6561) < 1e-15
+    assert reg["tangent_nonzero"][0] and reg["first_normal_nonzero"][0]
+    assert reg["immersed"][0] and not reg["excluded"][0]
 
 
 def test_decomposition_parts_are_orthogonal_and_sum():
@@ -122,8 +122,6 @@ def test_conformal_factor_two_routes():
 def test_pedal_degenerates_at_origin():
     # at z = 0 the position vector vanishes: no tangential part to speak of
     ev = holo3()
-    with pytest.raises(PedalDegenerate):
-        pedal_decompose(ev, (0.0, 0.0))
     x = np.array([0.0, 0.5])
     y = np.array([0.0, 0.5])
     reg = pedal_regularity(ev, x, y, 3)

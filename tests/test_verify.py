@@ -80,6 +80,29 @@ def test_defects_invariant_under_ambient_rotation():
         assert abs(a - b) <= 1e-6 * scale + 1e-12, (cid, a, b)
 
 
+R5_SPEC = {"ambient_dim": 5, "isotropy_order": 1,
+           "alpha0": [[1, 0, 0.5]], "betas": [[1], [0, 1]]}
+
+
+@pytest.mark.parametrize("doc, inconclusive", [
+    # level-3 frames are order-0 jets at order 4: the connection forms
+    # must stop at level 2
+    ({"seed_preset": "holo4", "jet_order": 4}, set()),
+    # the second normal space of a surface in R^5 has rank 1
+    ({"spec": R5_SPEC}, {"pedal_secondform.normal2", "pedal_secondform.hodge"}),
+], ids=["holo4-order4", "r5"])
+def test_reports_are_well_formed_beyond_the_default_surface(doc, inconclusive):
+    report = run_all(RunConfig.from_document(dict(doc, grid="0.3,1.3,0.3,1.3,7,7")))
+    assert report["status"] in ("pass", "fail")
+    recs = by_id(report)
+    assert len(recs) == 30
+    for rec in recs.values():
+        assert {"id", "status", "pass", "defect"} <= set(rec)
+    assert {cid for cid, rec in recs.items() if rec["status"] != "evaluated"} == inconclusive
+    for cid in inconclusive:
+        assert recs[cid]["status"] == "inconclusive" and recs[cid]["defect"] is None
+
+
 def test_jet_order_too_low_yields_insufficient_status():
     report = run_all(small_config(jet_order=2))
     assert report["status"] == "inconclusive"
