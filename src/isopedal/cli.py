@@ -239,13 +239,15 @@ def cmd_export(cfg: RunConfig, args) -> int:
         center_txt = "[" + ", ".join(f"{float(c):g}" for c in center) + "]"
         label = f"inverted pedal surface (center {center_txt}, radius {radius:g})"
     grid = cfg.grid
+    order = 2 if args.format == "obj" else max(2, cfg.jet_order)
+    # one evaluation feeds the file and the rank note
+    target = target.evaluated(*grid.points(), order)
     if args.format == "obj":
         proj = _projection(args, target.ambient_dim)
         path = os.path.join(out, f"{args.what}.obj")
         excluded = export_obj(target, grid, path, projection=proj, label=label)
     else:
         path = os.path.join(out, f"{args.what}.csv")
-        order = max(2, cfg.jet_order)
         _, excluded = write_geometry_csv(target, grid, path, order=order)
     print(f"wrote {path}")
     print(f"excluded points: {excluded} of {grid.size}")

@@ -39,6 +39,17 @@ thin sets, so isolated near-zeros are tolerated.  Reports are
 deterministic functions of the configuration (no timestamps, fixed
 seeds), and every defect is invariant under ambient rotation of the
 seed curve.
+
+The 30 checks are declared once, in `CHECKS`, in report order: id,
+statement, tolerance key, mode, the `verify_<group>` function that
+computes it, and the requirements (jet order, flag capacity, rank of the
+second normal space) it needs.  A group function computes values only:
+it returns an `Outcome` per check id, a per-point defect array with its
+mask or an already reduced scalar.  `run_all` is the one runner: it
+selects checks by id prefix, reports each check whose requirements fail
+with that requirement's status and reason, runs a group iff one of its
+checks is left, and turns every outcome into its record (masked max or
+low quantile, threshold, pass/fail, status).
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,7 +70,7 @@ from .geometry import (
     hodge_relation_residuals,
 )
 from .grid import Grid
-from .jets import DEFAULT_ORDER, JetVec
+from .jets import JetVec
 from .moebius import InversionSpec, invert_evaluator, minimality_residuals
 from .pedal import (
     PedalBundle,
@@ -69,11 +81,9 @@ from .pedal import (
 )
 from .weierstrass import (
     IsotropicCurve,
-    IsotropicSpec,
     SurfaceEvaluator,
     preset_curve,
     surface_evaluator,
-    w_generate,
 )
 
 REPORT_VERSION = "1"
@@ -112,45 +122,188 @@ DEFAULT_TOLERANCES = {
 # A fixed generic direction used when the config supplies no translation
 # vector; scaled to the ambient dimension at hand.
 _GENERIC_DIRECTION = (0.9, -0.4, 0.7, 0.3, -0.8, 0.5, 0.2, -0.6, 0.4, 0.1, -0.3, 0.8)
+_RANK_SEED = 20260826  # random inversions of first_normal_rank.*
+
+
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Requirement:
+    """A check needs `quantity` (a key of _MEASURES) of the run to be at
+    least `minimum`; otherwise it is reported with `status`, its
+    statement replaced by `reason`, and no defect."""
+
+    quantity: str
+    minimum: int
+    status: str
+    reason: str
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry entry.  mode "upper": pass iff defect <= threshold
+    (identity); mode "lower": pass iff defect >= threshold (refutation or
+    separation).  `group` names the module function computing it."""
+
+    id: str
+    group: str
+    tolerance: str
+    statement: str
+    mode: str = "upper"
+    requires: tuple = ()
+
+
+_MEASURES = {
+    "jet order": lambda run: run.config.jet_order,
+    "flag capacity": lambda run: run.surface.base.flag_capacity(),
+    # in R^5 the flag reaches level 2, but that level has rank 1
+    "second normal rank": lambda run: (run.surface.base.flag(2)[1].expected_rank
+                                       if run.surface.base.flag_capacity() >= 2 else 0),
+}
+
+_INSUFFICIENT = "insufficient jet order"
+_ORDER3 = Requirement("jet order", 3, _INSUFFICIENT, "grid certification needs jet order >= 3")
+_SWILLMORE = (
+    Requirement("jet order", 4, _INSUFFICIENT,
+                "S-Willmore refutation needs jets of the pedal's mean curvature "
+                "(jet order >= 4)"),
+    Requirement("flag capacity", 2, "inconclusive",
+                "the scalar obstruction needs a second normal plane "
+                "(ambient dimension >= 6)"),
+)
+_NORMAL2 = (Requirement("second normal rank", 2, "inconclusive",
+                        "second-normal components need a second normal plane "
+                        "(ambient dimension >= 6 and jet order >= 3)"),)
+# the connection forms differentiate the level-2 frames, which are
+# order-(jet order - 3) jets: one more order than the flag itself
+_HODGE_REASON = "connection-form relations need two normal planes and jets of order >= 4"
+_HODGE = (Requirement("jet order", 4, _INSUFFICIENT, _HODGE_REASON),
+          Requirement("second normal rank", 2, "inconclusive", _HODGE_REASON))
+
+
+def _check(cid, group, tolerance, statement, mode="upper", requires=()):
+    return Check(cid, group, tolerance, statement, mode, (_ORDER3,) + requires)
+
+
+CHECKS = (
+    _check("generator.isotropy", "verify_generation", "generator_isotropy",
+           "the derivative of the generated curve has exactly null bilinear square "
+           "(relative coefficient norm)"),
+    _check("generator.minimality", "verify_generation", "generator_minimality",
+           "the generated surface has vanishing mean curvature relative to its "
+           "second-form scale"),
+    _check("pedal_circle.positive", "verify_superconformal", "pedal_circle_positive",
+           "the curvature ellipse of the pedal surface is a circle at every "
+           "non-excluded grid point"),
+    _check("pedal_circle.wintgen", "verify_superconformal", "pedal_circle_wintgen",
+           "the pedal surface attains equality in the normal-curvature inequality "
+           "K + |K_N| <= |H|^2 (relative defect)"),
+    _check("pedal_circle.negative", "verify_superconformal", "pedal_circle_negative",
+           "for a surface with only one curvature circle the pedal fails the circle "
+           "test on at least 90% of the grid", "lower"),
+    _check("pedal_conformal.orthogonality", "verify_pedal_conformality", "pedal_conformal",
+           "the pedal surface is isothermal in the base surface's isothermal "
+           "coordinates (conformality of base and pedal)"),
+    _check("pedal_conformal.factor", "verify_pedal_conformality", "pedal_conformal_factor",
+           "the pedal/base metric ratio equals -K*theta/2 (relative defect)"),
+    _check("pedal_conformal.one_circle", "verify_pedal_conformality", "pedal_conformal",
+           "one curvature circle already makes the pedal conformal to the base "
+           "(control surface passes the same test)"),
+    _check("pedal_normal_span", "verify_normal_span", "pedal_normal_span",
+           "the pedal's normal bundle contains the two explicit rotation sections of "
+           "the position vector and the complement of the first normal space "
+           "(max residual)"),
+    _check("pedal_mean.formula", "verify_meancurvature", "pedal_mean_formula",
+           "the pedal's mean curvature vector equals (2/theta)(Z - delta) "
+           "(relative defect)"),
+    _check("pedal_mean.laplacian", "verify_meancurvature", "pedal_mean_laplacian",
+           "the metric Laplacian of the pedal equals 2K(delta - Z) (relative defect)"),
+    _check("pedal_mean.scaling", "verify_meancurvature", "pedal_mean_scaling",
+           "doubling the base surface halves the pedal's mean curvature pointwise "
+           "(homothety control)"),
+    _check("pedal_secondform.span", "verify_pedal_secondform", "secondform_span",
+           "the (2,0) second form of the pedal lies in the base's second osculating "
+           "flag (checked also in R^8 where the complement is nontrivial)"),
+    _check("pedal_secondform.pairing", "verify_pedal_secondform", "secondform_pairing",
+           "the (2,0) second form of the pedal pairs conjugately with the two "
+           "explicit normal sections"),
+    _check("pedal_secondform.normal2", "verify_pedal_secondform", "secondform_normal2",
+           "the second-normal components of the pedal's (2,0) form are carried by "
+           "the first-normal connection form", requires=_NORMAL2),
+    _check("pedal_secondform.one_circle", "verify_pedal_secondform", "secondform_pairing",
+           "flag containment and conjugate pairing need only one curvature circle "
+           "(control surface, axis ratio < 1)"),
+    _check("pedal_secondform.hodge", "verify_pedal_secondform", "secondform_hodge",
+           "the connection forms of the two normal planes satisfy the coupled "
+           "rotation relations under the recorded Hodge sign convention",
+           requires=_HODGE),
+    _check("swillmore.refute", "verify_swillmore", "swillmore_refute",
+           "the normal derivative of the pedal's mean curvature is not "
+           "complex-parallel to its (2,0) second form on at least 90% of the grid",
+           "lower", _SWILLMORE),
+    _check("swillmore.scalar_agreement", "verify_swillmore", "swillmore_agreement",
+           "the direct parallelism defect and the base-side scalar obstruction "
+           "vanish or not together (fraction of agreeing grid points)",
+           "lower", _SWILLMORE),
+    _check("swillmore.kappa_theta", "verify_swillmore", "swillmore_kappa_theta",
+           "the circle radius times the osculating norm stays bounded away from "
+           "zero (min/max ratio over the grid)", "lower", _SWILLMORE),
+    _check("inversion.norm", "verify_inversion_minimality", "inversion_norm",
+           "for every lattice center, the inverted pedal's mean curvature stays "
+           "above threshold at every grid point (in units of its second-form scale)",
+           "lower"),
+    _check("inversion.system", "verify_inversion_minimality", "inversion_system",
+           "the residual system that an inversion center would have to solve at "
+           "every grid point simultaneously is infeasible for every lattice center",
+           "lower"),
+    _check("inversion.crosscheck", "verify_inversion_minimality", "inversion_crosscheck",
+           "the closed-form mean-curvature ratio of the inverted pedal matches "
+           "direct jets of the inverted surface at sampled centers"),
+    _check("shifted_pedal.family", "verify_shifted_pedals", "shifted_family",
+           "pedals of the shifted family c*f + v are superconformal and conformal "
+           "to f for sampled (c, v)"),
+    _check("shifted_pedal.decomposition", "verify_shifted_pedals", "shifted_decomposition",
+           "the pedal of c*f + v equals c*(pedal of f) plus the normal shadow of v, "
+           "pointwise"),
+    _check("shifted_pedal.shadow_superconformal", "verify_shifted_pedals",
+           "shadow_superconformal",
+           "the normal shadow of a constant vector over f is itself superconformal"),
+    _check("shifted_pedal.inverted_minimal", "verify_shifted_pedals",
+           "shadow_inverted_minimal",
+           "inverting the normal shadow about its defining vector yields a minimal "
+           "surface (mean curvature over second-form scale)"),
+    _check("first_normal_rank.pedal", "verify_shifted_pedals", "first_normal_rank",
+           "the first normal bundle of the pedal has rank exactly three at every "
+           "non-excluded point"),
+    _check("first_normal_rank.inverted", "verify_shifted_pedals", "first_normal_rank",
+           "the rank-three first normal bundle of the pedal persists under ten "
+           "random inversions"),
+    _check("first_normal_rank.higher_isotropy", "verify_shifted_pedals",
+           "first_normal_rank",
+           "for the three-circle surface in R^8 the pedal's first normal bundle also "
+           "has rank three, before and after ten random inversions"),
+)
 
 
 @dataclass
-class CheckResult:
-    """Outcome of one grid check.
+class Outcome:
+    """What a group computed for one check.
 
-    mode "upper": pass iff defect <= threshold (identity certification).
-    mode "lower": pass iff defect >= threshold (refutation / separation).
-    A defect of None means the check could not be evaluated; `passed` is
-    False then and `status` explains why ("insufficient jet order",
-    "inconclusive").
+    `defect` is a per-point array, which the runner reduces over `mask`
+    (masked max for mode "upper", the low quantile for "lower"), or an
+    already reduced scalar (None: nothing could be evaluated).  Unset
+    fields take the surface pipeline's defaults: its mask, its grid, and
+    the points outside the mask as `excluded`.
     """
 
-    check_id: str
-    statement: str
-    grid: tuple
-    excluded: int
-    defect: Optional[float]
-    threshold: float
-    mode: str = "upper"
-    passed: bool = False
-    status: str = "evaluated"
+    defect: object
+    mask: Optional[np.ndarray] = None
+    grid: Optional[Grid] = None
+    excluded: Optional[int] = None
     details: dict = field(default_factory=dict)
-
-    def to_record(self) -> dict:
-        rec = {
-            "id": self.check_id,
-            "statement": self.statement,
-            "grid": list(self.grid),
-            "excluded": int(self.excluded),
-            "defect": _jsonable(self.defect),
-            "threshold": float(self.threshold),
-            "mode": self.mode,
-            "pass": bool(self.passed),
-            "status": self.status,
-        }
-        if self.details:
-            rec["details"] = {k: _jsonable(v) for k, v in sorted(self.details.items())}
-        return rec
 
 
 def _jsonable(v):
@@ -170,20 +323,6 @@ def _jsonable(v):
     return str(v)
 
 
-def _finish(check: CheckResult) -> CheckResult:
-    """Decide pass/fail from defect, mode and threshold."""
-    if check.defect is None or not math.isfinite(check.defect):
-        check.passed = False
-        if check.status == "evaluated":
-            check.status = "inconclusive"
-        return check
-    if check.mode == "upper":
-        check.passed = check.defect <= check.threshold
-    else:
-        check.passed = check.defect >= check.threshold
-    return check
-
-
 def _masked_max(values, mask):
     if not np.any(mask):
         return None
@@ -194,6 +333,12 @@ def _masked_min(values, mask):
     if not np.any(mask):
         return None
     return float(np.min(np.asarray(values)[mask]))
+
+
+def _max_defined(*values):
+    """The largest of the values that are not None (None if none is)."""
+    defined = [v for v in values if v is not None]
+    return max(defined) if defined else None
 
 
 def _low_quantile(values, mask, q=1.0 - REFUTE_QUANTILE):
@@ -273,24 +418,38 @@ class SurfacePipeline:
             m = m & e
         return m
 
-    def grid_shape(self):
-        return (self.grid.nx, self.grid.ny)
 
+class Run:
+    """What the check groups of one run share: the config, the pipeline of
+    its surface and those of the two reference surfaces (the one-circle
+    control in R^6 and the three-circle surface in R^8), each built on
+    first use on the run's grid and jet order, and the ids whose outcomes
+    the runner will report (None: all)."""
 
-def _resolve_curve(fspec) -> IsotropicCurve:
-    if isinstance(fspec, IsotropicCurve):
-        return fspec
-    if isinstance(fspec, IsotropicSpec):
-        return w_generate(fspec)
-    if isinstance(fspec, str):
-        return preset_curve(fspec)
-    raise ConfigError(f"cannot build a surface from {type(fspec).__name__}")
+    def __init__(self, config: RunConfig, ids=None):
+        self.config = config
+        self.ids = ids
 
+    def _build(self, curve, label):
+        return SurfacePipeline(curve, self.config.grid, self.config.jet_order, label)
 
-def _pipeline(fspec, grid, order, label="surface") -> SurfacePipeline:
-    if isinstance(fspec, SurfacePipeline):
-        return fspec
-    return SurfacePipeline(_resolve_curve(fspec), grid or Grid(), order, label)
+    @cached_property
+    def surface(self) -> SurfacePipeline:
+        return self._build(self.config.curve, "surface")
+
+    @cached_property
+    def control(self) -> SurfacePipeline:
+        return self._build(preset_curve("noniso"), "control")
+
+    @cached_property
+    def higher(self) -> SurfacePipeline:
+        return self._build(preset_curve("holo4"), "higher")
+
+    def wants(self, check_id: str) -> bool:
+        return self.ids is None or check_id in self.ids
+
+    def tolerance(self, key: str) -> float:
+        return _tol(self.config.tolerances, key)
 
 
 def _tol(tolerances, name):
@@ -314,39 +473,18 @@ def _subgrid(grid: Grid, res: int) -> Grid:
 # ---------------------------------------------------------------------------
 
 
-def verify_generation(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
+def verify_generation(run: Run) -> dict:
     """Exactness of the generated surface: null curve square, minimality."""
-    pipe = _pipeline(fspec, grid, order)
-    shape = pipe.grid_shape()
-    out = []
-
-    residual = pipe.curve.isotropy_residual()
-    out.append(_finish(CheckResult(
-        check_id="generator.isotropy",
-        statement="the derivative of the generated curve has exactly null "
-                  "bilinear square (relative coefficient norm)",
-        grid=shape,
-        excluded=0,
-        defect=float(residual),
-        threshold=_tol(tolerances, "generator_isotropy"),
-    )))
-
+    pipe = run.surface
     base = pipe.base
-    mask = pipe.pre & base.valid
     H = _values(base.mean_curvature())
     a11, a12, a22 = (_values(a) for a in base.second_fundamental())
     scale = np.sqrt(_norms(a11) ** 2 + 2 * _norms(a12) ** 2 + _norms(a22) ** 2)
-    defect = _norms(H) / np.maximum(scale, _TINY)
-    out.append(_finish(CheckResult(
-        check_id="generator.minimality",
-        statement="the generated surface has vanishing mean curvature "
-                  "relative to its second-form scale",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=_masked_max(defect, mask),
-        threshold=_tol(tolerances, "generator_minimality"),
-    )))
-    return out
+    return {
+        "generator.isotropy": Outcome(float(pipe.curve.isotropy_residual()), excluded=0),
+        "generator.minimality": Outcome(_norms(H) / np.maximum(scale, _TINY),
+                                        pipe.pre & base.valid),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -354,61 +492,25 @@ def verify_generation(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
 # ---------------------------------------------------------------------------
 
 
-def verify_superconformal(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None,
-                          control=None):
+def verify_superconformal(run: Run) -> dict:
     """Circle test of the pedal's curvature ellipse, both branches.
 
-    The positive branch runs on `fspec` (expected: two curvature circles
-    upstream); the refutation branch runs on `control` (default: the
-    shipped surface with exactly one curvature circle) and must see a
-    LARGE circle defect on at least 90% of the grid.
+    The positive branch runs on the run's surface (expected: two
+    curvature circles upstream); the refutation branch runs on the
+    one-circle control surface and must see a LARGE circle defect on at
+    least 90% of the grid.
     """
-    pipe = _pipeline(fspec, grid, order)
-    shape = pipe.grid_shape()
-    out = []
-
-    gb = pipe.pedal
+    gb = run.surface.pedal
     defect1, _, _ = gb.circle_defect(1)
-    mask = pipe.mask()
-    out.append(_finish(CheckResult(
-        check_id="pedal_circle.positive",
-        statement="the curvature ellipse of the pedal surface is a circle "
-                  "at every non-excluded grid point",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=_masked_max(defect1, mask),
-        threshold=_tol(tolerances, "pedal_circle_positive"),
-    )))
-
     sc = gb.curvature_scalars()
     scale = np.abs(sc["K"]) + np.abs(sc["K_N"]) + sc["H_norm_sq"]
-    wdef = np.abs(sc["wintgen_defect"]) / np.maximum(scale, _TINY)
-    out.append(_finish(CheckResult(
-        check_id="pedal_circle.wintgen",
-        statement="the pedal surface attains equality in the normal-curvature "
-                  "inequality K + |K_N| <= |H|^2 (relative defect)",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=_masked_max(wdef, mask),
-        threshold=_tol(tolerances, "pedal_circle_wintgen"),
-    )))
-
-    ctrl = _pipeline(control if control is not None else "noniso",
-                     pipe.grid, order, label="control")
-    cgb = ctrl.pedal
-    cdef, _, _ = cgb.circle_defect(1)
-    cmask = ctrl.mask()
-    out.append(_finish(CheckResult(
-        check_id="pedal_circle.negative",
-        statement="for a surface with only one curvature circle the pedal "
-                  "fails the circle test on at least 90% of the grid",
-        grid=shape,
-        excluded=int(np.sum(~cmask)),
-        defect=_low_quantile(cdef, cmask),
-        threshold=_tol(tolerances, "pedal_circle_negative"),
-        mode="lower",
-    )))
-    return out
+    ctrl = run.control
+    cdef, _, _ = ctrl.pedal.circle_defect(1)
+    return {
+        "pedal_circle.positive": Outcome(defect1),
+        "pedal_circle.wintgen": Outcome(np.abs(sc["wintgen_defect"]) / np.maximum(scale, _TINY)),
+        "pedal_circle.negative": Outcome(cdef, ctrl.mask()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +528,7 @@ def _conformality_defect(gb: SurfaceJets):
     return np.maximum(np.abs(F), np.abs(E - G)) / scale, E
 
 
-def verify_pedal_conformality(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None,
-                              control=None):
+def verify_pedal_conformality(run: Run) -> dict:
     """Isothermal defect of the pedal and the metric-ratio closed form.
 
     In isothermal coordinates of the base surface, conformality of base
@@ -436,50 +537,19 @@ def verify_pedal_conformality(fspec, grid=None, order=DEFAULT_ORDER, tolerances=
     One curvature circle suffices, so the one-circle control surface
     must pass the conformality part as well.
     """
-    pipe = _pipeline(fspec, grid, order)
-    shape = pipe.grid_shape()
-    out = []
-
+    pipe = run.surface
     defect, Eg = _conformality_defect(pipe.pedal)
-    mask = pipe.mask()
-    out.append(_finish(CheckResult(
-        check_id="pedal_conformal.orthogonality",
-        statement="the pedal surface is isothermal in the base surface's "
-                  "isothermal coordinates (conformality of base and pedal)",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=_masked_max(defect, mask),
-        threshold=_tol(tolerances, "pedal_conformal"),
-    )))
-
     Ef, _, _ = (j.value().real for j in pipe.base.first_fundamental())
     ratio = Eg / np.maximum(Ef, _TINY)
     predicted = pipe.split.conformal_factor_predicted()
-    fdef = np.abs(ratio - predicted) / np.maximum(np.abs(ratio), _TINY)
-    out.append(_finish(CheckResult(
-        check_id="pedal_conformal.factor",
-        statement="the pedal/base metric ratio equals -K*theta/2 "
-                  "(relative defect)",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=_masked_max(fdef, mask),
-        threshold=_tol(tolerances, "pedal_conformal_factor"),
-    )))
-
-    ctrl = _pipeline(control if control is not None else "noniso",
-                     pipe.grid, order, label="control")
+    ctrl = run.control
     cdef, _ = _conformality_defect(ctrl.pedal)
-    cmask = ctrl.mask()
-    out.append(_finish(CheckResult(
-        check_id="pedal_conformal.one_circle",
-        statement="one curvature circle already makes the pedal conformal "
-                  "to the base (control surface passes the same test)",
-        grid=shape,
-        excluded=int(np.sum(~cmask)),
-        defect=_masked_max(cdef, cmask),
-        threshold=_tol(tolerances, "pedal_conformal"),
-    )))
-    return out
+    return {
+        "pedal_conformal.orthogonality": Outcome(defect),
+        "pedal_conformal.factor": Outcome(
+            np.abs(ratio - predicted) / np.maximum(np.abs(ratio), _TINY)),
+        "pedal_conformal.one_circle": Outcome(cdef, ctrl.mask()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +557,7 @@ def verify_pedal_conformality(fspec, grid=None, order=DEFAULT_ORDER, tolerances=
 # ---------------------------------------------------------------------------
 
 
-def verify_normal_span(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
+def verify_normal_span(run: Run) -> dict:
     """Span/orthogonality residuals of the pedal's normal bundle.
 
     The two explicit sections u1 = Z - delta and u2 = JZ + J1(delta)
@@ -495,11 +565,10 @@ def verify_normal_span(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     length theta, and the pedal's tangent plane must stay inside the
     span of the base tangent plane and first normal space.
     """
-    pipe = _pipeline(fspec, grid, order)
+    pipe = run.surface
     base = pipe.base
     sp = pipe.split
     gb = pipe.pedal
-    mask = pipe.mask()
 
     Z = _values(sp.tangent_part)
     delta = _values(sp.first_normal_part)
@@ -517,8 +586,10 @@ def verify_normal_span(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     residuals = []
     for tangent in (gx, gy):
         tn = np.maximum(_norms(tangent), _TINY)
+        # the product of the floored factors underflows at a branch point
+        den = np.maximum(tn * sq_theta, _TINY)
         for u in (u1, u2):
-            residuals.append(np.abs(np.sum(tangent * u, axis=0)) / (tn * sq_theta))
+            residuals.append(np.abs(np.sum(tangent * u, axis=0)) / den)
         # containment: the pedal's tangent plane sits inside the base's
         # tangent + first-normal span, i.e. normal sections of the base
         # beyond that span are normal to the pedal too
@@ -529,18 +600,7 @@ def verify_normal_span(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     residuals.append(np.abs(np.sum(u1 * u2, axis=0)) / tfloor)
     residuals.append(np.abs(_norms(u1) ** 2 - theta) / tfloor)
     residuals.append(np.abs(_norms(u2) ** 2 - theta) / tfloor)
-    worst = np.maximum.reduce(residuals)
-
-    return [_finish(CheckResult(
-        check_id="pedal_normal_span",
-        statement="the pedal's normal bundle contains the two explicit "
-                  "rotation sections of the position vector and the "
-                  "complement of the first normal space (max residual)",
-        grid=pipe.grid_shape(),
-        excluded=int(np.sum(~mask)),
-        defect=_masked_max(worst, mask),
-        threshold=_tol(tolerances, "pedal_normal_span"),
-    ))]
+    return {"pedal_normal_span": Outcome(np.maximum.reduce(residuals))}
 
 
 # ---------------------------------------------------------------------------
@@ -553,43 +613,20 @@ def _pedal_mean_values(evaluator: SurfaceEvaluator, x, y):
     return _values(bundle.mean_curvature()), bundle.valid
 
 
-def verify_meancurvature(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
+def verify_meancurvature(run: Run) -> dict:
     """Closed forms for the pedal's mean curvature and flat Laplacian."""
-    pipe = _pipeline(fspec, grid, order)
-    shape = pipe.grid_shape()
+    pipe = run.surface
     sp = pipe.split
-    mask = pipe.mask()
-    out = []
 
     H_direct = _values(pipe.pedal.mean_curvature())
     H_pred = _values(sp.mean_curvature_predicted())
-    denom = np.maximum(_norms(H_pred), _TINY)
-    defect = _norms(H_direct - H_pred) / denom
-    out.append(_finish(CheckResult(
-        check_id="pedal_mean.formula",
-        statement="the pedal's mean curvature vector equals "
-                  "(2/theta)(Z - delta) (relative defect)",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=_masked_max(defect, mask),
-        threshold=_tol(tolerances, "pedal_mean_formula"),
-    )))
+    defect = _norms(H_direct - H_pred) / np.maximum(_norms(H_pred), _TINY)
 
     Ef, _, _ = (j.value().real for j in pipe.base.first_fundamental())
     lap = _values(pipe.pedal.laplacian()) / np.maximum(Ef, _TINY)
     K = pipe.base.curvature_scalars()["K"]
     rhs = 2.0 * K * (_values(sp.first_normal_part) - _values(sp.tangent_part))
-    scale = np.maximum(_norms(rhs), _TINY)
-    ldef = _norms(lap - rhs) / scale
-    out.append(_finish(CheckResult(
-        check_id="pedal_mean.laplacian",
-        statement="the metric Laplacian of the pedal equals 2K(delta - Z) "
-                  "(relative defect)",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=_masked_max(ldef, mask),
-        threshold=_tol(tolerances, "pedal_mean_laplacian"),
-    )))
+    ldef = _norms(lap - rhs) / np.maximum(_norms(rhs), _TINY)
 
     # homothety control: the pedal of 2f is 2g, so its mean curvature is
     # half that of g, pointwise
@@ -597,18 +634,12 @@ def verify_meancurvature(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None)
     sx, sy = sub.points()
     H_base, ok_base = _pedal_mean_values(pipe.evaluator, sx, sy)
     H_twice, ok_twice = _pedal_mean_values(pipe.evaluator.affine(scale=2.0), sx, sy)
-    smask = sub.premask() & ok_base & ok_twice
     sdef = _norms(H_twice - 0.5 * H_base) / np.maximum(_norms(0.5 * H_base), _TINY)
-    out.append(_finish(CheckResult(
-        check_id="pedal_mean.scaling",
-        statement="doubling the base surface halves the pedal's mean "
-                  "curvature pointwise (homothety control)",
-        grid=(sub.nx, sub.ny),
-        excluded=int(np.sum(~smask)),
-        defect=_masked_max(sdef, smask),
-        threshold=_tol(tolerances, "pedal_mean_scaling"),
-    )))
-    return out
+    return {
+        "pedal_mean.formula": Outcome(defect),
+        "pedal_mean.laplacian": Outcome(ldef),
+        "pedal_mean.scaling": Outcome(sdef, sub.premask() & ok_base & ok_twice, sub),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -639,21 +670,17 @@ def _alpha_dz_position(base: SurfaceJets, Z, n3, n4):
     return alpha, _complex_dot(alpha, n3) + 1j * _complex_dot(alpha, n4)
 
 
-def _pedal_wirtinger_data(pipe: SurfacePipeline):
-    """alpha_g(dz,dz) of the pedal plus the base-side pairing sections."""
+def _secondform_span_pairing(pipe: SurfacePipeline):
+    """(a) flag containment and (b) conjugate pairing defects, with the
+    points where both are defined: the pipeline's mask and the deepest
+    flag level's (a degenerate ellipse there leaves no frame to pair)."""
     base = pipe.base
     sp = pipe.split
     ag = pipe.pedal.alpha_wirtinger().value()  # complex (n, points)
     theta = sp.osc_norm_sq.value().real
     lev = base.flag(min(2, base.flag_capacity()))
     u1 = _values(sp.tangent_part) - _values(sp.first_normal_part)
-    return ag, u1, sp.rotation_section(), theta, lev
-
-
-def _secondform_span_pairing(pipe: SurfacePipeline):
-    """(a) flag containment and (b) conjugate pairing defects."""
-    ag, u1, u2, theta, lev = _pedal_wirtinger_data(pipe)
-    base = pipe.base
+    u2 = sp.rotation_section()
     frames = [_values(base.e1), _values(base.e2)]
     for level in lev:
         frames.extend(_values(fr) for fr in level.frames)
@@ -664,10 +691,10 @@ def _secondform_span_pairing(pipe: SurfacePipeline):
     span_defect = _norms(rem) / amag
     pair = _complex_dot(ag, u2) - 1j * _complex_dot(ag, u1)
     pair_defect = np.abs(pair) / (amag * np.sqrt(np.maximum(theta, _TINY)))
-    return span_defect, pair_defect
+    return span_defect, pair_defect, pipe.mask(lev[-1].valid)
 
 
-def _secondform_top_defect(pipe: SurfacePipeline, tolerances):
+def _secondform_top_defect(pipe: SurfacePipeline):
     """(c) components of alpha_g along the second normal space of the base.
 
     Both components must be carried by a single complex scalar: (the
@@ -702,8 +729,7 @@ def _secondform_top_defect(pipe: SurfacePipeline, tolerances):
     return defect, lam
 
 
-def verify_pedal_secondform(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None,
-                            control=None, higher=None):
+def verify_pedal_secondform(run: Run) -> dict:
     """Structure of the pedal's (2,0)-part of the second form.
 
     (a) it lies in the base's second osculating flag — content only when
@@ -716,125 +742,31 @@ def verify_pedal_secondform(fspec, grid=None, order=DEFAULT_ORDER, tolerances=No
     plus the connection-form relations between the two normal planes
     under the recorded Hodge sign convention.
     """
-    pipe = _pipeline(fspec, grid, order)
-    order = pipe.order
-    shape = pipe.grid_shape()
-    mask = pipe.mask()
-    out = []
-
-    span_d, pair_d = _secondform_span_pairing(pipe)
-    hi = _pipeline(higher if higher is not None else "holo4",
-                   pipe.grid, order, label="higher")
-    hspan, hpair = _secondform_span_pairing(hi)
-    hmask = hi.mask()
-    span_defect = max(
-        v for v in (_masked_max(span_d, mask), _masked_max(hspan, hmask))
-        if v is not None
-    ) if (np.any(mask) or np.any(hmask)) else None
-    out.append(_finish(CheckResult(
-        check_id="pedal_secondform.span",
-        statement="the (2,0) second form of the pedal lies in the base's "
-                  "second osculating flag (checked also in R^8 where the "
-                  "complement is nontrivial)",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=span_defect,
-        threshold=_tol(tolerances, "secondform_span"),
-        details={"ambient_6": _masked_max(span_d, mask),
-                 "ambient_8": _masked_max(hspan, hmask)},
-    )))
-
-    out.append(_finish(CheckResult(
-        check_id="pedal_secondform.pairing",
-        statement="the (2,0) second form of the pedal pairs conjugately "
-                  "with the two explicit normal sections",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=_masked_max(pair_d, mask),
-        threshold=_tol(tolerances, "secondform_pairing"),
-    )))
-
-    # both checks pair with a rank-2 second normal plane: in R^5 the
-    # flag reaches level 2 but that level has rank 1
-    plane2 = (pipe.base.flag_capacity() >= 2
-              and pipe.base.flag(2)[1].expected_rank == 2)
-    if plane2:
-        top_d, lam = _secondform_top_defect(pipe, tolerances)
-        out.append(_finish(CheckResult(
-            check_id="pedal_secondform.normal2",
-            statement="the second-normal components of the pedal's (2,0) form "
-                      "are carried by the first-normal connection form",
-            grid=shape,
-            excluded=int(np.sum(~mask)),
-            defect=_masked_max(top_d, mask),
-            threshold=_tol(tolerances, "secondform_normal2"),
-            details={"lambda_min": _masked_min(lam, mask),
-                     "lambda_max": _masked_max(lam, mask)},
-        )))
-    else:
-        out.append(CheckResult(
-            check_id="pedal_secondform.normal2",
-            statement="second-normal components need a second normal plane "
-                      "(ambient dimension >= 6 and jet order >= 3)",
-            grid=shape,
-            excluded=shape[0] * shape[1],
-            defect=None,
-            threshold=_tol(tolerances, "secondform_normal2"),
-            status="inconclusive",
-        ))
-
-    ctrl = _pipeline(control if control is not None else "noniso",
-                     pipe.grid, order, label="control")
-    cspan, cpair = _secondform_span_pairing(ctrl)
-    cmask = ctrl.mask()
+    pipe = run.surface
+    span_d, pair_d, fmask = _secondform_span_pairing(pipe)
+    hspan, _, hmask = _secondform_span_pairing(run.higher)
+    ambient_6, ambient_8 = _masked_max(span_d, fmask), _masked_max(hspan, hmask)
+    ctrl = run.control
+    cspan, cpair, cmask = _secondform_span_pairing(ctrl)
     clam = ctrl.base.flag(2)[1].lam
-    cdef = None
-    vals = [v for v in (_masked_max(cspan, cmask), _masked_max(cpair, cmask))
-            if v is not None]
-    if vals:
-        cdef = max(vals)
-    out.append(_finish(CheckResult(
-        check_id="pedal_secondform.one_circle",
-        statement="flag containment and conjugate pairing need only one "
-                  "curvature circle (control surface, axis ratio < 1)",
-        grid=shape,
-        excluded=int(np.sum(~cmask)),
-        defect=cdef,
-        threshold=_tol(tolerances, "secondform_pairing"),
-        details={"lambda_min": _masked_min(clam, cmask),
-                 "lambda_max": _masked_max(clam, cmask)},
-    )))
-
-    # the connection forms differentiate the level-2 frames, which are
-    # order-(jet order - 3) jets: one more order than the flag itself
-    if plane2 and order >= 4:
+    out = {
+        "pedal_secondform.span": Outcome(_max_defined(ambient_6, ambient_8), fmask, details={
+            "ambient_6": ambient_6, "ambient_8": ambient_8}),
+        "pedal_secondform.pairing": Outcome(pair_d, fmask),
+        "pedal_secondform.one_circle": Outcome(np.maximum(cspan, cpair), cmask, details={
+            "lambda_min": _masked_min(clam, cmask), "lambda_max": _masked_max(clam, cmask)}),
+    }
+    if run.wants("pedal_secondform.normal2"):
+        top_d, lam = _secondform_top_defect(pipe)
+        mask = pipe.mask()
+        out["pedal_secondform.normal2"] = Outcome(top_d, details={
+            "lambda_min": _masked_min(lam, mask), "lambda_max": _masked_max(lam, mask)})
+    if run.wants("pedal_secondform.hodge"):
         hodge = hodge_relation_residuals(pipe.base)
         hodge_mask = pipe.pre & hodge["valid"]
-        out.append(_finish(CheckResult(
-            check_id="pedal_secondform.hodge",
-            statement="the connection forms of the two normal planes satisfy "
-                      "the coupled rotation relations under the recorded "
-                      "Hodge sign convention",
-            grid=shape,
-            excluded=int(np.sum(~hodge_mask)),
-            defect=_masked_max(hodge["minus"], hodge_mask),
-            threshold=_tol(tolerances, "secondform_hodge"),
-            details={
-                "convention": "minus",
-                "rejected_convention_residual": _masked_max(hodge["plus"], hodge_mask),
-            },
-        )))
-    else:
-        out.append(CheckResult(
-            check_id="pedal_secondform.hodge",
-            statement="connection-form relations need two normal planes and "
-                      "jets of order >= 4",
-            grid=shape,
-            excluded=shape[0] * shape[1],
-            defect=None,
-            threshold=_tol(tolerances, "secondform_hodge"),
-            status="insufficient jet order" if order < 4 else "inconclusive",
-        ))
+        out["pedal_secondform.hodge"] = Outcome(hodge["minus"], hodge_mask, details={
+            "convention": "minus",
+            "rejected_convention_residual": _masked_max(hodge["plus"], hodge_mask)})
     return out
 
 
@@ -873,7 +805,7 @@ def _plane_angle_defect(u, w):
     return np.where(ok_u & ok_w, defect, 0.0), ok_u & ok_w
 
 
-def verify_swillmore(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
+def verify_swillmore(run: Run) -> dict:
     """The pedal never satisfies the S-Willmore parallelism condition.
 
     Direct route: the normal derivative of the pedal's mean curvature
@@ -886,45 +818,7 @@ def verify_swillmore(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     direct route.  The product kappa*theta whose vanishing would be the
     only escape is recorded as bounded away from zero.
     """
-    out = []
-    trouble = None
-    pipe = None
-    if order < 4:
-        if isinstance(fspec, SurfacePipeline):
-            shape = fspec.grid_shape()
-        else:
-            g = grid or Grid()
-            shape = (g.nx, g.ny)
-        trouble = ("insufficient jet order",
-                   "S-Willmore refutation needs jets of the pedal's mean "
-                   "curvature (jet order >= 4)")
-    else:
-        pipe = _pipeline(fspec, grid, order)
-        shape = pipe.grid_shape()
-        if pipe.base.flag_capacity() < 2:
-            trouble = ("inconclusive",
-                       "the scalar obstruction needs a second normal plane "
-                       "(ambient dimension >= 6)")
-    if trouble is not None:
-        status, statement = trouble
-        for cid, thr in (
-            ("swillmore.refute", "swillmore_refute"),
-            ("swillmore.scalar_agreement", "swillmore_agreement"),
-            ("swillmore.kappa_theta", "swillmore_kappa_theta"),
-        ):
-            out.append(CheckResult(
-                check_id=cid,
-                statement=statement,
-                grid=shape,
-                excluded=shape[0] * shape[1],
-                defect=None,
-                threshold=_tol(tolerances, thr),
-                mode="lower",
-                passed=False,
-                status=status,
-            ))
-        return out
-
+    pipe = run.surface
     gb = pipe.pedal
     mask = pipe.mask()
     H = gb.mean_curvature()
@@ -932,17 +826,6 @@ def verify_swillmore(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     ag = gb.alpha_wirtinger().value()
     direct, both_ok = _plane_angle_defect(nabH, ag)
     mask_d = mask & both_ok
-    out.append(_finish(CheckResult(
-        check_id="swillmore.refute",
-        statement="the normal derivative of the pedal's mean curvature is "
-                  "not complex-parallel to its (2,0) second form on at "
-                  "least 90% of the grid",
-        grid=shape,
-        excluded=int(np.sum(~mask_d)),
-        defect=_low_quantile(direct, mask_d),
-        threshold=_tol(tolerances, "swillmore_refute"),
-        mode="lower",
-    )))
 
     # scalar route, entirely from base-surface data
     base = pipe.base
@@ -974,42 +857,24 @@ def verify_swillmore(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None):
     )
     scalar_n = np.abs(scalar) / np.maximum(scale, _TINY)
 
-    cut = _tol(tolerances, "swillmore_refute")
+    cut = run.tolerance("swillmore_refute")
     agree = (direct >= cut) == (scalar_n >= cut)
     gmask = mask_d & guard
     total = int(np.sum(gmask))
     frac = float(np.sum(agree & gmask)) / total if total else None
-    out.append(_finish(CheckResult(
-        check_id="swillmore.scalar_agreement",
-        statement="the direct parallelism defect and the base-side scalar "
-                  "obstruction vanish or not together (fraction of "
-                  "agreeing grid points)",
-        grid=shape,
-        excluded=int(np.sum(~gmask)),
-        defect=frac,
-        threshold=_tol(tolerances, "swillmore_agreement"),
-        mode="lower",
-        details={"scalar_min": _masked_min(scalar_n, gmask),
-                 "scalar_low_quantile": _low_quantile(scalar_n, gmask)},
-    )))
 
     xi1, _ = base.traceless_second()
     kappa_theta = _norms(_values(xi1)) * sp.osc_norm_sq.value().real
     hi = _masked_max(np.abs(kappa_theta), mask)
     lo = _masked_min(np.abs(kappa_theta), mask)
     ratio = (lo / hi) if (hi not in (None, 0.0) and lo is not None) else None
-    out.append(_finish(CheckResult(
-        check_id="swillmore.kappa_theta",
-        statement="the circle radius times the osculating norm stays "
-                  "bounded away from zero (min/max ratio over the grid)",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=ratio,
-        threshold=_tol(tolerances, "swillmore_kappa_theta"),
-        mode="lower",
-        details={"min": lo, "max": hi},
-    )))
-    return out
+    return {
+        "swillmore.refute": Outcome(direct, mask_d),
+        "swillmore.scalar_agreement": Outcome(frac, gmask, details={
+            "scalar_min": _masked_min(scalar_n, gmask),
+            "scalar_low_quantile": _low_quantile(scalar_n, gmask)}),
+        "swillmore.kappa_theta": Outcome(ratio, details={"min": lo, "max": hi}),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1051,16 +916,16 @@ def _center_lattice(n: int, lattice: dict) -> np.ndarray:
     return axis[np.indices((per,) * n).reshape(n, -1).T]
 
 
-def verify_inversion_minimality(fspec, grid=None, order=DEFAULT_ORDER,
-                                tolerances=None, lattice=None):
+def verify_inversion_minimality(run: Run) -> dict:
     """No center of inversion makes the pedal minimal.
 
-    For each candidate center the closed-form residual system (two scalar
-    residuals and one distance residual, all dimensionless) must fail at
-    some grid point — and in fact the inverted pedal's mean curvature,
-    measured in units of its own second-form scale, stays large at EVERY
-    grid point.  The closed forms are cross-checked against direct jets
-    of the inverted pedal at sampled centers.
+    For each candidate center of the config's lattice the closed-form
+    residual system (two scalar residuals and one distance residual, all
+    dimensionless) must fail at some grid point — and in fact the
+    inverted pedal's mean curvature, measured in units of its own
+    second-form scale, stays large at EVERY grid point.  The closed forms
+    are cross-checked against direct jets of the inverted pedal at
+    sampled centers.
 
     The lattice is evaluated in blocks of at most _LATTICE_BLOCK
     center x point elements, keeping a running minimum of the norm ratio
@@ -1068,12 +933,10 @@ def verify_inversion_minimality(fspec, grid=None, order=DEFAULT_ORDER,
     number of centers; ||g - p0||^2 comes from minimality_residuals'
     pos_sq.
     """
-    pipe = _pipeline(fspec, grid, order)
-    shape = pipe.grid_shape()
-    lattice = dict(lattice or {"per_axis": 3, "lo": -1.6, "hi": 1.6, "radius": 1.0})
-    radius = float(lattice.get("radius", 1.0))
+    pipe = run.surface
+    lattice = run.config.lattice
+    radius = float(lattice["radius"])
     centers = _center_lattice(pipe.curve.ambient_dim, lattice)
-    out = []
 
     sp = pipe.split
     valid = sp.valid.reshape(-1) & pipe.mask()
@@ -1091,39 +954,15 @@ def verify_inversion_minimality(fspec, grid=None, order=DEFAULT_ORDER,
         ratio_mins.append(np.min(np.where(valid[None, :], ratio, np.inf)))
         margins.append(res["margin_per_center"])
     margins = np.concatenate(margins)
-
     norm_defect = float(np.min(ratio_mins)) if np.any(valid) else None
-    out.append(_finish(CheckResult(
-        check_id="inversion.norm",
-        statement="for every lattice center, the inverted pedal's mean "
-                  "curvature stays above threshold at every grid point "
-                  "(in units of its second-form scale)",
-        grid=shape,
-        excluded=int(np.sum(~valid)),
-        defect=norm_defect,
-        threshold=_tol(tolerances, "inversion_norm"),
-        mode="lower",
-        details={"centers": int(centers.shape[0]), "radius": radius},
-    )))
-    out.append(_finish(CheckResult(
-        check_id="inversion.system",
-        statement="the residual system that an inversion center would have "
-                  "to solve at every grid point simultaneously is "
-                  "infeasible for every lattice center",
-        grid=shape,
-        excluded=int(np.sum(~valid)),
-        defect=float(margins.min()) if margins.size and np.any(valid) else None,
-        threshold=_tol(tolerances, "inversion_system"),
-        mode="lower",
-        details={"centers": int(centers.shape[0])},
-    )))
+    system_defect = float(margins.min()) if margins.size and np.any(valid) else None
 
     # direct-jet cross-check at a few sampled centers on a coarse subgrid
     sub = _subgrid(pipe.grid, 5)
     sx, sy = sub.points()
     # distinct indices, so a one-center lattice is sampled once
     picks = sorted({0, centers.shape[0] // 2, centers.shape[0] - 1})
-    sub_split = pedal_split(SurfaceJets(pipe.evaluator, sx, sy, order))
+    sub_split = pedal_split(SurfaceJets(pipe.evaluator, sx, sy, pipe.order))
     # one pedal evaluation on the subgrid feeds its own geometry and the
     # sampled inversions
     sub_pedal = pipe.pedal_evaluator.evaluated(sx, sy, 2)
@@ -1150,21 +989,15 @@ def verify_inversion_minimality(fspec, grid=None, order=DEFAULT_ORDER,
         hn_s = sres["mean_norm"][0] * radius**2 / (2.0 * rho_s)
         closed_ratio = 2.0 * hn_s / np.maximum(strs, _TINY)
         diff = np.abs(direct_ratio - closed_ratio) / np.maximum(closed_ratio, _TINY)
-        w = _masked_max(diff, m)
-        if w is not None:
-            worst = w if worst is None else max(worst, w)
-    out.append(_finish(CheckResult(
-        check_id="inversion.crosscheck",
-        statement="the closed-form mean-curvature ratio of the inverted "
-                  "pedal matches direct jets of the inverted surface at "
-                  "sampled centers",
-        grid=(sub.nx, sub.ny),
-        excluded=0,
-        defect=worst,
-        threshold=_tol(tolerances, "inversion_crosscheck"),
-        details={"sampled_centers": len(picks)},
-    )))
-    return out
+        worst = _max_defined(worst, _masked_max(diff, m))
+    return {
+        "inversion.norm": Outcome(norm_defect, valid, details={
+            "centers": int(centers.shape[0]), "radius": radius}),
+        "inversion.system": Outcome(system_defect, valid, details={
+            "centers": int(centers.shape[0])}),
+        "inversion.crosscheck": Outcome(worst, grid=sub, excluded=0, details={
+            "sampled_centers": len(picks)}),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1202,12 +1035,13 @@ def _random_inversion_rank_defect(pedal_eval, grid, rng, count, span):
     return (worst if evaluated else None), evaluated
 
 
-def verify_shifted_pedals(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None,
-                          v=None, c=None, higher=None, rng_seed=20260826):
+def verify_shifted_pedals(run: Run) -> dict:
     """The shifted pedal family and first-normal-rank stability.
 
     (a) pedals of c*f + v are superconformal and conformal to f for
-        sampled (c, v), including the identity sample (1, 0);
+        sampled (c, v), including the identity sample (1, 0); v is the
+        config's translation (default: a fixed generic vector), c its
+        scale unless that is 1 (default: 0.7);
     (b) they decompose as c*(pedal of f) + (normal shadow of v);
     (c) the c = 0 member (the shadow of v) is superconformal and its
         inversion centered at v is minimal;
@@ -1215,44 +1049,29 @@ def verify_shifted_pedals(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None
         keeps rank three under random inversions — including for the
         three-circle surface in R^8.
     """
-    pipe = _pipeline(fspec, grid, order)
-    shape = pipe.grid_shape()
+    pipe = run.surface
+    order = pipe.order
     n = pipe.curve.ambient_dim
-    v = _generic_vector(n) if v is None else np.asarray(v, dtype=float)
-    out = []
+    config = run.config
+    v = (_generic_vector(n) if config.translation is None
+         else np.asarray(config.translation, dtype=float))
+    cc = float(config.scale) if config.scale != 1.0 else 0.7
 
     sub = _subgrid(pipe.grid, 11)
     sx, sy = sub.points()
     spre = sub.premask()
 
-    samples = [(1.0, np.zeros(n)), (float(c) if c is not None else 0.7, v),
-               (-1.3, 0.5 * v)]
-    family_defect = None
     family_members = []
     base_sub = SurfaceJets(pipe.evaluator, sx, sy, max(order, 3))
-    for cc, vv in samples:
-        shifted = pipe.evaluator.affine(scale=cc, translation=vv)
+    for c, vv in ((1.0, np.zeros(n)), (cc, v), (-1.3, 0.5 * v)):
+        shifted = pipe.evaluator.affine(scale=c, translation=vv)
         gb = SurfaceJets(pedal_surface(shifted), sx, sy, 3)
         m = spre & gb.valid & base_sub.valid
         circ, _, _ = gb.circle_defect(1)
         conf, _ = _conformality_defect(gb)
-        worst = _masked_max(np.maximum(circ, conf), m)
-        family_members.append({"scale": cc, "defect": worst})
-        if worst is not None:
-            family_defect = worst if family_defect is None else max(family_defect, worst)
-    out.append(_finish(CheckResult(
-        check_id="shifted_pedal.family",
-        statement="pedals of the shifted family c*f + v are superconformal "
-                  "and conformal to f for sampled (c, v)",
-        grid=(sub.nx, sub.ny),
-        excluded=int(np.sum(~spre)),
-        defect=family_defect,
-        threshold=_tol(tolerances, "shifted_family"),
-        details={"samples": family_members},
-    )))
+        family_members.append({"scale": c, "defect": _masked_max(np.maximum(circ, conf), m)})
 
     # decomposition: pedal(c f + v) = c * pedal(f) + shadow(v)
-    cc = float(c) if c is not None else 0.7
     shifted = pipe.evaluator.affine(scale=cc, translation=v)
     g_shift = SurfaceJets(pedal_surface(shifted), sx, sy, 2)
     g_base = SurfaceJets(pipe.pedal_evaluator, sx, sy, 2)
@@ -1262,117 +1081,113 @@ def verify_shifted_pedals(fspec, grid=None, order=DEFAULT_ORDER, tolerances=None
     rhs = cc * _values(g_base.f) + _values(shadow.f)
     m = spre & g_shift.valid & g_base.valid & shadow.valid
     dec = _norms(lhs - rhs) / np.maximum(_norms(rhs), _TINY)
-    out.append(_finish(CheckResult(
-        check_id="shifted_pedal.decomposition",
-        statement="the pedal of c*f + v equals c*(pedal of f) plus the "
-                  "normal shadow of v, pointwise",
-        grid=(sub.nx, sub.ny),
-        excluded=int(np.sum(~m)),
-        defect=_masked_max(dec, m),
-        threshold=_tol(tolerances, "shifted_decomposition"),
-        details={"scale": cc},
-    )))
 
     # the shadow surface itself: superconformal, and minimal after the
     # inversion centered at its defining vector
     shadow3 = SurfaceJets(shadow_eval, sx, sy, 3)
-    mshadow = spre & shadow3.valid
     scirc, _, _ = shadow3.circle_defect(1)
-    out.append(_finish(CheckResult(
-        check_id="shifted_pedal.shadow_superconformal",
-        statement="the normal shadow of a constant vector over f is itself "
-                  "superconformal",
-        grid=(sub.nx, sub.ny),
-        excluded=int(np.sum(~mshadow)),
-        defect=_masked_max(scirc, mshadow),
-        threshold=_tol(tolerances, "shadow_superconformal"),
-    )))
-
     inv = InversionSpec(center=tuple(v), radius=1.0)
     inverted = SurfaceJets(invert_evaluator(shadow_eval, inv), sx, sy, 2)
-    minv = spre & inverted.valid
     Hn = _norms(_values(inverted.mean_curvature()))
     ix1, ix2 = inverted.traceless_second()
     iscale = np.sqrt(2.0 * (_norms(_values(ix1)) ** 2 + _norms(_values(ix2)) ** 2))
-    idef = Hn / np.maximum(iscale, _TINY)
-    out.append(_finish(CheckResult(
-        check_id="shifted_pedal.inverted_minimal",
-        statement="inverting the normal shadow about its defining vector "
-                  "yields a minimal surface (mean curvature over "
-                  "second-form scale)",
-        grid=(sub.nx, sub.ny),
-        excluded=int(np.sum(~minv)),
-        defect=_masked_max(idef, minv),
-        threshold=_tol(tolerances, "shadow_inverted_minimal"),
-    )))
 
     # rank of the first normal bundle: the pedal itself, then random
     # inversions of it, then the same pair for the R^8 three-circle surface
-    mask = pipe.mask()
-    rank_defect, _ = _rank_defect(pipe.pedal, mask)
-    out.append(_finish(CheckResult(
-        check_id="first_normal_rank.pedal",
-        statement="the first normal bundle of the pedal has rank exactly "
-                  "three at every non-excluded point",
-        grid=shape,
-        excluded=int(np.sum(~mask)),
-        defect=rank_defect,
-        threshold=_tol(tolerances, "first_normal_rank"),
-    )))
-
-    rng = np.random.default_rng(rng_seed)
+    rank_defect, _ = _rank_defect(pipe.pedal, pipe.mask())
     rsub = _subgrid(pipe.grid, 7)
     span = 3.0 * float(np.max(np.abs(_values(pipe.split.foot)))) + 1.0
     rdef, evaluated = _random_inversion_rank_defect(
-        pipe.pedal_evaluator, rsub, rng, 10, span
-    )
-    out.append(_finish(CheckResult(
-        check_id="first_normal_rank.inverted",
-        statement="the rank-three first normal bundle of the pedal "
-                  "persists under ten random inversions",
-        grid=(rsub.nx, rsub.ny),
-        excluded=0,
-        defect=rdef,
-        threshold=_tol(tolerances, "first_normal_rank"),
-        details={"inversions": evaluated},
-    )))
-
-    hi = _pipeline(higher if higher is not None else "holo4",
-                   pipe.grid, order, label="higher")
+        pipe.pedal_evaluator, rsub, np.random.default_rng(_RANK_SEED), 10, span)
+    hi = run.higher
     hmask = hi.mask()
     hdef, _ = _rank_defect(hi.pedal, hmask)
     hrdef, hev = _random_inversion_rank_defect(
-        hi.pedal_evaluator, rsub, np.random.default_rng(rng_seed + 1), 10,
+        hi.pedal_evaluator, rsub, np.random.default_rng(_RANK_SEED + 1), 10,
         3.0 * float(np.max(np.abs(_values(hi.split.foot)))) + 1.0,
     )
-    combined = None
-    vals = [x for x in (hdef, hrdef) if x is not None]
-    if vals:
-        combined = max(vals)
-    out.append(_finish(CheckResult(
-        check_id="first_normal_rank.higher_isotropy",
-        statement="for the three-circle surface in R^8 the pedal's first "
-                  "normal bundle also has rank three, before and after "
-                  "ten random inversions",
-        grid=shape,
-        excluded=int(np.sum(~hmask)),
-        defect=combined,
-        threshold=_tol(tolerances, "first_normal_rank"),
-        details={"pedal_rank_defect": hdef, "inverted_rank_defect": hrdef,
-                 "inversions": hev},
-    )))
-    return out
+    return {
+        "shifted_pedal.family": Outcome(
+            _max_defined(*(s["defect"] for s in family_members)), spre, sub,
+            details={"samples": family_members}),
+        "shifted_pedal.decomposition": Outcome(dec, m, sub, details={"scale": cc}),
+        "shifted_pedal.shadow_superconformal": Outcome(scirc, spre & shadow3.valid, sub),
+        "shifted_pedal.inverted_minimal": Outcome(
+            Hn / np.maximum(iscale, _TINY), spre & inverted.valid, sub),
+        "first_normal_rank.pedal": Outcome(rank_defect),
+        "first_normal_rank.inverted": Outcome(rdef, grid=rsub, excluded=0, details={
+            "inversions": evaluated}),
+        "first_normal_rank.higher_isotropy": Outcome(_max_defined(hdef, hrdef), hmask, details={
+            "pedal_rank_defect": hdef, "inverted_rank_defect": hrdef, "inversions": hev}),
+    }
 
 
 # ---------------------------------------------------------------------------
-# the full report
+# the runner
 # ---------------------------------------------------------------------------
 
 
-def _selected(check_ids, check_fn_id: str) -> bool:
-    if not check_ids:
-        return True
-    return any(check_fn_id.startswith(prefix) for prefix in check_ids)
+def _select(prefixes) -> tuple:
+    """The registry entries whose id starts with one of the prefixes (all
+    of them when there are none); a prefix matching no id is an error."""
+    if not prefixes:
+        return CHECKS
+    unknown = [p for p in prefixes if not any(c.id.startswith(p) for c in CHECKS)]
+    if unknown:
+        groups = ", ".join(dict.fromkeys(c.id.split(".")[0] for c in CHECKS))
+        raise ConfigError(f"no check id starts with {', '.join(map(repr, unknown))}; "
+                          f"ids start with one of: {groups}")
+    return tuple(c for c in CHECKS if c.id.startswith(tuple(prefixes)))
+
+
+def _unmet(check: Check, run: Run) -> Optional[Requirement]:
+    """The first requirement of the check that the run does not meet."""
+    for req in check.requires:
+        if _MEASURES[req.quantity](run) < req.minimum:
+            return req
+    return None
+
+
+def _record(check: Check, run: Run, outcome: Optional[Outcome],
+            unmet: Optional[Requirement]) -> dict:
+    """The report record of one check: its outcome reduced over its mask
+    and judged against its threshold, or the requirement it lacks."""
+    grid = run.config.grid
+    statement, status, details = check.statement, "evaluated", {}
+    if unmet is not None:
+        statement, status, defect, excluded = unmet.reason, unmet.status, None, grid.size
+    else:
+        mask = run.surface.mask() if outcome.mask is None else outcome.mask
+        defect = outcome.defect
+        if isinstance(defect, np.ndarray):
+            reduce = _masked_max if check.mode == "upper" else _low_quantile
+            defect = reduce(defect, mask)
+        excluded = int(np.sum(~mask)) if outcome.excluded is None else outcome.excluded
+        grid = outcome.grid or grid
+        details = outcome.details
+    threshold = run.tolerance(check.tolerance)
+    passed = False
+    if defect is None or not math.isfinite(defect):
+        if status == "evaluated":
+            status = "inconclusive"
+    elif check.mode == "upper":
+        passed = defect <= threshold
+    else:
+        passed = defect >= threshold
+    rec = {
+        "id": check.id,
+        "statement": statement,
+        "grid": [grid.nx, grid.ny],
+        "excluded": int(excluded),
+        "defect": _jsonable(defect),
+        "threshold": float(threshold),
+        "mode": check.mode,
+        "pass": bool(passed),
+        "status": status,
+    }
+    if details:
+        rec["details"] = {k: _jsonable(v) for k, v in sorted(details.items())}
+    return rec
 
 
 def run_all(config: RunConfig) -> dict:
@@ -1382,113 +1197,43 @@ def run_all(config: RunConfig) -> dict:
     seeds, no timestamps.  Overall status is "pass" when every executed
     check passes, "fail" when any evaluated check fails, and
     "inconclusive" when nothing failed but some selected checks could
-    not run (no usable grid points, jet order or ambient dimension too
-    small for them).
+    not run (no usable grid points, or a requirement of theirs such as
+    the jet order or the ambient dimension not met).
     """
     if not isinstance(config, RunConfig):
         raise ConfigError("run_all needs a RunConfig")
+    checks = _select(config.checks)
     grid = config.grid
-    order = config.jet_order
-    tol = config.tolerances
-    selected = config.checks
-
     environment = {
-        "jet_order": order,
+        "jet_order": config.jet_order,
         "grid": [grid.nx, grid.ny],
         "window": [grid.x0, grid.x1, grid.y0, grid.y1],
-        "tolerances": {k: _tol(tol, k) for k in sorted(DEFAULT_TOLERANCES)},
+        "tolerances": {k: _tol(config.tolerances, k) for k in sorted(DEFAULT_TOLERANCES)},
         "spec_sha256": config.digest(),
         "ambient_dim": config.curve.ambient_dim,
     }
-
     usable = int(np.sum(grid.premask())) if grid.size else 0
     environment["points"] = {"total": grid.size, "usable": usable}
-    if usable == 0:
-        return {
-            "version": REPORT_VERSION,
-            "environment": environment,
-            "status": "inconclusive",
-            "checks": [],
-        }
-
-    if order < 3:
-        # grid geometry of the pedal needs at least order-3 jets of the
-        # base; report every selected family as under-resolved
-        checks = []
-        for fam in ("generator", "pedal", "secondform", "swillmore",
-                    "inversion", "shifted", "first_normal_rank"):
-            if _selected(selected, fam):
-                checks.append(CheckResult(
-                    check_id=fam,
-                    statement="grid certification needs jet order >= 3",
-                    grid=(grid.nx, grid.ny),
-                    excluded=grid.size,
-                    defect=None,
-                    threshold=0.0,
-                    passed=False,
-                    status="insufficient jet order",
-                ).to_record())
-        return {
-            "version": REPORT_VERSION,
-            "environment": environment,
-            "status": "inconclusive",
-            "checks": checks,
-        }
-
-    pipe = SurfacePipeline(config.curve, grid, order, "surface")
-    environment["points"]["usable"] = int(np.sum(pipe.mask()))
-    shared = {}
-
-    def ctrl():
-        if "ctrl" not in shared:
-            shared["ctrl"] = SurfacePipeline(
-                preset_curve("noniso"), grid, order, "control")
-        return shared["ctrl"]
-
-    def high():
-        if "high" not in shared:
-            shared["high"] = SurfacePipeline(
-                preset_curve("holo4"), grid, order, "higher")
-        return shared["high"]
-
-    results = []
-    groups = (
-        ("generator", lambda: verify_generation(pipe, tolerances=tol)),
-        ("pedal_circle", lambda: verify_superconformal(
-            pipe, tolerances=tol, control=ctrl())),
-        ("pedal_conformal", lambda: verify_pedal_conformality(
-            pipe, tolerances=tol, control=ctrl())),
-        ("pedal_normal_span", lambda: verify_normal_span(pipe, tolerances=tol)),
-        ("pedal_mean", lambda: verify_meancurvature(pipe, tolerances=tol)),
-        ("pedal_secondform", lambda: verify_pedal_secondform(
-            pipe, tolerances=tol, control=ctrl(), higher=high())),
-        ("swillmore", lambda: verify_swillmore(pipe, order=order, tolerances=tol)),
-        ("inversion", lambda: verify_inversion_minimality(
-            pipe, tolerances=tol, lattice=config.lattice)),
-        ("shifted", lambda: verify_shifted_pedals(
-            pipe, tolerances=tol, v=config.translation,
-            c=config.scale if config.scale != 1.0 else None, higher=high())),
-    )
-    for prefix, fn in groups:
-        if prefix == "shifted":
-            run_this = _selected(selected, "shifted_pedal") or _selected(
-                selected, "first_normal_rank")
-        else:
-            run_this = _selected(selected, prefix)
-        if run_this:
-            results.extend(fn())
-
-    if selected:
-        results = [r for r in results
-                   if any(r.check_id.startswith(p) for p in selected)]
+    records = []
+    if usable:
+        run = Run(config)
+        if config.jet_order >= _ORDER3.minimum:
+            environment["points"]["usable"] = int(np.sum(run.surface.mask()))
+        unmet = {c.id: _unmet(c, run) for c in checks}
+        run.ids = {cid for cid, req in unmet.items() if req is None}
+        outcomes = {}
+        # looked up at call time, so a replaced module function is the one run
+        for group in dict.fromkeys(c.group for c in checks if c.id in run.ids):
+            outcomes.update(globals()[group](run))
+        records = [_record(c, run, outcomes.get(c.id), unmet[c.id]) for c in checks]
 
     # an evaluated failure is a failure; checks that could not run at all
     # (jet order / ambient dimension too small) make the run inconclusive
-    if not results:
+    if not records:
         status = "inconclusive"
-    elif any(r.status == "evaluated" and not r.passed for r in results):
+    elif any(r["status"] == "evaluated" and not r["pass"] for r in records):
         status = "fail"
-    elif any(r.status != "evaluated" for r in results):
+    elif any(r["status"] != "evaluated" for r in records):
         status = "inconclusive"
     else:
         status = "pass"
@@ -1496,7 +1241,7 @@ def run_all(config: RunConfig) -> dict:
         "version": REPORT_VERSION,
         "environment": environment,
         "status": status,
-        "checks": [r.to_record() for r in results],
+        "checks": records,
     }
 
 

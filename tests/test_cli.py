@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from isopedal import cli
 from isopedal.cli import main
 from isopedal.export import GEOMETRY_COLUMNS
+from isopedal.weierstrass import surface_evaluator
 
 SMALL = "0.3,1.3,0.3,1.3,5,5"
 V6 = [0.9, -0.4, 0.7, 0.3, -0.8, 0.5]
@@ -158,6 +160,22 @@ def test_verify_check_filter_limits_report(tmp_path):
     assert ids and all(i.startswith("pedal_mean") for i in ids)
 
 
+def test_verify_check_with_a_full_id_writes_that_record(tmp_path):
+    assert main(["verify", "--out", str(tmp_path), "--grid", SMALL,
+                 "--check", "pedal_circle.positive"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [rec["id"] for rec in report["checks"]] == ["pedal_circle.positive"]
+    assert report["status"] == "pass"
+
+
+def test_verify_unknown_check_prefix_exits_2(tmp_path, capsys):
+    assert main(["verify", "--out", str(tmp_path), "--grid", SMALL,
+                 "--check", "pedal_mean,bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "pedal_circle" in err and "first_normal_rank" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_report_prints_digest(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path), "--grid", SMALL,
                  "--check", "pedal_mean"]) == 0
@@ -185,6 +203,25 @@ def test_export_geometry_csv_columns(tmp_path, capsys):
     assert main(["export", "--what", "g", "--format", "csv",
                  "--grid=-0.5,0.5,-0.5,0.5,5,5", "--out", str(tmp_path)]) == 0
     assert "excluded points: 1 of 25" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("what, fmt", [("f", "obj"), ("g", "csv"), ("inverted", "csv"),
+                                       ("inverted", "obj")])
+def test_export_evaluates_the_surface_once(tmp_path, monkeypatch, what, fmt):
+    # every exported surface (f, its pedal, the inverted pedal) is built on
+    # the one evaluator of f that cli obtains from surface_evaluator
+    orders = []
+
+    def counted(curve):
+        ev = surface_evaluator(curve)
+        inner = ev.fn
+        ev.fn = lambda *args: orders.append(args[2]) or inner(*args)
+        return ev
+
+    monkeypatch.setattr(cli, "surface_evaluator", counted)
+    assert main(["export", "--what", what, "--format", fmt, "--jet-order", "3",
+                 "--grid", SMALL, "--out", str(tmp_path)]) == 0
+    assert len(orders) == 1
 
 
 def test_export_inverted_mesh(tmp_path):

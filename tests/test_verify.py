@@ -15,6 +15,7 @@ import pytest
 from isopedal import moebius, verify
 from isopedal.config import RunConfig
 from isopedal.cpoly import cv_linear_map
+from isopedal.errors import ConfigError
 from isopedal.grid import Grid
 from isopedal.pedal import normal_part_evaluator, pedal_surface
 from isopedal.verify import (
@@ -255,7 +256,7 @@ def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block
         return moebius.minimality_residuals(pedal_bundle, C, radius, **kw)
 
     monkeypatch.setattr(verify, "minimality_residuals", spy)
-    got = {r.check_id: r for r in verify_inversion_minimality(pipe, lattice=lattice)}
+    got = verify_inversion_minimality(verify.Run(small_config(lattice=lattice)))
     assert got["inversion.norm"].defect == ref_norm
     assert got["inversion.system"].defect == ref_system
 
@@ -268,9 +269,7 @@ def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block
 
 def test_inversion_crosscheck_samples_distinct_centers():
     lattice = {"per_axis": 1, "lo": -1.6, "hi": 1.6, "radius": 1.0}
-    out = verify_inversion_minimality(preset_curve("holo3"), SMALL_GRID, 4,
-                                      lattice=lattice)
-    got = {r.check_id: r for r in out}
+    got = verify_inversion_minimality(verify.Run(small_config(lattice=lattice)))
     assert got["inversion.norm"].details["centers"] == 1
     assert got["inversion.crosscheck"].details["sampled_centers"] == 1
 
@@ -316,3 +315,54 @@ def test_pipeline_pedal_is_composed_on_the_base_bundle(monkeypatch):
     assert np.array_equal(got.valid, want.valid)
     for a, b in zip(got.f, want.f):
         assert np.array_equal(a.t, b.t)
+
+
+def test_registry_ids_are_unique_and_in_report_order():
+    ids = [c.id for c in verify.CHECKS]
+    assert len(ids) == 30 and len(set(ids)) == 30
+    assert ids == [rec["id"] for rec in run_all(small_config())["checks"]]
+
+
+def test_registry_tolerance_keys_are_the_defaults():
+    assert {c.tolerance for c in verify.CHECKS} == set(DEFAULT_TOLERANCES)
+
+
+def test_run_all_calls_the_group_function_of_the_module(monkeypatch):
+    # a replaced verify.verify_<group> must be the one run_all calls
+    calls = []
+    original = verify.verify_swillmore
+
+    def spy(run):
+        calls.append(run)
+        return original(run)
+
+    monkeypatch.setattr(verify, "verify_swillmore", spy)
+    report = run_all(small_config(checks=("swillmore", "generator.isotropy")))
+    assert len(calls) == 1
+    assert [rec["id"] for rec in report["checks"]] == [
+        "generator.isotropy", "swillmore.refute", "swillmore.scalar_agreement",
+        "swillmore.kappa_theta"]
+    assert report["status"] == "pass"
+
+
+def test_unknown_check_prefix_is_a_config_error():
+    with pytest.raises(ConfigError, match="'bogus'.*pedal_circle"):
+        run_all(small_config(checks=("generator", "bogus")))
+
+
+# 11 x 11 puts a grid point on the branch point at the origin, where the
+# control surface's second curvature ellipse degenerates; 10 x 10 misses it
+@pytest.mark.parametrize("grid", ["-0.5,0.5,-0.5,0.5,11,11", "-0.5,0.5,-0.5,0.5,10,10"],
+                         ids=["branch-point", "around-branch-point"])
+def test_every_check_passes_on_a_window_through_the_branch_point(grid):
+    report = run_all(RunConfig.from_document({"seed_preset": "holo3", "grid": grid}))
+    recs = by_id(report)
+    assert len(recs) == 30
+    assert all(rec["pass"] for rec in recs.values()), [
+        cid for cid, rec in recs.items() if not rec["pass"]]
+    assert report["status"] == "pass"
+    # points where the control's deepest flag level is degenerate are
+    # excluded from the control's second-form checks, and counted
+    flag_excluded = (recs["pedal_secondform.one_circle"]["excluded"]
+                     - recs["pedal_conformal.one_circle"]["excluded"])
+    assert flag_excluded == (10 if grid.endswith("11") else 0)
