@@ -212,10 +212,7 @@ class SurfaceJets:
         """Second form on the coordinate Wirtinger pair: normal part of f_zz."""
         key = "alpha_zz"
         if key not in self._cache:
-            fzz = JetVec([
-                (self.partial(2, 0)[k] - self.partial(0, 2)[k] - self.partial(1, 1)[k].scale(2j)).scale(0.25)
-                for k in range(self.n)
-            ])
+            fzz = (self.partial(2, 0) - self.partial(0, 2) - self.partial(1, 1).scale(2j)).scale(0.25)
             self._cache[key] = self.tangent_project_off(fzz)
         return self._cache[key]
 

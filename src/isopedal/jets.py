@@ -10,14 +10,27 @@ the square table with i + j > d are kept at zero.
 
 Jets are batched and every operation is vectorized over the batch axes.
 This is how grid evaluation is parallelized - one jet pipeline runs for
-all grid points at once.  The table is stored coefficient-leading, with
-shape (d+1, d+1, *batch), so that each coefficient c[i, j] is one
-contiguous plane over the batch and a product works on whole rows of
-such planes.  The public layout is batch-leading: `Jet(c)` takes, and
-`Jet.c` returns as a view, an array of shape (*batch, d+1, d+1).  Values
-are stored complex; real-valued pipelines simply carry a zero imaginary
-part, and holomorphic lifts keep their complex structure for Wirtinger
-work (d = (d/dx - i d/dy)/2).
+all grid points at once.  Tables are stored coefficient-leading, so that
+each coefficient c[i, j] is one contiguous block and a product works on
+whole rows of such blocks:
+
+* a `Jet` holds `t` of shape (d+1, d+1, *batch);
+* a `JetVec` (the jet of a map into R^n) holds one `t` of shape
+  (d+1, d+1, n, *batch), coefficients first, then components, so that a
+  vector operation (`dot`, `scale`, `project_off`, ...) is one pass of
+  numpy calls over all n components.
+
+The public scalar layout is batch-leading: `Jet(c)` takes, and `Jet.c`
+returns as a view, an array of shape (*batch, d+1, d+1).
+
+The table dtype follows the inputs.  Real pipelines (surface jets,
+frames, pedals, inversions) carry float64 tables; complex tables occur
+only where the mathematics is complex: the holomorphic lift
+(`jet_lift`), Wirtinger derivatives (d = (d/dx - i d/dy)/2) and what is
+built from them.  `.real()` returns float64 tables.  A real table gives
+the same bits as the real part of the same computation on complex tables
+with zero imaginary parts, with one care: numpy divides complex numbers
+as a * (1/b), so real division by a jet's value is written t * (1/b).
 
 Division and square root are power series in the normalized remainder
 u = a/a0 - 1, which is nilpotent at order d+1, so `order` Horner steps
@@ -85,13 +98,141 @@ def _sqrt_series(order):
     return out
 
 
-def _with_rank(t, rank):
-    """Table `t` with 1-axes inserted before its batch axes up to `rank`."""
-    lead = rank - (t.ndim - 2)
-    return t if lead <= 0 else t.reshape(t.shape[:2] + (1,) * lead + t.shape[2:])
+def _fit(t, D, ndim, lead):
+    """Table `t` truncated to D coefficients per axis, with 1-axes
+    inserted after its `lead` leading axes until it has `ndim` axes."""
+    if t.shape[0] != D:
+        if t.shape[0] < D:
+            raise ValueError("cannot raise jet order by truncation")
+        t = t[:D, :D] * _tri(D).reshape((D, D) + (1,) * (t.ndim - 2))
+    if t.ndim < ndim:
+        t = t.reshape(t.shape[:lead] + (1,) * (ndim - t.ndim) + t.shape[lead:])
+    return t
 
 
-class Jet:
+def _align(a, b, lead):
+    """Tables `a` and `b` at the lower order of the two, with equal rank."""
+    if a.shape == b.shape:
+        return a, b
+    D, ndim = min(a.shape[0], b.shape[0]), max(a.ndim, b.ndim)
+    return _fit(a, D, ndim, lead), _fit(b, D, ndim, lead)
+
+
+def _product(a, b, lead):
+    """Truncated Cauchy product of two tables, written only on the
+    triangle p + q <= d and broadcast over the axes after the first two.
+
+    Each output coefficient receives its terms a[p, q] * b[i, j] in the
+    order of (i, j), starting from zero, one row segment of `a` per numpy
+    call.  The right factor's coefficient keeps a length-1 axis so that
+    both operands of every call have equal rank.
+    """
+    a, b = _align(a, b, lead)
+    D = a.shape[0]
+    shape = a.shape[2:] if a.shape == b.shape else np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    out = np.zeros((D, D) + shape, dtype=np.result_type(a, b))
+    left_index, row_index, steps = _mul_plan(D)
+    left = [a[k] for k in left_index]
+    rows = [out[k] for k in row_index]
+    add, mul = np.add, np.multiply
+    for ij, pairs in steps:
+        bij = b[ij]
+        for k, r in pairs:
+            o = rows[r]
+            add(o, mul(left[k], bij), out=o)
+    return out
+
+
+def _divided(t, s):
+    """Table `t` divided by the batch array `s`, rounded as numpy's
+    complex division rounds the same values with zero imaginary parts."""
+    return t / s if np.iscomplexobj(t) else t * (1.0 / s)
+
+
+class _Table:
+    """Operations shared by `Jet` and `JetVec`: one table `t` with `_LEAD`
+    axes (coefficients, then components) before the batch axes."""
+
+    __slots__ = ("t",)
+    _LEAD = 2
+
+    @classmethod
+    def _of(cls, t):
+        """The object whose stored table is `t` (no copy)."""
+        obj = cls.__new__(cls)
+        obj.t = t
+        return obj
+
+    @property
+    def order(self):
+        return self.t.shape[0] - 1
+
+    @property
+    def batch(self):
+        return self.t.shape[self._LEAD:]
+
+    def value(self):
+        """Order-0 values, shape (*batch) or (n, *batch); a view into the table."""
+        return self.t[0, 0]
+
+    def deriv(self, i, j):
+        """Derivative value d^{i+j}/dx^i dy^j (unscaled)."""
+        if i + j > self.order:
+            raise ValueError(f"derivative ({i},{j}) beyond jet order {self.order}")
+        return self.t[i, j] * (math.factorial(i) * math.factorial(j))
+
+    def truncate(self, order):
+        if order == self.order:
+            return self
+        return self._of(_fit(self.t, order + 1, 0, 0))
+
+    def scale(self, s):
+        """Each coefficient times the number or batch array `s`."""
+        s = np.asarray(s)
+        return self._of(_fit(self.t, self.t.shape[0], s.ndim + self._LEAD, self._LEAD) * s)
+
+    def __add__(self, other):
+        if isinstance(other, type(self)):
+            a, b = _align(self.t, other.t, self._LEAD)
+            return self._of(a + b)
+        return self.add_const(other)
+
+    def __sub__(self, other):
+        if isinstance(other, type(self)):
+            a, b = _align(self.t, other.t, self._LEAD)
+            return self._of(a - b)
+        return self.add_const(-np.asarray(other))
+
+    def __neg__(self):
+        return self._of(-self.t)
+
+    # -- calculus ----------------------------------------------------------
+
+    def _weights(self, w):
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        return w.reshape(w.shape + (1,) * (self.t.ndim - 2))
+
+    def dx(self):
+        w = np.arange(1, self.order + 1, dtype=float)[:, None]
+        return self._of(self.t[1:, :-1] * self._weights(w))
+
+    def dy(self):
+        w = np.arange(1, self.order + 1, dtype=float)[None, :]
+        return self._of(self.t[:-1, 1:] * self._weights(w))
+
+    def wirtinger(self):
+        """The Wirtinger derivative (d/dx - i d/dy)/2, one order lower."""
+        return self._of(0.5 * (self.dx().t - 1j * self.dy().t))
+
+    def real(self):
+        return self._of(np.ascontiguousarray(self.t.real))
+
+    def imag(self):
+        return self._of(np.ascontiguousarray(self.t.imag))
+
+
+class Jet(_Table):
     """One truncated Taylor table, batched over trailing axes.
 
     `t` stores the table as (d+1, d+1, *batch), each coefficient a
@@ -99,17 +240,10 @@ class Jet:
     batch-leading (*batch, d+1, d+1) layout.
     """
 
-    __slots__ = ("t",)
+    __slots__ = ()
 
     def __init__(self, c):
         self.t = np.ascontiguousarray(np.moveaxis(np.asarray(c), (-2, -1), (0, 1)))
-
-    @staticmethod
-    def _of(t):
-        """The jet whose stored (d+1, d+1, *batch) table is `t` (no copy)."""
-        jet = Jet.__new__(Jet)
-        jet.t = t
-        return jet
 
     @property
     def c(self):
@@ -121,26 +255,26 @@ class Jet:
         t = self.t
         return t.transpose(tuple(range(2, t.ndim)) + (0, 1))
 
-    # -- constructors --------------------------------------------------
+    # -- constructors (float64 tables unless given complex values) ----------
 
     @staticmethod
     def const(value, order, batch=()):
-        value = np.asarray(value, dtype=complex)
+        value = np.asarray(value)
         shape = np.broadcast_shapes(value.shape, tuple(batch))
-        t = np.zeros((order + 1, order + 1) + shape, dtype=complex)
+        t = np.zeros((order + 1, order + 1) + shape, dtype=np.result_type(value, float))
         t[0, 0] = value
         return Jet._of(t)
 
     @staticmethod
     def zeros(order, batch=()):
-        return Jet._of(np.zeros((order + 1, order + 1) + tuple(batch), dtype=complex))
+        return Jet._of(np.zeros((order + 1, order + 1) + tuple(batch)))
 
     @staticmethod
     def coordinate(x0, axis, order, batch=None):
         """The jet of the coordinate function x (axis=0) or y (axis=1)."""
-        x0 = np.asarray(x0, dtype=complex)
+        x0 = np.asarray(x0)
         shape = x0.shape if batch is None else tuple(batch)
-        t = np.zeros((order + 1, order + 1) + shape, dtype=complex)
+        t = np.zeros((order + 1, order + 1) + shape, dtype=np.result_type(x0, float))
         t[0, 0] = x0
         if order >= 1:
             if axis == 0:
@@ -149,96 +283,19 @@ class Jet:
                 t[0, 1] = 1.0
         return Jet._of(t)
 
-    # -- basic queries ---------------------------------------------------
-
-    @property
-    def order(self):
-        return self.t.shape[0] - 1
-
-    @property
-    def batch(self):
-        return self.t.shape[2:]
-
-    def value(self):
-        return self.t[0, 0, ...]
-
-    def deriv(self, i, j):
-        """Derivative value d^{i+j}/dx^i dy^j (unscaled)."""
-        if i + j > self.order:
-            raise ValueError(f"derivative ({i},{j}) beyond jet order {self.order}")
-        return self.t[i, j, ...] * (math.factorial(i) * math.factorial(j))
-
-    def copy(self):
-        return Jet._of(self.t.copy())
-
-    def truncate(self, order):
-        if order == self.order:
-            return self
-        if order > self.order:
-            raise ValueError("cannot raise jet order by truncation")
-        D = order + 1
-        return Jet._of(self.t[:D, :D] * _with_rank(_tri(D), self.t.ndim - 2))
-
     # -- ring operations -------------------------------------------------
 
-    def _pair(self, other):
-        """Both jets at the lower order, with batch axes of equal rank."""
-        a, b = self.t, other.t
-        if a.shape == b.shape:
-            return a, b
-        k = min(self.order, other.order)
-        a, b = self.truncate(k).t, other.truncate(k).t
-        rank = max(a.ndim, b.ndim) - 2
-        return _with_rank(a, rank), _with_rank(b, rank)
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            a, b = self._pair(other)
-            return Jet._of(a + b)
-        return self.add_const(other)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            a, b = self._pair(other)
-            return Jet._of(a - b)
-        return self.add_const(-np.asarray(other, dtype=complex))
-
-    def __neg__(self):
-        return Jet._of(-self.t)
-
     def add_const(self, value):
-        t = self.t.copy()
-        t[0, 0] += np.asarray(value, dtype=complex)
+        value = np.asarray(value)
+        t = self.t.astype(np.result_type(self.t, value))
+        t[0, 0] += value
         return Jet._of(t)
 
     def __mul__(self, other):
-        """Truncated Cauchy product, written only on the triangle p + q <= d.
-
-        Each output coefficient receives its terms a[p, q] * b[i, j] in
-        the order of (i, j), starting from zero, one row segment of `a`
-        per numpy call.  The right factor's coefficient keeps a length-1
-        axis so that both operands of every call have equal rank.
-        """
+        """Truncated Cauchy product (see `_product`), or `scale`."""
         if not isinstance(other, Jet):
             return self.scale(other)
-        a, b = self._pair(other)
-        D = a.shape[0]
-        batch = a.shape[2:] if a.shape == b.shape else np.broadcast_shapes(a.shape[2:], b.shape[2:])
-        out = np.zeros((D, D) + batch, dtype=complex)
-        left_index, row_index, steps = _mul_plan(D)
-        left = [a[k] for k in left_index]
-        rows = [out[k] for k in row_index]
-        add, mul = np.add, np.multiply
-        for ij, pairs in steps:
-            bij = b[ij]
-            for k, r in pairs:
-                o = rows[r]
-                add(o, mul(left[k], bij), out=o)
-        return Jet._of(out)
-
-    def scale(self, s):
-        s = np.asarray(s, dtype=complex)
-        return Jet._of(_with_rank(self.t, s.ndim) * s)
+        return Jet._of(_product(self.t, other.t, 2))
 
     def _guard_value(self, guard, bad, what):
         v = self.value()
@@ -261,20 +318,20 @@ class Jet:
         scale = np.max(np.abs(self.t), axis=(0, 1))
         bad = ~(np.abs(v) > 1e-12 * scale)
         safe = self._guard_value(guard, bad, "division by a vanishing jet")
-        u = Jet._of(_with_rank(self.t, safe.ndim) / safe)
+        u = Jet._of(_divided(self.t, safe))
         u.t[0, 0] = 0.0
         acc = Jet.const(np.ones(u.batch), self.order)
         for _ in range(self.order):
             acc = -(u * acc)
             acc.t[0, 0] += 1.0
-        return Jet._of(acc.t / safe)
+        return Jet._of(_divided(acc.t, safe))
 
     def sqrt(self, guard=None):
         """Principal square root; order-0 coefficient must be a positive real."""
         v = self.value()
         bad = ~((v.real > 0) & (np.abs(v.imag) <= 1e-9 * np.abs(v) + 1e-300))
         safe = self._guard_value(guard, bad, "square root needs a positive real value")
-        u = Jet._of(_with_rank(self.t, safe.ndim) / safe)
+        u = Jet._of(_divided(self.t, safe))
         u.t[0, 0] = 0.0
         series = _sqrt_series(self.order)
         acc = Jet.const(np.full(u.batch, series[-1]), self.order)
@@ -283,124 +340,69 @@ class Jet:
             acc.t[0, 0] += series[k]
         return Jet._of(acc.t * np.sqrt(safe))
 
-    # -- calculus ----------------------------------------------------------
 
-    def dx(self):
-        D = self.order + 1
-        if D < 2:
-            raise ValueError("cannot differentiate an order-0 jet")
-        w = np.arange(1, D, dtype=float)[:, None]
-        return Jet._of(self.t[1:, :-1] * _with_rank(w, self.t.ndim - 2))
+class JetVec(_Table):
+    """The jet of a vector map: n jets sharing order and batch, stored as
+    one table `t` of shape (d+1, d+1, n, *batch)."""
 
-    def dy(self):
-        D = self.order + 1
-        if D < 2:
-            raise ValueError("cannot differentiate an order-0 jet")
-        w = np.arange(1, D, dtype=float)[None, :]
-        return Jet._of(self.t[:-1, 1:] * _with_rank(w, self.t.ndim - 2))
-
-    def wirtinger(self):
-        """The Wirtinger derivative (d/dx - i d/dy)/2 as a jet of order-1."""
-        return Jet._of(0.5 * (self.dx().t - 1j * self.dy().t))
-
-    def real(self):
-        return Jet._of(self.t.real.astype(complex))
-
-    def imag(self):
-        return Jet._of(self.t.imag.astype(complex))
-
-    def conj(self):
-        return Jet._of(np.conj(self.t))
-
-
-class JetVec:
-    """A tuple of jets sharing order and batch: a jet of a vector map."""
-
-    __slots__ = ("comps",)
+    __slots__ = ()
+    _LEAD = 3
 
     def __init__(self, comps):
-        self.comps = list(comps)
+        """Stack jets of one order and batch shape."""
+        self.t = np.stack([c.t for c in comps], axis=2)
 
     @staticmethod
     def const(vec, order, batch=()):
-        return JetVec([Jet.const(v, order, batch) for v in vec])
+        """The constant map with value `vec` (n entries) over the batch."""
+        vec = np.asarray(vec)
+        t = np.zeros((order + 1, order + 1) + vec.shape + tuple(batch),
+                     dtype=np.result_type(vec, float))
+        t[0, 0] = vec.reshape(vec.shape + (1,) * len(batch))
+        return JetVec._of(t)
 
     def __len__(self):
-        return len(self.comps)
-
-    def __iter__(self):
-        return iter(self.comps)
+        return self.t.shape[2]
 
     def __getitem__(self, k):
-        return self.comps[k]
+        return Jet._of(self.t[:, :, k])
 
-    @property
-    def order(self):
-        return self.comps[0].order
-
-    @property
-    def batch(self):
-        return self.comps[0].batch
-
-    def __add__(self, other):
-        return JetVec([a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        return JetVec([a - b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return JetVec([-a for a in self.comps])
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
 
     def scale(self, s):
+        """Each component times the jet `s` (a truncated product with
+        the component on the left), or times a number or batch array."""
         if isinstance(s, Jet):
-            return JetVec([a * s for a in self.comps])
-        return JetVec([a.scale(s) for a in self.comps])
+            return JetVec._of(_product(self.t, s.t[:, :, None], 3))
+        return super().scale(s)
 
     def dot(self, other):
-        """Bilinear pairing sum_k u_k v_k (no conjugation)."""
+        """Bilinear pairing sum_k u_k v_k (no conjugation).
+
+        The component products are summed in component order, one slice
+        at a time (a reduction along the component axis may pair the
+        terms differently).
+        """
         if len(self) != len(other):
             raise ValueError(f"component mismatch: {len(self)} vs {len(other)}")
-        acc = self.comps[0] * other.comps[0]
-        for a, b in zip(self.comps[1:], other.comps[1:]):
-            acc = acc + a * b
-        return acc
+        p = _product(self.t, other.t, 3)
+        acc = p[:, :, 0]
+        for k in range(1, len(self)):
+            acc = acc + p[:, :, k]
+        return Jet._of(acc)
 
     def norm_sq(self):
         return self.dot(self)
 
-    def dx(self):
-        return JetVec([a.dx() for a in self.comps])
-
-    def dy(self):
-        return JetVec([a.dy() for a in self.comps])
-
-    def wirtinger(self):
-        return JetVec([a.wirtinger() for a in self.comps])
-
-    def truncate(self, order):
-        return JetVec([a.truncate(order) for a in self.comps])
-
-    def real(self):
-        return JetVec([a.real() for a in self.comps])
-
-    def imag(self):
-        return JetVec([a.imag() for a in self.comps])
-
-    def conj(self):
-        return JetVec([a.conj() for a in self.comps])
-
     def translate(self, vec):
         """Add a constant ambient vector (one entry per component)."""
-        if len(vec) != len(self.comps):
+        vec = np.asarray(vec)
+        if vec.shape != (len(self),):
             raise ValueError("translation dimension mismatch")
-        return JetVec([a.add_const(v) for a, v in zip(self.comps, vec)])
-
-    def value(self):
-        """Order-0 values stacked to shape (n, *batch)."""
-        return np.stack([a.value() for a in self.comps])
-
-    def deriv(self, i, j):
-        return np.stack([a.deriv(i, j) for a in self.comps])
+        t = self.t.astype(np.result_type(self.t, vec))
+        t[0, 0] += vec.reshape(vec.shape + (1,) * len(self.batch))
+        return JetVec._of(t)
 
     def project_off(self, frames):
         """Subtract components along jet-orthonormal `frames`."""
@@ -490,4 +492,3 @@ def jet_gram_schmidt(vectors, eps=1e-9, guard=None, with_coeffs=False):
     if with_coeffs:
         return (frames, rows, ok) if guard is not None else (frames, rows)
     return (frames, ok) if guard is not None else frames
-

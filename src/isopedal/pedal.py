@@ -107,7 +107,7 @@ def pedal_split(surface_or_bundle, x=None, y=None, order: int = DEFAULT_ORDER) -
         term = fr.scale(foot.dot(fr))
         delta = term if delta is None else delta + term
     if delta is None:
-        delta = JetVec([Jet.zeros(f.order, bundle.batch) for _ in range(len(f))])
+        delta = JetVec.const(np.zeros(len(f)), f.order, bundle.batch)
     eta = foot - delta
     osc = tangent_part.norm_sq() + delta.norm_sq()
     return PedalBundle(
@@ -127,7 +127,7 @@ def normal_part(bundle: SurfaceJets, order: int, v=None):
     normal shadow); exact to one order less than the bundle."""
     w = bundle.f
     if v is not None:
-        w = JetVec([Jet.const(np.full(bundle.batch, val), w.order) for val in v])
+        w = JetVec.const(v, w.order, bundle.batch)
     part = w - bundle.e1.scale(w.dot(bundle.e1)) - bundle.e2.scale(w.dot(bundle.e2))
     return part.truncate(order), bundle.valid
 

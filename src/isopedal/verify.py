@@ -968,12 +968,13 @@ def verify_inversion_minimality(run: Run) -> dict:
     sub_pedal = pipe.pedal_evaluator.evaluated(sx, sy, 2)
     sxi1, sxi2 = SurfaceJets(sub_pedal, sx, sy, 2).traceless_second()
     strs = np.sqrt(2.0 * (_norms(_values(sxi1)) ** 2 + _norms(_values(sxi2)) ** 2))
-    worst = None
+    worst, kept = None, sub.premask() & sub_split.valid
     for idx in picks:
         c = centers[idx]
         inv = InversionSpec(center=tuple(c), radius=radius)
         bundle = SurfaceJets(invert_evaluator(sub_pedal, inv), sx, sy, 2)
         m = sub.premask() & bundle.valid & sub_split.valid
+        kept = kept & m
         if not np.any(m):
             continue
         Hd = _norms(_values(bundle.mean_curvature()))
@@ -995,7 +996,7 @@ def verify_inversion_minimality(run: Run) -> dict:
             "centers": int(centers.shape[0]), "radius": radius}),
         "inversion.system": Outcome(system_defect, valid, details={
             "centers": int(centers.shape[0])}),
-        "inversion.crosscheck": Outcome(worst, grid=sub, excluded=0, details={
+        "inversion.crosscheck": Outcome(worst, kept, sub, details={
             "sampled_centers": len(picks)}),
     }
 
@@ -1013,12 +1014,14 @@ def _rank_defect(bundle: SurfaceJets, mask):
 
 def _random_inversion_rank_defect(pedal_eval, grid, rng, count, span):
     """Worst |rank - 3| of the first normal bundle over random inversions,
-    all composed on one evaluation of the pedal over the grid."""
+    all composed on one evaluation of the pedal over the grid, the number
+    of inversions evaluated, and the points no inversion dropped."""
     x, y = grid.points()
     pre = grid.premask()
     pedal_at = pedal_eval.evaluated(x, y, 2)
     worst = 0.0
     evaluated = 0
+    kept = pre
     for _ in range(count):
         direction = rng.normal(size=pedal_eval.ambient_dim)
         direction /= np.linalg.norm(direction)
@@ -1026,13 +1029,20 @@ def _random_inversion_rank_defect(pedal_eval, grid, rng, count, span):
         inv = InversionSpec(center=tuple(center), radius=1.0)
         bundle = SurfaceJets(invert_evaluator(pedal_at, inv), x, y, 2)
         m = pre & bundle.valid
+        kept = kept & m
         if not np.any(m):
             continue
         d, _ = _rank_defect(bundle, m)
         if d is not None:
             worst = max(worst, d)
             evaluated += 1
-    return (worst if evaluated else None), evaluated
+    return (worst if evaluated else None), evaluated, kept
+
+
+def _inverted_rank(pipe: SurfacePipeline, rsub: Grid, seed: int):
+    span = 3.0 * float(np.max(np.abs(_values(pipe.split.foot)))) + 1.0
+    return _random_inversion_rank_defect(
+        pipe.pedal_evaluator, rsub, np.random.default_rng(seed), 10, span)
 
 
 def verify_shifted_pedals(run: Run) -> dict:
@@ -1048,78 +1058,86 @@ def verify_shifted_pedals(run: Run) -> dict:
     (d) the first normal bundle of the pedal has rank exactly three, and
         keeps rank three under random inversions — including for the
         three-circle surface in R^8.
+
+    Only the parts a wanted check id needs are computed.  (a) to (c) run
+    on an 11 x 11 subgrid and share one base bundle there: the pedal of f
+    and the shadow of v are its normal parts.
     """
     pipe = run.surface
-    order = pipe.order
-    n = pipe.curve.ambient_dim
     config = run.config
+    n = pipe.curve.ambient_dim
     v = (_generic_vector(n) if config.translation is None
          else np.asarray(config.translation, dtype=float))
     cc = float(config.scale) if config.scale != 1.0 else 0.7
-
     sub = _subgrid(pipe.grid, 11)
     sx, sy = sub.points()
     spre = sub.premask()
+    out = {}
 
-    family_members = []
-    base_sub = SurfaceJets(pipe.evaluator, sx, sy, max(order, 3))
-    for c, vv in ((1.0, np.zeros(n)), (cc, v), (-1.3, 0.5 * v)):
-        shifted = pipe.evaluator.affine(scale=c, translation=vv)
-        gb = SurfaceJets(pedal_surface(shifted), sx, sy, 3)
-        m = spre & gb.valid & base_sub.valid
-        circ, _, _ = gb.circle_defect(1)
-        conf, _ = _conformality_defect(gb)
-        family_members.append({"scale": c, "defect": _masked_max(np.maximum(circ, conf), m)})
+    if any(run.wants(c.id) for c in CHECKS if c.id.startswith("shifted_pedal.")):
+        base = SurfaceJets(pipe.evaluator, sx, sy, max(pipe.order, 4))
+        shadow_at = SurfaceEvaluator.of_jets(normal_part_evaluator(pipe.evaluator, v).provenance,
+                                             sx, sy, *normal_part(base, 3, v))
+    if run.wants("shifted_pedal.family"):
+        samples, kept = [], spre & base.valid
+        for c, vv in ((1.0, np.zeros(n)), (cc, v), (-1.3, 0.5 * v)):
+            shifted = pipe.evaluator.affine(scale=c, translation=vv)
+            gb = SurfaceJets(pedal_surface(shifted), sx, sy, 3)
+            m = spre & gb.valid & base.valid
+            kept = kept & m  # a point any sample drops is excluded
+            circ, _, _ = gb.circle_defect(1)
+            conf, _ = _conformality_defect(gb)
+            samples.append({"scale": c, "defect": _masked_max(np.maximum(circ, conf), m)})
+        out["shifted_pedal.family"] = Outcome(
+            _max_defined(*(s["defect"] for s in samples)), kept, sub,
+            details={"samples": samples})
 
-    # decomposition: pedal(c f + v) = c * pedal(f) + shadow(v)
-    shifted = pipe.evaluator.affine(scale=cc, translation=v)
-    g_shift = SurfaceJets(pedal_surface(shifted), sx, sy, 2)
-    g_base = SurfaceJets(pipe.pedal_evaluator, sx, sy, 2)
-    shadow_eval = normal_part_evaluator(pipe.evaluator, v)
-    shadow = SurfaceJets(shadow_eval, sx, sy, 2)
-    lhs = _values(g_shift.f)
-    rhs = cc * _values(g_base.f) + _values(shadow.f)
-    m = spre & g_shift.valid & g_base.valid & shadow.valid
-    dec = _norms(lhs - rhs) / np.maximum(_norms(rhs), _TINY)
+    if run.wants("shifted_pedal.decomposition"):
+        # pedal(c f + v) = c * pedal(f) + shadow(v)
+        shifted = pipe.evaluator.affine(scale=cc, translation=v)
+        g_shift = SurfaceJets(pedal_surface(shifted), sx, sy, 2)
+        g_base = SurfaceJets(SurfaceEvaluator.of_jets(
+            pipe.pedal_evaluator.provenance, sx, sy, *normal_part(base, 2)), sx, sy, 2)
+        shadow = SurfaceJets(shadow_at, sx, sy, 2)
+        rhs = cc * _values(g_base.f) + _values(shadow.f)
+        m = spre & g_shift.valid & g_base.valid & shadow.valid
+        out["shifted_pedal.decomposition"] = Outcome(
+            _norms(_values(g_shift.f) - rhs) / np.maximum(_norms(rhs), _TINY), m, sub,
+            details={"scale": cc})
 
     # the shadow surface itself: superconformal, and minimal after the
     # inversion centered at its defining vector
-    shadow3 = SurfaceJets(shadow_eval, sx, sy, 3)
-    scirc, _, _ = shadow3.circle_defect(1)
-    inv = InversionSpec(center=tuple(v), radius=1.0)
-    inverted = SurfaceJets(invert_evaluator(shadow_eval, inv), sx, sy, 2)
-    Hn = _norms(_values(inverted.mean_curvature()))
-    ix1, ix2 = inverted.traceless_second()
-    iscale = np.sqrt(2.0 * (_norms(_values(ix1)) ** 2 + _norms(_values(ix2)) ** 2))
+    if run.wants("shifted_pedal.shadow_superconformal"):
+        shadow3 = SurfaceJets(shadow_at, sx, sy, 3)
+        scirc, _, _ = shadow3.circle_defect(1)
+        out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow3.valid, sub)
+    if run.wants("shifted_pedal.inverted_minimal"):
+        inv = InversionSpec(center=tuple(v), radius=1.0)
+        inverted = SurfaceJets(invert_evaluator(shadow_at, inv), sx, sy, 2)
+        Hn = _norms(_values(inverted.mean_curvature()))
+        ix1, ix2 = inverted.traceless_second()
+        iscale = np.sqrt(2.0 * (_norms(_values(ix1)) ** 2 + _norms(_values(ix2)) ** 2))
+        out["shifted_pedal.inverted_minimal"] = Outcome(
+            Hn / np.maximum(iscale, _TINY), spre & inverted.valid, sub)
 
     # rank of the first normal bundle: the pedal itself, then random
     # inversions of it, then the same pair for the R^8 three-circle surface
-    rank_defect, _ = _rank_defect(pipe.pedal, pipe.mask())
+    if run.wants("first_normal_rank.pedal"):
+        out["first_normal_rank.pedal"] = Outcome(_rank_defect(pipe.pedal, pipe.mask())[0])
     rsub = _subgrid(pipe.grid, 7)
-    span = 3.0 * float(np.max(np.abs(_values(pipe.split.foot)))) + 1.0
-    rdef, evaluated = _random_inversion_rank_defect(
-        pipe.pedal_evaluator, rsub, np.random.default_rng(_RANK_SEED), 10, span)
-    hi = run.higher
-    hmask = hi.mask()
-    hdef, _ = _rank_defect(hi.pedal, hmask)
-    hrdef, hev = _random_inversion_rank_defect(
-        hi.pedal_evaluator, rsub, np.random.default_rng(_RANK_SEED + 1), 10,
-        3.0 * float(np.max(np.abs(_values(hi.split.foot)))) + 1.0,
-    )
-    return {
-        "shifted_pedal.family": Outcome(
-            _max_defined(*(s["defect"] for s in family_members)), spre, sub,
-            details={"samples": family_members}),
-        "shifted_pedal.decomposition": Outcome(dec, m, sub, details={"scale": cc}),
-        "shifted_pedal.shadow_superconformal": Outcome(scirc, spre & shadow3.valid, sub),
-        "shifted_pedal.inverted_minimal": Outcome(
-            Hn / np.maximum(iscale, _TINY), spre & inverted.valid, sub),
-        "first_normal_rank.pedal": Outcome(rank_defect),
-        "first_normal_rank.inverted": Outcome(rdef, grid=rsub, excluded=0, details={
-            "inversions": evaluated}),
-        "first_normal_rank.higher_isotropy": Outcome(_max_defined(hdef, hrdef), hmask, details={
-            "pedal_rank_defect": hdef, "inverted_rank_defect": hrdef, "inversions": hev}),
-    }
+    if run.wants("first_normal_rank.inverted"):
+        rdef, evaluated, kept = _inverted_rank(pipe, rsub, _RANK_SEED)
+        out["first_normal_rank.inverted"] = Outcome(rdef, kept, rsub, details={
+            "inversions": evaluated})
+    if run.wants("first_normal_rank.higher_isotropy"):
+        hi = run.higher
+        hmask = hi.mask()
+        hdef, _ = _rank_defect(hi.pedal, hmask)
+        hrdef, hev, _ = _inverted_rank(hi, rsub, _RANK_SEED + 1)
+        out["first_normal_rank.higher_isotropy"] = Outcome(
+            _max_defined(hdef, hrdef), hmask, details={
+                "pedal_rank_defect": hdef, "inverted_rank_defect": hrdef, "inversions": hev})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -243,3 +243,94 @@ def test_jet_derivatives_match_central_differences():
         assert abs(jet.deriv(1, 0).real - fd_x) < 1e-6 * scale
         assert abs(jet.deriv(0, 1).real - fd_y) < 1e-6 * scale
         assert abs(jet.deriv(2, 0).real - fd_xx) < 1e-5 * scale
+
+
+# -- the stacked JetVec layout ------------------------------------------------
+
+STACK_BATCHES = [(), (1,), (7,), (3, 4)]
+
+
+def random_tables(rng, n, batch, order, complex_=False):
+    """n random (*batch, D, D) tables of order `order`, zero off the triangle."""
+    D = order + 1
+    tri = np.add.outer(np.arange(D), np.arange(D)) < D
+    shape = (n,) + batch + (D, D)
+    t = rng.standard_normal(shape)
+    if complex_:
+        t = t + 1j * rng.standard_normal(shape)
+    return [c * tri for c in t]
+
+
+def ordered_dot(us, vs):
+    """sum_k u_k v_k from the reference product, summed in component order."""
+    acc = square_block_mul(us[0], vs[0])
+    for a, b in zip(us[1:], vs[1:]):
+        acc = acc + square_block_mul(a, b)
+    return acc
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [3, 8, 9])
+@pytest.mark.parametrize("batch", STACK_BATCHES, ids=str)
+def test_stacked_vector_ops_are_bitwise_the_per_component_products(batch, n, complex_):
+    # n >= 8 with the component axis innermost (batch () or a trailing 1)
+    # is where numpy's pairwise reduction would sum the terms out of order
+    rng = np.random.default_rng(1000 + 10 * n + len(batch))
+    order = 4
+    us, vs, es = (random_tables(rng, n, batch, order, complex_) for _ in range(3))
+    s = random_tables(rng, 1, batch, order, complex_)[0]
+    u, v, e = (JetVec([Jet(c) for c in cs]) for cs in (us, vs, es))
+    assert u.t.shape == (order + 1, order + 1, n) + batch
+
+    assert np.array_equal(u.dot(v).c, ordered_dot(us, vs))
+
+    scaled = u.scale(Jet(s))
+    for k in range(n):
+        assert np.array_equal(scaled[k].c, square_block_mul(us[k], s)), k
+
+    # project_off: v - e <v, e>, component by component
+    d = ordered_dot(vs, es)
+    want = [vk - square_block_mul(ek, d) for vk, ek in zip(vs, es)]
+    got = v.project_off([e])
+    for k in range(n):
+        assert np.array_equal(got[k].c, want[k]), k
+
+
+def test_real_recip_and_sqrt_are_the_real_part_of_the_complex_path():
+    rng = np.random.default_rng(21)
+    for batch in STACK_BATCHES:
+        c = random_tables(rng, 1, batch, 5)[0]
+        c[..., 0, 0] = 1.0 + np.abs(c[..., 0, 0])
+        real, cplx = Jet(c), Jet(c + 0j)
+        assert real.t.dtype == np.float64 and cplx.t.dtype == np.complex128
+        for op in ("recip", "sqrt"):
+            got, want = getattr(real, op)(), getattr(cplx, op)()
+            assert got.t.dtype == np.float64
+            assert np.array_equal(got.c, want.c.real), (op, batch)
+
+
+def test_table_dtype_follows_the_inputs():
+    from isopedal.geometry import SurfaceJets
+    from isopedal.moebius import InversionSpec, invert_evaluator
+    from isopedal.pedal import pedal_split
+    from isopedal.weierstrass import preset_curve, surface_evaluator
+
+    curve = preset_curve("holo3")
+    x, y = np.meshgrid(np.linspace(0.3, 1.3, 3), np.linspace(0.3, 1.3, 3))
+    assert jet_lift(curve.phi, x, y, 4).t.dtype == np.complex128
+    assert Jet.const(2.0, 3).t.dtype == np.float64
+    assert Jet.const(2j, 3).t.dtype == np.complex128
+    assert Jet.zeros(3).t.dtype == np.float64
+    assert Jet.coordinate(np.asarray(0.5), 0, 3).scale(2.0).add_const(1.0).t.dtype == np.float64
+
+    surface = surface_evaluator(curve)
+    bundle = SurfaceJets(surface, x, y, 4)
+    pb = pedal_split(bundle)
+    inverted = invert_evaluator(surface, InversionSpec(center=(2.0,) * 6, radius=1.0))
+    real = [bundle.f, bundle.e1, bundle.e2, *bundle.normal_frames(), pb.foot,
+            pb.tangent_part, pb.first_normal_part, inverted.jets(x, y, 3)]
+    for jv in real:
+        assert jv.t.dtype == np.float64
+    for jv in (bundle.f.wirtinger(), bundle.alpha_wirtinger()):
+        assert jv.t.dtype == np.complex128
+    assert bundle.f.wirtinger().real().t.dtype == np.float64

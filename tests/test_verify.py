@@ -281,20 +281,23 @@ def test_random_inversions_share_one_pedal_evaluation():
     calls = []
     inner = pedal.fn
     pedal.fn = lambda *args: calls.append(args[2]) or inner(*args)
-    worst, evaluated = verify._random_inversion_rank_defect(
+    worst, evaluated, kept = verify._random_inversion_rank_defect(
         pedal, grid, np.random.default_rng(3), 10, 4.0)
     assert calls == [2] and evaluated == 10
-    # the same defect as inverting a fresh pedal evaluation each time
+    # the same defect as inverting a fresh pedal evaluation each time, and
+    # the points that every inversion keeps
     x, y = grid.points()
     rng = np.random.default_rng(3)
-    want = 0.0
+    want, want_kept = 0.0, grid.premask()
     for _ in range(10):
         direction = rng.normal(size=6)
         center = 4.0 * direction / np.linalg.norm(direction)
         inv = moebius.InversionSpec(center=tuple(center), radius=1.0)
         bundle = verify.SurfaceJets(moebius.invert_evaluator(pedal_surface(ev), inv), x, y, 2)
         want = max(want, verify._rank_defect(bundle, grid.premask() & bundle.valid)[0])
+        want_kept = want_kept & bundle.valid
     assert worst == want
+    assert np.array_equal(kept, want_kept)
 
 
 def test_pipeline_pedal_is_composed_on_the_base_bundle(monkeypatch):
@@ -345,6 +348,18 @@ def test_run_all_calls_the_group_function_of_the_module(monkeypatch):
     assert report["status"] == "pass"
 
 
+def test_selected_check_runs_only_its_part_of_the_group(monkeypatch):
+    full = by_id(run_all(small_config()))
+    built = []
+    build = verify.Run._build
+    monkeypatch.setattr(verify.Run, "_build",
+                        lambda run, curve, label: built.append(label) or build(run, curve, label))
+    report = run_all(small_config(checks=("shifted_pedal.decomposition",)))
+    # neither the R^8 pipeline nor the control is built for it
+    assert built == ["surface"]
+    assert report["checks"] == [full["shifted_pedal.decomposition"]]
+
+
 def test_unknown_check_prefix_is_a_config_error():
     with pytest.raises(ConfigError, match="'bogus'.*pedal_circle"):
         run_all(small_config(checks=("generator", "bogus")))
@@ -366,3 +381,9 @@ def test_every_check_passes_on_a_window_through_the_branch_point(grid):
     flag_excluded = (recs["pedal_secondform.one_circle"]["excluded"]
                      - recs["pedal_conformal.one_circle"]["excluded"])
     assert flag_excluded == (10 if grid.endswith("11") else 0)
+    # a check on samples counts the points any sample drops: the invalid
+    # pedal at the origin, which the 5 x 5 and 7 x 7 subgrids always hold
+    # and the 11 x 11 family subgrid holds on the odd grid only
+    assert recs["shifted_pedal.family"]["excluded"] == (1 if grid.endswith("11") else 0)
+    assert recs["inversion.crosscheck"]["excluded"] == 1
+    assert recs["first_normal_rank.inverted"]["excluded"] == 1
