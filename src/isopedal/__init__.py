@@ -17,7 +17,6 @@ from .errors import (
     IsopedalError,
     IsotropyViolation,
     NotRegular,
-    RankDeficient,
 )
 from .grid import Grid
 from .weierstrass import (
@@ -37,7 +36,6 @@ __all__ = [
     "IsopedalError",
     "IsotropyViolation",
     "NotRegular",
-    "RankDeficient",
     "Grid",
     "IsotropicCurve",
     "IsotropicSpec",

@@ -31,7 +31,7 @@ from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
 from .geometry import SurfaceJets, isotropy_order
 from .grid import Grid
 from .moebius import InversionSpec, invert_evaluator
-from .pedal import normal_part_evaluator, pedal_regularity, pedal_surface
+from .pedal import SurfacePipeline, normal_part_evaluator, pedal_regularity
 from .verify import _generic_vector, report_to_json, run_all
 from .weierstrass import surface_evaluator
 
@@ -98,24 +98,28 @@ def _projection(args, ambient_dim):
     return arr
 
 
-def _surface_pair(cfg: RunConfig):
-    """(surface evaluator, pedal evaluator) honoring scale and translation.
+def _member(cfg: RunConfig):
+    """(evaluator, shadow vector) of the configured member c*f + v.
 
-    The degenerate scale-0 member is mapped to its limit: the pedal of
-    0*f + v is the normal-shadow surface of v, even though 0*f + v itself
-    is not an immersion.
+    For c != 0 this is the evaluator of c*f + v and None.  The degenerate
+    scale-0 member is mapped to its limit: f itself and v, since the pedal
+    of 0*f + v is the normal shadow of v over f, even though 0*f + v
+    itself is not an immersion.
     """
     base = surface_evaluator(cfg.curve)
     c, v = cfg.scale, cfg.translation
     if c == 0.0:
         if v is None:
             raise ConfigError("scale 0 needs a translation vector")
-        return base.affine(scale=0.0, translation=v), normal_part_evaluator(base, v)
-    if c != 1.0 or v is not None:
-        f_eval = base.affine(scale=c, translation=v)
-    else:
-        f_eval = base
-    return f_eval, pedal_surface(f_eval)
+        return base, v
+    return (base if c == 1.0 and v is None else base.affine(scale=c, translation=v)), None
+
+
+def _surface_pair(cfg: RunConfig):
+    """(surface evaluator, pedal evaluator) honoring scale and translation."""
+    surface, v = _member(cfg)
+    f = surface if v is None else surface.affine(scale=0.0, translation=v)
+    return f, normal_part_evaluator(surface, v)
 
 
 def _exclusion_exit(excluded: int, total: int) -> int:
@@ -156,27 +160,30 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 
 def cmd_pedal(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    f_eval, g_eval = _surface_pair(cfg)
-    proj = _projection(args, f_eval.ambient_dim)
+    surface, v = _member(cfg)
+    proj = _projection(args, surface.ambient_dim)
     grid = cfg.grid
+    # one evaluation of the surface feeds both meshes, the table and the
+    # exclusions
+    pipe = SurfacePipeline(surface, grid, max(3, cfg.jet_order - 1))
+    f_at = pipe.evaluated if v is None else pipe.evaluated.affine(scale=0.0, translation=v)
+    g_at = pipe.normal_surface(v)
     f_path = os.path.join(out, "f.obj")
     g_path = os.path.join(out, "g.obj")
-    export_obj(f_eval, grid, f_path, projection=proj, label="surface")
-    export_obj(g_eval, grid, g_path, projection=proj, label="pedal surface")
+    export_obj(f_at, grid, f_path, projection=proj, label="surface")
+    export_obj(g_at, grid, g_path, projection=proj, label="pedal surface")
     print(f"wrote {f_path}")
     print(f"wrote {g_path}")
-    x, y = grid.points()
-    pre = grid.premask()
-    if cfg.scale == 0.0:
-        bundle = SurfaceJets(g_eval, x, y, 2)
-        excluded = int(np.sum(~(pre & bundle.valid)))
+    x, y = pipe.x, pipe.y
+    if v is not None:
+        bundle = SurfaceJets(g_at, x, y, 2)
+        excluded = int(np.sum(~(pipe.pre & bundle.valid)))
         print("decomposition table skipped for the degenerate member (scale 0)")
     else:
         csv_path = os.path.join(out, "pedal.csv")
-        write_pedal_csv(f_eval, grid, csv_path, order=max(3, cfg.jet_order - 1))
+        _, excluded = write_pedal_csv(pipe.split, grid, csv_path)
         print(f"wrote {csv_path}")
-        reg = pedal_regularity(f_eval, x, y, order=max(3, cfg.jet_order - 1))
-        excluded = int(np.sum(~pre | reg["excluded"]))
+        reg = pedal_regularity(pipe.split)
         for (idx, why) in reg["reasons"][:5]:
             px, py = x[idx[0]], y[idx[0]]
             print(f"  excluded ({px:g}, {py:g}): {why}")

@@ -19,10 +19,6 @@ class DegenerateJet(IsopedalError):
     or square root of a jet whose value is not a positive real."""
 
 
-class RankDeficient(IsopedalError):
-    """Gram-Schmidt input vectors are linearly dependent at the point."""
-
-
 class NotRegular(IsopedalError):
     """A higher normal space does not attain its expected dimension."""
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import SurfaceJets, first_normal_rank
 from .grid import Grid
-from .pedal import pedal_split
+from .pedal import PedalBundle, pedal_regularity
 from .weierstrass import SurfaceEvaluator
 
 PROJECTION_ORTHO_TOL = 1e-9
@@ -139,9 +139,9 @@ def geometry_table(surface: SurfaceEvaluator, grid: Grid, order: int = 4):
     bundle = SurfaceJets(surface, x, y, order)
     keep = grid.premask() & bundle.valid
     sc = bundle.curvature_scalars()
-    d1, _, _ = bundle.circle_defect(1)
+    d1, _ = bundle.circle_defect(1)
     if bundle.flag_capacity() >= 2:
-        d2, _, lam2 = bundle.circle_defect(2)
+        d2, lam2 = bundle.circle_defect(2)
         lev_ok = bundle.flag(2)[1].valid
     else:
         d2 = lam2 = np.full(x.shape, np.nan)
@@ -178,22 +178,21 @@ def pedal_columns(ambient_dim: int):
     return cols
 
 
-def write_pedal_csv(surface: SurfaceEvaluator, grid: Grid, path, order: int = 3):
-    """Pedal decomposition samples over the grid, one CSV row per point."""
+def write_pedal_csv(pb: PedalBundle, grid: Grid, path):
+    """Pedal decomposition samples over the grid (the points of the
+    bundle), one CSV row per point; returns (rows, excluded points), a
+    point being excluded where `pedal_regularity` or the grid excludes it."""
     x, y = grid.points()
-    bundle = SurfaceJets(surface, x, y, order)
-    sp = pedal_split(bundle)
     pre = grid.premask()
-    Z = sp.tangent_part.value().real
-    g = sp.foot.value().real
-    dn = np.sqrt(np.maximum(sp.first_normal_part.norm_sq().value().real, 0.0))
-    en = np.sqrt(np.maximum(sp.higher_normal_part.norm_sq().value().real, 0.0))
-    theta = sp.osc_norm_sq.value().real
-    fscale = np.sqrt(np.maximum(bundle.f.norm_sq().value().real, 0.0))
-    znz = np.sqrt(np.maximum(sp.tangent_part.norm_sq().value().real, 0.0)) > 1e-6 * fscale
-    dnz = dn > 1e-6 * fscale
-    imm = bundle.immersed & pre
-    n = surface.ambient_dim
+    reg = pedal_regularity(pb)
+    Z = pb.tangent_part.value().real
+    g = pb.foot.value().real
+    dn = np.sqrt(np.maximum(pb.first_normal_part.norm_sq().value().real, 0.0))
+    en = np.sqrt(np.maximum(pb.higher_normal_part.norm_sq().value().real, 0.0))
+    theta = pb.osc_norm_sq.value().real
+    znz, dnz = reg["tangent_nonzero"], reg["first_normal_nonzero"]
+    imm = pb.base.immersed & pre
+    n = len(pb.foot)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(pedal_columns(n))
@@ -203,8 +202,7 @@ def write_pedal_csv(surface: SurfaceEvaluator, grid: Grid, path, order: int = 3)
             row += [g[j, k] for j in range(n)]
             row += [dn[k], en[k], theta[k], znz[k], dnz[k], imm[k]]
             writer.writerow([_fmt(v) for v in row])
-    excluded = int(np.sum(~(imm & znz & dnz & sp.valid)))
-    return x.size, excluded
+    return x.size, int(np.sum(~pre | reg["excluded"]))
 
 
 def rank_note(surface: SurfaceEvaluator, grid: Grid, order: int = 2):

@@ -60,21 +60,15 @@ def _nvalue(jv: JetVec):
 class FlagLevel:
     """One step N_s of the normal flag of a minimal surface."""
 
-    index: int                    # s: this is N_s
     expected_rank: int
-    rank: np.ndarray              # detected rank per point
     frames: list                  # jet frames spanning N_s (oriented)
-    u: JetVec                     # top-frequency conjugate semi-diameters
-    v: JetVec
-    axes: tuple                   # (a, b) semi-axis arrays, a >= b
     lam: np.ndarray               # axis ratio b/a in [0, 1]
     circle_defect: np.ndarray
-    square_defect: np.ndarray     # |bilinear square of A_s| / a^2
     valid: np.ndarray
 
 
 def _ellipse_from_diameters(u0, v0):
-    """Semi-axes, ratio and circle defect from conjugate semi-diameters.
+    """Circle defect and axis ratio from conjugate semi-diameters.
 
     The ellipse {cos(t) u + sin(t) v} has semi-axes equal to the singular
     values of the matrix [u v]; they come from the 2x2 Gram matrix in
@@ -89,10 +83,7 @@ def _ellipse_from_diameters(u0, v0):
     b = np.sqrt(np.maximum((tr - disc) / 2, 0.0))
     amax_sq = np.maximum(np.maximum(uu, vv), _TINY)
     defect = np.maximum(np.abs(uv), np.sqrt(amax_sq) * np.abs(np.sqrt(uu) - np.sqrt(vv))) / amax_sq
-    # bilinear square of A = (u - iv)/2: (uu - vv - 2i uv)/4
-    square = 0.25 * np.hypot(uu - vv, 2 * uv) / amax_sq
-    lam = b / np.maximum(a, _TINY)
-    return a, b, lam, defect, square
+    return defect, b / np.maximum(a, _TINY)
 
 
 class SurfaceJets:
@@ -312,7 +303,7 @@ class SurfaceJets:
         u = A.real().scale(2.0)
         v = A.imag().scale(-2.0)
 
-        a, b, lam, defect, square = _ellipse_from_diameters(_nvalue(u), _nvalue(v))
+        defect, lam = _ellipse_from_diameters(_nvalue(u), _nvalue(v))
 
         prev_valid = self._levels_valid
         ok = prev_valid & (rank == expected)
@@ -321,34 +312,22 @@ class SurfaceJets:
             ok = ok & gs_ok
         else:
             frames = []
-        level = FlagLevel(
-            index=r,
-            expected_rank=expected,
-            rank=rank,
-            frames=frames,
-            u=u,
-            v=v,
-            axes=(a, b),
-            lam=lam,
-            circle_defect=defect,
-            square_defect=square,
-            valid=ok,
-        )
+        level = FlagLevel(expected_rank=expected, frames=frames, lam=lam,
+                          circle_defect=defect, valid=ok)
         self._levels.append(level)
         self._levels_valid = ok
 
     def circle_defect(self, s: int):
-        """Circle defect of the s-th curvature ellipse.
+        """(circle defect, axis ratio) of the s-th curvature ellipse.
 
         s = 1 uses the traceless second form (the center is irrelevant);
         s >= 2 uses the flag level pair.
         """
         if s == 1:
             xi1, xi2 = self.traceless_second()
-            _, _, lam, defect, square = _ellipse_from_diameters(_nvalue(xi1), _nvalue(xi2))
-            return defect, square, lam
+            return _ellipse_from_diameters(_nvalue(xi1), _nvalue(xi2))
         lev = self.flag(s)[s - 1]
-        return lev.circle_defect, lev.square_defect, lev.lam
+        return lev.circle_defect, lev.lam
 
     def normal_frames(self, upto=None):
         levels = self.flag(upto)
@@ -555,7 +534,7 @@ def isotropy_order(surface: SurfaceEvaluator, x, y, order=DEFAULT_ORDER, tol=1e-
             mask = bundle.valid
         if not np.any(mask):
             break
-        defect, _, _ = bundle.circle_defect(s)
+        defect, _ = bundle.circle_defect(s)
         worst = float(np.max(np.where(mask, defect, 0.0)))
         defects.append(worst)
         if worst <= tol:

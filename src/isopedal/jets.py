@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateJet, RankDeficient
+from .errors import DegenerateJet
 
 DEFAULT_ORDER = 4
 
@@ -446,17 +446,18 @@ def jet_lift(curve, x, y, order=DEFAULT_ORDER):
     return JetVec(comps)
 
 
-def jet_gram_schmidt(vectors, eps=1e-9, guard=None, with_coeffs=False):
+def jet_gram_schmidt(vectors, guard, eps=1e-9, with_coeffs=False):
     """Classical Gram-Schmidt on jet vectors, in jet arithmetic.
 
-    Returns orthonormal jet frames spanning the same flag of subspaces;
-    orthonormality holds as a jet identity through the input order.  A
-    residual whose pointwise norm falls below `eps` times the input scale
-    raises RankDeficient (or is masked under `guard`: the second return
-    value is the per-point validity mask).
+    Returns `(frames, ok)`: orthonormal jet frames spanning the same flag
+    of subspaces (orthonormality holds as a jet identity through the
+    input order), and the per-point mask `ok`, which is `guard` without
+    the points where a residual's norm falls below `eps` times the input
+    scale; frames hold junk outside it.
 
-    With `with_coeffs=True` also returns the lower-triangular jet
-    coefficients L with frames[i] = sum_j L[i][j] * vectors[j].
+    With `with_coeffs=True` returns `(frames, rows, ok)`, where rows are
+    the lower-triangular jet coefficients L with
+    frames[i] = sum_j L[i][j] * vectors[j].
     """
     if not vectors:
         raise ValueError("need at least one vector")
@@ -465,7 +466,7 @@ def jet_gram_schmidt(vectors, eps=1e-9, guard=None, with_coeffs=False):
     scale_sq = np.zeros(batch)
     for v in vectors:
         scale_sq = np.maximum(scale_sq, v.norm_sq().value().real)
-    ok = np.ones(batch, dtype=bool) if guard is None else np.broadcast_to(np.asarray(guard, bool), batch).copy()
+    ok = np.broadcast_to(np.asarray(guard, bool), batch).copy()
 
     frames = []
     rows = []
@@ -480,15 +481,9 @@ def jet_gram_schmidt(vectors, eps=1e-9, guard=None, with_coeffs=False):
             if with_coeffs:
                 row = [rc - rj * d for rc, rj in zip(row, rows[j])]
         nsq = w.norm_sq()
-        good = nsq.value().real > (eps ** 2) * scale_sq
-        if guard is None:
-            if not np.all(good):
-                raise RankDeficient(f"vector {i} is dependent at the point (eps={eps})")
-        ok &= good
+        ok &= nsq.value().real > (eps ** 2) * scale_sq
         inv = nsq.sqrt(guard=ok).recip(guard=ok)
         frames.append(w.scale(inv))
         if with_coeffs:
             rows.append([rc * inv for rc in row])
-    if with_coeffs:
-        return (frames, rows, ok) if guard is not None else (frames, rows)
-    return (frames, ok) if guard is not None else frames
+    return (frames, rows, ok) if with_coeffs else (frames, ok)

@@ -28,13 +28,15 @@ k + 1 (the evaluator below does this automatically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .jets import DEFAULT_ORDER, Jet, JetVec
 from .geometry import SurfaceJets, _nvalue
+from .grid import Grid
+from .jets import Jet, JetVec
 from .weierstrass import SurfaceEvaluator
 
 PEDAL_IMMERSION_RTOL = 1e-10
@@ -85,17 +87,12 @@ class PedalBundle:
         return -K * self.osc_norm_sq.value().real / 2.0
 
 
-def pedal_split(surface_or_bundle, x=None, y=None, order: int = DEFAULT_ORDER) -> PedalBundle:
+def pedal_split(bundle: SurfaceJets) -> PedalBundle:
     """Split the position vector along tangent plane and normal flag.
 
-    Accepts either a SurfaceEvaluator plus points, or a prebuilt
-    SurfaceJets bundle.  All five parts are returned as jets; the
-    first-normal component is only trustworthy to (input order - 2).
+    All five parts are returned as jets; the first-normal component is
+    only trustworthy to (bundle order - 2).
     """
-    if isinstance(surface_or_bundle, SurfaceJets):
-        bundle = surface_or_bundle
-    else:
-        bundle = SurfaceJets(surface_or_bundle, x, y, order)
     f = bundle.f
     z1 = f.dot(bundle.e1)
     z2 = f.dot(bundle.e2)
@@ -163,24 +160,78 @@ def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
     return normal_part_evaluator(surface)
 
 
-def regularity_flags(pb: PedalBundle):
-    """Per-point regularity of the decomposition (not of the pedal metric).
+class SurfacePipeline:
+    """One surface evaluated once on one grid, with its pedal composed on
+    that evaluation.
 
-    tangent_nonzero:      the position has a nonzero tangential component,
-    first_normal_nonzero: and a nonzero first-normal component,
-    both relative to the position-vector scale.
+    `base` is the surface's bundle at the pipeline's jet order, `split`
+    the pedal decomposition of its position vector, `pedal_evaluated` and
+    `pedal` the pedal's jets and bundle one order lower, built from
+    `base`'s jets; `on(res)` is the same surface on the res x res subgrid
+    of the window at jet order 4.  Each is built on first use and kept.
     """
-    f_norm = np.linalg.norm(_nvalue(pb.base.f), axis=0)
-    scale = np.maximum(f_norm, 1e-300)
-    z_norm = np.linalg.norm(_nvalue(pb.tangent_part), axis=0)
-    d_norm = np.linalg.norm(_nvalue(pb.first_normal_part), axis=0)
-    return z_norm > REGULARITY_RTOL * scale, d_norm > REGULARITY_RTOL * scale
+
+    def __init__(self, evaluator: SurfaceEvaluator, grid: Grid, order: int):
+        if order < 3:
+            raise ConfigError("pedal geometry needs jet order >= 3")
+        self.evaluator = evaluator
+        self.grid = grid
+        self.order = order
+        self.x, self.y = grid.points()
+        self.pre = grid.premask()
+        self._subgrids = {}
+
+    @cached_property
+    def evaluated(self) -> SurfaceEvaluator:
+        """The surface's one evaluation on the grid, at the pipeline's order."""
+        return self.evaluator.evaluated(self.x, self.y, self.order)
+
+    @cached_property
+    def base(self) -> SurfaceJets:
+        return SurfaceJets(self.evaluated, self.x, self.y, self.order)
+
+    @cached_property
+    def split(self) -> PedalBundle:
+        return pedal_split(self.base)
+
+    def normal_surface(self, v=None) -> SurfaceEvaluator:
+        """The pedal (v None) or the normal shadow of v on the grid, from
+        the base bundle's jets (one order lower, see normal_part_evaluator)."""
+        kind = "pedal" if v is None else "shadow"
+        return SurfaceEvaluator.of_jets(f"{kind}({self.evaluator.provenance})", self.x, self.y,
+                                        *normal_part(self.base, self.order - 1, v))
+
+    @cached_property
+    def pedal_evaluated(self) -> SurfaceEvaluator:
+        return self.normal_surface()
+
+    @cached_property
+    def pedal(self) -> SurfaceJets:
+        return SurfaceJets(self.pedal_evaluated, self.x, self.y, self.order - 1)
+
+    def mask(self, *extra) -> np.ndarray:
+        m = self.pre & self.base.valid & self.split.valid & self.pedal.valid
+        for e in extra:
+            m = m & e
+        return m
+
+    def on(self, res: int) -> "SurfacePipeline":
+        """The surface on the res x res subgrid (at most the grid's own
+        resolution) at jet order 4, built once per pipeline."""
+        if res not in self._subgrids:
+            sub = replace(self.grid, nx=min(self.grid.nx, res), ny=min(self.grid.ny, res))
+            self._subgrids[res] = SurfacePipeline(self.evaluator, sub, 4)
+        return self._subgrids[res]
 
 
-def pedal_regularity(surface: SurfaceEvaluator, x, y, order: int = 3):
-    """Exclusion report for the pedal over a batch of points.
+def pedal_regularity(pb: PedalBundle):
+    """Exclusion report for the pedal over the bundle's points.
 
-    Returns a dict with per-point masks and the conformal-factor data:
+    A pedal point is excluded unless the base flag is regular there, the
+    position has a nonzero tangential and a nonzero first-normal part
+    (relative to the position-vector scale), and the pedal's differential
+    has rank 2.  Returns a dict with per-point masks and the
+    conformal-factor data:
       tangent_nonzero / first_normal_nonzero: decomposition regularity,
       immersed:   pedal differential has rank 2 (metric nondegenerate),
       ratio:      ||g_x||^2 / ||f_x||^2 measured from jets,
@@ -189,9 +240,8 @@ def pedal_regularity(surface: SurfaceEvaluator, x, y, order: int = 3):
       valid:      base-surface flag regularity,
       excluded:   points failing any regularity test, with `reasons`.
     """
-    if order < 3:
+    if pb.base.order < 3:
         raise ValueError("pedal regularity needs base jets of order >= 3")
-    pb = pedal_split(surface, x, y, order)
     fx_sq = pb.base.partial(1, 0).norm_sq().value().real
     gx = pb.foot.dx()
     gy = pb.foot.dy()
@@ -205,7 +255,9 @@ def pedal_regularity(surface: SurfaceEvaluator, x, y, order: int = 3):
     predicted = pb.conformal_factor_predicted()
     scale = np.maximum(np.maximum(np.abs(ratio), np.abs(predicted)), 1e-300)
     defect = np.abs(ratio - predicted) / scale
-    tangent_nonzero, first_normal_nonzero = regularity_flags(pb)
+    f_scale = REGULARITY_RTOL * np.maximum(np.linalg.norm(_nvalue(pb.base.f), axis=0), 1e-300)
+    tangent_nonzero = np.linalg.norm(_nvalue(pb.tangent_part), axis=0) > f_scale
+    first_normal_nonzero = np.linalg.norm(_nvalue(pb.first_normal_part), axis=0) > f_scale
     excluded = ~(pb.valid & immersed & tangent_nonzero & first_normal_nonzero)
     reasons = []
     for idx in np.argwhere(excluded):

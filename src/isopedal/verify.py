@@ -72,19 +72,8 @@ from .geometry import (
 from .grid import Grid
 from .jets import JetVec
 from .moebius import InversionSpec, invert_evaluator, minimality_residuals
-from .pedal import (
-    PedalBundle,
-    normal_part,
-    normal_part_evaluator,
-    pedal_split,
-    pedal_surface,
-)
-from .weierstrass import (
-    IsotropicCurve,
-    SurfaceEvaluator,
-    preset_curve,
-    surface_evaluator,
-)
+from .pedal import SurfacePipeline, pedal_surface
+from .weierstrass import preset_curve, surface_evaluator
 
 REPORT_VERSION = "1"
 REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold here
@@ -363,60 +352,8 @@ def _values(jv: JetVec):
 
 
 # ---------------------------------------------------------------------------
-# pipelines: generation -> pedal -> geometry, cached per surface and grid
+# the surfaces of a run
 # ---------------------------------------------------------------------------
-
-
-class SurfacePipeline:
-    """Caches the jet bundles of one surface and its pedal over one grid."""
-
-    def __init__(self, curve: IsotropicCurve, grid: Grid, order: int, label: str):
-        if order < 3:
-            raise ConfigError("pedal geometry needs jet order >= 3")
-        self.curve = curve
-        self.grid = grid
-        self.order = order
-        self.label = label
-        self.evaluator = surface_evaluator(curve)
-        x, y = grid.points()
-        self.x = x
-        self.y = y
-        self.pre = grid.premask()
-        self._cache = {}
-
-    @property
-    def base(self) -> SurfaceJets:
-        if "base" not in self._cache:
-            self._cache["base"] = SurfaceJets(self.evaluator, self.x, self.y, self.order)
-        return self._cache["base"]
-
-    @property
-    def split(self) -> PedalBundle:
-        if "split" not in self._cache:
-            self._cache["split"] = pedal_split(self.base)
-        return self._cache["split"]
-
-    @property
-    def pedal_evaluator(self) -> SurfaceEvaluator:
-        if "pedal_eval" not in self._cache:
-            self._cache["pedal_eval"] = pedal_surface(self.evaluator)
-        return self._cache["pedal_eval"]
-
-    @property
-    def pedal(self) -> SurfaceJets:
-        """The pedal's bundle, composed on the base bundle's jets."""
-        if "pedal" not in self._cache:
-            k = self.order - 1
-            evaluated = SurfaceEvaluator.of_jets(
-                self.pedal_evaluator.provenance, self.x, self.y, *normal_part(self.base, k))
-            self._cache["pedal"] = SurfaceJets(evaluated, self.x, self.y, k)
-        return self._cache["pedal"]
-
-    def mask(self, *extra) -> np.ndarray:
-        m = self.pre & self.base.valid & self.split.valid & self.pedal.valid
-        for e in extra:
-            m = m & e
-        return m
 
 
 class Run:
@@ -430,20 +367,20 @@ class Run:
         self.config = config
         self.ids = ids
 
-    def _build(self, curve, label):
-        return SurfacePipeline(curve, self.config.grid, self.config.jet_order, label)
+    def _build(self, curve):
+        return SurfacePipeline(surface_evaluator(curve), self.config.grid, self.config.jet_order)
 
     @cached_property
     def surface(self) -> SurfacePipeline:
-        return self._build(self.config.curve, "surface")
+        return self._build(self.config.curve)
 
     @cached_property
     def control(self) -> SurfacePipeline:
-        return self._build(preset_curve("noniso"), "control")
+        return self._build(preset_curve("noniso"))
 
     @cached_property
     def higher(self) -> SurfacePipeline:
-        return self._build(preset_curve("holo4"), "higher")
+        return self._build(preset_curve("holo4"))
 
     def wants(self, check_id: str) -> bool:
         return self.ids is None or check_id in self.ids
@@ -463,11 +400,6 @@ def _generic_vector(n: int) -> np.ndarray:
     return np.asarray((_GENERIC_DIRECTION * reps)[:n], dtype=float)
 
 
-def _subgrid(grid: Grid, res: int) -> Grid:
-    return Grid(grid.x0, grid.x1, grid.y0, grid.y1,
-                min(grid.nx, res), min(grid.ny, res), grid.excluded)
-
-
 # ---------------------------------------------------------------------------
 # generator checks
 # ---------------------------------------------------------------------------
@@ -481,7 +413,7 @@ def verify_generation(run: Run) -> dict:
     a11, a12, a22 = (_values(a) for a in base.second_fundamental())
     scale = np.sqrt(_norms(a11) ** 2 + 2 * _norms(a12) ** 2 + _norms(a22) ** 2)
     return {
-        "generator.isotropy": Outcome(float(pipe.curve.isotropy_residual()), excluded=0),
+        "generator.isotropy": Outcome(float(run.config.curve.isotropy_residual()), excluded=0),
         "generator.minimality": Outcome(_norms(H) / np.maximum(scale, _TINY),
                                         pipe.pre & base.valid),
     }
@@ -501,11 +433,11 @@ def verify_superconformal(run: Run) -> dict:
     least 90% of the grid.
     """
     gb = run.surface.pedal
-    defect1, _, _ = gb.circle_defect(1)
+    defect1, _ = gb.circle_defect(1)
     sc = gb.curvature_scalars()
     scale = np.abs(sc["K"]) + np.abs(sc["K_N"]) + sc["H_norm_sq"]
     ctrl = run.control
-    cdef, _, _ = ctrl.pedal.circle_defect(1)
+    cdef, _ = ctrl.pedal.circle_defect(1)
     return {
         "pedal_circle.positive": Outcome(defect1),
         "pedal_circle.wintgen": Outcome(np.abs(sc["wintgen_defect"]) / np.maximum(scale, _TINY)),
@@ -608,11 +540,6 @@ def verify_normal_span(run: Run) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _pedal_mean_values(evaluator: SurfaceEvaluator, x, y):
-    bundle = SurfaceJets(pedal_surface(evaluator), x, y, 2)
-    return _values(bundle.mean_curvature()), bundle.valid
-
-
 def verify_meancurvature(run: Run) -> dict:
     """Closed forms for the pedal's mean curvature and flat Laplacian."""
     pipe = run.surface
@@ -630,15 +557,15 @@ def verify_meancurvature(run: Run) -> dict:
 
     # homothety control: the pedal of 2f is 2g, so its mean curvature is
     # half that of g, pointwise
-    sub = _subgrid(pipe.grid, 7)
-    sx, sy = sub.points()
-    H_base, ok_base = _pedal_mean_values(pipe.evaluator, sx, sy)
-    H_twice, ok_twice = _pedal_mean_values(pipe.evaluator.affine(scale=2.0), sx, sy)
+    sub = pipe.on(7)
+    twice = SurfaceJets(pedal_surface(pipe.evaluator.affine(scale=2.0)), sub.x, sub.y, 2)
+    H_base = _values(sub.pedal.mean_curvature())
+    H_twice = _values(twice.mean_curvature())
     sdef = _norms(H_twice - 0.5 * H_base) / np.maximum(_norms(0.5 * H_base), _TINY)
     return {
         "pedal_mean.formula": Outcome(defect),
         "pedal_mean.laplacian": Outcome(ldef),
-        "pedal_mean.scaling": Outcome(sdef, sub.premask() & ok_base & ok_twice, sub),
+        "pedal_mean.scaling": Outcome(sdef, sub.pre & sub.pedal.valid & twice.valid, sub.grid),
     }
 
 
@@ -936,7 +863,7 @@ def verify_inversion_minimality(run: Run) -> dict:
     pipe = run.surface
     lattice = run.config.lattice
     radius = float(lattice["radius"])
-    centers = _center_lattice(pipe.curve.ambient_dim, lattice)
+    centers = _center_lattice(pipe.evaluator.ambient_dim, lattice)
 
     sp = pipe.split
     valid = sp.valid.reshape(-1) & pipe.mask()
@@ -957,23 +884,22 @@ def verify_inversion_minimality(run: Run) -> dict:
     norm_defect = float(np.min(ratio_mins)) if np.any(valid) else None
     system_defect = float(margins.min()) if margins.size and np.any(valid) else None
 
-    # direct-jet cross-check at a few sampled centers on a coarse subgrid
-    sub = _subgrid(pipe.grid, 5)
-    sx, sy = sub.points()
+    # direct-jet cross-check at a few sampled centers on a coarse subgrid,
+    # where one evaluation of the surface feeds the split, the pedal's
+    # geometry and the sampled inversions
+    sub = pipe.on(5)
     # distinct indices, so a one-center lattice is sampled once
     picks = sorted({0, centers.shape[0] // 2, centers.shape[0] - 1})
-    sub_split = pedal_split(SurfaceJets(pipe.evaluator, sx, sy, pipe.order))
-    # one pedal evaluation on the subgrid feeds its own geometry and the
-    # sampled inversions
-    sub_pedal = pipe.pedal_evaluator.evaluated(sx, sy, 2)
-    sxi1, sxi2 = SurfaceJets(sub_pedal, sx, sy, 2).traceless_second()
+    sxi1, sxi2 = sub.pedal.traceless_second()
     strs = np.sqrt(2.0 * (_norms(_values(sxi1)) ** 2 + _norms(_values(sxi2)) ** 2))
-    worst, kept = None, sub.premask() & sub_split.valid
-    for idx in picks:
-        c = centers[idx]
-        inv = InversionSpec(center=tuple(c), radius=radius)
-        bundle = SurfaceJets(invert_evaluator(sub_pedal, inv), sx, sy, 2)
-        m = sub.premask() & bundle.valid & sub_split.valid
+    # every sampled center in one call: a one-row product would round
+    # differently depending on the memory layout of the cached arrays
+    sres = minimality_residuals(sub.split, centers[picks], radius)
+    worst, kept = None, sub.pre & sub.split.valid
+    for k, idx in enumerate(picks):
+        inv = InversionSpec(center=tuple(centers[idx]), radius=radius)
+        bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, inv), sub.x, sub.y, 2)
+        m = sub.pre & bundle.valid & sub.split.valid
         kept = kept & m
         if not np.any(m):
             continue
@@ -981,13 +907,11 @@ def verify_inversion_minimality(run: Run) -> dict:
         x1, x2 = bundle.traceless_second()
         sd = np.sqrt(2.0 * (_norms(_values(x1)) ** 2 + _norms(_values(x2)) ** 2))
         direct_ratio = Hd / np.maximum(sd, _TINY)
-        sres = minimality_residuals(sub_split, c[None, :], radius)
-        rho_s = sres["pos_sq"][0]
         # ||H|| and the second-form scale of the inverted surface both
         # carry the factor rho/R^2 relative to base pedal data, so the
         # dimensionless ratio is 2*sqrt((r1^2+r2^2)/theta + r3^2) over
         # (rho * base traceless scale)
-        hn_s = sres["mean_norm"][0] * radius**2 / (2.0 * rho_s)
+        hn_s = sres["mean_norm"][k] * radius**2 / (2.0 * sres["pos_sq"][k])
         closed_ratio = 2.0 * hn_s / np.maximum(strs, _TINY)
         diff = np.abs(direct_ratio - closed_ratio) / np.maximum(closed_ratio, _TINY)
         worst = _max_defined(worst, _masked_max(diff, m))
@@ -996,7 +920,7 @@ def verify_inversion_minimality(run: Run) -> dict:
             "centers": int(centers.shape[0]), "radius": radius}),
         "inversion.system": Outcome(system_defect, valid, details={
             "centers": int(centers.shape[0])}),
-        "inversion.crosscheck": Outcome(worst, kept, sub, details={
+        "inversion.crosscheck": Outcome(worst, kept, sub.grid, details={
             "sampled_centers": len(picks)}),
     }
 
@@ -1012,23 +936,21 @@ def _rank_defect(bundle: SurfaceJets, mask):
     return _masked_max(dev, mask), rank
 
 
-def _random_inversion_rank_defect(pedal_eval, grid, rng, count, span):
-    """Worst |rank - 3| of the first normal bundle over random inversions,
-    all composed on one evaluation of the pedal over the grid, the number
-    of inversions evaluated, and the points no inversion dropped."""
-    x, y = grid.points()
-    pre = grid.premask()
-    pedal_at = pedal_eval.evaluated(x, y, 2)
+def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
+    """Worst |rank - 3| of the first normal bundle over random inversions
+    of the pipeline's pedal, all composed on its one evaluation over the
+    pipeline's grid, the number of inversions evaluated, and the points no
+    inversion dropped."""
     worst = 0.0
     evaluated = 0
-    kept = pre
+    kept = pipe.pre
     for _ in range(count):
-        direction = rng.normal(size=pedal_eval.ambient_dim)
+        direction = rng.normal(size=pipe.evaluator.ambient_dim)
         direction /= np.linalg.norm(direction)
         center = span * direction
         inv = InversionSpec(center=tuple(center), radius=1.0)
-        bundle = SurfaceJets(invert_evaluator(pedal_at, inv), x, y, 2)
-        m = pre & bundle.valid
+        bundle = SurfaceJets(invert_evaluator(pipe.pedal_evaluated, inv), pipe.x, pipe.y, 2)
+        m = pipe.pre & bundle.valid
         kept = kept & m
         if not np.any(m):
             continue
@@ -1039,10 +961,11 @@ def _random_inversion_rank_defect(pedal_eval, grid, rng, count, span):
     return (worst if evaluated else None), evaluated, kept
 
 
-def _inverted_rank(pipe: SurfacePipeline, rsub: Grid, seed: int):
+def _inverted_rank(pipe: SurfacePipeline, seed: int):
+    """Random inversions of the pedal on the 7 x 7 subgrid, the centers
+    scaled to the pedal's extent over the whole grid."""
     span = 3.0 * float(np.max(np.abs(_values(pipe.split.foot)))) + 1.0
-    return _random_inversion_rank_defect(
-        pipe.pedal_evaluator, rsub, np.random.default_rng(seed), 10, span)
+    return _random_inversion_rank_defect(pipe.on(7), np.random.default_rng(seed), 10, span)
 
 
 def verify_shifted_pedals(run: Run) -> dict:
@@ -1065,52 +988,50 @@ def verify_shifted_pedals(run: Run) -> dict:
     """
     pipe = run.surface
     config = run.config
-    n = pipe.curve.ambient_dim
+    n = pipe.evaluator.ambient_dim
     v = (_generic_vector(n) if config.translation is None
          else np.asarray(config.translation, dtype=float))
     cc = float(config.scale) if config.scale != 1.0 else 0.7
-    sub = _subgrid(pipe.grid, 11)
-    sx, sy = sub.points()
-    spre = sub.premask()
+    sub = pipe.on(11)
+    sx, sy, spre = sub.x, sub.y, sub.pre
     out = {}
 
     if any(run.wants(c.id) for c in CHECKS if c.id.startswith("shifted_pedal.")):
-        base = SurfaceJets(pipe.evaluator, sx, sy, max(pipe.order, 4))
-        shadow_at = SurfaceEvaluator.of_jets(normal_part_evaluator(pipe.evaluator, v).provenance,
-                                             sx, sy, *normal_part(base, 3, v))
+        shadow_at = sub.normal_surface(v)
     if run.wants("shifted_pedal.family"):
-        samples, kept = [], spre & base.valid
-        for c, vv in ((1.0, np.zeros(n)), (cc, v), (-1.3, 0.5 * v)):
-            shifted = pipe.evaluator.affine(scale=c, translation=vv)
-            gb = SurfaceJets(pedal_surface(shifted), sx, sy, 3)
-            m = spre & gb.valid & base.valid
+        # the identity sample (c, v) = (1, 0) is the pedal of f itself
+        pedals = [(1.0, sub.pedal)] + [
+            (c, SurfaceJets(pedal_surface(pipe.evaluator.affine(scale=c, translation=vv)),
+                            sx, sy, 3)) for c, vv in ((cc, v), (-1.3, 0.5 * v))]
+        samples, kept = [], spre & sub.base.valid
+        for c, gb in pedals:
+            m = spre & gb.valid & sub.base.valid
             kept = kept & m  # a point any sample drops is excluded
-            circ, _, _ = gb.circle_defect(1)
+            circ, _ = gb.circle_defect(1)
             conf, _ = _conformality_defect(gb)
             samples.append({"scale": c, "defect": _masked_max(np.maximum(circ, conf), m)})
         out["shifted_pedal.family"] = Outcome(
-            _max_defined(*(s["defect"] for s in samples)), kept, sub,
+            _max_defined(*(s["defect"] for s in samples)), kept, sub.grid,
             details={"samples": samples})
 
     if run.wants("shifted_pedal.decomposition"):
         # pedal(c f + v) = c * pedal(f) + shadow(v)
         shifted = pipe.evaluator.affine(scale=cc, translation=v)
         g_shift = SurfaceJets(pedal_surface(shifted), sx, sy, 2)
-        g_base = SurfaceJets(SurfaceEvaluator.of_jets(
-            pipe.pedal_evaluator.provenance, sx, sy, *normal_part(base, 2)), sx, sy, 2)
         shadow = SurfaceJets(shadow_at, sx, sy, 2)
-        rhs = cc * _values(g_base.f) + _values(shadow.f)
-        m = spre & g_shift.valid & g_base.valid & shadow.valid
+        rhs = cc * _values(sub.pedal.f) + _values(shadow.f)
+        m = spre & g_shift.valid & sub.pedal.valid & shadow.valid
         out["shifted_pedal.decomposition"] = Outcome(
-            _norms(_values(g_shift.f) - rhs) / np.maximum(_norms(rhs), _TINY), m, sub,
+            _norms(_values(g_shift.f) - rhs) / np.maximum(_norms(rhs), _TINY), m, sub.grid,
             details={"scale": cc})
 
     # the shadow surface itself: superconformal, and minimal after the
     # inversion centered at its defining vector
     if run.wants("shifted_pedal.shadow_superconformal"):
         shadow3 = SurfaceJets(shadow_at, sx, sy, 3)
-        scirc, _, _ = shadow3.circle_defect(1)
-        out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow3.valid, sub)
+        scirc, _ = shadow3.circle_defect(1)
+        out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow3.valid,
+                                                             sub.grid)
     if run.wants("shifted_pedal.inverted_minimal"):
         inv = InversionSpec(center=tuple(v), radius=1.0)
         inverted = SurfaceJets(invert_evaluator(shadow_at, inv), sx, sy, 2)
@@ -1118,22 +1039,21 @@ def verify_shifted_pedals(run: Run) -> dict:
         ix1, ix2 = inverted.traceless_second()
         iscale = np.sqrt(2.0 * (_norms(_values(ix1)) ** 2 + _norms(_values(ix2)) ** 2))
         out["shifted_pedal.inverted_minimal"] = Outcome(
-            Hn / np.maximum(iscale, _TINY), spre & inverted.valid, sub)
+            Hn / np.maximum(iscale, _TINY), spre & inverted.valid, sub.grid)
 
     # rank of the first normal bundle: the pedal itself, then random
     # inversions of it, then the same pair for the R^8 three-circle surface
     if run.wants("first_normal_rank.pedal"):
         out["first_normal_rank.pedal"] = Outcome(_rank_defect(pipe.pedal, pipe.mask())[0])
-    rsub = _subgrid(pipe.grid, 7)
     if run.wants("first_normal_rank.inverted"):
-        rdef, evaluated, kept = _inverted_rank(pipe, rsub, _RANK_SEED)
-        out["first_normal_rank.inverted"] = Outcome(rdef, kept, rsub, details={
+        rdef, evaluated, kept = _inverted_rank(pipe, _RANK_SEED)
+        out["first_normal_rank.inverted"] = Outcome(rdef, kept, pipe.on(7).grid, details={
             "inversions": evaluated})
     if run.wants("first_normal_rank.higher_isotropy"):
         hi = run.higher
         hmask = hi.mask()
         hdef, _ = _rank_defect(hi.pedal, hmask)
-        hrdef, hev, _ = _inverted_rank(hi, rsub, _RANK_SEED + 1)
+        hrdef, hev, _ = _inverted_rank(hi, _RANK_SEED + 1)
         out["first_normal_rank.higher_isotropy"] = Outcome(
             _max_defined(hdef, hrdef), hmask, details={
                 "pedal_rank_defect": hdef, "inverted_rank_defect": hrdef, "inversions": hev})

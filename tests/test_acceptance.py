@@ -7,6 +7,8 @@ their quantities directly.  Each test prints a single PASS/FAIL line so
 the gate reads as a checklist under ``pytest -v -s``.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ from isopedal.weierstrass import (
 )
 
 DEFAULT_DOC = {"seed_preset": "holo3"}
+# the default report, frozen: a change that alters its bytes replaces this
+# file and says why
+FROZEN_REPORT = Path(__file__).parent / "data" / "report_default.json"
 
 
 def _line(num, desc, ok):
@@ -205,3 +210,7 @@ def test_criterion_13_hygiene_and_determinism(report):
     assert _line(13, "jet derivatives match central differences on 100 "
                      f"probes ({worst:.2e} <= 1e-5); repeated reports are "
                      f"byte-identical ({same})", ok)
+
+
+def test_default_report_bytes_are_frozen(report):
+    assert report_to_json(report) == FROZEN_REPORT.read_bytes().decode("utf-8")

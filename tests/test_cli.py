@@ -224,6 +224,25 @@ def test_export_evaluates_the_surface_once(tmp_path, monkeypatch, what, fmt):
     assert len(orders) == 1
 
 
+@pytest.mark.parametrize("doc", [{}, {"scale": 0.0, "translation": V6}],
+                         ids=["default", "scale-0"])
+def test_pedal_evaluates_the_surface_once(tmp_path, monkeypatch, doc):
+    # both meshes, the table and the exclusions come from one evaluation
+    # of f; the scale-0 member's pedal is the shadow of v over f
+    orders = []
+
+    def counted(curve):
+        ev = surface_evaluator(curve)
+        inner = ev.fn
+        ev.fn = lambda *args: orders.append(args[2]) or inner(*args)
+        return ev
+
+    monkeypatch.setattr(cli, "surface_evaluator", counted)
+    cfg = write_json(tmp_path / "cfg.json", {"seed_preset": "holo3", **doc})
+    assert main(["pedal", "--config", cfg, "--grid", SMALL, "--out", str(tmp_path)]) == 0
+    assert len(orders) == 1
+
+
 def test_export_inverted_mesh(tmp_path):
     assert main(["export", "--what", "inverted", "--grid", SMALL,
                  "--out", str(tmp_path)]) == 0

@@ -14,13 +14,19 @@ from isopedal.export import (
     write_geometry_csv,
     write_pedal_csv,
 )
+from isopedal.geometry import SurfaceJets
 from isopedal.grid import Grid
-from isopedal.pedal import pedal_surface
+from isopedal.pedal import pedal_split, pedal_surface
 from isopedal.weierstrass import preset_curve, surface_evaluator
 
 
 def holo3():
     return surface_evaluator(preset_curve("holo3"))
+
+
+def holo3_split(grid):
+    """The pedal decomposition of holo3 over the grid, from order-3 jets."""
+    return pedal_split(SurfaceJets(holo3(), *grid.points(), 3))
 
 
 def read_obj(path):
@@ -129,7 +135,8 @@ def test_geometry_csv_deterministic(tmp_path):
 
 def test_pedal_csv_columns_and_flags(tmp_path):
     path = tmp_path / "pedal.csv"
-    total, excluded = write_pedal_csv(holo3(), Grid(nx=5, ny=5), path)
+    grid = Grid(nx=5, ny=5)
+    total, excluded = write_pedal_csv(holo3_split(grid), grid, path)
     assert (total, excluded) == (25, 0)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(pedal_columns(6))
@@ -148,7 +155,7 @@ def test_pedal_csv_columns_and_flags(tmp_path):
 def test_pedal_csv_flags_degenerate_origin(tmp_path):
     grid = Grid(x0=-0.5, x1=0.5, y0=-0.5, y1=0.5, nx=3, ny=3)
     path = tmp_path / "pedal.csv"
-    total, excluded = write_pedal_csv(holo3(), grid, path)
+    total, excluded = write_pedal_csv(holo3_split(grid), grid, path)
     assert total == 9 and excluded >= 1
     lines = path.read_text().strip().split("\n")
     center = lines[1 + 4].split(",")  # (0, 0) row

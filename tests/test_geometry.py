@@ -124,8 +124,8 @@ def test_noniso_preset_has_one_circle_only():
 
 def test_ellipse_samples_match_flag_levels():
     b = SurfaceJets(holo3(), np.array([0.8]), np.array([0.6]), 4)
-    d1, _, lam1 = b.circle_defect(1)
-    d2, _, lam2 = b.circle_defect(2)
+    d1, lam1 = b.circle_defect(1)
+    d2, lam2 = b.circle_defect(2)
     assert b.flag(2)[1].valid[0]
     assert d1[0] < 1e-12
     assert d2[0] < 1e-12
@@ -206,7 +206,7 @@ def test_geometry_sample_roundtrip():
     assert b.circle_defect(1)[0][0] < 1e-12
     lev2 = b.flag(2)[1]
     assert lev2.expected_rank == 2 and lev2.valid[0]
-    d2, _, lam2 = b.circle_defect(2)
+    d2, lam2 = b.circle_defect(2)
     assert d2[0] < 1e-12
     assert abs(lam2[0] - 1.0) < 1e-10
     E, F, G = (j.value().real[0] for j in b.first_fundamental())

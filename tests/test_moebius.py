@@ -136,7 +136,7 @@ def test_minimality_residual_system_positive_on_lattice():
     ev = holo3()
     grid = Grid(nx=7, ny=7)
     x, y = grid.points()
-    pb = pedal_split(ev, x, y, 4)
+    pb = pedal_split(SurfaceJets(ev, x, y, 4))
     rng = np.random.default_rng(9)
     centers = rng.uniform(-1.6, 1.6, size=(20, 6))
     out = minimality_residuals(pb, centers, radius=1.0)
@@ -150,7 +150,7 @@ def test_minimality_residual_system_positive_on_lattice():
 def test_minimality_residuals_rows_do_not_depend_on_the_block():
     grid = Grid(nx=7, ny=7)
     x, y = grid.points()
-    pb = pedal_split(holo3(), x, y, 4)
+    pb = pedal_split(SurfaceJets(holo3(), x, y, 4))
     rng = np.random.default_rng(9)
     centers = rng.uniform(-1.6, 1.6, size=(20, 6))
     whole = minimality_residuals(pb, centers, radius=1.0)
@@ -196,7 +196,7 @@ def test_evaluate_masks_the_pole_and_the_degenerate_base_points():
 
 def test_minimality_setup_is_computed_once_per_pedal_bundle(monkeypatch):
     x, y = Grid(nx=7, ny=7).points()
-    pb = pedal_split(holo3(), x, y, 4)
+    pb = pedal_split(SurfaceJets(holo3(), x, y, 4))
     calls = []
     rotation = PedalBundle.rotation_section
 
@@ -213,7 +213,7 @@ def test_minimality_setup_is_computed_once_per_pedal_bundle(monkeypatch):
 
 def test_minimality_margin_runs_over_the_callers_mask():
     x, y = Grid(nx=7, ny=7).points()
-    pb = pedal_split(holo3(), x, y, 4)
+    pb = pedal_split(SurfaceJets(holo3(), x, y, 4))
     centers = np.random.default_rng(9).uniform(-1.6, 1.6, size=(20, 6))
     mask = pb.valid.reshape(-1).copy()
     mask[::3] = False

@@ -31,8 +31,8 @@ def holo3():
 
 def test_frozen_decomposition_at_probe():
     x, y = np.array([1.0]), np.array([0.0])
-    pb = pedal_split(holo3(), x, y, 4)
-    reg = pedal_regularity(holo3(), x, y, 4)
+    pb = pedal_split(SurfaceJets(holo3(), x, y, 4))
+    reg = pedal_regularity(pb)
     Z = (13 / 27) * np.array([1, 0, 2, 0, 2, 0.0])
     g = np.array([14, 0, 1, 0, -8, 0.0]) / 27
     delta = np.array([10, 0, 5, 0, -10, 0.0]) / 27
@@ -54,7 +54,7 @@ def test_decomposition_parts_are_orthogonal_and_sum():
     ev = holo3()
     grid = Grid(nx=7, ny=7)
     x, y = grid.points()
-    pb = pedal_split(ev, x, y, 4)
+    pb = pedal_split(SurfaceJets(ev, x, y, 4))
     f = pb.base.f.value().real
     total = (pb.tangent_part + pb.foot).value().real
     assert np.max(np.abs(total - f)) < 1e-12
@@ -74,7 +74,7 @@ def test_pedal_evaluator_matches_split_foot():
     x = np.array([0.5, 0.9, 1.3])
     y = np.array([0.8, 0.4, 0.6])
     jets = g_ev.jets(x, y, 3)
-    pb = pedal_split(ev, x, y, 4)
+    pb = pedal_split(SurfaceJets(ev, x, y, 4))
     assert np.max(np.abs(jets.value() - pb.foot.value())) < 1e-13
     # derivative jets agree too (the evaluator requests one extra order)
     assert np.max(np.abs(jets.deriv(1, 0) - pb.foot.deriv(1, 0))) < 1e-12
@@ -89,7 +89,7 @@ def test_predicted_mean_curvature_matches_direct_jets():
     gb = SurfaceJets(g_ev, x, y, 3)
     a11, _, a22 = gb.second_fundamental()
     H_direct = (a11.value().real + a22.value().real) / 2
-    pb = pedal_split(ev, x, y, 4)
+    pb = pedal_split(SurfaceJets(ev, x, y, 4))
     H_pred = pb.mean_curvature_predicted().value().real
     scale = np.max(np.abs(H_direct))
     assert np.max(np.abs(H_direct - H_pred)) < 1e-11 * scale
@@ -100,7 +100,7 @@ def test_laplace_identity_against_curvature():
     ev = holo3()
     x = np.array([0.6, 1.1])
     y = np.array([0.7, 0.5])
-    pb = pedal_split(ev, x, y, 4)
+    pb = pedal_split(SurfaceJets(ev, x, y, 4))
     gxx = pb.foot.deriv(2, 0).real
     gyy = pb.foot.deriv(0, 2).real
     E = pb.base.first_fundamental()[0].value().real
@@ -114,7 +114,7 @@ def test_conformal_factor_two_routes():
     ev = holo3()
     grid = Grid(nx=9, ny=9)
     x, y = grid.points()
-    reg = pedal_regularity(ev, x, y, 3)
+    reg = pedal_regularity(pedal_split(SurfaceJets(ev, x, y, 3)))
     assert not np.any(reg["excluded"])
     assert np.max(reg["defect"]) < 1e-11
 
@@ -124,7 +124,7 @@ def test_pedal_degenerates_at_origin():
     ev = holo3()
     x = np.array([0.0, 0.5])
     y = np.array([0.0, 0.5])
-    reg = pedal_regularity(ev, x, y, 3)
+    reg = pedal_regularity(pedal_split(SurfaceJets(ev, x, y, 3)))
     assert bool(reg["excluded"][0]) and not bool(reg["excluded"][1])
     assert any("tangential" in why for _, why in reg["reasons"])
 
@@ -146,7 +146,7 @@ def test_pedal_is_superconformal_but_not_minimal():
     x = np.array([0.5, 1.2])
     y = np.array([0.9, 0.4])
     gb = SurfaceJets(g_ev, x, y, 3)
-    defect, _, _ = gb.circle_defect(1)
+    defect, _ = gb.circle_defect(1)
     assert np.max(defect) < 1e-12
     sc = gb.curvature_scalars()
     assert np.min(sc["H_norm_sq"]) > 1e-3  # genuinely non-minimal

@@ -17,10 +17,9 @@ from isopedal.config import RunConfig
 from isopedal.cpoly import cv_linear_map
 from isopedal.errors import ConfigError
 from isopedal.grid import Grid
-from isopedal.pedal import normal_part_evaluator, pedal_surface
+from isopedal.pedal import SurfacePipeline, normal_part_evaluator, pedal_surface
 from isopedal.verify import (
     DEFAULT_TOLERANCES,
-    SurfacePipeline,
     _center_lattice,
     report_to_json,
     run_all,
@@ -211,7 +210,7 @@ def _dense_inversion_defects(pipe, centers, radius):
     defects from dense (centers, points) arrays, rho recomputed here."""
     res = moebius.minimality_residuals(pipe.split, centers, radius)
     valid = res["valid"] & pipe.mask()
-    g = pipe.split.foot.value().real.reshape(pipe.curve.ambient_dim, -1)
+    g = pipe.split.foot.value().real.reshape(pipe.evaluator.ambient_dim, -1)
     rho = np.maximum(
         np.sum((g[:, None, :] - centers.T[:, :, None]) ** 2, axis=0), 1e-300
     )
@@ -242,7 +241,7 @@ def test_center_lattice_is_the_product_order():
 # and 8 a block would leave a single center, which the blocking avoids
 @pytest.mark.parametrize("per_block", [50, 8])
 def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block):
-    pipe = SurfacePipeline(preset_curve("holo3"), SMALL_GRID, 4, "surface")
+    pipe = SurfacePipeline(surface_evaluator(preset_curve("holo3")), SMALL_GRID, 4)
     lattice = {"per_axis": 3, "lo": -1.6, "hi": 1.6, "radius": 1.0}
     centers = _center_lattice(6, lattice)
     ref_norm, ref_system = _dense_inversion_defects(pipe, centers, 1.0)
@@ -277,13 +276,12 @@ def test_inversion_crosscheck_samples_distinct_centers():
 def test_random_inversions_share_one_pedal_evaluation():
     ev = surface_evaluator(preset_curve("holo3"))
     grid = Grid(nx=5, ny=5)
-    pedal = pedal_surface(ev)
     calls = []
-    inner = pedal.fn
-    pedal.fn = lambda *args: calls.append(args[2]) or inner(*args)
+    inner = ev.fn
+    ev.fn = lambda *args: calls.append(args[2]) or inner(*args)
     worst, evaluated, kept = verify._random_inversion_rank_defect(
-        pedal, grid, np.random.default_rng(3), 10, 4.0)
-    assert calls == [2] and evaluated == 10
+        SurfacePipeline(ev, grid, 4), np.random.default_rng(3), 10, 4.0)
+    assert calls == [4] and evaluated == 10
     # the same defect as inverting a fresh pedal evaluation each time, and
     # the points that every inversion keeps
     x, y = grid.points()
@@ -301,7 +299,7 @@ def test_random_inversions_share_one_pedal_evaluation():
 
 
 def test_pipeline_pedal_is_composed_on_the_base_bundle(monkeypatch):
-    pipe = SurfacePipeline(preset_curve("holo3"), SMALL_GRID, 4, "surface")
+    pipe = SurfacePipeline(surface_evaluator(preset_curve("holo3")), SMALL_GRID, 4)
     base = pipe.base
     builds = []
     init = verify.SurfaceJets.__init__
@@ -312,9 +310,9 @@ def test_pipeline_pedal_is_composed_on_the_base_bundle(monkeypatch):
 
     monkeypatch.setattr(verify.SurfaceJets, "__init__", spy)
     got = pipe.pedal
-    assert builds == [pipe.pedal_evaluator.provenance] and pipe.base is base
+    assert builds == [pipe.pedal_evaluated.provenance] and pipe.base is base
     monkeypatch.undo()
-    want = verify.SurfaceJets(pipe.pedal_evaluator, pipe.x, pipe.y, 3)
+    want = verify.SurfaceJets(pedal_surface(pipe.evaluator), pipe.x, pipe.y, 3)
     assert np.array_equal(got.valid, want.valid)
     for a, b in zip(got.f, want.f):
         assert np.array_equal(a.t, b.t)
@@ -353,11 +351,50 @@ def test_selected_check_runs_only_its_part_of_the_group(monkeypatch):
     built = []
     build = verify.Run._build
     monkeypatch.setattr(verify.Run, "_build",
-                        lambda run, curve, label: built.append(label) or build(run, curve, label))
-    report = run_all(small_config(checks=("shifted_pedal.decomposition",)))
+                        lambda run, curve: built.append(curve) or build(run, curve))
+    cfg = small_config(checks=("shifted_pedal.decomposition",))
+    report = run_all(cfg)
     # neither the R^8 pipeline nor the control is built for it
-    assert built == ["surface"]
+    assert len(built) == 1 and built[0] is cfg.curve
     assert report["checks"] == [full["shifted_pedal.decomposition"]]
+
+
+def test_subgrid_checks_share_the_surface_bundle_on_the_7x7_subgrid(monkeypatch):
+    # the scaling control and the random inversions read one bundle of
+    # the surface there (the control's doubled surface has its own)
+    cfg = small_config(checks=("pedal_mean.scaling", "first_normal_rank.inverted"))
+    builds = []
+    init = verify.SurfaceJets.__init__
+
+    def spy(self, surface, x, *args, **kw):
+        builds.append((surface.provenance, np.size(x)))
+        init(self, surface, x, *args, **kw)
+
+    monkeypatch.setattr(verify.SurfaceJets, "__init__", spy)
+    report = run_all(cfg)
+    assert builds.count((cfg.curve.provenance, 49)) == 1
+    assert report["status"] == "pass"
+
+
+def test_inversion_crosscheck_does_not_depend_on_the_layout_of_the_cached_arrays():
+    # noniso is a surface where a one-row product of strided arrays rounds
+    # differently from one of contiguous arrays
+    cfg = small_config(curve=preset_curve("noniso"))
+    want = verify_inversion_minimality(verify.Run(cfg))["inversion.crosscheck"].defect
+    run = verify.Run(cfg)
+    pb = run.surface.on(5).split
+
+    def strided(a):
+        wide = np.zeros(a.shape + (2,))
+        wide[..., 0] = a
+        return wide[..., 0]
+
+    cached = moebius._minimality_points(pb)
+    assert all(a.flags.c_contiguous for a in cached[:-2])
+    pb._cache["minimality"] = tuple(
+        [strided(a) for a in v] if isinstance(v, list) else strided(v) for v in cached)
+    got = verify_inversion_minimality(run)["inversion.crosscheck"].defect
+    assert got == want
 
 
 def test_unknown_check_prefix_is_a_config_error():
