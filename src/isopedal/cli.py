@@ -181,9 +181,9 @@ def cmd_pedal(cfg: RunConfig, args) -> int:
         print("decomposition table skipped for the degenerate member (scale 0)")
     else:
         csv_path = os.path.join(out, "pedal.csv")
-        _, excluded = write_pedal_csv(pipe.split, grid, csv_path)
-        print(f"wrote {csv_path}")
         reg = pedal_regularity(pipe.split)
+        _, excluded = write_pedal_csv(pipe.split, grid, csv_path, reg)
+        print(f"wrote {csv_path}")
         for (idx, why) in reg["reasons"][:5]:
             px, py = x[idx[0]], y[idx[0]]
             print(f"  excluded ({px:g}, {py:g}): {why}")

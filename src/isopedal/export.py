@@ -178,13 +178,15 @@ def pedal_columns(ambient_dim: int):
     return cols
 
 
-def write_pedal_csv(pb: PedalBundle, grid: Grid, path):
+def write_pedal_csv(pb: PedalBundle, grid: Grid, path, reg=None):
     """Pedal decomposition samples over the grid (the points of the
     bundle), one CSV row per point; returns (rows, excluded points), a
-    point being excluded where `pedal_regularity` or the grid excludes it."""
+    point being excluded where `pedal_regularity` or the grid excludes it.
+    `reg` is the bundle's `pedal_regularity`, computed here if not given."""
     x, y = grid.points()
     pre = grid.premask()
-    reg = pedal_regularity(pb)
+    if reg is None:
+        reg = pedal_regularity(pb)
     Z = pb.tangent_part.value().real
     g = pb.foot.value().real
     dn = np.sqrt(np.maximum(pb.first_normal_part.norm_sq().value().real, 0.0))

@@ -127,8 +127,10 @@ def _product(a, b, lead):
     call.  The right factor's coefficient keeps a length-1 axis so that
     both operands of every call have equal rank.
     """
-    a, b = _align(a, b, lead)
-    D = a.shape[0]
+    # the steps read only the triangle, so a higher-order operand is
+    # sliced to the lower order, not copied with its new triangle masked
+    D = min(a.shape[0], b.shape[0])
+    a, b = _align(a[:D, :D], b[:D, :D], lead)
     shape = a.shape[2:] if a.shape == b.shape else np.broadcast_shapes(a.shape[2:], b.shape[2:])
     out = np.zeros((D, D) + shape, dtype=np.result_type(a, b))
     left_index, row_index, steps = _mul_plan(D)
@@ -396,12 +398,16 @@ class JetVec(_Table):
         return self.dot(self)
 
     def translate(self, vec):
-        """Add a constant ambient vector (one entry per component)."""
+        """Add a constant ambient vector (one entry per component).
+
+        On a stack of maps, whose leading batch axis of length k holds k
+        samples, vectors of shape (n, k) translate sample i by column i.
+        """
         vec = np.asarray(vec)
-        if vec.shape != (len(self),):
+        if vec.shape[:1] != (len(self),) or vec.shape[1:] != self.batch[:vec.ndim - 1]:
             raise ValueError("translation dimension mismatch")
         t = self.t.astype(np.result_type(self.t, vec))
-        t[0, 0] += vec.reshape(vec.shape + (1,) * len(self.batch))
+        t[0, 0] += vec.reshape(vec.shape + (1,) * (len(self.batch) + 1 - vec.ndim))
         return JetVec._of(t)
 
     def project_off(self, frames):

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import SurfaceJets, _nvalue
+from .jets import JetVec
 from .weierstrass import SurfaceEvaluator
 
 POLE_RTOL = 1e-9
@@ -79,6 +80,30 @@ class InversionSpec:
         return v - 2 * np.sum(v * d, axis=0) * d / dsq
 
 
+def invert_jets(f: JetVec, valid, centers, radius: float):
+    """(jets, valid) of the jets f inverted in the spheres of `radius`
+    about `centers`, the pole mask ANDed into `valid`.
+
+    One center, shape (n,), keeps f's batch.  A stack of k centers, shape
+    (k, n), gives the k inversions stacked on a leading batch axis, batch
+    (k, *f.batch), slice i the inversion about center i, all in the same
+    numpy calls.  Points closer than POLE_RTOL * radius to their center
+    are masked invalid.
+    """
+    C = np.asarray(centers, dtype=float)
+    if C.ndim == 2:
+        f = JetVec._of(np.repeat(f.t[:, :, :, None], len(C), axis=3))
+    c = C.T
+    limit_sq = (POLE_RTOL * radius) ** 2
+    vals = f.value()
+    pole_sq = np.sum((vals - c.reshape(c.shape + (1,) * (vals.ndim - c.ndim))) ** 2, axis=0)
+    d = f.translate(-c)
+    dsq = d.norm_sq()
+    good = np.abs(dsq.value()) > limit_sq
+    scale = dsq.recip(guard=good).scale(radius**2)
+    return d.scale(scale).translate(c), valid & (pole_sq > limit_sq)
+
+
 def invert_evaluator(surface: SurfaceEvaluator, inv: InversionSpec) -> SurfaceEvaluator:
     """Evaluator of the inverted surface, with a pole-proximity mask.
 
@@ -92,18 +117,9 @@ def invert_evaluator(surface: SurfaceEvaluator, inv: InversionSpec) -> SurfaceEv
             f"surface lives in dimension {surface.ambient_dim}"
         )
     c = inv.center_array
-    R2 = inv.radius**2
-    limit_sq = (POLE_RTOL * inv.radius) ** 2
 
     def fn(x, y, order):
-        f, valid = surface.evaluate(x, y, order)
-        vals = f.value().real
-        pole_sq = np.sum((vals - c.reshape((-1,) + (1,) * (vals.ndim - 1))) ** 2, axis=0)
-        d = f.translate(-c)
-        dsq = d.norm_sq()
-        good = np.abs(dsq.value()) > limit_sq
-        scale = dsq.recip(guard=good).scale(R2)
-        return d.scale(scale).translate(c), valid & (pole_sq > limit_sq)
+        return invert_jets(*surface.evaluate(x, y, order), c, inv.radius)
 
     return SurfaceEvaluator(
         ambient_dim=surface.ambient_dim,

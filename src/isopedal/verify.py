@@ -71,9 +71,9 @@ from .geometry import (
 )
 from .grid import Grid
 from .jets import JetVec
-from .moebius import InversionSpec, invert_evaluator, minimality_residuals
-from .pedal import SurfacePipeline, pedal_surface
-from .weierstrass import preset_curve, surface_evaluator
+from .moebius import InversionSpec, invert_evaluator, invert_jets, minimality_residuals
+from .pedal import SurfacePipeline
+from .weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
 
 REPORT_VERSION = "1"
 REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold here
@@ -558,14 +558,14 @@ def verify_meancurvature(run: Run) -> dict:
     # homothety control: the pedal of 2f is 2g, so its mean curvature is
     # half that of g, pointwise
     sub = pipe.on(7)
-    twice = SurfaceJets(pedal_surface(pipe.evaluator.affine(scale=2.0)), sub.x, sub.y, 2)
+    twice = sub.member_pedals([(2.0, np.zeros(pipe.evaluator.ambient_dim))])
     H_base = _values(sub.pedal.mean_curvature())
-    H_twice = _values(twice.mean_curvature())
+    H_twice = _values(twice.mean_curvature())[:, 0]
     sdef = _norms(H_twice - 0.5 * H_base) / np.maximum(_norms(0.5 * H_base), _TINY)
     return {
         "pedal_mean.formula": Outcome(defect),
         "pedal_mean.laplacian": Outcome(ldef),
-        "pedal_mean.scaling": Outcome(sdef, sub.pre & sub.pedal.valid & twice.valid, sub.grid),
+        "pedal_mean.scaling": Outcome(sdef, sub.pre & sub.pedal.valid & twice.valid[0], sub.grid),
     }
 
 
@@ -886,7 +886,7 @@ def verify_inversion_minimality(run: Run) -> dict:
 
     # direct-jet cross-check at a few sampled centers on a coarse subgrid,
     # where one evaluation of the surface feeds the split, the pedal's
-    # geometry and the sampled inversions
+    # geometry and the sampled inversions, stacked in one bundle
     sub = pipe.on(5)
     # distinct indices, so a one-center lattice is sampled once
     picks = sorted({0, centers.shape[0] // 2, centers.shape[0] - 1})
@@ -895,26 +895,21 @@ def verify_inversion_minimality(run: Run) -> dict:
     # every sampled center in one call: a one-row product would round
     # differently depending on the memory layout of the cached arrays
     sres = minimality_residuals(sub.split, centers[picks], radius)
-    worst, kept = None, sub.pre & sub.split.valid
-    for k, idx in enumerate(picks):
-        inv = InversionSpec(center=tuple(centers[idx]), radius=radius)
-        bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, inv), sub.x, sub.y, 2)
-        m = sub.pre & bundle.valid & sub.split.valid
-        kept = kept & m
-        if not np.any(m):
-            continue
-        Hd = _norms(_values(bundle.mean_curvature()))
-        x1, x2 = bundle.traceless_second()
-        sd = np.sqrt(2.0 * (_norms(_values(x1)) ** 2 + _norms(_values(x2)) ** 2))
-        direct_ratio = Hd / np.maximum(sd, _TINY)
-        # ||H|| and the second-form scale of the inverted surface both
-        # carry the factor rho/R^2 relative to base pedal data, so the
-        # dimensionless ratio is 2*sqrt((r1^2+r2^2)/theta + r3^2) over
-        # (rho * base traceless scale)
-        hn_s = sres["mean_norm"][k] * radius**2 / (2.0 * sres["pos_sq"][k])
-        closed_ratio = 2.0 * hn_s / np.maximum(strs, _TINY)
-        diff = np.abs(direct_ratio - closed_ratio) / np.maximum(closed_ratio, _TINY)
-        worst = _max_defined(worst, _masked_max(diff, m))
+    bundle = _inverted_pedals(sub, centers[picks], radius)
+    masks = sub.pre & bundle.valid & sub.split.valid  # one row per center
+    Hd = _norms(_values(bundle.mean_curvature()))
+    x1, x2 = bundle.traceless_second()
+    sd = np.sqrt(2.0 * (_norms(_values(x1)) ** 2 + _norms(_values(x2)) ** 2))
+    direct_ratio = Hd / np.maximum(sd, _TINY)
+    # ||H|| and the second-form scale of the inverted surface both carry
+    # the factor rho/R^2 relative to base pedal data, so the dimensionless
+    # ratio is 2*sqrt((r1^2+r2^2)/theta + r3^2) over (rho * base traceless
+    # scale)
+    hn_s = sres["mean_norm"] * radius**2 / (2.0 * sres["pos_sq"])
+    closed_ratio = 2.0 * hn_s / np.maximum(strs, _TINY)
+    diff = np.abs(direct_ratio - closed_ratio) / np.maximum(closed_ratio, _TINY)
+    worst = _max_defined(*(_masked_max(d, m) for d, m in zip(diff, masks)))
+    kept = sub.pre & sub.split.valid & np.all(masks, axis=0)
     return {
         "inversion.norm": Outcome(norm_defect, valid, details={
             "centers": int(centers.shape[0]), "radius": radius}),
@@ -936,29 +931,32 @@ def _rank_defect(bundle: SurfaceJets, mask):
     return _masked_max(dev, mask), rank
 
 
+def _inverted_pedals(pipe: SurfacePipeline, centers, radius) -> SurfaceJets:
+    """Order-2 bundle of the pipeline's pedal inverted about each of the k
+    centers (shape (k, n)), stacked on a leading batch axis, all composed
+    on the pedal's one evaluation over the pipeline's grid."""
+    x, y = pipe.x, pipe.y
+    jets, valid = invert_jets(*pipe.pedal_evaluated.evaluate(x, y, 2), centers, radius)
+    inverted = SurfaceEvaluator.of_jets(f"invert({pipe.pedal_evaluated.provenance})", x, y,
+                                        jets, valid)
+    return SurfaceJets(inverted, x, y, 2)
+
+
 def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
     """Worst |rank - 3| of the first normal bundle over random inversions
-    of the pipeline's pedal, all composed on its one evaluation over the
-    pipeline's grid, the number of inversions evaluated, and the points no
-    inversion dropped."""
-    worst = 0.0
-    evaluated = 0
-    kept = pipe.pre
+    of the pipeline's pedal, stacked in one bundle, the number of
+    inversions evaluated, and the points no inversion dropped."""
+    centers = []
     for _ in range(count):
         direction = rng.normal(size=pipe.evaluator.ambient_dim)
         direction /= np.linalg.norm(direction)
-        center = span * direction
-        inv = InversionSpec(center=tuple(center), radius=1.0)
-        bundle = SurfaceJets(invert_evaluator(pipe.pedal_evaluated, inv), pipe.x, pipe.y, 2)
-        m = pipe.pre & bundle.valid
-        kept = kept & m
-        if not np.any(m):
-            continue
-        d, _ = _rank_defect(bundle, m)
-        if d is not None:
-            worst = max(worst, d)
-            evaluated += 1
-    return (worst if evaluated else None), evaluated, kept
+        centers.append(span * direction)
+    bundle = _inverted_pedals(pipe, np.array(centers), 1.0)
+    masks = pipe.pre & bundle.valid  # one row per inversion
+    rank, _ = first_normal_rank(bundle)
+    dev = np.abs(rank.astype(float) - 3.0)
+    defects = [d for d in map(_masked_max, dev, masks) if d is not None]
+    return max(defects, default=None), len(defects), pipe.pre & np.all(masks, axis=0)
 
 
 def _inverted_rank(pipe: SurfacePipeline, seed: int):
@@ -983,8 +981,10 @@ def verify_shifted_pedals(run: Run) -> dict:
         three-circle surface in R^8.
 
     Only the parts a wanted check id needs are computed.  (a) to (c) run
-    on an 11 x 11 subgrid and share one base bundle there: the pedal of f
-    and the shadow of v are its normal parts.
+    on an 11 x 11 subgrid, on the surface's one evaluation there: the
+    pedal of f and the shadow of v are normal parts of its base bundle,
+    and the members c*f + v the wanted ids read are stacked in one base
+    bundle and one pedal bundle.
     """
     pipe = run.surface
     config = run.config
@@ -994,43 +994,49 @@ def verify_shifted_pedals(run: Run) -> dict:
     cc = float(config.scale) if config.scale != 1.0 else 0.7
     sub = pipe.on(11)
     sx, sy, spre = sub.x, sub.y, sub.pre
+    family = run.wants("shifted_pedal.family")
+    decomposition = run.wants("shifted_pedal.decomposition")
     out = {}
 
     if any(run.wants(c.id) for c in CHECKS if c.id.startswith("shifted_pedal.")):
         shadow_at = sub.normal_surface(v)
-    if run.wants("shifted_pedal.family"):
+    if decomposition or run.wants("shifted_pedal.shadow_superconformal"):
+        shadow = SurfaceJets(shadow_at, sx, sy, 2)
+    # the members c*f + v the wanted ids read; the decomposition reads
+    # member (cc, v), slice 0
+    members = [(cc, v)] if family or decomposition else []
+    if family:
+        members.append((-1.3, 0.5 * v))
+    if members:
+        shifted = sub.member_pedals(members)
+    if family:
         # the identity sample (c, v) = (1, 0) is the pedal of f itself
-        pedals = [(1.0, sub.pedal)] + [
-            (c, SurfaceJets(pedal_surface(pipe.evaluator.affine(scale=c, translation=vv)),
-                            sx, sy, 3)) for c, vv in ((cc, v), (-1.3, 0.5 * v))]
+        gb = sub.pedal
+        scales = [1.0] + [c for c, _ in members]
+        defects = [np.maximum(gb.circle_defect(1)[0], _conformality_defect(gb)[0]),
+                   *np.maximum(shifted.circle_defect(1)[0], _conformality_defect(shifted)[0])]
         samples, kept = [], spre & sub.base.valid
-        for c, gb in pedals:
-            m = spre & gb.valid & sub.base.valid
+        for c, defect, valid in zip(scales, defects, [gb.valid, *shifted.valid]):
+            m = spre & valid & sub.base.valid
             kept = kept & m  # a point any sample drops is excluded
-            circ, _ = gb.circle_defect(1)
-            conf, _ = _conformality_defect(gb)
-            samples.append({"scale": c, "defect": _masked_max(np.maximum(circ, conf), m)})
+            samples.append({"scale": c, "defect": _masked_max(defect, m)})
         out["shifted_pedal.family"] = Outcome(
             _max_defined(*(s["defect"] for s in samples)), kept, sub.grid,
             details={"samples": samples})
 
-    if run.wants("shifted_pedal.decomposition"):
+    if decomposition:
         # pedal(c f + v) = c * pedal(f) + shadow(v)
-        shifted = pipe.evaluator.affine(scale=cc, translation=v)
-        g_shift = SurfaceJets(pedal_surface(shifted), sx, sy, 2)
-        shadow = SurfaceJets(shadow_at, sx, sy, 2)
         rhs = cc * _values(sub.pedal.f) + _values(shadow.f)
-        m = spre & g_shift.valid & sub.pedal.valid & shadow.valid
+        m = spre & shifted.valid[0] & sub.pedal.valid & shadow.valid
         out["shifted_pedal.decomposition"] = Outcome(
-            _norms(_values(g_shift.f) - rhs) / np.maximum(_norms(rhs), _TINY), m, sub.grid,
-            details={"scale": cc})
+            _norms(_values(shifted.f)[:, 0] - rhs) / np.maximum(_norms(rhs), _TINY), m,
+            sub.grid, details={"scale": cc})
 
     # the shadow surface itself: superconformal, and minimal after the
     # inversion centered at its defining vector
     if run.wants("shifted_pedal.shadow_superconformal"):
-        shadow3 = SurfaceJets(shadow_at, sx, sy, 3)
-        scirc, _ = shadow3.circle_defect(1)
-        out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow3.valid,
+        scirc, _ = shadow.circle_defect(1)
+        out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow.valid,
                                                              sub.grid)
     if run.wants("shifted_pedal.inverted_minimal"):
         inv = InversionSpec(center=tuple(v), radius=1.0)

@@ -36,7 +36,6 @@ from .cpoly import (
     cv_dot,
     cv_int,
     cv_diff,
-    cv_linear_map,
     cv_max_abs,
     cp_max_abs,
     cv_trim,
@@ -66,12 +65,12 @@ class SurfaceEvaluator:
     fn: Callable
 
     def evaluate(self, x, y, order=DEFAULT_ORDER):
-        """(jets, valid) at the points, valid broadcast to their shape."""
+        """(jets, valid) at the points, valid broadcast to the jets' batch
+        (the points' shape, after a leading axis for stacked samples)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         jets, valid = self.fn(x, y, order)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        return jets, np.broadcast_to(True if valid is None else valid, shape)
+        return jets, np.broadcast_to(True if valid is None else valid, jets.batch)
 
     def jets(self, x, y, order=DEFAULT_ORDER) -> JetVec:
         return self.evaluate(x, y, order)[0]
@@ -263,15 +262,6 @@ def surface_evaluator(curve: IsotropicCurve) -> SurfaceEvaluator:
         return jet_lift(phi, x, y, order).real(), None
 
     return SurfaceEvaluator(len(phi), curve.provenance, fn)
-
-
-def rotated_curve(curve: IsotropicCurve, matrix) -> IsotropicCurve:
-    """Apply a constant real orthogonal matrix to the ambient components."""
-    mat = np.asarray(matrix, dtype=float)
-    phi = cv_linear_map(mat, curve.phi)
-    return _check_isotropy(
-        IsotropicCurve(phi=phi, alpha=cv_diff(phi), levels=[], provenance=curve.provenance)
-    )
 
 
 # -- shipped seeds ------------------------------------------------------------

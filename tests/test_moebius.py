@@ -16,6 +16,7 @@ from isopedal.moebius import (
     POLE_RTOL,
     InversionSpec,
     invert_evaluator,
+    invert_jets,
     minimality_residuals,
     transformation_residuals,
 )
@@ -192,6 +193,23 @@ def test_evaluate_masks_the_pole_and_the_degenerate_base_points():
     # the pedal alone masks only the branch point, a plain surface nothing
     assert np.array_equal(g.evaluate(x, y, 2)[1], np.arange(25) != 12)
     assert np.all(ev.evaluate(x, y, 2)[1])
+
+
+def test_stacked_inversions_equal_the_single_inversions():
+    # one evaluation of the pedal inverted about k centers at once; the
+    # last center is the pedal's point 7, so only its slice masks a pole
+    x, y = Grid(nx=5, ny=5).points()
+    g = pedal_surface(holo3()).evaluated(x, y, 3)
+    centers = np.random.default_rng(5).uniform(-1.6, 1.6, size=(4, 6))
+    centers[3] = g.jets(x, y, 3).value()[:, 7]
+    jets, valid = invert_jets(*g.evaluate(x, y, 3), centers, 1.3)
+    assert jets.batch == (4, 25) and valid.shape == (4, 25)
+    for k, center in enumerate(centers):
+        want, want_valid = invert_evaluator(
+            g, InversionSpec(center=tuple(center), radius=1.3)).evaluate(x, y, 3)
+        assert np.array_equal(jets.t[:, :, :, k], want.t)
+        assert np.array_equal(valid[k], want_valid)
+    assert np.array_equal(np.flatnonzero(~valid), [3 * 25 + 7])
 
 
 def test_minimality_setup_is_computed_once_per_pedal_bundle(monkeypatch):

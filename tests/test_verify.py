@@ -8,6 +8,7 @@ rather than numbers.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from isopedal.verify import (
 from isopedal.weierstrass import ambient_curve, preset_curve, surface_evaluator
 
 SMALL_GRID = Grid(nx=9, ny=9)
+# the holo3 report on the window through the branch point, frozen: its
+# masks and excluded counts must not move when samples are stacked
+BRANCH_REPORT = Path(__file__).parent / "data" / "report_branch_window.json"
 
 
 def small_config(**kw):
@@ -273,29 +277,77 @@ def test_inversion_crosscheck_samples_distinct_centers():
     assert got["inversion.crosscheck"].details["sampled_centers"] == 1
 
 
-def test_random_inversions_share_one_pedal_evaluation():
+class _Draws:
+    """A generator whose normal draws are the given vectors, in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def normal(self, size):
+        return np.array(next(self.draws), dtype=float)
+
+
+def _spy_builds(monkeypatch):
+    """A list that records (provenance, batch) of each bundle built."""
+    builds = []
+    init = verify.SurfaceJets.__init__
+
+    def spy(self, surface, *args, **kw):
+        init(self, surface, *args, **kw)
+        builds.append((surface.provenance, self.batch))
+
+    monkeypatch.setattr(verify.SurfaceJets, "__init__", spy)
+    return builds
+
+
+def test_random_inversions_share_one_pedal_evaluation(monkeypatch):
+    # a window through the branch point, where the pedal is invalid at the
+    # origin, so no inversion keeps that point; the fourth center is the
+    # pedal's point 0, so only that inversion drops it
     ev = surface_evaluator(preset_curve("holo3"))
-    grid = Grid(nx=5, ny=5)
+    grid = Grid(-0.5, 0.5, -0.5, 0.5, 7, 7)
+    g0 = pedal_surface(ev).jets(*grid.points(), 2).value()[:, 0]
+    draws = list(np.random.default_rng(3).normal(size=(10, 6)))
+    draws[3] = g0
+    span = np.linalg.norm(g0)
     calls = []
     inner = ev.fn
     ev.fn = lambda *args: calls.append(args[2]) or inner(*args)
-    worst, evaluated, kept = verify._random_inversion_rank_defect(
-        SurfacePipeline(ev, grid, 4), np.random.default_rng(3), 10, 4.0)
-    assert calls == [4] and evaluated == 10
-    # the same defect as inverting a fresh pedal evaluation each time, and
-    # the points that every inversion keeps
+    pipe = SurfacePipeline(ev, grid, 4)
+    pipe.pedal_evaluated  # built before the spy
+    builds = _spy_builds(monkeypatch)
+    worst, evaluated, kept = verify._random_inversion_rank_defect(pipe, _Draws(draws), 10, span)
+    monkeypatch.undo()
+    # one evaluation of the surface, one bundle of the ten inversions
+    assert calls == [4] and [batch for _, batch in builds] == [(10, 49)]
+    # the same as inverting a fresh pedal evaluation each time
     x, y = grid.points()
-    rng = np.random.default_rng(3)
-    want, want_kept = 0.0, grid.premask()
-    for _ in range(10):
-        direction = rng.normal(size=6)
-        center = 4.0 * direction / np.linalg.norm(direction)
+    want, want_evaluated, want_kept = 0.0, 0, grid.premask()
+    for direction in draws:
+        center = span * direction / np.linalg.norm(direction)
         inv = moebius.InversionSpec(center=tuple(center), radius=1.0)
         bundle = verify.SurfaceJets(moebius.invert_evaluator(pedal_surface(ev), inv), x, y, 2)
-        want = max(want, verify._rank_defect(bundle, grid.premask() & bundle.valid)[0])
-        want_kept = want_kept & bundle.valid
-    assert worst == want
+        m = grid.premask() & bundle.valid
+        want_kept = want_kept & m
+        if np.any(m):
+            want = max(want, verify._rank_defect(bundle, m)[0])
+            want_evaluated += 1
+    assert (worst, evaluated) == (want, want_evaluated) == (want, 10)
     assert np.array_equal(kept, want_kept)
+    assert np.array_equal(np.flatnonzero(~kept), [0, 24])
+
+
+def test_a_default_run_builds_one_bundle_per_sample_family(monkeypatch):
+    builds = _spy_builds(monkeypatch)
+    report = run_all(RunConfig.from_document({"seed_preset": "holo3"}))
+    assert report["status"] == "pass"
+    # one stacked bundle each: the 10 + 10 random inversions, the 3
+    # crosscheck inversions, the two members of the shifted family (base
+    # and pedal) and the doubled surface of the scaling control (base and
+    # pedal)
+    assert len(builds) == 22
+    stacks = sorted(batch for _, batch in builds if len(batch) == 2)
+    assert stacks == [(1, 49), (1, 49), (2, 121), (2, 121), (3, 25), (10, 49), (10, 49)]
 
 
 def test_pipeline_pedal_is_composed_on_the_base_bundle(monkeypatch):
@@ -408,6 +460,8 @@ def test_unknown_check_prefix_is_a_config_error():
                          ids=["branch-point", "around-branch-point"])
 def test_every_check_passes_on_a_window_through_the_branch_point(grid):
     report = run_all(RunConfig.from_document({"seed_preset": "holo3", "grid": grid}))
+    if grid.endswith("11"):
+        assert report_to_json(report) == BRANCH_REPORT.read_bytes().decode("utf-8")
     recs = by_id(report)
     assert len(recs) == 30
     assert all(rec["pass"] for rec in recs.values()), [
