@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import SurfaceJets, first_normal_rank
 from .grid import Grid
-from .pedal import PedalBundle, pedal_regularity
+from .pedal import PedalBundle
 from .weierstrass import SurfaceEvaluator
 
 PROJECTION_ORTHO_TOL = 1e-9
@@ -178,15 +178,13 @@ def pedal_columns(ambient_dim: int):
     return cols
 
 
-def write_pedal_csv(pb: PedalBundle, grid: Grid, path, reg=None):
+def write_pedal_csv(pb: PedalBundle, grid: Grid, path, reg):
     """Pedal decomposition samples over the grid (the points of the
     bundle), one CSV row per point; returns (rows, excluded points), a
-    point being excluded where `pedal_regularity` or the grid excludes it.
-    `reg` is the bundle's `pedal_regularity`, computed here if not given."""
+    point being excluded where `reg`, the bundle's `pedal_regularity`, or
+    the grid excludes it."""
     x, y = grid.points()
     pre = grid.premask()
-    if reg is None:
-        reg = pedal_regularity(pb)
     Z = pb.tangent_part.value().real
     g = pb.foot.value().real
     dn = np.sqrt(np.maximum(pb.first_normal_part.norm_sq().value().real, 0.0))

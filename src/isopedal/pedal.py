@@ -169,8 +169,6 @@ class SurfacePipeline:
     `pedal` the pedal's jets and bundle one order lower, built from
     `base`'s jets; `on(res)` is the same surface on the res x res subgrid
     of the window at jet order 4.  Each is built on first use and kept.
-    `member_pedals` composes members of the shifted family on the same
-    evaluation.
     """
 
     def __init__(self, evaluator: SurfaceEvaluator, grid: Grid, order: int):
@@ -202,23 +200,6 @@ class SurfacePipeline:
         kind = "pedal" if v is None else "shadow"
         return SurfaceEvaluator.of_jets(f"{kind}({self.evaluator.provenance})", self.x, self.y,
                                         *normal_part(self.base, self.order - 1, v))
-
-    def member_pedals(self, members) -> SurfaceJets:
-        """The order-2 pedal bundle of the members c*f + v of the shifted
-        family, one (c, v) pair each, stacked on a leading batch axis
-        (slice i is member i).  The members' jets are the surface's one
-        evaluation, truncated to order 3, scaled and translated, and their
-        base bundle is one bundle as well.  Order 2 is what the checks
-        read: values, metric and second form."""
-        f, valid = self.evaluated.evaluate(self.x, self.y, 3)
-        scales = np.array([float(c) for c, _ in members])
-        shifts = np.array([np.asarray(v, dtype=float) for _, v in members])
-        jets = f.scale(scales.reshape((-1,) + (1,) * len(f.batch))).translate(shifts.T)
-        stacked = SurfaceEvaluator.of_jets("composite", self.x, self.y, jets, valid)
-        base = SurfaceJets(stacked, self.x, self.y, 3)
-        pedals = SurfaceEvaluator.of_jets("pedal(composite)", self.x, self.y,
-                                          *normal_part(base, 2))
-        return SurfaceJets(pedals, self.x, self.y, 2)
 
     @cached_property
     def pedal_evaluated(self) -> SurfaceEvaluator:

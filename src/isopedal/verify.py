@@ -558,14 +558,14 @@ def verify_meancurvature(run: Run) -> dict:
     # homothety control: the pedal of 2f is 2g, so its mean curvature is
     # half that of g, pointwise
     sub = pipe.on(7)
-    twice = sub.member_pedals([(2.0, np.zeros(pipe.evaluator.ambient_dim))])
+    twice = SurfacePipeline(sub.evaluated.affine(scale=2.0), sub.grid, 3).pedal
     H_base = _values(sub.pedal.mean_curvature())
-    H_twice = _values(twice.mean_curvature())[:, 0]
+    H_twice = _values(twice.mean_curvature())
     sdef = _norms(H_twice - 0.5 * H_base) / np.maximum(_norms(0.5 * H_base), _TINY)
     return {
         "pedal_mean.formula": Outcome(defect),
         "pedal_mean.laplacian": Outcome(ldef),
-        "pedal_mean.scaling": Outcome(sdef, sub.pre & sub.pedal.valid & twice.valid[0], sub.grid),
+        "pedal_mean.scaling": Outcome(sdef, sub.pre & sub.pedal.valid & twice.valid, sub.grid),
     }
 
 
@@ -925,10 +925,10 @@ def verify_inversion_minimality(run: Run) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rank_defect(bundle: SurfaceJets, mask):
+def _rank_deviation(bundle: SurfaceJets):
+    """|rank - 3| of the first normal bundle at each point of the bundle."""
     rank, _ = first_normal_rank(bundle)
-    dev = np.abs(rank.astype(float) - 3.0)
-    return _masked_max(dev, mask), rank
+    return np.abs(rank.astype(float) - 3.0)
 
 
 def _inverted_pedals(pipe: SurfacePipeline, centers, radius) -> SurfaceJets:
@@ -953,9 +953,7 @@ def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
         centers.append(span * direction)
     bundle = _inverted_pedals(pipe, np.array(centers), 1.0)
     masks = pipe.pre & bundle.valid  # one row per inversion
-    rank, _ = first_normal_rank(bundle)
-    dev = np.abs(rank.astype(float) - 3.0)
-    defects = [d for d in map(_masked_max, dev, masks) if d is not None]
+    defects = [d for d in map(_masked_max, _rank_deviation(bundle), masks) if d is not None]
     return max(defects, default=None), len(defects), pipe.pre & np.all(masks, axis=0)
 
 
@@ -1008,15 +1006,16 @@ def verify_shifted_pedals(run: Run) -> dict:
     if family:
         members.append((-1.3, 0.5 * v))
     if members:
-        shifted = sub.member_pedals(members)
+        scales, shifts = zip(*members)
+        shifted = SurfacePipeline(sub.evaluated.affine(scales, np.transpose(shifts)), sub.grid,
+                                  3).pedal
     if family:
         # the identity sample (c, v) = (1, 0) is the pedal of f itself
         gb = sub.pedal
-        scales = [1.0] + [c for c, _ in members]
         defects = [np.maximum(gb.circle_defect(1)[0], _conformality_defect(gb)[0]),
                    *np.maximum(shifted.circle_defect(1)[0], _conformality_defect(shifted)[0])]
         samples, kept = [], spre & sub.base.valid
-        for c, defect, valid in zip(scales, defects, [gb.valid, *shifted.valid]):
+        for c, defect, valid in zip([1.0, *scales], defects, [gb.valid, *shifted.valid]):
             m = spre & valid & sub.base.valid
             kept = kept & m  # a point any sample drops is excluded
             samples.append({"scale": c, "defect": _masked_max(defect, m)})
@@ -1050,7 +1049,8 @@ def verify_shifted_pedals(run: Run) -> dict:
     # rank of the first normal bundle: the pedal itself, then random
     # inversions of it, then the same pair for the R^8 three-circle surface
     if run.wants("first_normal_rank.pedal"):
-        out["first_normal_rank.pedal"] = Outcome(_rank_defect(pipe.pedal, pipe.mask())[0])
+        out["first_normal_rank.pedal"] = Outcome(
+            _masked_max(_rank_deviation(pipe.pedal), pipe.mask()))
     if run.wants("first_normal_rank.inverted"):
         rdef, evaluated, kept = _inverted_rank(pipe, _RANK_SEED)
         out["first_normal_rank.inverted"] = Outcome(rdef, kept, pipe.on(7).grid, details={
@@ -1058,7 +1058,7 @@ def verify_shifted_pedals(run: Run) -> dict:
     if run.wants("first_normal_rank.higher_isotropy"):
         hi = run.higher
         hmask = hi.mask()
-        hdef, _ = _rank_defect(hi.pedal, hmask)
+        hdef = _masked_max(_rank_deviation(hi.pedal), hmask)
         hrdef, hev, _ = _inverted_rank(hi, _RANK_SEED + 1)
         out["first_normal_rank.higher_isotropy"] = Outcome(
             _max_defined(hdef, hrdef), hmask, details={

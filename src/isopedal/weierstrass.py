@@ -95,16 +95,22 @@ class SurfaceEvaluator:
         return SurfaceEvaluator(len(jets), provenance, fn)
 
     def affine(self, scale=1.0, translation=None) -> "SurfaceEvaluator":
-        """The surface c*f + v (ambient scaling and translation)."""
-        c = float(scale)
-        v = np.zeros(self.ambient_dim) if translation is None else np.asarray(translation, dtype=float)
-        if v.shape != (self.ambient_dim,):
+        """The surface c*f + v (ambient scaling and translation).
+
+        A (k,) array of scales with (n, k) translations gives the k
+        members c_i*f + v_i stacked on a leading batch axis, slice i
+        member i.
+        """
+        c = np.asarray(scale, dtype=float)
+        shape = (self.ambient_dim,) + c.shape
+        v = np.zeros(shape) if translation is None else np.asarray(translation, dtype=float)
+        if v.shape != shape:
             raise ConfigError(f"translation needs {self.ambient_dim} components")
         inner = self.fn
 
         def fn(x, y, order=DEFAULT_ORDER):
             jets, valid = inner(x, y, order)
-            return jets.scale(c).translate(v), valid
+            return jets.scale(c.reshape(c.shape + (1,) * len(jets.batch))).translate(v), valid
 
         return SurfaceEvaluator(self.ambient_dim, "composite", fn)
 

@@ -16,7 +16,7 @@ from isopedal.export import (
 )
 from isopedal.geometry import SurfaceJets
 from isopedal.grid import Grid
-from isopedal.pedal import pedal_split, pedal_surface
+from isopedal.pedal import pedal_regularity, pedal_split, pedal_surface
 from isopedal.weierstrass import preset_curve, surface_evaluator
 
 
@@ -136,7 +136,8 @@ def test_geometry_csv_deterministic(tmp_path):
 def test_pedal_csv_columns_and_flags(tmp_path):
     path = tmp_path / "pedal.csv"
     grid = Grid(nx=5, ny=5)
-    total, excluded = write_pedal_csv(holo3_split(grid), grid, path)
+    pb = holo3_split(grid)
+    total, excluded = write_pedal_csv(pb, grid, path, pedal_regularity(pb))
     assert (total, excluded) == (25, 0)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(pedal_columns(6))
@@ -155,7 +156,8 @@ def test_pedal_csv_columns_and_flags(tmp_path):
 def test_pedal_csv_flags_degenerate_origin(tmp_path):
     grid = Grid(x0=-0.5, x1=0.5, y0=-0.5, y1=0.5, nx=3, ny=3)
     path = tmp_path / "pedal.csv"
-    total, excluded = write_pedal_csv(holo3_split(grid), grid, path)
+    pb = holo3_split(grid)
+    total, excluded = write_pedal_csv(pb, grid, path, pedal_regularity(pb))
     assert total == 9 and excluded >= 1
     lines = path.read_text().strip().split("\n")
     center = lines[1 + 4].split(",")  # (0, 0) row

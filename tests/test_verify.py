@@ -330,7 +330,7 @@ def test_random_inversions_share_one_pedal_evaluation(monkeypatch):
         m = grid.premask() & bundle.valid
         want_kept = want_kept & m
         if np.any(m):
-            want = max(want, verify._rank_defect(bundle, m)[0])
+            want = max(want, verify._masked_max(verify._rank_deviation(bundle), m))
             want_evaluated += 1
     assert (worst, evaluated) == (want, want_evaluated) == (want, 10)
     assert np.array_equal(kept, want_kept)
@@ -342,12 +342,11 @@ def test_a_default_run_builds_one_bundle_per_sample_family(monkeypatch):
     report = run_all(RunConfig.from_document({"seed_preset": "holo3"}))
     assert report["status"] == "pass"
     # one stacked bundle each: the 10 + 10 random inversions, the 3
-    # crosscheck inversions, the two members of the shifted family (base
-    # and pedal) and the doubled surface of the scaling control (base and
-    # pedal)
+    # crosscheck inversions and the two members of the shifted family (base
+    # and pedal)
     assert len(builds) == 22
     stacks = sorted(batch for _, batch in builds if len(batch) == 2)
-    assert stacks == [(1, 49), (1, 49), (2, 121), (2, 121), (3, 25), (10, 49), (10, 49)]
+    assert stacks == [(2, 121), (2, 121), (3, 25), (10, 49), (10, 49)]
 
 
 def test_pipeline_pedal_is_composed_on_the_base_bundle(monkeypatch):

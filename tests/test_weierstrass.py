@@ -186,6 +186,21 @@ def test_affine_evaluator_scales_and_translates():
     assert np.max(np.abs(ddiff)) < 1e-13
 
 
+def test_stacked_affine_members_equal_the_single_members():
+    ev = surface_evaluator(preset_curve("holo3"))
+    x = np.array([0.5, 1.0, 0.8])
+    y = np.array([0.6, 0.9, 0.3])
+    scales = np.array([0.7, -1.3, 0.0])
+    shifts = np.arange(18, dtype=float).reshape(6, 3) / 7.0
+    jets, valid = ev.affine(scales, shifts).evaluate(x, y, 3)
+    assert jets.batch == (3, 3) and valid.shape == (3, 3)
+    for k, c in enumerate(scales):
+        want = ev.affine(scale=c, translation=shifts[:, k]).jets(x, y, 3)
+        assert np.array_equal(jets.t[:, :, :, k], want.t)
+    with pytest.raises(ConfigError):
+        ev.affine(scales, shifts[:, :2])
+
+
 def test_evaluated_surface_answers_up_to_its_order_at_its_points():
     ev = surface_evaluator(preset_curve("holo3"))
     x = np.array([0.5, 1.0, 0.8])
