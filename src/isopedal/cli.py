@@ -30,10 +30,10 @@ from .errors import ConfigError, IsotropyViolation
 from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
 from .geometry import SurfaceJets, isotropy_order
 from .grid import Grid
-from .moebius import InversionSpec, invert_evaluator
-from .pedal import SurfacePipeline, normal_part_evaluator, pedal_regularity
+from .moebius import invert_jets
+from .pedal import SurfacePipeline, pedal_regularity
 from .verify import _generic_vector, report_to_json, run_all
-from .weierstrass import surface_evaluator
+from .weierstrass import SurfaceEvaluator, surface_evaluator
 
 DEFAULT_CONFIG = {"seed_preset": "holo3"}
 PROBE_X = (0.7, 1.1, 0.4)
@@ -98,28 +98,46 @@ def _projection(args, ambient_dim):
     return arr
 
 
-def _member(cfg: RunConfig):
-    """(evaluator, shadow vector) of the configured member c*f + v.
+def _member(cfg: RunConfig, order: int):
+    """(pipeline, member, shadow vector) of the configured member c*f + v
+    on the grid at jet `order`; the member is its evaluation on the grid,
+    and `pipeline.normal_surface(shadow vector)` its pedal.
 
-    For c != 0 this is the evaluator of c*f + v and None.  The degenerate
-    scale-0 member is mapped to its limit: f itself and v, since the pedal
-    of 0*f + v is the normal shadow of v over f, even though 0*f + v
-    itself is not an immersion.
+    For c != 0 this is the pipeline of c*f + v, its evaluation and None.
+    The degenerate scale-0 member is mapped to its limit: the pipeline of
+    f itself, the constant v and v, since the pedal of 0*f + v is the
+    normal shadow of v over f, even though 0*f + v is not an immersion.
     """
-    base = surface_evaluator(cfg.curve)
+    surface = surface_evaluator(cfg.curve)
     c, v = cfg.scale, cfg.translation
     if c == 0.0:
         if v is None:
             raise ConfigError("scale 0 needs a translation vector")
-        return base, v
-    return (base if c == 1.0 and v is None else base.affine(scale=c, translation=v)), None
+    elif c != 1.0 or v is not None:
+        surface, v = surface.affine(scale=c, translation=v), None
+    pipe = SurfacePipeline(surface, cfg.grid, order)
+    return pipe, (pipe.evaluated if v is None
+                  else pipe.evaluated.affine(scale=0.0, translation=v)), v
 
 
-def _surface_pair(cfg: RunConfig):
-    """(surface evaluator, pedal evaluator) honoring scale and translation."""
-    surface, v = _member(cfg)
-    f = surface if v is None else surface.affine(scale=0.0, translation=v)
-    return f, normal_part_evaluator(surface, v)
+def _exported(cfg: RunConfig, what: str, order: int):
+    """(evaluation on the grid at `order`, label) of the surface `export`
+    writes; the member's pipeline is dropped on return."""
+    pipe, f_at, v = _member(cfg, order + 1)
+    if what == "f":
+        return f_at, "surface"
+    g_at = pipe.normal_surface(v)
+    if what == "g":
+        return g_at, "pedal surface"
+    center = (_generic_vector(g_at.ambient_dim) if cfg.translation is None
+              else np.asarray(cfg.translation, dtype=float))
+    radius = float(cfg.lattice["radius"])
+    x, y = pipe.x, pipe.y
+    jets, valid = invert_jets(*g_at.evaluate(x, y, order), center, radius)
+    where = f"center={np.round(center, 6).tolist()}, radius={radius:g}"
+    center_txt = ", ".join(f"{c:g}" for c in center)
+    return (SurfaceEvaluator.of_jets(f"invert({g_at.provenance}; {where})", x, y, jets, valid),
+            f"inverted pedal surface (center [{center_txt}], radius {radius:g})")
 
 
 def _exclusion_exit(excluded: int, total: int) -> int:
@@ -160,13 +178,11 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 
 def cmd_pedal(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    surface, v = _member(cfg)
-    proj = _projection(args, surface.ambient_dim)
-    grid = cfg.grid
     # one evaluation of the surface feeds both meshes, the table and the
     # exclusions
-    pipe = SurfacePipeline(surface, grid, max(3, cfg.jet_order - 1))
-    f_at = pipe.evaluated if v is None else pipe.evaluated.affine(scale=0.0, translation=v)
+    pipe, f_at, v = _member(cfg, max(3, cfg.jet_order - 1))
+    proj = _projection(args, f_at.ambient_dim)
+    grid = cfg.grid
     g_at = pipe.normal_surface(v)
     f_path = os.path.join(out, "f.obj")
     g_path = os.path.join(out, "g.obj")
@@ -216,13 +232,18 @@ def _report_exit(report) -> int:
     return 1
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    report = run_all(cfg)
-    out = _out_dir(cfg)
-    path = os.path.join(out, "report.json")
+def _write_report(cfg: RunConfig, report) -> str:
+    """Write report.json to the output directory; returns its path."""
+    path = os.path.join(_out_dir(cfg), "report.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report_to_json(report))
         fh.write("\n")
+    return path
+
+
+def cmd_verify(cfg: RunConfig, args) -> int:
+    report = run_all(cfg)
+    path = _write_report(cfg, report)
     _print_check_lines(report)
     print(f"status: {report['status']}")
     print(f"wrote {path}")
@@ -231,34 +252,21 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_export(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    f_eval, g_eval = _surface_pair(cfg)
-    if args.what == "f":
-        target, label = f_eval, "surface"
-    elif args.what == "g":
-        target, label = g_eval, "pedal surface"
-    else:
-        center = (np.asarray(cfg.translation, dtype=float)
-                  if cfg.translation is not None
-                  else _generic_vector(g_eval.ambient_dim))
-        radius = float(cfg.lattice["radius"])
-        inv = InversionSpec(center=tuple(center), radius=radius)
-        target = invert_evaluator(g_eval, inv)
-        center_txt = "[" + ", ".join(f"{float(c):g}" for c in center) + "]"
-        label = f"inverted pedal surface (center {center_txt}, radius {radius:g})"
     grid = cfg.grid
     order = 2 if args.format == "obj" else max(2, cfg.jet_order)
-    # one evaluation feeds the file and the rank note
-    target = target.evaluated(*grid.points(), order)
+    target, label = _exported(cfg, args.what, order)
+    # one bundle of the exported surface feeds the table and the rank note
+    bundle = SurfaceJets(target, *grid.points(), order)
     if args.format == "obj":
         proj = _projection(args, target.ambient_dim)
         path = os.path.join(out, f"{args.what}.obj")
         excluded = export_obj(target, grid, path, projection=proj, label=label)
     else:
         path = os.path.join(out, f"{args.what}.csv")
-        _, excluded = write_geometry_csv(target, grid, path, order=order)
+        _, excluded = write_geometry_csv(bundle, grid, path)
     print(f"wrote {path}")
     print(f"excluded points: {excluded} of {grid.size}")
-    ranks = rank_note(target, grid)
+    ranks = rank_note(bundle, grid)
     if ranks:
         print(f"first normal bundle rank over the grid: {ranks}")
     return _exclusion_exit(excluded, grid.size)
@@ -294,11 +302,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         print(f"weakest refutation margin: defect / threshold = {worst_lower:.2e}")
     print(f"status: {report['status']}")
     if cfg.out_dir:
-        path = os.path.join(_out_dir(cfg), "report.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report_to_json(report))
-            fh.write("\n")
-        print(f"wrote {path}")
+        print(f"wrote {_write_report(cfg, report)}")
     return _report_exit(report)
 
 

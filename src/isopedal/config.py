@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,16 +29,27 @@ DEFAULT_JET_ORDER = 4
 DEFAULT_LATTICE = {"per_axis": 3, "lo": -1.6, "hi": 1.6, "radius": 1.0}
 
 
+def _finite(value, what) -> float:
+    """`value` as a float; a ConfigError unless it is a finite number."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return out
+
+
 def parse_complex(obj):
-    """A number or an [re, im] pair -> python complex."""
+    """A finite number or [re, im] pair -> python complex."""
     if isinstance(obj, (int, float)):
-        return complex(obj)
+        obj = (obj, 0.0)
     if (
         isinstance(obj, (list, tuple))
         and len(obj) == 2
         and all(isinstance(v, (int, float)) for v in obj)
     ):
-        return complex(obj[0], obj[1])
+        return complex(*(_finite(v, "curve coefficient") for v in obj))
     raise ConfigError(f"expected a number or [re, im] pair, got {obj!r}")
 
 
@@ -95,7 +107,6 @@ class RunConfig:
     lattice: dict = field(default_factory=lambda: dict(DEFAULT_LATTICE))
     checks: Optional[tuple] = None   # id prefixes to run; None = all
     out_dir: Optional[str] = None
-    source: dict = field(default_factory=dict)  # the raw JSON document
 
     def __post_init__(self):
         if self.jet_order < 2:
@@ -103,9 +114,11 @@ class RunConfig:
         if self.grid.nx < 2 or self.grid.ny < 2:
             raise ConfigError("grid needs nx >= 2 and ny >= 2")
         for name, val in self.tolerances.items():
-            if not isinstance(val, (int, float)) or val <= 0:
+            if not isinstance(val, (int, float)) or _finite(val, f"tolerance {name!r}") <= 0:
                 raise ConfigError(f"tolerance override {name!r} must be positive")
+        self.scale = _finite(self.scale, "scale")
         if self.translation is not None:
+            self.translation = tuple(_finite(v, "translation component") for v in self.translation)
             if len(self.translation) != self.curve.ambient_dim:
                 raise ConfigError(
                     f"translation has dimension {len(self.translation)}, "
@@ -113,7 +126,9 @@ class RunConfig:
                 )
         lat = dict(DEFAULT_LATTICE)
         lat.update(self.lattice or {})
-        if int(lat["per_axis"]) < 1 or lat["radius"] <= 0:
+        for key in ("lo", "hi", "radius"):
+            _finite(lat[key], f"lattice {key}")
+        if int(_finite(lat["per_axis"], "lattice per_axis")) < 1 or lat["radius"] <= 0:
             raise ConfigError("lattice needs per_axis >= 1 and radius > 0")
         self.lattice = lat
 
@@ -131,9 +146,6 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         curve = _curve_from_config(doc)
         grid = Grid.from_config(doc["grid"]) if "grid" in doc else Grid()
-        translation = doc.get("translation")
-        if translation is not None:
-            translation = tuple(float(v) for v in translation)
         checks = doc.get("checks")
         if checks is not None:
             if isinstance(checks, str):
@@ -144,12 +156,11 @@ class RunConfig:
             grid=grid,
             jet_order=int(doc.get("jet_order", DEFAULT_JET_ORDER)),
             tolerances=dict(doc.get("tolerances", {})),
-            scale=float(doc.get("scale", 1.0)),
-            translation=translation,
+            scale=doc.get("scale", 1.0),
+            translation=doc.get("translation"),
             lattice=dict(doc.get("lattice", {})),
             checks=checks,
             out_dir=doc.get("out"),
-            source=doc,
         )
 
     def canonical_document(self) -> dict:

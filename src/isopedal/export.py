@@ -5,7 +5,9 @@ onto the first three coordinates, optionally through a user-supplied
 3 x n matrix.  The projection used is recorded in the OBJ header, so a
 mesh is always self-describing.  Vertices follow the grid's row-major
 point order (x varies fastest); each grid quad is split into two
-triangles, and faces touching an excluded grid point are dropped.
+triangles, and faces touching an excluded grid point are dropped.  The
+geometry table and the rank note read one `SurfaceJets` bundle of the
+exported surface over the grid's points.
 """
 
 from __future__ import annotations
@@ -133,10 +135,10 @@ def _fmt(v):
     return repr(float(v))
 
 
-def geometry_table(surface: SurfaceEvaluator, grid: Grid, order: int = 4):
-    """Rows of curvature invariants over the grid (row-major point order)."""
-    x, y = grid.points()
-    bundle = SurfaceJets(surface, x, y, order)
+def geometry_table(bundle: SurfaceJets, grid: Grid):
+    """Rows of curvature invariants over the grid (row-major point
+    order), from the surface's bundle on the grid's points."""
+    x, y = bundle.x, bundle.y
     keep = grid.premask() & bundle.valid
     sc = bundle.curvature_scalars()
     d1, _ = bundle.circle_defect(1)
@@ -158,9 +160,10 @@ def geometry_table(surface: SurfaceEvaluator, grid: Grid, order: int = 4):
     return rows
 
 
-def write_geometry_csv(surface: SurfaceEvaluator, grid: Grid, path, order: int = 4):
-    """Curvature invariants over the grid as CSV; returns (rows, excluded)."""
-    rows = geometry_table(surface, grid, order)
+def write_geometry_csv(bundle: SurfaceJets, grid: Grid, path):
+    """Curvature invariants of the bundle's surface over the grid as CSV;
+    returns (rows, excluded)."""
+    rows = geometry_table(bundle, grid)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GEOMETRY_COLUMNS)
@@ -205,10 +208,9 @@ def write_pedal_csv(pb: PedalBundle, grid: Grid, path, reg):
     return x.size, int(np.sum(~pre | reg["excluded"]))
 
 
-def rank_note(surface: SurfaceEvaluator, grid: Grid, order: int = 2):
-    """Distinct first-normal ranks over the grid (diagnostic)."""
-    x, y = grid.points()
-    bundle = SurfaceJets(surface, x, y, order)
+def rank_note(bundle: SurfaceJets, grid: Grid):
+    """Distinct first-normal ranks of the bundle's surface over the grid
+    (diagnostic)."""
     keep = grid.premask() & bundle.valid
     rank, _ = first_normal_rank(bundle)
     vals = sorted(set(int(r) for r in rank[keep])) if np.any(keep) else []

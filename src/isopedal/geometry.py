@@ -115,11 +115,8 @@ class SurfaceJets:
         det = E0 * G0 - F0 * F0
         scale = np.maximum(E0, G0)
         self.immersed = base & (det > IMMERSION_RTOL * scale * scale) & (scale > 0)
-        frames, rows, ok = jet_gram_schmidt(
-            [fx, fy], eps=FRAME_EPS, guard=self.immersed, with_coeffs=True
-        )
-        self.e1, self.e2 = frames
-        self._rows = rows
+        (self.e1, self.e2), self._invs, ok = jet_gram_schmidt(
+            [fx, fy], eps=FRAME_EPS, guard=self.immersed)
         self.valid = self.immersed & ok
         self._levels = []
         self._levels_valid = self.valid
@@ -150,8 +147,14 @@ class SurfaceJets:
         return self._cache[key]
 
     def tangent_coeff_jets(self):
-        """(a, b, c) with e1 = a f_x and e2 = b f_x + c f_y."""
-        return self._rows[0][0], self._rows[1][0], self._rows[1][1]
+        """(a, b, c) with e1 = a f_x and e2 = b f_x + c f_y: a and c are
+        the reciprocal norms of f_x and of f_y's residual off e1, and
+        b = -a <f_y, e1> c."""
+        key = "tangent_coeffs"
+        if key not in self._cache:
+            a, c = self._invs
+            self._cache[key] = (a, -(a * self.partial(0, 1).dot(self.e1)) * c, c)
+        return self._cache[key]
 
     def complex_tangent_coeffs(self):
         """(cx, cy) with (e1 - i e2)/2 = cx f_x + cy f_y (jets)."""
@@ -308,7 +311,7 @@ class SurfaceJets:
         prev_valid = self._levels_valid
         ok = prev_valid & (rank == expected)
         if expected >= 1:
-            frames, gs_ok = jet_gram_schmidt([u, v][:expected], eps=FRAME_EPS, guard=ok)
+            frames, _, gs_ok = jet_gram_schmidt([u, v][:expected], eps=FRAME_EPS, guard=ok)
             ok = ok & gs_ok
         else:
             frames = []
@@ -347,9 +350,7 @@ class SurfaceJets:
         """Connection 1-forms on the frame directions.
 
         Returns a dict with
-          psi:   array (2, *batch), <D_{e_i} e1, e2>
           omega: array (2, nf, nf, *batch), omega[i, a, b] = <D_{e_i} e_{a+3}, e_{b+3}>
-          frames: the normal frame jets used
           valid: mask
         Only flag levels whose frames are jets of order >= 1 (levels up
         to jet order - 2) can be differentiated, so deeper levels are left
@@ -359,9 +360,6 @@ class SurfaceJets:
         if key not in self._cache:
             nfr = self.normal_frames(min(self.flag_capacity(), self.order - 2))
             X = self.frame_domain_vectors()
-            psi = np.stack(
-                [self.directional(self.e1, Xi).dot(self.e2).value().real for Xi in X]
-            )
             nf = len(nfr)
             omega = np.zeros((2, nf, nf) + self.batch)
             for i, Xi in enumerate(X):
@@ -371,12 +369,7 @@ class SurfaceJets:
                         val = ders[aa].dot(nfr[bb]).value().real
                         omega[i, aa, bb] = val
                         omega[i, bb, aa] = -val
-            self._cache[key] = {
-                "psi": psi,
-                "omega": omega,
-                "frames": nfr,
-                "valid": self._levels_valid,
-            }
+            self._cache[key] = {"omega": omega, "valid": self._levels_valid}
         return self._cache[key]
 
 

@@ -30,6 +30,8 @@ class Grid:
     excluded: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not all(np.isfinite((self.x0, self.x1, self.y0, self.y1))):
+            raise ConfigError("grid window bounds must be finite")
         if not (self.x1 >= self.x0 and self.y1 >= self.y0):
             raise ConfigError("grid window is empty (x1 < x0 or y1 < y0)")
         if self.nx < 1 or self.ny < 1:

@@ -452,22 +452,18 @@ def jet_lift(curve, x, y, order=DEFAULT_ORDER):
     return JetVec(comps)
 
 
-def jet_gram_schmidt(vectors, guard, eps=1e-9, with_coeffs=False):
+def jet_gram_schmidt(vectors, guard, eps=1e-9):
     """Classical Gram-Schmidt on jet vectors, in jet arithmetic.
 
-    Returns `(frames, ok)`: orthonormal jet frames spanning the same flag
-    of subspaces (orthonormality holds as a jet identity through the
-    input order), and the per-point mask `ok`, which is `guard` without
-    the points where a residual's norm falls below `eps` times the input
-    scale; frames hold junk outside it.
-
-    With `with_coeffs=True` returns `(frames, rows, ok)`, where rows are
-    the lower-triangular jet coefficients L with
-    frames[i] = sum_j L[i][j] * vectors[j].
+    Returns `(frames, invs, ok)`: orthonormal jet frames spanning the same
+    flag of subspaces (orthonormality holds as a jet identity through the
+    input order), the reciprocal norms of the residuals they normalise
+    (frames[i] = invs[i] * residual i), and the per-point mask `ok`, which
+    is `guard` without the points where a residual's norm falls below
+    `eps` times the input scale; frames hold junk outside it.
     """
     if not vectors:
         raise ValueError("need at least one vector")
-    order = vectors[0].order
     batch = np.broadcast_shapes(*[v.batch for v in vectors])
     scale_sq = np.zeros(batch)
     for v in vectors:
@@ -475,21 +471,14 @@ def jet_gram_schmidt(vectors, guard, eps=1e-9, with_coeffs=False):
     ok = np.broadcast_to(np.asarray(guard, bool), batch).copy()
 
     frames = []
-    rows = []
-    nvec = len(vectors)
-    for i, v in enumerate(vectors):
+    invs = []
+    for v in vectors:
         w = v
-        row = [Jet.zeros(order, batch) for _ in range(nvec)]
-        row[i] = Jet.const(np.ones(batch), order)
-        for j, e in enumerate(frames):
-            d = w.dot(e)
-            w = w - e.scale(d)
-            if with_coeffs:
-                row = [rc - rj * d for rc, rj in zip(row, rows[j])]
+        for e in frames:
+            w = w - e.scale(w.dot(e))
         nsq = w.norm_sq()
         ok &= nsq.value().real > (eps ** 2) * scale_sq
         inv = nsq.sqrt(guard=ok).recip(guard=ok)
         frames.append(w.scale(inv))
-        if with_coeffs:
-            rows.append([rc * inv for rc in row])
-    return (frames, rows, ok) if with_coeffs else (frames, ok)
+        invs.append(inv)
+    return frames, invs, ok

@@ -23,7 +23,9 @@ mean curvature is (2/osc_norm_sq)(tangential part - delta).
 
 Jet bookkeeping: g involves first derivatives of f and delta second
 ones, so a pedal jet of trusted order k is built from an f jet of order
-k + 1 (the evaluator below does this automatically).
+k + 1.  `pedal_surface` is the pedal as a lazy evaluator; a
+`SurfacePipeline` composes the pedal, and the normal shadow of a
+constant vector, on one evaluation of f over a grid.
 """
 
 from __future__ import annotations
@@ -129,35 +131,19 @@ def normal_part(bundle: SurfaceJets, order: int, v=None):
     return part.truncate(order), bundle.valid
 
 
-def normal_part_evaluator(surface: SurfaceEvaluator, v=None) -> SurfaceEvaluator:
-    """Evaluator of the normal part of a vector field along `surface`.
+def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
+    """Evaluator of the pedal surface of `surface`.
 
-    With v None this is the pedal surface of `surface`; with a constant
-    vector v it is the normal shadow of v, the c = 0 member of the
-    shifted pedal family (the pedal of c*f + v is c*(pedal of f) +
-    (shadow of v), and the shadow survives c -> 0).  Base jets are
-    requested one order higher, so the result is exact at the requested
-    order.  The mask marks points where the base surface is an immersion
-    with well-conditioned frames; degeneracy of the result's own metric
-    (for the pedal, K * osc_norm_sq -> 0) is left to downstream geometry.
+    Base jets are requested one order higher, so the result is exact at
+    the requested order.  The mask marks points where the base surface is
+    an immersion with well-conditioned frames; degeneracy of the pedal's
+    own metric (K * osc_norm_sq -> 0) is left to downstream geometry.
     """
-    kind = "pedal" if v is None else "shadow"
-    if v is not None:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (surface.ambient_dim,):
-            raise ConfigError(
-                f"shadow vector has dimension {v.shape}, surface {surface.ambient_dim}"
-            )
 
     def fn(x, y, order):
-        return normal_part(SurfaceJets(surface, x, y, order + 1), order, v)
+        return normal_part(SurfaceJets(surface, x, y, order + 1), order)
 
-    return SurfaceEvaluator(surface.ambient_dim, f"{kind}({surface.provenance})", fn)
-
-
-def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
-    """Evaluator of the pedal surface of `surface`."""
-    return normal_part_evaluator(surface)
+    return SurfaceEvaluator(surface.ambient_dim, f"pedal({surface.provenance})", fn)
 
 
 class SurfacePipeline:
@@ -195,8 +181,11 @@ class SurfacePipeline:
         return pedal_split(self.base)
 
     def normal_surface(self, v=None) -> SurfaceEvaluator:
-        """The pedal (v None) or the normal shadow of v on the grid, from
-        the base bundle's jets (one order lower, see normal_part_evaluator)."""
+        """The pedal (v None) or the normal shadow of the constant vector v
+        on the grid, from the base bundle's jets, one order lower.  The
+        shadow is the c = 0 member of the shifted pedal family: the pedal
+        of c*f + v is c*(pedal of f) + (shadow of v), and the shadow
+        survives c -> 0."""
         kind = "pedal" if v is None else "shadow"
         return SurfaceEvaluator.of_jets(f"{kind}({self.evaluator.provenance})", self.x, self.y,
                                         *normal_part(self.base, self.order - 1, v))

@@ -71,7 +71,7 @@ from .geometry import (
 )
 from .grid import Grid
 from .jets import JetVec
-from .moebius import InversionSpec, invert_evaluator, invert_jets, minimality_residuals
+from .moebius import invert_jets, minimality_residuals
 from .pedal import SurfacePipeline
 from .weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
 
@@ -349,6 +349,18 @@ def _norms(values):
 
 def _values(jv: JetVec):
     return jv.value().real
+
+
+def _traceless_scale(bundle: SurfaceJets):
+    """sqrt(2 (|xi1|^2 + |xi2|^2)), the scale of the traceless second
+    form, pointwise."""
+    xi1, xi2 = bundle.traceless_second()
+    return np.sqrt(2.0 * (_norms(_values(xi1)) ** 2 + _norms(_values(xi2)) ** 2))
+
+
+def _mean_ratio(bundle: SurfaceJets):
+    """|H| in units of the traceless second-form scale, pointwise."""
+    return _norms(_values(bundle.mean_curvature())) / np.maximum(_traceless_scale(bundle), _TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -866,12 +878,11 @@ def verify_inversion_minimality(run: Run) -> dict:
     centers = _center_lattice(pipe.evaluator.ambient_dim, lattice)
 
     sp = pipe.split
-    valid = sp.valid.reshape(-1) & pipe.mask()
+    valid = pipe.mask()
     # mean curvature of the inverted pedal in units of its second-form
     # scale: both transform covariantly, so the ratio is computable from
     # base pedal data alone
-    xi1, xi2 = pipe.pedal.traceless_second()
-    tr_scale = np.sqrt(2.0 * (_norms(_values(xi1)) ** 2 + _norms(_values(xi2)) ** 2))
+    tr_scale = _traceless_scale(pipe.pedal)
     ratio_mins, margins = [], []
     for block in _lattice_blocks(centers.shape[0], valid.size):
         res = minimality_residuals(sp, centers[block], radius, valid=valid)
@@ -890,24 +901,18 @@ def verify_inversion_minimality(run: Run) -> dict:
     sub = pipe.on(5)
     # distinct indices, so a one-center lattice is sampled once
     picks = sorted({0, centers.shape[0] // 2, centers.shape[0] - 1})
-    sxi1, sxi2 = sub.pedal.traceless_second()
-    strs = np.sqrt(2.0 * (_norms(_values(sxi1)) ** 2 + _norms(_values(sxi2)) ** 2))
     # every sampled center in one call: a one-row product would round
     # differently depending on the memory layout of the cached arrays
     sres = minimality_residuals(sub.split, centers[picks], radius)
-    bundle = _inverted_pedals(sub, centers[picks], radius)
+    bundle = _inverted(sub.pedal_evaluated, sub, centers[picks], radius)
     masks = sub.pre & bundle.valid & sub.split.valid  # one row per center
-    Hd = _norms(_values(bundle.mean_curvature()))
-    x1, x2 = bundle.traceless_second()
-    sd = np.sqrt(2.0 * (_norms(_values(x1)) ** 2 + _norms(_values(x2)) ** 2))
-    direct_ratio = Hd / np.maximum(sd, _TINY)
     # ||H|| and the second-form scale of the inverted surface both carry
     # the factor rho/R^2 relative to base pedal data, so the dimensionless
     # ratio is 2*sqrt((r1^2+r2^2)/theta + r3^2) over (rho * base traceless
     # scale)
     hn_s = sres["mean_norm"] * radius**2 / (2.0 * sres["pos_sq"])
-    closed_ratio = 2.0 * hn_s / np.maximum(strs, _TINY)
-    diff = np.abs(direct_ratio - closed_ratio) / np.maximum(closed_ratio, _TINY)
+    closed_ratio = 2.0 * hn_s / np.maximum(_traceless_scale(sub.pedal), _TINY)
+    diff = np.abs(_mean_ratio(bundle) - closed_ratio) / np.maximum(closed_ratio, _TINY)
     worst = _max_defined(*(_masked_max(d, m) for d, m in zip(diff, masks)))
     kept = sub.pre & sub.split.valid & np.all(masks, axis=0)
     return {
@@ -931,15 +936,15 @@ def _rank_deviation(bundle: SurfaceJets):
     return np.abs(rank.astype(float) - 3.0)
 
 
-def _inverted_pedals(pipe: SurfacePipeline, centers, radius) -> SurfaceJets:
-    """Order-2 bundle of the pipeline's pedal inverted about each of the k
-    centers (shape (k, n)), stacked on a leading batch axis, all composed
-    on the pedal's one evaluation over the pipeline's grid."""
+def _inverted(surface: SurfaceEvaluator, pipe: SurfacePipeline, centers, radius) -> SurfaceJets:
+    """Order-2 bundle of `surface`, an evaluation on the pipeline's grid,
+    inverted about `centers`: one center, shape (n,), or k centers, shape
+    (k, n), whose inversions are stacked on a leading batch axis, all
+    composed on the surface's one evaluation."""
     x, y = pipe.x, pipe.y
-    jets, valid = invert_jets(*pipe.pedal_evaluated.evaluate(x, y, 2), centers, radius)
-    inverted = SurfaceEvaluator.of_jets(f"invert({pipe.pedal_evaluated.provenance})", x, y,
-                                        jets, valid)
-    return SurfaceJets(inverted, x, y, 2)
+    jets, valid = invert_jets(*surface.evaluate(x, y, 2), centers, radius)
+    return SurfaceJets(SurfaceEvaluator.of_jets(f"invert({surface.provenance})", x, y,
+                                                jets, valid), x, y, 2)
 
 
 def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
@@ -951,7 +956,7 @@ def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
         direction = rng.normal(size=pipe.evaluator.ambient_dim)
         direction /= np.linalg.norm(direction)
         centers.append(span * direction)
-    bundle = _inverted_pedals(pipe, np.array(centers), 1.0)
+    bundle = _inverted(pipe.pedal_evaluated, pipe, np.array(centers), 1.0)
     masks = pipe.pre & bundle.valid  # one row per inversion
     defects = [d for d in map(_masked_max, _rank_deviation(bundle), masks) if d is not None]
     return max(defects, default=None), len(defects), pipe.pre & np.all(masks, axis=0)
@@ -1038,13 +1043,9 @@ def verify_shifted_pedals(run: Run) -> dict:
         out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow.valid,
                                                              sub.grid)
     if run.wants("shifted_pedal.inverted_minimal"):
-        inv = InversionSpec(center=tuple(v), radius=1.0)
-        inverted = SurfaceJets(invert_evaluator(shadow_at, inv), sx, sy, 2)
-        Hn = _norms(_values(inverted.mean_curvature()))
-        ix1, ix2 = inverted.traceless_second()
-        iscale = np.sqrt(2.0 * (_norms(_values(ix1)) ** 2 + _norms(_values(ix2)) ** 2))
+        inverted = _inverted(shadow_at, sub, v, 1.0)
         out["shifted_pedal.inverted_minimal"] = Outcome(
-            Hn / np.maximum(iscale, _TINY), spre & inverted.valid, sub.grid)
+            _mean_ratio(inverted), spre & inverted.valid, sub.grid)
 
     # rank of the first normal bundle: the pedal itself, then random
     # inversions of it, then the same pair for the R^8 three-circle surface

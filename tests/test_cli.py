@@ -1,6 +1,11 @@
 """End-to-end command-line behavior: artifacts, summaries, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,19 @@ from isopedal.weierstrass import surface_evaluator
 
 SMALL = "0.3,1.3,0.3,1.3,5,5"
 V6 = [0.9, -0.4, 0.7, 0.3, -0.8, 0.5]
+# sha256 of stdout and of every file written by the pedal and export
+# commands on the configs below, frozen: a change that alters a byte of
+# them replaces this file and says why
+CLI_ARTIFACTS = Path(__file__).parent / "data" / "cli_artifacts.json"
+ARTIFACT_CONFIGS = {
+    "default": {"seed_preset": "holo3", "grid": SMALL},
+    "branch_window": {"seed_preset": "holo3", "grid": "-0.5,0.5,-0.5,0.5,11,11"},
+    "scale_0": {"seed_preset": "holo3", "grid": SMALL, "scale": 0.0, "translation": V6},
+    "scale_0.7": {"seed_preset": "holo3", "grid": SMALL, "scale": 0.7, "translation": V6},
+}
+ARTIFACT_COMMANDS = {"pedal": ["pedal"], **{
+    f"export_{what}_{fmt}": ["export", "--what", what, "--format", fmt]
+    for what in ("f", "g", "inverted") for fmt in ("obj", "csv")}}
 
 
 def write_json(path, doc):
@@ -270,9 +288,74 @@ def test_export_skewed_projection_warns(tmp_path):
     assert code == 0
 
 
+def artifact_hashes(doc, workdir):
+    """{command: {"exit", "stdout", file name: sha256}} of every command of
+    ARTIFACT_COMMANDS run on the config `doc` in `workdir`, each writing
+    to its own relative output directory."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        write_json(Path("config.json"), doc)
+        out = {}
+        for name, argv in ARTIFACT_COMMANDS.items():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(argv + ["--config", "config.json", "--out", name])
+            rec = {"exit": code,
+                   "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+            for path in sorted(Path(name).iterdir()):
+                rec[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            out[name] = rec
+        return out
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.mark.parametrize("config", sorted(ARTIFACT_CONFIGS))
+def test_cli_artifacts_are_frozen(tmp_path, config):
+    frozen = json.loads(CLI_ARTIFACTS.read_text())[config]
+    assert artifact_hashes(ARTIFACT_CONFIGS[config], tmp_path) == frozen
+
+
 # ---------------------------------------------------------------------------
 # configuration errors -> exit 2
 # ---------------------------------------------------------------------------
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command", [["pedal"], ["verify"], ["export", "--what", "inverted"]],
+                         ids=["pedal", "verify", "export"])
+@pytest.mark.parametrize("doc", [
+    {"scale": NAN},
+    {"scale": INF},
+    {"curve": [[0, 1], [0, 0, INF]]},
+    {"curve": [[0, 1], [0, 0, [1, NAN]]]},
+    {"translation": [0.9, -0.4, NAN, 0.3, -0.8, 0.5]},
+    {"tolerances": {"pedal_conformal": NAN}},
+    {"tolerances": {"pedal_conformal": INF}},
+    {"lattice": {"radius": INF}},
+    {"lattice": {"lo": NAN}},
+    {"lattice": {"hi": -INF}},
+    {"lattice": {"per_axis": NAN}},
+    {"grid": {"x1": INF, "nx": 5, "ny": 5}},
+    {"grid": {"y0": NAN, "nx": 5, "ny": 5}},
+], ids=["scale-nan", "scale-inf", "curve-inf", "curve-nan-imag", "translation-nan",
+        "tolerance-nan", "tolerance-inf", "radius-inf", "lo-nan", "hi-inf", "per-axis-nan",
+        "window-inf", "window-nan"])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, doc):
+    if "curve" not in doc:
+        doc = {"seed_preset": "holo3", "grid": SMALL, **doc}
+    elif "grid" not in doc:
+        doc = {"grid": SMALL, **doc}
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert main(command + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "finite" in lines[0]
+    assert captured.out == ""
 
 
 def test_bad_grid_string_exits_2(tmp_path, capsys):

@@ -24,6 +24,11 @@ def holo3():
     return surface_evaluator(preset_curve("holo3"))
 
 
+def holo3_bundle(grid, order=4):
+    """The bundle of holo3 over the grid's points."""
+    return SurfaceJets(holo3(), *grid.points(), order)
+
+
 def holo3_split(grid):
     """The pedal decomposition of holo3 over the grid, from order-3 jets."""
     return pedal_split(SurfaceJets(holo3(), *grid.points(), 3))
@@ -110,7 +115,8 @@ def test_grid_faces_count_without_mask():
 
 def test_geometry_csv_columns_and_content(tmp_path):
     path = tmp_path / "geom.csv"
-    rows, excluded = write_geometry_csv(holo3(), Grid(nx=4, ny=3), path)
+    grid = Grid(nx=4, ny=3)
+    rows, excluded = write_geometry_csv(holo3_bundle(grid), grid, path)
     assert rows == 12 and excluded == 0
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(GEOMETRY_COLUMNS)
@@ -128,8 +134,9 @@ def test_geometry_csv_columns_and_content(tmp_path):
 
 def test_geometry_csv_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_geometry_csv(holo3(), Grid(nx=5, ny=5), p1)
-    write_geometry_csv(holo3(), Grid(nx=5, ny=5), p2)
+    grid = Grid(nx=5, ny=5)
+    write_geometry_csv(holo3_bundle(grid), grid, p1)
+    write_geometry_csv(holo3_bundle(grid), grid, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -22,7 +22,8 @@ from isopedal.geometry import (
     third_form_recursive_defect,
 )
 from isopedal.grid import Grid
-from isopedal.weierstrass import preset_curve, surface_evaluator
+from isopedal.jets import Jet, JetVec
+from isopedal.weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
 
 
 def holo3():
@@ -171,6 +172,24 @@ def test_hodge_relations_select_minus_convention():
     assert np.max(res["minus"]) < 1e-10
     assert np.min(res["plus"]) > 1e-1
     assert np.max(np.abs(res["lam"] - 1.0)) < 1e-10
+
+
+def test_tangent_coefficients_express_the_frame_as_jets():
+    # a polynomial map that is not isothermal: <f_x, f_y> = 2x + xy + 2x^3 y
+    def fn(x, y, order):
+        X, Y = Jet.coordinate(x, 0, order), Jet.coordinate(y, 1, order)
+        return JetVec([X, Y + X * X, X * Y, (X * X) * Y]), None
+
+    b = SurfaceJets(SurfaceEvaluator(4, "polynomial", fn), np.array([0.4, 0.9]),
+                    np.array([0.7, -0.3]), 4)
+    assert np.all(b.valid)
+    fx, fy = b.partial(1, 0), b.partial(0, 1)
+    assert np.min(np.abs(fx.dot(fy).value())) > 0.1
+    a, bb, c = b.tangent_coeff_jets()
+    # every jet coefficient, not just the values
+    for frame, combination in ((b.e1, fx.scale(a)), (b.e2, fx.scale(bb) + fy.scale(c))):
+        assert frame.order == combination.order == 3
+        assert np.max(np.abs(frame.t - combination.t)) < 1e-12
 
 
 def test_connection_omega_antisymmetric():

@@ -187,7 +187,7 @@ def test_project_off_removes_components():
     x = Jet.coordinate(x0, 0, 3)
     y = Jet.coordinate(y0, 1, 3)
     u = JetVec([x, y, x * y])
-    frames, ok = jet_gram_schmidt([u], guard=np.ones(x0.shape, dtype=bool))
+    frames, _, ok = jet_gram_schmidt([u], guard=np.ones(x0.shape, dtype=bool))
     assert np.all(ok)
     w = JetVec([y, x, (x + y)])
     res = w.project_off(frames)
@@ -205,7 +205,7 @@ def test_gram_schmidt_orthonormal_in_jets():
         JetVec([x, y, x * y]),
         JetVec([y, x * x, x + y]),
     ]
-    frames, ok = jet_gram_schmidt(vecs, guard=np.ones(x0.shape, dtype=bool))
+    frames, _, ok = jet_gram_schmidt(vecs, guard=np.ones(x0.shape, dtype=bool))
     assert np.all(ok)
     for a in range(2):
         for b in range(2):

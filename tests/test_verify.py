@@ -17,8 +17,9 @@ from isopedal import moebius, verify
 from isopedal.config import RunConfig
 from isopedal.cpoly import cv_linear_map
 from isopedal.errors import ConfigError
+from isopedal.geometry import SurfaceJets
 from isopedal.grid import Grid
-from isopedal.pedal import SurfacePipeline, normal_part_evaluator, pedal_surface
+from isopedal.pedal import SurfacePipeline, normal_part, pedal_surface
 from isopedal.verify import (
     DEFAULT_TOLERANCES,
     _center_lattice,
@@ -192,13 +193,13 @@ def test_tolerance_override_respected():
 def test_shadow_surface_is_pedal_family_limit():
     ev = surface_evaluator(preset_curve("holo3"))
     v = np.array([0.9, -0.4, 0.7, 0.3, -0.8, 0.5])
-    shadow = normal_part_evaluator(ev, v)
     x = np.array([0.6, 1.0])
     y = np.array([0.8, 0.5])
+    shadow, _ = normal_part(SurfaceJets(ev, x, y, 3), 2, v)
     c = 0.25
     lhs = pedal_surface(ev.affine(scale=c, translation=v)).jets(x, y, 2).value().real
     g = pedal_surface(ev).jets(x, y, 2).value().real
-    rhs = c * g + shadow.jets(x, y, 2).value().real
+    rhs = c * g + shadow.value().real
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
