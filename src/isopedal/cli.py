@@ -30,10 +30,10 @@ from .errors import ConfigError, IsotropyViolation
 from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
 from .geometry import SurfaceJets, isotropy_order
 from .grid import Grid
-from .moebius import invert_jets
+from .moebius import InversionSpec, invert_evaluator
 from .pedal import SurfacePipeline, pedal_regularity
 from .verify import _generic_vector, report_to_json, run_all
-from .weierstrass import SurfaceEvaluator, surface_evaluator
+from .weierstrass import surface_evaluator
 
 DEFAULT_CONFIG = {"seed_preset": "holo3"}
 PROBE_X = (0.7, 1.1, 0.4)
@@ -121,9 +121,13 @@ def _member(cfg: RunConfig, order: int):
 
 
 def _exported(cfg: RunConfig, what: str, order: int):
-    """(evaluation on the grid at `order`, label) of the surface `export`
-    writes; the member's pipeline is dropped on return."""
-    pipe, f_at, v = _member(cfg, order + 1)
+    """(evaluation on the grid with jets up to `order`, label) of the
+    surface `export` writes; the member's pipeline is dropped on return.
+
+    The member f is evaluated at `order`, raised to the pipeline's floor of
+    3; the pedal g needs the member one order higher, and the inverted
+    pedal is g's inversion at `order`."""
+    pipe, f_at, v = _member(cfg, max(3, order) if what == "f" else order + 1)
     if what == "f":
         return f_at, "surface"
     g_at = pipe.normal_surface(v)
@@ -132,11 +136,9 @@ def _exported(cfg: RunConfig, what: str, order: int):
     center = (_generic_vector(g_at.ambient_dim) if cfg.translation is None
               else np.asarray(cfg.translation, dtype=float))
     radius = float(cfg.lattice["radius"])
-    x, y = pipe.x, pipe.y
-    jets, valid = invert_jets(*g_at.evaluate(x, y, order), center, radius)
-    where = f"center={np.round(center, 6).tolist()}, radius={radius:g}"
+    inverted = invert_evaluator(g_at, InversionSpec(tuple(center), radius))
     center_txt = ", ".join(f"{c:g}" for c in center)
-    return (SurfaceEvaluator.of_jets(f"invert({g_at.provenance}; {where})", x, y, jets, valid),
+    return (inverted.evaluated(pipe.x, pipe.y, order),
             f"inverted pedal surface (center [{center_txt}], radius {radius:g})")
 
 

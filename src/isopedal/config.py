@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
-from .grid import Grid
+from .grid import Grid, finite
 from .weierstrass import (
     IsotropicCurve,
     IsotropicSpec,
@@ -29,17 +28,6 @@ DEFAULT_JET_ORDER = 4
 DEFAULT_LATTICE = {"per_axis": 3, "lo": -1.6, "hi": 1.6, "radius": 1.0}
 
 
-def _finite(value, what) -> float:
-    """`value` as a float; a ConfigError unless it is a finite number."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return out
-
-
 def parse_complex(obj):
     """A finite number or [re, im] pair -> python complex."""
     if isinstance(obj, (int, float)):
@@ -49,7 +37,7 @@ def parse_complex(obj):
         and len(obj) == 2
         and all(isinstance(v, (int, float)) for v in obj)
     ):
-        return complex(*(_finite(v, "curve coefficient") for v in obj))
+        return complex(*(finite(v, "curve coefficient") for v in obj))
     raise ConfigError(f"expected a number or [re, im] pair, got {obj!r}")
 
 
@@ -114,11 +102,11 @@ class RunConfig:
         if self.grid.nx < 2 or self.grid.ny < 2:
             raise ConfigError("grid needs nx >= 2 and ny >= 2")
         for name, val in self.tolerances.items():
-            if not isinstance(val, (int, float)) or _finite(val, f"tolerance {name!r}") <= 0:
+            if not isinstance(val, (int, float)) or finite(val, f"tolerance {name!r}") <= 0:
                 raise ConfigError(f"tolerance override {name!r} must be positive")
-        self.scale = _finite(self.scale, "scale")
+        self.scale = finite(self.scale, "scale")
         if self.translation is not None:
-            self.translation = tuple(_finite(v, "translation component") for v in self.translation)
+            self.translation = tuple(finite(v, "translation component") for v in self.translation)
             if len(self.translation) != self.curve.ambient_dim:
                 raise ConfigError(
                     f"translation has dimension {len(self.translation)}, "
@@ -127,8 +115,8 @@ class RunConfig:
         lat = dict(DEFAULT_LATTICE)
         lat.update(self.lattice or {})
         for key in ("lo", "hi", "radius"):
-            _finite(lat[key], f"lattice {key}")
-        if int(_finite(lat["per_axis"], "lattice per_axis")) < 1 or lat["radius"] <= 0:
+            finite(lat[key], f"lattice {key}")
+        if int(finite(lat["per_axis"], "lattice per_axis")) < 1 or lat["radius"] <= 0:
             raise ConfigError("lattice needs per_axis >= 1 and radius > 0")
         self.lattice = lat
 
@@ -154,7 +142,7 @@ class RunConfig:
         return RunConfig(
             curve=curve,
             grid=grid,
-            jet_order=int(doc.get("jet_order", DEFAULT_JET_ORDER)),
+            jet_order=int(finite(doc.get("jet_order", DEFAULT_JET_ORDER), "jet_order")),
             tolerances=dict(doc.get("tolerances", {})),
             scale=doc.get("scale", 1.0),
             translation=doc.get("translation"),

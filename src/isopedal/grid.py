@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,6 +11,17 @@ from .errors import ConfigError
 
 DEFAULT_WINDOW = (0.3, 1.3, 0.3, 1.3)
 DEFAULT_RES = 21
+
+
+def finite(value, what) -> float:
+    """`value` as a float; a ConfigError unless it is a finite number."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,28 +94,27 @@ class Grid:
         for d in obj.get("excluded_disks", ()):
             try:
                 if isinstance(d, dict):
-                    disks.append((float(d["center"][0]), float(d["center"][1]),
-                                  float(d["radius"])))
+                    cx, cy, r = d["center"][0], d["center"][1], d["radius"]
                 else:
                     cx, cy, r = d
-                    disks.append((float(cx), float(cy), float(r)))
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, IndexError, TypeError, ValueError):
                 raise ConfigError(
                     "excluded disk must be {center: [x, y], radius: r} "
                     f"or an [x, y, r] triple, got {d!r}"
                 ) from None
+            disks.append((finite(cx, "excluded disk center"), finite(cy, "excluded disk center"),
+                          finite(r, "excluded disk radius")))
         disks = tuple(disks)
         known = {"x0", "x1", "y0", "y1", "nx", "ny", "excluded_disks"}
         unknown = set(obj) - known
         if unknown:
             raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+        x0, x1, y0, y1 = (finite(obj.get(k, v), f"grid {k}")
+                          for k, v in zip(("x0", "x1", "y0", "y1"), DEFAULT_WINDOW))
         return Grid(
-            x0=float(obj.get("x0", DEFAULT_WINDOW[0])),
-            x1=float(obj.get("x1", DEFAULT_WINDOW[1])),
-            y0=float(obj.get("y0", DEFAULT_WINDOW[2])),
-            y1=float(obj.get("y1", DEFAULT_WINDOW[3])),
-            nx=int(obj.get("nx", DEFAULT_RES)),
-            ny=int(obj.get("ny", DEFAULT_RES)),
+            x0, x1, y0, y1,
+            nx=int(finite(obj.get("nx", DEFAULT_RES), "grid nx")),
+            ny=int(finite(obj.get("ny", DEFAULT_RES), "grid ny")),
             excluded=disks,
         )
 

@@ -4,7 +4,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -288,33 +287,29 @@ def test_export_skewed_projection_warns(tmp_path):
     assert code == 0
 
 
-def artifact_hashes(doc, workdir):
+def artifact_hashes(doc):
     """{command: {"exit", "stdout", file name: sha256}} of every command of
-    ARTIFACT_COMMANDS run on the config `doc` in `workdir`, each writing
-    to its own relative output directory."""
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        write_json(Path("config.json"), doc)
-        out = {}
-        for name, argv in ARTIFACT_COMMANDS.items():
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = main(argv + ["--config", "config.json", "--out", name])
-            rec = {"exit": code,
-                   "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
-            for path in sorted(Path(name).iterdir()):
-                rec[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-            out[name] = rec
-        return out
-    finally:
-        os.chdir(cwd)
+    ARTIFACT_COMMANDS run on the config `doc` in the working directory,
+    each writing to its own relative output directory."""
+    write_json(Path("config.json"), doc)
+    out = {}
+    for name, argv in ARTIFACT_COMMANDS.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv + ["--config", "config.json", "--out", name])
+        rec = {"exit": code,
+               "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+        for path in sorted(Path(name).iterdir()):
+            rec[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        out[name] = rec
+    return out
 
 
 @pytest.mark.parametrize("config", sorted(ARTIFACT_CONFIGS))
-def test_cli_artifacts_are_frozen(tmp_path, config):
+def test_cli_artifacts_are_frozen(tmp_path, monkeypatch, config):
     frozen = json.loads(CLI_ARTIFACTS.read_text())[config]
-    assert artifact_hashes(ARTIFACT_CONFIGS[config], tmp_path) == frozen
+    monkeypatch.chdir(tmp_path)
+    assert artifact_hashes(ARTIFACT_CONFIGS[config]) == frozen
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +336,16 @@ NAN, INF = float("nan"), float("inf")
     {"lattice": {"per_axis": NAN}},
     {"grid": {"x1": INF, "nx": 5, "ny": 5}},
     {"grid": {"y0": NAN, "nx": 5, "ny": 5}},
+    {"grid": {"nx": INF, "ny": 5}},
+    {"grid": {"nx": 5, "ny": NAN}},
+    {"grid": {"nx": 5, "ny": 5, "excluded_disks": [[0.8, NAN, 0.1]]}},
+    {"grid": {"nx": 5, "ny": 5, "excluded_disks": [{"center": [0.8, 0.8], "radius": NAN}]}},
+    {"jet_order": NAN},
+    {"jet_order": INF},
 ], ids=["scale-nan", "scale-inf", "curve-inf", "curve-nan-imag", "translation-nan",
         "tolerance-nan", "tolerance-inf", "radius-inf", "lo-nan", "hi-inf", "per-axis-nan",
-        "window-inf", "window-nan"])
+        "window-inf", "window-nan", "nx-inf", "ny-nan", "disk-center-nan", "disk-radius-nan",
+        "jet-order-nan", "jet-order-inf"])
 def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, doc):
     if "curve" not in doc:
         doc = {"seed_preset": "holo3", "grid": SMALL, **doc}
