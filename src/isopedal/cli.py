@@ -257,12 +257,14 @@ def cmd_export(cfg: RunConfig, args) -> int:
     grid = cfg.grid
     order = 2 if args.format == "obj" else max(2, cfg.jet_order)
     target, label = _exported(cfg, args.what, order)
-    # one bundle of the exported surface feeds the table and the rank note
+    # one bundle of the exported surface feeds the mesh's mask, the table
+    # and the rank note, so both formats exclude the same points
     bundle = SurfaceJets(target, *grid.points(), order)
     if args.format == "obj":
         proj = _projection(args, target.ambient_dim)
         path = os.path.join(out, f"{args.what}.obj")
-        excluded = export_obj(target, grid, path, projection=proj, label=label)
+        excluded = export_obj(target, grid, path, projection=proj, label=label,
+                              keep=grid.premask() & bundle.valid)
     else:
         path = os.path.join(out, f"{args.what}.csv")
         _, excluded = write_geometry_csv(bundle, grid, path)

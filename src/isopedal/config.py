@@ -52,6 +52,18 @@ def parse_poly(obj) -> list:
     return [parse_complex(c) for c in obj]
 
 
+def _typed(value, types, name: str, what: str):
+    """`value`, which must be one of `types`; a ConfigError naming the
+    field `name` otherwise."""
+    if not isinstance(value, types):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _poly_list(value, name: str) -> list:
+    return [parse_poly(p) for p in _typed(value, (list, tuple), name, "a list of polynomials")]
+
+
 def _curve_from_config(doc: dict) -> IsotropicCurve:
     sources = [k for k in ("seed_preset", "spec", "curve", "ambient_curve")
                if k in doc]
@@ -64,18 +76,18 @@ def _curve_from_config(doc: dict) -> IsotropicCurve:
     if key == "seed_preset":
         return preset_curve(doc["seed_preset"])
     if key == "curve":
-        return holomorphic_curve([parse_poly(p) for p in doc["curve"]])
+        return holomorphic_curve(_poly_list(doc["curve"], "curve"))
     if key == "ambient_curve":
-        return ambient_curve([parse_poly(p) for p in doc["ambient_curve"]])
+        return ambient_curve(_poly_list(doc["ambient_curve"], "ambient_curve"))
     spec = doc["spec"]
     if not isinstance(spec, dict):
         raise ConfigError("spec must be an object")
     try:
         ispec = IsotropicSpec(
-            ambient_dim=int(spec["ambient_dim"]),
-            isotropy_order=int(spec["isotropy_order"]),
-            alpha0=[parse_poly(p) for p in spec.get("alpha0", [])],
-            betas=[parse_poly(p) for p in spec["betas"]],
+            ambient_dim=int(finite(spec["ambient_dim"], "spec ambient_dim")),
+            isotropy_order=int(finite(spec["isotropy_order"], "spec isotropy_order")),
+            alpha0=_poly_list(spec.get("alpha0", []), "spec alpha0"),
+            betas=_poly_list(spec["betas"], "spec betas"),
         )
     except KeyError as e:
         raise ConfigError(f"spec is missing field {e.args[0]!r}") from None
@@ -106,7 +118,8 @@ class RunConfig:
                 raise ConfigError(f"tolerance override {name!r} must be positive")
         self.scale = finite(self.scale, "scale")
         if self.translation is not None:
-            self.translation = tuple(finite(v, "translation component") for v in self.translation)
+            self.translation = tuple(finite(v, "translation component") for v in _typed(
+                self.translation, (list, tuple), "translation", "a list of numbers"))
             if len(self.translation) != self.curve.ambient_dim:
                 raise ConfigError(
                     f"translation has dimension {len(self.translation)}, "
@@ -138,17 +151,18 @@ class RunConfig:
         if checks is not None:
             if isinstance(checks, str):
                 checks = [c.strip() for c in checks.split(",") if c.strip()]
-            checks = tuple(str(c) for c in checks)
+            checks = tuple(str(c) for c in _typed(
+                checks, (list, tuple), "checks", "a list or a comma-separated string"))
         return RunConfig(
             curve=curve,
             grid=grid,
             jet_order=int(finite(doc.get("jet_order", DEFAULT_JET_ORDER), "jet_order")),
-            tolerances=dict(doc.get("tolerances", {})),
+            tolerances=dict(_typed(doc.get("tolerances", {}), dict, "tolerances", "an object")),
             scale=doc.get("scale", 1.0),
             translation=doc.get("translation"),
-            lattice=dict(doc.get("lattice", {})),
+            lattice=dict(_typed(doc.get("lattice", {}), dict, "lattice", "an object")),
             checks=checks,
-            out_dir=doc.get("out"),
+            out_dir=_typed(doc.get("out"), (str, type(None)), "out", "a directory path"),
         )
 
     def canonical_document(self) -> dict:

@@ -84,18 +84,20 @@ def write_obj(path, vertices, faces, header_lines=()):
 
 
 def export_obj(surface: SurfaceEvaluator, grid: Grid, path, projection=None,
-               label="surface"):
+               label="surface", keep=None):
     """Sample the surface over the grid and write a projected OBJ mesh.
 
     Returns the number of excluded grid points.  The mesh always contains
     every grid vertex (excluded ones carry their computed coordinates,
     which may be meaningless); faces touching an excluded point are
-    dropped so the visible mesh is trustworthy.
+    dropped so the visible mesh is trustworthy.  `keep` marks the points
+    to keep (default: the grid's premask and the evaluation's valid).
     """
     x, y = grid.points()
     jets, valid = surface.evaluate(x, y, 2)
     values = jets.value().real  # (n, P)
-    keep = grid.premask() & valid
+    if keep is None:
+        keep = grid.premask() & valid
     if projection is None:
         proj = default_projection(surface.ambient_dim)
         proj_note = "projection: first 3 of %d coordinates" % surface.ambient_dim

@@ -90,8 +90,11 @@ class Grid:
             return Grid.from_string(obj)
         if not isinstance(obj, dict):
             raise ConfigError("grid config must be an object or a string")
+        listed = obj.get("excluded_disks", ())
+        if not isinstance(listed, (list, tuple)):
+            raise ConfigError(f"grid excluded_disks must be a list, got {listed!r}")
         disks = []
-        for d in obj.get("excluded_disks", ()):
+        for d in listed:
             try:
                 if isinstance(d, dict):
                     cx, cy, r = d["center"][0], d["center"][1], d["radius"]

@@ -71,7 +71,7 @@ from .geometry import (
 )
 from .grid import Grid
 from .jets import JetVec
-from .moebius import invert_jets, minimality_residuals
+from .moebius import _minimality_points, invert_jets, minimality_residuals
 from .pedal import SurfacePipeline
 from .weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
 
@@ -373,13 +373,18 @@ class Run:
     its surface and those of the two reference surfaces (the one-circle
     control in R^6 and the three-circle surface in R^8), each built on
     first use on the run's grid and jet order, and the ids whose outcomes
-    the runner will report (None: all)."""
+    the runner will report (None: all).
+
+    One pipeline per distinct curve: a reference surface whose curve is
+    the config's own (holo4's `higher`, noniso's `control`) is `surface`."""
 
     def __init__(self, config: RunConfig, ids=None):
         self.config = config
         self.ids = ids
 
     def _build(self, curve):
+        if curve is not self.config.curve and curve.phi == self.config.curve.phi:
+            return self.surface
         return SurfacePipeline(surface_evaluator(curve), self.config.grid, self.config.jet_order)
 
     @cached_property
@@ -822,10 +827,22 @@ def verify_swillmore(run: Run) -> dict:
 
 
 # center x point elements per minimality_residuals call on the lattice: each
-# (centers, points) temporary is 512 KB whatever per_axis^n is.  Blocks of
-# 2^16 left the group about 1.5x faster than 2^17 or 2^18 on a 2-vCPU Xeon
-# with 2 MB of L2 per core, where a block's temporaries stay in cache.
+# (centers, points) temporary is 512 KB whatever per_axis^n is, and peak
+# lattice memory is one such block per worker of `_lattice_workers`.
+# Blocks of 2^16 left the group about 1.5x faster than 2^17 or 2^18 on a
+# 2-vCPU Xeon with 2 MB of L2 per core, where a block's temporaries stay
+# in cache.
 _LATTICE_BLOCK = 1 << 16
+
+
+def _lattice_workers(blocks: int) -> int:
+    """Threads for `blocks` lattice blocks: the usable CPUs, but no more
+    than one per eight blocks, since a thread pool costs more than it saves
+    on a small lattice (verify's default lattice has five blocks)."""
+    import os
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, blocks // 8)
 
 
 def _lattice_blocks(count: int, points: int):
@@ -867,10 +884,12 @@ def verify_inversion_minimality(run: Run) -> dict:
     sampled centers.
 
     The lattice is evaluated in blocks of at most _LATTICE_BLOCK
-    center x point elements, keeping a running minimum of the norm ratio
-    and the per-center system margins, so memory does not grow with the
+    center x point elements, each reduced to its minimum norm ratio and
+    its per-center system margins, so memory does not grow with the
     number of centers; ||g - p0||^2 comes from minimality_residuals'
-    pos_sq.
+    pos_sq.  A large lattice's blocks run on a small thread pool (numpy
+    releases the GIL inside each block's ufuncs), gathered in block
+    order, so the report does not depend on the number of workers.
     """
     pipe = run.surface
     lattice = run.config.lattice
@@ -883,14 +902,25 @@ def verify_inversion_minimality(run: Run) -> dict:
     # scale: both transform covariantly, so the ratio is computable from
     # base pedal data alone
     tr_scale = _traceless_scale(pipe.pedal)
-    ratio_mins, margins = [], []
-    for block in _lattice_blocks(centers.shape[0], valid.size):
+    _minimality_points(sp)  # fill the bundle's cache before workers read it
+
+    def reduced(block):
         res = minimality_residuals(sp, centers[block], radius, valid=valid)
         rho = res["pos_sq"]
         hn = res["mean_norm"] * radius**2 / (2.0 * rho)  # sqrt((r1^2+r2^2)/th + r3^2)
         ratio = 2.0 * hn / np.maximum(tr_scale[None, :], _TINY)
-        ratio_mins.append(np.min(np.where(valid[None, :], ratio, np.inf)))
-        margins.append(res["margin_per_center"])
+        return np.min(np.where(valid[None, :], ratio, np.inf)), res["margin_per_center"]
+
+    blocks = list(_lattice_blocks(centers.shape[0], valid.size))
+    workers = _lattice_workers(len(blocks))
+    if workers < 2:
+        ratio_mins, margins = zip(*map(reduced, blocks))
+    else:
+        # imported here: concurrent.futures loads logging, ~8 ms of start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            ratio_mins, margins = zip(*pool.map(reduced, blocks))
     margins = np.concatenate(margins)
     norm_defect = float(np.min(ratio_mins)) if np.any(valid) else None
     system_defect = float(margins.min()) if margins.size and np.any(valid) else None

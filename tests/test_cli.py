@@ -360,6 +360,30 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, doc):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"seed_preset": "holo3", "translation": 5}, "translation"),
+    ({"seed_preset": "holo3", "lattice": 5}, "lattice"),
+    ({"seed_preset": "holo3", "tolerances": [1]}, "tolerances"),
+    ({"seed_preset": "holo3", "checks": 5}, "checks"),
+    ({"curve": 3}, "curve"),
+    ({"spec": {"ambient_dim": "x", "isotropy_order": 2, "betas": [[1], [1], [1]]}},
+     "ambient_dim"),
+    ({"seed_preset": "holo3", "grid": {"nx": 5, "ny": 5, "excluded_disks": 5}},
+     "excluded_disks"),
+    ({"seed_preset": "holo3", "out": 5}, "out"),
+], ids=["translation", "lattice", "tolerances", "checks", "curve", "spec-ambient-dim",
+        "excluded-disks", "out"])
+def test_wrong_config_types_exit_2(tmp_path, monkeypatch, capsys, doc, field):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_json(tmp_path / "cfg.json", {"grid": SMALL, **doc})
+    assert main(["verify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert field in lines[0]
+    assert captured.out == ""
+
+
 def test_bad_grid_string_exits_2(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path), "--grid", "0,1,0,1,1,5"]) == 2
     assert "error:" in capsys.readouterr().err

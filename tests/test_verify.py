@@ -8,6 +8,8 @@ rather than numbers.
 """
 
 import itertools
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,9 @@ SMALL_GRID = Grid(nx=9, ny=9)
 # the holo3 report on the window through the branch point, frozen: its
 # masks and excluded counts must not move when samples are stacked
 BRANCH_REPORT = Path(__file__).parent / "data" / "report_branch_window.json"
+# holo4 in R^8 at order 5, frozen: 17 lattice blocks, so two or more usable
+# CPUs run its inversion lattice on a thread pool
+HOLO4_REPORT = Path(__file__).parent / "data" / "report_holo4.json"
 
 
 def small_config(**kw):
@@ -271,6 +276,31 @@ def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block
     assert all(c * pts <= block for c, pts in calls)
 
 
+# 3 centers a block makes 243 blocks, and 4 a block makes 183 that end in
+# blocks of 3 and 2: enough for a pool of two threads, whose gathered
+# defects must equal the dense lattice's bitwise
+@pytest.mark.parametrize("per_block", [3, 4])
+def test_pooled_inversion_lattice_equals_the_dense_lattice(monkeypatch, per_block):
+    pipe = SurfacePipeline(surface_evaluator(preset_curve("holo3")), SMALL_GRID, 4)
+    lattice = {"per_axis": 3, "lo": -1.6, "hi": 1.6, "radius": 1.0}
+    ref_norm, ref_system = _dense_inversion_defects(pipe, _center_lattice(6, lattice), 1.0)
+
+    monkeypatch.setattr(verify, "_LATTICE_BLOCK", per_block * SMALL_GRID.size)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threads = set()
+
+    def spy(pedal_bundle, C, radius, **kw):
+        if pedal_bundle.valid.size == SMALL_GRID.size:
+            threads.add(threading.get_ident())
+        return moebius.minimality_residuals(pedal_bundle, C, radius, **kw)
+
+    monkeypatch.setattr(verify, "minimality_residuals", spy)
+    got = verify_inversion_minimality(verify.Run(small_config(lattice=lattice)))
+    assert got["inversion.norm"].defect == ref_norm
+    assert got["inversion.system"].defect == ref_system
+    assert threads and threading.get_ident() not in threads
+
+
 def test_inversion_crosscheck_samples_distinct_centers():
     lattice = {"per_axis": 1, "lo": -1.6, "hi": 1.6, "radius": 1.0}
     got = verify_inversion_minimality(verify.Run(small_config(lattice=lattice)))
@@ -452,6 +482,20 @@ def test_inversion_crosscheck_does_not_depend_on_the_layout_of_the_cached_arrays
 def test_unknown_check_prefix_is_a_config_error():
     with pytest.raises(ConfigError, match="'bogus'.*pedal_circle"):
         run_all(small_config(checks=("generator", "bogus")))
+
+
+def test_holo4_report_bytes_are_frozen():
+    doc = {"seed_preset": "holo4", "grid": "0.3,1.3,0.3,1.3,13,13", "jet_order": 5}
+    report = run_all(RunConfig.from_document(doc))
+    assert report_to_json(report) == HOLO4_REPORT.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("preset, shared", [
+    ("holo4", "higher"), ("noniso", "control"), ("holo3", None)])
+def test_a_run_builds_one_pipeline_per_distinct_curve(preset, shared):
+    run = verify.Run(small_config(curve=preset_curve(preset)))
+    for name in ("control", "higher"):
+        assert (getattr(run, name) is run.surface) == (name == shared)
 
 
 # 11 x 11 puts a grid point on the branch point at the origin, where the
