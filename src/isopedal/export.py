@@ -12,7 +12,6 @@ exported surface over the grid's points.
 
 from __future__ import annotations
 
-import csv
 import warnings
 
 import numpy as np
@@ -52,35 +51,32 @@ def check_projection(proj, ambient_dim: int) -> np.ndarray:
 
 
 def grid_faces(grid: Grid, keep=None):
-    """Triangle index triples (0-based, row-major vertices).
+    """Triangle index triples (0-based, row-major vertices), shape (F, 3).
 
-    Each quad of the lattice splits into two triangles; faces with any
-    corner excluded by `keep` are dropped.
+    Each quad of the lattice splits into two triangles, listed quad by
+    quad in row-major order; faces with any corner excluded by `keep`
+    are dropped.
     """
     nx, ny = grid.nx, grid.ny
-    faces = []
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            v00 = iy * nx + ix
-            v10 = v00 + 1
-            v01 = v00 + nx
-            v11 = v01 + 1
-            for tri in ((v00, v10, v11), (v00, v11, v01)):
-                if keep is None or all(keep[v] for v in tri):
-                    faces.append(tri)
+    v00 = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)[None, :]).ravel()
+    v10, v01 = v00 + 1, v00 + nx
+    v11 = v01 + 1
+    faces = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    if keep is not None:
+        faces = faces[np.all(np.asarray(keep)[faces], axis=1)]
     return faces
 
 
 def write_obj(path, vertices, faces, header_lines=()):
-    """Write a triangle mesh; vertices is an (P, 3) array."""
+    """Write a triangle mesh; vertices is an (P, 3) array, faces (F, 3)
+    0-based indices."""
     vertices = np.asarray(vertices, dtype=float)
+    lines = [f"# {line}\n" for line in header_lines]
+    lines += [f"v {a:.17g} {b:.17g} {c:.17g}\n" for a, b, c in vertices.tolist()]
+    faces = np.asarray(faces, dtype=int).reshape(-1, 3) + 1
+    lines += [f"f {a} {b} {c}\n" for a, b, c in faces.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for v in vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for a, b, c in faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        fh.write("".join(lines))
 
 
 def export_obj(surface: SurfaceEvaluator, grid: Grid, path, projection=None,
@@ -127,19 +123,28 @@ GEOMETRY_COLUMNS = [
 ]
 
 
-def _fmt(v):
-    if v is None:
-        return "nan"
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _floats(a):
+    """CSV cells of a float column: `repr` of each value ('nan' for NaN)."""
+    return [repr(v) for v in np.asarray(a, dtype=float).tolist()]
 
 
-def geometry_table(bundle: SurfaceJets, grid: Grid):
-    """Rows of curvature invariants over the grid (row-major point
-    order), from the surface's bundle on the grid's points."""
+def _flags(a):
+    """CSV cells of a boolean column: '1' or '0'."""
+    return ["1" if v else "0" for v in np.asarray(a, dtype=bool).tolist()]
+
+
+def _write_csv(path, header, columns):
+    """Write the header and the rows of the cell `columns`, each line
+    ending in CRLF as `csv.writer` ends it (no cell needs quoting)."""
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def write_geometry_csv(bundle: SurfaceJets, grid: Grid, path):
+    """Curvature invariants of the bundle's surface over the grid as CSV,
+    one row per grid point in row-major order; returns (rows, excluded)."""
     x, y = bundle.x, bundle.y
     keep = grid.premask() & bundle.valid
     sc = bundle.curvature_scalars()
@@ -147,31 +152,13 @@ def geometry_table(bundle: SurfaceJets, grid: Grid):
     if bundle.flag_capacity() >= 2:
         d2, lam2 = bundle.circle_defect(2)
         lev_ok = bundle.flag(2)[1].valid
+        d2, lam2 = np.where(lev_ok, d2, np.nan), np.where(lev_ok, lam2, np.nan)
     else:
         d2 = lam2 = np.full(x.shape, np.nan)
-        lev_ok = np.zeros(x.shape, dtype=bool)
-    rows = []
-    for k in range(x.size):
-        rows.append([
-            x[k], y[k], sc["K"][k], sc["K_N"][k], sc["H_norm_sq"][k],
-            sc["wintgen_defect"][k], d1[k],
-            d2[k] if lev_ok[k] else None,
-            lam2[k] if lev_ok[k] else None,
-            0 if keep[k] else 1,
-        ])
-    return rows
-
-
-def write_geometry_csv(bundle: SurfaceJets, grid: Grid, path):
-    """Curvature invariants of the bundle's surface over the grid as CSV;
-    returns (rows, excluded)."""
-    rows = geometry_table(bundle, grid)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GEOMETRY_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return len(rows), sum(row[-1] for row in rows)
+    columns = [_floats(v) for v in (x, y, sc["K"], sc["K_N"], sc["H_norm_sq"],
+                                    sc["wintgen_defect"], d1, d2, lam2)]
+    _write_csv(path, GEOMETRY_COLUMNS, columns + [_flags(~keep)])
+    return x.size, int(np.sum(~keep))
 
 
 def pedal_columns(ambient_dim: int):
@@ -195,18 +182,10 @@ def write_pedal_csv(pb: PedalBundle, grid: Grid, path, reg):
     dn = np.sqrt(np.maximum(pb.first_normal_part.norm_sq().value().real, 0.0))
     en = np.sqrt(np.maximum(pb.higher_normal_part.norm_sq().value().real, 0.0))
     theta = pb.osc_norm_sq.value().real
-    znz, dnz = reg["tangent_nonzero"], reg["first_normal_nonzero"]
     imm = pb.base.immersed & pre
-    n = len(pb.foot)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(pedal_columns(n))
-        for k in range(x.size):
-            row = [x[k], y[k]]
-            row += [Z[j, k] for j in range(n)]
-            row += [g[j, k] for j in range(n)]
-            row += [dn[k], en[k], theta[k], znz[k], dnz[k], imm[k]]
-            writer.writerow([_fmt(v) for v in row])
+    columns = [_floats(v) for v in (x, y, *Z, *g, dn, en, theta)]
+    columns += [_flags(v) for v in (reg["tangent_nonzero"], reg["first_normal_nonzero"], imm)]
+    _write_csv(path, pedal_columns(len(pb.foot)), columns)
     return x.size, int(np.sum(~pre | reg["excluded"]))
 
 
