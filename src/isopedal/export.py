@@ -179,8 +179,9 @@ def write_pedal_csv(pb: PedalBundle, grid: Grid, path, reg):
     pre = grid.premask()
     Z = pb.tangent_part.value().real
     g = pb.foot.value().real
-    dn = np.sqrt(np.maximum(pb.first_normal_part.norm_sq().value().real, 0.0))
-    en = np.sqrt(np.maximum(pb.higher_normal_part.norm_sq().value().real, 0.0))
+    delta, eta = pb.first_normal_part, pb.higher_normal_part
+    dn = np.sqrt(np.maximum(delta.dot_value(delta).real, 0.0))
+    en = np.sqrt(np.maximum(eta.dot_value(eta).real, 0.0))
     theta = pb.osc_norm_sq.value().real
     imm = pb.base.immersed & pre
     columns = [_floats(v) for v in (x, y, *Z, *g, dn, en, theta)]

@@ -109,9 +109,9 @@ class SurfaceJets:
 
         base = np.broadcast_to(base, self.batch)
         fx, fy = self.partial(1, 0), self.partial(0, 1)
-        E0 = fx.norm_sq().value().real
-        F0 = fx.dot(fy).value().real
-        G0 = fy.norm_sq().value().real
+        E0 = fx.dot_value(fx).real
+        F0 = fx.dot_value(fy).real
+        G0 = fy.dot_value(fy).real
         det = E0 * G0 - F0 * F0
         scale = np.maximum(E0, G0)
         self.immersed = base & (det > IMMERSION_RTOL * scale * scale) & (scale > 0)
@@ -359,14 +359,16 @@ class SurfaceJets:
         key = "connection"
         if key not in self._cache:
             nfr = self.normal_frames(min(self.flag_capacity(), self.order - 2))
-            X = self.frame_domain_vectors()
+            # only the pairings' values are read, so the directional
+            # derivatives are formed from the order-0 frame coefficients
+            X = [[c.truncate(0) for c in Xi] for Xi in self.frame_domain_vectors()]
             nf = len(nfr)
             omega = np.zeros((2, nf, nf) + self.batch)
             for i, Xi in enumerate(X):
                 ders = [self.directional(ea, Xi) for ea in nfr]
                 for aa in range(nf):
                     for bb in range(aa + 1, nf):
-                        val = ders[aa].dot(nfr[bb]).value().real
+                        val = ders[aa].dot_value(nfr[bb]).real
                         omega[i, aa, bb] = val
                         omega[i, bb, aa] = -val
             self._cache[key] = {"omega": omega, "valid": self._levels_valid}

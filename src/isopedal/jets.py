@@ -397,6 +397,13 @@ class JetVec(_Table):
     def norm_sq(self):
         return self.dot(self)
 
+    def dot_value(self, other):
+        """Order-0 values of `dot(other)`, shape (*batch): the pairing of
+        the order-0 coefficients alone, bitwise the value of the full
+        pairing (a product writes its order-0 entry from the operands'
+        order-0 entries only)."""
+        return self.truncate(0).dot(other.truncate(0)).value()
+
     def translate(self, vec):
         """Add a constant ambient vector (one entry per component).
 
@@ -434,21 +441,29 @@ def jet_lift(curve, x, y, order=DEFAULT_ORDER):
     y = np.asarray(y, dtype=float)
     batch = np.broadcast_shapes(x.shape, y.shape)
     D = order + 1
-    zt = np.zeros((D, D) + batch, dtype=complex)
-    zt[0, 0] = x + 1j * y
-    zt[1, 0] = 1.0
-    zt[0, 1] = 1j
-    Z = Jet._of(zt)
+    z0 = x + 1j * y
+    outside = ~_tri(D)
     comps = []
     for p in curve:
         if not p:
             comps.append(Jet.zeros(order, batch))
             continue
-        acc = Jet.const(np.full(batch, p[-1], dtype=complex), order)
+        acc = np.zeros((D, D) + batch, dtype=complex)
+        acc[0, 0] = p[-1]
         for c in reversed(p[:-1]):
-            acc = acc * Z
-            acc.t[0, 0] += c
-        comps.append(acc)
+            # acc * (z0 + dx + i dy): the terms a product with the jet of z
+            # adds, in its order (the value, then the y step, then the x
+            # step), with the spill past the triangle cleared; adding 0.0
+            # first turns negative zeros positive, as a product's zeroed
+            # accumulator does
+            nxt = acc * z0
+            nxt += 0.0
+            nxt[:, 1:] += acc[:, :-1] * 1j
+            nxt[1:] += acc[:-1]
+            nxt[outside] = 0.0
+            nxt[0, 0] += c
+            acc = nxt
+        comps.append(Jet._of(acc))
     return JetVec(comps)
 
 
@@ -467,7 +482,7 @@ def jet_gram_schmidt(vectors, guard, eps=1e-9):
     batch = np.broadcast_shapes(*[v.batch for v in vectors])
     scale_sq = np.zeros(batch)
     for v in vectors:
-        scale_sq = np.maximum(scale_sq, v.norm_sq().value().real)
+        scale_sq = np.maximum(scale_sq, v.dot_value(v).real)
     ok = np.broadcast_to(np.asarray(guard, bool), batch).copy()
 
     frames = []

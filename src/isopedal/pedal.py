@@ -231,12 +231,13 @@ def pedal_regularity(pb: PedalBundle):
     """
     if pb.base.order < 3:
         raise ValueError("pedal regularity needs base jets of order >= 3")
-    fx_sq = pb.base.partial(1, 0).norm_sq().value().real
+    fx = pb.base.partial(1, 0)
+    fx_sq = fx.dot_value(fx).real
     gx = pb.foot.dx()
     gy = pb.foot.dy()
-    gx_sq = gx.norm_sq().value().real
-    gy_sq = gy.norm_sq().value().real
-    gxy = gx.dot(gy).value().real
+    gx_sq = gx.dot_value(gx).real
+    gy_sq = gy.dot_value(gy).real
+    gxy = gx.dot_value(gy).real
     gram = gx_sq * gy_sq - gxy * gxy
     gscale = np.maximum(gx_sq, gy_sq)
     immersed = pb.valid & (gram > PEDAL_IMMERSION_RTOL * gscale * gscale)

@@ -657,7 +657,7 @@ def _secondform_top_defect(pipe: SurfacePipeline):
     lam = lev[1].lam
 
     # connection form on the Wirtinger vector: <D_dz f3, f5>
-    omega_dz = f3.wirtinger().dot(f5).value()
+    omega_dz = f3.wirtinger().dot_value(f5)
     _, zpair = _alpha_dz_position(base, _values(sp.tangent_part), _values(f3), _values(f4))
 
     carried = omega_dz * zpair
@@ -783,14 +783,14 @@ def verify_swillmore(run: Run) -> dict:
     f3, f4 = lev[0].frames
     e4 = f4.scale(e3.dot(f3)) - f3.scale(e3.dot(f4))
     f5 = lev[1].frames[0]
-    omega_dz = e3.wirtinger().dot(f5).value()
+    omega_dz = e3.wirtinger().dot_value(f5)
 
     alpha_zz = base.alpha_wirtinger()
-    A3 = alpha_zz.dot(e3).value()
+    A3 = alpha_zz.dot_value(e3)
     fx, fy = base.partial(1, 0), base.partial(0, 1)
     fz = (fx - fy.scale(1j)).scale(0.5)
     Z = sp.tangent_part
-    pairing_Z = fz.dot(Z).value()
+    pairing_Z = fz.dot_value(Z)
 
     alpha_dz_Z, zpair = _alpha_dz_position(base, _values(Z), _values(e3), _values(e4))
 

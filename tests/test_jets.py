@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from isopedal import jets
 from isopedal.errors import DegenerateJet
 from isopedal.jets import Jet, JetVec, jet_gram_schmidt, jet_lift
+from isopedal.weierstrass import IsotropicSpec, preset_curve, w_generate
 
 X, Y = sp.symbols("x y", real=True)
 
@@ -91,6 +93,48 @@ def test_jet_lift_matches_symbolic_curve():
     expr = (z**3 - 2 * z).expand()
     lifted = jet_lift([[0, -2, 0, 1]], np.asarray(0.6), np.asarray(-0.2), 4)[0]
     compare(lifted, expr, 0.6, -0.2)
+
+
+def product_lift(curve, x, y, order):
+    """Reference lift: Horner's rule with jet products by the jet of z."""
+    batch = np.broadcast_shapes(x.shape, y.shape)
+    Z = Jet.const(x + 1j * y, order, batch)
+    Z.t[1, 0], Z.t[0, 1] = 1.0, 1j
+    tables = []
+    for p in curve:
+        acc = Jet.const(np.full(batch, p[-1], dtype=complex), order)
+        for c in reversed(p[:-1]):
+            acc = acc * Z
+            acc.t[0, 0] += c
+        tables.append(acc.t)
+    return np.stack(tables, axis=2)
+
+
+R5_SPEC = IsotropicSpec(ambient_dim=5, isotropy_order=1, alpha0=[[1, 0, 0.5]], betas=[[1], [0, 1]])
+
+
+@pytest.mark.parametrize("curve", ["holo3", "holo4", "noniso", "r5"])
+def test_lift_is_bitwise_the_product_horner_lift(curve):
+    phi = (w_generate(R5_SPEC) if curve == "r5" else preset_curve(curve)).phi
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-1.3, 1.3, (2, 9))
+    x[0] = 0.0  # a point whose tables hold exact zeros
+    for order in range(2, 7):
+        got = jet_lift(phi, x, y, order).t
+        want = product_lift(phi, x, y, order)
+        assert np.array_equal(got, want), order
+        assert got.tobytes() == want.tobytes(), order  # zero signs too
+
+
+def test_lift_makes_no_jet_product(monkeypatch):
+    calls = []
+    product = jets._product
+    monkeypatch.setattr(jets, "_product", lambda a, b, lead: calls.append(lead) or product(a, b, lead))
+    x, y = np.linspace(0.3, 1.3, 4), np.full(4, 0.7)
+    jet_lift(preset_curve("holo4").phi, x, y, 5)
+    assert calls == []
+    Jet.coordinate(x, 0, 3) * Jet.coordinate(y, 1, 3)  # the spy sees products
+    assert calls == [2]
 
 
 def test_recip_raises_on_degenerate_without_guard():
