@@ -22,8 +22,16 @@ Conventions fixed here and used by the rest of the package:
 * The s-th curvature ellipse is traced by the (s+1)-th fundamental form
   on the rotating unit tangent; the top-frequency pair (u_s, v_s) is
   extracted through the complex combination A_s = form(E, ..., E) with
-  E = (e1 - i e2)/2, via u_s = 2 Re A_s, v_s = -2 Im A_s.  For minimal
-  surfaces the lower frequencies vanish and the pair *is* the ellipse.
+  E = (e1 - i e2)/2 = cx f_x + cy f_y, via u_s = 2 Re A_s,
+  v_s = -2 Im A_s.  With P the projection off the lower osculating
+  frames, A_s = P(sum_k c_k d_k f) over the pure (s+1)-th partials d_k f
+  and the complex scalar jets c_k = C(s+1, k) cx^(s+1-k) cy^k.  P is
+  linear over jet scalars, so u_s = 2 P(sum_k d_k f Re c_k) and
+  v_s = -2 P(sum_k d_k f Im c_k): the two real sums, stacked, are
+  projected once per level, and no vector table is complex.  The rank of a level is read from order-0
+  values: the partials' values projected off the frames' values.  For
+  minimal surfaces the lower frequencies vanish and the pair *is* the
+  ellipse.
 * The circle defect of an ellipse with conjugate semi-diameters (u, v)
   is max(|<u,v>|, a * | ||u|| - ||v|| |) / a^2 with a = max(||u||,||v||):
   dimensionless, zero exactly for circles.
@@ -256,8 +264,9 @@ class SurfaceJets:
     def flag(self, upto: Optional[int] = None):
         """Normal flag levels N_1 .. N_upto (minimal surfaces).
 
-        Levels are built by projecting the pure (s+1)-th partials off the
-        accumulated osculating frames; each level is oriented by its
+        Levels are built by projecting real combinations of the pure
+        (s+1)-th partials off the accumulated osculating frames (see the
+        module docstring); each level is oriented by its
         conjugate semi-diameter pair and orthonormalized in jet
         arithmetic.
         """
@@ -282,16 +291,23 @@ class SurfaceJets:
         used = sum(len(lev.frames) for lev in self._levels)
         expected = min(2, self.n - 2 - used)
         raws = [self.partial(s - k, k) for k in range(s + 1)]
-        projs = [p.project_off(frames_all) for p in raws]
 
-        # detected rank of the projected span at order 0
-        mat = np.stack([_nvalue(p) for p in projs], axis=-1)  # (n, *batch, s+1)
-        mat = np.moveaxis(mat, 0, -2)  # (*batch, n, s+1)
+        # detected rank of the projected span at order 0: the partials'
+        # order-0 values, stacked on a leading batch axis, projected off
+        # the frames' order-0 values
+        vals = JetVec._of(np.stack([p.t[:1, :1] for p in raws], axis=3))
+        mat = _nvalue(vals.project_off([e.truncate(0) for e in frames_all]))  # (n, s+1, *batch)
+        mat = np.moveaxis(mat, (0, 1), (-2, -1))  # (*batch, n, s+1)
         sv = np.linalg.svd(mat, compute_uv=False)
         top = np.maximum(sv[..., 0], _TINY)
         rank = np.sum(sv > RANK_SV_RTOL * top[..., None], axis=-1)
 
-        # top-frequency pair through the complexified tangent
+        # top-frequency pair through the complexified tangent: A is the sum
+        # of the partials times c_k = C(s, k) cx^(s-k) cy^k, projected off
+        # the osculating frames.  The projection is linear over jet
+        # scalars, so the real and imaginary parts of the c_k, stacked on a
+        # leading batch axis, weight the unprojected partials, and the
+        # stacked sum (Re A, Im A) is projected once
         cx, cy = self.complex_tangent_coeffs()
         cx_pow = [Jet.const(np.ones(self.batch), cx.order)]
         cy_pow = [Jet.const(np.ones(self.batch), cy.order)]
@@ -300,11 +316,12 @@ class SurfaceJets:
             cy_pow.append(cy_pow[-1] * cy)
         A = None
         for k in range(s + 1):
-            coeff = cx_pow[s - k] * cy_pow[k]
-            term = projs[k].scale(coeff.scale(math.comb(s, k)))
+            c = (cx_pow[s - k] * cy_pow[k]).scale(math.comb(s, k)).t
+            term = raws[k].scale(Jet._of(np.stack([c.real, c.imag], axis=2)))
             A = term if A is None else A + term
-        u = A.real().scale(2.0)
-        v = A.imag().scale(-2.0)
+        A = A.project_off(frames_all).t  # (D, D, n, 2, *batch)
+        u = JetVec._of(A[:, :, :, 0] * 2.0)
+        v = JetVec._of(A[:, :, :, 1] * -2.0)
 
         defect, lam = _ellipse_from_diameters(_nvalue(u), _nvalue(v))
 

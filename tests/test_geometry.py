@@ -10,10 +10,16 @@ the two-circle surface in R^6 — the real part of the doubled degree-
     Gauss curvature:  K = -8 / (1 + 2(x^2 + y^2))^4,  K(0,0) = -8
 """
 
+import math
+
 import numpy as np
+import pytest
 import sympy as sp
 
+from isopedal import geometry, jets
 from isopedal.geometry import (
+    FRAME_EPS,
+    RANK_SV_RTOL,
     SurfaceJets,
     first_normal_rank,
     hodge_relation_residuals,
@@ -22,7 +28,8 @@ from isopedal.geometry import (
     third_form_recursive_defect,
 )
 from isopedal.grid import Grid
-from isopedal.jets import Jet, JetVec
+from isopedal.jets import Jet, JetVec, jet_gram_schmidt
+from isopedal.pedal import SurfacePipeline
 from isopedal.weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
 
 
@@ -230,3 +237,67 @@ def test_geometry_sample_roundtrip():
     assert abs(lam2[0] - 1.0) < 1e-10
     E, F, G = (j.value().real[0] for j in b.first_fundamental())
     assert abs(E - G) < 1e-10 * abs(E) and abs(F) < 1e-10 * abs(E)
+
+
+def complex_route_level(bundle, r):
+    """(u, v, rank, valid) of flag level r built by the complex route: each
+    partial projected off the osculating frames of the bundle's lower
+    levels, then weighted by the complex coefficient jets
+    c_k = C(s, k) cx^(s-k) cy^k, with u = 2 Re A and v = -2 Im A."""
+    s = r + 1
+    levels = bundle.flag(r)
+    frames = [bundle.e1, bundle.e2] + [e for lev in levels[:r - 1] for e in lev.frames]
+    projs = [bundle.partial(s - k, k).project_off(frames) for k in range(s + 1)]
+    mat = np.moveaxis(np.stack([p.value() for p in projs], axis=-1), 0, -2)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    rank = np.sum(sv > RANK_SV_RTOL * np.maximum(sv[..., 0], 1e-300)[..., None], axis=-1)
+    cx, cy = bundle.complex_tangent_coeffs()
+    cx_pow = [Jet.const(np.ones(bundle.batch), cx.order)]
+    cy_pow = [Jet.const(np.ones(bundle.batch), cy.order)]
+    for _ in range(s):
+        cx_pow.append(cx_pow[-1] * cx)
+        cy_pow.append(cy_pow[-1] * cy)
+    A = None
+    for k in range(s + 1):
+        term = projs[k].scale((cx_pow[s - k] * cy_pow[k]).scale(math.comb(s, k)))
+        A = term if A is None else A + term
+    u, v = A.real().scale(2.0), A.imag().scale(-2.0)
+    expected = levels[r - 1].expected_rank
+    valid = (levels[r - 2].valid if r > 1 else bundle.valid) & (rank == expected)
+    _, _, ok = jet_gram_schmidt([u, v][:expected], guard=valid, eps=FRAME_EPS)
+    return u, v, rank, valid & ok
+
+
+@pytest.mark.parametrize("which", ["surface", "pedal"])
+def test_flag_pair_equals_the_complex_route(monkeypatch, which):
+    # the pedal is not minimal, so its projected partials keep their lower
+    # frequencies and the pair is not the ellipse of a minimal surface
+    pipe = SurfacePipeline(holo3(), Grid(x0=-0.5, x1=0.5, y0=-0.5, y1=0.5, nx=5, ny=5), 5)
+    bundle = pipe.base if which == "surface" else pipe.pedal
+    seen = []  # (vectors, guard) of each level's Gram-Schmidt
+    gram_schmidt = geometry.jet_gram_schmidt
+    monkeypatch.setattr(geometry, "jet_gram_schmidt", lambda vecs, guard, eps: (
+        seen.append((vecs, guard)) or gram_schmidt(vecs, guard=guard, eps=eps)))
+    levels = bundle.flag(2)
+    assert which == "pedal" or all(np.sum(lev.valid) >= 20 for lev in levels)
+    for r, ((pair, guard), lev) in enumerate(zip(seen, levels), start=1):
+        u, v, rank, valid = complex_route_level(bundle, r)
+        assert which == "surface" or np.any(rank > lev.expected_rank)
+        for got, want in zip(pair, (u, v)):
+            assert got.t.dtype == np.float64
+            scale = np.max(np.abs(want.t), axis=(0, 1, 2))
+            assert np.all(np.max(np.abs(got.t - want.t), axis=(0, 1, 2)) <= 1e-12 * scale)
+        prev = bundle.valid if r == 1 else levels[r - 2].valid
+        assert np.array_equal(guard, prev & (rank == lev.expected_rank))
+        assert np.array_equal(lev.valid, valid)
+
+
+def test_flag_makes_no_complex_vector_product(monkeypatch):
+    calls = []
+    product = jets._product
+    monkeypatch.setattr(jets, "_product", lambda a, b, lead: calls.append(
+        (lead, np.iscomplexobj(a) or np.iscomplexobj(b))) or product(a, b, lead))
+    x, y = np.meshgrid(np.linspace(0.3, 1.3, 3), np.linspace(0.3, 1.3, 3))
+    SurfaceJets(holo3(), x, y, 4).flag(2)
+    assert (3, False) in calls and (2, True) in calls
+    assert (3, True) not in calls
