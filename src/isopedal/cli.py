@@ -186,20 +186,28 @@ def cmd_pedal(cfg: RunConfig, args) -> int:
     proj = _projection(args, f_at.ambient_dim)
     grid = cfg.grid
     g_at = pipe.normal_surface(v)
+    x, y = pipe.x, pipe.y
+    # the pedal mesh drops the points the table excludes: the pedal's
+    # irregular points, or for the degenerate member (scale 0) the points
+    # where its shadow's bundle is invalid
+    if v is not None:
+        reg = None
+        g_keep = pipe.pre & SurfaceJets(g_at, x, y, 2).valid
+    else:
+        reg = pedal_regularity(pipe.split)
+        g_keep = pipe.pre & ~reg["excluded"]
     f_path = os.path.join(out, "f.obj")
     g_path = os.path.join(out, "g.obj")
-    export_obj(f_at, grid, f_path, projection=proj, label="surface")
-    export_obj(g_at, grid, g_path, projection=proj, label="pedal surface")
+    export_obj(f_at, grid, f_path, projection=proj, label="surface",
+               keep=pipe.pre & pipe.base.valid)
+    export_obj(g_at, grid, g_path, projection=proj, label="pedal surface", keep=g_keep)
     print(f"wrote {f_path}")
     print(f"wrote {g_path}")
-    x, y = pipe.x, pipe.y
-    if v is not None:
-        bundle = SurfaceJets(g_at, x, y, 2)
-        excluded = int(np.sum(~(pipe.pre & bundle.valid)))
+    if reg is None:
+        excluded = int(np.sum(~g_keep))
         print("decomposition table skipped for the degenerate member (scale 0)")
     else:
         csv_path = os.path.join(out, "pedal.csv")
-        reg = pedal_regularity(pipe.split)
         _, excluded = write_pedal_csv(pipe.split, grid, csv_path, reg)
         print(f"wrote {csv_path}")
         for (idx, why) in reg["reasons"][:5]:

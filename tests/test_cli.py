@@ -105,6 +105,16 @@ def test_pedal_reports_degenerate_points(tmp_path, capsys):
     assert "excluded points: 1 of 25" in out
 
 
+def test_pedal_mesh_drops_the_points_its_table_excludes(tmp_path, capsys):
+    grid = "--grid=-0.5,0.5,-0.5,0.5,11,11"
+    assert main(["pedal", "--out", str(tmp_path / "pedal"), grid]) == 0
+    assert "excluded points: 1 of 121" in capsys.readouterr().out
+    assert main(["export", "--what", "g", "--out", str(tmp_path / "export"), grid]) == 0
+    for mesh in (tmp_path / "pedal" / "g.obj", tmp_path / "export" / "g.obj"):
+        assert "# excluded points: 1\n" in mesh.read_text()
+        assert count_prefixed(mesh, "f ") == 194
+
+
 def test_pedal_scale_zero_is_the_shadow_member(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {
         "seed_preset": "holo3", "scale": 0.0, "translation": V6,
