@@ -28,10 +28,10 @@ Conventions fixed here and used by the rest of the package:
   and the complex scalar jets c_k = C(s+1, k) cx^(s+1-k) cy^k.  P is
   linear over jet scalars, so u_s = 2 P(sum_k d_k f Re c_k) and
   v_s = -2 P(sum_k d_k f Im c_k): the two real sums, stacked, are
-  projected once per level, and no vector table is complex.  The rank of a level is read from order-0
-  values: the partials' values projected off the frames' values.  For
-  minimal surfaces the lower frequencies vanish and the pair *is* the
-  ellipse.
+  projected once per level, and no vector table is complex.  The rank
+  of a level is read from order-0 values: the partials' values projected
+  off the frames' values.  For minimal surfaces the lower frequencies
+  vanish and the pair *is* the ellipse.
 * The circle defect of an ellipse with conjugate semi-diameters (u, v)
   is max(|<u,v>|, a * | ||u|| - ||v|| |) / a^2 with a = max(||u||,||v||):
   dimensionless, zero exactly for circles.
@@ -302,12 +302,10 @@ class SurfaceJets:
         top = np.maximum(sv[..., 0], _TINY)
         rank = np.sum(sv > RANK_SV_RTOL * top[..., None], axis=-1)
 
-        # top-frequency pair through the complexified tangent: A is the sum
-        # of the partials times c_k = C(s, k) cx^(s-k) cy^k, projected off
-        # the osculating frames.  The projection is linear over jet
-        # scalars, so the real and imaginary parts of the c_k, stacked on a
-        # leading batch axis, weight the unprojected partials, and the
-        # stacked sum (Re A, Im A) is projected once
+        # top-frequency pair through the complexified tangent (see the
+        # module docstring): the real and imaginary parts of the c_k,
+        # stacked on a leading batch axis, weight the unprojected
+        # partials, and the stacked sum (Re A, Im A) is projected once
         cx, cy = self.complex_tangent_coeffs()
         cx_pow = [Jet.const(np.ones(self.batch), cx.order)]
         cy_pow = [Jet.const(np.ones(self.batch), cy.order)]
