@@ -71,12 +71,11 @@ def write_obj(path, vertices, faces, header_lines=()):
     """Write a triangle mesh; vertices is an (P, 3) array, faces (F, 3)
     0-based indices."""
     vertices = np.asarray(vertices, dtype=float)
-    lines = [f"# {line}\n" for line in header_lines]
-    lines += [f"v {a:.17g} {b:.17g} {c:.17g}\n" for a, b, c in vertices.tolist()]
     faces = np.asarray(faces, dtype=int).reshape(-1, 3) + 1
-    lines += [f"f {a} {b} {c}\n" for a, b, c in faces.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(lines))
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.writelines(f"v {a:.17g} {b:.17g} {c:.17g}\n" for a, b, c in vertices.tolist())
+        fh.writelines(f"f {a} {b} {c}\n" for a, b, c in faces.tolist())
 
 
 def export_obj(surface: SurfaceEvaluator, grid: Grid, path, projection=None,
@@ -124,22 +123,23 @@ GEOMETRY_COLUMNS = [
 
 
 def _floats(a):
-    """CSV cells of a float column: `repr` of each value ('nan' for NaN)."""
-    return [repr(v) for v in np.asarray(a, dtype=float).tolist()]
+    """CSV cells of a float column, lazily: `repr` of each value ('nan'
+    for NaN)."""
+    return map(repr, np.asarray(a, dtype=float).tolist())
 
 
 def _flags(a):
-    """CSV cells of a boolean column: '1' or '0'."""
-    return ["1" if v else "0" for v in np.asarray(a, dtype=bool).tolist()]
+    """CSV cells of a boolean column, lazily: '1' or '0'."""
+    return ("1" if v else "0" for v in np.asarray(a, dtype=bool).tolist())
 
 
 def _write_csv(path, header, columns):
-    """Write the header and the rows of the cell `columns`, each line
-    ending in CRLF as `csv.writer` ends it (no cell needs quoting)."""
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*columns))
+    """Write the header and one row per cell of the `columns` iterators,
+    each line ending in CRLF as `csv.writer` ends it (no cell needs
+    quoting); the cells are formatted as the rows are written."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 def write_geometry_csv(bundle: SurfaceJets, grid: Grid, path):
