@@ -603,7 +603,8 @@ def _alpha_dz_position(base: SurfaceJets, Z, n3, n4):
     alpha(dz, Z) is assembled from the coordinate partials and the frame
     coefficients of the tangent vector Z; Z, n3 and n4 are values.
     """
-    hxx, hxy, hyy = (_values(base.tangent_project_off(base.partial(*key)))
+    tangent = [base.e1.truncate(0), base.e2.truncate(0)]
+    hxx, hxy, hyy = (_values(base.partial(*key).truncate(0).project_off(tangent))
                      for key in ((2, 0), (1, 1), (0, 2)))
     a, b, c = (j.value().real for j in base.tangent_coeff_jets())
     z1 = np.sum(Z * _values(base.e1), axis=0)
@@ -766,7 +767,7 @@ def verify_swillmore(run: Run) -> dict:
     gb = pipe.pedal
     mask = pipe.mask()
     H = gb.mean_curvature()
-    nabH = H.wirtinger().project_off([gb.e1, gb.e2]).value()
+    nabH = H.wirtinger().truncate(0).project_off([gb.e1.truncate(0), gb.e2.truncate(0)]).value()
     ag = gb.alpha_wirtinger().value()
     direct, both_ok = _plane_angle_defect(nabH, ag)
     mask_d = mask & both_ok
@@ -781,7 +782,9 @@ def verify_swillmore(run: Run) -> dict:
     e3 = delta.scale(dsq.sqrt(guard=guard).recip(guard=guard))
     lev = base.flag(2)
     f3, f4 = lev[0].frames
-    e4 = f4.scale(e3.dot(f3)) - f3.scale(e3.dot(f4))
+    # e4 is read at order 0 only
+    e3_0, f3_0, f4_0 = (e.truncate(0) for e in (e3, f3, f4))
+    e4 = f4_0.scale(e3_0.dot(f3_0)) - f3_0.scale(e3_0.dot(f4_0))
     f5 = lev[1].frames[0]
     omega_dz = e3.wirtinger().dot_value(f5)
 

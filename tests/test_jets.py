@@ -129,7 +129,8 @@ def test_lift_is_bitwise_the_product_horner_lift(curve):
 def test_lift_makes_no_jet_product(monkeypatch):
     calls = []
     product = jets._product
-    monkeypatch.setattr(jets, "_product", lambda a, b, lead: calls.append(lead) or product(a, b, lead))
+    monkeypatch.setattr(jets, "_product",
+                        lambda a, b, lead: calls.append(lead) or product(a, b, lead))
     x, y = np.linspace(0.3, 1.3, 4), np.full(4, 0.7)
     jet_lift(preset_curve("holo4").phi, x, y, 5)
     assert calls == []
