@@ -27,11 +27,11 @@ Conventions fixed here and used by the rest of the package:
   frames, A_s = P(sum_k c_k d_k f) over the pure (s+1)-th partials d_k f
   and the complex scalar jets c_k = C(s+1, k) cx^(s+1-k) cy^k.  P is
   linear over jet scalars, so u_s = 2 P(sum_k d_k f Re c_k) and
-  v_s = -2 P(sum_k d_k f Im c_k): the two real sums, stacked, are
-  projected once per level, and no vector table is complex.  The rank
-  of a level is read from order-0 values: the partials' values projected
-  off the frames' values.  For minimal surfaces the lower frequencies
-  vanish and the pair *is* the ellipse.
+  v_s = -2 P(sum_k d_k f Im c_k): two real projections per level, and
+  no vector table is complex.  The rank of a level is read from order-0
+  values: the partials' values projected off the frames' values.  For
+  minimal surfaces the lower frequencies vanish and the pair *is* the
+  ellipse.
 * The circle defect of an ellipse with conjugate semi-diameters (u, v)
   is max(|<u,v>|, a * | ||u|| - ||v|| |) / a^2 with a = max(||u||,||v||):
   dimensionless, zero exactly for circles.
@@ -169,6 +169,17 @@ class SurfaceJets:
         a, b, c = self.tangent_coeff_jets()
         return (a - b.scale(1j)).scale(0.5), (-c.scale(1j)).scale(0.5)
 
+    def _complex_tangent_powers(self, s):
+        """([cx, cx^2, ..., cx^s], [cy, ..., cy^s]) as jets, kept for the
+        bundle and extended as deeper flag levels need higher powers."""
+        powers = self._cache.get("tangent_powers")
+        if powers is None:
+            powers = self._cache["tangent_powers"] = tuple([c] for c in self.complex_tangent_coeffs())
+        for p in powers:
+            while len(p) < s:
+                p.append(p[-1] * p[0])
+        return powers
+
     def frame_domain_vectors(self):
         """Coordinate components (X1, X2) of e1, e2 as domain fields."""
         a, b, c = self.tangent_coeff_jets()
@@ -303,23 +314,21 @@ class SurfaceJets:
         rank = np.sum(sv > RANK_SV_RTOL * top[..., None], axis=-1)
 
         # top-frequency pair through the complexified tangent (see the
-        # module docstring): the real and imaginary parts of the c_k,
-        # stacked on a leading batch axis, weight the unprojected
-        # partials, and the stacked sum (Re A, Im A) is projected once
-        cx, cy = self.complex_tangent_coeffs()
-        cx_pow = [Jet.const(np.ones(self.batch), cx.order)]
-        cy_pow = [Jet.const(np.ones(self.batch), cy.order)]
-        for _ in range(s):
-            cx_pow.append(cx_pow[-1] * cx)
-            cy_pow.append(cy_pow[-1] * cy)
-        A = None
-        for k in range(s + 1):
-            c = (cx_pow[s - k] * cy_pow[k]).scale(math.comb(s, k)).t
-            term = raws[k].scale(Jet._of(np.stack([c.real, c.imag], axis=2)))
-            A = term if A is None else A + term
-        A = A.project_off(frames_all).t  # (D, D, n, 2, *batch)
-        u = JetVec._of(A[:, :, :, 0] * 2.0)
-        v = JetVec._of(A[:, :, :, 1] * -2.0)
+        # module docstring): the real and imaginary parts of the c_k weight
+        # the unprojected partials, and each of the two sums is projected
+        # once
+        cx_pow, cy_pow = self._complex_tangent_powers(s)  # [c, c^2, ..., c^s]
+        coeffs = [cx_pow[s - 1]]
+        coeffs += [cx_pow[s - k - 1] * cy_pow[k - 1] for k in range(1, s)]
+        coeffs.append(cy_pow[s - 1])
+        re = im = None
+        for k, ck in enumerate(coeffs):
+            c = ck.scale(math.comb(s, k))
+            re_k, im_k = raws[k].scale(c.real()), raws[k].scale(c.imag())
+            re = re_k if re is None else re + re_k
+            im = im_k if im is None else im + im_k
+        u = re.project_off(frames_all).scale(2.0)
+        v = im.project_off(frames_all).scale(-2.0)
 
         defect, lam = _ellipse_from_diameters(_nvalue(u), _nvalue(v))
 
