@@ -174,7 +174,8 @@ class SurfaceJets:
         bundle and extended as deeper flag levels need higher powers."""
         powers = self._cache.get("tangent_powers")
         if powers is None:
-            powers = self._cache["tangent_powers"] = tuple([c] for c in self.complex_tangent_coeffs())
+            powers = tuple([c] for c in self.complex_tangent_coeffs())
+            self._cache["tangent_powers"] = powers
         for p in powers:
             while len(p) < s:
                 p.append(p[-1] * p[0])
