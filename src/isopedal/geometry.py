@@ -169,18 +169,6 @@ class SurfaceJets:
         a, b, c = self.tangent_coeff_jets()
         return (a - b.scale(1j)).scale(0.5), (-c.scale(1j)).scale(0.5)
 
-    def _complex_tangent_powers(self, s):
-        """([cx, cx^2, ..., cx^s], [cy, ..., cy^s]) as jets, kept for the
-        bundle and extended as deeper flag levels need higher powers."""
-        powers = self._cache.get("tangent_powers")
-        if powers is None:
-            powers = tuple([c] for c in self.complex_tangent_coeffs())
-            self._cache["tangent_powers"] = powers
-        for p in powers:
-            while len(p) < s:
-                p.append(p[-1] * p[0])
-        return powers
-
     def frame_domain_vectors(self):
         """Coordinate components (X1, X2) of e1, e2 as domain fields."""
         a, b, c = self.tangent_coeff_jets()
@@ -290,11 +278,16 @@ class SurfaceJets:
                 f"and ambient dimension {2 * upto + 2}; have order "
                 f"{self.order}, dimension {self.n}"
             )
-        while len(self._levels) < upto:
-            self._build_level()
+        if len(self._levels) < upto:
+            powers = tuple([c] for c in self.complex_tangent_coeffs())
+            while len(self._levels) < upto:
+                self._build_level(powers)
         return self._levels[:upto]
 
-    def _build_level(self):
+    def _build_level(self, powers):
+        """Append flag level N_r, r = len(levels) + 1.  `powers` holds the
+        lists [cx, cx^2, ...] and [cy, cy^2, ...] that the levels of one
+        `flag` call share; they are extended here as far as N_r needs."""
         r = len(self._levels) + 1
         s = r + 1  # derivative order feeding N_r
         frames_all = [self.e1, self.e2]
@@ -318,7 +311,10 @@ class SurfaceJets:
         # module docstring): the real and imaginary parts of the c_k weight
         # the unprojected partials, and each of the two sums is projected
         # once
-        cx_pow, cy_pow = self._complex_tangent_powers(s)  # [c, c^2, ..., c^s]
+        cx_pow, cy_pow = powers  # cx_pow[j - 1] = cx^j, cy_pow[j - 1] = cy^j
+        for p in powers:
+            while len(p) < s:
+                p.append(p[-1] * p[0])
         coeffs = [cx_pow[s - 1]]
         coeffs += [cx_pow[s - k - 1] * cy_pow[k - 1] for k in range(1, s)]
         coeffs.append(cy_pow[s - 1])
