@@ -25,11 +25,10 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, encode_complex
+from .config import CURVE_SOURCES, RunConfig, encode_complex
 from .errors import ConfigError, IsotropyViolation
 from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
 from .geometry import SurfaceJets, isotropy_order
-from .grid import Grid
 from .moebius import InversionSpec, invert_evaluator
 from .pedal import SurfacePipeline, pedal_regularity
 from .verify import _generic_vector, report_to_json, run_all
@@ -59,17 +58,17 @@ def _read_json(path, what):
 def load_config(args) -> RunConfig:
     """Merge the config file (if any) with command-line overrides."""
     doc = _read_json(args.config, "config") if args.config else {}
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
+    if not isinstance(doc, dict):  # from_document names what is wrong
+        return RunConfig.from_document(doc)
     doc = dict(doc)
     if getattr(args, "seed_preset", None):
-        for key in ("spec", "curve", "ambient_curve"):
+        for key in CURVE_SOURCES:
             doc.pop(key, None)
         doc["seed_preset"] = args.seed_preset
-    if not any(k in doc for k in ("seed_preset", "spec", "curve", "ambient_curve")):
+    if not any(k in doc for k in CURVE_SOURCES):
         doc["seed_preset"] = DEFAULT_CONFIG["seed_preset"]
     if getattr(args, "grid", None):
-        doc["grid"] = Grid.from_string(args.grid).to_config()
+        doc["grid"] = args.grid
     if getattr(args, "jet_order", None) is not None:
         doc["jet_order"] = args.jet_order
     if getattr(args, "check", None):
@@ -85,17 +84,11 @@ def _out_dir(cfg: RunConfig) -> str:
     return out
 
 
-def _projection(args, ambient_dim):
+def _projection(args):
+    """The --projection matrix as read; `export_obj` checks it."""
     if not getattr(args, "projection", None):
         return None
-    mat = _read_json(args.projection, "projection")
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape != (3, ambient_dim):
-        raise ConfigError(
-            f"projection {args.projection} must be a 3 x {ambient_dim} matrix, "
-            f"got shape {arr.shape}"
-        )
-    return arr
+    return _read_json(args.projection, "projection")
 
 
 def _member(cfg: RunConfig, order: int):
@@ -183,7 +176,7 @@ def cmd_pedal(cfg: RunConfig, args) -> int:
     # one evaluation of the surface feeds both meshes, the table and the
     # exclusions
     pipe, f_at, v = _member(cfg, max(3, cfg.jet_order - 1))
-    proj = _projection(args, f_at.ambient_dim)
+    proj = _projection(args)
     grid = cfg.grid
     g_at = pipe.normal_surface(v)
     x, y = pipe.x, pipe.y
@@ -269,7 +262,7 @@ def cmd_export(cfg: RunConfig, args) -> int:
     # and the rank note, so both formats exclude the same points
     bundle = SurfaceJets(target, *grid.points(), order)
     if args.format == "obj":
-        proj = _projection(args, target.ambient_dim)
+        proj = _projection(args)
         path = os.path.join(out, f"{args.what}.obj")
         excluded = export_obj(target, grid, path, projection=proj, label=label,
                               keep=grid.premask() & bundle.valid)

@@ -35,11 +35,19 @@ def default_projection(ambient_dim: int) -> np.ndarray:
 
 
 def check_projection(proj, ambient_dim: int) -> np.ndarray:
-    proj = np.asarray(proj, dtype=float)
-    if proj.shape != (3, ambient_dim):
-        raise ConfigError(
-            f"projection must be 3 x {ambient_dim}, got {proj.shape}"
-        )
+    """`proj` as a float array; a ConfigError unless it is a 3 x n matrix
+    of finite numbers, a warning if its rows are not orthonormal."""
+    try:
+        arr = np.asarray(proj)
+    except ValueError:  # rows of unequal lengths
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError("projection must be a matrix of numbers")
+    if arr.shape != (3, ambient_dim):
+        raise ConfigError(f"projection must be 3 x {ambient_dim}, got shape {arr.shape}")
+    proj = arr.astype(float)
+    if not np.all(np.isfinite(proj)):
+        raise ConfigError("projection entries must be finite")
     gram = proj @ proj.T
     if np.max(np.abs(gram - np.eye(3))) > PROJECTION_ORTHO_TOL:
         warnings.warn(

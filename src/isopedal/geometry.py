@@ -64,6 +64,15 @@ def _nvalue(jv: JetVec):
     return jv.value().real
 
 
+def _rank(mats):
+    """(numerical rank, singular values) of each matrix of the stack
+    `mats` (*batch, rows, cols): the singular values above RANK_SV_RTOL
+    of the largest are counted."""
+    sv = np.linalg.svd(mats, compute_uv=False)
+    top = np.maximum(sv[..., 0], _TINY)
+    return np.sum(sv > RANK_SV_RTOL * top[..., None], axis=-1), sv
+
+
 @dataclass
 class FlagLevel:
     """One step N_s of the normal flag of a minimal surface."""
@@ -302,10 +311,7 @@ class SurfaceJets:
         # the frames' order-0 values
         vals = JetVec._of(np.stack([p.t[:1, :1] for p in raws], axis=3))
         mat = _nvalue(vals.project_off([e.truncate(0) for e in frames_all]))  # (n, s+1, *batch)
-        mat = np.moveaxis(mat, (0, 1), (-2, -1))  # (*batch, n, s+1)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        top = np.maximum(sv[..., 0], _TINY)
-        rank = np.sum(sv > RANK_SV_RTOL * top[..., None], axis=-1)
+        rank, _ = _rank(np.moveaxis(mat, (0, 1), (-2, -1)))  # of (*batch, n, s+1)
 
         # top-frequency pair through the complexified tangent (see the
         # module docstring): the real and imaginary parts of the c_k weight
@@ -522,11 +528,7 @@ def first_normal_rank(bundle: SurfaceJets):
     """
     a11, a12, a22 = bundle.second_fundamental()
     mat = np.stack([_nvalue(a11), _nvalue(a12), _nvalue(a22)], axis=-1)
-    mat = np.moveaxis(mat, 0, -2)  # (*batch, n, 3)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    top = np.maximum(sv[..., 0], _TINY)
-    rank = np.sum(sv > RANK_SV_RTOL * top[..., None], axis=-1)
-    return rank, sv
+    return _rank(np.moveaxis(mat, 0, -2))  # of (*batch, n, 3)
 
 
 def isotropy_order(surface: SurfaceEvaluator, x, y, order=DEFAULT_ORDER, tol=1e-6):

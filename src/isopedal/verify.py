@@ -62,15 +62,15 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULT_TOLERANCES, RunConfig
 from .errors import ConfigError
 from .geometry import (
     SurfaceJets,
+    _nvalue,
     first_normal_rank,
     hodge_relation_residuals,
 )
 from .grid import Grid
-from .jets import JetVec
 from .moebius import _minimality_points, invert_jets, minimality_residuals
 from .pedal import SurfacePipeline
 from .weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
@@ -78,35 +78,6 @@ from .weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
 REPORT_VERSION = "1"
 REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold here
 _TINY = 1e-300
-
-DEFAULT_TOLERANCES = {
-    "generator_isotropy": 1e-10,
-    "generator_minimality": 1e-9,
-    "pedal_circle_positive": 1e-8,
-    "pedal_circle_wintgen": 1e-7,
-    "pedal_circle_negative": 1e-3,
-    "pedal_conformal": 1e-8,
-    "pedal_conformal_factor": 1e-7,
-    "pedal_normal_span": 1e-8,
-    "pedal_mean_formula": 1e-7,
-    "pedal_mean_laplacian": 1e-6,
-    "pedal_mean_scaling": 1e-9,
-    "secondform_span": 1e-7,
-    "secondform_pairing": 1e-7,
-    "secondform_normal2": 1e-6,
-    "secondform_hodge": 1e-8,
-    "swillmore_refute": 1e-3,
-    "swillmore_agreement": 0.99,
-    "swillmore_kappa_theta": 1e-3,
-    "inversion_norm": 1e-3,
-    "inversion_system": 1e-3,
-    "inversion_crosscheck": 1e-7,
-    "shifted_family": 1e-8,
-    "shifted_decomposition": 1e-10,
-    "shadow_superconformal": 1e-8,
-    "shadow_inverted_minimal": 1e-7,
-    "first_normal_rank": 0.5,
-}
 
 # A fixed generic direction used when the config supplies no translation
 # vector; scaled to the ambient dimension at hand.
@@ -347,20 +318,16 @@ def _norms(values):
     return np.sqrt(np.sum(v * v, axis=0))
 
 
-def _values(jv: JetVec):
-    return jv.value().real
-
-
 def _traceless_scale(bundle: SurfaceJets):
     """sqrt(2 (|xi1|^2 + |xi2|^2)), the scale of the traceless second
     form, pointwise."""
     xi1, xi2 = bundle.traceless_second()
-    return np.sqrt(2.0 * (_norms(_values(xi1)) ** 2 + _norms(_values(xi2)) ** 2))
+    return np.sqrt(2.0 * (_norms(_nvalue(xi1)) ** 2 + _norms(_nvalue(xi2)) ** 2))
 
 
 def _mean_ratio(bundle: SurfaceJets):
     """|H| in units of the traceless second-form scale, pointwise."""
-    return _norms(_values(bundle.mean_curvature())) / np.maximum(_traceless_scale(bundle), _TINY)
+    return _norms(_nvalue(bundle.mean_curvature())) / np.maximum(_traceless_scale(bundle), _TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +393,8 @@ def verify_generation(run: Run) -> dict:
     """Exactness of the generated surface: null curve square, minimality."""
     pipe = run.surface
     base = pipe.base
-    H = _values(base.mean_curvature())
-    a11, a12, a22 = (_values(a) for a in base.second_fundamental())
+    H = _nvalue(base.mean_curvature())
+    a11, a12, a22 = (_nvalue(a) for a in base.second_fundamental())
     scale = np.sqrt(_norms(a11) ** 2 + 2 * _norms(a12) ** 2 + _norms(a22) ** 2)
     return {
         "generator.isotropy": Outcome(float(run.config.curve.isotropy_residual()), excluded=0),
@@ -468,8 +435,8 @@ def verify_superconformal(run: Run) -> dict:
 
 
 def _conformality_defect(gb: SurfaceJets):
-    gx = _values(gb.partial(1, 0))
-    gy = _values(gb.partial(0, 1))
+    gx = _nvalue(gb.partial(1, 0))
+    gy = _nvalue(gb.partial(0, 1))
     E = np.sum(gx * gx, axis=0)
     F = np.sum(gx * gy, axis=0)
     G = np.sum(gy * gy, axis=0)
@@ -519,17 +486,17 @@ def verify_normal_span(run: Run) -> dict:
     sp = pipe.split
     gb = pipe.pedal
 
-    Z = _values(sp.tangent_part)
-    delta = _values(sp.first_normal_part)
+    Z = _nvalue(sp.tangent_part)
+    delta = _nvalue(sp.first_normal_part)
     theta = sp.osc_norm_sq.value().real
-    e1, e2 = _values(base.e1), _values(base.e2)
+    e1, e2 = _nvalue(base.e1), _nvalue(base.e2)
     lev1 = base.flag(1)[0]
-    e3, e4 = _values(lev1.frames[0]), _values(lev1.frames[1])
+    e3, e4 = _nvalue(lev1.frames[0]), _nvalue(lev1.frames[1])
     u1 = Z - delta
     u2 = sp.rotation_section()
 
-    gx = _values(gb.partial(1, 0))
-    gy = _values(gb.partial(0, 1))
+    gx = _nvalue(gb.partial(1, 0))
+    gy = _nvalue(gb.partial(0, 1))
     tfloor = np.maximum(theta, _TINY)
     sq_theta = np.sqrt(tfloor)
     residuals = []
@@ -562,22 +529,22 @@ def verify_meancurvature(run: Run) -> dict:
     pipe = run.surface
     sp = pipe.split
 
-    H_direct = _values(pipe.pedal.mean_curvature())
-    H_pred = _values(sp.mean_curvature_predicted())
+    H_direct = _nvalue(pipe.pedal.mean_curvature())
+    H_pred = _nvalue(sp.mean_curvature_predicted())
     defect = _norms(H_direct - H_pred) / np.maximum(_norms(H_pred), _TINY)
 
     Ef, _, _ = (j.value().real for j in pipe.base.first_fundamental())
-    lap = _values(pipe.pedal.laplacian()) / np.maximum(Ef, _TINY)
+    lap = _nvalue(pipe.pedal.laplacian()) / np.maximum(Ef, _TINY)
     K = pipe.base.curvature_scalars()["K"]
-    rhs = 2.0 * K * (_values(sp.first_normal_part) - _values(sp.tangent_part))
+    rhs = 2.0 * K * (_nvalue(sp.first_normal_part) - _nvalue(sp.tangent_part))
     ldef = _norms(lap - rhs) / np.maximum(_norms(rhs), _TINY)
 
     # homothety control: the pedal of 2f is 2g, so its mean curvature is
     # half that of g, pointwise
     sub = pipe.on(7)
     twice = SurfacePipeline(sub.evaluated.affine(scale=2.0), sub.grid, 3).pedal
-    H_base = _values(sub.pedal.mean_curvature())
-    H_twice = _values(twice.mean_curvature())
+    H_base = _nvalue(sub.pedal.mean_curvature())
+    H_twice = _nvalue(twice.mean_curvature())
     sdef = _norms(H_twice - 0.5 * H_base) / np.maximum(_norms(0.5 * H_base), _TINY)
     return {
         "pedal_mean.formula": Outcome(defect),
@@ -604,11 +571,11 @@ def _alpha_dz_position(base: SurfaceJets, Z, n3, n4):
     coefficients of the tangent vector Z; Z, n3 and n4 are values.
     """
     tangent = [base.e1.truncate(0), base.e2.truncate(0)]
-    hxx, hxy, hyy = (_values(base.partial(*key).truncate(0).project_off(tangent))
+    hxx, hxy, hyy = (_nvalue(base.partial(*key).truncate(0).project_off(tangent))
                      for key in ((2, 0), (1, 1), (0, 2)))
     a, b, c = (j.value().real for j in base.tangent_coeff_jets())
-    z1 = np.sum(Z * _values(base.e1), axis=0)
-    z2 = np.sum(Z * _values(base.e2), axis=0)
+    z1 = np.sum(Z * _nvalue(base.e1), axis=0)
+    z2 = np.sum(Z * _nvalue(base.e2), axis=0)
     p = z1 * a + z2 * b
     q = z2 * c
     alpha = 0.5 * ((p * hxx + q * hxy) - 1j * (p * hxy + q * hyy))
@@ -624,11 +591,11 @@ def _secondform_span_pairing(pipe: SurfacePipeline):
     ag = pipe.pedal.alpha_wirtinger().value()  # complex (n, points)
     theta = sp.osc_norm_sq.value().real
     lev = base.flag(min(2, base.flag_capacity()))
-    u1 = _values(sp.tangent_part) - _values(sp.first_normal_part)
+    u1 = _nvalue(sp.tangent_part) - _nvalue(sp.first_normal_part)
     u2 = sp.rotation_section()
-    frames = [_values(base.e1), _values(base.e2)]
+    frames = [_nvalue(base.e1), _nvalue(base.e2)]
     for level in lev:
-        frames.extend(_values(fr) for fr in level.frames)
+        frames.extend(_nvalue(fr) for fr in level.frames)
     rem = ag.copy()
     for fr in frames:
         rem = rem - _complex_dot(rem, fr) * fr
@@ -659,11 +626,11 @@ def _secondform_top_defect(pipe: SurfacePipeline):
 
     # connection form on the Wirtinger vector: <D_dz f3, f5>
     omega_dz = f3.wirtinger().dot_value(f5)
-    _, zpair = _alpha_dz_position(base, _values(sp.tangent_part), _values(f3), _values(f4))
+    _, zpair = _alpha_dz_position(base, _nvalue(sp.tangent_part), _nvalue(f3), _nvalue(f4))
 
     carried = omega_dz * zpair
-    lhs5 = _complex_dot(ag, _values(f5))
-    lhs6 = _complex_dot(ag, _values(f6))
+    lhs5 = _complex_dot(ag, _nvalue(f5))
+    lhs6 = _complex_dot(ag, _nvalue(f6))
     rhs5 = -carried
     rhs6 = 1j * lam * carried
     scale = np.maximum(
@@ -795,7 +762,7 @@ def verify_swillmore(run: Run) -> dict:
     Z = sp.tangent_part
     pairing_Z = fz.dot_value(Z)
 
-    alpha_dz_Z, zpair = _alpha_dz_position(base, _values(Z), _values(e3), _values(e4))
+    alpha_dz_Z, zpair = _alpha_dz_position(base, _nvalue(Z), _nvalue(e3), _nvalue(e4))
 
     scalar = omega_dz * (dval * A3 + pairing_Z * zpair)
     scale = np.abs(omega_dz) * (
@@ -811,7 +778,7 @@ def verify_swillmore(run: Run) -> dict:
     frac = float(np.sum(agree & gmask)) / total if total else None
 
     xi1, _ = base.traceless_second()
-    kappa_theta = _norms(_values(xi1)) * sp.osc_norm_sq.value().real
+    kappa_theta = _norms(_nvalue(xi1)) * sp.osc_norm_sq.value().real
     hi = _masked_max(np.abs(kappa_theta), mask)
     lo = _masked_min(np.abs(kappa_theta), mask)
     ratio = (lo / hi) if (hi not in (None, 0.0) and lo is not None) else None
@@ -998,7 +965,7 @@ def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
 def _inverted_rank(pipe: SurfacePipeline, seed: int):
     """Random inversions of the pedal on the 7 x 7 subgrid, the centers
     scaled to the pedal's extent over the whole grid."""
-    span = 3.0 * float(np.max(np.abs(_values(pipe.split.foot)))) + 1.0
+    span = 3.0 * float(np.max(np.abs(_nvalue(pipe.split.foot)))) + 1.0
     return _random_inversion_rank_defect(pipe.on(7), np.random.default_rng(seed), 10, span)
 
 
@@ -1063,10 +1030,10 @@ def verify_shifted_pedals(run: Run) -> dict:
 
     if decomposition:
         # pedal(c f + v) = c * pedal(f) + shadow(v)
-        rhs = cc * _values(sub.pedal.f) + _values(shadow.f)
+        rhs = cc * _nvalue(sub.pedal.f) + _nvalue(shadow.f)
         m = spre & shifted.valid[0] & sub.pedal.valid & shadow.valid
         out["shifted_pedal.decomposition"] = Outcome(
-            _norms(_values(shifted.f)[:, 0] - rhs) / np.maximum(_norms(rhs), _TINY), m,
+            _norms(_nvalue(shifted.f)[:, 0] - rhs) / np.maximum(_norms(rhs), _TINY), m,
             sub.grid, details={"scale": cc})
 
     # the shadow surface itself: superconformal, and minimal after the

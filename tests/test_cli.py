@@ -328,70 +328,150 @@ def test_cli_artifacts_are_frozen(tmp_path, monkeypatch, config):
 
 
 NAN, INF = float("nan"), float("inf")
+COMMANDS = {"pedal": ["pedal"], "verify": ["verify"], "export": ["export", "--what", "inverted"]}
+SPEC = {"ambient_dim": 6, "isotropy_order": 2, "betas": [[1], [1], [1]]}
+DISK = {"center": [0.8, 0.8], "radius": 0.1}
 
 
-@pytest.mark.parametrize("command", [["pedal"], ["verify"], ["export", "--what", "inverted"]],
-                         ids=["pedal", "verify", "export"])
-@pytest.mark.parametrize("doc", [
-    {"scale": NAN},
-    {"scale": INF},
-    {"curve": [[0, 1], [0, 0, INF]]},
-    {"curve": [[0, 1], [0, 0, [1, NAN]]]},
-    {"translation": [0.9, -0.4, NAN, 0.3, -0.8, 0.5]},
-    {"tolerances": {"pedal_conformal": NAN}},
-    {"tolerances": {"pedal_conformal": INF}},
-    {"lattice": {"radius": INF}},
-    {"lattice": {"lo": NAN}},
-    {"lattice": {"hi": -INF}},
-    {"lattice": {"per_axis": NAN}},
-    {"grid": {"x1": INF, "nx": 5, "ny": 5}},
-    {"grid": {"y0": NAN, "nx": 5, "ny": 5}},
-    {"grid": {"nx": INF, "ny": 5}},
-    {"grid": {"nx": 5, "ny": NAN}},
-    {"grid": {"nx": 5, "ny": 5, "excluded_disks": [[0.8, NAN, 0.1]]}},
-    {"grid": {"nx": 5, "ny": 5, "excluded_disks": [{"center": [0.8, 0.8], "radius": NAN}]}},
-    {"jet_order": NAN},
-    {"jet_order": INF},
-], ids=["scale-nan", "scale-inf", "curve-inf", "curve-nan-imag", "translation-nan",
-        "tolerance-nan", "tolerance-inf", "radius-inf", "lo-nan", "hi-inf", "per-axis-nan",
-        "window-inf", "window-nan", "nx-inf", "ny-nan", "disk-center-nan", "disk-radius-nan",
-        "jet-order-nan", "jet-order-inf"])
-def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, doc):
-    if "curve" not in doc:
-        doc = {"seed_preset": "holo3", "grid": SMALL, **doc}
-    elif "grid" not in doc:
-        doc = {"grid": SMALL, **doc}
-    cfg = write_json(tmp_path / "cfg.json", doc)
-    assert main(command + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    assert "finite" in lines[0]
-    assert captured.out == ""
+def grid5(**fields):
+    return {"grid": {"nx": 5, "ny": 5, **fields}}
 
 
-@pytest.mark.parametrize("doc, field", [
-    ({"seed_preset": "holo3", "translation": 5}, "translation"),
-    ({"seed_preset": "holo3", "lattice": 5}, "lattice"),
-    ({"seed_preset": "holo3", "tolerances": [1]}, "tolerances"),
-    ({"seed_preset": "holo3", "checks": 5}, "checks"),
-    ({"curve": 3}, "curve"),
-    ({"spec": {"ambient_dim": "x", "isotropy_order": 2, "betas": [[1], [1], [1]]}},
-     "ambient_dim"),
-    ({"seed_preset": "holo3", "grid": {"nx": 5, "ny": 5, "excluded_disks": 5}},
-     "excluded_disks"),
-    ({"seed_preset": "holo3", "out": 5}, "out"),
-], ids=["translation", "lattice", "tolerances", "checks", "curve", "spec-ambient-dim",
-        "excluded-disks", "out"])
-def test_wrong_config_types_exit_2(tmp_path, monkeypatch, capsys, doc, field):
+# (case id, field path, document): a non-finite number, run on all three
+# commands
+NON_FINITE = [
+    ("scale-nan", "scale", {"scale": NAN}),
+    ("scale-inf", "scale", {"scale": INF}),
+    ("curve-inf", "curve[1][2]", {"curve": [[0, 1], [0, 0, INF]]}),
+    ("curve-nan-imag", "curve[1][2]", {"curve": [[0, 1], [0, 0, [1, NAN]]]}),
+    ("translation-nan", "translation[2]", {"translation": [0.9, -0.4, NAN, 0.3, -0.8, 0.5]}),
+    ("tolerance-nan", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": NAN}}),
+    ("tolerance-inf", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": INF}}),
+    ("radius-inf", "lattice.radius", {"lattice": {"radius": INF}}),
+    ("lo-nan", "lattice.lo", {"lattice": {"lo": NAN}}),
+    ("hi-inf", "lattice.hi", {"lattice": {"hi": -INF}}),
+    ("per-axis-nan", "lattice.per_axis", {"lattice": {"per_axis": NAN}}),
+    ("window-inf", "grid.x1", grid5(x1=INF)),
+    ("window-nan", "grid.y0", grid5(y0=NAN)),
+    ("nx-inf", "grid.nx", {"grid": {"nx": INF, "ny": 5}}),
+    ("ny-nan", "grid.ny", {"grid": {"nx": 5, "ny": NAN}}),
+    ("disk-center-nan", "grid.excluded_disks[0].center[1]",
+     grid5(excluded_disks=[[0.8, NAN, 0.1]])),
+    ("disk-radius-nan", "grid.excluded_disks[0].radius",
+     grid5(excluded_disks=[{"center": [0.8, 0.8], "radius": NAN}])),
+    ("jet-order-nan", "jet_order", {"jet_order": NAN}),
+    ("jet-order-inf", "jet_order", {"jet_order": INF}),
+]
+# (case id, field path, document, a fragment of the message): a wrong
+# type, a value out of range or an unknown key, run on verify.  With the
+# cases above, every path of the config document has a bad value here.
+BAD_FIELDS = [
+    ("translation", "translation", {"translation": 5}, "a list"),
+    ("lattice", "lattice", {"lattice": 5}, "an object"),
+    ("tolerances", "tolerances", {"tolerances": [1]}, "an object"),
+    ("checks", "checks", {"checks": 5}, "a list"),
+    ("curve", "curve", {"curve": 3}, "a list"),
+    ("spec-ambient-dim", "spec.ambient_dim", {"spec": {**SPEC, "ambient_dim": "x"}}, "an integer"),
+    ("excluded-disks", "grid.excluded_disks", grid5(excluded_disks=5), "a list"),
+    ("out", "out", {"out": 5}, "a string"),
+    ("jet-order-string", "jet_order", {"jet_order": "4"}, "an integer"),
+    ("jet-order-fraction", "jet_order", {"jet_order": 4.7}, "an integer"),
+    ("nx-fraction", "grid.nx", {"grid": {"nx": 7.9, "ny": 5}}, "an integer"),
+    ("nx-string", "grid.nx", {"grid": {"nx": "7", "ny": 5}}, "an integer"),
+    ("per-axis-string", "lattice.per_axis", {"lattice": {"per_axis": "3"}}, "an integer"),
+    ("per-axis-fraction", "lattice.per_axis", {"lattice": {"per_axis": 2.5}}, "an integer"),
+    ("lattice-unknown-key", "lattice.foo", {"lattice": {"foo": 1}}, "unknown"),
+    ("tolerance-unknown-name", "tolerances.bogus", {"tolerances": {"bogus": 1e-3}}, "unknown"),
+    ("tolerance-bool", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": True}},
+     "a number"),
+    ("scale-bool", "scale", {"scale": False}, "a number"),
+    ("translation-strings", "translation[0]",
+     {"translation": ["0.9", "-0.4", "0.7", "0.3", "-0.8", "0.5"]}, "a number"),
+    ("disk-radius-negative", "grid.excluded_disks[0].radius",
+     grid5(excluded_disks=[[0.8, 0.8, -0.3]]), ">= 0"),
+    ("ambient-dim-fraction", "spec.ambient_dim", {"spec": {**SPEC, "ambient_dim": 6.5}},
+     "an integer"),
+    ("ambient-dim-string", "spec.ambient_dim", {"spec": {**SPEC, "ambient_dim": "6"}},
+     "an integer"),
+    ("spec-unknown-key", "spec.alpha", {"spec": {**SPEC, "alpha": []}}, "unknown"),
+    ("curve-in-r2", "curve", {"curve": [[0, 1]]}, ">= 2"),
+    ("seed-preset", "seed_preset", {"seed_preset": 5}, "a string"),
+    ("spec", "spec", {"spec": 5}, "an object"),
+    ("isotropy-order", "spec.isotropy_order", {"spec": {**SPEC, "isotropy_order": 0}}, ">= 1"),
+    ("alpha0", "spec.alpha0", {"spec": {**SPEC, "alpha0": 5}}, "a list"),
+    ("alpha0-polynomial", "spec.alpha0[0]", {"spec": {**SPEC, "alpha0": [5]}}, "a list"),
+    ("alpha0-coefficient", "spec.alpha0[0][1]", {"spec": {**SPEC, "alpha0": [[1, "x"]]}},
+     "[re, im]"),
+    ("betas-missing", "spec.betas", {"spec": {"ambient_dim": 6, "isotropy_order": 2}},
+     "required"),
+    ("betas-polynomial", "spec.betas[2]", {"spec": {**SPEC, "betas": [[1], [1], 1]}}, "a list"),
+    ("betas-coefficient", "spec.betas[0][0]", {"spec": {**SPEC, "betas": [[True], [1], [1]]}},
+     "[re, im]"),
+    ("curve-polynomial", "curve[1]", {"curve": [[0, 1], 5]}, "a list"),
+    ("curve-coefficient", "curve[0][1]", {"curve": [[0, [1, 2, 3]], [0, 0, 1]]}, "[re, im]"),
+    ("ambient-curve-short", "ambient_curve", {"ambient_curve": [[0, 1], [0, [0, 1]]]}, ">= 4"),
+    ("ambient-curve-polynomial", "ambient_curve[3]",
+     {"ambient_curve": [[0, 1], [0, [0, 1]], [0, 0, 1], None]}, "a list"),
+    ("ambient-curve-coefficient", "ambient_curve[0][0]",
+     {"ambient_curve": [["0", 1], [0, [0, 1]], [0, 0, 1], [0, 0, [0, 1]]]}, "[re, im]"),
+    ("grid", "grid", {"grid": 5}, "an object"),
+    ("grid-unknown-key", "grid.nz", grid5(nz=5), "unknown"),
+    ("grid-string-field", "grid.nx", {"grid": "0.3,1.3,0.3,1.3,five,5"}, "an integer"),
+    ("window-string", "grid.x0", grid5(x0="0.3"), "a number"),
+    ("window-reversed-x", "grid.x1", grid5(x0=1.0, x1=0.5), ">= x0"),
+    ("window-bool", "grid.y0", grid5(y0=True), "a number"),
+    ("window-reversed-y", "grid.y1", grid5(y0=1.0, y1=0.5), ">= y0"),
+    ("nx-one", "grid.nx", {"grid": {"nx": 1, "ny": 5}}, ">= 2"),
+    ("ny-string", "grid.ny", {"grid": {"nx": 5, "ny": "5"}}, "an integer"),
+    ("disk-pair", "grid.excluded_disks[0]", grid5(excluded_disks=[[0.8, 0.8]]), "an object"),
+    ("disk-unknown-key", "grid.excluded_disks[0].r", grid5(excluded_disks=[{**DISK, "r": 1}]),
+     "unknown"),
+    ("disk-center-short", "grid.excluded_disks[0].center",
+     grid5(excluded_disks=[{"center": [0.8], "radius": 0.1}]), "2 items"),
+    ("disk-center-string", "grid.excluded_disks[0].center[0]",
+     grid5(excluded_disks=[{"center": ["0.8", 0.8], "radius": 0.1}]), "a number"),
+    ("tolerance-zero", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": 0}},
+     "> 0"),
+    ("lattice-lo-string", "lattice.lo", {"lattice": {"lo": "-1"}}, "a number"),
+    ("lattice-radius-zero", "lattice.radius", {"lattice": {"radius": 0}}, "> 0"),
+    ("check-number", "checks[0]", {"checks": [5]}, "a string"),
+]
+BAD_CONFIGS = [
+    pytest.param(COMMANDS[cmd], path, doc, "finite", id=f"{name}-{cmd}")
+    for name, path, doc in NON_FINITE for cmd in COMMANDS
+] + [pytest.param(COMMANDS["verify"], path, doc, fragment, id=f"{name}-verify")
+     for name, path, doc, fragment in BAD_FIELDS]
+
+
+@pytest.mark.parametrize("command, path, doc, fragment", BAD_CONFIGS)
+def test_non_finite_config_numbers_exit_2(tmp_path, monkeypatch, capsys, command, path, doc,
+                                          fragment):
+    """A bad value at any path of the config document, non-finite or
+    not, exits 2 with one error line that names the path."""
     monkeypatch.chdir(tmp_path)
+    if not any(k in doc for k in ("seed_preset", "spec", "curve", "ambient_curve")):
+        doc = {"seed_preset": "holo3", **doc}
     cfg = write_json(tmp_path / "cfg.json", {"grid": SMALL, **doc})
-    assert main(["verify", "--config", cfg]) == 2
+    assert main(command + ["--config", cfg]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    assert field in lines[0]
+    assert path in lines[0] and fragment in lines[0], lines[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("matrix", [
+    [["a", 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+    [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+    [[NAN, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+], ids=["non-numeric", "ragged", "nan"])
+def test_bad_projection_exits_2(tmp_path, capsys, matrix):
+    proj = write_json(tmp_path / "proj.json", matrix)
+    assert main(["export", "--what", "f", "--grid", SMALL, "--out", str(tmp_path),
+                 "--projection", proj]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: projection"), lines
+    assert not (tmp_path / "f.obj").exists()
 
 
 def test_bad_grid_string_exits_2(tmp_path, capsys):
