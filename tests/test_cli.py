@@ -330,7 +330,6 @@ def test_cli_artifacts_are_frozen(tmp_path, monkeypatch, config):
 NAN, INF = float("nan"), float("inf")
 COMMANDS = {"pedal": ["pedal"], "verify": ["verify"], "export": ["export", "--what", "inverted"]}
 SPEC = {"ambient_dim": 6, "isotropy_order": 2, "betas": [[1], [1], [1]]}
-DISK = {"center": [0.8, 0.8], "radius": 0.1}
 
 
 def grid5(**fields):
@@ -424,8 +423,8 @@ BAD_FIELDS = [
     ("nx-one", "grid.nx", {"grid": {"nx": 1, "ny": 5}}, ">= 2"),
     ("ny-string", "grid.ny", {"grid": {"nx": 5, "ny": "5"}}, "an integer"),
     ("disk-pair", "grid.excluded_disks[0]", grid5(excluded_disks=[[0.8, 0.8]]), "an object"),
-    ("disk-unknown-key", "grid.excluded_disks[0].r", grid5(excluded_disks=[{**DISK, "r": 1}]),
-     "unknown"),
+    ("disk-unknown-key", "grid.excluded_disks[0].r",
+     grid5(excluded_disks=[{"center": [0.8, 0.8], "radius": 0.1, "r": 1}]), "unknown"),
     ("disk-center-short", "grid.excluded_disks[0].center",
      grid5(excluded_disks=[{"center": [0.8], "radius": 0.1}]), "2 items"),
     ("disk-center-string", "grid.excluded_disks[0].center[0]",
