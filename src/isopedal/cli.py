@@ -29,7 +29,7 @@ from .config import CURVE_SOURCES, RunConfig, encode_complex
 from .errors import ConfigError, IsotropyViolation
 from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
 from .geometry import SurfaceJets, isotropy_order
-from .moebius import InversionSpec, invert_evaluator
+from .moebius import invert_evaluator
 from .pedal import SurfacePipeline, pedal_regularity
 from .verify import _generic_vector, report_to_json, run_all
 from .weierstrass import surface_evaluator
@@ -128,8 +128,8 @@ def _exported(cfg: RunConfig, what: str, order: int):
         return g_at, "pedal surface"
     center = (_generic_vector(g_at.ambient_dim) if cfg.translation is None
               else np.asarray(cfg.translation, dtype=float))
-    radius = float(cfg.lattice["radius"])
-    inverted = invert_evaluator(g_at, InversionSpec(tuple(center), radius))
+    radius = cfg.lattice["radius"]
+    inverted = invert_evaluator(g_at, center, radius)
     center_txt = ", ".join(f"{c:g}" for c in center)
     return (inverted.evaluated(pipe.x, pipe.y, order),
             f"inverted pedal surface (center [{center_txt}], radius {radius:g})")

@@ -108,8 +108,6 @@ FIELDS = {
     "checks[]": (STRING, None, REQUIRED),
     "out": (STRING, None, None),
 }
-# the lattice and the tolerances are hashed as written (3.0 stays 3.0)
-AS_WRITTEN = ("lattice.", "tolerances.")
 
 
 def _grid_text(text):
@@ -203,7 +201,7 @@ def _read(value, path, key, siblings):
             raise ConfigError(f"{name} needs {bound.lstrip('= ')} items, got {len(value)}")
         if kind is not LIST and not _BOUNDS[op](value, limit):
             raise ConfigError(f"{name} must be {bound}, got {value!r}")
-    return value if key.startswith(AS_WRITTEN) else _CASTS.get(kind, lambda v: v)(value)
+    return _CASTS.get(kind, lambda v: v)(value)
 
 
 def encode_complex(z) -> list:

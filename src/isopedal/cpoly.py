@@ -12,8 +12,6 @@ no conjugation: the isotropy condition used throughout the package is
 
 from __future__ import annotations
 
-import numpy as np
-
 CPoly = list  # list[complex], coefficients low -> high
 CVecPoly = list  # list[CPoly]
 
@@ -72,19 +70,6 @@ def cp_int(p) -> CPoly:
     return cp_trim([complex(0)] + [complex(c) / (k + 1) for k, c in enumerate(p)])
 
 
-def cp_eval(p, z):
-    """Horner evaluation; `z` may be a scalar or an ndarray."""
-    if np.ndim(z) == 0:
-        acc = complex(0)
-        for c in reversed(p):
-            acc = acc * complex(z) + c
-        return acc
-    acc = np.zeros(np.shape(z), dtype=complex)
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc
-
-
 def cp_max_abs(p) -> float:
     return max((abs(c) for c in p), default=0.0)
 
@@ -113,30 +98,9 @@ def cv_int(u) -> CVecPoly:
     return [cp_int(p) for p in u]
 
 
-def cv_eval(u, z):
-    """Evaluate all components; returns a list (scalar z) or ndarray stack."""
-    if np.ndim(z) == 0:
-        return [cp_eval(p, z) for p in u]
-    return np.stack([cp_eval(p, z) for p in u])
-
-
 def cv_max_abs(u) -> float:
     return max((cp_max_abs(p) for p in u), default=0.0)
 
 
 def cv_degree(u) -> int:
     return max((cp_degree(p) for p in u), default=-1)
-
-
-def cv_linear_map(mat, u) -> CVecPoly:
-    """Apply a constant matrix (rows x len(u)) to a polynomial vector."""
-    mat = np.asarray(mat)
-    if mat.shape[1] != len(u):
-        raise ValueError(f"matrix columns {mat.shape[1]} != components {len(u)}")
-    out = []
-    for row in mat:
-        acc: CPoly = []
-        for c, p in zip(row, u):
-            acc = cp_add(acc, cp_scale(p, c))
-        out.append(acc)
-    return out

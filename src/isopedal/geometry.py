@@ -126,9 +126,10 @@ class SurfaceJets:
 
         base = np.broadcast_to(base, self.batch)
         fx, fy = self.partial(1, 0), self.partial(0, 1)
-        E0 = fx.dot_value(fx).real
-        F0 = fx.dot_value(fy).real
-        G0 = fy.dot_value(fy).real
+        # order-0 values of the first fundamental form, kept for its readers
+        E0 = self.E0 = fx.dot_value(fx).real
+        F0 = self.F0 = fx.dot_value(fy).real
+        G0 = self.G0 = fy.dot_value(fy).real
         det = E0 * G0 - F0 * F0
         scale = np.maximum(E0, G0)
         self.immersed = base & (det > IMMERSION_RTOL * scale * scale) & (scale > 0)
@@ -154,14 +155,6 @@ class SurfaceJets:
         return got
 
     # -- first order -------------------------------------------------------
-
-    def first_fundamental(self):
-        """(E, F, G) as jets of order d-1."""
-        key = "fff"
-        if key not in self._cache:
-            fx, fy = self.partial(1, 0), self.partial(0, 1)
-            self._cache[key] = (fx.norm_sq(), fx.dot(fy), fy.norm_sq())
-        return self._cache[key]
 
     def tangent_coeff_jets(self):
         """(a, b, c) with e1 = a f_x and e2 = b f_x + c f_y: a and c are
@@ -445,78 +438,6 @@ def hodge_relation_residuals(bundle: SurfaceJets):
     out["lam"] = lam
     out["valid"] = conn["valid"]
     return out
-
-
-def intrinsic_gauss(bundle: SurfaceJets):
-    """Gauss curvature from the metric alone (Brioschi determinants)."""
-    E, F, G = bundle.first_fundamental()
-    if E.order < 2:
-        raise ValueError("intrinsic curvature needs metric jets of order >= 2")
-
-    def d(j, i, jj):
-        return j.deriv(i, jj).real
-
-    Ev, Fv, Gv = d(E, 0, 0), d(F, 0, 0), d(G, 0, 0)
-    Eu, Ev_ = d(E, 1, 0), d(E, 0, 1)
-    Fu, Fv_ = d(F, 1, 0), d(F, 0, 1)
-    Gu, Gv_ = d(G, 1, 0), d(G, 0, 1)
-    Evv = d(E, 0, 2)
-    Fuv = d(F, 1, 1)
-    Guu = d(G, 2, 0)
-
-    def det3(rows):
-        m = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-        return np.linalg.det(m)
-
-    m1 = det3([
-        [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev_],
-        [Fv_ - 0.5 * Gu, Ev, Fv],
-        [0.5 * Gv_, Fv, Gv],
-    ])
-    m2 = det3([
-        [np.zeros_like(Ev), 0.5 * Ev_, 0.5 * Gu],
-        [0.5 * Ev_, Ev, Fv],
-        [0.5 * Gu, Fv, Gv],
-    ])
-    den = np.maximum((Ev * Gv - Fv * Fv) ** 2, _TINY)
-    return (m1 - m2) / den
-
-
-def third_form_recursive_defect(bundle: SurfaceJets):
-    """Cross-check of the third fundamental form's two constructions.
-
-    Computes, for each pair of coordinate directions, the derivative of
-    the second-form field along the third direction, projects it onto the
-    orthogonal complement of tangent + first normal space, and compares
-    with the osculating-projection value.  Returns the max relative
-    defect per point.
-    """
-    lev = bundle.flag(2)
-    n1_frames = lev[0].frames
-    frames_all = [bundle.e1, bundle.e2] + n1_frames
-    h = {
-        (2, 0): bundle.tangent_project_off(bundle.partial(2, 0)),
-        (1, 1): bundle.tangent_project_off(bundle.partial(1, 1)),
-        (0, 2): bundle.tangent_project_off(bundle.partial(0, 2)),
-    }
-    # osculating route: projected third partials
-    osc = {
-        (3, 0): bundle.partial(3, 0).project_off(frames_all),
-        (2, 1): bundle.partial(2, 1).project_off(frames_all),
-        (1, 2): bundle.partial(1, 2).project_off(frames_all),
-        (0, 3): bundle.partial(0, 3).project_off(frames_all),
-    }
-    scale = np.maximum.reduce([np.max(np.abs(_nvalue(v)), axis=0) for v in osc.values()])
-    scale = np.maximum(scale, _TINY)
-    worst = np.zeros(bundle.batch)
-    for (i, j), fld in h.items():
-        for axis in (0, 1):
-            der = fld.dx() if axis == 0 else fld.dy()
-            rec = bundle.tangent_project_off(der).project_off(n1_frames)
-            tgt = osc[(i + 1, j)] if axis == 0 else osc[(i, j + 1)]
-            diff = np.max(np.abs(_nvalue(rec) - _nvalue(tgt)), axis=0)
-            worst = np.maximum(worst, diff / scale)
-    return worst
 
 
 def first_normal_rank(bundle: SurfaceJets):

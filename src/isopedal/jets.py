@@ -34,15 +34,13 @@ as a * (1/b), so real division by a jet's value is written t * (1/b).
 
 Division and square root are power series in the normalized remainder
 u = a/a0 - 1, which is nilpotent at order d+1, so `order` Horner steps
-give the exact truncation.  Degenerate denominators either raise
-`DegenerateJet` (point APIs) or are masked out by a `guard` array (grid
-pipelines), in which case the affected batch entries hold junk and the
+give the exact truncation.  A degenerate denominator raises
+`DegenerateJet` unless a `guard` array is given; with one, which every
+grid pipeline passes, the affected batch entries hold junk and the
 caller keeps the mask.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -177,12 +175,6 @@ class _Table:
         """Order-0 values, shape (*batch) or (n, *batch); a view into the table."""
         return self.t[0, 0]
 
-    def deriv(self, i, j):
-        """Derivative value d^{i+j}/dx^i dy^j (unscaled)."""
-        if i + j > self.order:
-            raise ValueError(f"derivative ({i},{j}) beyond jet order {self.order}")
-        return self.t[i, j] * (math.factorial(i) * math.factorial(j))
-
     def truncate(self, order):
         if order == self.order:
             return self
@@ -270,20 +262,6 @@ class Jet(_Table):
     @staticmethod
     def zeros(order, batch=()):
         return Jet._of(np.zeros((order + 1, order + 1) + tuple(batch)))
-
-    @staticmethod
-    def coordinate(x0, axis, order, batch=None):
-        """The jet of the coordinate function x (axis=0) or y (axis=1)."""
-        x0 = np.asarray(x0)
-        shape = x0.shape if batch is None else tuple(batch)
-        t = np.zeros((order + 1, order + 1) + shape, dtype=np.result_type(x0, float))
-        t[0, 0] = x0
-        if order >= 1:
-            if axis == 0:
-                t[1, 0] = 1.0
-            else:
-                t[0, 1] = 1.0
-        return Jet._of(t)
 
     # -- ring operations -------------------------------------------------
 

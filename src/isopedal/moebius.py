@@ -20,8 +20,9 @@ transforms by the closed-form laws
     H~ = ( ||d||^2 P_d(H) + 2 P_d(d_normal) ) / R^2,
 
 where d_normal is the component of d orthogonal to the tangent plane.
-(The laws are rederived here independently in `transformation_residuals`
-by comparing against direct jet differentiation through the inversion.)
+The mean-curvature law underlies the residual system below; verify's
+`inversion.crosscheck` compares that system with direct jets of the
+inverted pedal, and the tests check both laws against direct jets.
 
 Everything degenerates on the sphere center: points within
 POLE_RTOL * R of the center are masked out.
@@ -29,55 +30,14 @@ POLE_RTOL * R of the center are masked out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import SurfaceJets, _nvalue
+from .geometry import _nvalue
 from .jets import JetVec
 from .weierstrass import SurfaceEvaluator
 
 POLE_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class InversionSpec:
-    """Sphere inversion: center and radius."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise ConfigError("inversion center must be a flat coordinate list")
-        if not np.all(np.isfinite(c)):
-            raise ConfigError("inversion center must be finite")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ConfigError(f"inversion radius must be positive, got {self.radius}")
-        object.__setattr__(self, "center", tuple(float(v) for v in c))
-
-    @property
-    def center_array(self):
-        return np.asarray(self.center, dtype=float)
-
-    def apply(self, points):
-        """Invert raw points, shape (n, ...); no masking, caller beware."""
-        p = np.asarray(points, dtype=float)
-        c = self.center_array.reshape((-1,) + (1,) * (p.ndim - 1))
-        d = p - c
-        dsq = np.sum(d * d, axis=0)
-        return c + self.radius**2 * d / np.maximum(dsq, 1e-300)
-
-    def reflect(self, at_points, vectors):
-        """Apply the reflection P_d at each base point to ambient vectors."""
-        d = np.asarray(at_points, dtype=float) - self.center_array.reshape(
-            (-1,) + (1,) * (np.asarray(at_points).ndim - 1)
-        )
-        dsq = np.maximum(np.sum(d * d, axis=0), 1e-300)
-        v = np.asarray(vectors, dtype=float)
-        return v - 2 * np.sum(v * d, axis=0) * d / dsq
 
 
 def invert_jets(f: JetVec, valid, centers, radius: float):
@@ -104,109 +64,35 @@ def invert_jets(f: JetVec, valid, centers, radius: float):
     return d.scale(scale).translate(c), valid & (pole_sq > limit_sq)
 
 
-def invert_evaluator(surface: SurfaceEvaluator, inv: InversionSpec) -> SurfaceEvaluator:
-    """Evaluator of the inverted surface, with a pole-proximity mask.
+def invert_evaluator(surface: SurfaceEvaluator, centers, radius: float) -> SurfaceEvaluator:
+    """Evaluator of the surface inverted in the spheres of `radius` about
+    `centers`, with a pole-proximity mask.
 
-    Inversion is an analytic ambient map, so jets compose without order
-    loss.  Points closer than POLE_RTOL * radius to the center are
-    masked invalid, on top of the surface's own mask.
+    One center, shape (n,), keeps the surface's batch; a stack of k
+    centers, shape (k, n), gives the k inversions stacked on a leading
+    batch axis (see `invert_jets`).  Inversion is an analytic ambient
+    map, so jets compose without order loss.  Points closer than
+    POLE_RTOL * radius to their center are masked invalid, on top of the
+    surface's own mask.
     """
-    if len(inv.center) != surface.ambient_dim:
-        raise ConfigError(
-            f"inversion center has dimension {len(inv.center)}, "
-            f"surface lives in dimension {surface.ambient_dim}"
-        )
-    c = inv.center_array
+    C = np.asarray(centers, dtype=float)
+    if C.ndim not in (1, 2) or C.shape[-1] != surface.ambient_dim:
+        raise ConfigError(f"inversion centers have shape {C.shape}, "
+                          f"surface lives in dimension {surface.ambient_dim}")
+    if not np.all(np.isfinite(C)):
+        raise ConfigError("inversion center must be finite")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ConfigError(f"inversion radius must be positive, got {radius}")
 
     def fn(x, y, order):
-        return invert_jets(*surface.evaluate(x, y, order), c, inv.radius)
+        return invert_jets(*surface.evaluate(x, y, order), C, radius)
 
     return SurfaceEvaluator(
         ambient_dim=surface.ambient_dim,
         provenance=f"invert({surface.provenance}; "
-        f"center={np.round(c, 6).tolist()}, radius={inv.radius:g})",
+        f"center={np.round(C, 6).tolist()}, radius={radius:g})",
         fn=fn,
     )
-
-
-def _coordinate_shape_data(bundle: SurfaceJets):
-    """Gram matrix and coordinate second derivatives at order 0."""
-    fx = _nvalue(bundle.partial(1, 0))
-    fy = _nvalue(bundle.partial(0, 1))
-    G = np.stack([
-        np.stack([np.sum(fx * fx, 0), np.sum(fx * fy, 0)], axis=-1),
-        np.stack([np.sum(fx * fy, 0), np.sum(fy * fy, 0)], axis=-1),
-    ], axis=-2)
-    seconds = [_nvalue(bundle.partial(2, 0)),
-               _nvalue(bundle.partial(1, 1)),
-               _nvalue(bundle.partial(0, 2))]
-    return G, seconds
-
-
-def _shape_endomorphism(G, seconds, mu):
-    """Shape operator of the normal direction mu in the coordinate basis."""
-    S = np.stack([
-        np.stack([np.sum(seconds[0] * mu, 0), np.sum(seconds[1] * mu, 0)], axis=-1),
-        np.stack([np.sum(seconds[1] * mu, 0), np.sum(seconds[2] * mu, 0)], axis=-1),
-    ], axis=-2)
-    return np.linalg.solve(G, S)
-
-
-def transformation_residuals(surface: SurfaceEvaluator, inv: InversionSpec, x, y,
-                             order: int = 3):
-    """Closed-form inversion laws vs direct jet differentiation.
-
-    For each first-normal frame direction mu of the base surface the
-    shape operator of the inverted surface along the reflected normal is
-    computed twice -- once from the inverted jets, once from the
-    transformation law -- and likewise the mean curvature vector.
-    Returns per-point relative residuals and the comparison data.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    base = SurfaceJets(surface, x, y, order)
-    tilted = SurfaceJets(invert_evaluator(surface, inv), x, y, order)
-    valid = base.valid & tilted.valid & base.flag(1)[0].valid
-
-    fvals = _nvalue(base.f)
-    c = inv.center_array.reshape((-1,) + (1,) * (fvals.ndim - 1))
-    d = fvals - c
-    rho = np.sum(d * d, axis=0)
-    R2 = inv.radius**2
-
-    G, seconds = _coordinate_shape_data(base)
-    Gt, seconds_t = _coordinate_shape_data(tilted)
-
-    shape_res = np.zeros(base.batch)
-    for fr in base.flag(1)[0].frames:
-        mu = _nvalue(fr)
-        mu_t = inv.reflect(fvals, mu)
-        A = _shape_endomorphism(G, seconds, mu)
-        At = _shape_endomorphism(Gt, seconds_t, mu_t)
-        eye = np.eye(2).reshape((1,) * (A.ndim - 2) + (2, 2))
-        law = (rho[..., None, None] * A + 2 * np.sum(d * mu, 0)[..., None, None] * eye) / R2
-        scale = np.maximum(np.abs(At).max(axis=(-2, -1)), np.abs(law).max(axis=(-2, -1)))
-        res = np.abs(At - law).max(axis=(-2, -1)) / np.maximum(scale, 1e-300)
-        shape_res = np.maximum(shape_res, res)
-
-    H_direct = _nvalue(tilted.mean_curvature())
-    Hb = _nvalue(base.mean_curvature())
-    e1 = _nvalue(base.e1)
-    e2 = _nvalue(base.e2)
-    d_normal = d - np.sum(d * e1, 0) * e1 - np.sum(d * e2, 0) * e2
-    H_law = (rho * inv.reflect(fvals, Hb) + 2 * inv.reflect(fvals, d_normal)) / R2
-    hscale = np.maximum(
-        np.linalg.norm(H_direct, axis=0), np.linalg.norm(H_law, axis=0)
-    )
-    mean_res = np.linalg.norm(H_direct - H_law, axis=0) / np.maximum(hscale, 1e-300)
-
-    return {
-        "shape_residual": shape_res,
-        "mean_residual": mean_res,
-        "H_direct": H_direct,
-        "H_law": H_law,
-        "valid": valid,
-    }
 
 
 def _minimality_points(pb):

@@ -231,8 +231,6 @@ def pedal_regularity(pb: PedalBundle):
     """
     if pb.base.order < 3:
         raise ValueError("pedal regularity needs base jets of order >= 3")
-    fx = pb.base.partial(1, 0)
-    fx_sq = fx.dot_value(fx).real
     gx = pb.foot.dx()
     gy = pb.foot.dy()
     gx_sq = gx.dot_value(gx).real
@@ -241,7 +239,7 @@ def pedal_regularity(pb: PedalBundle):
     gram = gx_sq * gy_sq - gxy * gxy
     gscale = np.maximum(gx_sq, gy_sq)
     immersed = pb.valid & (gram > PEDAL_IMMERSION_RTOL * gscale * gscale)
-    ratio = gx_sq / np.maximum(fx_sq, 1e-300)
+    ratio = gx_sq / np.maximum(pb.base.E0, 1e-300)
     predicted = pb.conformal_factor_predicted()
     scale = np.maximum(np.maximum(np.abs(ratio), np.abs(predicted)), 1e-300)
     defect = np.abs(ratio - predicted) / scale

@@ -71,9 +71,9 @@ from .geometry import (
     hodge_relation_residuals,
 )
 from .grid import Grid
-from .moebius import _minimality_points, invert_jets, minimality_residuals
+from .moebius import _minimality_points, invert_evaluator, minimality_residuals
 from .pedal import SurfacePipeline
-from .weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
+from .weierstrass import preset_curve, surface_evaluator
 
 REPORT_VERSION = "1"
 REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold here
@@ -375,7 +375,7 @@ class Run:
 
 def _tol(tolerances, name):
     if tolerances and name in tolerances:
-        return float(tolerances[name])
+        return tolerances[name]
     return DEFAULT_TOLERANCES[name]
 
 
@@ -435,11 +435,7 @@ def verify_superconformal(run: Run) -> dict:
 
 
 def _conformality_defect(gb: SurfaceJets):
-    gx = _nvalue(gb.partial(1, 0))
-    gy = _nvalue(gb.partial(0, 1))
-    E = np.sum(gx * gx, axis=0)
-    F = np.sum(gx * gy, axis=0)
-    G = np.sum(gy * gy, axis=0)
+    E, F, G = gb.E0, gb.F0, gb.G0
     scale = np.maximum(np.maximum(E, G), _TINY)
     return np.maximum(np.abs(F), np.abs(E - G)) / scale, E
 
@@ -455,8 +451,7 @@ def verify_pedal_conformality(run: Run) -> dict:
     """
     pipe = run.surface
     defect, Eg = _conformality_defect(pipe.pedal)
-    Ef, _, _ = (j.value().real for j in pipe.base.first_fundamental())
-    ratio = Eg / np.maximum(Ef, _TINY)
+    ratio = Eg / np.maximum(pipe.base.E0, _TINY)
     predicted = pipe.split.conformal_factor_predicted()
     ctrl = run.control
     cdef, _ = _conformality_defect(ctrl.pedal)
@@ -533,8 +528,7 @@ def verify_meancurvature(run: Run) -> dict:
     H_pred = _nvalue(sp.mean_curvature_predicted())
     defect = _norms(H_direct - H_pred) / np.maximum(_norms(H_pred), _TINY)
 
-    Ef, _, _ = (j.value().real for j in pipe.base.first_fundamental())
-    lap = _nvalue(pipe.pedal.laplacian()) / np.maximum(Ef, _TINY)
+    lap = _nvalue(pipe.pedal.laplacian()) / np.maximum(pipe.base.E0, _TINY)
     K = pipe.base.curvature_scalars()["K"]
     rhs = 2.0 * K * (_nvalue(sp.first_normal_part) - _nvalue(sp.tangent_part))
     ldef = _norms(lap - rhs) / np.maximum(_norms(rhs), _TINY)
@@ -837,8 +831,8 @@ def _lattice_blocks(count: int, points: int):
 def _center_lattice(n: int, lattice: dict) -> np.ndarray:
     """The per_axis^n lattice centers, shape (per_axis**n, n), in the
     row-major order of itertools.product (last coordinate fastest)."""
-    per = int(lattice["per_axis"])
-    axis = np.linspace(float(lattice["lo"]), float(lattice["hi"]), per)
+    per = lattice["per_axis"]
+    axis = np.linspace(lattice["lo"], lattice["hi"], per)
     return axis[np.indices((per,) * n).reshape(n, -1).T]
 
 
@@ -863,7 +857,7 @@ def verify_inversion_minimality(run: Run) -> dict:
     """
     pipe = run.surface
     lattice = run.config.lattice
-    radius = float(lattice["radius"])
+    radius = lattice["radius"]
     centers = _center_lattice(pipe.evaluator.ambient_dim, lattice)
 
     sp = pipe.split
@@ -904,7 +898,8 @@ def verify_inversion_minimality(run: Run) -> dict:
     # every sampled center in one call: a one-row product would round
     # differently depending on the memory layout of the cached arrays
     sres = minimality_residuals(sub.split, centers[picks], radius)
-    bundle = _inverted(sub.pedal_evaluated, sub, centers[picks], radius)
+    bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, centers[picks], radius),
+                         sub.x, sub.y, 2)
     masks = sub.pre & bundle.valid & sub.split.valid  # one row per center
     # ||H|| and the second-form scale of the inverted surface both carry
     # the factor rho/R^2 relative to base pedal data, so the dimensionless
@@ -936,17 +931,6 @@ def _rank_deviation(bundle: SurfaceJets):
     return np.abs(rank.astype(float) - 3.0)
 
 
-def _inverted(surface: SurfaceEvaluator, pipe: SurfacePipeline, centers, radius) -> SurfaceJets:
-    """Order-2 bundle of `surface`, an evaluation on the pipeline's grid,
-    inverted about `centers`: one center, shape (n,), or k centers, shape
-    (k, n), whose inversions are stacked on a leading batch axis, all
-    composed on the surface's one evaluation."""
-    x, y = pipe.x, pipe.y
-    jets, valid = invert_jets(*surface.evaluate(x, y, 2), centers, radius)
-    return SurfaceJets(SurfaceEvaluator.of_jets(f"invert({surface.provenance})", x, y,
-                                                jets, valid), x, y, 2)
-
-
 def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
     """Worst |rank - 3| of the first normal bundle over random inversions
     of the pipeline's pedal, stacked in one bundle, the number of
@@ -956,7 +940,8 @@ def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
         direction = rng.normal(size=pipe.evaluator.ambient_dim)
         direction /= np.linalg.norm(direction)
         centers.append(span * direction)
-    bundle = _inverted(pipe.pedal_evaluated, pipe, np.array(centers), 1.0)
+    bundle = SurfaceJets(invert_evaluator(pipe.pedal_evaluated, np.array(centers), 1.0),
+                         pipe.x, pipe.y, 2)
     masks = pipe.pre & bundle.valid  # one row per inversion
     defects = [d for d in map(_masked_max, _rank_deviation(bundle), masks) if d is not None]
     return max(defects, default=None), len(defects), pipe.pre & np.all(masks, axis=0)
@@ -1043,7 +1028,7 @@ def verify_shifted_pedals(run: Run) -> dict:
         out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow.valid,
                                                              sub.grid)
     if run.wants("shifted_pedal.inverted_minimal"):
-        inverted = _inverted(shadow_at, sub, v, 1.0)
+        inverted = SurfaceJets(invert_evaluator(shadow_at, v, 1.0), sx, sy, 2)
         out["shifted_pedal.inverted_minimal"] = Outcome(
             _mean_ratio(inverted), spre & inverted.valid, sub.grid)
 

@@ -133,26 +133,28 @@ class IsotropicSpec:
 
     def __post_init__(self):
         n, m = self.ambient_dim, self.isotropy_order
+        # each message names the field of the config document's `spec`
         if not (isinstance(n, int) and n >= 4):
-            raise ConfigError(f"ambient dimension must be an integer >= 4, got {n!r}")
+            raise ConfigError(f"spec.ambient_dim must be an integer >= 4, got {n!r}")
         if not (isinstance(m, int) and m >= 1):
-            raise ConfigError(f"isotropy order must be an integer >= 1, got {m!r}")
+            raise ConfigError(f"spec.isotropy_order must be an integer >= 1, got {m!r}")
         if n - 2 * (m + 1) < 0:
             raise ConfigError(
-                f"ambient dimension {n} too small for isotropy order {m}: "
-                f"need N - 2(m+1) >= 0 seed components"
+                f"spec.isotropy_order {m} needs spec.ambient_dim >= {2 * (m + 1)}, got {n}"
             )
         object.__setattr__(self, "alpha0", cv_trim(self.alpha0))
         object.__setattr__(self, "betas", [cp_trim(b) for b in self.betas])
         if len(self.alpha0) != n - 2 * (m + 1):
             raise ConfigError(
-                f"seed curve needs exactly {n - 2*(m+1)} components, got {len(self.alpha0)}"
+                f"spec.alpha0 needs exactly N - 2(m+1) = {n - 2*(m+1)} seed components, "
+                f"got {len(self.alpha0)}"
             )
         if len(self.betas) != m + 1:
-            raise ConfigError(f"need {m + 1} weight polynomials, got {len(self.betas)}")
+            raise ConfigError(f"spec.betas needs m + 1 = {m + 1} weight polynomials, "
+                              f"got {len(self.betas)}")
         for k, b in enumerate(self.betas):
             if cp_degree(b) < 0:
-                raise ConfigError(f"weight polynomial {k + 1} is identically zero")
+                raise ConfigError(f"spec.betas[{k}] is identically zero")
 
 
 @dataclass
@@ -293,23 +295,4 @@ def preset_curve(name: str) -> IsotropicCurve:
     if name == "noniso":
         spec = IsotropicSpec(ambient_dim=6, isotropy_order=1, alpha0=[[1], _Z], betas=[[1], [1]])
         return w_generate(spec)
-    raise ConfigError(f"unknown seed preset {name!r} (expected holo3, holo4 or noniso)")
-
-
-def sample_spec(rng: np.random.Generator, max_dim: int = 12, max_degree: int = 3) -> IsotropicSpec:
-    """Draw a random admissible spec (for stress tests)."""
-    m = int(rng.integers(1, 4))
-    lo = 2 * (m + 1)
-    n = int(rng.integers(lo, max_dim + 1))
-    seed_dim = n - lo
-
-    def rand_poly(min_deg=0):
-        deg = int(rng.integers(min_deg, max_degree + 1))
-        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        if abs(coeffs[-1]) < 1e-3:
-            coeffs[-1] += 1.0
-        return list(coeffs)
-
-    alpha0 = [rand_poly() for _ in range(seed_dim)]
-    betas = [rand_poly() for _ in range(m + 1)]
-    return IsotropicSpec(ambient_dim=n, isotropy_order=m, alpha0=alpha0, betas=betas)
+    raise ConfigError(f"seed_preset must be holo3, holo4 or noniso, got {name!r}")

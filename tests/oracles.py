@@ -1,0 +1,281 @@
+"""Independent routes to quantities the library computes, for the tests.
+
+None of this is reached by a command.  Each function recomputes, along a
+second route, something the library derives along its own (the Gauss
+curvature from the metric alone, the third form by differentiating the
+second, the inversion laws against direct jets of an inverted surface,
+polynomial values by numpy's `polyval`), reads a jet (derivative values,
+metric jets), or builds test inputs (coordinate jets, random specs,
+rotated curves).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from numpy.polynomial.polynomial import polyval
+
+from isopedal.cpoly import cp_add, cp_scale
+from isopedal.geometry import SurfaceJets, _nvalue
+from isopedal.jets import Jet
+from isopedal.moebius import invert_evaluator
+from isopedal.weierstrass import IsotropicSpec, SurfaceEvaluator
+
+_TINY = 1e-300
+
+
+# -- polynomials and jets -------------------------------------------------------
+
+
+def curve_values(u, z):
+    """Values of every component of the polynomial vector `u` at `z`, by
+    numpy's `polyval` (the zero polynomial, [], is 0)."""
+    return np.array([polyval(z, p or [0]) for p in u])
+
+
+def cv_linear_map(mat, u):
+    """Apply a constant matrix (rows x len(u)) to a polynomial vector."""
+    mat = np.asarray(mat)
+    if mat.shape[1] != len(u):
+        raise ValueError(f"matrix columns {mat.shape[1]} != components {len(u)}")
+    out = []
+    for row in mat:
+        acc = []
+        for c, p in zip(row, u):
+            acc = cp_add(acc, cp_scale(p, c))
+        out.append(acc)
+    return out
+
+
+def coordinate(x0, axis, order):
+    """The jet of the coordinate function x (axis=0) or y (axis=1) at x0."""
+    x0 = np.asarray(x0)
+    t = np.zeros((order + 1, order + 1) + x0.shape, dtype=np.result_type(x0, float))
+    t[0, 0] = x0
+    if order >= 1:
+        if axis == 0:
+            t[1, 0] = 1.0
+        else:
+            t[0, 1] = 1.0
+    return Jet._of(t)
+
+
+def deriv(jet, i, j):
+    """Derivative value d^{i+j}/dx^i dy^j (unscaled) of a jet or jet vector."""
+    if i + j > jet.order:
+        raise ValueError(f"derivative ({i},{j}) beyond jet order {jet.order}")
+    return jet.t[i, j] * (math.factorial(i) * math.factorial(j))
+
+
+def sample_spec(rng: np.random.Generator, max_dim: int = 12, max_degree: int = 3) -> IsotropicSpec:
+    """Draw a random admissible spec (for stress tests)."""
+    m = int(rng.integers(1, 4))
+    lo = 2 * (m + 1)
+    n = int(rng.integers(lo, max_dim + 1))
+    seed_dim = n - lo
+
+    def rand_poly(min_deg=0):
+        deg = int(rng.integers(min_deg, max_degree + 1))
+        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        if abs(coeffs[-1]) < 1e-3:
+            coeffs[-1] += 1.0
+        return list(coeffs)
+
+    alpha0 = [rand_poly() for _ in range(seed_dim)]
+    betas = [rand_poly() for _ in range(m + 1)]
+    return IsotropicSpec(ambient_dim=n, isotropy_order=m, alpha0=alpha0, betas=betas)
+
+
+# -- intrinsic and higher-order geometry ----------------------------------------
+
+
+def first_fundamental(bundle: SurfaceJets):
+    """(E, F, G) as jets of order d-1."""
+    fx, fy = bundle.partial(1, 0), bundle.partial(0, 1)
+    return fx.norm_sq(), fx.dot(fy), fy.norm_sq()
+
+
+def intrinsic_gauss(bundle: SurfaceJets):
+    """Gauss curvature from the metric alone (Brioschi determinants)."""
+    E, F, G = first_fundamental(bundle)
+    if E.order < 2:
+        raise ValueError("intrinsic curvature needs metric jets of order >= 2")
+
+    def d(j, i, jj):
+        return deriv(j, i, jj).real
+
+    Ev, Fv, Gv = d(E, 0, 0), d(F, 0, 0), d(G, 0, 0)
+    Eu, Ev_ = d(E, 1, 0), d(E, 0, 1)
+    Fu, Fv_ = d(F, 1, 0), d(F, 0, 1)
+    Gu, Gv_ = d(G, 1, 0), d(G, 0, 1)
+    Evv = d(E, 0, 2)
+    Fuv = d(F, 1, 1)
+    Guu = d(G, 2, 0)
+
+    def det3(rows):
+        m = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+        return np.linalg.det(m)
+
+    m1 = det3([
+        [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev_],
+        [Fv_ - 0.5 * Gu, Ev, Fv],
+        [0.5 * Gv_, Fv, Gv],
+    ])
+    m2 = det3([
+        [np.zeros_like(Ev), 0.5 * Ev_, 0.5 * Gu],
+        [0.5 * Ev_, Ev, Fv],
+        [0.5 * Gu, Fv, Gv],
+    ])
+    den = np.maximum((Ev * Gv - Fv * Fv) ** 2, _TINY)
+    return (m1 - m2) / den
+
+
+def third_form_recursive_defect(bundle: SurfaceJets):
+    """Cross-check of the third fundamental form's two constructions.
+
+    Computes, for each pair of coordinate directions, the derivative of
+    the second-form field along the third direction, projects it onto the
+    orthogonal complement of tangent + first normal space, and compares
+    with the osculating-projection value.  Returns the max relative
+    defect per point.
+    """
+    lev = bundle.flag(2)
+    n1_frames = lev[0].frames
+    frames_all = [bundle.e1, bundle.e2] + n1_frames
+    h = {
+        (2, 0): bundle.tangent_project_off(bundle.partial(2, 0)),
+        (1, 1): bundle.tangent_project_off(bundle.partial(1, 1)),
+        (0, 2): bundle.tangent_project_off(bundle.partial(0, 2)),
+    }
+    # osculating route: projected third partials
+    osc = {
+        (3, 0): bundle.partial(3, 0).project_off(frames_all),
+        (2, 1): bundle.partial(2, 1).project_off(frames_all),
+        (1, 2): bundle.partial(1, 2).project_off(frames_all),
+        (0, 3): bundle.partial(0, 3).project_off(frames_all),
+    }
+    scale = np.maximum.reduce([np.max(np.abs(_nvalue(v)), axis=0) for v in osc.values()])
+    scale = np.maximum(scale, _TINY)
+    worst = np.zeros(bundle.batch)
+    for (i, j), fld in h.items():
+        for axis in (0, 1):
+            der = fld.dx() if axis == 0 else fld.dy()
+            rec = bundle.tangent_project_off(der).project_off(n1_frames)
+            tgt = osc[(i + 1, j)] if axis == 0 else osc[(i, j + 1)]
+            diff = np.max(np.abs(_nvalue(rec) - _nvalue(tgt)), axis=0)
+            worst = np.maximum(worst, diff / scale)
+    return worst
+
+
+# -- sphere inversions on raw points and their closed-form laws ------------------
+
+
+def _offsets(center, points):
+    p = np.asarray(points, dtype=float)
+    return np.asarray(center, dtype=float).reshape((-1,) + (1,) * (p.ndim - 1)), p
+
+
+def invert_points(center, radius, points):
+    """Invert raw points, shape (n, ...), in the sphere about `center`; no masking."""
+    c, p = _offsets(center, points)
+    d = p - c
+    dsq = np.sum(d * d, axis=0)
+    return c + radius**2 * d / np.maximum(dsq, 1e-300)
+
+
+def reflect(center, at_points, vectors):
+    """Apply the reflection P_d, d = point - center, at each base point to
+    ambient vectors: the inversion's differential up to its factor."""
+    c, p = _offsets(center, at_points)
+    d = p - c
+    dsq = np.maximum(np.sum(d * d, axis=0), 1e-300)
+    v = np.asarray(vectors, dtype=float)
+    return v - 2 * np.sum(v * d, axis=0) * d / dsq
+
+
+def _coordinate_shape_data(bundle: SurfaceJets):
+    """Gram matrix and coordinate second derivatives at order 0."""
+    fx = _nvalue(bundle.partial(1, 0))
+    fy = _nvalue(bundle.partial(0, 1))
+    G = np.stack([
+        np.stack([np.sum(fx * fx, 0), np.sum(fx * fy, 0)], axis=-1),
+        np.stack([np.sum(fx * fy, 0), np.sum(fy * fy, 0)], axis=-1),
+    ], axis=-2)
+    seconds = [_nvalue(bundle.partial(2, 0)),
+               _nvalue(bundle.partial(1, 1)),
+               _nvalue(bundle.partial(0, 2))]
+    return G, seconds
+
+
+def _shape_endomorphism(G, seconds, mu):
+    """Shape operator of the normal direction mu in the coordinate basis."""
+    S = np.stack([
+        np.stack([np.sum(seconds[0] * mu, 0), np.sum(seconds[1] * mu, 0)], axis=-1),
+        np.stack([np.sum(seconds[1] * mu, 0), np.sum(seconds[2] * mu, 0)], axis=-1),
+    ], axis=-2)
+    return np.linalg.solve(G, S)
+
+
+def transformation_residuals(surface: SurfaceEvaluator, center, radius: float, x, y,
+                             order: int = 3):
+    """Closed-form inversion laws vs direct jet differentiation.
+
+    For each first-normal frame direction mu of the base surface the
+    shape operator of the inverted surface along the reflected normal is
+    computed twice -- once from the inverted jets, once from the
+    transformation law
+
+        shape~_{P_d(mu)} = (||d||^2 A_mu + 2 <d, mu> Id) / R^2,
+
+    -- and likewise the mean curvature vector,
+
+        H~ = (||d||^2 P_d(H) + 2 P_d(d_normal)) / R^2.
+
+    Returns per-point relative residuals and the comparison data.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    base = SurfaceJets(surface, x, y, order)
+    tilted = SurfaceJets(invert_evaluator(surface, center, radius), x, y, order)
+    valid = base.valid & tilted.valid & base.flag(1)[0].valid
+
+    fvals = _nvalue(base.f)
+    c, _ = _offsets(center, fvals)
+    d = fvals - c
+    rho = np.sum(d * d, axis=0)
+    R2 = radius**2
+
+    G, seconds = _coordinate_shape_data(base)
+    Gt, seconds_t = _coordinate_shape_data(tilted)
+
+    shape_res = np.zeros(base.batch)
+    for fr in base.flag(1)[0].frames:
+        mu = _nvalue(fr)
+        mu_t = reflect(center, fvals, mu)
+        A = _shape_endomorphism(G, seconds, mu)
+        At = _shape_endomorphism(Gt, seconds_t, mu_t)
+        eye = np.eye(2).reshape((1,) * (A.ndim - 2) + (2, 2))
+        law = (rho[..., None, None] * A + 2 * np.sum(d * mu, 0)[..., None, None] * eye) / R2
+        scale = np.maximum(np.abs(At).max(axis=(-2, -1)), np.abs(law).max(axis=(-2, -1)))
+        res = np.abs(At - law).max(axis=(-2, -1)) / np.maximum(scale, 1e-300)
+        shape_res = np.maximum(shape_res, res)
+
+    H_direct = _nvalue(tilted.mean_curvature())
+    Hb = _nvalue(base.mean_curvature())
+    e1 = _nvalue(base.e1)
+    e2 = _nvalue(base.e2)
+    d_normal = d - np.sum(d * e1, 0) * e1 - np.sum(d * e2, 0) * e2
+    H_law = (rho * reflect(center, fvals, Hb) + 2 * reflect(center, fvals, d_normal)) / R2
+    hscale = np.maximum(
+        np.linalg.norm(H_direct, axis=0), np.linalg.norm(H_law, axis=0)
+    )
+    mean_res = np.linalg.norm(H_direct - H_law, axis=0) / np.maximum(hscale, 1e-300)
+
+    return {
+        "shape_residual": shape_res,
+        "mean_residual": mean_res,
+        "H_direct": H_direct,
+        "H_law": H_law,
+        "valid": valid,
+    }

@@ -362,8 +362,9 @@ NON_FINITE = [
     ("jet-order-inf", "jet_order", {"jet_order": INF}),
 ]
 # (case id, field path, document, a fragment of the message): a wrong
-# type, a value out of range or an unknown key, run on verify.  With the
-# cases above, every path of the config document has a bad value here.
+# type, a value out of range, an unknown key or spec fields that disagree,
+# run on verify.  With the cases above, every path of the config document
+# has a bad value here.
 BAD_FIELDS = [
     ("translation", "translation", {"translation": 5}, "a list"),
     ("lattice", "lattice", {"lattice": 5}, "an object"),
@@ -434,6 +435,14 @@ BAD_FIELDS = [
     ("lattice-lo-string", "lattice.lo", {"lattice": {"lo": "-1"}}, "a number"),
     ("lattice-radius-zero", "lattice.radius", {"lattice": {"radius": 0}}, "> 0"),
     ("check-number", "checks[0]", {"checks": [5]}, "a string"),
+    ("seed-preset-unknown", "seed_preset", {"seed_preset": "holo5"}, "holo3, holo4 or noniso"),
+    ("alpha0-count", "spec.alpha0", {"spec": {**SPEC, "alpha0": [[1]]}}, "0 seed components"),
+    ("isotropy-order-too-high", "spec.isotropy_order", {"spec": {**SPEC, "isotropy_order": 3}},
+     "ambient_dim >= 8"),
+    ("betas-count", "spec.betas", {"spec": {**SPEC, "betas": [[1], [1]]}},
+     "3 weight polynomials"),
+    ("betas-zero", "spec.betas[1]", {"spec": {**SPEC, "betas": [[1], [0], [1]]}},
+     "identically zero"),
 ]
 BAD_CONFIGS = [
     pytest.param(COMMANDS[cmd], path, doc, "finite", id=f"{name}-{cmd}")

@@ -1,0 +1,58 @@
+"""src holds only what the package itself reaches, plus its documented
+entry points: test oracles live in tests/oracles.py."""
+
+import ast
+import importlib
+import pathlib
+import re
+from collections import Counter
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "isopedal"
+README = SRC.parents[1] / "README.md"
+
+
+def _named(tree):
+    """How often the code under `tree` names each name: names,
+    attributes, imports, and string constants (`CHECKS` names its group
+    functions by string; a docstring is not a name)."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def _entry_points():
+    """(module, name) of each import in README's "Library entry points" block."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library entry points\s+```python\n(.*?)```", text, re.S).group(1)
+    return [(node.module, alias.name)
+            for node in ast.parse(block).body if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def test_every_src_definition_is_named_in_src_or_an_entry_point():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    entry = {name for _, name in _entry_points()}
+    everywhere = sum(map(_named, trees.values()), Counter())
+    unreached = []
+    for mod, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            # a name used only inside its own definition (recursion) is unreached
+            elsewhere = everywhere[node.name] - _named(node)[node.name]
+            if not (elsewhere or node.name in entry):
+                unreached.append(f"{mod}.{node.name}")
+    assert unreached == []
+
+
+def test_readme_entry_points_resolve():
+    for module, name in _entry_points():
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

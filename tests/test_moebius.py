@@ -2,8 +2,8 @@
 
 The shape-operator and mean-curvature transformation laws are verified
 by comparing direct jets of the inverted surface against the closed
-forms; the Moebius structure (involution, sphere fixed-point set,
-near-isometry far away) is exercised on raw points.
+forms (tests/oracles.py); the Moebius structure (involution, sphere
+fixed-point set, near-isometry far away) is exercised on raw points.
 """
 
 import numpy as np
@@ -12,63 +12,68 @@ import pytest
 from isopedal.errors import ConfigError
 from isopedal.geometry import SurfaceJets, first_normal_rank
 from isopedal.grid import Grid
-from isopedal.moebius import (
-    POLE_RTOL,
-    InversionSpec,
-    invert_evaluator,
-    invert_jets,
-    minimality_residuals,
-    transformation_residuals,
-)
+from isopedal.jets import JetVec
+from isopedal.moebius import POLE_RTOL, invert_evaluator, invert_jets, minimality_residuals
 from isopedal.pedal import PedalBundle, pedal_split, pedal_surface
 from isopedal.weierstrass import holomorphic_curve, preset_curve, surface_evaluator
+from oracles import invert_points, reflect, transformation_residuals
 
 
 def holo3():
     return surface_evaluator(preset_curve("holo3"))
 
 
+def _inverted_points(points, center, radius):
+    """Raw points, shape (n, ...), inverted by `invert_jets` as order-0 jets."""
+    jets, _ = invert_jets(JetVec._of(points[None, None]), True, center, radius)
+    return jets.value()
+
+
 def test_inversion_is_an_involution_on_points():
-    inv = InversionSpec(center=(0.5, -1.0, 0.2, 0.0, 0.7, -0.3), radius=1.3)
+    center = np.array([0.5, -1.0, 0.2, 0.0, 0.7, -0.3])
     rng = np.random.default_rng(3)
     p = rng.normal(size=(6, 40))
-    back = inv.apply(inv.apply(p))
+    back = _inverted_points(_inverted_points(p, center, 1.3), center, 1.3)
     assert np.max(np.abs(back - p)) < 1e-10
 
 
 def test_sphere_is_pointwise_fixed():
-    inv = InversionSpec(center=(1.0, 0, 0, 0, 0, 0), radius=0.8)
+    center = np.array([1.0, 0, 0, 0, 0, 0])
     rng = np.random.default_rng(4)
     d = rng.normal(size=(6, 25))
     d /= np.linalg.norm(d, axis=0)
-    on_sphere = inv.center_array[:, None] + 0.8 * d
-    assert np.max(np.abs(inv.apply(on_sphere) - on_sphere)) < 1e-12
+    on_sphere = center[:, None] + 0.8 * d
+    assert np.max(np.abs(_inverted_points(on_sphere, center, 0.8) - on_sphere)) < 1e-12
 
 
 def test_invalid_spec_rejected():
+    ev = holo3()
     with pytest.raises(ConfigError):
-        InversionSpec(center=(0.0, 0.0), radius=0.0)
+        invert_evaluator(ev, (0.0,) * 6, 0.0)
     with pytest.raises(ConfigError):
-        InversionSpec(center=(np.inf, 0.0), radius=1.0)
+        invert_evaluator(ev, (np.inf,) + (0.0,) * 5, 1.0)
+    with pytest.raises(ConfigError):
+        invert_evaluator(ev, (0.0, 0.0), 1.0)
+    with pytest.raises(ConfigError):
+        invert_evaluator(ev, np.zeros((2, 3, 6)), 1.0)
 
 
 def test_inverted_evaluator_matches_pointwise_inversion():
     ev = holo3()
-    inv = InversionSpec(center=(2.0, 1.0, -1.0, 0.5, 0.0, 1.5), radius=1.0)
-    tilted = invert_evaluator(ev, inv)
+    center = (2.0, 1.0, -1.0, 0.5, 0.0, 1.5)
+    tilted = invert_evaluator(ev, center, 1.0)
     x = np.array([0.6, 1.1])
     y = np.array([0.8, 0.4])
-    direct = inv.apply(ev.jets(x, y, 2).value().real)
+    direct = invert_points(center, 1.0, ev.jets(x, y, 2).value().real)
     via_jets = tilted.jets(x, y, 2).value().real
     assert np.max(np.abs(direct - via_jets)) < 1e-12
 
 
 def test_transformation_laws_close_on_grid():
     ev = holo3()
-    inv = InversionSpec(center=(1.6, -1.6, 0.0, 1.6, -1.6, 0.0), radius=1.0)
     grid = Grid(nx=5, ny=5)
     x, y = grid.points()
-    res = transformation_residuals(ev, inv, x, y, order=3)
+    res = transformation_residuals(ev, (1.6, -1.6, 0.0, 1.6, -1.6, 0.0), 1.0, x, y, order=3)
     assert np.all(res["valid"])
     assert np.max(res["shape_residual"]) < 1e-10
     assert np.max(res["mean_residual"]) < 1e-10
@@ -76,8 +81,7 @@ def test_transformation_laws_close_on_grid():
 
 def test_single_point_shape_routes_agree():
     out = transformation_residuals(
-        holo3(), InversionSpec(center=(0, 0, 0, 0, 0, 3.0), radius=2.0),
-        np.array([0.9]), np.array([0.7]), order=3,
+        holo3(), (0, 0, 0, 0, 0, 3.0), 2.0, np.array([0.9]), np.array([0.7]), order=3,
     )
     assert out["valid"][0]
     assert out["shape_residual"][0] < 1e-11
@@ -91,22 +95,21 @@ def test_pole_is_masked_at_center():
     ev = holo3()
     # center the sphere exactly on a surface point
     p0 = ev.jets(np.array([0.8]), np.array([0.5]), 2).value().real[:, 0]
-    inv = InversionSpec(center=tuple(p0), radius=1.0)
-    tilted = invert_evaluator(ev, inv)
+    tilted = invert_evaluator(ev, p0, 1.0)
     m = tilted.mask(np.array([0.8, 1.2]), np.array([0.5, 0.9]))
     assert not bool(m[0]) and bool(m[1])
 
 
 def test_normal_isometry_preserves_length_and_normality():
     ev = holo3()
-    inv = InversionSpec(center=(2, 0, 0, 0, 0, 0), radius=1.5)
+    center = (2, 0, 0, 0, 0, 0)
     b = SurfaceJets(ev, np.array([0.7]), np.array([0.9]), 3)
     q = b.f.value().real[:, 0]
     mu = b.flag(1)[0].frames[0].value().real[:, 0]
-    nu = inv.reflect(q, mu)
+    nu = reflect(center, q, mu)
     assert abs(np.linalg.norm(nu) - np.linalg.norm(mu)) < 1e-12
     # normal to the inverted surface: orthogonal to its tangent plane
-    tilted = SurfaceJets(invert_evaluator(ev, inv), np.array([0.7]), np.array([0.9]), 2)
+    tilted = SurfaceJets(invert_evaluator(ev, center, 1.5), np.array([0.7]), np.array([0.9]), 2)
     for e in (tilted.e1, tilted.e2):
         assert abs(float(e.value().real[:, 0] @ nu)) < 1e-10
 
@@ -117,11 +120,10 @@ def test_far_away_inversion_nearly_preserves_mean_curvature():
     ev = pedal_surface(holo3())
     far = np.zeros(6)
     far[1] = 40.0
-    inv = InversionSpec(center=tuple(far), radius=40.0)
     x = np.array([0.8])
     y = np.array([0.8])
     h0, h1 = (np.linalg.norm(SurfaceJets(s, x, y, 2).mean_curvature().value().real, axis=0)
-              for s in (ev, invert_evaluator(ev, inv)))
+              for s in (ev, invert_evaluator(ev, far, 40.0)))
     assert abs(h1[0] - h0[0]) < 0.05 * h0[0]
 
 
@@ -165,16 +167,16 @@ def test_minimality_residuals_rows_do_not_depend_on_the_block():
             assert np.array_equal(part[key], whole[key][lo:hi]), key
 
 
-def _parent_mask_route(surface, inv, x, y):
-    """The mask of invert_evaluator(pedal_surface(surface), inv) the way
-    two-callable evaluators built it: the pedal's mask was the validity
-    of an order-2 bundle of `surface`, and the inversion ANDed a pole
-    test on order-2 pedal values into it."""
+def _parent_mask_route(surface, center, radius, x, y):
+    """The mask of invert_evaluator(pedal_surface(surface), center, radius)
+    the way two-callable evaluators built it: the pedal's mask was the
+    validity of an order-2 bundle of `surface`, and the inversion ANDed a
+    pole test on order-2 pedal values into it."""
     pedal_mask = SurfaceJets(surface, x, y, 2).valid
     vals = pedal_surface(surface).jets(x, y, 2).value().real
-    c = inv.center_array.reshape((-1,) + (1,) * (vals.ndim - 1))
+    c = np.asarray(center).reshape((-1,) + (1,) * (vals.ndim - 1))
     dsq = np.sum((vals - c) ** 2, axis=0)
-    return pedal_mask & (dsq > (POLE_RTOL * inv.radius) ** 2)
+    return pedal_mask & (dsq > (POLE_RTOL * radius) ** 2)
 
 
 def test_evaluate_masks_the_pole_and_the_degenerate_base_points():
@@ -183,11 +185,10 @@ def test_evaluate_masks_the_pole_and_the_degenerate_base_points():
     x, y = Grid(-0.5, 0.5, -0.5, 0.5, 5, 5).points()
     g = pedal_surface(ev)
     pole = g.jets(x, y, 2).value().real[:, 7]
-    inv = InversionSpec(center=tuple(pole), radius=1.0)
-    want = _parent_mask_route(ev, inv, x, y)
+    want = _parent_mask_route(ev, pole, 1.0, x, y)
     assert not want[7] and not want[12] and np.sum(~want) == 2
     for order in (2, 3):
-        jets, valid = invert_evaluator(g, inv).evaluate(x, y, order)
+        jets, valid = invert_evaluator(g, pole, 1.0).evaluate(x, y, order)
         assert jets.order == order
         assert valid.dtype == bool and np.array_equal(valid, want)
     # the pedal alone masks only the branch point, a plain surface nothing
@@ -205,11 +206,13 @@ def test_stacked_inversions_equal_the_single_inversions():
     jets, valid = invert_jets(*g.evaluate(x, y, 3), centers, 1.3)
     assert jets.batch == (4, 25) and valid.shape == (4, 25)
     for k, center in enumerate(centers):
-        want, want_valid = invert_evaluator(
-            g, InversionSpec(center=tuple(center), radius=1.3)).evaluate(x, y, 3)
+        want, want_valid = invert_evaluator(g, center, 1.3).evaluate(x, y, 3)
         assert np.array_equal(jets.t[:, :, :, k], want.t)
         assert np.array_equal(valid[k], want_valid)
     assert np.array_equal(np.flatnonzero(~valid), [3 * 25 + 7])
+    # the evaluator of the stack serves the same stacked jets
+    stacked, stacked_valid = invert_evaluator(g, centers, 1.3).evaluate(x, y, 3)
+    assert np.array_equal(stacked.t, jets.t) and np.array_equal(stacked_valid, valid)
 
 
 def test_minimality_setup_is_computed_once_per_pedal_bundle(monkeypatch):

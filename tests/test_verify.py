@@ -17,7 +17,6 @@ import pytest
 
 from isopedal import moebius, verify
 from isopedal.config import RunConfig
-from isopedal.cpoly import cv_linear_map
 from isopedal.errors import ConfigError
 from isopedal.geometry import SurfaceJets
 from isopedal.grid import Grid
@@ -30,6 +29,7 @@ from isopedal.verify import (
     verify_inversion_minimality,
 )
 from isopedal.weierstrass import ambient_curve, preset_curve, surface_evaluator
+from oracles import cv_linear_map
 
 SMALL_GRID = Grid(nx=9, ny=9)
 # the holo3 report on the window through the branch point, frozen: its
@@ -356,8 +356,8 @@ def test_random_inversions_share_one_pedal_evaluation(monkeypatch):
     want, want_evaluated, want_kept = 0.0, 0, grid.premask()
     for direction in draws:
         center = span * direction / np.linalg.norm(direction)
-        inv = moebius.InversionSpec(center=tuple(center), radius=1.0)
-        bundle = verify.SurfaceJets(moebius.invert_evaluator(pedal_surface(ev), inv), x, y, 2)
+        bundle = verify.SurfaceJets(moebius.invert_evaluator(pedal_surface(ev), center, 1.0),
+                                    x, y, 2)
         m = grid.premask() & bundle.valid
         want_kept = want_kept & m
         if np.any(m):
