@@ -10,38 +10,3 @@ differences anywhere.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    ConfigError,
-    DegenerateJet,
-    IsopedalError,
-    IsotropyViolation,
-    NotRegular,
-)
-from .grid import Grid
-from .weierstrass import (
-    IsotropicCurve,
-    IsotropicSpec,
-    SurfaceEvaluator,
-    holomorphic_curve,
-    preset_curve,
-    surface_evaluator,
-    w_generate,
-)
-
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "DegenerateJet",
-    "IsopedalError",
-    "IsotropyViolation",
-    "NotRegular",
-    "Grid",
-    "IsotropicCurve",
-    "IsotropicSpec",
-    "SurfaceEvaluator",
-    "holomorphic_curve",
-    "preset_curve",
-    "surface_evaluator",
-    "w_generate",
-]

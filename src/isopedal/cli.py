@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .config import CURVE_SOURCES, RunConfig, encode_complex
-from .errors import ConfigError, IsotropyViolation
+from .errors import ConfigError
 from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
 from .geometry import SurfaceJets, isotropy_order
 from .moebius import invert_evaluator
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return args.func(cfg, args)
-    except (ConfigError, IsotropyViolation) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -18,10 +18,3 @@ class DegenerateJet(IsopedalError):
     """Jet operation undefined: division by a jet with (near-)zero value,
     or square root of a jet whose value is not a positive real."""
 
-
-class NotRegular(IsopedalError):
-    """A higher normal space does not attain its expected dimension."""
-
-
-class IsotropyViolation(IsopedalError):
-    """Generated curve fails the exact isotropy identity beyond tolerance."""

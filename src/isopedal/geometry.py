@@ -49,8 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotRegular
-from .jets import DEFAULT_ORDER, Jet, JetVec, jet_gram_schmidt
+from .jets import DEFAULT_ORDER, JetVec, jet_gram_schmidt
 from .weierstrass import SurfaceEvaluator
 
 IMMERSION_RTOL = 1e-12
@@ -115,7 +114,6 @@ class SurfaceJets:
     def __init__(self, surface: SurfaceEvaluator, x, y, order: int = DEFAULT_ORDER):
         if order < 2:
             raise ValueError("geometry needs jets of order >= 2")
-        self.surface = surface
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.order = order
@@ -170,12 +168,6 @@ class SurfaceJets:
         """(cx, cy) with (e1 - i e2)/2 = cx f_x + cy f_y (jets)."""
         a, b, c = self.tangent_coeff_jets()
         return (a - b.scale(1j)).scale(0.5), (-c.scale(1j)).scale(0.5)
-
-    def frame_domain_vectors(self):
-        """Coordinate components (X1, X2) of e1, e2 as domain fields."""
-        a, b, c = self.tangent_coeff_jets()
-        zero = Jet.zeros(a.order, self.batch)
-        return (a, zero), (b, c)
 
     def tangent_project_off(self, v: JetVec) -> JetVec:
         return v.project_off([self.e1, self.e2])
@@ -330,11 +322,8 @@ class SurfaceJets:
 
         prev_valid = self._levels_valid
         ok = prev_valid & (rank == expected)
-        if expected >= 1:
-            frames, _, gs_ok = jet_gram_schmidt([u, v][:expected], eps=FRAME_EPS, guard=ok)
-            ok = ok & gs_ok
-        else:
-            frames = []
+        frames, _, gs_ok = jet_gram_schmidt([u, v][:expected], eps=FRAME_EPS, guard=ok)
+        ok = ok & gs_ok
         level = FlagLevel(expected_rank=expected, frames=frames, lam=lam,
                           circle_defect=defect, valid=ok)
         self._levels.append(level)
@@ -361,11 +350,6 @@ class SurfaceJets:
 
     # -- connection forms ------------------------------------------------------
 
-    def directional(self, w: JetVec, domain_vec) -> JetVec:
-        """Derivative of the jet field w along a domain vector (jets)."""
-        dx_c, dy_c = domain_vec
-        return w.dx().scale(dx_c) + w.dy().scale(dy_c)
-
     def connection_forms(self):
         """Connection 1-forms on the frame directions.
 
@@ -379,13 +363,17 @@ class SurfaceJets:
         key = "connection"
         if key not in self._cache:
             nfr = self.normal_frames(min(self.flag_capacity(), self.order - 2))
-            # only the pairings' values are read, so the directional
-            # derivatives are formed from the order-0 frame coefficients
-            X = [[c.truncate(0) for c in Xi] for Xi in self.frame_domain_vectors()]
+            # e1 = a d/dx and e2 = b d/dx + c d/dy; only the pairings'
+            # values are read, so the derivatives along them take the
+            # order-0 coefficients
+            a, b, c = (t.truncate(0) for t in self.tangent_coeff_jets())
+            dx = [ea.dx() for ea in nfr]
+            dy = [ea.dy() for ea in nfr]
+            along = ([d.scale(a) for d in dx],
+                     [d.scale(b) + e.scale(c) for d, e in zip(dx, dy)])
             nf = len(nfr)
             omega = np.zeros((2, nf, nf) + self.batch)
-            for i, Xi in enumerate(X):
-                ders = [self.directional(ea, Xi) for ea in nfr]
+            for i, ders in enumerate(along):
                 for aa in range(nf):
                     for bb in range(aa + 1, nf):
                         val = ders[aa].dot_value(nfr[bb]).real
@@ -412,7 +400,7 @@ def hodge_relation_residuals(bundle: SurfaceJets):
     conn = bundle.connection_forms()
     omega = conn["omega"]
     if omega.shape[1] < 4:
-        raise NotRegular("connection relations need two rank-2 normal bundles")
+        raise ValueError("connection relations need two rank-2 normal bundles")
     lev2 = bundle.flag(2)[1]
     lam = lev2.lam
     w35 = omega[:, 0, 2]

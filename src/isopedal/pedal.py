@@ -101,12 +101,8 @@ def pedal_split(bundle: SurfaceJets) -> PedalBundle:
     tangent_part = bundle.e1.scale(z1) + bundle.e2.scale(z2)
     foot = f - tangent_part
     lev1 = bundle.flag(1)[0]
-    delta = None
-    for fr in lev1.frames:
-        term = fr.scale(foot.dot(fr))
-        delta = term if delta is None else delta + term
-    if delta is None:
-        delta = JetVec.const(np.zeros(len(f)), f.order, bundle.batch)
+    e3, e4 = lev1.frames  # N_1 has rank 2 in every ambient dimension n >= 4
+    delta = e3.scale(foot.dot(e3)) + e4.scale(foot.dot(e4))
     eta = foot - delta
     osc = tangent_part.norm_sq() + delta.norm_sq()
     return PedalBundle(

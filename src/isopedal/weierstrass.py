@@ -40,7 +40,7 @@ from .cpoly import (
     cp_max_abs,
     cv_trim,
 )
-from .errors import ConfigError, IsotropyViolation
+from .errors import ConfigError
 from .jets import DEFAULT_ORDER, JetVec, jet_lift
 
 ISOTROPY_RTOL = 1e-10
@@ -164,13 +164,10 @@ class IsotropicCurve:
     phi: the integrated curve (N complex polynomial components).
     alpha: its derivative; `cv_dot(alpha, alpha)` is the zero polynomial
         up to roundoff (checked at construction).
-    levels: the intermediate integrated curves of the recursion, lowest
-        first (empty for directly doubled holomorphic curves).
     """
 
     phi: list
     alpha: list
-    levels: list = field(default_factory=list)
     provenance: str = "weierstrass"
     spec: Optional[IsotropicSpec] = None
 
@@ -189,12 +186,14 @@ class IsotropicCurve:
         return cp_max_abs(res) / (scale * scale) if scale > 0 else cp_max_abs(res)
 
 
-def _check_isotropy(curve: IsotropicCurve):
+def _check_isotropy(curve: IsotropicCurve, source: str):
+    """The curve, if its derivative is isotropic; `source` names the
+    config document's curve field in the error."""
     r = curve.isotropy_residual()
     if not (r <= ISOTROPY_RTOL):
-        raise IsotropyViolation(
-            f"bilinear square of the derivative curve has relative coefficient "
-            f"norm {r:.3e} > {ISOTROPY_RTOL:.0e}"
+        raise ConfigError(
+            f"{source} is not isotropic: bilinear square of the derivative curve has "
+            f"relative coefficient norm {r:.3e} > {ISOTROPY_RTOL:.0e}"
         )
     return curve
 
@@ -215,14 +214,12 @@ def w_step(alpha, beta):
 def w_generate(spec: IsotropicSpec) -> IsotropicCurve:
     """Run the recursion m+1 times and integrate to the final curve."""
     alpha = spec.alpha0
-    levels = []
     for beta in spec.betas:
-        levels.append(cv_int(alpha))
         alpha = w_step(alpha, beta)
     phi = cv_int(alpha)
     assert len(phi) == spec.ambient_dim
-    curve = IsotropicCurve(phi=phi, alpha=alpha, levels=levels, provenance="weierstrass", spec=spec)
-    return _check_isotropy(curve)
+    curve = IsotropicCurve(phi=phi, alpha=alpha, provenance="weierstrass", spec=spec)
+    return _check_isotropy(curve, "spec")
 
 
 def holomorphic_curve(components) -> IsotropicCurve:
@@ -240,8 +237,8 @@ def holomorphic_curve(components) -> IsotropicCurve:
     for p in comps:
         phi.append(p)
         phi.append(cp_scale(p, 1j))
-    curve = IsotropicCurve(phi=phi, alpha=cv_diff(phi), levels=[], provenance="holomorphic")
-    return _check_isotropy(curve)
+    curve = IsotropicCurve(phi=phi, alpha=cv_diff(phi), provenance="holomorphic")
+    return _check_isotropy(curve, "curve")
 
 
 def ambient_curve(components) -> IsotropicCurve:
@@ -256,10 +253,8 @@ def ambient_curve(components) -> IsotropicCurve:
         raise ConfigError(
             f"ambient curve needs at least 4 components, got {len(comps)}"
         )
-    curve = IsotropicCurve(
-        phi=comps, alpha=cv_diff(comps), levels=[], provenance="ambient"
-    )
-    return _check_isotropy(curve)
+    curve = IsotropicCurve(phi=comps, alpha=cv_diff(comps), provenance="ambient")
+    return _check_isotropy(curve, "ambient_curve")
 
 
 def surface_evaluator(curve: IsotropicCurve) -> SurfaceEvaluator:

@@ -414,6 +414,8 @@ BAD_FIELDS = [
      {"ambient_curve": [[0, 1], [0, [0, 1]], [0, 0, 1], None]}, "a list"),
     ("ambient-curve-coefficient", "ambient_curve[0][0]",
      {"ambient_curve": [["0", 1], [0, [0, 1]], [0, 0, 1], [0, 0, [0, 1]]]}, "[re, im]"),
+    ("ambient-curve-not-isotropic", "ambient_curve",
+     {"ambient_curve": [[0, 1], [0, 1], [0, 1], [0, 1]]}, "not isotropic"),
     ("grid", "grid", {"grid": 5}, "an object"),
     ("grid-unknown-key", "grid.nz", grid5(nz=5), "unknown"),
     ("grid-string-field", "grid.nx", {"grid": "0.3,1.3,0.3,1.3,five,5"}, "an integer"),

@@ -172,6 +172,20 @@ def test_pedal_csv_flags_degenerate_origin(tmp_path):
     assert center[-3] == "0"  # no tangential part at the origin
 
 
+def test_pedal_csv_immersed_is_the_pedal_rank(tmp_path):
+    # at the branch-window origin f is immersed but its pedal is not: the
+    # column reads the pedal's own rank-2 flag
+    grid = Grid(x0=-0.5, x1=0.5, y0=-0.5, y1=0.5, nx=11, ny=11)
+    path = tmp_path / "pedal.csv"
+    pb = holo3_split(grid)
+    reg = pedal_regularity(pb)
+    write_pedal_csv(pb, grid, path, reg)
+    immersed = [row.split(",")[-1] for row in path.read_text().strip().split("\n")[1:]]
+    assert immersed == ["1" if v else "0" for v in reg["immersed"] & grid.premask()]
+    origin = 5 * 11 + 5
+    assert pb.base.immersed[origin] and immersed[origin] == "0"
+
+
 def test_pedal_mesh_counts(tmp_path):
     path = tmp_path / "g.obj"
     excluded = export_obj(pedal_surface(holo3()), Grid(), path, label="pedal")

@@ -180,6 +180,14 @@ def test_hodge_relations_select_minus_convention():
     assert np.max(np.abs(res["lam"] - 1.0)) < 1e-10
 
 
+def test_hodge_relations_need_two_differentiable_normal_planes():
+    # order-3 jets differentiate N_1 only: N_2's frames are order-0 jets
+    b = SurfaceJets(holo3(), np.array([0.6]), np.array([0.8]), 3)
+    assert b.connection_forms()["omega"].shape[1] == 2
+    with pytest.raises(ValueError, match="two rank-2 normal bundles"):
+        hodge_relation_residuals(b)
+
+
 def test_tangent_coefficients_express_the_frame_as_jets():
     # a polynomial map that is not isothermal: <f_x, f_y> = 2x + xy + 2x^3 y
     def fn(x, y, order):

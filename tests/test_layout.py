@@ -56,3 +56,12 @@ def test_every_src_definition_is_named_in_src_or_an_entry_point():
 def test_readme_entry_points_resolve():
     for module, name in _entry_points():
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_package_root_binds_only_the_version():
+    # README's entry-point block imports submodules; the package root
+    # re-exports nothing
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bound = [node for node in tree.body if not isinstance(node, ast.Expr)]
+    assert len(bound) == 1 and isinstance(bound[0], ast.Assign), [ast.unparse(n) for n in bound]
+    assert [target.id for target in bound[0].targets] == ["__version__"]

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from isopedal.cpoly import cv_dot, cp_max_abs
-from isopedal.errors import ConfigError, IsotropyViolation
+from isopedal.cpoly import cv_dot, cv_int, cp_max_abs
+from isopedal.errors import ConfigError
 from isopedal.weierstrass import (
     IsotropicSpec,
     ambient_curve,
@@ -101,9 +101,13 @@ def test_random_specs_are_isotropic():
 def test_isotropy_holds_for_every_intermediate_level():
     rng = np.random.default_rng(7)
     spec = sample_spec(rng, max_dim=10)
-    curve = w_generate(spec)
+    # the integrated curve before each recursion step, lowest first
+    alpha, levels = spec.alpha0, []
+    for beta in spec.betas:
+        levels.append(cv_int(alpha))
+        alpha = w_step(alpha, beta)
     # each level after the first recursion step is itself isotropic
-    for level in curve.levels[1:]:
+    for level in levels[1:]:
         d = [len(p) and p or [0] for p in level]
         alpha = [p[1:] and [c * (k + 1) for k, c in enumerate(p[1:])] or [] for p in level]
         res = cp_max_abs(cv_dot(alpha, alpha))
@@ -156,7 +160,7 @@ def test_ambient_curve_round_trips_bitwise():
 
 
 def test_ambient_curve_rejects_non_isotropic_input():
-    with pytest.raises(IsotropyViolation):
+    with pytest.raises(ConfigError):
         ambient_curve([[0, 1], [0, 1], [0, 1], [0, 1]])
 
 
