@@ -54,14 +54,11 @@ def invert_jets(f: JetVec, valid, centers, radius: float):
     if C.ndim == 2:
         f = JetVec._of(np.repeat(f.t[:, :, :, None], len(C), axis=3))
     c = C.T
-    limit_sq = (POLE_RTOL * radius) ** 2
-    vals = f.value()
-    pole_sq = np.sum((vals - c.reshape(c.shape + (1,) * (vals.ndim - c.ndim))) ** 2, axis=0)
     d = f.translate(-c)
     dsq = d.norm_sq()
-    good = np.abs(dsq.value()) > limit_sq
+    good = np.abs(dsq.value()) > (POLE_RTOL * radius) ** 2
     scale = dsq.recip(guard=good).scale(radius**2)
-    return d.scale(scale).translate(c), valid & (pole_sq > limit_sq)
+    return d.scale(scale).translate(c), valid & good
 
 
 def invert_evaluator(surface: SurfaceEvaluator, centers, radius: float) -> SurfaceEvaluator:
@@ -113,7 +110,7 @@ def _minimality_points(pb):
     return pb._cache["minimality"]
 
 
-def minimality_residuals(pedal_bundle, centers, radius: float, valid=None):
+def minimality_residuals(pedal_bundle, centers, valid=None):
     """Residual system for "some inversion makes the pedal minimal".
 
     The inverted pedal is minimal at a point only if three residuals
@@ -121,8 +118,10 @@ def minimality_residuals(pedal_bundle, centers, radius: float, valid=None):
     point's rotation combination, one affine scalar, one higher-normal
     vector norm); minimality of the whole patch needs them to vanish at
     every grid point for a single center.  This evaluates the system in
-    closed form for a batch of candidate centers against cached pedal
-    data, plus the resulting ||H|| of the inverted pedal.
+    closed form for a stack of candidate centers, shape (k, n), against
+    cached pedal data, plus the resulting ||H|| of the pedal inverted at
+    unit radius (radius R divides it by R^2: a homothety, which leaves
+    minimality and every other quantity here unchanged).
 
     Returns dict with arrays over (centers, points): r1, r2, r3,
     mean_norm, pos_sq = ||g - p0||^2 (floored at 1e-300), and the
@@ -140,11 +139,6 @@ def minimality_residuals(pedal_bundle, centers, radius: float, valid=None):
         valid = pedal_bundle.valid.reshape(-1)
 
     C = np.asarray(centers, dtype=float)
-    if C.ndim == 1:
-        C = C[None, :]
-    if C.shape[1] != n:
-        raise ConfigError(f"centers have dimension {C.shape[1]}, surface {n}")
-
     c_sq = np.sum(C * C, axis=1)[:, None]
     # r1 = ||g - p0||^2 - ||delta||^2 - <p0, Z - delta>
     r1 = g_sq + c_sq - 2.0 * C @ g - delta_sq - C @ z_minus_delta
@@ -154,7 +148,7 @@ def minimality_residuals(pedal_bundle, centers, radius: float, valid=None):
     r3_sq = eta_sq - 2.0 * (C @ eta) + c_sq - proj_sq
     r3 = np.sqrt(np.maximum(r3_sq, 0.0))
 
-    mean_norm = (2.0 / radius**2) * np.sqrt(
+    mean_norm = 2.0 * np.sqrt(
         np.maximum((r1**2 + r2**2) / np.maximum(theta, 1e-300) + r3**2, 0.0)
     )
     # normalize each residual by a natural scale of the same homogeneity:
@@ -169,14 +163,12 @@ def minimality_residuals(pedal_bundle, centers, radius: float, valid=None):
     norm3 = np.abs(r3) / np.sqrt(pos_sq)
     combined = np.maximum(np.maximum(norm1, norm2), norm3)
     combined = np.where(valid[None, :], combined, 0.0)
-    margin = combined.max(axis=1)  # minimality needs all points at once
     return {
         "r1": r1,
         "r2": r2,
         "r3": r3,
         "mean_norm": mean_norm,
         "pos_sq": pos_sq,
-        "margin_per_center": margin,
-        "margin": float(margin.min()) if margin.size else float("nan"),
-        "valid": valid,
+        # minimality needs all points at once
+        "margin_per_center": combined.max(axis=1),
     }

@@ -215,14 +215,9 @@ def pedal_regularity(pb: PedalBundle):
     A pedal point is excluded unless the base flag is regular there, the
     position has a nonzero tangential and a nonzero first-normal part
     (relative to the position-vector scale), and the pedal's differential
-    has rank 2.  Returns a dict with per-point masks and the
-    conformal-factor data:
+    has rank 2.  Returns a dict of per-point masks:
       tangent_nonzero / first_normal_nonzero: decomposition regularity,
       immersed:   pedal differential has rank 2 (metric nondegenerate),
-      ratio:      ||g_x||^2 / ||f_x||^2 measured from jets,
-      predicted:  -K * osc_norm_sq / 2 (the closed-form factor),
-      defect:     relative disagreement of the two routes,
-      valid:      base-surface flag regularity,
       excluded:   points failing any regularity test, with `reasons`.
     """
     if pb.base.order < 3:
@@ -235,10 +230,6 @@ def pedal_regularity(pb: PedalBundle):
     gram = gx_sq * gy_sq - gxy * gxy
     gscale = np.maximum(gx_sq, gy_sq)
     immersed = pb.valid & (gram > PEDAL_IMMERSION_RTOL * gscale * gscale)
-    ratio = gx_sq / np.maximum(pb.base.E0, 1e-300)
-    predicted = pb.conformal_factor_predicted()
-    scale = np.maximum(np.maximum(np.abs(ratio), np.abs(predicted)), 1e-300)
-    defect = np.abs(ratio - predicted) / scale
     f_scale = REGULARITY_RTOL * np.maximum(np.linalg.norm(_nvalue(pb.base.f), axis=0), 1e-300)
     tangent_nonzero = np.linalg.norm(_nvalue(pb.tangent_part), axis=0) > f_scale
     first_normal_nonzero = np.linalg.norm(_nvalue(pb.first_normal_part), axis=0) > f_scale
@@ -257,13 +248,9 @@ def pedal_regularity(pb: PedalBundle):
             why.append("pedal rank < 2")
         reasons.append((t, ", ".join(why)))
     return {
-        "ratio": ratio,
-        "predicted": predicted,
-        "defect": defect,
         "immersed": immersed,
         "tangent_nonzero": tangent_nonzero,
         "first_normal_nonzero": first_normal_nonzero,
-        "valid": pb.valid,
         "excluded": excluded,
         "reasons": reasons,
     }

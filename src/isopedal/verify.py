@@ -836,6 +836,21 @@ def _center_lattice(n: int, lattice: dict) -> np.ndarray:
     return axis[np.indices((per,) * n).reshape(n, -1).T]
 
 
+def _inverted_mean_ratio(res, tr_scale, keep):
+    """|H| of the inverted pedals in units of their traceless second-form
+    scale over (centers, points), from `minimality_residuals` output `res`
+    and the base pedal's traceless scale `tr_scale`; evaluated only where
+    `keep` holds, +inf elsewhere.
+
+    Both scales carry the factor ||g - p0||^2 (and R^2, which cancels)
+    relative to base pedal data, so the ratio is 2 sqrt((r1^2 + r2^2) /
+    theta + r3^2) over (||g - p0||^2 * base traceless scale).
+    """
+    ratio = np.full(res["pos_sq"].shape, np.inf)
+    np.divide(res["mean_norm"], 2.0 * res["pos_sq"], out=ratio, where=keep)
+    return np.divide(2.0 * ratio, np.maximum(tr_scale, _TINY), out=ratio, where=keep)
+
+
 def verify_inversion_minimality(run: Run) -> dict:
     """No center of inversion makes the pedal minimal.
 
@@ -845,35 +860,28 @@ def verify_inversion_minimality(run: Run) -> dict:
     inverted pedal's mean curvature, measured in units of its own
     second-form scale, stays large at EVERY grid point.  The closed forms
     are cross-checked against direct jets of the inverted pedal at
-    sampled centers.
+    sampled centers.  Minimality is invariant under homotheties, so
+    nothing here depends on the inversion radius: the crosscheck inverts
+    at unit radius.
 
     The lattice is evaluated in blocks of at most _LATTICE_BLOCK
     center x point elements, each reduced to its minimum norm ratio and
     its per-center system margins, so memory does not grow with the
-    number of centers; ||g - p0||^2 comes from minimality_residuals'
-    pos_sq.  A large lattice's blocks run on a small thread pool (numpy
-    releases the GIL inside each block's ufuncs), gathered in block
-    order, so the report does not depend on the number of workers.
+    number of centers.  A large lattice's blocks run on a small thread
+    pool (numpy releases the GIL inside each block's ufuncs), gathered in
+    block order, so the report does not depend on the number of workers.
     """
     pipe = run.surface
-    lattice = run.config.lattice
-    radius = lattice["radius"]
-    centers = _center_lattice(pipe.evaluator.ambient_dim, lattice)
+    centers = _center_lattice(pipe.evaluator.ambient_dim, run.config.lattice)
 
     sp = pipe.split
     valid = pipe.mask()
-    # mean curvature of the inverted pedal in units of its second-form
-    # scale: both transform covariantly, so the ratio is computable from
-    # base pedal data alone
     tr_scale = _traceless_scale(pipe.pedal)
     _minimality_points(sp)  # fill the bundle's cache before workers read it
 
     def reduced(block):
-        res = minimality_residuals(sp, centers[block], radius, valid=valid)
-        rho = res["pos_sq"]
-        hn = res["mean_norm"] * radius**2 / (2.0 * rho)  # sqrt((r1^2+r2^2)/th + r3^2)
-        ratio = 2.0 * hn / np.maximum(tr_scale[None, :], _TINY)
-        return np.min(np.where(valid[None, :], ratio, np.inf)), res["margin_per_center"]
+        res = minimality_residuals(sp, centers[block], valid=valid)
+        return np.min(_inverted_mean_ratio(res, tr_scale, valid)), res["margin_per_center"]
 
     blocks = list(_lattice_blocks(centers.shape[0], valid.size))
     workers = _lattice_workers(len(blocks))
@@ -897,22 +905,17 @@ def verify_inversion_minimality(run: Run) -> dict:
     picks = sorted({0, centers.shape[0] // 2, centers.shape[0] - 1})
     # every sampled center in one call: a one-row product would round
     # differently depending on the memory layout of the cached arrays
-    sres = minimality_residuals(sub.split, centers[picks], radius)
-    bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, centers[picks], radius),
+    sres = minimality_residuals(sub.split, centers[picks])
+    bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, centers[picks], 1.0),
                          sub.x, sub.y, 2)
     masks = sub.pre & bundle.valid & sub.split.valid  # one row per center
-    # ||H|| and the second-form scale of the inverted surface both carry
-    # the factor rho/R^2 relative to base pedal data, so the dimensionless
-    # ratio is 2*sqrt((r1^2+r2^2)/theta + r3^2) over (rho * base traceless
-    # scale)
-    hn_s = sres["mean_norm"] * radius**2 / (2.0 * sres["pos_sq"])
-    closed_ratio = 2.0 * hn_s / np.maximum(_traceless_scale(sub.pedal), _TINY)
-    diff = np.abs(_mean_ratio(bundle) - closed_ratio) / np.maximum(closed_ratio, _TINY)
-    worst = _max_defined(*(_masked_max(d, m) for d, m in zip(diff, masks)))
+    closed = _inverted_mean_ratio(sres, _traceless_scale(sub.pedal), masks)[masks]
+    diff = np.abs(_mean_ratio(bundle)[masks] - closed) / np.maximum(closed, _TINY)
+    worst = float(diff.max()) if diff.size else None
     kept = sub.pre & sub.split.valid & np.all(masks, axis=0)
     return {
         "inversion.norm": Outcome(norm_defect, valid, details={
-            "centers": int(centers.shape[0]), "radius": radius}),
+            "centers": int(centers.shape[0])}),
         "inversion.system": Outcome(system_defect, valid, details={
             "centers": int(centers.shape[0])}),
         "inversion.crosscheck": Outcome(worst, kept, sub.grid, details={

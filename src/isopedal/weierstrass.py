@@ -187,8 +187,10 @@ class IsotropicCurve:
 
 
 def _check_isotropy(curve: IsotropicCurve, source: str):
-    """The curve, if its derivative is isotropic; `source` names the
-    config document's curve field in the error."""
+    """The curve, if its derivative is nonzero and isotropic; `source`
+    names the config document's curve field in the error."""
+    if cv_degree(curve.alpha) < 0:
+        raise ConfigError(f"{source} needs at least one nonconstant component")
     r = curve.isotropy_residual()
     if not (r <= ISOTROPY_RTOL):
         raise ConfigError(
@@ -230,11 +232,8 @@ def holomorphic_curve(components) -> IsotropicCurve:
     surface in R^{2k}: the holomorphic curve itself, up to the ambient
     reflection flipping the even coordinates.
     """
-    comps = cv_trim(components)
-    if not comps or all(cp_degree(p) < 1 for p in comps):
-        raise ConfigError("holomorphic curve needs at least one nonconstant component")
     phi = []
-    for p in comps:
+    for p in cv_trim(components):
         phi.append(p)
         phi.append(cp_scale(p, 1j))
     curve = IsotropicCurve(phi=phi, alpha=cv_diff(phi), provenance="holomorphic")
@@ -249,10 +248,6 @@ def ambient_curve(components) -> IsotropicCurve:
     and reading it back is a bitwise identity on the coefficient lists.
     """
     comps = [[complex(c) for c in p] for p in components]
-    if len(comps) < 4:
-        raise ConfigError(
-            f"ambient curve needs at least 4 components, got {len(comps)}"
-        )
     curve = IsotropicCurve(phi=comps, alpha=cv_diff(comps), provenance="ambient")
     return _check_isotropy(curve, "ambient_curve")
 

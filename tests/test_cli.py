@@ -409,6 +409,7 @@ BAD_FIELDS = [
      "[re, im]"),
     ("curve-polynomial", "curve[1]", {"curve": [[0, 1], 5]}, "a list"),
     ("curve-coefficient", "curve[0][1]", {"curve": [[0, [1, 2, 3]], [0, 0, 1]]}, "[re, im]"),
+    ("curve-constant", "curve", {"curve": [[1], [2]]}, "nonconstant"),
     ("ambient-curve-short", "ambient_curve", {"ambient_curve": [[0, 1], [0, [0, 1]]]}, ">= 4"),
     ("ambient-curve-polynomial", "ambient_curve[3]",
      {"ambient_curve": [[0, 1], [0, [0, 1]], [0, 0, 1], None]}, "a list"),
@@ -416,6 +417,8 @@ BAD_FIELDS = [
      {"ambient_curve": [["0", 1], [0, [0, 1]], [0, 0, 1], [0, 0, [0, 1]]]}, "[re, im]"),
     ("ambient-curve-not-isotropic", "ambient_curve",
      {"ambient_curve": [[0, 1], [0, 1], [0, 1], [0, 1]]}, "not isotropic"),
+    ("ambient-curve-constant", "ambient_curve", {"ambient_curve": [[1], [2], [3], [4]]},
+     "nonconstant"),
     ("grid", "grid", {"grid": 5}, "an object"),
     ("grid-unknown-key", "grid.nz", grid5(nz=5), "unknown"),
     ("grid-string-field", "grid.nx", {"grid": "0.3,1.3,0.3,1.3,five,5"}, "an integer"),

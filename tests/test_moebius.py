@@ -142,10 +142,10 @@ def test_minimality_residual_system_positive_on_lattice():
     pb = pedal_split(SurfaceJets(ev, x, y, 4))
     rng = np.random.default_rng(9)
     centers = rng.uniform(-1.6, 1.6, size=(20, 6))
-    out = minimality_residuals(pb, centers, radius=1.0)
+    out = minimality_residuals(pb, centers)
     assert out["r1"].shape == (20, x.size)
     assert np.all(out["margin_per_center"] > 1e-3)
-    assert out["margin"] > 1e-3
+    assert out["margin_per_center"].min() > 1e-3
     # the inverted pedal's mean curvature never vanishes on the grid
     assert np.min(out["mean_norm"]) > 0.0
 
@@ -156,13 +156,13 @@ def test_minimality_residuals_rows_do_not_depend_on_the_block():
     pb = pedal_split(SurfaceJets(holo3(), x, y, 4))
     rng = np.random.default_rng(9)
     centers = rng.uniform(-1.6, 1.6, size=(20, 6))
-    whole = minimality_residuals(pb, centers, radius=1.0)
+    whole = minimality_residuals(pb, centers)
     g = pb.foot.value().real.reshape(6, -1)
     dense_sq = np.sum((g[:, None, :] - centers.T[:, :, None]) ** 2, axis=0)
     assert np.array_equal(whole["pos_sq"], np.maximum(dense_sq, 1e-300))
     # blocks of two or more centers reproduce the whole call's rows bit for bit
     for lo, hi in ((0, 2), (2, 9), (9, 20)):
-        part = minimality_residuals(pb, centers[lo:hi], radius=1.0)
+        part = minimality_residuals(pb, centers[lo:hi])
         for key in ("r1", "r2", "r3", "mean_norm", "pos_sq", "margin_per_center"):
             assert np.array_equal(part[key], whole[key][lo:hi]), key
 
@@ -228,7 +228,7 @@ def test_minimality_setup_is_computed_once_per_pedal_bundle(monkeypatch):
     monkeypatch.setattr(PedalBundle, "rotation_section", spy)
     centers = np.random.default_rng(9).uniform(-1.6, 1.6, size=(20, 6))
     for block in (slice(0, 7), slice(7, 20)):
-        minimality_residuals(pb, centers[block], radius=1.0)
+        minimality_residuals(pb, centers[block])
     assert calls == [pb]
 
 
@@ -238,7 +238,7 @@ def test_minimality_margin_runs_over_the_callers_mask():
     centers = np.random.default_rng(9).uniform(-1.6, 1.6, size=(20, 6))
     mask = pb.valid.reshape(-1).copy()
     mask[::3] = False
-    out = minimality_residuals(pb, centers, radius=1.0, valid=mask)
+    out = minimality_residuals(pb, centers, valid=mask)
     rho = out["pos_sq"]
     combined = np.maximum(
         np.maximum(np.abs(out["r1"]) / rho, np.abs(out["r2"]) / rho),
@@ -246,8 +246,8 @@ def test_minimality_margin_runs_over_the_callers_mask():
     )
     want = np.where(mask[None, :], combined, 0.0).max(axis=1)
     assert np.array_equal(out["margin_per_center"], want)
-    assert out["margin"] == want.min()
+    assert out["margin_per_center"].min() == want.min()
     # without a mask the margin runs over the bundle's own flag mask
-    plain = minimality_residuals(pb, centers, radius=1.0)
+    plain = minimality_residuals(pb, centers)
     assert np.array_equal(plain["margin_per_center"],
                           np.where(pb.valid.reshape(-1)[None, :], combined, 0.0).max(axis=1))

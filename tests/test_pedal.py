@@ -46,7 +46,7 @@ def test_frozen_decomposition_at_probe():
     assert abs(np.dot(Z, Z) - 169 / 81) < 1e-13  # oracle self-consistency
     H = (9 / 97) * np.array([1, 0, 7, 0, 12, 0.0])
     assert np.max(np.abs(pb.mean_curvature_predicted().value().real[:, 0] - H)) < 1e-13
-    assert abs(reg["predicted"][0] - 776 / 6561) < 1e-15
+    assert abs(pb.conformal_factor_predicted()[0] - 776 / 6561) < 1e-15
     assert reg["tangent_nonzero"][0] and reg["first_normal_nonzero"][0]
     assert reg["immersed"][0] and not reg["excluded"][0]
 
@@ -115,9 +115,14 @@ def test_conformal_factor_two_routes():
     ev = holo3()
     grid = Grid(nx=9, ny=9)
     x, y = grid.points()
-    reg = pedal_regularity(pedal_split(SurfaceJets(ev, x, y, 3)))
-    assert not np.any(reg["excluded"])
-    assert np.max(reg["defect"]) < 1e-11
+    pb = pedal_split(SurfaceJets(ev, x, y, 3))
+    assert not np.any(pedal_regularity(pb)["excluded"])
+    # ||g_x||^2 / ||f_x||^2 from jets against the closed form -K theta / 2
+    gx = pb.foot.dx()
+    ratio = gx.dot_value(gx).real / np.maximum(pb.base.E0, 1e-300)
+    predicted = pb.conformal_factor_predicted()
+    scale = np.maximum(np.maximum(np.abs(ratio), np.abs(predicted)), 1e-300)
+    assert np.max(np.abs(ratio - predicted) / scale) < 1e-11
 
 
 def test_pedal_degenerates_at_origin():

@@ -215,11 +215,11 @@ def test_report_json_is_sorted_and_versioned():
     assert text.index('"checks"') < text.index('"environment"')  # sorted keys
 
 
-def _dense_inversion_defects(pipe, centers, radius):
+def _dense_inversion_defects(pipe, centers):
     """The whole-lattice evaluation: inversion.norm and inversion.system
     defects from dense (centers, points) arrays, rho recomputed here."""
-    res = moebius.minimality_residuals(pipe.split, centers, radius)
-    valid = res["valid"] & pipe.mask()
+    res = moebius.minimality_residuals(pipe.split, centers)
+    valid = pipe.split.valid.reshape(-1) & pipe.mask()
     g = pipe.split.foot.value().real.reshape(pipe.evaluator.ambient_dim, -1)
     rho = np.maximum(
         np.sum((g[:, None, :] - centers.T[:, :, None]) ** 2, axis=0), 1e-300
@@ -227,7 +227,7 @@ def _dense_inversion_defects(pipe, centers, radius):
     xi1, xi2 = pipe.pedal.traceless_second()
     xi1, xi2 = xi1.value().real, xi2.value().real
     tr_scale = np.sqrt(2.0 * (np.sum(xi1 * xi1, axis=0) + np.sum(xi2 * xi2, axis=0)))
-    hn = res["mean_norm"] * radius**2 / (2.0 * rho)
+    hn = res["mean_norm"] / (2.0 * rho)
     ratio = 2.0 * hn / np.maximum(tr_scale[None, :], 1e-300)
     ratio = np.where(valid[None, :], ratio, np.inf)
     combined = np.maximum(
@@ -254,15 +254,15 @@ def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block
     pipe = SurfacePipeline(surface_evaluator(preset_curve("holo3")), SMALL_GRID, 4)
     lattice = {"per_axis": 3, "lo": -1.6, "hi": 1.6, "radius": 1.0}
     centers = _center_lattice(6, lattice)
-    ref_norm, ref_system = _dense_inversion_defects(pipe, centers, 1.0)
+    ref_norm, ref_system = _dense_inversion_defects(pipe, centers)
 
     block = per_block * SMALL_GRID.size
     monkeypatch.setattr(verify, "_LATTICE_BLOCK", block)
     calls = []
 
-    def spy(pedal_bundle, C, radius, **kw):
+    def spy(pedal_bundle, C, **kw):
         calls.append((C.shape[0], pedal_bundle.valid.size))
-        return moebius.minimality_residuals(pedal_bundle, C, radius, **kw)
+        return moebius.minimality_residuals(pedal_bundle, C, **kw)
 
     monkeypatch.setattr(verify, "minimality_residuals", spy)
     got = verify_inversion_minimality(verify.Run(small_config(lattice=lattice)))
@@ -283,16 +283,16 @@ def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block
 def test_pooled_inversion_lattice_equals_the_dense_lattice(monkeypatch, per_block):
     pipe = SurfacePipeline(surface_evaluator(preset_curve("holo3")), SMALL_GRID, 4)
     lattice = {"per_axis": 3, "lo": -1.6, "hi": 1.6, "radius": 1.0}
-    ref_norm, ref_system = _dense_inversion_defects(pipe, _center_lattice(6, lattice), 1.0)
+    ref_norm, ref_system = _dense_inversion_defects(pipe, _center_lattice(6, lattice))
 
     monkeypatch.setattr(verify, "_LATTICE_BLOCK", per_block * SMALL_GRID.size)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     threads = set()
 
-    def spy(pedal_bundle, C, radius, **kw):
+    def spy(pedal_bundle, C, **kw):
         if pedal_bundle.valid.size == SMALL_GRID.size:
             threads.add(threading.get_ident())
-        return moebius.minimality_residuals(pedal_bundle, C, radius, **kw)
+        return moebius.minimality_residuals(pedal_bundle, C, **kw)
 
     monkeypatch.setattr(verify, "minimality_residuals", spy)
     got = verify_inversion_minimality(verify.Run(small_config(lattice=lattice)))
@@ -306,6 +306,28 @@ def test_inversion_crosscheck_samples_distinct_centers():
     got = verify_inversion_minimality(verify.Run(small_config(lattice=lattice)))
     assert got["inversion.norm"].details["centers"] == 1
     assert got["inversion.crosscheck"].details["sampled_centers"] == 1
+
+
+def test_inversion_checks_do_not_depend_on_the_radius():
+    # an inversion of radius R is the unit inversion followed by a
+    # homothety, which keeps minimal surfaces minimal: the report sees no
+    # R, not even one whose square leaves the float range
+    texts = set()
+    for radius in (1.0, 0.5, 1e-300, 1e200):
+        doc = {"seed_preset": "holo3", "grid": {"nx": 7, "ny": 7}, "lattice": {"radius": radius}}
+        report = run_all(RunConfig.from_document(doc))
+        del report["environment"]["spec_sha256"]
+        texts.add(report_to_json(report))
+    assert len(texts) == 1
+
+
+def test_a_plane_ends_in_a_report():
+    # every point of a plane's pedal is excluded, so the inversion group
+    # must not evaluate its ratios there, where they overflow (the suite
+    # turns a RuntimeWarning into an error)
+    report = run_all(RunConfig.from_document({"curve": [[0, 1], [0, 2]],
+                                              "grid": {"nx": 5, "ny": 5}}))
+    assert len(report["checks"]) == 30
 
 
 class _Draws:
