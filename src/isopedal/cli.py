@@ -128,11 +128,9 @@ def _exported(cfg: RunConfig, what: str, order: int):
         return g_at, "pedal surface"
     center = (_generic_vector(g_at.ambient_dim) if cfg.translation is None
               else np.asarray(cfg.translation, dtype=float))
-    radius = cfg.lattice["radius"]
-    inverted = invert_evaluator(g_at, center, radius)
     center_txt = ", ".join(f"{c:g}" for c in center)
-    return (inverted.evaluated(pipe.x, pipe.y, order),
-            f"inverted pedal surface (center [{center_txt}], radius {radius:g})")
+    return (invert_evaluator(g_at, center).evaluated(pipe.x, pipe.y, order),
+            f"inverted pedal surface (center [{center_txt}])")
 
 
 def _exclusion_exit(excluded: int, total: int) -> int:

@@ -99,11 +99,6 @@ FIELDS = {
     "scale": (NUMBER, None, 1.0),
     "translation": (LIST, None, None),
     "translation[]": (NUMBER, None, REQUIRED),
-    "lattice": (OBJECT, None, {}),
-    "lattice.per_axis": (INTEGER, ">= 1", 3),
-    "lattice.lo": (NUMBER, None, -1.6),
-    "lattice.hi": (NUMBER, None, 1.6),
-    "lattice.radius": (NUMBER, "> 0", 1.0),
     "checks": (LIST, None, None),
     "checks[]": (STRING, None, REQUIRED),
     "out": (STRING, None, None),
@@ -234,7 +229,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     scale: float = FIELDS["scale"][2]  # c in the shifted pedal family c*f + v
     translation: Optional[tuple] = None  # v (defaults to a fixed generic vector)
-    lattice: dict = field(default_factory=lambda: _read({}, "lattice", "lattice", {}))
     checks: Optional[tuple] = None   # id prefixes to run; None = all
     out_dir: Optional[str] = None
 
@@ -251,7 +245,7 @@ class RunConfig:
         disks = tuple((*d["center"], d["radius"]) for d in grid.pop("excluded_disks"))
         return RunConfig(curve, Grid(**grid, excluded=disks), jet_order=doc["jet_order"],
                          tolerances=doc["tolerances"], scale=doc["scale"], translation=v,
-                         lattice=doc["lattice"], checks=doc.get("checks"), out_dir=doc.get("out"))
+                         checks=doc.get("checks"), out_dir=doc.get("out"))
 
     def canonical_document(self) -> dict:
         return {
@@ -261,7 +255,6 @@ class RunConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
             "scale": self.scale,
             "translation": list(self.translation) if self.translation else None,
-            "lattice": dict(sorted(self.lattice.items())),
         }
 
     def digest(self) -> str:

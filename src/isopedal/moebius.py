@@ -20,12 +20,14 @@ transforms by the closed-form laws
     H~ = ( ||d||^2 P_d(H) + 2 P_d(d_normal) ) / R^2,
 
 where d_normal is the component of d orthogonal to the tangent plane.
-The mean-curvature law underlies the residual system below; verify's
+The inversion of radius R is the unit one followed by the homothety of
+factor R^2 about p0, which keeps minimal surfaces minimal, so this module
+inverts in unit spheres only.  The mean-curvature law underlies the residual system below; verify's
 `inversion.crosscheck` compares that system with direct jets of the
 inverted pedal, and the tests check both laws against direct jets.
 
-Everything degenerates on the sphere center: points within
-POLE_RTOL * R of the center are masked out.
+Everything degenerates on the sphere center: points within POLE_RTOL of
+the center are masked out.
 """
 
 from __future__ import annotations
@@ -40,15 +42,15 @@ from .weierstrass import SurfaceEvaluator
 POLE_RTOL = 1e-9
 
 
-def invert_jets(f: JetVec, valid, centers, radius: float):
-    """(jets, valid) of the jets f inverted in the spheres of `radius`
-    about `centers`, the pole mask ANDed into `valid`.
+def invert_jets(f: JetVec, valid, centers):
+    """(jets, valid) of the jets f inverted in the unit spheres about
+    `centers`, the pole mask ANDed into `valid`.
 
     One center, shape (n,), keeps f's batch.  A stack of k centers, shape
     (k, n), gives the k inversions stacked on a leading batch axis, batch
     (k, *f.batch), slice i the inversion about center i, all in the same
-    numpy calls.  Points closer than POLE_RTOL * radius to their center
-    are masked invalid.
+    numpy calls.  Points closer than POLE_RTOL to their center are masked
+    invalid.
     """
     C = np.asarray(centers, dtype=float)
     if C.ndim == 2:
@@ -56,20 +58,19 @@ def invert_jets(f: JetVec, valid, centers, radius: float):
     c = C.T
     d = f.translate(-c)
     dsq = d.norm_sq()
-    good = np.abs(dsq.value()) > (POLE_RTOL * radius) ** 2
-    scale = dsq.recip(guard=good).scale(radius**2)
-    return d.scale(scale).translate(c), valid & good
+    good = np.abs(dsq.value()) > POLE_RTOL**2
+    return d.scale(dsq.recip(guard=good)).translate(c), valid & good
 
 
-def invert_evaluator(surface: SurfaceEvaluator, centers, radius: float) -> SurfaceEvaluator:
-    """Evaluator of the surface inverted in the spheres of `radius` about
+def invert_evaluator(surface: SurfaceEvaluator, centers) -> SurfaceEvaluator:
+    """Evaluator of the surface inverted in the unit spheres about
     `centers`, with a pole-proximity mask.
 
     One center, shape (n,), keeps the surface's batch; a stack of k
     centers, shape (k, n), gives the k inversions stacked on a leading
     batch axis (see `invert_jets`).  Inversion is an analytic ambient
     map, so jets compose without order loss.  Points closer than
-    POLE_RTOL * radius to their center are masked invalid, on top of the
+    POLE_RTOL to their center are masked invalid, on top of the
     surface's own mask.
     """
     C = np.asarray(centers, dtype=float)
@@ -78,16 +79,13 @@ def invert_evaluator(surface: SurfaceEvaluator, centers, radius: float) -> Surfa
                           f"surface lives in dimension {surface.ambient_dim}")
     if not np.all(np.isfinite(C)):
         raise ConfigError("inversion center must be finite")
-    if not (np.isfinite(radius) and radius > 0):
-        raise ConfigError(f"inversion radius must be positive, got {radius}")
 
     def fn(x, y, order):
-        return invert_jets(*surface.evaluate(x, y, order), C, radius)
+        return invert_jets(*surface.evaluate(x, y, order), C)
 
     return SurfaceEvaluator(
         ambient_dim=surface.ambient_dim,
-        provenance=f"invert({surface.provenance}; "
-        f"center={np.round(C, 6).tolist()}, radius={radius:g})",
+        provenance=f"invert({surface.provenance}; center={np.round(C, 6).tolist()})",
         fn=fn,
     )
 

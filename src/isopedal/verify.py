@@ -22,7 +22,7 @@ is built around:
     and its top components are carried by the connection form of the
     first normal frames;
   * no inversion of the ambient space makes g minimal (a closed-form
-    residual system stays bounded away from zero over a lattice of
+    residual system stays bounded away from zero over a 3^n lattice of
     candidate centers, cross-checked against direct jets);
   * g never satisfies the S-Willmore parallelism condition (the defect
     stays large on most of the grid, in agreement with a scalar
@@ -212,8 +212,8 @@ CHECKS = (
            "the circle radius times the osculating norm stays bounded away from "
            "zero (min/max ratio over the grid)", "lower", _SWILLMORE),
     _check("inversion.norm", "verify_inversion_minimality", "inversion_norm",
-           "for every lattice center, the inverted pedal's mean curvature stays "
-           "above threshold at every grid point (in units of its second-form scale)",
+           "for every lattice center, the inverted pedal's mean curvature exceeds "
+           "threshold at some grid point (in units of its second-form scale)",
            "lower"),
     _check("inversion.system", "verify_inversion_minimality", "inversion_system",
            "the residual system that an inversion center would have to solve at "
@@ -791,7 +791,7 @@ def verify_swillmore(run: Run) -> dict:
 
 
 # center x point elements per minimality_residuals call on the lattice: each
-# (centers, points) temporary is 512 KB whatever per_axis^n is, and peak
+# (centers, points) temporary is 512 KB whatever 3^n is, and peak
 # lattice memory is one such block per worker of `_lattice_workers`.
 # Blocks of 2^16 left the group about 1.5x faster than 2^17 or 2^18 on a
 # 2-vCPU Xeon with 2 MB of L2 per core, where a block's temporaries stay
@@ -828,25 +828,24 @@ def _lattice_blocks(count: int, points: int):
         start = stop
 
 
-def _center_lattice(n: int, lattice: dict) -> np.ndarray:
-    """The per_axis^n lattice centers, shape (per_axis**n, n), in the
+def _center_lattice(n: int) -> np.ndarray:
+    """The 3^n lattice centers on [-1.6, 1.6]^n, shape (3**n, n), in the
     row-major order of itertools.product (last coordinate fastest)."""
-    per = lattice["per_axis"]
-    axis = np.linspace(lattice["lo"], lattice["hi"], per)
-    return axis[np.indices((per,) * n).reshape(n, -1).T]
+    axis = np.linspace(-1.6, 1.6, 3)
+    return axis[np.indices((3,) * n).reshape(n, -1).T]
 
 
 def _inverted_mean_ratio(res, tr_scale, keep):
     """|H| of the inverted pedals in units of their traceless second-form
     scale over (centers, points), from `minimality_residuals` output `res`
     and the base pedal's traceless scale `tr_scale`; evaluated only where
-    `keep` holds, +inf elsewhere.
+    `keep` holds, 0 elsewhere.
 
-    Both scales carry the factor ||g - p0||^2 (and R^2, which cancels)
-    relative to base pedal data, so the ratio is 2 sqrt((r1^2 + r2^2) /
-    theta + r3^2) over (||g - p0||^2 * base traceless scale).
+    Both scales carry the factor ||g - p0||^2 relative to base pedal
+    data, so the ratio is 2 sqrt((r1^2 + r2^2) / theta + r3^2) over
+    (||g - p0||^2 * base traceless scale).
     """
-    ratio = np.full(res["pos_sq"].shape, np.inf)
+    ratio = np.zeros(res["pos_sq"].shape)
     np.divide(res["mean_norm"], 2.0 * res["pos_sq"], out=ratio, where=keep)
     return np.divide(2.0 * ratio, np.maximum(tr_scale, _TINY), out=ratio, where=keep)
 
@@ -854,25 +853,24 @@ def _inverted_mean_ratio(res, tr_scale, keep):
 def verify_inversion_minimality(run: Run) -> dict:
     """No center of inversion makes the pedal minimal.
 
-    For each candidate center of the config's lattice the closed-form
-    residual system (two scalar residuals and one distance residual, all
-    dimensionless) must fail at some grid point — and in fact the
-    inverted pedal's mean curvature, measured in units of its own
-    second-form scale, stays large at EVERY grid point.  The closed forms
-    are cross-checked against direct jets of the inverted pedal at
-    sampled centers.  Minimality is invariant under homotheties, so
-    nothing here depends on the inversion radius: the crosscheck inverts
-    at unit radius.
+    For each center of the 3^n lattice the closed-form residual system
+    (two scalar residuals and one distance residual, all dimensionless)
+    must fail at some grid point, and the inverted pedal's mean
+    curvature, measured in units of its own second-form scale, must be
+    large at some grid point.  Both reduce per center over the points
+    first, then take the worst center.  The closed forms are
+    cross-checked against direct jets of the inverted pedal at three
+    sampled centers.  Every inversion is in a unit sphere.
 
     The lattice is evaluated in blocks of at most _LATTICE_BLOCK
-    center x point elements, each reduced to its minimum norm ratio and
-    its per-center system margins, so memory does not grow with the
-    number of centers.  A large lattice's blocks run on a small thread
+    center x point elements, each reduced to its per-center norm ratios
+    and system margins, so memory does not grow with the number of
+    centers.  A large lattice's blocks run on a small thread
     pool (numpy releases the GIL inside each block's ufuncs), gathered in
     block order, so the report does not depend on the number of workers.
     """
     pipe = run.surface
-    centers = _center_lattice(pipe.evaluator.ambient_dim, run.config.lattice)
+    centers = _center_lattice(pipe.evaluator.ambient_dim)
 
     sp = pipe.split
     valid = pipe.mask()
@@ -881,32 +879,30 @@ def verify_inversion_minimality(run: Run) -> dict:
 
     def reduced(block):
         res = minimality_residuals(sp, centers[block], valid=valid)
-        return np.min(_inverted_mean_ratio(res, tr_scale, valid)), res["margin_per_center"]
+        return _inverted_mean_ratio(res, tr_scale, valid).max(axis=1), res["margin_per_center"]
 
     blocks = list(_lattice_blocks(centers.shape[0], valid.size))
     workers = _lattice_workers(len(blocks))
     if workers < 2:
-        ratio_mins, margins = zip(*map(reduced, blocks))
+        ratios, margins = zip(*map(reduced, blocks))
     else:
         # imported here: concurrent.futures loads logging, ~8 ms of start-up
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            ratio_mins, margins = zip(*pool.map(reduced, blocks))
-    margins = np.concatenate(margins)
-    norm_defect = float(np.min(ratio_mins)) if np.any(valid) else None
-    system_defect = float(margins.min()) if margins.size and np.any(valid) else None
+            ratios, margins = zip(*pool.map(reduced, blocks))
+    norm_defect = float(np.concatenate(ratios).min()) if np.any(valid) else None
+    system_defect = float(np.concatenate(margins).min()) if np.any(valid) else None
 
     # direct-jet cross-check at a few sampled centers on a coarse subgrid,
     # where one evaluation of the surface feeds the split, the pedal's
     # geometry and the sampled inversions, stacked in one bundle
     sub = pipe.on(5)
-    # distinct indices, so a one-center lattice is sampled once
-    picks = sorted({0, centers.shape[0] // 2, centers.shape[0] - 1})
+    picks = [0, centers.shape[0] // 2, centers.shape[0] - 1]
     # every sampled center in one call: a one-row product would round
     # differently depending on the memory layout of the cached arrays
     sres = minimality_residuals(sub.split, centers[picks])
-    bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, centers[picks], 1.0),
+    bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, centers[picks]),
                          sub.x, sub.y, 2)
     masks = sub.pre & bundle.valid & sub.split.valid  # one row per center
     closed = _inverted_mean_ratio(sres, _traceless_scale(sub.pedal), masks)[masks]
@@ -943,7 +939,7 @@ def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
         direction = rng.normal(size=pipe.evaluator.ambient_dim)
         direction /= np.linalg.norm(direction)
         centers.append(span * direction)
-    bundle = SurfaceJets(invert_evaluator(pipe.pedal_evaluated, np.array(centers), 1.0),
+    bundle = SurfaceJets(invert_evaluator(pipe.pedal_evaluated, np.array(centers)),
                          pipe.x, pipe.y, 2)
     masks = pipe.pre & bundle.valid  # one row per inversion
     defects = [d for d in map(_masked_max, _rank_deviation(bundle), masks) if d is not None]
@@ -1031,7 +1027,7 @@ def verify_shifted_pedals(run: Run) -> dict:
         out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow.valid,
                                                              sub.grid)
     if run.wants("shifted_pedal.inverted_minimal"):
-        inverted = SurfaceJets(invert_evaluator(shadow_at, v, 1.0), sx, sy, 2)
+        inverted = SurfaceJets(invert_evaluator(shadow_at, v), sx, sy, 2)
         out["shifted_pedal.inverted_minimal"] = Outcome(
             _mean_ratio(inverted), spre & inverted.valid, sub.grid)
 

@@ -237,14 +237,17 @@ def transformation_residuals(surface: SurfaceEvaluator, center, radius: float, x
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     base = SurfaceJets(surface, x, y, order)
-    tilted = SurfaceJets(invert_evaluator(surface, center, radius), x, y, order)
+    # the inversion of radius R: the unit one scaled by R^2 about its center
+    R2 = radius**2
+    c = np.asarray(center, dtype=float)
+    inverted = invert_evaluator(surface, c).affine(scale=R2, translation=(1 - R2) * c)
+    tilted = SurfaceJets(inverted, x, y, order)
     valid = base.valid & tilted.valid & base.flag(1)[0].valid
 
     fvals = _nvalue(base.f)
     c, _ = _offsets(center, fvals)
     d = fvals - c
     rho = np.sum(d * d, axis=0)
-    R2 = radius**2
 
     G, seconds = _coordinate_shape_data(base)
     Gt, seconds_t = _coordinate_shape_data(tilted)

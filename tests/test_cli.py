@@ -274,8 +274,8 @@ def test_export_inverted_mesh(tmp_path):
     assert main(["export", "--what", "inverted", "--grid", SMALL,
                  "--out", str(tmp_path)]) == 0
     head = (tmp_path / "inverted.obj").read_text().split("\n", 1)[0]
-    assert head.startswith("# inverted pedal surface (center")
-    assert "radius 1" in head
+    center = ", ".join(f"{c:g}" for c in cli._generic_vector(6))
+    assert head.startswith(f"# inverted pedal surface (center [{center}])")
 
 
 def test_export_custom_projection(tmp_path):
@@ -346,11 +346,8 @@ NON_FINITE = [
     ("translation-nan", "translation[2]", {"translation": [0.9, -0.4, NAN, 0.3, -0.8, 0.5]}),
     ("tolerance-nan", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": NAN}}),
     ("tolerance-inf", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": INF}}),
-    ("radius-inf", "lattice.radius", {"lattice": {"radius": INF}}),
-    ("lo-nan", "lattice.lo", {"lattice": {"lo": NAN}}),
-    ("hi-inf", "lattice.hi", {"lattice": {"hi": -INF}}),
-    ("per-axis-nan", "lattice.per_axis", {"lattice": {"per_axis": NAN}}),
     ("window-inf", "grid.x1", grid5(x1=INF)),
+    ("hi-inf", "grid.y1", grid5(y1=-INF)),
     ("window-nan", "grid.y0", grid5(y0=NAN)),
     ("nx-inf", "grid.nx", {"grid": {"nx": INF, "ny": 5}}),
     ("ny-nan", "grid.ny", {"grid": {"nx": 5, "ny": NAN}}),
@@ -367,7 +364,7 @@ NON_FINITE = [
 # has a bad value here.
 BAD_FIELDS = [
     ("translation", "translation", {"translation": 5}, "a list"),
-    ("lattice", "lattice", {"lattice": 5}, "an object"),
+    ("lattice", "lattice", {"lattice": {}}, "unknown"),
     ("tolerances", "tolerances", {"tolerances": [1]}, "an object"),
     ("checks", "checks", {"checks": 5}, "a list"),
     ("curve", "curve", {"curve": 3}, "a list"),
@@ -378,9 +375,6 @@ BAD_FIELDS = [
     ("jet-order-fraction", "jet_order", {"jet_order": 4.7}, "an integer"),
     ("nx-fraction", "grid.nx", {"grid": {"nx": 7.9, "ny": 5}}, "an integer"),
     ("nx-string", "grid.nx", {"grid": {"nx": "7", "ny": 5}}, "an integer"),
-    ("per-axis-string", "lattice.per_axis", {"lattice": {"per_axis": "3"}}, "an integer"),
-    ("per-axis-fraction", "lattice.per_axis", {"lattice": {"per_axis": 2.5}}, "an integer"),
-    ("lattice-unknown-key", "lattice.foo", {"lattice": {"foo": 1}}, "unknown"),
     ("tolerance-unknown-name", "tolerances.bogus", {"tolerances": {"bogus": 1e-3}}, "unknown"),
     ("tolerance-bool", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": True}},
      "a number"),
@@ -437,8 +431,6 @@ BAD_FIELDS = [
      grid5(excluded_disks=[{"center": ["0.8", 0.8], "radius": 0.1}]), "a number"),
     ("tolerance-zero", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": 0}},
      "> 0"),
-    ("lattice-lo-string", "lattice.lo", {"lattice": {"lo": "-1"}}, "a number"),
-    ("lattice-radius-zero", "lattice.radius", {"lattice": {"radius": 0}}, "> 0"),
     ("check-number", "checks[0]", {"checks": [5]}, "a string"),
     ("seed-preset-unknown", "seed_preset", {"seed_preset": "holo5"}, "holo3, holo4 or noniso"),
     ("alpha0-count", "spec.alpha0", {"spec": {**SPEC, "alpha0": [[1]]}}, "0 seed components"),

@@ -24,7 +24,6 @@ DOCUMENTS = {
         "tolerances": {"pedal_conformal": 1e-7, "first_normal_rank": 1},
         "scale": 2,
         "translation": [1, -0.5, 0, 0.25, 2, -1],
-        "lattice": {"per_axis": 2.0, "lo": -2, "hi": 1.5, "radius": 0.5},
         "checks": "generator,pedal_mean",
         "out": "out",
     },

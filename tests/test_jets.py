@@ -372,7 +372,7 @@ def test_table_dtype_follows_the_inputs():
     surface = surface_evaluator(curve)
     bundle = SurfaceJets(surface, x, y, 4)
     pb = pedal_split(bundle)
-    inverted = invert_evaluator(surface, (2.0,) * 6, 1.0)
+    inverted = invert_evaluator(surface, (2.0,) * 6)
     real = [bundle.f, bundle.e1, bundle.e2, *bundle.normal_frames(), pb.foot,
             pb.tangent_part, pb.first_normal_part, inverted.jets(x, y, 3)]
     for jv in real:

@@ -1,11 +1,15 @@
 """src holds only what the package itself reaches, plus its documented
-entry points: test oracles live in tests/oracles.py."""
+entry points: test oracles live in tests/oracles.py, and every config
+field has a reader outside config.py."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import re
 from collections import Counter
+
+from isopedal.config import RunConfig
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "isopedal"
 README = SRC.parents[1] / "README.md"
@@ -51,6 +55,16 @@ def test_every_src_definition_is_named_in_src_or_an_entry_point():
             if not (elsewhere or node.name in entry):
                 unreached.append(f"{mod}.{node.name}")
     assert unreached == []
+
+
+def test_every_run_config_field_is_read_outside_config():
+    # a config knob lives as long as some module reads it: a field that
+    # only config.py names is a knob without an effect
+    read = {node.attr for path in SRC.glob("*.py") if path.name != "config.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
+    assert unread == []
 
 
 def test_readme_entry_points_resolve():

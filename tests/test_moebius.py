@@ -23,10 +23,19 @@ def holo3():
     return surface_evaluator(preset_curve("holo3"))
 
 
+def _homothety(jets, centers, factor):
+    """`jets` scaled by `factor` about `centers`, one center per stacked
+    map: the unit inversion scaled by R^2 about its center is the
+    inversion of radius R."""
+    c = np.asarray(centers, dtype=float).T
+    return jets.translate(-c).scale(factor).translate(c)
+
+
 def _inverted_points(points, center, radius):
-    """Raw points, shape (n, ...), inverted by `invert_jets` as order-0 jets."""
-    jets, _ = invert_jets(JetVec._of(points[None, None]), True, center, radius)
-    return jets.value()
+    """Raw points, shape (n, ...), inverted by `invert_jets` as order-0 jets
+    and scaled by radius^2 about the center."""
+    jets, _ = invert_jets(JetVec._of(points[None, None]), True, center)
+    return _homothety(jets, center, radius**2).value()
 
 
 def test_inversion_is_an_involution_on_points():
@@ -49,19 +58,17 @@ def test_sphere_is_pointwise_fixed():
 def test_invalid_spec_rejected():
     ev = holo3()
     with pytest.raises(ConfigError):
-        invert_evaluator(ev, (0.0,) * 6, 0.0)
+        invert_evaluator(ev, (np.inf,) + (0.0,) * 5)
     with pytest.raises(ConfigError):
-        invert_evaluator(ev, (np.inf,) + (0.0,) * 5, 1.0)
+        invert_evaluator(ev, (0.0, 0.0))
     with pytest.raises(ConfigError):
-        invert_evaluator(ev, (0.0, 0.0), 1.0)
-    with pytest.raises(ConfigError):
-        invert_evaluator(ev, np.zeros((2, 3, 6)), 1.0)
+        invert_evaluator(ev, np.zeros((2, 3, 6)))
 
 
 def test_inverted_evaluator_matches_pointwise_inversion():
     ev = holo3()
     center = (2.0, 1.0, -1.0, 0.5, 0.0, 1.5)
-    tilted = invert_evaluator(ev, center, 1.0)
+    tilted = invert_evaluator(ev, center)
     x = np.array([0.6, 1.1])
     y = np.array([0.8, 0.4])
     direct = invert_points(center, 1.0, ev.jets(x, y, 2).value().real)
@@ -95,7 +102,7 @@ def test_pole_is_masked_at_center():
     ev = holo3()
     # center the sphere exactly on a surface point
     p0 = ev.jets(np.array([0.8]), np.array([0.5]), 2).value().real[:, 0]
-    tilted = invert_evaluator(ev, p0, 1.0)
+    tilted = invert_evaluator(ev, p0)
     m = tilted.mask(np.array([0.8, 1.2]), np.array([0.5, 0.9]))
     assert not bool(m[0]) and bool(m[1])
 
@@ -109,7 +116,7 @@ def test_normal_isometry_preserves_length_and_normality():
     nu = reflect(center, q, mu)
     assert abs(np.linalg.norm(nu) - np.linalg.norm(mu)) < 1e-12
     # normal to the inverted surface: orthogonal to its tangent plane
-    tilted = SurfaceJets(invert_evaluator(ev, center, 1.5), np.array([0.7]), np.array([0.9]), 2)
+    tilted = SurfaceJets(invert_evaluator(ev, center), np.array([0.7]), np.array([0.9]), 2)
     for e in (tilted.e1, tilted.e2):
         assert abs(float(e.value().real[:, 0] @ nu)) < 1e-10
 
@@ -122,8 +129,10 @@ def test_far_away_inversion_nearly_preserves_mean_curvature():
     far[1] = 40.0
     x = np.array([0.8])
     y = np.array([0.8])
+    # the inversion of radius 40: the unit one scaled by 40^2 about its center
+    inverted = invert_evaluator(ev, far).affine(scale=40.0**2, translation=(1 - 40.0**2) * far)
     h0, h1 = (np.linalg.norm(SurfaceJets(s, x, y, 2).mean_curvature().value().real, axis=0)
-              for s in (ev, invert_evaluator(ev, far, 40.0)))
+              for s in (ev, inverted))
     assert abs(h1[0] - h0[0]) < 0.05 * h0[0]
 
 
@@ -167,8 +176,8 @@ def test_minimality_residuals_rows_do_not_depend_on_the_block():
             assert np.array_equal(part[key], whole[key][lo:hi]), key
 
 
-def _parent_mask_route(surface, center, radius, x, y):
-    """The mask of invert_evaluator(pedal_surface(surface), center, radius)
+def _parent_mask_route(surface, center, x, y):
+    """The mask of invert_evaluator(pedal_surface(surface), center)
     the way two-callable evaluators built it: the pedal's mask was the
     validity of an order-2 bundle of `surface`, and the inversion ANDed a
     pole test on order-2 pedal values into it."""
@@ -176,7 +185,7 @@ def _parent_mask_route(surface, center, radius, x, y):
     vals = pedal_surface(surface).jets(x, y, 2).value().real
     c = np.asarray(center).reshape((-1,) + (1,) * (vals.ndim - 1))
     dsq = np.sum((vals - c) ** 2, axis=0)
-    return pedal_mask & (dsq > (POLE_RTOL * radius) ** 2)
+    return pedal_mask & (dsq > POLE_RTOL**2)
 
 
 def test_evaluate_masks_the_pole_and_the_degenerate_base_points():
@@ -185,10 +194,10 @@ def test_evaluate_masks_the_pole_and_the_degenerate_base_points():
     x, y = Grid(-0.5, 0.5, -0.5, 0.5, 5, 5).points()
     g = pedal_surface(ev)
     pole = g.jets(x, y, 2).value().real[:, 7]
-    want = _parent_mask_route(ev, pole, 1.0, x, y)
+    want = _parent_mask_route(ev, pole, x, y)
     assert not want[7] and not want[12] and np.sum(~want) == 2
     for order in (2, 3):
-        jets, valid = invert_evaluator(g, pole, 1.0).evaluate(x, y, order)
+        jets, valid = invert_evaluator(g, pole).evaluate(x, y, order)
         assert jets.order == order
         assert valid.dtype == bool and np.array_equal(valid, want)
     # the pedal alone masks only the branch point, a plain surface nothing
@@ -203,16 +212,19 @@ def test_stacked_inversions_equal_the_single_inversions():
     g = pedal_surface(holo3()).evaluated(x, y, 3)
     centers = np.random.default_rng(5).uniform(-1.6, 1.6, size=(4, 6))
     centers[3] = g.jets(x, y, 3).value()[:, 7]
-    jets, valid = invert_jets(*g.evaluate(x, y, 3), centers, 1.3)
+    # each inversion scaled by 1.3^2 about its center: radius 1.3
+    jets, valid = invert_jets(*g.evaluate(x, y, 3), centers)
+    jets = _homothety(jets, centers, 1.3**2)
     assert jets.batch == (4, 25) and valid.shape == (4, 25)
     for k, center in enumerate(centers):
-        want, want_valid = invert_evaluator(g, center, 1.3).evaluate(x, y, 3)
-        assert np.array_equal(jets.t[:, :, :, k], want.t)
+        want, want_valid = invert_evaluator(g, center).evaluate(x, y, 3)
+        assert np.array_equal(jets.t[:, :, :, k], _homothety(want, center, 1.3**2).t)
         assert np.array_equal(valid[k], want_valid)
     assert np.array_equal(np.flatnonzero(~valid), [3 * 25 + 7])
     # the evaluator of the stack serves the same stacked jets
-    stacked, stacked_valid = invert_evaluator(g, centers, 1.3).evaluate(x, y, 3)
-    assert np.array_equal(stacked.t, jets.t) and np.array_equal(stacked_valid, valid)
+    stacked, stacked_valid = invert_evaluator(g, centers).evaluate(x, y, 3)
+    assert np.array_equal(_homothety(stacked, centers, 1.3**2).t, jets.t)
+    assert np.array_equal(stacked_valid, valid)
 
 
 def test_minimality_setup_is_computed_once_per_pedal_bundle(monkeypatch):
