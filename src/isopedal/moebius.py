@@ -108,7 +108,7 @@ def _minimality_points(pb):
     return pb._cache["minimality"]
 
 
-def minimality_residuals(pedal_bundle, centers, valid=None):
+def minimality_residuals(pedal_bundle, centers, valid=None, points=None):
     """Residual system for "some inversion makes the pedal minimal".
 
     The inverted pedal is minimal at a point only if three residuals
@@ -125,16 +125,23 @@ def minimality_residuals(pedal_bundle, centers, valid=None):
     mean_norm, pos_sq = ||g - p0||^2 (floored at 1e-300), and the
     per-center infeasibility margin max-over-points of the combined
     normalized residual, taken over the flat point mask `valid`
-    (default: the pedal bundle's flag mask).  Every array is at most
-    (centers, points), so a caller with a large lattice passes it in
-    blocks of centers to bound memory; each center's row does not
-    depend on the other centers.
+    (default: the pedal bundle's flag mask).  `points`, a flat index
+    array, restricts everything to those points, in that order (default:
+    every point); the mask is indexed the same way.  Every array is at
+    most (centers, points), so a caller with a large lattice passes it in
+    blocks of centers to bound memory; each center's row does not depend
+    on the other centers.
     """
     g, g_sq, z_minus_delta, delta_sq, rot, eta, eta_sq, frames, theta = (
         _minimality_points(pedal_bundle))
     n = g.shape[0]
     if valid is None:
         valid = pedal_bundle.valid.reshape(-1)
+    if points is not None:
+        g, g_sq, z_minus_delta, delta_sq, rot, eta, eta_sq, theta, valid = (
+            a[..., points] for a in (g, g_sq, z_minus_delta, delta_sq, rot, eta, eta_sq,
+                                     theta, valid))
+        frames = [fr[:, points] for fr in frames]
 
     C = np.asarray(centers, dtype=float)
     c_sq = np.sum(C * C, axis=1)[:, None]

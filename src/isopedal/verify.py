@@ -71,7 +71,7 @@ from .geometry import (
     hodge_relation_residuals,
 )
 from .grid import Grid
-from .moebius import _minimality_points, invert_evaluator, minimality_residuals
+from .moebius import invert_evaluator, minimality_residuals
 from .pedal import SurfacePipeline
 from .weierstrass import preset_curve, surface_evaluator
 
@@ -791,22 +791,19 @@ def verify_swillmore(run: Run) -> dict:
 
 
 # center x point elements per minimality_residuals call on the lattice: each
-# (centers, points) temporary is 512 KB whatever 3^n is, and peak
-# lattice memory is one such block per worker of `_lattice_workers`.
-# Blocks of 2^16 left the group about 1.5x faster than 2^17 or 2^18 on a
-# 2-vCPU Xeon with 2 MB of L2 per core, where a block's temporaries stay
-# in cache.
+# (centers, points) temporary is 512 KB whatever 3^n is, and so is peak
+# lattice memory.  Blocks of 2^16 left the group about 1.5x faster than
+# 2^17 or 2^18 on a 2-vCPU Xeon with 2 MB of L2 per core, where a block's
+# temporaries stay in cache.
 _LATTICE_BLOCK = 1 << 16
 
-
-def _lattice_workers(blocks: int) -> int:
-    """Threads for `blocks` lattice blocks: the usable CPUs, but no more
-    than one per eight blocks, since a thread pool costs more than it saves
-    on a small lattice (verify's default lattice has five blocks)."""
-    import os
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, blocks // 8)
+# the lattice walk: each level bounds the surviving centers from below on
+# every stride-th kept point, finest last; a bound prunes a center only
+# when it exceeds a value some center reaches on the whole grid by more
+# than the relative slack, which absorbs the rounding difference between
+# a product over a column subset and over the whole grid
+_PRUNE_STRIDES = (16, 4)
+_PRUNE_SLACK = 1e-12
 
 
 def _lattice_blocks(count: int, points: int):
@@ -862,12 +859,19 @@ def verify_inversion_minimality(run: Run) -> dict:
     cross-checked against direct jets of the inverted pedal at three
     sampled centers.  Every inversion is in a unit sphere.
 
-    The lattice is evaluated in blocks of at most _LATTICE_BLOCK
-    center x point elements, each reduced to its per-center norm ratios
-    and system margins, so memory does not grow with the number of
-    centers.  A large lattice's blocks run on a small thread
-    pool (numpy releases the GIL inside each block's ufuncs), gathered in
-    block order, so the report does not depend on the number of workers.
+    Both reductions are min-max, so the lattice is walked rather than
+    evaluated whole.  A center's max over a subset of the kept points is
+    a lower bound on its max over all of them; each level of
+    _PRUNE_STRIDES bounds the surviving centers on a strided subset,
+    evaluates the centers of least bound on the whole grid, and drops
+    every center whose two bounds both exceed the best whole-grid values
+    so far, since it can hold neither minimum.  The survivors are then
+    evaluated on the whole grid, and each defect is the least value over
+    the centers evaluated there: the same numbers as the whole lattice
+    gives.  Every call is a block of at most _LATTICE_BLOCK center x
+    point elements, so memory does not grow with the number of centers,
+    and every whole-grid call holds two centers or more, whose rows round
+    as in any larger block.
     """
     pipe = run.surface
     centers = _center_lattice(pipe.evaluator.ambient_dim)
@@ -875,24 +879,43 @@ def verify_inversion_minimality(run: Run) -> dict:
     sp = pipe.split
     valid = pipe.mask()
     tr_scale = _traceless_scale(pipe.pedal)
-    _minimality_points(sp)  # fill the bundle's cache before workers read it
 
-    def reduced(block):
-        res = minimality_residuals(sp, centers[block], valid=valid)
-        return _inverted_mean_ratio(res, tr_scale, valid).max(axis=1), res["margin_per_center"]
+    def reduced(idx, points=None):
+        """Per-center max norm ratio and system margin of centers[idx]
+        over `points` (default: the whole grid)."""
+        keep, scale = (valid, tr_scale) if points is None else (valid[points], tr_scale[points])
+        ratios, margins = [], []
+        for block in _lattice_blocks(idx.size, keep.size):
+            res = minimality_residuals(sp, centers[idx[block]], valid=valid, points=points)
+            ratios.append(_inverted_mean_ratio(res, scale, keep).max(axis=1))
+            margins.append(res["margin_per_center"])
+        return np.concatenate(ratios), np.concatenate(margins)
 
-    blocks = list(_lattice_blocks(centers.shape[0], valid.size))
-    workers = _lattice_workers(len(blocks))
-    if workers < 2:
-        ratios, margins = zip(*map(reduced, blocks))
-    else:
-        # imported here: concurrent.futures loads logging, ~8 ms of start-up
-        from concurrent.futures import ThreadPoolExecutor
+    norm_defect = system_defect = None
+    if np.any(valid):
+        kept = np.flatnonzero(valid)
+        graded = np.zeros(centers.shape[0], dtype=bool)  # evaluated on the whole grid
+        top = np.full(2, np.inf)  # least whole-grid norm ratio and margin so far
 
-        with ThreadPoolExecutor(workers) as pool:
-            ratios, margins = zip(*pool.map(reduced, blocks))
-    norm_defect = float(np.concatenate(ratios).min()) if np.any(valid) else None
-    system_defect = float(np.concatenate(margins).min()) if np.any(valid) else None
+        def grade(idx):
+            if idx.size == 1:  # pad: a one-row product rounds differently
+                rest = np.flatnonzero(~graded)
+                idx = np.append(idx, rest[int(rest[0] == idx[0])])
+            graded[idx] = True
+            top[:] = np.minimum(top, [values.min() for values in reduced(idx)])
+
+        alive = np.arange(centers.shape[0])
+        for stride in _PRUNE_STRIDES:
+            if not alive.size:
+                break
+            low_norm, low_system = reduced(alive, kept[::stride])
+            grade(np.unique(alive[[low_norm.argmin(), low_system.argmin()]]))
+            bound = top * (1.0 + _PRUNE_SLACK)
+            pruned = (low_norm > bound[0]) & (low_system > bound[1])
+            alive = alive[~pruned & ~graded[alive]]
+        if alive.size:
+            grade(alive)
+        norm_defect, system_defect = map(float, top)
 
     # direct-jet cross-check at a few sampled centers on a coarse subgrid,
     # where one evaluation of the surface feeds the split, the pedal's

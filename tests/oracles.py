@@ -19,7 +19,8 @@ from numpy.polynomial.polynomial import polyval
 from isopedal.cpoly import cp_add, cp_scale
 from isopedal.geometry import SurfaceJets, _nvalue
 from isopedal.jets import Jet
-from isopedal.moebius import invert_evaluator
+from isopedal.moebius import invert_evaluator, minimality_residuals
+from isopedal.verify import _traceless_scale
 from isopedal.weierstrass import IsotropicSpec, SurfaceEvaluator
 
 _TINY = 1e-300
@@ -282,3 +283,28 @@ def transformation_residuals(surface: SurfaceEvaluator, center, radius: float, x
         "H_law": H_law,
         "valid": valid,
     }
+
+
+# -- the inversion lattice --------------------------------------------------------
+
+
+def dense_inversion_defects(pipe, centers, chunk=729):
+    """The exhaustive lattice evaluation: inversion.norm and inversion.system
+    defects with every center evaluated at every point, from dense
+    (centers, points) arrays over consecutive chunks of at most `chunk`
+    centers (a row does not depend on its chunk), rho recomputed here."""
+    valid = pipe.split.valid.reshape(-1) & pipe.mask()
+    g = pipe.split.foot.value().real.reshape(pipe.evaluator.ambient_dim, -1)
+    scale = np.maximum(_traceless_scale(pipe.pedal)[None, :], _TINY)
+    norms, systems = [], []
+    for part in np.array_split(centers, -(-len(centers) // chunk)):
+        res = minimality_residuals(pipe.split, part)
+        rho = np.maximum(np.sum((g[:, None, :] - part.T[:, :, None]) ** 2, axis=0), _TINY)
+        ratio = 2.0 * (res["mean_norm"] / (2.0 * rho)) / scale
+        combined = np.maximum(
+            np.maximum(np.abs(res["r1"]) / rho, np.abs(res["r2"]) / rho),
+            np.abs(res["r3"]) / np.sqrt(rho),
+        )
+        norms.append(np.where(valid[None, :], ratio, 0.0).max(axis=1))
+        systems.append(np.where(valid[None, :], combined, 0.0).max(axis=1))
+    return float(np.concatenate(norms).min()), float(np.concatenate(systems).min())

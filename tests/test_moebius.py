@@ -15,6 +15,7 @@ from isopedal.grid import Grid
 from isopedal.jets import JetVec
 from isopedal.moebius import POLE_RTOL, invert_evaluator, invert_jets, minimality_residuals
 from isopedal.pedal import PedalBundle, pedal_split, pedal_surface
+from isopedal.verify import _PRUNE_SLACK
 from isopedal.weierstrass import holomorphic_curve, preset_curve, surface_evaluator
 from oracles import invert_points, reflect, transformation_residuals
 
@@ -242,6 +243,32 @@ def test_minimality_setup_is_computed_once_per_pedal_bundle(monkeypatch):
     for block in (slice(0, 7), slice(7, 20)):
         minimality_residuals(pb, centers[block])
     assert calls == [pb]
+
+
+def test_minimality_residuals_on_a_point_subset():
+    x, y = Grid(nx=7, ny=7).points()
+    pb = pedal_split(SurfaceJets(holo3(), x, y, 4))
+    centers = np.random.default_rng(9).uniform(-1.6, 1.6, size=(20, 6))
+    mask = pb.valid.reshape(-1).copy()
+    mask[::5] = False
+    whole = minimality_residuals(pb, centers, valid=mask)
+    points = np.arange(0, x.size, 3)  # masked points included
+    part = minimality_residuals(pb, centers, valid=mask, points=points)
+    for key in ("r1", "r2", "r3", "mean_norm", "pos_sq"):
+        assert part[key].shape == (20, points.size)
+    # elementwise, so exact; the products may round differently over a
+    # column subset, within the slack the lattice walk allows for
+    assert np.array_equal(part["pos_sq"], whole["pos_sq"][:, points])
+    rho = whole["pos_sq"]
+    combined = np.maximum(
+        np.maximum(np.abs(whole["r1"]) / rho, np.abs(whole["r2"]) / rho),
+        np.abs(whole["r3"]) / np.sqrt(rho),
+    )
+    want = np.where(mask[None, :], combined, 0.0)[:, points].max(axis=1)
+    np.testing.assert_allclose(part["margin_per_center"], want, rtol=_PRUNE_SLACK, atol=0)
+    for key in ("r1", "r2", "r3", "mean_norm"):
+        np.testing.assert_allclose(part[key], whole[key][:, points], rtol=_PRUNE_SLACK,
+                                   atol=_PRUNE_SLACK * np.abs(whole[key]).max())
 
 
 def test_minimality_margin_runs_over_the_callers_mask():

@@ -8,8 +8,7 @@ rather than numbers.
 """
 
 import itertools
-import os
-import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +28,13 @@ from isopedal.verify import (
     verify_inversion_minimality,
 )
 from isopedal.weierstrass import ambient_curve, preset_curve, surface_evaluator
-from oracles import cv_linear_map
+from oracles import cv_linear_map, dense_inversion_defects
 
 SMALL_GRID = Grid(nx=9, ny=9)
 # the holo3 report on the window through the branch point, frozen: its
 # masks and excluded counts must not move when samples are stacked
 BRANCH_REPORT = Path(__file__).parent / "data" / "report_branch_window.json"
-# holo4 in R^8 at order 5, frozen: 17 lattice blocks, so two or more usable
-# CPUs run its inversion lattice on a thread pool
+# holo4 in R^8 at order 5, frozen: the largest frozen lattice, 6561 centers
 HOLO4_REPORT = Path(__file__).parent / "data" / "report_holo4.json"
 
 
@@ -215,26 +213,6 @@ def test_report_json_is_sorted_and_versioned():
     assert text.index('"checks"') < text.index('"environment"')  # sorted keys
 
 
-def _dense_inversion_defects(pipe, centers):
-    """The whole-lattice evaluation: inversion.norm and inversion.system
-    defects from dense (centers, points) arrays, rho recomputed here."""
-    res = moebius.minimality_residuals(pipe.split, centers)
-    valid = pipe.split.valid.reshape(-1) & pipe.mask()
-    g = pipe.split.foot.value().real.reshape(pipe.evaluator.ambient_dim, -1)
-    rho = np.maximum(
-        np.sum((g[:, None, :] - centers.T[:, :, None]) ** 2, axis=0), 1e-300
-    )
-    hn = res["mean_norm"] / (2.0 * rho)
-    ratio = 2.0 * hn / np.maximum(verify._traceless_scale(pipe.pedal)[None, :], 1e-300)
-    ratio = np.where(valid[None, :], ratio, 0.0)
-    combined = np.maximum(
-        np.maximum(np.abs(res["r1"]) / rho, np.abs(res["r2"]) / rho),
-        np.abs(res["r3"]) / np.sqrt(rho),
-    )
-    combined = np.where(valid[None, :], combined, 0.0)
-    return float(ratio.max(axis=1).min()), float(combined.max(axis=1).min())
-
-
 def test_center_lattice_is_the_product_order():
     axis = np.linspace(-1.6, 1.6, 3)
     for n in range(4, 9):
@@ -250,14 +228,15 @@ def test_center_lattice_is_the_product_order():
 def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block):
     pipe = SurfacePipeline(surface_evaluator(preset_curve("holo3")), SMALL_GRID, 4)
     centers = _center_lattice(6)
-    ref_norm, ref_system = _dense_inversion_defects(pipe, centers)
+    ref_norm, ref_system = dense_inversion_defects(pipe, centers)
 
     block = per_block * SMALL_GRID.size
     monkeypatch.setattr(verify, "_LATTICE_BLOCK", block)
     calls = []
 
     def spy(pedal_bundle, C, **kw):
-        calls.append((C.shape[0], pedal_bundle.valid.size))
+        pts = pedal_bundle.valid.size if kw.get("points") is None else len(kw["points"])
+        calls.append((C, pts))
         return moebius.minimality_residuals(pedal_bundle, C, **kw)
 
     monkeypatch.setattr(verify, "minimality_residuals", spy)
@@ -265,35 +244,46 @@ def test_inversion_lattice_blocks_equal_the_dense_lattice(monkeypatch, per_block
     assert got["inversion.norm"].defect == ref_norm
     assert got["inversion.system"].defect == ref_system
 
-    lattice_calls = [c for c, pts in calls if pts == SMALL_GRID.size]
-    assert sum(lattice_calls) == centers.shape[0]
-    assert len(lattice_calls) > 2 and min(lattice_calls) > 1
-    assert lattice_calls[-1] != per_block
-    assert all(c * pts <= block for c, pts in calls)
+    assert all(len(C) * pts <= block for C, pts in calls)
+    # the crosscheck's calls run on the 5 x 5 subgrid
+    graded = [C for C, pts in calls if pts == SMALL_GRID.size]
+    assert graded and min(map(len, graded)) > 1
+    rows = Counter(map(tuple, np.concatenate(graded)))
+    assert len(rows) < centers.shape[0] / 10
+    assert max(rows.values()) == 1
 
 
-# 3 centers a block makes 243 blocks, and 4 a block makes 183 that end in
-# blocks of 3 and 2: enough for a pool of two threads, whose gathered
-# defects must equal the dense lattice's bitwise
-@pytest.mark.parametrize("per_block", [3, 4])
-def test_pooled_inversion_lattice_equals_the_dense_lattice(monkeypatch, per_block):
-    pipe = SurfacePipeline(surface_evaluator(preset_curve("holo3")), SMALL_GRID, 4)
-    ref_norm, ref_system = _dense_inversion_defects(pipe, _center_lattice(6))
+def _spec_doc(n, m):
+    """A degree-1 spec in R^n with m curvature circles."""
+    line = [[0.3, -0.8], [1.1, 0.4], [-0.6, 0.9], [0.7, 1.3]]
+    return {"ambient_dim": n, "isotropy_order": m,
+            "alpha0": [line[k % 4] for k in range(n - 2 * (m + 1))],
+            "betas": [line[(k + 1) % 4] for k in range(m + 1)]}
 
-    monkeypatch.setattr(verify, "_LATTICE_BLOCK", per_block * SMALL_GRID.size)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    threads = set()
 
-    def spy(pedal_bundle, C, **kw):
-        if pedal_bundle.valid.size == SMALL_GRID.size:
-            threads.add(threading.get_ident())
-        return moebius.minimality_residuals(pedal_bundle, C, **kw)
+# the walk prunes least on holo4 at order 5; the branch window excludes
+# points; 59,049 centers in R^10 take many blocks at every level
+@pytest.mark.parametrize("doc", [
+    {"seed_preset": "holo4", "grid": "0.3,1.3,0.3,1.3,9,9", "jet_order": 5},
+    {"seed_preset": "holo3", "grid": "-0.5,0.5,-0.5,0.5,11,11"},
+    {"seed_preset": "noniso", "grid": "0.3,1.3,0.3,1.3,9,9"},
+    {"spec": _spec_doc(10, 4), "grid": "0.3,1.3,0.3,1.3,5,5"},
+], ids=["holo4-order5", "branch-window", "noniso", "r10"])
+def test_pruned_inversion_lattice_equals_the_dense_lattice(doc):
+    run = verify.Run(RunConfig.from_document(doc))
+    got = verify_inversion_minimality(run)
+    ref = dense_inversion_defects(run.surface, _center_lattice(run.surface.evaluator.ambient_dim))
+    assert (got["inversion.norm"].defect, got["inversion.system"].defect) == ref
 
-    monkeypatch.setattr(verify, "minimality_residuals", spy)
-    got = verify_inversion_minimality(verify.Run(small_config()))
-    assert got["inversion.norm"].defect == ref_norm
-    assert got["inversion.system"].defect == ref_system
-    assert threads and threading.get_ident() not in threads
+
+def test_inversion_lattice_without_a_kept_point_has_no_defect():
+    # every point of a plane's pedal is excluded
+    run = verify.Run(RunConfig.from_document({"curve": [[0, 1], [0, 2]],
+                                              "grid": {"nx": 5, "ny": 5}}))
+    assert not np.any(run.surface.mask())
+    got = verify_inversion_minimality(run)
+    assert got["inversion.norm"].defect is None
+    assert got["inversion.system"].defect is None
 
 
 # holo3 inverted about the lattice center (0, 0, 0, 0, -1.6, -1.6) has
