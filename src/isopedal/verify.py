@@ -321,8 +321,8 @@ def _norms(values):
 def _traceless_scale(bundle: SurfaceJets):
     """sqrt(2 (|xi1|^2 + |xi2|^2)), the scale of the traceless second
     form, pointwise."""
-    xi1, xi2 = bundle.traceless_second()
-    return np.sqrt(2.0 * (_norms(_nvalue(xi1)) ** 2 + _norms(_nvalue(xi2)) ** 2))
+    xi1, xi2 = (_nvalue(xi) for xi in bundle.traceless_second())
+    return np.sqrt(2.0 * (np.sum(xi1 * xi1, axis=0) + np.sum(xi2 * xi2, axis=0)))
 
 
 def _mean_ratio(bundle: SurfaceJets):
