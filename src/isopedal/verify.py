@@ -797,11 +797,9 @@ def verify_swillmore(run: Run) -> dict:
 # temporaries stay in cache.
 _LATTICE_BLOCK = 1 << 16
 
-# the lattice walk: each level bounds the surviving centers from below on
-# every stride-th kept point, finest last; a bound prunes a center only
-# when it exceeds a value some center reaches on the whole grid by more
-# than the relative slack, which absorbs the rounding difference between
-# a product over a column subset and over the whole grid
+# the lattice walk bounds the surviving centers on every stride-th kept
+# point, coarsest first; the slack absorbs the rounding difference between
+# a product over a column subset and one over the whole grid
 _PRUNE_STRIDES = (16, 4)
 _PRUNE_SLACK = 1e-12
 
@@ -859,19 +857,16 @@ def verify_inversion_minimality(run: Run) -> dict:
     cross-checked against direct jets of the inverted pedal at three
     sampled centers.  Every inversion is in a unit sphere.
 
-    Both reductions are min-max, so the lattice is walked rather than
-    evaluated whole.  A center's max over a subset of the kept points is
-    a lower bound on its max over all of them; each level of
-    _PRUNE_STRIDES bounds the surviving centers on a strided subset,
-    evaluates the centers of least bound on the whole grid, and drops
-    every center whose two bounds both exceed the best whole-grid values
-    so far, since it can hold neither minimum.  The survivors are then
-    evaluated on the whole grid, and each defect is the least value over
-    the centers evaluated there: the same numbers as the whole lattice
-    gives.  Every call is a block of at most _LATTICE_BLOCK center x
-    point elements, so memory does not grow with the number of centers,
-    and every whole-grid call holds two centers or more, whose rows round
-    as in any larger block.
+    Both defects are a min over centers of a max over kept points, and a
+    center's max over some of the points bounds its max over all of them
+    from below.  Each level of _PRUNE_STRIDES bounds the surviving centers
+    on a strided subset, grades (evaluates on the whole grid) the centers
+    of least bound, and drops each center whose two bounds both exceed the
+    least graded values, as it can hold neither minimum; the survivors are
+    graded last.  So each defect, the least graded value, is the whole
+    lattice's.  Every call is a block of at most _LATTICE_BLOCK center x
+    point elements, and every whole-grid call holds two centers or more,
+    whose rows round as in any larger block.
     """
     pipe = run.surface
     centers = _center_lattice(pipe.evaluator.ambient_dim)
@@ -884,11 +879,12 @@ def verify_inversion_minimality(run: Run) -> dict:
         """Per-center max norm ratio and system margin of centers[idx]
         over `points` (default: the whole grid)."""
         keep, scale = (valid, tr_scale) if points is None else (valid[points], tr_scale[points])
-        ratios, margins = [], []
-        for block in _lattice_blocks(idx.size, keep.size):
+
+        def block_maxima(block):  # its (centers, points) arrays die on return
             res = minimality_residuals(sp, centers[idx[block]], valid=valid, points=points)
-            ratios.append(_inverted_mean_ratio(res, scale, keep).max(axis=1))
-            margins.append(res["margin_per_center"])
+            return _inverted_mean_ratio(res, scale, keep).max(axis=1), res["margin_per_center"]
+
+        ratios, margins = zip(*map(block_maxima, _lattice_blocks(idx.size, keep.size)))
         return np.concatenate(ratios), np.concatenate(margins)
 
     norm_defect = system_defect = None
@@ -909,7 +905,7 @@ def verify_inversion_minimality(run: Run) -> dict:
             if not alive.size:
                 break
             low_norm, low_system = reduced(alive, kept[::stride])
-            grade(np.unique(alive[[low_norm.argmin(), low_system.argmin()]]))
+            grade(alive[sorted({low_norm.argmin(), low_system.argmin()})])
             bound = top * (1.0 + _PRUNE_SLACK)
             pruned = (low_norm > bound[0]) & (low_system > bound[1])
             alive = alive[~pruned & ~graded[alive]]
