@@ -288,16 +288,16 @@ def transformation_residuals(surface: SurfaceEvaluator, center, radius: float, x
 # -- the inversion lattice --------------------------------------------------------
 
 
-def dense_inversion_defects(pipe, centers, chunk=729):
+def dense_inversion_defects(pipe, centers):
     """The exhaustive lattice evaluation: inversion.norm and inversion.system
     defects with every center evaluated at every point, from dense
-    (centers, points) arrays over consecutive chunks of at most `chunk`
+    (centers, points) arrays over consecutive chunks of at most 729
     centers (a row does not depend on its chunk), rho recomputed here."""
     valid = pipe.split.valid.reshape(-1) & pipe.mask()
     g = pipe.split.foot.value().real.reshape(pipe.evaluator.ambient_dim, -1)
     scale = np.maximum(_traceless_scale(pipe.pedal)[None, :], _TINY)
     norms, systems = [], []
-    for part in np.array_split(centers, -(-len(centers) // chunk)):
+    for part in np.array_split(centers, -(-len(centers) // 729)):
         res = minimality_residuals(pipe.split, part)
         rho = np.maximum(np.sum((g[:, None, :] - part.T[:, :, None]) ** 2, axis=0), _TINY)
         ratio = 2.0 * (res["mean_norm"] / (2.0 * rho)) / scale

@@ -261,8 +261,9 @@ def _spec_doc(n, m):
             "betas": [line[(k + 1) % 4] for k in range(m + 1)]}
 
 
-# the walk prunes least on holo4 at order 5; the branch window excludes
-# points; 59,049 centers in R^10 take many blocks at every level
+# holo4 at order 5 prunes least of the presets; the branch window
+# excludes its origin; in R^10 on 5 x 5 points most of the 59,049
+# centers reach the whole grid, in many blocks at every level
 @pytest.mark.parametrize("doc", [
     {"seed_preset": "holo4", "grid": "0.3,1.3,0.3,1.3,9,9", "jet_order": 5},
     {"seed_preset": "holo3", "grid": "-0.5,0.5,-0.5,0.5,11,11"},
