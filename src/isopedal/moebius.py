@@ -129,8 +129,9 @@ def minimality_residuals(pedal_bundle, centers, valid=None, points=None):
     array, restricts everything to those points, in that order (default:
     every point); the mask is indexed the same way.  Every array is at
     most (centers, points), so a caller with a large lattice passes it in
-    blocks of centers to bound memory; each center's row does not depend
-    on the other centers.
+    blocks of centers to bound memory.  Each center's row is bitwise the
+    row that any block of two or more centers gives it, also when
+    `centers` holds that center alone.
     """
     g, g_sq, z_minus_delta, delta_sq, rot, eta, eta_sq, frames, theta = (
         _minimality_points(pedal_bundle))
@@ -144,6 +145,9 @@ def minimality_residuals(pedal_bundle, centers, valid=None, points=None):
         frames = [fr[:, points] for fr in frames]
 
     C = np.asarray(centers, dtype=float)
+    rows = C.shape[0]
+    if rows == 1:  # numpy's one-row C @ X is a matrix-vector product, which rounds differently
+        C = np.repeat(C, 2, axis=0)
     c_sq = np.sum(C * C, axis=1)[:, None]
     # r1 = ||g - p0||^2 - ||delta||^2 - <p0, Z - delta>
     r1 = g_sq + c_sq - 2.0 * C @ g - delta_sq - C @ z_minus_delta
@@ -169,11 +173,11 @@ def minimality_residuals(pedal_bundle, centers, valid=None, points=None):
     combined = np.maximum(np.maximum(norm1, norm2), norm3)
     combined = np.where(valid[None, :], combined, 0.0)
     return {
-        "r1": r1,
-        "r2": r2,
-        "r3": r3,
-        "mean_norm": mean_norm,
-        "pos_sq": pos_sq,
+        "r1": r1[:rows],
+        "r2": r2[:rows],
+        "r3": r3[:rows],
+        "mean_norm": mean_norm[:rows],
+        "pos_sq": pos_sq[:rows],
         # minimality needs all points at once
-        "margin_per_center": combined.max(axis=1),
+        "margin_per_center": combined.max(axis=1)[:rows],
     }

@@ -804,25 +804,6 @@ _PRUNE_STRIDES = (16, 4)
 _PRUNE_SLACK = 1e-12
 
 
-def _lattice_blocks(count: int, points: int):
-    """Slices of `count` lattice centers holding at most _LATTICE_BLOCK
-    center x point elements (but at least three centers).
-
-    No slice holds a single center unless the lattice does: numpy
-    evaluates a one-row `C @ X` as a matrix-vector product, which rounds
-    differently from the matrix product of a larger block, and the
-    defects must not depend on where the blocks fall.
-    """
-    step = max(3, _LATTICE_BLOCK // points)
-    start = 0
-    while start < count:
-        stop = min(start + step, count)
-        if count - stop == 1:
-            stop -= 1  # leave two centers for the last block
-        yield slice(start, stop)
-        start = stop
-
-
 def _center_lattice(n: int) -> np.ndarray:
     """The 3^n lattice centers on [-1.6, 1.6]^n, shape (3**n, n), in the
     row-major order of itertools.product (last coordinate fastest)."""
@@ -865,8 +846,7 @@ def verify_inversion_minimality(run: Run) -> dict:
     least graded values, as it can hold neither minimum; the survivors are
     graded last.  So each defect, the least graded value, is the whole
     lattice's.  Every call is a block of at most _LATTICE_BLOCK center x
-    point elements, and every whole-grid call holds two centers or more,
-    whose rows round as in any larger block.
+    point elements.
     """
     pipe = run.surface
     centers = _center_lattice(pipe.evaluator.ambient_dim)
@@ -879,12 +859,14 @@ def verify_inversion_minimality(run: Run) -> dict:
         """Per-center max norm ratio and system margin of centers[idx]
         over `points` (default: the whole grid)."""
         keep, scale = (valid, tr_scale) if points is None else (valid[points], tr_scale[points])
+        step = max(1, _LATTICE_BLOCK // keep.size)
 
-        def block_maxima(block):  # its (centers, points) arrays die on return
-            res = minimality_residuals(sp, centers[idx[block]], valid=valid, points=points)
+        def block_maxima(start):  # its (centers, points) arrays die on return
+            block = centers[idx[start:start + step]]
+            res = minimality_residuals(sp, block, valid=valid, points=points)
             return _inverted_mean_ratio(res, scale, keep).max(axis=1), res["margin_per_center"]
 
-        ratios, margins = zip(*map(block_maxima, _lattice_blocks(idx.size, keep.size)))
+        ratios, margins = zip(*map(block_maxima, range(0, idx.size, step)))
         return np.concatenate(ratios), np.concatenate(margins)
 
     norm_defect = system_defect = None
@@ -894,9 +876,6 @@ def verify_inversion_minimality(run: Run) -> dict:
         top = np.full(2, np.inf)  # least whole-grid norm ratio and margin so far
 
         def grade(idx):
-            if idx.size == 1:  # pad: a one-row product rounds differently
-                rest = np.flatnonzero(~graded)
-                idx = np.append(idx, rest[int(rest[0] == idx[0])])
             graded[idx] = True
             top[:] = np.minimum(top, [values.min() for values in reduced(idx)])
 
@@ -918,8 +897,6 @@ def verify_inversion_minimality(run: Run) -> dict:
     # geometry and the sampled inversions, stacked in one bundle
     sub = pipe.on(5)
     picks = [0, centers.shape[0] // 2, centers.shape[0] - 1]
-    # every sampled center in one call: a one-row product would round
-    # differently depending on the memory layout of the cached arrays
     sres = minimality_residuals(sub.split, centers[picks])
     bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, centers[picks]),
                          sub.x, sub.y, 2)

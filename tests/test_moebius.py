@@ -170,8 +170,9 @@ def test_minimality_residuals_rows_do_not_depend_on_the_block():
     g = pb.foot.value().real.reshape(6, -1)
     dense_sq = np.sum((g[:, None, :] - centers.T[:, :, None]) ** 2, axis=0)
     assert np.array_equal(whole["pos_sq"], np.maximum(dense_sq, 1e-300))
-    # blocks of two or more centers reproduce the whole call's rows bit for bit
-    for lo, hi in ((0, 2), (2, 9), (9, 20)):
+    # any block, a single center included, reproduces the whole call's rows
+    # bit for bit
+    for lo, hi in ((0, 1), (0, 2), (2, 9), (9, 20), (19, 20)):
         part = minimality_residuals(pb, centers[lo:hi])
         for key in ("r1", "r2", "r3", "mean_norm", "pos_sq", "margin_per_center"):
             assert np.array_equal(part[key], whole[key][lo:hi]), key
