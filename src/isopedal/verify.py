@@ -395,7 +395,8 @@ def verify_generation(run: Run) -> dict:
     base = pipe.base
     H = _nvalue(base.mean_curvature())
     a11, a12, a22 = (_nvalue(a) for a in base.second_fundamental())
-    scale = np.sqrt(_norms(a11) ** 2 + 2 * _norms(a12) ** 2 + _norms(a22) ** 2)
+    scale = np.sqrt(np.sum(a11 * a11, axis=0) + 2 * np.sum(a12 * a12, axis=0)
+                    + np.sum(a22 * a22, axis=0))
     return {
         "generator.isotropy": Outcome(float(run.config.curve.isotropy_residual()), excluded=0),
         "generator.minimality": Outcome(_norms(H) / np.maximum(scale, _TINY),
@@ -509,8 +510,8 @@ def verify_normal_span(run: Run) -> dict:
             rem = rem - np.sum(tangent * fr, axis=0) * fr
         residuals.append(_norms(rem) / tn)
     residuals.append(np.abs(np.sum(u1 * u2, axis=0)) / tfloor)
-    residuals.append(np.abs(_norms(u1) ** 2 - theta) / tfloor)
-    residuals.append(np.abs(_norms(u2) ** 2 - theta) / tfloor)
+    residuals.append(np.abs(np.sum(u1 * u1, axis=0) - theta) / tfloor)
+    residuals.append(np.abs(np.sum(u2 * u2, axis=0) - theta) / tfloor)
     return {"pedal_normal_span": Outcome(np.maximum.reduce(residuals))}
 
 
