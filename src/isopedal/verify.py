@@ -255,14 +255,13 @@ class Outcome:
     `defect` is a per-point array, which the runner reduces over `mask`
     (masked max for mode "upper", the low quantile for "lower"), or an
     already reduced scalar (None: nothing could be evaluated).  Unset
-    fields take the surface pipeline's defaults: its mask, its grid, and
-    the points outside the mask as `excluded`.
+    fields take the surface pipeline's defaults: its mask and its grid.
+    The points outside the mask are reported as `excluded`.
     """
 
     defect: object
     mask: Optional[np.ndarray] = None
     grid: Optional[Grid] = None
-    excluded: Optional[int] = None
     details: dict = field(default_factory=dict)
 
 
@@ -398,7 +397,8 @@ def verify_generation(run: Run) -> dict:
     scale = np.sqrt(np.sum(a11 * a11, axis=0) + 2 * np.sum(a12 * a12, axis=0)
                     + np.sum(a22 * a22, axis=0))
     return {
-        "generator.isotropy": Outcome(float(run.config.curve.isotropy_residual()), excluded=0),
+        "generator.isotropy": Outcome(float(run.config.curve.isotropy_residual()),
+                                      np.ones(run.config.grid.size, dtype=bool)),
         "generator.minimality": Outcome(_norms(H) / np.maximum(scale, _TINY),
                                         pipe.pre & base.valid),
     }
@@ -1088,7 +1088,7 @@ def _record(check: Check, run: Run, outcome: Optional[Outcome],
         if isinstance(defect, np.ndarray):
             reduce = _masked_max if check.mode == "upper" else _low_quantile
             defect = reduce(defect, mask)
-        excluded = int(np.sum(~mask)) if outcome.excluded is None else outcome.excluded
+        excluded = int(np.sum(~mask))
         grid = outcome.grid or grid
         details = outcome.details
     threshold = run.tolerance(check.tolerance)
@@ -1104,7 +1104,7 @@ def _record(check: Check, run: Run, outcome: Optional[Outcome],
         "id": check.id,
         "statement": statement,
         "grid": [grid.nx, grid.ny],
-        "excluded": int(excluded),
+        "excluded": excluded,
         "defect": _jsonable(defect),
         "threshold": float(threshold),
         "mode": check.mode,

@@ -105,6 +105,16 @@ def test_pedal_reports_degenerate_points(tmp_path, capsys):
     assert "excluded points: 1 of 25" in out
 
 
+def test_pedal_reports_a_degenerate_flag(tmp_path, capsys):
+    # (z^2, z^3) doubled has a branch point at the grid center
+    cfg = write_json(tmp_path / "cfg.json", {
+        "curve": [[0, 0, 1], [0, 0, 0, 1]], "grid": "-0.5,0.5,-0.5,0.5,11,11"})
+    assert main(["pedal", "--config", cfg, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert ("excluded (0, 0): flag degenerate, tangential part ~ 0, "
+            "first-normal part ~ 0") in out
+
+
 def test_pedal_mesh_drops_the_points_its_table_excludes(tmp_path, capsys):
     grid = "--grid=-0.5,0.5,-0.5,0.5,11,11"
     assert main(["pedal", "--out", str(tmp_path / "pedal"), grid]) == 0
@@ -179,6 +189,20 @@ def test_verify_low_order_is_inconclusive(tmp_path, capsys):
     assert "[insufficient jet order]" in out
 
 
+def test_verify_exclusion_overflow_exits_3(tmp_path):
+    # a passing report on fewer than half of the grid's points
+    cfg = write_json(tmp_path / "cfg.json", {
+        "seed_preset": "holo3",
+        "grid": {"nx": 7, "ny": 7, "excluded_disks": [[0.3, 0.3, 0.85]]},
+    })
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["environment"]["points"] == {"total": 49, "usable": 21}
+    assert report["status"] == "pass"
+    assert len(report["checks"]) == 30
+    assert all(rec["pass"] for rec in report["checks"])
+
+
 def test_verify_check_filter_limits_report(tmp_path):
     assert main(["verify", "--out", str(tmp_path), "--grid", SMALL,
                  "--check", "pedal_mean"]) == 0
@@ -212,6 +236,15 @@ def test_report_prints_digest(tmp_path, capsys):
     assert "3 of 3 checks passed" in out
     assert "tightest identity margin" in out
     assert (tmp_path / "report.json").exists()
+
+
+def test_report_prints_the_refutation_margin(capsys):
+    assert main(["report", "--grid", "0.3,1.3,0.3,1.3,7,7",
+                 "--check", "inversion,swillmore"]) == 0
+    out = capsys.readouterr().out
+    assert "6 of 6 checks passed" in out
+    assert "tightest identity margin: defect / threshold = " in out
+    assert "weakest refutation margin: defect / threshold = " in out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import sympy as sp
 from isopedal import jets
 from isopedal.errors import DegenerateJet
 from isopedal.jets import Jet, JetVec, jet_gram_schmidt, jet_lift
-from isopedal.weierstrass import IsotropicSpec, preset_curve, w_generate
+from isopedal.weierstrass import IsotropicSpec, holomorphic_curve, preset_curve, w_generate
 from oracles import coordinate, deriv
 
 X, Y = sp.symbols("x y", real=True)
@@ -137,6 +137,17 @@ def test_lift_makes_no_jet_product(monkeypatch):
     assert calls == []
     coordinate(x, 0, 3) * coordinate(y, 1, 3)  # the spy sees products
     assert calls == [2]
+
+
+def test_lift_of_an_empty_component_is_zero():
+    # w = (z, z^2, 0): the doubled curve's last two components are empty
+    phi = holomorphic_curve([[0, 1], [0, 0, 1], [0]]).phi
+    assert phi[4:] == [[], []]
+    x, y = np.linspace(0.3, 1.3, 4), np.full(4, 0.7)
+    t = jet_lift(phi, x, y, 4).t
+    assert t.shape == (5, 5, 6, 4)
+    assert not np.any(t[:, :, 4:])
+    assert np.array_equal(t[:, :, :4], product_lift(phi[:4], x, y, 4))
 
 
 def test_recip_raises_on_degenerate_without_guard():
