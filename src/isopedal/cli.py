@@ -292,7 +292,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     worst_upper = None
     worst_lower = None
     for rec in report["checks"]:
-        if rec["defect"] is None or rec["threshold"] in (0, None):
+        if rec["defect"] is None:
             continue
         ratio = rec["defect"] / rec["threshold"]
         if rec["mode"] == "upper":

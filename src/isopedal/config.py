@@ -23,34 +23,6 @@ from .grid import Grid
 from .weierstrass import (IsotropicCurve, IsotropicSpec, ambient_curve, holomorphic_curve,
                           preset_curve, w_generate)
 
-DEFAULT_TOLERANCES = {
-    "generator_isotropy": 1e-10,
-    "generator_minimality": 1e-9,
-    "pedal_circle_positive": 1e-8,
-    "pedal_circle_wintgen": 1e-7,
-    "pedal_circle_negative": 1e-3,
-    "pedal_conformal": 1e-8,
-    "pedal_conformal_factor": 1e-7,
-    "pedal_normal_span": 1e-8,
-    "pedal_mean_formula": 1e-7,
-    "pedal_mean_laplacian": 1e-6,
-    "pedal_mean_scaling": 1e-9,
-    "secondform_span": 1e-7,
-    "secondform_pairing": 1e-7,
-    "secondform_normal2": 1e-6,
-    "secondform_hodge": 1e-8,
-    "swillmore_refute": 1e-3,
-    "swillmore_agreement": 0.99,
-    "swillmore_kappa_theta": 1e-3,
-    "inversion_norm": 1e-3,
-    "inversion_system": 1e-3,
-    "inversion_crosscheck": 1e-7,
-    "shifted_family": 1e-8,
-    "shifted_decomposition": 1e-10,
-    "shadow_superconformal": 1e-8,
-    "shadow_inverted_minimal": 1e-7,
-    "first_normal_rank": 0.5,
-}
 CURVE_SOURCES = ("seed_preset", "spec", "curve", "ambient_curve")
 
 # the JSON types of the table, named as an error message names them
@@ -94,8 +66,6 @@ FIELDS = {
     "grid.excluded_disks[].center[]": (NUMBER, None, REQUIRED),
     "grid.excluded_disks[].radius": (NUMBER, ">= 0", REQUIRED),
     "jet_order": (INTEGER, ">= 2", 4),
-    "tolerances": (OBJECT, None, {}),
-    **{f"tolerances.{name}": (NUMBER, "> 0", None) for name in DEFAULT_TOLERANCES},
     "scale": (NUMBER, None, 1.0),
     "translation": (LIST, None, None),
     "translation[]": (NUMBER, None, REQUIRED),
@@ -150,7 +120,7 @@ _TESTS = {
     COMPLEX: lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_number, v)),
 }
 _CASTS = {LIST: tuple, NUMBER: float, INTEGER: int, COMPLEX: lambda v: complex(*map(float, v))}
-_BOUNDS = {">=": operator.ge, ">": operator.gt, "==": operator.eq}
+_BOUNDS = {">=": operator.ge, "==": operator.eq}
 
 
 def _keys(key):
@@ -226,7 +196,6 @@ class RunConfig:
     curve: IsotropicCurve
     grid: Grid = field(default_factory=Grid)
     jet_order: int = FIELDS["jet_order"][2]
-    tolerances: dict = field(default_factory=dict)
     scale: float = FIELDS["scale"][2]  # c in the shifted pedal family c*f + v
     translation: Optional[tuple] = None  # v (defaults to a fixed generic vector)
     checks: Optional[tuple] = None   # id prefixes to run; None = all
@@ -244,7 +213,7 @@ class RunConfig:
         grid = dict(doc["grid"])
         disks = tuple((*d["center"], d["radius"]) for d in grid.pop("excluded_disks"))
         return RunConfig(curve, Grid(**grid, excluded=disks), jet_order=doc["jet_order"],
-                         tolerances=doc["tolerances"], scale=doc["scale"], translation=v,
+                         scale=doc["scale"], translation=v,
                          checks=doc.get("checks"), out_dir=doc.get("out"))
 
     def canonical_document(self) -> dict:
@@ -252,7 +221,6 @@ class RunConfig:
             "ambient_curve": [[encode_complex(c) for c in p] for p in self.curve.phi],
             "grid": self.grid.to_config(),
             "jet_order": self.jet_order,
-            "tolerances": dict(sorted(self.tolerances.items())),
             "scale": self.scale,
             "translation": list(self.translation) if self.translation else None,
         }

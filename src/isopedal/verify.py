@@ -41,7 +41,7 @@ seeds), and every defect is invariant under ambient rotation of the
 seed curve.
 
 The 30 checks are declared once, in `CHECKS`, in report order: id,
-statement, tolerance key, mode, the `verify_<group>` function that
+statement, threshold, mode, the `verify_<group>` function that
 computes it, and the requirements (jet order, flag capacity, rank of the
 second normal space) it needs.  A group function computes values only:
 it returns an `Outcome` per check id, a per-point defect array with its
@@ -62,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, RunConfig
+from .config import RunConfig
 from .errors import ConfigError
 from .geometry import (
     SurfaceJets,
@@ -77,6 +77,10 @@ from .weierstrass import preset_curve, surface_evaluator
 
 REPORT_VERSION = "1"
 REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold here
+# the parallelism defect at which the pedal counts as not S-Willmore: the
+# threshold of swillmore.refute and the cut both routes of
+# swillmore.scalar_agreement are judged at
+SWILLMORE_CUT = 1e-3
 _TINY = 1e-300
 
 # A fixed generic direction used when the config supplies no translation
@@ -110,7 +114,7 @@ class Check:
 
     id: str
     group: str
-    tolerance: str
+    threshold: float
     statement: str
     mode: str = "upper"
     requires: tuple = ()
@@ -144,105 +148,102 @@ _HODGE = (Requirement("jet order", 4, _INSUFFICIENT, _HODGE_REASON),
           Requirement("second normal rank", 2, "inconclusive", _HODGE_REASON))
 
 
-def _check(cid, group, tolerance, statement, mode="upper", requires=()):
-    return Check(cid, group, tolerance, statement, mode, (_ORDER3,) + requires)
+def _check(cid, group, threshold, statement, mode="upper", requires=()):
+    return Check(cid, group, threshold, statement, mode, (_ORDER3,) + requires)
 
 
 CHECKS = (
-    _check("generator.isotropy", "verify_generation", "generator_isotropy",
+    _check("generator.isotropy", "verify_generation", 1e-10,
            "the derivative of the generated curve has exactly null bilinear square "
            "(relative coefficient norm)"),
-    _check("generator.minimality", "verify_generation", "generator_minimality",
+    _check("generator.minimality", "verify_generation", 1e-9,
            "the generated surface has vanishing mean curvature relative to its "
            "second-form scale"),
-    _check("pedal_circle.positive", "verify_superconformal", "pedal_circle_positive",
+    _check("pedal_circle.positive", "verify_superconformal", 1e-8,
            "the curvature ellipse of the pedal surface is a circle at every "
            "non-excluded grid point"),
-    _check("pedal_circle.wintgen", "verify_superconformal", "pedal_circle_wintgen",
+    _check("pedal_circle.wintgen", "verify_superconformal", 1e-7,
            "the pedal surface attains equality in the normal-curvature inequality "
            "K + |K_N| <= |H|^2 (relative defect)"),
-    _check("pedal_circle.negative", "verify_superconformal", "pedal_circle_negative",
+    _check("pedal_circle.negative", "verify_superconformal", 1e-3,
            "for a surface with only one curvature circle the pedal fails the circle "
            "test on at least 90% of the grid", "lower"),
-    _check("pedal_conformal.orthogonality", "verify_pedal_conformality", "pedal_conformal",
+    _check("pedal_conformal.orthogonality", "verify_pedal_conformality", 1e-8,
            "the pedal surface is isothermal in the base surface's isothermal "
            "coordinates (conformality of base and pedal)"),
-    _check("pedal_conformal.factor", "verify_pedal_conformality", "pedal_conformal_factor",
+    _check("pedal_conformal.factor", "verify_pedal_conformality", 1e-7,
            "the pedal/base metric ratio equals -K*theta/2 (relative defect)"),
-    _check("pedal_conformal.one_circle", "verify_pedal_conformality", "pedal_conformal",
+    _check("pedal_conformal.one_circle", "verify_pedal_conformality", 1e-8,
            "one curvature circle already makes the pedal conformal to the base "
            "(control surface passes the same test)"),
-    _check("pedal_normal_span", "verify_normal_span", "pedal_normal_span",
+    _check("pedal_normal_span", "verify_normal_span", 1e-8,
            "the pedal's normal bundle contains the two explicit rotation sections of "
            "the position vector and the complement of the first normal space "
            "(max residual)"),
-    _check("pedal_mean.formula", "verify_meancurvature", "pedal_mean_formula",
+    _check("pedal_mean.formula", "verify_meancurvature", 1e-7,
            "the pedal's mean curvature vector equals (2/theta)(Z - delta) "
            "(relative defect)"),
-    _check("pedal_mean.laplacian", "verify_meancurvature", "pedal_mean_laplacian",
+    _check("pedal_mean.laplacian", "verify_meancurvature", 1e-6,
            "the metric Laplacian of the pedal equals 2K(delta - Z) (relative defect)"),
-    _check("pedal_mean.scaling", "verify_meancurvature", "pedal_mean_scaling",
+    _check("pedal_mean.scaling", "verify_meancurvature", 1e-9,
            "doubling the base surface halves the pedal's mean curvature pointwise "
            "(homothety control)"),
-    _check("pedal_secondform.span", "verify_pedal_secondform", "secondform_span",
+    _check("pedal_secondform.span", "verify_pedal_secondform", 1e-7,
            "the (2,0) second form of the pedal lies in the base's second osculating "
            "flag (checked also in R^8 where the complement is nontrivial)"),
-    _check("pedal_secondform.pairing", "verify_pedal_secondform", "secondform_pairing",
+    _check("pedal_secondform.pairing", "verify_pedal_secondform", 1e-7,
            "the (2,0) second form of the pedal pairs conjugately with the two "
            "explicit normal sections"),
-    _check("pedal_secondform.normal2", "verify_pedal_secondform", "secondform_normal2",
+    _check("pedal_secondform.normal2", "verify_pedal_secondform", 1e-6,
            "the second-normal components of the pedal's (2,0) form are carried by "
            "the first-normal connection form", requires=_NORMAL2),
-    _check("pedal_secondform.one_circle", "verify_pedal_secondform", "secondform_pairing",
+    _check("pedal_secondform.one_circle", "verify_pedal_secondform", 1e-7,
            "flag containment and conjugate pairing need only one curvature circle "
            "(control surface, axis ratio < 1)"),
-    _check("pedal_secondform.hodge", "verify_pedal_secondform", "secondform_hodge",
+    _check("pedal_secondform.hodge", "verify_pedal_secondform", 1e-8,
            "the connection forms of the two normal planes satisfy the coupled "
            "rotation relations under the recorded Hodge sign convention",
            requires=_HODGE),
-    _check("swillmore.refute", "verify_swillmore", "swillmore_refute",
+    _check("swillmore.refute", "verify_swillmore", SWILLMORE_CUT,
            "the normal derivative of the pedal's mean curvature is not "
            "complex-parallel to its (2,0) second form on at least 90% of the grid",
            "lower", _SWILLMORE),
-    _check("swillmore.scalar_agreement", "verify_swillmore", "swillmore_agreement",
+    _check("swillmore.scalar_agreement", "verify_swillmore", 0.99,
            "the direct parallelism defect and the base-side scalar obstruction "
            "vanish or not together (fraction of agreeing grid points)",
            "lower", _SWILLMORE),
-    _check("swillmore.kappa_theta", "verify_swillmore", "swillmore_kappa_theta",
+    _check("swillmore.kappa_theta", "verify_swillmore", 1e-3,
            "the circle radius times the osculating norm stays bounded away from "
            "zero (min/max ratio over the grid)", "lower", _SWILLMORE),
-    _check("inversion.norm", "verify_inversion_minimality", "inversion_norm",
+    _check("inversion.norm", "verify_inversion_minimality", 1e-3,
            "for every lattice center, the inverted pedal's mean curvature exceeds "
            "threshold at some grid point (in units of its second-form scale)",
            "lower"),
-    _check("inversion.system", "verify_inversion_minimality", "inversion_system",
+    _check("inversion.system", "verify_inversion_minimality", 1e-3,
            "the residual system that an inversion center would have to solve at "
            "every grid point simultaneously is infeasible for every lattice center",
            "lower"),
-    _check("inversion.crosscheck", "verify_inversion_minimality", "inversion_crosscheck",
+    _check("inversion.crosscheck", "verify_inversion_minimality", 1e-7,
            "the closed-form mean-curvature ratio of the inverted pedal matches "
            "direct jets of the inverted surface at sampled centers"),
-    _check("shifted_pedal.family", "verify_shifted_pedals", "shifted_family",
+    _check("shifted_pedal.family", "verify_shifted_pedals", 1e-8,
            "pedals of the shifted family c*f + v are superconformal and conformal "
            "to f for sampled (c, v)"),
-    _check("shifted_pedal.decomposition", "verify_shifted_pedals", "shifted_decomposition",
+    _check("shifted_pedal.decomposition", "verify_shifted_pedals", 1e-10,
            "the pedal of c*f + v equals c*(pedal of f) plus the normal shadow of v, "
            "pointwise"),
-    _check("shifted_pedal.shadow_superconformal", "verify_shifted_pedals",
-           "shadow_superconformal",
+    _check("shifted_pedal.shadow_superconformal", "verify_shifted_pedals", 1e-8,
            "the normal shadow of a constant vector over f is itself superconformal"),
-    _check("shifted_pedal.inverted_minimal", "verify_shifted_pedals",
-           "shadow_inverted_minimal",
+    _check("shifted_pedal.inverted_minimal", "verify_shifted_pedals", 1e-7,
            "inverting the normal shadow about its defining vector yields a minimal "
            "surface (mean curvature over second-form scale)"),
-    _check("first_normal_rank.pedal", "verify_shifted_pedals", "first_normal_rank",
+    _check("first_normal_rank.pedal", "verify_shifted_pedals", 0.5,
            "the first normal bundle of the pedal has rank exactly three at every "
            "non-excluded point"),
-    _check("first_normal_rank.inverted", "verify_shifted_pedals", "first_normal_rank",
+    _check("first_normal_rank.inverted", "verify_shifted_pedals", 0.5,
            "the rank-three first normal bundle of the pedal persists under ten "
            "random inversions"),
-    _check("first_normal_rank.higher_isotropy", "verify_shifted_pedals",
-           "first_normal_rank",
+    _check("first_normal_rank.higher_isotropy", "verify_shifted_pedals", 0.5,
            "for the three-circle surface in R^8 the pedal's first normal bundle also "
            "has rank three, before and after ten random inversions"),
 )
@@ -367,15 +368,6 @@ class Run:
 
     def wants(self, check_id: str) -> bool:
         return self.ids is None or check_id in self.ids
-
-    def tolerance(self, key: str) -> float:
-        return _tol(self.config.tolerances, key)
-
-
-def _tol(tolerances, name):
-    if tolerances and name in tolerances:
-        return tolerances[name]
-    return DEFAULT_TOLERANCES[name]
 
 
 def _generic_vector(n: int) -> np.ndarray:
@@ -766,8 +758,7 @@ def verify_swillmore(run: Run) -> dict:
     )
     scalar_n = np.abs(scalar) / np.maximum(scale, _TINY)
 
-    cut = run.tolerance("swillmore_refute")
-    agree = (direct >= cut) == (scalar_n >= cut)
+    agree = (direct >= SWILLMORE_CUT) == (scalar_n >= SWILLMORE_CUT)
     gmask = mask_d & guard
     total = int(np.sum(gmask))
     frac = float(np.sum(agree & gmask)) / total if total else None
@@ -1091,22 +1082,21 @@ def _record(check: Check, run: Run, outcome: Optional[Outcome],
         excluded = int(np.sum(~mask))
         grid = outcome.grid or grid
         details = outcome.details
-    threshold = run.tolerance(check.tolerance)
     passed = False
     if defect is None or not math.isfinite(defect):
         if status == "evaluated":
             status = "inconclusive"
     elif check.mode == "upper":
-        passed = defect <= threshold
+        passed = defect <= check.threshold
     else:
-        passed = defect >= threshold
+        passed = defect >= check.threshold
     rec = {
         "id": check.id,
         "statement": statement,
         "grid": [grid.nx, grid.ny],
         "excluded": excluded,
         "defect": _jsonable(defect),
-        "threshold": float(threshold),
+        "threshold": check.threshold,
         "mode": check.mode,
         "pass": bool(passed),
         "status": status,
@@ -1134,7 +1124,6 @@ def run_all(config: RunConfig) -> dict:
         "jet_order": config.jet_order,
         "grid": [grid.nx, grid.ny],
         "window": [grid.x0, grid.x1, grid.y0, grid.y1],
-        "tolerances": {k: _tol(config.tolerances, k) for k in sorted(DEFAULT_TOLERANCES)},
         "spec_sha256": config.digest(),
         "ambient_dim": config.curve.ambient_dim,
     }

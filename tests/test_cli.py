@@ -377,8 +377,6 @@ NON_FINITE = [
     ("curve-inf", "curve[1][2]", {"curve": [[0, 1], [0, 0, INF]]}),
     ("curve-nan-imag", "curve[1][2]", {"curve": [[0, 1], [0, 0, [1, NAN]]]}),
     ("translation-nan", "translation[2]", {"translation": [0.9, -0.4, NAN, 0.3, -0.8, 0.5]}),
-    ("tolerance-nan", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": NAN}}),
-    ("tolerance-inf", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": INF}}),
     ("window-inf", "grid.x1", grid5(x1=INF)),
     ("hi-inf", "grid.y1", grid5(y1=-INF)),
     ("window-nan", "grid.y0", grid5(y0=NAN)),
@@ -398,7 +396,7 @@ NON_FINITE = [
 BAD_FIELDS = [
     ("translation", "translation", {"translation": 5}, "a list"),
     ("lattice", "lattice", {"lattice": {}}, "unknown"),
-    ("tolerances", "tolerances", {"tolerances": [1]}, "an object"),
+    ("tolerances", "tolerances", {"tolerances": {}}, "unknown"),
     ("checks", "checks", {"checks": 5}, "a list"),
     ("curve", "curve", {"curve": 3}, "a list"),
     ("spec-ambient-dim", "spec.ambient_dim", {"spec": {**SPEC, "ambient_dim": "x"}}, "an integer"),
@@ -408,9 +406,6 @@ BAD_FIELDS = [
     ("jet-order-fraction", "jet_order", {"jet_order": 4.7}, "an integer"),
     ("nx-fraction", "grid.nx", {"grid": {"nx": 7.9, "ny": 5}}, "an integer"),
     ("nx-string", "grid.nx", {"grid": {"nx": "7", "ny": 5}}, "an integer"),
-    ("tolerance-unknown-name", "tolerances.bogus", {"tolerances": {"bogus": 1e-3}}, "unknown"),
-    ("tolerance-bool", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": True}},
-     "a number"),
     ("scale-bool", "scale", {"scale": False}, "a number"),
     ("translation-strings", "translation[0]",
      {"translation": ["0.9", "-0.4", "0.7", "0.3", "-0.8", "0.5"]}, "a number"),
@@ -462,8 +457,6 @@ BAD_FIELDS = [
      grid5(excluded_disks=[{"center": [0.8], "radius": 0.1}]), "2 items"),
     ("disk-center-string", "grid.excluded_disks[0].center[0]",
      grid5(excluded_disks=[{"center": ["0.8", 0.8], "radius": 0.1}]), "a number"),
-    ("tolerance-zero", "tolerances.pedal_conformal", {"tolerances": {"pedal_conformal": 0}},
-     "> 0"),
     ("check-number", "checks[0]", {"checks": [5]}, "a string"),
     ("seed-preset-unknown", "seed_preset", {"seed_preset": "holo5"}, "holo3, holo4 or noniso"),
     ("alpha0-count", "spec.alpha0", {"spec": {**SPEC, "alpha0": [[1]]}}, "0 seed components"),

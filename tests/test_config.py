@@ -21,7 +21,6 @@ DOCUMENTS = {
         "grid": {"x0": 0.25, "x1": 1, "y0": 0, "y1": 1.5, "nx": 9.0, "ny": 7,
                  "excluded_disks": [[0.5, 0.5, 0.1], {"center": [1, 1.25], "radius": 0}]},
         "jet_order": 5.0,
-        "tolerances": {"pedal_conformal": 1e-7, "first_normal_rank": 1},
         "scale": 2,
         "translation": [1, -0.5, 0, 0.25, 2, -1],
         "checks": "generator,pedal_mean",

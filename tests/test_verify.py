@@ -8,6 +8,7 @@ rather than numbers.
 """
 
 import itertools
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from isopedal.geometry import SurfaceJets
 from isopedal.grid import Grid
 from isopedal.pedal import SurfacePipeline, normal_part, pedal_surface
 from isopedal.verify import (
-    DEFAULT_TOLERANCES,
     _center_lattice,
     report_to_json,
     run_all,
@@ -180,17 +180,6 @@ def test_identity_margins_are_wide():
     for rec in report["checks"]:
         if rec["mode"] == "upper":
             assert rec["defect"] <= rec["threshold"] / 10.0, rec
-
-
-def test_tolerance_override_respected():
-    cfg = small_config(tolerances={"generator_isotropy": 1e-30},
-                       checks=("generator",))
-    report = run_all(cfg)
-    recs = by_id(report)
-    assert report["environment"]["tolerances"]["generator_isotropy"] == 1e-30
-    # holo3 coefficients are exactly isotropic, so even 1e-30 passes
-    assert recs["generator.isotropy"]["pass"]
-    assert set(report["environment"]["tolerances"]) == set(DEFAULT_TOLERANCES)
 
 
 def test_shadow_surface_is_pedal_family_limit():
@@ -406,8 +395,11 @@ def test_registry_ids_are_unique_and_in_report_order():
     assert ids == [rec["id"] for rec in run_all(small_config())["checks"]]
 
 
-def test_registry_tolerance_keys_are_the_defaults():
-    assert {c.tolerance for c in verify.CHECKS} == set(DEFAULT_TOLERANCES)
+def test_registry_thresholds_are_positive_constants():
+    assert all(math.isfinite(c.threshold) and c.threshold > 0 for c in verify.CHECKS)
+    # the agreement cut is the refutation's own threshold
+    refute = next(c for c in verify.CHECKS if c.id == "swillmore.refute")
+    assert verify.SWILLMORE_CUT == refute.threshold
 
 
 def test_run_all_calls_the_group_function_of_the_module(monkeypatch):
