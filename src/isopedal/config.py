@@ -69,7 +69,7 @@ FIELDS = {
     "scale": (NUMBER, None, 1.0),
     "translation": (LIST, None, None),
     "translation[]": (NUMBER, None, REQUIRED),
-    "checks": (LIST, None, None),
+    "checks": (LIST, ">= 1", None),
     "checks[]": (STRING, None, REQUIRED),
     "out": (STRING, None, None),
 }

@@ -589,7 +589,8 @@ def _secondform_span_pairing(pipe: SurfacePipeline):
     amag = np.maximum(_norms(ag), _TINY)
     span_defect = _norms(rem) / amag
     pair = _complex_dot(ag, u2) - 1j * _complex_dot(ag, u1)
-    pair_defect = np.abs(pair) / (amag * np.sqrt(np.maximum(theta, _TINY)))
+    # the product of the floored factors underflows, as in verify_normal_span
+    pair_defect = np.abs(pair) / np.maximum(amag * np.sqrt(np.maximum(theta, _TINY)), _TINY)
     return span_defect, pair_defect, pipe.mask(lev[-1].valid)
 
 

@@ -183,7 +183,8 @@ class IsotropicCurve:
         """Max |coefficient| of the bilinear square of alpha, relative."""
         res = cv_dot(self.alpha, self.alpha)
         scale = cv_max_abs(self.alpha)
-        return cp_max_abs(res) / (scale * scale) if scale > 0 else cp_max_abs(res)
+        # two divisions: scale * scale underflows below about 1e-154
+        return cp_max_abs(res) / scale / scale if scale > 0 else cp_max_abs(res)
 
 
 def _check_isotropy(curve: IsotropicCurve, source: str):

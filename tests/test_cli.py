@@ -16,6 +16,7 @@ from isopedal.weierstrass import surface_evaluator
 
 SMALL = "0.3,1.3,0.3,1.3,5,5"
 V6 = [0.9, -0.4, 0.7, 0.3, -0.8, 0.5]
+TINY_CURVE = [[0, 1e-200], [0, 0, 1e-200]]
 # sha256 of stdout and of every file written by the pedal and export
 # commands on the configs below, frozen: a change that alters a byte of
 # them replaces this file and says why
@@ -136,6 +137,17 @@ def test_pedal_scale_zero_is_the_shadow_member(tmp_path, capsys):
     assert not (tmp_path / "pedal.csv").exists()
 
 
+# a curve whose squared coefficients underflow: every command ends in an
+# exit code, with no traceback and no warning
+@pytest.mark.parametrize("command, code", [
+    (["generate"], 0), (["pedal"], 3), (["verify"], 3), (["report"], 3),
+    (["export", "--what", "inverted"], 3)], ids=["generate", "pedal", "verify", "report",
+                                               "export"])
+def test_a_curve_of_tiny_coefficients_ends_in_an_exit_code(tmp_path, command, code):
+    cfg = write_json(tmp_path / "cfg.json", {"curve": TINY_CURVE, "grid": SMALL})
+    assert main(command + ["--config", cfg, "--out", str(tmp_path)]) == code
+
+
 def test_pedal_exclusion_overflow_exits_3(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {
         "seed_preset": "holo3",
@@ -217,6 +229,15 @@ def test_verify_check_with_a_full_id_writes_that_record(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert [rec["id"] for rec in report["checks"]] == ["pedal_circle.positive"]
     assert report["status"] == "pass"
+
+
+def test_verify_empty_check_list_exits_2(tmp_path, capsys):
+    # "," lists no prefix; "" is no selection
+    assert main(["verify", "--out", str(tmp_path), "--grid", SMALL, "--check", ","]) == 2
+    assert capsys.readouterr().err == "error: checks needs >= 1 items, got 0\n"
+    assert main(["verify", "--out", str(tmp_path), "--grid", SMALL, "--check", "",
+                 "--jet-order", "2"]) == 3
+    assert len(json.loads((tmp_path / "report.json").read_text())["checks"]) == 30
 
 
 def test_verify_unknown_check_prefix_exits_2(tmp_path, capsys):
@@ -398,6 +419,7 @@ BAD_FIELDS = [
     ("lattice", "lattice", {"lattice": {}}, "unknown"),
     ("tolerances", "tolerances", {"tolerances": {}}, "unknown"),
     ("checks", "checks", {"checks": 5}, "a list"),
+    ("checks-empty", "checks", {"checks": []}, ">= 1 items"),
     ("curve", "curve", {"curve": 3}, "a list"),
     ("spec-ambient-dim", "spec.ambient_dim", {"spec": {**SPEC, "ambient_dim": "x"}}, "an integer"),
     ("excluded-disks", "grid.excluded_disks", grid5(excluded_disks=5), "a list"),

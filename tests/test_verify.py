@@ -471,6 +471,16 @@ def test_inversion_crosscheck_does_not_depend_on_the_layout_of_the_cached_arrays
     assert got == want
 
 
+def test_a_curve_of_tiny_coefficients_is_inconclusive():
+    # squared coefficients underflow to 0; tier-1 turns a RuntimeWarning
+    # into an error, so this also asserts that no division warns
+    doc = {"curve": [[0, 1e-200], [0, 0, 1e-200]], "grid": "0.3,1.3,0.3,1.3,5,5"}
+    report = run_all(RunConfig.from_document(doc))
+    assert report["environment"]["points"] == {"total": 25, "usable": 0}
+    assert report["status"] == "inconclusive"
+    assert by_id(report)["generator.isotropy"]["defect"] == 0.0
+
+
 def test_unknown_check_prefix_is_a_config_error():
     with pytest.raises(ConfigError, match="'bogus'.*pedal_circle"):
         run_all(small_config(checks=("generator", "bogus")))
