@@ -7,6 +7,7 @@ their quantities directly.  Each test prints a single PASS/FAIL line so
 the gate reads as a checklist under ``pytest -v -s``.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,9 @@ DEFAULT_DOC = {"seed_preset": "holo3"}
 # the default report, frozen: a change that alters its bytes replaces this
 # file and says why
 FROZEN_REPORT = Path(__file__).parent / "data" / "report_default.json"
+# the benchmark's reference report of the same config, read only
+BENCHMARK_REFERENCE = (Path(__file__).parents[1] / "perfbench" / "reference"
+                       / "verify_default.json")
 
 
 def _line(num, desc, ok):
@@ -210,3 +214,14 @@ def test_criterion_13_hygiene_and_determinism(report):
 
 def test_default_report_bytes_are_frozen(report):
     assert report_to_json(report) == FROZEN_REPORT.read_bytes().decode("utf-8")
+
+
+def test_default_report_meets_the_benchmark_reference(report):
+    # the verify_default workload's correctness gate: same overall status
+    # and, in order, the same (id, status, pass) of every check
+    reference = json.loads(BENCHMARK_REFERENCE.read_text())
+
+    def verdicts(rep):
+        return rep["status"], [(c["id"], c["status"], c["pass"]) for c in rep["checks"]]
+
+    assert verdicts(report) == verdicts(reference)
