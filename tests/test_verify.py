@@ -472,8 +472,9 @@ def test_inversion_crosscheck_does_not_depend_on_the_layout_of_the_cached_arrays
 
 
 def test_a_curve_of_tiny_coefficients_is_inconclusive():
-    # squared coefficients underflow to 0; tier-1 turns a RuntimeWarning
-    # into an error, so this also asserts that no division warns
+    # squared coefficients underflow to 0; pyproject's filterwarnings turns
+    # a RuntimeWarning into an error, so this also asserts that no division
+    # warns
     doc = {"curve": [[0, 1e-200], [0, 0, 1e-200]], "grid": "0.3,1.3,0.3,1.3,5,5"}
     report = run_all(RunConfig.from_document(doc))
     assert report["environment"]["points"] == {"total": 25, "usable": 0}
