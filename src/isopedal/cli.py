@@ -281,8 +281,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     print(f"surface: ambient dimension {env['ambient_dim']}, "
           f"grid {env['grid'][0]} x {env['grid'][1]} on "
           f"[{env['window'][0]}, {env['window'][1]}] x "
-          f"[{env['window'][2]}, {env['window'][3]}], "
-          f"jets of order {env['jet_order']}")
+          f"[{env['window'][2]}, {env['window'][3]}]")
     print(f"config digest: {env['spec_sha256'][:16]}")
     pts = env["points"]
     print(f"grid points: {pts['usable']} usable of {pts['total']}")
@@ -319,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", metavar="PATH", help="JSON config document")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument("--jet-order", type=int, metavar="K",
-                        help="jet truncation order (default 4)")
+                        help="jet order of the pedal and export tables (default 4); "
+                             "verify and report always use order 4")
     shared.add_argument("--grid", metavar="SPEC",
                         help="grid as 'x0,x1,y0,y1,nx,ny'")
     shared.add_argument("--seed-preset", choices=["holo3", "holo4", "noniso"],

@@ -150,7 +150,8 @@ class SurfacePipeline:
     the pedal decomposition of its position vector, `pedal_evaluated` and
     `pedal` the pedal's jets and bundle one order lower, built from
     `base`'s jets; `on(res)` is the same surface on the res x res subgrid
-    of the window at jet order 4.  Each is built on first use and kept.
+    of the window at the same jet order.  Each is built on first use and
+    kept.
     """
 
     def __init__(self, evaluator: SurfaceEvaluator, grid: Grid, order: int):
@@ -202,10 +203,10 @@ class SurfacePipeline:
 
     def on(self, res: int) -> "SurfacePipeline":
         """The surface on the res x res subgrid (at most the grid's own
-        resolution) at jet order 4, built once per pipeline."""
+        resolution) at the pipeline's jet order, built once per pipeline."""
         if res not in self._subgrids:
             sub = replace(self.grid, nx=min(self.grid.nx, res), ny=min(self.grid.ny, res))
-            self._subgrids[res] = SurfacePipeline(self.evaluator, sub, 4)
+            self._subgrids[res] = SurfacePipeline(self.evaluator, sub, self.order)
         return self._subgrids[res]
 
 

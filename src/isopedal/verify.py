@@ -42,12 +42,15 @@ seed curve.
 
 The 30 checks are declared once, in `CHECKS`, in report order: id,
 statement, threshold, mode, the `verify_<group>` function that
-computes it, and the requirements (jet order, flag capacity, rank of the
-second normal space) it needs.  A group function computes values only:
-it returns an `Outcome` per check id, a per-point defect array with its
-mask or an already reduced scalar.  `run_all` is the one runner: it
-selects checks by id prefix, reports each check whose requirements fail
-with that requirement's status and reason, runs a group iff one of its
+computes it, and the least ambient dimension it needs, if any.  Each
+surface a run builds from a curve is differentiated with jets of order
+JET_ORDER, the highest order any check reads; the config's `jet_order`
+sets only the order of the `pedal` and `export` tables.  A group
+function computes values only: it returns an `Outcome` per check id, a
+per-point defect array with its mask or an already reduced scalar.
+`run_all` is the one runner: it selects checks by id prefix, reports
+each check whose requirement the ambient dimension fails as
+inconclusive, with the requirement's reason, runs a group iff one of its
 checks is left, and turns every outcome into its record (masked max or
 low quantile, threshold, pass/fail, status).
 """
@@ -76,6 +79,9 @@ from .pedal import SurfacePipeline
 from .weierstrass import preset_curve, surface_evaluator
 
 REPORT_VERSION = "1"
+# the highest jet order any check reads; truncated jets are exact in every
+# coefficient they keep, so a higher order would change no record
+JET_ORDER = 4
 REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold here
 # the parallelism defect at which the pedal counts as not S-Willmore: the
 # threshold of swillmore.refute and the cut both routes of
@@ -96,13 +102,11 @@ _RANK_SEED = 20260826  # random inversions of first_normal_rank.*
 
 @dataclass(frozen=True)
 class Requirement:
-    """A check needs `quantity` (a key of _MEASURES) of the run to be at
-    least `minimum`; otherwise it is reported with `status`, its
-    statement replaced by `reason`, and no defect."""
+    """A check needs an ambient dimension of at least `min_dim`; below it
+    the check is reported "inconclusive", its statement replaced by
+    `reason`, and no defect."""
 
-    quantity: str
-    minimum: int
-    status: str
+    min_dim: int
     reason: str
 
 
@@ -117,135 +121,113 @@ class Check:
     threshold: float
     statement: str
     mode: str = "upper"
-    requires: tuple = ()
+    requires: Optional[Requirement] = None
 
 
-_MEASURES = {
-    "jet order": lambda run: run.config.jet_order,
-    "flag capacity": lambda run: run.surface.base.flag_capacity(),
-    # in R^5 the flag reaches level 2, but that level has rank 1
-    "second normal rank": lambda run: (run.surface.base.flag(2)[1].expected_rank
-                                       if run.surface.base.flag_capacity() >= 2 else 0),
-}
-
-_INSUFFICIENT = "insufficient jet order"
-_ORDER3 = Requirement("jet order", 3, _INSUFFICIENT, "grid certification needs jet order >= 3")
-_SWILLMORE = (
-    Requirement("jet order", 4, _INSUFFICIENT,
-                "S-Willmore refutation needs jets of the pedal's mean curvature "
-                "(jet order >= 4)"),
-    Requirement("flag capacity", 2, "inconclusive",
-                "the scalar obstruction needs a second normal plane "
-                "(ambient dimension >= 6)"),
-)
-_NORMAL2 = (Requirement("second normal rank", 2, "inconclusive",
-                        "second-normal components need a second normal plane "
-                        "(ambient dimension >= 6 and jet order >= 3)"),)
-# the connection forms differentiate the level-2 frames, which are
-# order-(jet order - 3) jets: one more order than the flag itself
-_HODGE_REASON = "connection-form relations need two normal planes and jets of order >= 4"
-_HODGE = (Requirement("jet order", 4, _INSUFFICIENT, _HODGE_REASON),
-          Requirement("second normal rank", 2, "inconclusive", _HODGE_REASON))
-
-
-def _check(cid, group, threshold, statement, mode="upper", requires=()):
-    return Check(cid, group, threshold, statement, mode, (_ORDER3,) + requires)
+# the scalar obstruction reads the frames of the second normal space,
+# which exists from R^5 on (there it has rank 1)
+_SWILLMORE = Requirement(5, "the scalar obstruction needs a second normal space "
+                            "(ambient dimension >= 5)")
+_NORMAL2 = Requirement(6, "second-normal components need a second normal plane "
+                          "(ambient dimension >= 6)")
+_HODGE = Requirement(6, "connection-form relations need two normal planes "
+                        "(ambient dimension >= 6)")
 
 
 CHECKS = (
-    _check("generator.isotropy", "verify_generation", 1e-10,
-           "the derivative of the generated curve has exactly null bilinear square "
-           "(relative coefficient norm)"),
-    _check("generator.minimality", "verify_generation", 1e-9,
-           "the generated surface has vanishing mean curvature relative to its "
-           "second-form scale"),
-    _check("pedal_circle.positive", "verify_superconformal", 1e-8,
-           "the curvature ellipse of the pedal surface is a circle at every "
-           "non-excluded grid point"),
-    _check("pedal_circle.wintgen", "verify_superconformal", 1e-7,
-           "the pedal surface attains equality in the normal-curvature inequality "
-           "K + |K_N| <= |H|^2 (relative defect)"),
-    _check("pedal_circle.negative", "verify_superconformal", 1e-3,
-           "for a surface with only one curvature circle the pedal fails the circle "
-           "test on at least 90% of the grid", "lower"),
-    _check("pedal_conformal.orthogonality", "verify_pedal_conformality", 1e-8,
-           "the pedal surface is isothermal in the base surface's isothermal "
-           "coordinates (conformality of base and pedal)"),
-    _check("pedal_conformal.factor", "verify_pedal_conformality", 1e-7,
-           "the pedal/base metric ratio equals -K*theta/2 (relative defect)"),
-    _check("pedal_conformal.one_circle", "verify_pedal_conformality", 1e-8,
-           "one curvature circle already makes the pedal conformal to the base "
-           "(control surface passes the same test)"),
-    _check("pedal_normal_span", "verify_normal_span", 1e-8,
-           "the pedal's normal bundle contains the two explicit rotation sections of "
-           "the position vector and the complement of the first normal space "
-           "(max residual)"),
-    _check("pedal_mean.formula", "verify_meancurvature", 1e-7,
-           "the pedal's mean curvature vector equals (2/theta)(Z - delta) "
-           "(relative defect)"),
-    _check("pedal_mean.laplacian", "verify_meancurvature", 1e-6,
-           "the metric Laplacian of the pedal equals 2K(delta - Z) (relative defect)"),
-    _check("pedal_mean.scaling", "verify_meancurvature", 1e-9,
-           "doubling the base surface halves the pedal's mean curvature pointwise "
-           "(homothety control)"),
-    _check("pedal_secondform.span", "verify_pedal_secondform", 1e-7,
-           "the (2,0) second form of the pedal lies in the base's second osculating "
-           "flag (checked also in R^8 where the complement is nontrivial)"),
-    _check("pedal_secondform.pairing", "verify_pedal_secondform", 1e-7,
-           "the (2,0) second form of the pedal pairs conjugately with the two "
-           "explicit normal sections"),
-    _check("pedal_secondform.normal2", "verify_pedal_secondform", 1e-6,
-           "the second-normal components of the pedal's (2,0) form are carried by "
-           "the first-normal connection form", requires=_NORMAL2),
-    _check("pedal_secondform.one_circle", "verify_pedal_secondform", 1e-7,
-           "flag containment and conjugate pairing need only one curvature circle "
-           "(control surface, axis ratio < 1)"),
-    _check("pedal_secondform.hodge", "verify_pedal_secondform", 1e-8,
-           "the connection forms of the two normal planes satisfy the coupled "
-           "rotation relations under the recorded Hodge sign convention",
-           requires=_HODGE),
-    _check("swillmore.refute", "verify_swillmore", SWILLMORE_CUT,
-           "the normal derivative of the pedal's mean curvature is not "
-           "complex-parallel to its (2,0) second form on at least 90% of the grid",
-           "lower", _SWILLMORE),
-    _check("swillmore.scalar_agreement", "verify_swillmore", 0.99,
-           "the direct parallelism defect and the base-side scalar obstruction "
-           "vanish or not together (fraction of agreeing grid points)",
-           "lower", _SWILLMORE),
-    _check("swillmore.kappa_theta", "verify_swillmore", 1e-3,
-           "the circle radius times the osculating norm stays bounded away from "
-           "zero (min/max ratio over the grid)", "lower", _SWILLMORE),
-    _check("inversion.norm", "verify_inversion_minimality", 1e-3,
-           "for every lattice center, the inverted pedal's mean curvature exceeds "
-           "threshold at some grid point (in units of its second-form scale)",
-           "lower"),
-    _check("inversion.system", "verify_inversion_minimality", 1e-3,
-           "the residual system that an inversion center would have to solve at "
-           "every grid point simultaneously is infeasible for every lattice center",
-           "lower"),
-    _check("inversion.crosscheck", "verify_inversion_minimality", 1e-7,
-           "the closed-form mean-curvature ratio of the inverted pedal matches "
-           "direct jets of the inverted surface at sampled centers"),
-    _check("shifted_pedal.family", "verify_shifted_pedals", 1e-8,
-           "pedals of the shifted family c*f + v are superconformal and conformal "
-           "to f for sampled (c, v)"),
-    _check("shifted_pedal.decomposition", "verify_shifted_pedals", 1e-10,
-           "the pedal of c*f + v equals c*(pedal of f) plus the normal shadow of v, "
-           "pointwise"),
-    _check("shifted_pedal.shadow_superconformal", "verify_shifted_pedals", 1e-8,
-           "the normal shadow of a constant vector over f is itself superconformal"),
-    _check("shifted_pedal.inverted_minimal", "verify_shifted_pedals", 1e-7,
-           "inverting the normal shadow about its defining vector yields a minimal "
-           "surface (mean curvature over second-form scale)"),
-    _check("first_normal_rank.pedal", "verify_shifted_pedals", 0.5,
-           "the first normal bundle of the pedal has rank exactly three at every "
-           "non-excluded point"),
-    _check("first_normal_rank.inverted", "verify_shifted_pedals", 0.5,
-           "the rank-three first normal bundle of the pedal persists under ten "
-           "random inversions"),
-    _check("first_normal_rank.higher_isotropy", "verify_shifted_pedals", 0.5,
-           "for the three-circle surface in R^8 the pedal's first normal bundle also "
-           "has rank three, before and after ten random inversions"),
+    Check("generator.isotropy", "verify_generation", 1e-10,
+          "the derivative of the generated curve has exactly null bilinear square "
+          "(relative coefficient norm)"),
+    Check("generator.minimality", "verify_generation", 1e-9,
+          "the generated surface has vanishing mean curvature relative to its "
+          "second-form scale"),
+    Check("pedal_circle.positive", "verify_superconformal", 1e-8,
+          "the curvature ellipse of the pedal surface is a circle at every "
+          "non-excluded grid point"),
+    Check("pedal_circle.wintgen", "verify_superconformal", 1e-7,
+          "the pedal surface attains equality in the normal-curvature inequality "
+          "K + |K_N| <= |H|^2 (relative defect)"),
+    Check("pedal_circle.negative", "verify_superconformal", 1e-3,
+          "for a surface with only one curvature circle the pedal fails the circle "
+          "test on at least 90% of the grid", "lower"),
+    Check("pedal_conformal.orthogonality", "verify_pedal_conformality", 1e-8,
+          "the pedal surface is isothermal in the base surface's isothermal "
+          "coordinates (conformality of base and pedal)"),
+    Check("pedal_conformal.factor", "verify_pedal_conformality", 1e-7,
+          "the pedal/base metric ratio equals -K*theta/2 (relative defect)"),
+    Check("pedal_conformal.one_circle", "verify_pedal_conformality", 1e-8,
+          "one curvature circle already makes the pedal conformal to the base "
+          "(control surface passes the same test)"),
+    Check("pedal_normal_span", "verify_normal_span", 1e-8,
+          "the pedal's normal bundle contains the two explicit rotation sections of "
+          "the position vector and the complement of the first normal space "
+          "(max residual)"),
+    Check("pedal_mean.formula", "verify_meancurvature", 1e-7,
+          "the pedal's mean curvature vector equals (2/theta)(Z - delta) "
+          "(relative defect)"),
+    Check("pedal_mean.laplacian", "verify_meancurvature", 1e-6,
+          "the metric Laplacian of the pedal equals 2K(delta - Z) (relative defect)"),
+    Check("pedal_mean.scaling", "verify_meancurvature", 1e-9,
+          "doubling the base surface halves the pedal's mean curvature pointwise "
+          "(homothety control)"),
+    Check("pedal_secondform.span", "verify_pedal_secondform", 1e-7,
+          "the (2,0) second form of the pedal lies in the base's second osculating "
+          "flag (checked also in R^8 where the complement is nontrivial)"),
+    Check("pedal_secondform.pairing", "verify_pedal_secondform", 1e-7,
+          "the (2,0) second form of the pedal pairs conjugately with the two "
+          "explicit normal sections"),
+    Check("pedal_secondform.normal2", "verify_pedal_secondform", 1e-6,
+          "the second-normal components of the pedal's (2,0) form are carried by "
+          "the first-normal connection form", requires=_NORMAL2),
+    Check("pedal_secondform.one_circle", "verify_pedal_secondform", 1e-7,
+          "flag containment and conjugate pairing need only one curvature circle "
+          "(control surface, axis ratio < 1)"),
+    Check("pedal_secondform.hodge", "verify_pedal_secondform", 1e-8,
+          "the connection forms of the two normal planes satisfy the coupled "
+          "rotation relations under the recorded Hodge sign convention",
+          requires=_HODGE),
+    Check("swillmore.refute", "verify_swillmore", SWILLMORE_CUT,
+          "the normal derivative of the pedal's mean curvature is not "
+          "complex-parallel to its (2,0) second form on at least 90% of the grid",
+          "lower", _SWILLMORE),
+    Check("swillmore.scalar_agreement", "verify_swillmore", 0.99,
+          "the direct parallelism defect and the base-side scalar obstruction "
+          "vanish or not together (fraction of agreeing grid points)",
+          "lower", _SWILLMORE),
+    Check("swillmore.kappa_theta", "verify_swillmore", 1e-3,
+          "the circle radius times the osculating norm stays bounded away from "
+          "zero (min/max ratio over the grid)", "lower", _SWILLMORE),
+    Check("inversion.norm", "verify_inversion_minimality", 1e-3,
+          "for every lattice center, the inverted pedal's mean curvature exceeds "
+          "threshold at some grid point (in units of its second-form scale)",
+          "lower"),
+    Check("inversion.system", "verify_inversion_minimality", 1e-3,
+          "the residual system that an inversion center would have to solve at "
+          "every grid point simultaneously is infeasible for every lattice center",
+          "lower"),
+    Check("inversion.crosscheck", "verify_inversion_minimality", 1e-7,
+          "the closed-form mean-curvature ratio of the inverted pedal matches "
+          "direct jets of the inverted surface at sampled centers"),
+    Check("shifted_pedal.family", "verify_shifted_pedals", 1e-8,
+          "pedals of the shifted family c*f + v are superconformal and conformal "
+          "to f for sampled (c, v)"),
+    Check("shifted_pedal.decomposition", "verify_shifted_pedals", 1e-10,
+          "the pedal of c*f + v equals c*(pedal of f) plus the normal shadow of v, "
+          "pointwise"),
+    Check("shifted_pedal.shadow_superconformal", "verify_shifted_pedals", 1e-8,
+          "the normal shadow of a constant vector over f is itself superconformal"),
+    Check("shifted_pedal.inverted_minimal", "verify_shifted_pedals", 1e-7,
+          "inverting the normal shadow about its defining vector yields a minimal "
+          "surface (mean curvature over second-form scale)"),
+    Check("first_normal_rank.pedal", "verify_shifted_pedals", 0.5,
+          "the first normal bundle of the pedal has rank exactly three at every "
+          "non-excluded point"),
+    Check("first_normal_rank.inverted", "verify_shifted_pedals", 0.5,
+          "the rank-three first normal bundle of the pedal persists under ten "
+          "random inversions"),
+    Check("first_normal_rank.higher_isotropy", "verify_shifted_pedals", 0.5,
+          "for the three-circle surface in R^8 the pedal's first normal bundle also "
+          "has rank three, before and after ten random inversions"),
 )
 
 
@@ -339,7 +321,7 @@ class Run:
     """What the check groups of one run share: the config, the pipeline of
     its surface and those of the two reference surfaces (the one-circle
     control in R^6 and the three-circle surface in R^8), each built on
-    first use on the run's grid and jet order, and the ids whose outcomes
+    first use on the run's grid at JET_ORDER, and the ids whose outcomes
     the runner will report (None: all).
 
     One pipeline per distinct curve: a reference surface whose curve is
@@ -352,7 +334,7 @@ class Run:
     def _build(self, curve):
         if curve is not self.config.curve and curve.phi == self.config.curve.phi:
             return self.surface
-        return SurfacePipeline(surface_evaluator(curve), self.config.grid, self.config.jet_order)
+        return SurfacePipeline(surface_evaluator(curve), self.config.grid, JET_ORDER)
 
     @cached_property
     def surface(self) -> SurfacePipeline:
@@ -646,11 +628,13 @@ def verify_pedal_secondform(run: Run) -> dict:
     span_d, pair_d, fmask = _secondform_span_pairing(pipe)
     hspan, _, hmask = _secondform_span_pairing(run.higher)
     ambient_6, ambient_8 = _masked_max(span_d, fmask), _masked_max(hspan, hmask)
+    # the R^8 value adds to the run's own; it cannot stand in for it
+    span = None if ambient_6 is None else _max_defined(ambient_6, ambient_8)
     ctrl = run.control
     cspan, cpair, cmask = _secondform_span_pairing(ctrl)
     clam = ctrl.base.flag(2)[1].lam
     out = {
-        "pedal_secondform.span": Outcome(_max_defined(ambient_6, ambient_8), fmask, details={
+        "pedal_secondform.span": Outcome(span, fmask, details={
             "ambient_6": ambient_6, "ambient_8": ambient_8}),
         "pedal_secondform.pairing": Outcome(pair_d, fmask),
         "pedal_secondform.one_circle": Outcome(np.maximum(cspan, cpair), cmask, details={
@@ -1058,22 +1042,14 @@ def _select(prefixes) -> tuple:
     return tuple(c for c in CHECKS if c.id.startswith(tuple(prefixes)))
 
 
-def _unmet(check: Check, run: Run) -> Optional[Requirement]:
-    """The first requirement of the check that the run does not meet."""
-    for req in check.requires:
-        if _MEASURES[req.quantity](run) < req.minimum:
-            return req
-    return None
-
-
 def _record(check: Check, run: Run, outcome: Optional[Outcome],
             unmet: Optional[Requirement]) -> dict:
     """The report record of one check: its outcome reduced over its mask
     and judged against its threshold, or the requirement it lacks."""
     grid = run.config.grid
-    statement, status, details = check.statement, "evaluated", {}
+    statement, details = check.statement, {}
     if unmet is not None:
-        statement, status, defect, excluded = unmet.reason, unmet.status, None, grid.size
+        statement, defect, excluded = unmet.reason, None, grid.size
     else:
         mask = run.surface.mask() if outcome.mask is None else outcome.mask
         defect = outcome.defect
@@ -1083,10 +1059,9 @@ def _record(check: Check, run: Run, outcome: Optional[Outcome],
         excluded = int(np.sum(~mask))
         grid = outcome.grid or grid
         details = outcome.details
-    passed = False
+    passed, status = False, "evaluated"
     if defect is None or not math.isfinite(defect):
-        if status == "evaluated":
-            status = "inconclusive"
+        status = "inconclusive"
     elif check.mode == "upper":
         passed = defect <= check.threshold
     else:
@@ -1114,15 +1089,15 @@ def run_all(config: RunConfig) -> dict:
     seeds, no timestamps.  Overall status is "pass" when every executed
     check passes, "fail" when any evaluated check fails, and
     "inconclusive" when nothing failed but some selected checks could
-    not run (no usable grid points, or a requirement of theirs such as
-    the jet order or the ambient dimension not met).
+    not run (no usable grid points, or an ambient dimension below a
+    check's requirement).  Every surface is differentiated at JET_ORDER,
+    whatever the config's `jet_order`.
     """
     if not isinstance(config, RunConfig):
         raise ConfigError("run_all needs a RunConfig")
     checks = _select(config.checks)
     grid = config.grid
     environment = {
-        "jet_order": config.jet_order,
         "grid": [grid.nx, grid.ny],
         "window": [grid.x0, grid.x1, grid.y0, grid.y1],
         "spec_sha256": config.digest(),
@@ -1132,19 +1107,18 @@ def run_all(config: RunConfig) -> dict:
     environment["points"] = {"total": grid.size, "usable": usable}
     records = []
     if usable:
-        run = Run(config)
-        if config.jet_order >= _ORDER3.minimum:
-            environment["points"]["usable"] = int(np.sum(run.surface.mask()))
-        unmet = {c.id: _unmet(c, run) for c in checks}
-        run.ids = {cid for cid, req in unmet.items() if req is None}
+        n = config.curve.ambient_dim
+        unmet = {c.id: c.requires for c in checks if c.requires and n < c.requires.min_dim}
+        run = Run(config, {c.id for c in checks if c.id not in unmet})
+        environment["points"]["usable"] = int(np.sum(run.surface.mask()))
         outcomes = {}
         # looked up at call time, so a replaced module function is the one run
         for group in dict.fromkeys(c.group for c in checks if c.id in run.ids):
             outcomes.update(globals()[group](run))
-        records = [_record(c, run, outcomes.get(c.id), unmet[c.id]) for c in checks]
+        records = [_record(c, run, outcomes.get(c.id), unmet.get(c.id)) for c in checks]
 
     # an evaluated failure is a failure; checks that could not run at all
-    # (jet order / ambient dimension too small) make the run inconclusive
+    # (ambient dimension too small) make the run inconclusive
     if not records:
         status = "inconclusive"
     elif any(r["status"] == "evaluated" and not r["pass"] for r in records):

@@ -192,13 +192,15 @@ def test_verify_flags_broken_circle_condition(tmp_path, capsys):
     assert "status: fail" in out
 
 
-def test_verify_low_order_is_inconclusive(tmp_path, capsys):
-    code = main(["verify", "--out", str(tmp_path), "--grid", SMALL,
-                 "--jet-order", "2"])
-    assert code == 3
-    out = capsys.readouterr().out
-    assert "status: inconclusive" in out
-    assert "[insufficient jet order]" in out
+def test_verify_ignores_a_low_jet_order(tmp_path, capsys):
+    # verify differentiates at order 4 whatever --jet-order says
+    args = ["verify", "--grid", SMALL]
+    assert main(args + ["--out", str(tmp_path / "low"), "--jet-order", "2"]) == 0
+    assert "status: pass" in capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    low, default = (json.loads((tmp_path / d / "report.json").read_text())
+                    for d in ("low", "default"))
+    assert low["checks"] == default["checks"]
 
 
 def test_verify_exclusion_overflow_exits_3(tmp_path):
@@ -236,7 +238,7 @@ def test_verify_empty_check_list_exits_2(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path), "--grid", SMALL, "--check", ","]) == 2
     assert capsys.readouterr().err == "error: checks needs >= 1 items, got 0\n"
     assert main(["verify", "--out", str(tmp_path), "--grid", SMALL, "--check", "",
-                 "--jet-order", "2"]) == 3
+                 "--jet-order", "2"]) == 0
     assert len(json.loads((tmp_path / "report.json").read_text())["checks"]) == 30
 
 

@@ -2,9 +2,9 @@
 
 The certification report must be a pure function of the config document
 (byte-identical on reruns), its defects must be invariant under ambient
-rotations of the surface, and impossible requests (jet order too low,
-fully excluded grids) must degrade to explicit non-evaluated statuses
-rather than numbers.
+rotations of the surface, and impossible requests (an ambient dimension
+below a check's requirement, fully excluded grids) must degrade to
+explicit non-evaluated statuses rather than numbers.
 """
 
 import itertools
@@ -34,7 +34,8 @@ SMALL_GRID = Grid(nx=9, ny=9)
 # the holo3 report on the window through the branch point, frozen: its
 # masks and excluded counts must not move when samples are stacked
 BRANCH_REPORT = Path(__file__).parent / "data" / "report_branch_window.json"
-# holo4 in R^8 at order 5, frozen: the largest frozen lattice, 6561 centers
+# holo4 in R^8, frozen: the largest frozen lattice, 6561 centers; its
+# document asks for order-5 jets, which verify does not read
 HOLO4_REPORT = Path(__file__).parent / "data" / "report_holo4.json"
 
 
@@ -95,10 +96,14 @@ R5_SPEC = {"ambient_dim": 5, "isotropy_order": 1,
 @pytest.mark.parametrize("doc, inconclusive", [
     # level-3 frames are order-0 jets at order 4: the connection forms
     # must stop at level 2
-    ({"seed_preset": "holo4", "jet_order": 4}, set()),
+    ({"seed_preset": "holo4"}, set()),
     # the second normal space of a surface in R^5 has rank 1
     ({"spec": R5_SPEC}, {"pedal_secondform.normal2", "pedal_secondform.hodge"}),
-], ids=["holo4-order4", "r5"])
+    # a surface in R^4 has no second normal space
+    ({"curve": [[0, 1], [0, 0, 1]]}, {"pedal_secondform.normal2", "pedal_secondform.hodge",
+                                      "swillmore.refute", "swillmore.scalar_agreement",
+                                      "swillmore.kappa_theta"}),
+], ids=["holo4-order4", "r5", "r4"])
 def test_reports_are_well_formed_beyond_the_default_surface(doc, inconclusive):
     report = run_all(RunConfig.from_document(dict(doc, grid="0.3,1.3,0.3,1.3,7,7")))
     assert report["status"] in ("pass", "fail")
@@ -107,34 +112,40 @@ def test_reports_are_well_formed_beyond_the_default_surface(doc, inconclusive):
     for rec in recs.values():
         assert {"id", "status", "pass", "defect"} <= set(rec)
     assert {cid for cid, rec in recs.items() if rec["status"] != "evaluated"} == inconclusive
+    statements = {c.id: c.requires.reason for c in verify.CHECKS if c.requires}
     for cid in inconclusive:
         assert recs[cid]["status"] == "inconclusive" and recs[cid]["defect"] is None
+        assert recs[cid]["statement"] == statements[cid]
 
 
-def test_jet_order_too_low_yields_insufficient_status():
-    report = run_all(small_config(jet_order=2))
-    assert report["status"] == "inconclusive"
-    assert report["checks"]
-    for rec in report["checks"]:
-        assert rec["status"] == "insufficient jet order"
-        assert not rec["pass"]
-        assert rec["defect"] is None
+def test_each_requirement_reason_states_its_dimension():
+    reqs = {c.requires for c in verify.CHECKS if c.requires}
+    assert {r.min_dim for r in reqs} == {5, 6}
+    for req in reqs:
+        assert req.reason.endswith(f"(ambient dimension >= {req.min_dim})")
 
 
-def test_order_three_marks_swillmore_underresolved_only():
-    report = run_all(small_config(jet_order=3))
-    recs = by_id(report)
-    assert report["status"] == "inconclusive"
-    for cid, rec in recs.items():
-        if cid.startswith("swillmore."):
-            assert rec["status"] == "insufficient jet order"
-        elif cid in ("pedal_secondform.normal2", "pedal_secondform.hodge",
-                     "pedal_secondform.one_circle", "pedal_mean.laplacian"):
-            # these need order-4 base jets as well; accept either outcome
-            assert rec["status"] in ("evaluated", "inconclusive",
-                                     "insufficient jet order")
-        else:
-            assert rec["pass"], rec
+@pytest.fixture(scope="module")
+def holo3_checks_at_order_4():
+    return run_all(small_config())["checks"]
+
+
+@pytest.mark.parametrize("order", [2, 3, 6])
+def test_verify_differentiates_at_order_4_whatever_the_jet_order(order,
+                                                                  holo3_checks_at_order_4):
+    assert run_all(small_config(jet_order=order))["checks"] == holo3_checks_at_order_4
+
+
+@pytest.mark.parametrize("doc", [
+    {"seed_preset": "holo4", "grid": "0.3,1.3,0.3,1.3,9,9"},
+    {"spec": R5_SPEC, "grid": "0.3,1.3,0.3,1.3,7,7"},
+], ids=["holo4", "r5"])
+def test_a_higher_jet_order_changes_no_record(monkeypatch, doc):
+    # guards JET_ORDER: a check that reads a coefficient above it would
+    # read truncated data at 4 and change here
+    at_4 = run_all(RunConfig.from_document(doc))["checks"]
+    monkeypatch.setattr(verify, "JET_ORDER", verify.JET_ORDER + 1)
+    assert run_all(RunConfig.from_document(doc))["checks"] == at_4
 
 
 def test_fully_excluded_grid_is_inconclusive():
@@ -480,6 +491,10 @@ def test_a_curve_of_tiny_coefficients_is_inconclusive():
     assert report["environment"]["points"] == {"total": 25, "usable": 0}
     assert report["status"] == "inconclusive"
     assert by_id(report)["generator.isotropy"]["defect"] == 0.0
+    # holo4's R^8 value alone does not make the run's own span check pass
+    span = by_id(report)["pedal_secondform.span"]
+    assert span["status"] == "inconclusive" and span["defect"] is None
+    assert span["details"]["ambient_6"] is None
 
 
 def test_unknown_check_prefix_is_a_config_error():
