@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
 from .geometry import SurfaceJets, isotropy_order
 from .moebius import invert_evaluator
-from .pedal import SurfacePipeline, pedal_regularity
+from .pedal import MIN_ORDER, SurfacePipeline, pedal_regularity
 from .verify import _generic_vector, report_to_json, run_all
 from .weierstrass import surface_evaluator
 
@@ -117,10 +117,10 @@ def _exported(cfg: RunConfig, what: str, order: int):
     """(evaluation on the grid with jets up to `order`, label) of the
     surface `export` writes; the member's pipeline is dropped on return.
 
-    The member f is evaluated at `order`, raised to the pipeline's floor of
-    3; the pedal g needs the member one order higher, and the inverted
-    pedal is g's inversion at `order`."""
-    pipe, f_at, v = _member(cfg, max(3, order) if what == "f" else order + 1)
+    The member f is evaluated at MIN_ORDER, the pipeline's floor (`order`
+    is at most MIN_ORDER); the pedal g needs the member one order higher,
+    and the inverted pedal is g's inversion at `order`."""
+    pipe, f_at, v = _member(cfg, MIN_ORDER if what == "f" else order + 1)
     if what == "f":
         return f_at, "surface"
     g_at = pipe.normal_surface(v)
@@ -171,9 +171,9 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 
 def cmd_pedal(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    # one evaluation of the surface feeds both meshes, the table and the
-    # exclusions
-    pipe, f_at, v = _member(cfg, max(3, cfg.jet_order - 1))
+    # one evaluation of the surface at the pipeline's floor feeds both
+    # meshes, the table and the exclusions
+    pipe, f_at, v = _member(cfg, MIN_ORDER)
     proj = _projection(args)
     grid = cfg.grid
     g_at = pipe.normal_surface(v)
@@ -254,7 +254,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_export(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     grid = cfg.grid
-    order = 2 if args.format == "obj" else max(2, cfg.jet_order)
+    # the CSV reads nothing above order 3; at 2 its second-circle columns are NaN
+    order = 2 if args.format == "obj" else min(cfg.jet_order, MIN_ORDER)
     target, label = _exported(cfg, args.what, order)
     # one bundle of the exported surface feeds the mesh's mask, the table
     # and the rank note, so both formats exclude the same points
@@ -318,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", metavar="PATH", help="JSON config document")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument("--jet-order", type=int, metavar="K",
-                        help="jet order of the pedal and export tables (default 4); "
-                             "verify and report always use order 4")
+                        help="jet order of the export CSV (default 4); it reads order 3 "
+                             "at most, so only 2 changes it (NaN second-circle columns)")
     shared.add_argument("--grid", metavar="SPEC",
                         help="grid as 'x0,x1,y0,y1,nx,ny'")
     shared.add_argument("--seed-preset", choices=["holo3", "holo4", "noniso"],

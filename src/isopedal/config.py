@@ -195,7 +195,7 @@ class RunConfig:
 
     curve: IsotropicCurve
     grid: Grid = field(default_factory=Grid)
-    jet_order: int = FIELDS["jet_order"][2]  # of the pedal / export tables; verify ignores it
+    jet_order: int = FIELDS["jet_order"][2]  # read by the export CSV alone, which stops at order 3
     scale: float = FIELDS["scale"][2]  # c in the shifted pedal family c*f + v
     translation: Optional[tuple] = None  # v (defaults to a fixed generic vector)
     checks: Optional[tuple] = None   # id prefixes to run; None = all

@@ -41,6 +41,10 @@ from .grid import Grid
 from .jets import Jet, JetVec
 from .weierstrass import SurfaceEvaluator
 
+# the least jet order a pipeline takes: a pipeline other than a run's own
+# surface serves only the pedal's second-order data, which needs the base
+# surface at order 3
+MIN_ORDER = 3
 PEDAL_IMMERSION_RTOL = 1e-10
 REGULARITY_RTOL = 1e-6  # relative floor for the tangent / first-normal parts
 
@@ -150,13 +154,13 @@ class SurfacePipeline:
     the pedal decomposition of its position vector, `pedal_evaluated` and
     `pedal` the pedal's jets and bundle one order lower, built from
     `base`'s jets; `on(res)` is the same surface on the res x res subgrid
-    of the window at the same jet order.  Each is built on first use and
-    kept.
+    of the window at MIN_ORDER, or the pipeline itself when that subgrid
+    is its grid.  Each is built on first use and kept.
     """
 
     def __init__(self, evaluator: SurfaceEvaluator, grid: Grid, order: int):
-        if order < 3:
-            raise ConfigError("pedal geometry needs jet order >= 3")
+        if order < MIN_ORDER:
+            raise ConfigError(f"pedal geometry needs jet order >= {MIN_ORDER}")
         self.evaluator = evaluator
         self.grid = grid
         self.order = order
@@ -203,11 +207,15 @@ class SurfacePipeline:
 
     def on(self, res: int) -> "SurfacePipeline":
         """The surface on the res x res subgrid (at most the grid's own
-        resolution) at the pipeline's jet order, built once per pipeline."""
-        if res not in self._subgrids:
-            sub = replace(self.grid, nx=min(self.grid.nx, res), ny=min(self.grid.ny, res))
-            self._subgrids[res] = SurfacePipeline(self.evaluator, sub, self.order)
-        return self._subgrids[res]
+        resolution) at MIN_ORDER, built once per pipeline; the pipeline
+        itself when the subgrid is its grid, since truncated jets agree in
+        every coefficient both orders keep."""
+        sub = replace(self.grid, nx=min(self.grid.nx, res), ny=min(self.grid.ny, res))
+        if sub == self.grid:
+            return self
+        if sub not in self._subgrids:
+            self._subgrids[sub] = SurfacePipeline(self.evaluator, sub, MIN_ORDER)
+        return self._subgrids[sub]
 
 
 def pedal_regularity(pb: PedalBundle):
@@ -221,8 +229,8 @@ def pedal_regularity(pb: PedalBundle):
       immersed:   pedal differential has rank 2 (metric nondegenerate),
       excluded:   points failing any regularity test, with `reasons`.
     """
-    if pb.base.order < 3:
-        raise ValueError("pedal regularity needs base jets of order >= 3")
+    if pb.base.order < MIN_ORDER:
+        raise ValueError(f"pedal regularity needs base jets of order >= {MIN_ORDER}")
     gx = pb.foot.dx()
     gy = pb.foot.dy()
     gx_sq = gx.dot_value(gx).real

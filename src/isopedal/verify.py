@@ -42,10 +42,11 @@ seed curve.
 
 The 30 checks are declared once, in `CHECKS`, in report order: id,
 statement, threshold, mode, the `verify_<group>` function that
-computes it, and the least ambient dimension it needs, if any.  Each
-surface a run builds from a curve is differentiated with jets of order
-JET_ORDER, the highest order any check reads; the config's `jet_order`
-sets only the order of the `pedal` and `export` tables.  A group
+computes it, and the least ambient dimension it needs, if any.  The
+run's own surface is differentiated with jets of order JET_ORDER, the
+highest order any check reads on it; every other pipeline (the reference
+surfaces, the subgrids and the sample families) at `pedal.MIN_ORDER`.
+The config's `jet_order` is read only by `export`'s CSV table.  A group
 function computes values only: it returns an `Outcome` per check id, a
 per-point defect array with its mask or an already reduced scalar.
 `run_all` is the one runner: it selects checks by id prefix, reports
@@ -75,12 +76,13 @@ from .geometry import (
 )
 from .grid import Grid
 from .moebius import invert_evaluator, minimality_residuals
-from .pedal import SurfacePipeline
+from .pedal import MIN_ORDER, SurfacePipeline
 from .weierstrass import preset_curve, surface_evaluator
 
 REPORT_VERSION = "1"
-# the highest jet order any check reads; truncated jets are exact in every
-# coefficient they keep, so a higher order would change no record
+# the highest jet order any check reads (the Hodge relations and the
+# S-Willmore checks, on the run's own surface); truncated jets are exact in
+# every coefficient they keep, so a higher order would change no record
 JET_ORDER = 4
 REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold here
 # the parallelism defect at which the pedal counts as not S-Willmore: the
@@ -319,10 +321,10 @@ def _mean_ratio(bundle: SurfaceJets):
 
 class Run:
     """What the check groups of one run share: the config, the pipeline of
-    its surface and those of the two reference surfaces (the one-circle
-    control in R^6 and the three-circle surface in R^8), each built on
-    first use on the run's grid at JET_ORDER, and the ids whose outcomes
-    the runner will report (None: all).
+    its surface at JET_ORDER and those of the two reference surfaces (the
+    one-circle control in R^6 and the three-circle surface in R^8) at
+    MIN_ORDER, each built on first use on the run's grid, and the ids
+    whose outcomes the runner will report (None: all).
 
     One pipeline per distinct curve: a reference surface whose curve is
     the config's own (holo4's `higher`, noniso's `control`) is `surface`."""
@@ -331,22 +333,22 @@ class Run:
         self.config = config
         self.ids = ids
 
-    def _build(self, curve):
+    def _build(self, curve, order):
         if curve is not self.config.curve and curve.phi == self.config.curve.phi:
             return self.surface
-        return SurfacePipeline(surface_evaluator(curve), self.config.grid, JET_ORDER)
+        return SurfacePipeline(surface_evaluator(curve), self.config.grid, order)
 
     @cached_property
     def surface(self) -> SurfacePipeline:
-        return self._build(self.config.curve)
+        return self._build(self.config.curve, JET_ORDER)
 
     @cached_property
     def control(self) -> SurfacePipeline:
-        return self._build(preset_curve("noniso"))
+        return self._build(preset_curve("noniso"), MIN_ORDER)
 
     @cached_property
     def higher(self) -> SurfacePipeline:
-        return self._build(preset_curve("holo4"))
+        return self._build(preset_curve("holo4"), MIN_ORDER)
 
     def wants(self, check_id: str) -> bool:
         return self.ids is None or check_id in self.ids
@@ -511,7 +513,7 @@ def verify_meancurvature(run: Run) -> dict:
     # homothety control: the pedal of 2f is 2g, so its mean curvature is
     # half that of g, pointwise
     sub = pipe.on(7)
-    twice = SurfacePipeline(sub.evaluated.affine(scale=2.0), sub.grid, 3).pedal
+    twice = SurfacePipeline(sub.evaluated.affine(scale=2.0), sub.grid, MIN_ORDER).pedal
     H_base = _nvalue(sub.pedal.mean_curvature())
     H_twice = _nvalue(twice.mean_curvature())
     sdef = _norms(H_twice - 0.5 * H_base) / np.maximum(_norms(0.5 * H_base), _TINY)
@@ -970,7 +972,7 @@ def verify_shifted_pedals(run: Run) -> dict:
     if members:
         scales, shifts = zip(*members)
         shifted = SurfacePipeline(sub.evaluated.affine(scales, np.transpose(shifts)), sub.grid,
-                                  3).pedal
+                                  MIN_ORDER).pedal
     if family:
         # the identity sample (c, v) = (1, 0) is the pedal of f itself
         gb = sub.pedal
@@ -1090,8 +1092,9 @@ def run_all(config: RunConfig) -> dict:
     check passes, "fail" when any evaluated check fails, and
     "inconclusive" when nothing failed but some selected checks could
     not run (no usable grid points, or an ambient dimension below a
-    check's requirement).  Every surface is differentiated at JET_ORDER,
-    whatever the config's `jet_order`.
+    check's requirement).  The run's surface is differentiated at
+    JET_ORDER and every other pipeline at MIN_ORDER, whatever the
+    config's `jet_order`.
     """
     if not isinstance(config, RunConfig):
         raise ConfigError("run_all needs a RunConfig")

@@ -12,6 +12,7 @@ import pytest
 from isopedal import cli
 from isopedal.cli import main
 from isopedal.export import GEOMETRY_COLUMNS
+from isopedal.pedal import MIN_ORDER
 from isopedal.weierstrass import surface_evaluator
 
 SMALL = "0.3,1.3,0.3,1.3,5,5"
@@ -288,11 +289,9 @@ def test_export_geometry_csv_columns(tmp_path, capsys):
     assert "excluded points: 1 of 25" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("what, fmt", [("f", "obj"), ("g", "csv"), ("inverted", "csv"),
-                                       ("inverted", "obj")])
-def test_export_evaluates_the_surface_once(tmp_path, monkeypatch, what, fmt):
-    # every exported surface (f, its pedal, the inverted pedal) is built on
-    # the one evaluator of f that cli obtains from surface_evaluator
+def _spy_orders(monkeypatch):
+    """A list that records the jet order of each evaluation of f by the
+    evaluator that cli obtains from surface_evaluator."""
     orders = []
 
     def counted(curve):
@@ -302,6 +301,57 @@ def test_export_evaluates_the_surface_once(tmp_path, monkeypatch, what, fmt):
         return ev
 
     monkeypatch.setattr(cli, "surface_evaluator", counted)
+    return orders
+
+
+def _table_bytes(order):
+    """{command: (exit, stdout, {file name: bytes})} of `pedal` and of the
+    three `export --format csv` tables at `--jet-order order`, each run
+    on SMALL into its own relative output directory."""
+    out = {}
+    for argv in (["pedal"], *(["export", "--what", w, "--format", "csv"]
+                              for w in ("f", "g", "inverted"))):
+        name = "_".join(argv)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv + ["--grid", SMALL, "--jet-order", str(order), "--out", name])
+        out[name] = (code, stdout.getvalue(),
+                     {p.name: p.read_bytes() for p in sorted(Path(name).iterdir())})
+    return out
+
+
+def test_tables_are_the_same_at_every_jet_order_from_3(tmp_path, monkeypatch):
+    # pedal and export read no coefficient above order 3, and so never
+    # differentiate f past order 4 (the pedal's order 3 needs f's order 4)
+    orders = _spy_orders(monkeypatch)
+    tables = []
+    for order in (3, 4, 12):
+        (tmp_path / str(order)).mkdir()
+        monkeypatch.chdir(tmp_path / str(order))
+        tables.append(_table_bytes(order))
+    assert tables[0] == tables[1] == tables[2]
+    assert len(tables[0]) == 4 and all(code == 0 for code, _, _ in tables[0].values())
+    assert max(orders) == MIN_ORDER + 1
+
+
+def test_export_table_at_jet_order_2_has_no_second_circle(tmp_path):
+    second = [GEOMETRY_COLUMNS.index(c) for c in ("circle_defect_2", "lambda_2")]
+    cells = {}
+    for order in (2, 3):
+        out = tmp_path / str(order)
+        assert main(["export", "--what", "f", "--format", "csv", "--grid", SMALL,
+                     "--jet-order", str(order), "--out", str(out)]) == 0
+        rows = (out / "f.csv").read_text().splitlines()[1:]
+        cells[order] = {row.split(",")[i] for row in rows for i in second}
+    assert cells[2] == {"nan"} and "nan" not in cells[3]
+
+
+@pytest.mark.parametrize("what, fmt", [("f", "obj"), ("g", "csv"), ("inverted", "csv"),
+                                       ("inverted", "obj")])
+def test_export_evaluates_the_surface_once(tmp_path, monkeypatch, what, fmt):
+    # every exported surface (f, its pedal, the inverted pedal) is built on
+    # the one evaluator of f that cli obtains from surface_evaluator
+    orders = _spy_orders(monkeypatch)
     assert main(["export", "--what", what, "--format", fmt, "--jet-order", "3",
                  "--grid", SMALL, "--out", str(tmp_path)]) == 0
     assert len(orders) == 1
@@ -312,15 +362,7 @@ def test_export_evaluates_the_surface_once(tmp_path, monkeypatch, what, fmt):
 def test_pedal_evaluates_the_surface_once(tmp_path, monkeypatch, doc):
     # both meshes, the table and the exclusions come from one evaluation
     # of f; the scale-0 member's pedal is the shadow of v over f
-    orders = []
-
-    def counted(curve):
-        ev = surface_evaluator(curve)
-        inner = ev.fn
-        ev.fn = lambda *args: orders.append(args[2]) or inner(*args)
-        return ev
-
-    monkeypatch.setattr(cli, "surface_evaluator", counted)
+    orders = _spy_orders(monkeypatch)
     cfg = write_json(tmp_path / "cfg.json", {"seed_preset": "holo3", **doc})
     assert main(["pedal", "--config", cfg, "--grid", SMALL, "--out", str(tmp_path)]) == 0
     assert len(orders) == 1

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isopedal import moebius, verify
+from isopedal import moebius, pedal, verify
 from isopedal.config import RunConfig
 from isopedal.errors import ConfigError
 from isopedal.geometry import SurfaceJets
@@ -146,6 +146,40 @@ def test_a_higher_jet_order_changes_no_record(monkeypatch, doc):
     at_4 = run_all(RunConfig.from_document(doc))["checks"]
     monkeypatch.setattr(verify, "JET_ORDER", verify.JET_ORDER + 1)
     assert run_all(RunConfig.from_document(doc))["checks"] == at_4
+
+
+# holo3's 13 x 13 grid holds all three subgrids (5, 7 and 11) of the run
+@pytest.mark.parametrize("doc", [
+    {"seed_preset": "holo3", "grid": "0.3,1.3,0.3,1.3,13,13"},
+    {"seed_preset": "holo4", "grid": "0.3,1.3,0.3,1.3,9,9"},
+    {"spec": R5_SPEC, "grid": "0.3,1.3,0.3,1.3,7,7"},
+], ids=["holo3", "holo4", "r5"])
+def test_a_higher_pipeline_floor_changes_no_record(monkeypatch, doc):
+    # guards MIN_ORDER: a check that reads a coefficient above it on a
+    # reference, subgrid or sample pipeline would change here
+    at_floor = run_all(RunConfig.from_document(doc))["checks"]
+    raised = pedal.MIN_ORDER + 1
+    for module in (pedal, verify):
+        monkeypatch.setattr(module, "MIN_ORDER", raised)
+    assert run_all(RunConfig.from_document(doc))["checks"] == at_floor
+
+
+def test_a_default_run_builds_only_its_surface_above_the_floor(monkeypatch):
+    built = []
+    init = SurfacePipeline.__init__
+
+    def spy(self, evaluator, grid, order):
+        built.append((evaluator.provenance, grid, order))
+        init(self, evaluator, grid, order)
+
+    monkeypatch.setattr(SurfacePipeline, "__init__", spy)
+    cfg = RunConfig.from_document({"seed_preset": "holo3"})
+    assert run_all(cfg)["status"] == "pass"
+    above = [b for b in built if b[2] > pedal.MIN_ORDER]
+    assert above == [(surface_evaluator(cfg.curve).provenance, cfg.grid, verify.JET_ORDER)]
+    # besides it: the two references, four subgrids (5, 7 and 11 of the
+    # surface, 7 of the R^8 reference) and two sample families
+    assert len(built) == 9
 
 
 def test_fully_excluded_grid_is_inconclusive():
@@ -400,6 +434,15 @@ def test_pipeline_pedal_is_composed_on_the_base_bundle(monkeypatch):
         assert np.array_equal(a.t, b.t)
 
 
+def test_a_subgrid_is_built_once_at_the_floor_unless_it_is_the_grid():
+    pipe = SurfacePipeline(surface_evaluator(preset_curve("holo3")), Grid(nx=7, ny=11),
+                           verify.JET_ORDER)
+    assert pipe.on(11) is pipe and pipe.on(12) is pipe
+    sub = pipe.on(5)
+    assert (sub.grid.nx, sub.grid.ny, sub.order) == (5, 5, pedal.MIN_ORDER)
+    assert pipe.on(5) is sub and pipe.on(7) is not pipe
+
+
 def test_registry_ids_are_unique_and_in_report_order():
     ids = [c.id for c in verify.CHECKS]
     assert len(ids) == 30 and len(set(ids)) == 30
@@ -436,7 +479,7 @@ def test_selected_check_runs_only_its_part_of_the_group(monkeypatch):
     built = []
     build = verify.Run._build
     monkeypatch.setattr(verify.Run, "_build",
-                        lambda run, curve: built.append(curve) or build(run, curve))
+                        lambda run, curve, order: built.append(curve) or build(run, curve, order))
     cfg = small_config(checks=("shifted_pedal.decomposition",))
     report = run_all(cfg)
     # neither the R^8 pipeline nor the control is built for it
