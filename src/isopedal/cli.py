@@ -28,16 +28,13 @@ import numpy as np
 from .config import CURVE_SOURCES, RunConfig, encode_complex
 from .errors import ConfigError
 from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
-from .geometry import SurfaceJets, isotropy_order
+from .geometry import SurfaceJets
 from .moebius import invert_evaluator
 from .pedal import MIN_ORDER, SurfacePipeline, pedal_regularity
 from .verify import _generic_vector, report_to_json, run_all
 from .weierstrass import surface_evaluator
 
 DEFAULT_CONFIG = {"seed_preset": "holo3"}
-PROBE_X = (0.7, 1.1, 0.4)
-PROBE_Y = (0.4, -0.3, 0.9)
-CIRCLE_PROBE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +139,6 @@ def _exclusion_exit(excluded: int, total: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _count_circles(curve) -> int:
-    """Leading curvature ellipses that are circles, at fixed probe points."""
-    cap = max((curve.ambient_dim - 1) // 2, 1)
-    return isotropy_order(surface_evaluator(curve), PROBE_X, PROBE_Y,
-                          order=cap + 1, tol=CIRCLE_PROBE_TOL)[0]
-
-
 def cmd_generate(cfg: RunConfig, args) -> int:
     curve = cfg.curve
     out = _out_dir(cfg)
@@ -162,7 +152,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     print(f"isotropy residual: {curve.isotropy_residual():.3e}")
     if curve.spec is not None:
         print(f"requested curvature circles: {curve.spec.isotropy_order}")
-    print(f"curvature circles at probe points: {_count_circles(curve)}")
+    print(f"curvature circles: {curve.isotropy_order()}")
     if n % 2 == 1:
         print("last normal space: rank 1 (odd ambient dimension)")
     print(f"wrote {path}")

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, JetVec, jet_gram_schmidt
+from .jets import JetVec, jet_gram_schmidt
 from .weierstrass import SurfaceEvaluator
 
 IMMERSION_RTOL = 1e-12
@@ -76,8 +76,7 @@ def _rank(mats):
 class FlagLevel:
     """One step N_s of the normal flag of a minimal surface."""
 
-    expected_rank: int
-    frames: list                  # jet frames spanning N_s (oriented)
+    frames: list                  # jet frames spanning N_s (oriented), one per rank
     lam: np.ndarray               # axis ratio b/a in [0, 1]
     circle_defect: np.ndarray
     valid: np.ndarray
@@ -111,7 +110,7 @@ class SurfaceJets:
     is trustworthy.
     """
 
-    def __init__(self, surface: SurfaceEvaluator, x, y, order: int = DEFAULT_ORDER):
+    def __init__(self, surface: SurfaceEvaluator, x, y, order: int):
         if order < 2:
             raise ValueError("geometry needs jets of order >= 2")
         self.x = np.asarray(x, dtype=float)
@@ -324,8 +323,7 @@ class SurfaceJets:
         ok = prev_valid & (rank == expected)
         frames, _, gs_ok = jet_gram_schmidt([u, v][:expected], eps=FRAME_EPS, guard=ok)
         ok = ok & gs_ok
-        level = FlagLevel(expected_rank=expected, frames=frames, lam=lam,
-                          circle_defect=defect, valid=ok)
+        level = FlagLevel(frames=frames, lam=lam, circle_defect=defect, valid=ok)
         self._levels.append(level)
         self._levels_valid = ok
 
@@ -439,33 +437,3 @@ def first_normal_rank(bundle: SurfaceJets):
     mat = np.stack([_nvalue(a11), _nvalue(a12), _nvalue(a22)], axis=-1)
     return _rank(np.moveaxis(mat, 0, -2))  # of (*batch, n, 3)
 
-
-def isotropy_order(surface: SurfaceEvaluator, x, y, order=DEFAULT_ORDER, tol=1e-6):
-    """Largest r such that ellipses 1..r are circles across the points.
-
-    Only rank-2 flag levels can carry circles; the scan stops at the
-    first level that fails the tolerance, is rank deficient, or exceeds
-    the jet order.
-    """
-    bundle = SurfaceJets(surface, x, y, order)
-    depth = bundle.flag_capacity()
-    result = 0
-    defects = []
-    for s in range(1, depth + 1):
-        if s >= 2:
-            lev = bundle.flag(s)[s - 1]
-            if lev.expected_rank < 2:
-                break
-            mask = lev.valid
-        else:
-            mask = bundle.valid
-        if not np.any(mask):
-            break
-        defect, _ = bundle.circle_defect(s)
-        worst = float(np.max(np.where(mask, defect, 0.0)))
-        defects.append(worst)
-        if worst <= tol:
-            result = s
-        else:
-            break
-    return result, defects

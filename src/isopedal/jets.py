@@ -46,8 +46,6 @@ import numpy as np
 
 from .errors import DegenerateJet
 
-DEFAULT_ORDER = 4
-
 _TRI = {}
 _MUL_PLAN = {}
 
@@ -406,7 +404,7 @@ class JetVec(_Table):
 # -- public operations -------------------------------------------------------
 
 
-def jet_lift(curve, x, y, order=DEFAULT_ORDER):
+def jet_lift(curve, x, y, order):
     """Lift a holomorphic polynomial curve to complex jets at z = x + iy.
 
     Returns one complex jet per curve component: the full Taylor table of

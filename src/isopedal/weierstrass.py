@@ -41,7 +41,7 @@ from .cpoly import (
     cv_trim,
 )
 from .errors import ConfigError
-from .jets import DEFAULT_ORDER, JetVec, jet_lift
+from .jets import JetVec, jet_lift
 
 ISOTROPY_RTOL = 1e-10
 
@@ -64,7 +64,7 @@ class SurfaceEvaluator:
     provenance: str
     fn: Callable
 
-    def evaluate(self, x, y, order=DEFAULT_ORDER):
+    def evaluate(self, x, y, order):
         """(jets, valid) at the points, valid broadcast to the jets' batch
         (the points' shape, after a leading axis for stacked samples)."""
         x = np.asarray(x, dtype=float)
@@ -72,7 +72,7 @@ class SurfaceEvaluator:
         jets, valid = self.fn(x, y, order)
         return jets, np.broadcast_to(True if valid is None else valid, jets.batch)
 
-    def jets(self, x, y, order=DEFAULT_ORDER) -> JetVec:
+    def jets(self, x, y, order) -> JetVec:
         return self.evaluate(x, y, order)[0]
 
     def mask(self, x, y):
@@ -108,7 +108,7 @@ class SurfaceEvaluator:
             raise ConfigError(f"translation needs {self.ambient_dim} components")
         inner = self.fn
 
-        def fn(x, y, order=DEFAULT_ORDER):
+        def fn(x, y, order):
             jets, valid = inner(x, y, order)
             return jets.scale(c.reshape(c.shape + (1,) * len(jets.batch))).translate(v), valid
 
@@ -133,11 +133,8 @@ class IsotropicSpec:
 
     def __post_init__(self):
         n, m = self.ambient_dim, self.isotropy_order
-        # each message names the field of the config document's `spec`
-        if not (isinstance(n, int) and n >= 4):
-            raise ConfigError(f"spec.ambient_dim must be an integer >= 4, got {n!r}")
-        if not (isinstance(m, int) and m >= 1):
-            raise ConfigError(f"spec.isotropy_order must be an integer >= 1, got {m!r}")
+        # each message names the field of the config document's `spec`;
+        # `config.FIELDS` has already checked each field alone (n >= 4, m >= 1)
         if n - 2 * (m + 1) < 0:
             raise ConfigError(
                 f"spec.isotropy_order {m} needs spec.ambient_dim >= {2 * (m + 1)}, got {n}"
@@ -181,10 +178,30 @@ class IsotropicCurve:
 
     def isotropy_residual(self):
         """Max |coefficient| of the bilinear square of alpha, relative."""
-        res = cv_dot(self.alpha, self.alpha)
-        scale = cv_max_abs(self.alpha)
-        # two divisions: scale * scale underflows below about 1e-154
-        return cp_max_abs(res) / scale / scale if scale > 0 else cp_max_abs(res)
+        return _square_residual(self.alpha)
+
+    def isotropy_order(self):
+        """The number m of leading curvature ellipses that are circles,
+        exactly from the coefficients: the j-th ellipse is a circle when
+        alpha^(j) is not zero and its bilinear square vanishes (to
+        ISOTROPY_RTOL), given that the lower ones do.  Only the
+        floor((N - 2)/2) rank-2 normal planes carry circles."""
+        m, a = 0, self.alpha
+        while m < (self.ambient_dim - 2) // 2:
+            a = cv_diff(a)
+            if cv_degree(a) < 0 or not (_square_residual(a) <= ISOTROPY_RTOL):
+                break
+            m += 1
+        return m
+
+
+def _square_residual(u):
+    """Max |coefficient| of the bilinear square of u, relative to the
+    largest coefficient of u squared."""
+    res = cv_dot(u, u)
+    scale = cv_max_abs(u)
+    # two divisions: scale * scale underflows below about 1e-154
+    return cp_max_abs(res) / scale / scale if scale > 0 else cp_max_abs(res)
 
 
 def _check_isotropy(curve: IsotropicCurve, source: str):
@@ -203,9 +220,6 @@ def _check_isotropy(curve: IsotropicCurve, source: str):
 
 def w_step(alpha, beta):
     """One recursion step: alpha -> beta * (1 - phi^2, i(1 + phi^2), 2 phi)."""
-    beta = cp_trim(beta)
-    if cp_degree(beta) < 0:
-        raise ConfigError("weight polynomial is identically zero")
     phi = cv_int(alpha)
     sq = cv_dot(phi, phi)
     one = [complex(1)]
@@ -257,7 +271,7 @@ def surface_evaluator(curve: IsotropicCurve) -> SurfaceEvaluator:
     """The real surface map p -> Re phi(x + iy) as a jet source (exact)."""
     phi = curve.phi
 
-    def fn(x, y, order=DEFAULT_ORDER):
+    def fn(x, y, order):
         return jet_lift(phi, x, y, order).real(), None
 
     return SurfaceEvaluator(len(phi), curve.provenance, fn)

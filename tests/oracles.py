@@ -4,7 +4,8 @@ None of this is reached by a command.  Each function recomputes, along a
 second route, something the library derives along its own (the Gauss
 curvature from the metric alone, the third form by differentiating the
 second, the inversion laws against direct jets of an inverted surface,
-polynomial values by numpy's `polyval`), reads a jet (derivative values,
+polynomial values by numpy's `polyval`, the number of curvature circles
+from float flag levels at a few points), reads a jet (derivative values,
 metric jets), or builds test inputs (coordinate jets, random specs,
 rotated curves).
 """
@@ -130,6 +131,37 @@ def intrinsic_gauss(bundle: SurfaceJets):
     ])
     den = np.maximum((Ev * Gv - Fv * Fv) ** 2, _TINY)
     return (m1 - m2) / den
+
+
+def isotropy_order(surface: SurfaceEvaluator, x, y, order, tol=1e-6):
+    """(r, worst defects): the largest r such that ellipses 1..r are
+    circles across the points, from the float flag levels.
+
+    Only rank-2 flag levels can carry circles; the scan stops at the
+    first level that fails the tolerance, is rank deficient, or exceeds
+    the jet order.
+    """
+    bundle = SurfaceJets(surface, x, y, order)
+    result = 0
+    defects = []
+    for s in range(1, bundle.flag_capacity() + 1):
+        if s >= 2:
+            lev = bundle.flag(s)[s - 1]
+            if len(lev.frames) < 2:
+                break
+            mask = lev.valid
+        else:
+            mask = bundle.valid
+        if not np.any(mask):
+            break
+        defect, _ = bundle.circle_defect(s)
+        worst = float(np.max(np.where(mask, defect, 0.0)))
+        defects.append(worst)
+        if worst <= tol:
+            result = s
+        else:
+            break
+    return result, defects
 
 
 def third_form_recursive_defect(bundle: SurfaceJets):

@@ -12,6 +12,7 @@ import pytest
 from isopedal import cli
 from isopedal.cli import main
 from isopedal.export import GEOMETRY_COLUMNS
+from isopedal.geometry import SurfaceJets
 from isopedal.pedal import MIN_ORDER
 from isopedal.weierstrass import surface_evaluator
 
@@ -63,11 +64,28 @@ def test_generate_summary_and_roundtrip(tmp_path, capsys, preset, summary, reque
     assert ("requested curvature circles" in out) == (requested is not None)
     if requested is not None:
         assert f"requested curvature circles: {requested}" in out
-    assert f"curvature circles at probe points: {circles}" in out
+    assert f"curvature circles: {circles}" in out.splitlines()
     # the written coefficients reproduce the curve bit for bit
     assert main(["generate", "--config", str(d1 / "curve.json"),
                  "--out", str(d2)]) == 0
     assert (d1 / "curve.json").read_bytes() == (d2 / "curve.json").read_bytes()
+
+
+# the doubled (z, z^2) with tiny and with huge coefficients has one
+# circle, and the plane (z, z) doubled has a point for its ellipse
+@pytest.mark.parametrize("curve, circles", [
+    (TINY_CURVE, 1), ([[0, 1e150], [0, 0, 1]], 1), ([[0, 1], [0, 1]], 0)],
+    ids=["tiny", "huge", "plane"])
+def test_generate_counts_circles_from_the_coefficients(tmp_path, capsys, monkeypatch,
+                                                       curve, circles):
+    built = []
+    init = SurfaceJets.__init__
+    monkeypatch.setattr(SurfaceJets, "__init__", lambda self, *a, **k: (
+        built.append(a) or init(self, *a, **k)))
+    cfg = write_json(tmp_path / "cfg.json", {"curve": curve})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert f"curvature circles: {circles}" in capsys.readouterr().out.splitlines()
+    assert built == []
 
 
 def test_generate_odd_dimension_note(tmp_path, capsys):
@@ -481,6 +499,7 @@ BAD_FIELDS = [
      "an integer"),
     ("ambient-dim-string", "spec.ambient_dim", {"spec": {**SPEC, "ambient_dim": "6"}},
      "an integer"),
+    ("ambient-dim-low", "spec.ambient_dim", {"spec": {**SPEC, "ambient_dim": 3}}, ">= 4"),
     ("spec-unknown-key", "spec.alpha", {"spec": {**SPEC, "alpha": []}}, "unknown"),
     ("curve-in-r2", "curve", {"curve": [[0, 1]]}, ">= 2"),
     ("seed-preset", "seed_preset", {"seed_preset": 5}, "a string"),

@@ -79,3 +79,20 @@ def test_package_root_binds_only_the_version():
     bound = [node for node in tree.body if not isinstance(node, ast.Expr)]
     assert len(bound) == 1 and isinstance(bound[0], ast.Assign), [ast.unparse(n) for n in bound]
     assert [target.id for target in bound[0].targets] == ["__version__"]
+
+
+def test_no_src_function_defaults_its_jet_order():
+    # every caller names the jet order it reads; a default is a knob no
+    # caller sets
+    defaulted = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if any(a.arg == "order" for a in with_default):
+                defaulted.append(f"{path.stem}:{node.lineno}")
+    assert defaulted == []

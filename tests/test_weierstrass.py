@@ -22,7 +22,7 @@ from isopedal.weierstrass import (
     w_generate,
     w_step,
 )
-from oracles import curve_values, deriv, sample_spec
+from oracles import curve_values, deriv, isotropy_order, sample_spec
 
 Z = sp.symbols("z")
 
@@ -226,3 +226,39 @@ def test_evaluated_surface_answers_up_to_its_order_at_its_points():
         frozen.evaluate(x, y, 4)
     with pytest.raises(ValueError, match="points"):
         frozen.evaluate(x + 0.1, y, 2)
+
+
+# the float probe's points and tolerance: ellipse s is read at jet order s + 1
+PROBE_X, PROBE_Y, PROBE_TOL = (0.7, 1.1, 0.4), (0.4, -0.3, 0.9), 1e-8
+
+
+def probed_circles(curve):
+    depth = max((curve.ambient_dim - 1) // 2, 1)
+    return isotropy_order(surface_evaluator(curve), PROBE_X, PROBE_Y, order=depth + 1,
+                          tol=PROBE_TOL)[0]
+
+
+R5_SPEC = IsotropicSpec(ambient_dim=5, isotropy_order=1, alpha0=[[1, 0, 0.5]],
+                        betas=[[1], [0, 1]])
+
+
+# (curve, declared m): a holomorphic curve's doubling makes every
+# ellipse that has a rank-2 normal plane a circle
+@pytest.mark.parametrize("make, declared", [
+    (lambda: preset_curve("holo3"), 2),
+    (lambda: preset_curve("holo4"), 3),
+    (lambda: preset_curve("noniso"), 1),
+    (lambda: w_generate(R5_SPEC), 1),
+    (lambda: holomorphic_curve([[0, 1], [0, 0, 1]]), 1),
+], ids=["holo3", "holo4", "noniso", "r5-spec", "r4-curve"])
+def test_exact_circle_count_matches_the_float_probe(make, declared):
+    curve = make()
+    assert curve.isotropy_order() == probed_circles(curve) >= declared
+
+
+def test_exact_circle_count_matches_the_float_probe_on_random_specs():
+    rng = np.random.default_rng(20260826)
+    for _ in range(10):
+        spec = sample_spec(rng)
+        curve = w_generate(spec)
+        assert curve.isotropy_order() == probed_circles(curve) >= spec.isotropy_order
