@@ -190,8 +190,7 @@ def write_pedal_csv(pb: PedalBundle, grid: Grid, path, reg):
     delta, eta = pb.first_normal_part, pb.higher_normal_part
     dn = np.sqrt(np.maximum(delta.dot_value(delta).real, 0.0))
     en = np.sqrt(np.maximum(eta.dot_value(eta).real, 0.0))
-    theta = pb.osc_norm_sq.value().real
-    columns = [_floats(v) for v in (x, y, *Z, *g, dn, en, theta)]
+    columns = [_floats(v) for v in (x, y, *Z, *g, dn, en, pb.theta)]
     columns += [_flags(v) for v in (reg["tangent_nonzero"], reg["first_normal_nonzero"],
                                     reg["immersed"] & pre)]
     _write_csv(path, pedal_columns(len(pb.foot)), columns)

@@ -241,10 +241,8 @@ class SurfaceJets:
 
     def _normal_orientation_sign(self, x1, x2):
         """Orientation sign of (xi1, xi2) against the ambient for n = 4."""
-        lev = self.flag(1)[0]
-        e3 = _nvalue(lev.frames[0])
-        e4 = _nvalue(lev.frames[1]) if len(lev.frames) > 1 else np.zeros_like(e3)
-        mats = np.stack([_nvalue(self.e1), _nvalue(self.e2), e3, e4], axis=-1)
+        frames = (self.e1, self.e2, *self.flag(1)[0].frames)  # N_1 has rank 2
+        mats = np.stack([_nvalue(e) for e in frames], axis=-1)
         mats = np.moveaxis(mats, 0, -2)  # (*batch, 4, 4)
         return np.sign(np.linalg.det(mats))
 

@@ -32,12 +32,12 @@ the same bits as the real part of the same computation on complex tables
 with zero imaginary parts, with one care: numpy divides complex numbers
 as a * (1/b), so real division by a jet's value is written t * (1/b).
 
-Division and square root are power series in the normalized remainder
-u = a/a0 - 1, which is nilpotent at order d+1, so `order` Horner steps
-give the exact truncation.  A degenerate denominator raises
-`DegenerateJet` unless a `guard` array is given; with one, which every
-grid pipeline passes, the affected batch entries hold junk and the
-caller keeps the mask.
+Division and square root are one binomial series, (1 + u)^alpha at
+alpha = -1 and 1/2, in the normalized remainder u = a/a0 - 1, which is
+nilpotent at order d+1, so `order` Horner steps give the exact
+truncation.  A degenerate a0 raises `DegenerateJet` unless a `guard`
+array is given; with one, which every grid pipeline passes, the affected
+batch entries hold junk and the caller keeps the mask.
 """
 
 from __future__ import annotations
@@ -84,14 +84,6 @@ def _mul_plan(D):
                 [(row, slice(col, col + n)) for row, col, n in out], steps)
         _MUL_PLAN[D] = plan
     return plan
-
-
-def _sqrt_series(order):
-    # binomial(1/2, k) for k = 0..order
-    out = [1.0]
-    for k in range(order):
-        out.append(out[-1] * (0.5 - k) / (k + 1))
-    return out
 
 
 def _fit(t, D, ndim, lead):
@@ -275,17 +267,32 @@ class Jet(_Table):
             return self.scale(other)
         return Jet._of(_product(self.t, other.t, 2))
 
-    def _guard_value(self, guard, bad, what):
-        v = self.value()
+    def _binomial(self, alpha, bad, guard, what):
+        """The table of (1 + u)^alpha, u = self/a0 - 1, by Horner's rule on
+        the binomial coefficients, and the order-0 values a0 it divided by.
+
+        Entries where `bad` holds raise DegenerateJet (`what`) without a
+        `guard`; with one, they and the entries it drops divide by 1 and
+        hold junk."""
+        a0 = self.value()
         if guard is None:
             if np.any(bad):
-                raise DegenerateJet(f"{what} (order-0 coefficient {v.flat[:1]})")
-            return v
-        ok = np.asarray(guard, dtype=bool) & ~bad
-        return np.where(ok, v, 1.0)
+                raise DegenerateJet(f"{what} (order-0 coefficient {a0.flat[:1]})")
+        else:
+            a0 = np.where(np.asarray(guard, dtype=bool) & ~bad, a0, 1.0)
+        u = Jet._of(_divided(self.t, a0))
+        u.t[0, 0] = 0.0
+        coeffs = [1.0]  # binomial(alpha, k) for k = 0..order
+        for k in range(self.order):
+            coeffs.append(coeffs[-1] * (alpha - k) / (k + 1))
+        acc = Jet.const(np.full(u.batch, coeffs[-1]), self.order)
+        for c in reversed(coeffs[:-1]):
+            acc = u * acc
+            acc.t[0, 0] += c
+        return acc.t, a0
 
     def recip(self, guard=None):
-        """Multiplicative inverse as a jet.
+        """Multiplicative inverse as a jet: the series at alpha = -1.
 
         With `guard=None`, raises DegenerateJet when the order-0
         coefficient vanishes (relative magnitude below 1e-12); with a
@@ -293,30 +300,17 @@ class Jet(_Table):
         and left for the caller's mask.
         """
         v = self.value()
-        scale = np.max(np.abs(self.t), axis=(0, 1))
-        bad = ~(np.abs(v) > 1e-12 * scale)
-        safe = self._guard_value(guard, bad, "division by a vanishing jet")
-        u = Jet._of(_divided(self.t, safe))
-        u.t[0, 0] = 0.0
-        acc = Jet.const(np.ones(u.batch), self.order)
-        for _ in range(self.order):
-            acc = -(u * acc)
-            acc.t[0, 0] += 1.0
-        return Jet._of(_divided(acc.t, safe))
+        bad = ~(np.abs(v) > 1e-12 * np.max(np.abs(self.t), axis=(0, 1)))
+        t, a0 = self._binomial(-1.0, bad, guard, "division by a vanishing jet")
+        return Jet._of(_divided(t, a0))
 
     def sqrt(self, guard=None):
-        """Principal square root; order-0 coefficient must be a positive real."""
+        """Principal square root, the series at alpha = 1/2; the order-0
+        coefficient must be a positive real (`guard` as for `recip`)."""
         v = self.value()
         bad = ~((v.real > 0) & (np.abs(v.imag) <= 1e-9 * np.abs(v) + 1e-300))
-        safe = self._guard_value(guard, bad, "square root needs a positive real value")
-        u = Jet._of(_divided(self.t, safe))
-        u.t[0, 0] = 0.0
-        series = _sqrt_series(self.order)
-        acc = Jet.const(np.full(u.batch, series[-1]), self.order)
-        for k in range(self.order - 1, -1, -1):
-            acc = u * acc
-            acc.t[0, 0] += series[k]
-        return Jet._of(acc.t * np.sqrt(safe))
+        t, a0 = self._binomial(0.5, bad, guard, "square root needs a positive real value")
+        return Jet._of(t * np.sqrt(a0))
 
 
 class JetVec(_Table):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import _nvalue
+from .geometry import _TINY, _nvalue
 from .jets import JetVec
 from .weierstrass import SurfaceEvaluator
 
@@ -92,20 +92,14 @@ def invert_evaluator(surface: SurfaceEvaluator, centers) -> SurfaceEvaluator:
 
 def _minimality_points(pb):
     """Per-point arrays of the residual system, flattened to (n, points)
-    or (points,); they depend on the pedal bundle only, so each bundle
-    computes them once for all its blocks of centers."""
-    if "minimality" not in pb._cache:
-        n = len(pb.foot)
-        lev1 = pb.base.flag(1)[0]
-        fields = (pb.foot, pb.tangent_part, pb.first_normal_part, pb.higher_normal_part,
-                  pb.base.e1, pb.base.e2, lev1.frames[0], lev1.frames[1])
-        g, Z, delta, eta, *frames = (_nvalue(v).reshape(n, -1) for v in fields)
-        pb._cache["minimality"] = (
-            g, np.sum(g * g, axis=0), Z - delta, np.sum(delta * delta, axis=0),
-            pb.rotation_section().reshape(n, -1), eta, np.sum(eta * eta, axis=0),
-            frames, pb.osc_norm_sq.value().real.reshape(-1),
-        )
-    return pb._cache["minimality"]
+    or (points,), from the pedal bundle's values."""
+    n = len(pb.foot)
+    g, delta, eta = (_nvalue(v).reshape(n, -1)
+                     for v in (pb.foot, pb.first_normal_part, pb.higher_normal_part))
+    frames = [e.reshape(n, -1) for e in pb.frames]
+    u1, u2 = (u.reshape(n, -1) for u in pb.sections)
+    return (g, np.sum(g * g, axis=0), u1, np.sum(delta * delta, axis=0), u2, eta,
+            np.sum(eta * eta, axis=0), frames, pb.theta.reshape(-1))
 
 
 def minimality_residuals(pedal_bundle, centers, valid=None, points=None):
@@ -158,7 +152,7 @@ def minimality_residuals(pedal_bundle, centers, valid=None, points=None):
     r3 = np.sqrt(np.maximum(r3_sq, 0.0))
 
     mean_norm = 2.0 * np.sqrt(
-        np.maximum((r1**2 + r2**2) / np.maximum(theta, 1e-300) + r3**2, 0.0)
+        np.maximum((r1**2 + r2**2) / np.maximum(theta, _TINY) + r3**2, 0.0)
     )
     # normalize each residual by a natural scale of the same homogeneity:
     # ||g - p0||^2 over (centers, points), summed axis by axis in the order
@@ -166,7 +160,7 @@ def minimality_residuals(pedal_bundle, centers, valid=None, points=None):
     pos_sq = (g[0] - C[:, :1]) ** 2
     for k in range(1, n):
         pos_sq += (g[k] - C[:, k:k + 1]) ** 2
-    np.maximum(pos_sq, 1e-300, out=pos_sq)
+    np.maximum(pos_sq, _TINY, out=pos_sq)
     norm1 = np.abs(r1) / pos_sq
     norm2 = np.abs(r2) / pos_sq
     norm3 = np.abs(r3) / np.sqrt(pos_sq)

@@ -30,13 +30,13 @@ constant vector, on one evaluation of f over a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import SurfaceJets, _nvalue
+from .geometry import _TINY, SurfaceJets, _nvalue
 from .grid import Grid
 from .jets import Jet, JetVec
 from .weierstrass import SurfaceEvaluator
@@ -51,7 +51,12 @@ REGULARITY_RTOL = 1e-6  # relative floor for the tangent / first-normal parts
 
 @dataclass
 class PedalBundle:
-    """Jet-level pedal decomposition over a batch of points."""
+    """Jet-level pedal decomposition over a batch of points.
+
+    The per-point values its consumers share are built once, on first
+    use: theta, the frames e1 ... e4 and the two explicit normal sections
+    of the pedal.
+    """
 
     base: SurfaceJets
     tangent_part: JetVec      # projection of the position onto the tangent plane
@@ -60,37 +65,46 @@ class PedalBundle:
     higher_normal_part: JetVec  # g minus that component
     osc_norm_sq: Jet          # ||tangent_part||^2 + ||first_normal_part||^2
     valid: np.ndarray
-    # per-point data derived from this bundle by its consumers (the
-    # inversion residual system), kept for the bundle's lifetime
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def rotation_section(self) -> np.ndarray:
-        """Values of JZ + J1(delta), shape (n, *batch).
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """Values of osc_norm_sq, shape (*batch)."""
+        return self.osc_norm_sq.value().real
 
-        The tangential part turned a quarter in the tangent plane plus
-        the first-normal part turned a quarter in its oriented plane.
+    @cached_property
+    def frames(self) -> tuple:
+        """Values of the tangent frame e1, e2 and the first normal frame
+        e3, e4, each of shape (n, *batch)."""
+        e3, e4 = self.base.flag(1)[0].frames
+        return tuple(_nvalue(e) for e in (self.base.e1, self.base.e2, e3, e4))
+
+    @cached_property
+    def sections(self) -> tuple:
+        """Values of u1 = Z - delta and u2 = JZ + J1(delta), each of shape
+        (n, *batch).
+
+        u2 is the tangential part turned a quarter in the tangent plane
+        plus the first-normal part turned a quarter in its oriented plane.
         """
         Z = _nvalue(self.tangent_part)
         delta = _nvalue(self.first_normal_part)
-        e1, e2 = _nvalue(self.base.e1), _nvalue(self.base.e2)
-        lev1 = self.base.flag(1)[0]
-        e3, e4 = _nvalue(lev1.frames[0]), _nvalue(lev1.frames[1])
+        e1, e2, e3, e4 = self.frames
         z1 = np.sum(Z * e1, axis=0)
         z2 = np.sum(Z * e2, axis=0)
         d3 = np.sum(delta * e3, axis=0)
         d4 = np.sum(delta * e4, axis=0)
-        return (z1 * e2 - z2 * e1) + (d3 * e4 - d4 * e3)
+        return Z - delta, (z1 * e2 - z2 * e1) + (d3 * e4 - d4 * e3)
 
     def mean_curvature_predicted(self) -> JetVec:
         """(2 / osc_norm_sq)(tangent_part - first_normal_part) as jets."""
-        guard = self.valid & (np.abs(self.osc_norm_sq.value().real) > 1e-14)
+        guard = self.valid & (np.abs(self.theta) > 1e-14)
         two_over = self.osc_norm_sq.recip(guard=guard).scale(2.0)
         return (self.tangent_part - self.first_normal_part).scale(two_over)
 
     def conformal_factor_predicted(self) -> np.ndarray:
         """-K * osc_norm_sq / 2 pointwise (the pedal/base metric ratio)."""
         K = self.base.curvature_scalars()["K"]
-        return -K * self.osc_norm_sq.value().real / 2.0
+        return -K * self.theta / 2.0
 
 
 def pedal_split(bundle: SurfaceJets) -> PedalBundle:
@@ -239,7 +253,7 @@ def pedal_regularity(pb: PedalBundle):
     gram = gx_sq * gy_sq - gxy * gxy
     gscale = np.maximum(gx_sq, gy_sq)
     immersed = pb.valid & (gram > PEDAL_IMMERSION_RTOL * gscale * gscale)
-    f_scale = REGULARITY_RTOL * np.maximum(np.linalg.norm(_nvalue(pb.base.f), axis=0), 1e-300)
+    f_scale = REGULARITY_RTOL * np.maximum(np.linalg.norm(_nvalue(pb.base.f), axis=0), _TINY)
     tangent_nonzero = np.linalg.norm(_nvalue(pb.tangent_part), axis=0) > f_scale
     first_normal_nonzero = np.linalg.norm(_nvalue(pb.first_normal_part), axis=0) > f_scale
     excluded = ~(pb.valid & immersed & tangent_nonzero & first_normal_nonzero)

@@ -69,6 +69,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError
 from .geometry import (
+    _TINY,
     SurfaceJets,
     _nvalue,
     first_normal_rank,
@@ -89,7 +90,6 @@ REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold her
 # threshold of swillmore.refute and the cut both routes of
 # swillmore.scalar_agreement are judged at
 SWILLMORE_CUT = 1e-3
-_TINY = 1e-300
 
 # A fixed generic direction used when the config supplies no translation
 # vector; scaled to the ambient dimension at hand.
@@ -454,18 +454,10 @@ def verify_normal_span(run: Run) -> dict:
     span of the base tangent plane and first normal space.
     """
     pipe = run.surface
-    base = pipe.base
     sp = pipe.split
     gb = pipe.pedal
-
-    Z = _nvalue(sp.tangent_part)
-    delta = _nvalue(sp.first_normal_part)
-    theta = sp.osc_norm_sq.value().real
-    e1, e2 = _nvalue(base.e1), _nvalue(base.e2)
-    lev1 = base.flag(1)[0]
-    e3, e4 = _nvalue(lev1.frames[0]), _nvalue(lev1.frames[1])
-    u1 = Z - delta
-    u2 = sp.rotation_section()
+    theta = sp.theta
+    u1, u2 = sp.sections
 
     gx = _nvalue(gb.partial(1, 0))
     gy = _nvalue(gb.partial(0, 1))
@@ -482,7 +474,7 @@ def verify_normal_span(run: Run) -> dict:
         # tangent + first-normal span, i.e. normal sections of the base
         # beyond that span are normal to the pedal too
         rem = tangent.copy()
-        for fr in (e1, e2, e3, e4):
+        for fr in sp.frames:
             rem = rem - np.sum(tangent * fr, axis=0) * fr
         residuals.append(_norms(rem) / tn)
     residuals.append(np.abs(np.sum(u1 * u2, axis=0)) / tfloor)
@@ -560,13 +552,9 @@ def _secondform_span_pairing(pipe: SurfacePipeline):
     base = pipe.base
     sp = pipe.split
     ag = pipe.pedal.alpha_wirtinger().value()  # complex (n, points)
-    theta = sp.osc_norm_sq.value().real
     lev = base.flag(min(2, base.flag_capacity()))
-    u1 = _nvalue(sp.tangent_part) - _nvalue(sp.first_normal_part)
-    u2 = sp.rotation_section()
-    frames = [_nvalue(base.e1), _nvalue(base.e2)]
-    for level in lev:
-        frames.extend(_nvalue(fr) for fr in level.frames)
+    u1, u2 = sp.sections
+    frames = [*sp.frames, *(_nvalue(fr) for level in lev[1:] for fr in level.frames)]
     rem = ag.copy()
     for fr in frames:
         rem = rem - _complex_dot(rem, fr) * fr
@@ -574,7 +562,7 @@ def _secondform_span_pairing(pipe: SurfacePipeline):
     span_defect = _norms(rem) / amag
     pair = _complex_dot(ag, u2) - 1j * _complex_dot(ag, u1)
     # the product of the floored factors underflows, as in verify_normal_span
-    pair_defect = np.abs(pair) / np.maximum(amag * np.sqrt(np.maximum(theta, _TINY)), _TINY)
+    pair_defect = np.abs(pair) / np.maximum(amag * np.sqrt(np.maximum(sp.theta, _TINY)), _TINY)
     return span_defect, pair_defect, pipe.mask(lev[-1].valid)
 
 
@@ -751,7 +739,7 @@ def verify_swillmore(run: Run) -> dict:
     frac = float(np.sum(agree & gmask)) / total if total else None
 
     xi1, _ = base.traceless_second()
-    kappa_theta = _norms(_nvalue(xi1)) * sp.osc_norm_sq.value().real
+    kappa_theta = _norms(_nvalue(xi1)) * sp.theta
     hi = _masked_max(np.abs(kappa_theta), mask)
     lo = _masked_min(np.abs(kappa_theta), mask)
     ratio = (lo / hi) if (hi not in (None, 0.0) and lo is not None) else None
@@ -942,11 +930,10 @@ def verify_shifted_pedals(run: Run) -> dict:
         keeps rank three under random inversions — including for the
         three-circle surface in R^8.
 
-    Only the parts a wanted check id needs are computed.  (a) to (c) run
-    on an 11 x 11 subgrid, on the surface's one evaluation there: the
-    pedal of f and the shadow of v are normal parts of its base bundle,
-    and the members c*f + v the wanted ids read are stacked in one base
-    bundle and one pedal bundle.
+    (a) to (c) run on an 11 x 11 subgrid, on the surface's one evaluation
+    there: the pedal of f and the shadow of v are normal parts of its base
+    bundle, and the members c*f + v are stacked in one base bundle and one
+    pedal bundle.  The R^8 surface is built only when its check is wanted.
     """
     pipe = run.surface
     config = run.config
@@ -956,65 +943,47 @@ def verify_shifted_pedals(run: Run) -> dict:
     cc = float(config.scale) if config.scale != 1.0 else 0.7
     sub = pipe.on(11)
     sx, sy, spre = sub.x, sub.y, sub.pre
-    family = run.wants("shifted_pedal.family")
-    decomposition = run.wants("shifted_pedal.decomposition")
-    out = {}
+    shadow_at = sub.normal_surface(v)
+    shadow = SurfaceJets(shadow_at, sx, sy, 2)
+    # the members c*f + v; the decomposition reads member (cc, v), slice 0
+    scales, shifts = (cc, -1.3), (v, 0.5 * v)
+    shifted = SurfacePipeline(sub.evaluated.affine(scales, np.transpose(shifts)), sub.grid,
+                              MIN_ORDER).pedal
+    # the identity sample (c, v) = (1, 0) is the pedal of f itself
+    gb = sub.pedal
+    defects = [np.maximum(gb.circle_defect(1)[0], _conformality_defect(gb)[0]),
+               *np.maximum(shifted.circle_defect(1)[0], _conformality_defect(shifted)[0])]
+    samples, kept = [], spre & sub.base.valid
+    for c, defect, valid in zip([1.0, *scales], defects, [gb.valid, *shifted.valid]):
+        m = spre & valid & sub.base.valid
+        kept = kept & m  # a point any sample drops is excluded
+        samples.append({"scale": c, "defect": _masked_max(defect, m)})
+    out = {"shifted_pedal.family": Outcome(
+        _max_defined(*(s["defect"] for s in samples)), kept, sub.grid,
+        details={"samples": samples})}
 
-    if any(run.wants(c.id) for c in CHECKS if c.id.startswith("shifted_pedal.")):
-        shadow_at = sub.normal_surface(v)
-    if decomposition or run.wants("shifted_pedal.shadow_superconformal"):
-        shadow = SurfaceJets(shadow_at, sx, sy, 2)
-    # the members c*f + v the wanted ids read; the decomposition reads
-    # member (cc, v), slice 0
-    members = [(cc, v)] if family or decomposition else []
-    if family:
-        members.append((-1.3, 0.5 * v))
-    if members:
-        scales, shifts = zip(*members)
-        shifted = SurfacePipeline(sub.evaluated.affine(scales, np.transpose(shifts)), sub.grid,
-                                  MIN_ORDER).pedal
-    if family:
-        # the identity sample (c, v) = (1, 0) is the pedal of f itself
-        gb = sub.pedal
-        defects = [np.maximum(gb.circle_defect(1)[0], _conformality_defect(gb)[0]),
-                   *np.maximum(shifted.circle_defect(1)[0], _conformality_defect(shifted)[0])]
-        samples, kept = [], spre & sub.base.valid
-        for c, defect, valid in zip([1.0, *scales], defects, [gb.valid, *shifted.valid]):
-            m = spre & valid & sub.base.valid
-            kept = kept & m  # a point any sample drops is excluded
-            samples.append({"scale": c, "defect": _masked_max(defect, m)})
-        out["shifted_pedal.family"] = Outcome(
-            _max_defined(*(s["defect"] for s in samples)), kept, sub.grid,
-            details={"samples": samples})
-
-    if decomposition:
-        # pedal(c f + v) = c * pedal(f) + shadow(v)
-        rhs = cc * _nvalue(sub.pedal.f) + _nvalue(shadow.f)
-        m = spre & shifted.valid[0] & sub.pedal.valid & shadow.valid
-        out["shifted_pedal.decomposition"] = Outcome(
-            _norms(_nvalue(shifted.f)[:, 0] - rhs) / np.maximum(_norms(rhs), _TINY), m,
-            sub.grid, details={"scale": cc})
+    # pedal(c f + v) = c * pedal(f) + shadow(v)
+    rhs = cc * _nvalue(sub.pedal.f) + _nvalue(shadow.f)
+    m = spre & shifted.valid[0] & sub.pedal.valid & shadow.valid
+    out["shifted_pedal.decomposition"] = Outcome(
+        _norms(_nvalue(shifted.f)[:, 0] - rhs) / np.maximum(_norms(rhs), _TINY), m,
+        sub.grid, details={"scale": cc})
 
     # the shadow surface itself: superconformal, and minimal after the
     # inversion centered at its defining vector
-    if run.wants("shifted_pedal.shadow_superconformal"):
-        scirc, _ = shadow.circle_defect(1)
-        out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow.valid,
-                                                             sub.grid)
-    if run.wants("shifted_pedal.inverted_minimal"):
-        inverted = SurfaceJets(invert_evaluator(shadow_at, v), sx, sy, 2)
-        out["shifted_pedal.inverted_minimal"] = Outcome(
-            _mean_ratio(inverted), spre & inverted.valid, sub.grid)
+    scirc, _ = shadow.circle_defect(1)
+    out["shifted_pedal.shadow_superconformal"] = Outcome(scirc, spre & shadow.valid, sub.grid)
+    inverted = SurfaceJets(invert_evaluator(shadow_at, v), sx, sy, 2)
+    out["shifted_pedal.inverted_minimal"] = Outcome(
+        _mean_ratio(inverted), spre & inverted.valid, sub.grid)
 
     # rank of the first normal bundle: the pedal itself, then random
     # inversions of it, then the same pair for the R^8 three-circle surface
-    if run.wants("first_normal_rank.pedal"):
-        out["first_normal_rank.pedal"] = Outcome(
-            _masked_max(_rank_deviation(pipe.pedal), pipe.mask()))
-    if run.wants("first_normal_rank.inverted"):
-        rdef, evaluated, kept = _inverted_rank(pipe, _RANK_SEED)
-        out["first_normal_rank.inverted"] = Outcome(rdef, kept, pipe.on(7).grid, details={
-            "inversions": evaluated})
+    out["first_normal_rank.pedal"] = Outcome(
+        _masked_max(_rank_deviation(pipe.pedal), pipe.mask()))
+    rdef, evaluated, kept = _inverted_rank(pipe, _RANK_SEED)
+    out["first_normal_rank.inverted"] = Outcome(rdef, kept, pipe.on(7).grid, details={
+        "inversions": evaluated})
     if run.wants("first_normal_rank.higher_isotropy"):
         hi = run.higher
         hmask = hi.mask()

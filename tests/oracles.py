@@ -5,7 +5,8 @@ second route, something the library derives along its own (the Gauss
 curvature from the metric alone, the third form by differentiating the
 second, the inversion laws against direct jets of an inverted surface,
 polynomial values by numpy's `polyval`, the number of curvature circles
-from float flag levels at a few points), reads a jet (derivative values,
+from float flag levels at a few points, the reciprocal and square root by
+the Horner loops `Jet` ran before its binomial kernel), reads a jet (derivative values,
 metric jets), or builds test inputs (coordinate jets, random specs,
 rotated curves).
 """
@@ -19,7 +20,7 @@ from numpy.polynomial.polynomial import polyval
 
 from isopedal.cpoly import cp_add, cp_scale
 from isopedal.geometry import SurfaceJets, _nvalue
-from isopedal.jets import Jet
+from isopedal.jets import Jet, _divided
 from isopedal.moebius import invert_evaluator, minimality_residuals
 from isopedal.verify import _traceless_scale
 from isopedal.weierstrass import IsotropicSpec, SurfaceEvaluator
@@ -68,6 +69,46 @@ def deriv(jet, i, j):
     if i + j > jet.order:
         raise ValueError(f"derivative ({i},{j}) beyond jet order {jet.order}")
     return jet.t[i, j] * (math.factorial(i) * math.factorial(j))
+
+
+def _normalized(a: Jet, bad, guard):
+    """u = a/a0 - 1 and the a0 it divides by; with a guard, a0 is 1 where
+    the guard fails or `bad` holds."""
+    a0 = a.value()
+    if guard is not None:
+        a0 = np.where(np.asarray(guard, dtype=bool) & ~bad, a0, 1.0)
+    u = Jet._of(_divided(a.t, a0))
+    u.t[0, 0] = 0.0
+    return u, a0
+
+
+def alternating_recip(a: Jet, guard=None):
+    """1/a by the alternating Horner loop acc <- 1 - u * acc, `order`
+    times from acc = 1 (the loop `Jet.recip` ran before the binomial
+    kernel)."""
+    a0 = a.value()
+    u, a0 = _normalized(a, ~(np.abs(a0) > 1e-12 * np.max(np.abs(a.t), axis=(0, 1))), guard)
+    acc = Jet.const(np.ones(u.batch), a.order)
+    for _ in range(a.order):
+        acc = -(u * acc)
+        acc.t[0, 0] += 1.0
+    return Jet._of(_divided(acc.t, a0))
+
+
+def horner_sqrt(a: Jet, guard=None):
+    """sqrt(a) by Horner's rule on the binomial(1/2, k) table (the loop
+    `Jet.sqrt` ran before the binomial kernel)."""
+    a0 = a.value()
+    u, a0 = _normalized(
+        a, ~((a0.real > 0) & (np.abs(a0.imag) <= 1e-9 * np.abs(a0) + 1e-300)), guard)
+    series = [1.0]
+    for k in range(a.order):
+        series.append(series[-1] * (0.5 - k) / (k + 1))
+    acc = Jet.const(np.full(u.batch, series[-1]), a.order)
+    for k in range(a.order - 1, -1, -1):
+        acc = u * acc
+        acc.t[0, 0] += series[k]
+    return Jet._of(acc.t * np.sqrt(a0))
 
 
 def sample_spec(rng: np.random.Generator, max_dim: int = 12, max_degree: int = 3) -> IsotropicSpec:

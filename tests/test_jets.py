@@ -14,7 +14,7 @@ from isopedal import jets
 from isopedal.errors import DegenerateJet
 from isopedal.jets import Jet, JetVec, jet_gram_schmidt, jet_lift
 from isopedal.weierstrass import IsotropicSpec, holomorphic_curve, preset_curve, w_generate
-from oracles import coordinate, deriv
+from oracles import alternating_recip, coordinate, deriv, horner_sqrt
 
 X, Y = sp.symbols("x y", real=True)
 
@@ -364,6 +364,27 @@ def test_real_recip_and_sqrt_are_the_real_part_of_the_complex_path():
             got, want = getattr(real, op)(), getattr(cplx, op)()
             assert got.t.dtype == np.float64
             assert np.array_equal(got.c, want.c.real), (op, batch)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_recip_and_sqrt_are_bitwise_the_horner_loops(complex_):
+    rng = np.random.default_rng(31 + complex_)
+    for order in range(2, 7):
+        c = random_tables(rng, 1, (9,), order, complex_)[0]
+        c[:, 0, 0] = 1.0 + np.abs(c[:, 0, 0])  # positive real values
+        c[0, 1:] = c[0, :, 1:] = 0.0  # a constant
+        c[1, :, 1:] = 0.0  # depends on x alone: exact zeros inside the triangle
+        bad = c.copy()
+        bad[2, 0, 0], bad[3, 0, 0] = -1.0, 0.0  # no sqrt; no sqrt, no recip
+        guard = np.arange(9) != 4
+        for a, g in ((Jet(c), None), (Jet(c), guard), (Jet(bad), guard)):
+            got, want = a.sqrt(guard=g).t, horner_sqrt(a, g).t
+            assert got.tobytes() == want.tobytes(), order  # zero signs too
+            got, want = a.recip(guard=g).t, alternating_recip(a, g).t
+            # the alternating loop ends on a negated product, so its exact
+            # zeros are -0.0 where the series leaves +0.0; adding 0.0 maps
+            # both to +0.0 and leaves every other bit
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), order
 
 
 def test_table_dtype_follows_the_inputs():

@@ -96,3 +96,16 @@ def test_no_src_function_defaults_its_jet_order():
             if any(a.arg == "order" for a in with_default):
                 defaulted.append(f"{path.stem}:{node.lineno}")
     assert defaulted == []
+
+
+def test_no_module_level_name_is_assigned_in_two_src_modules():
+    # a constant has one home, which the other modules import
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    homes.setdefault(target.id, set()).add(path.stem)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}

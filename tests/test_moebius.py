@@ -6,6 +6,8 @@ forms (tests/oracles.py); the Moebius structure (involution, sphere
 fixed-point set, near-isometry far away) is exercised on raw points.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -233,13 +235,15 @@ def test_minimality_setup_is_computed_once_per_pedal_bundle(monkeypatch):
     x, y = Grid(nx=7, ny=7).points()
     pb = pedal_split(SurfaceJets(holo3(), x, y, 4))
     calls = []
-    rotation = PedalBundle.rotation_section
+    sections = PedalBundle.sections.func
 
     def spy(self):
         calls.append(self)
-        return rotation(self)
+        return sections(self)
 
-    monkeypatch.setattr(PedalBundle, "rotation_section", spy)
+    prop = cached_property(spy)
+    prop.__set_name__(PedalBundle, "sections")
+    monkeypatch.setattr(PedalBundle, "sections", prop)
     centers = np.random.default_rng(9).uniform(-1.6, 1.6, size=(20, 6))
     for block in (slice(0, 7), slice(7, 20)):
         minimality_residuals(pb, centers[block])
