@@ -31,7 +31,7 @@ from .export import export_obj, rank_note, write_geometry_csv, write_pedal_csv
 from .geometry import SurfaceJets
 from .moebius import invert_evaluator
 from .pedal import MIN_ORDER, SurfacePipeline, pedal_regularity
-from .verify import _generic_vector, report_to_json, run_all
+from .verify import report_to_json, run_all
 from .weierstrass import surface_evaluator
 
 DEFAULT_CONFIG = {"seed_preset": "holo3"}
@@ -123,8 +123,7 @@ def _exported(cfg: RunConfig, what: str, order: int):
     g_at = pipe.normal_surface(v)
     if what == "g":
         return g_at, "pedal surface"
-    center = (_generic_vector(g_at.ambient_dim) if cfg.translation is None
-              else np.asarray(cfg.translation, dtype=float))
+    center = cfg.shift_vector()
     center_txt = ", ".join(f"{c:g}" for c in center)
     return (invert_evaluator(g_at, center).evaluated(pipe.x, pipe.y, order),
             f"inverted pedal surface (center [{center_txt}])")
@@ -359,10 +358,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return args.func(cfg, args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -18,12 +18,17 @@ import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import ConfigError
 from .grid import Grid
 from .weierstrass import (IsotropicCurve, IsotropicSpec, ambient_curve, holomorphic_curve,
                           preset_curve, w_generate)
 
 CURVE_SOURCES = ("seed_preset", "spec", "curve", "ambient_curve")
+# the shift vector v of c*f + v when the config gives no translation,
+# repeated to the ambient dimension
+_GENERIC_DIRECTION = (0.9, -0.4, 0.7, 0.3, -0.8, 0.5, 0.2, -0.6, 0.4, 0.1, -0.3, 0.8)
 
 # the JSON types of the table, named as an error message names them
 OBJECT, LIST, STRING = "an object", "a list", "a string"
@@ -197,7 +202,7 @@ class RunConfig:
     grid: Grid = field(default_factory=Grid)
     jet_order: int = FIELDS["jet_order"][2]  # read by the export CSV alone, which stops at order 3
     scale: float = FIELDS["scale"][2]  # c in the shifted pedal family c*f + v
-    translation: Optional[tuple] = None  # v (defaults to a fixed generic vector)
+    translation: Optional[tuple] = None  # v; see shift_vector
     checks: Optional[tuple] = None   # id prefixes to run; None = all
     out_dir: Optional[str] = None
 
@@ -215,6 +220,14 @@ class RunConfig:
         return RunConfig(curve, Grid(**grid, excluded=disks), jet_order=doc["jet_order"],
                          scale=doc["scale"], translation=v,
                          checks=doc.get("checks"), out_dir=doc.get("out"))
+
+    def shift_vector(self) -> np.ndarray:
+        """v of c*f + v: the translation, else the generic direction repeated to n."""
+        v = self.translation
+        if v is None:
+            n = self.curve.ambient_dim
+            v = (_GENERIC_DIRECTION * -(-n // len(_GENERIC_DIRECTION)))[:n]
+        return np.asarray(v, dtype=float)
 
     def canonical_document(self) -> dict:
         return {

@@ -86,21 +86,18 @@ def write_obj(path, vertices, faces, header_lines=()):
         fh.writelines(f"f {a} {b} {c}\n" for a, b, c in faces.tolist())
 
 
-def export_obj(surface: SurfaceEvaluator, grid: Grid, path, projection=None,
-               label="surface", keep=None):
+def export_obj(surface: SurfaceEvaluator, grid: Grid, path, keep, projection=None,
+               label="surface"):
     """Sample the surface over the grid and write a projected OBJ mesh.
 
     Returns the number of excluded grid points.  The mesh always contains
     every grid vertex (excluded ones carry their computed coordinates,
     which may be meaningless); faces touching an excluded point are
     dropped so the visible mesh is trustworthy.  `keep` marks the points
-    to keep (default: the grid's premask and the evaluation's valid).
+    to keep.
     """
     x, y = grid.points()
-    jets, valid = surface.evaluate(x, y, 2)
-    values = jets.value().real  # (n, P)
-    if keep is None:
-        keep = grid.premask() & valid
+    values = surface.evaluate(x, y, 2)[0].value().real  # (n, P)
     if projection is None:
         proj = default_projection(surface.ambient_dim)
         proj_note = "projection: first 3 of %d coordinates" % surface.ambient_dim

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -252,7 +251,7 @@ class SurfaceJets:
         """Highest normal-space index constructible: jets and dimension."""
         return min((self.n - 1) // 2, self.order - 1)
 
-    def flag(self, upto: Optional[int] = None):
+    def flag(self, upto: int):
         """Normal flag levels N_1 .. N_upto (minimal surfaces).
 
         Levels are built by projecting real combinations of the pure
@@ -261,8 +260,6 @@ class SurfaceJets:
         conjugate semi-diameter pair and orthonormalized in jet
         arithmetic.
         """
-        if upto is None:
-            upto = self.flag_capacity()
         if upto > self.flag_capacity():
             raise ValueError(
                 f"flag level {upto} needs jets of order {upto + 1} "
@@ -337,13 +334,6 @@ class SurfaceJets:
         lev = self.flag(s)[s - 1]
         return lev.circle_defect, lev.lam
 
-    def normal_frames(self, upto=None):
-        levels = self.flag(upto)
-        out = []
-        for lev in levels:
-            out.extend(lev.frames)
-        return out
-
     # -- connection forms ------------------------------------------------------
 
     def connection_forms(self):
@@ -358,7 +348,8 @@ class SurfaceJets:
         """
         key = "connection"
         if key not in self._cache:
-            nfr = self.normal_frames(min(self.flag_capacity(), self.order - 2))
+            levels = self.flag(min(self.flag_capacity(), self.order - 2))
+            nfr = [fr for lev in levels for fr in lev.frames]
             # e1 = a d/dx and e2 = b d/dx + c d/dy; only the pairings'
             # values are read, so the derivatives along them take the
             # order-0 coefficients

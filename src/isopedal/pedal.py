@@ -35,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
 from .geometry import _TINY, SurfaceJets, _nvalue
 from .grid import Grid
 from .jets import Jet, JetVec
@@ -97,7 +96,8 @@ class PedalBundle:
 
     def mean_curvature_predicted(self) -> JetVec:
         """(2 / osc_norm_sq)(tangent_part - first_normal_part) as jets."""
-        guard = self.valid & (np.abs(self.theta) > 1e-14)
+        f_sq = np.sum(_nvalue(self.base.f) ** 2, axis=0)
+        guard = self.valid & (np.abs(self.theta) > 1e-14 * f_sq)
         two_over = self.osc_norm_sq.recip(guard=guard).scale(2.0)
         return (self.tangent_part - self.first_normal_part).scale(two_over)
 
@@ -173,8 +173,6 @@ class SurfacePipeline:
     """
 
     def __init__(self, evaluator: SurfaceEvaluator, grid: Grid, order: int):
-        if order < MIN_ORDER:
-            raise ConfigError(f"pedal geometry needs jet order >= {MIN_ORDER}")
         self.evaluator = evaluator
         self.grid = grid
         self.order = order

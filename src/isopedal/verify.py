@@ -91,9 +91,6 @@ REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold her
 # swillmore.scalar_agreement are judged at
 SWILLMORE_CUT = 1e-3
 
-# A fixed generic direction used when the config supplies no translation
-# vector; scaled to the ambient dimension at hand.
-_GENERIC_DIRECTION = (0.9, -0.4, 0.7, 0.3, -0.8, 0.5, 0.2, -0.6, 0.4, 0.1, -0.3, 0.8)
 _RANK_SEED = 20260826  # random inversions of first_normal_rank.*
 
 
@@ -256,14 +253,10 @@ def _jsonable(v):
     if isinstance(v, (float, np.floating)):
         v = float(v)
         return v if math.isfinite(v) else None
-    if isinstance(v, (np.integer,)):
-        return int(v)
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in sorted(v.items())}
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
     return str(v)
 
 
@@ -352,11 +345,6 @@ class Run:
 
     def wants(self, check_id: str) -> bool:
         return self.ids is None or check_id in self.ids
-
-
-def _generic_vector(n: int) -> np.ndarray:
-    reps = -(-n // len(_GENERIC_DIRECTION))
-    return np.asarray((_GENERIC_DIRECTION * reps)[:n], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +695,7 @@ def verify_swillmore(run: Run) -> dict:
     delta = sp.first_normal_part
     dsq = delta.norm_sq()
     dval = dsq.value().real
-    guard = mask & (dval > 1e-20)
+    guard = mask & (dval > 1e-20 * np.sum(_nvalue(base.f) ** 2, axis=0))
     e3 = delta.scale(dsq.sqrt(guard=guard).recip(guard=guard))
     lev = base.flag(2)
     f3, f4 = lev[0].frames
@@ -778,6 +766,12 @@ def _center_lattice(n: int) -> np.ndarray:
     return axis[np.indices((3,) * n).reshape(n, -1).T]
 
 
+def _crosscheck_centers(n: int) -> np.ndarray:
+    """The centers of inversion.crosscheck, shape (3, n): two opposite
+    corners of the lattice's cube and its center."""
+    return np.outer(np.linspace(-1.6, 1.6, 3), np.ones(n))
+
+
 def _inverted_mean_ratio(res, tr_scale, keep):
     """|H| of the inverted pedals in units of their traceless second-form
     scale over (centers, points), from `minimality_residuals` output `res`
@@ -802,8 +796,8 @@ def verify_inversion_minimality(run: Run) -> dict:
     curvature, measured in units of its own second-form scale, must be
     large at some grid point.  Both reduce per center over the points
     first, then take the worst center.  The closed forms are
-    cross-checked against direct jets of the inverted pedal at three
-    sampled centers.  Every inversion is in a unit sphere.
+    cross-checked against direct jets of the inverted pedal at the three
+    `_crosscheck_centers`.  Every inversion is in a unit sphere.
 
     Both defects are a min over centers of a max over kept points, and a
     center's max over some of the points bounds its max over all of them
@@ -816,8 +810,7 @@ def verify_inversion_minimality(run: Run) -> dict:
     point elements.
     """
     pipe = run.surface
-    centers = _center_lattice(pipe.evaluator.ambient_dim)
-
+    n = pipe.evaluator.ambient_dim
     sp = pipe.split
     valid = pipe.mask()
     tr_scale = _traceless_scale(pipe.pedal)
@@ -838,6 +831,7 @@ def verify_inversion_minimality(run: Run) -> dict:
 
     norm_defect = system_defect = None
     if np.any(valid):
+        centers = _center_lattice(n)
         kept = np.flatnonzero(valid)
         graded = np.zeros(centers.shape[0], dtype=bool)  # evaluated on the whole grid
         top = np.full(2, np.inf)  # least whole-grid norm ratio and margin so far
@@ -859,26 +853,23 @@ def verify_inversion_minimality(run: Run) -> dict:
             grade(alive)
         norm_defect, system_defect = map(float, top)
 
-    # direct-jet cross-check at a few sampled centers on a coarse subgrid,
+    # direct-jet cross-check at three fixed centers on a coarse subgrid,
     # where one evaluation of the surface feeds the split, the pedal's
     # geometry and the sampled inversions, stacked in one bundle
     sub = pipe.on(5)
-    picks = [0, centers.shape[0] // 2, centers.shape[0] - 1]
-    sres = minimality_residuals(sub.split, centers[picks])
-    bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, centers[picks]),
-                         sub.x, sub.y, 2)
+    probes = _crosscheck_centers(n)
+    sres = minimality_residuals(sub.split, probes)
+    bundle = SurfaceJets(invert_evaluator(sub.pedal_evaluated, probes), sub.x, sub.y, 2)
     masks = sub.pre & bundle.valid & sub.split.valid  # one row per center
     closed = _inverted_mean_ratio(sres, _traceless_scale(sub.pedal), masks)[masks]
     diff = np.abs(_mean_ratio(bundle)[masks] - closed) / np.maximum(closed, _TINY)
     worst = float(diff.max()) if diff.size else None
     kept = sub.pre & sub.split.valid & np.all(masks, axis=0)
     return {
-        "inversion.norm": Outcome(norm_defect, valid, details={
-            "centers": int(centers.shape[0])}),
-        "inversion.system": Outcome(system_defect, valid, details={
-            "centers": int(centers.shape[0])}),
+        "inversion.norm": Outcome(norm_defect, valid, details={"centers": 3 ** n}),
+        "inversion.system": Outcome(system_defect, valid, details={"centers": 3 ** n}),
         "inversion.crosscheck": Outcome(worst, kept, sub.grid, details={
-            "sampled_centers": len(picks)}),
+            "sampled_centers": len(probes)}),
     }
 
 
@@ -921,8 +912,8 @@ def verify_shifted_pedals(run: Run) -> dict:
 
     (a) pedals of c*f + v are superconformal and conformal to f for
         sampled (c, v), including the identity sample (1, 0); v is the
-        config's translation (default: a fixed generic vector), c its
-        scale unless that is 1 (default: 0.7);
+        config's `shift_vector()`, c its scale unless that is 1 (default:
+        0.7);
     (b) they decompose as c*(pedal of f) + (normal shadow of v);
     (c) the c = 0 member (the shadow of v) is superconformal and its
         inversion centered at v is minimal;
@@ -937,9 +928,7 @@ def verify_shifted_pedals(run: Run) -> dict:
     """
     pipe = run.surface
     config = run.config
-    n = pipe.evaluator.ambient_dim
-    v = (_generic_vector(n) if config.translation is None
-         else np.asarray(config.translation, dtype=float))
+    v = config.shift_vector()
     cc = float(config.scale) if config.scale != 1.0 else 0.7
     sub = pipe.on(11)
     sx, sy, spre = sub.x, sub.y, sub.pre
@@ -979,8 +968,7 @@ def verify_shifted_pedals(run: Run) -> dict:
 
     # rank of the first normal bundle: the pedal itself, then random
     # inversions of it, then the same pair for the R^8 three-circle surface
-    out["first_normal_rank.pedal"] = Outcome(
-        _masked_max(_rank_deviation(pipe.pedal), pipe.mask()))
+    out["first_normal_rank.pedal"] = Outcome(_rank_deviation(pipe.pedal))
     rdef, evaluated, kept = _inverted_rank(pipe, _RANK_SEED)
     out["first_normal_rank.inverted"] = Outcome(rdef, kept, pipe.on(7).grid, details={
         "inversions": evaluated})

@@ -390,7 +390,8 @@ def test_export_inverted_mesh(tmp_path):
     assert main(["export", "--what", "inverted", "--grid", SMALL,
                  "--out", str(tmp_path)]) == 0
     head = (tmp_path / "inverted.obj").read_text().split("\n", 1)[0]
-    center = ", ".join(f"{c:g}" for c in cli._generic_vector(6))
+    v = cli.RunConfig.from_document(cli.DEFAULT_CONFIG).shift_vector()
+    center = ", ".join(f"{c:g}" for c in v)
     assert head.startswith(f"# inverted pedal surface (center [{center}])")
 
 

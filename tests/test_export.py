@@ -49,7 +49,7 @@ def read_obj(path):
 
 def test_obj_counts_on_default_grid(tmp_path):
     path = tmp_path / "f.obj"
-    excluded = export_obj(holo3(), Grid(), path)
+    excluded = export_obj(holo3(), Grid(), path, keep=Grid().premask())
     assert excluded == 0
     verts, faces, header = read_obj(path)
     assert verts.shape == (441, 3)      # 21 x 21 vertices, all written
@@ -61,7 +61,7 @@ def test_obj_counts_on_default_grid(tmp_path):
 def test_vertices_row_major_and_projected(tmp_path):
     grid = Grid(nx=3, ny=2)
     path = tmp_path / "g.obj"
-    export_obj(holo3(), grid, path)
+    export_obj(holo3(), grid, path, keep=grid.premask())
     verts, faces, _ = read_obj(path)
     x, y = grid.points()
     jets = holo3().jets(x, y, 2)
@@ -76,7 +76,7 @@ def test_faces_near_excluded_disk_are_dropped(tmp_path):
     grid = Grid(x0=-0.5, x1=0.5, y0=-0.5, y1=0.5, nx=5, ny=5,
                 excluded=((0.0, 0.0, 0.1),))
     path = tmp_path / "f.obj"
-    excluded = export_obj(holo3(), grid, path)
+    excluded = export_obj(holo3(), grid, path, keep=grid.premask())
     assert excluded == 1  # only the center point sits in the disk
     verts, faces, _ = read_obj(path)
     assert verts.shape[0] == 25  # vertices always all written
@@ -90,7 +90,7 @@ def test_custom_projection_applied(tmp_path):
     q, _ = np.linalg.qr(rng.normal(size=(6, 3)))
     proj = q.T
     path = tmp_path / "f.obj"
-    export_obj(holo3(), Grid(nx=4, ny=4), path, projection=proj)
+    export_obj(holo3(), Grid(nx=4, ny=4), path, keep=Grid(nx=4, ny=4).premask(), projection=proj)
     verts, _, header = read_obj(path)
     x, y = Grid(nx=4, ny=4).points()
     want = (proj @ holo3().jets(x, y, 2).value().real).T
@@ -188,7 +188,8 @@ def test_pedal_csv_immersed_is_the_pedal_rank(tmp_path):
 
 def test_pedal_mesh_counts(tmp_path):
     path = tmp_path / "g.obj"
-    excluded = export_obj(pedal_surface(holo3()), Grid(), path, label="pedal")
+    excluded = export_obj(pedal_surface(holo3()), Grid(), path, keep=Grid().premask(),
+                          label="pedal")
     assert excluded == 0
     verts, faces, _ = read_obj(path)
     assert verts.shape[0] == 441 and len(faces) == 800

@@ -405,7 +405,8 @@ def test_table_dtype_follows_the_inputs():
     bundle = SurfaceJets(surface, x, y, 4)
     pb = pedal_split(bundle)
     inverted = invert_evaluator(surface, (2.0,) * 6)
-    real = [bundle.f, bundle.e1, bundle.e2, *bundle.normal_frames(), pb.foot,
+    frames = [fr for lev in bundle.flag(bundle.flag_capacity()) for fr in lev.frames]
+    real = [bundle.f, bundle.e1, bundle.e2, *frames, pb.foot,
             pb.tangent_part, pb.first_normal_part, inverted.jets(x, y, 3)]
     for jv in real:
         assert jv.t.dtype == np.float64

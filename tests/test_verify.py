@@ -23,6 +23,7 @@ from isopedal.grid import Grid
 from isopedal.pedal import SurfacePipeline, normal_part, pedal_surface
 from isopedal.verify import (
     _center_lattice,
+    _crosscheck_centers,
     report_to_json,
     run_all,
     verify_inversion_minimality,
@@ -87,6 +88,22 @@ def test_defects_invariant_under_ambient_rotation():
             continue
         scale = max(abs(a), abs(b), 1e-12)
         assert abs(a - b) <= 1e-6 * scale + 1e-12, (cid, a, b)
+
+
+# 2^k times holo3 is the same surface up to a homothety, exact in floating
+# point, so every verdict is k = 0's; a floor in absolute length units
+# breaks that (pedal_mean.formula fails at k = -23 and -100 on this grid)
+@pytest.mark.parametrize("k", [-100, -23, 1, 150])
+def test_verdicts_are_invariant_under_a_power_of_two_homothety(k):
+    phi = preset_curve("holo3").phi
+
+    def report(k):
+        curve = [[[math.ldexp(c.real, k), math.ldexp(c.imag, k)] for c in p] for p in phi]
+        doc = {"ambient_curve": curve, "grid": "0.3,1.3,0.3,1.3,5,5"}
+        return [(r["id"], r["status"], r["pass"])
+                for r in run_all(RunConfig.from_document(doc))["checks"]]
+
+    assert report(k) == report(0)
 
 
 R5_SPEC = {"ambient_dim": 5, "isotropy_order": 1,
@@ -254,6 +271,36 @@ def test_center_lattice_is_the_product_order():
         got = _center_lattice(n)
         assert got.shape == (3**n, n)
         assert np.array_equal(got, ref)
+
+
+def test_crosscheck_centers_are_rows_of_the_lattice():
+    # two opposite corners of the cube and its center, bit for bit
+    for n in range(4, 11):
+        rows = _center_lattice(n)[[0, 3**n // 2, -1]]
+        got = _crosscheck_centers(n)
+        assert got.dtype == rows.dtype and got.shape == rows.shape
+        assert got.tobytes() == rows.tobytes()
+
+
+# the tiny curve keeps no point, so only the crosscheck runs; it reads no
+# lattice, and the records still count the lattice's centers
+@pytest.mark.parametrize("doc, calls, centers", [
+    ({"curve": [[0, 1e-200], [0, 0, 1e-200]]}, [], 81),
+    ({"seed_preset": "holo3"}, [6], 729),
+], ids=["no-kept-point", "holo3"])
+def test_only_the_lattice_walk_builds_the_lattice(monkeypatch, doc, calls, centers):
+    built = []
+
+    def spy(n):
+        built.append(n)
+        return _center_lattice(n)
+
+    monkeypatch.setattr(verify, "_center_lattice", spy)
+    cfg = RunConfig.from_document({**doc, "grid": "0.3,1.3,0.3,1.3,5,5", "checks": ["inversion"]})
+    records = by_id(run_all(cfg))
+    assert built == calls
+    for cid in ("inversion.norm", "inversion.system"):
+        assert records[cid]["details"] == {"centers": centers}
 
 
 # 729 centers at 81 points: 50 centers a block leaves a ragged block of 29,
