@@ -227,7 +227,6 @@ def _write_report(cfg: RunConfig, report) -> str:
     path = os.path.join(_out_dir(cfg), "report.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report_to_json(report))
-        fh.write("\n")
     return path
 
 

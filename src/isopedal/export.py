@@ -152,7 +152,7 @@ def write_geometry_csv(bundle: SurfaceJets, grid: Grid, path):
     one row per grid point in row-major order; returns (rows, excluded)."""
     x, y = bundle.x, bundle.y
     keep = grid.premask() & bundle.valid
-    sc = bundle.curvature_scalars()
+    sc = bundle.curvature_scalars
     d1, _ = bundle.circle_defect(1)
     if bundle.flag_capacity() >= 2:
         d2, lam2 = bundle.circle_defect(2)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,7 +135,6 @@ class SurfaceJets:
         self.valid = self.immersed & ok
         self._levels = []
         self._levels_valid = self.valid
-        self._cache = {}
 
     # -- derivatives -----------------------------------------------------
 
@@ -152,19 +152,17 @@ class SurfaceJets:
 
     # -- first order -------------------------------------------------------
 
+    @cached_property
     def tangent_coeff_jets(self):
         """(a, b, c) with e1 = a f_x and e2 = b f_x + c f_y: a and c are
         the reciprocal norms of f_x and of f_y's residual off e1, and
         b = -a <f_y, e1> c."""
-        key = "tangent_coeffs"
-        if key not in self._cache:
-            a, c = self._invs
-            self._cache[key] = (a, -(a * self.partial(0, 1).dot(self.e1)) * c, c)
-        return self._cache[key]
+        a, c = self._invs
+        return a, -(a * self.partial(0, 1).dot(self.e1)) * c, c
 
     def complex_tangent_coeffs(self):
         """(cx, cy) with (e1 - i e2)/2 = cx f_x + cy f_y (jets)."""
-        a, b, c = self.tangent_coeff_jets()
+        a, b, c = self.tangent_coeff_jets
         return (a - b.scale(1j)).scale(0.5), (-c.scale(1j)).scale(0.5)
 
     def tangent_project_off(self, v: JetVec) -> JetVec:
@@ -172,6 +170,7 @@ class SurfaceJets:
 
     # -- second order --------------------------------------------------------
 
+    @cached_property
     def second_fundamental(self):
         """Jets of the second-form values on the orthonormal frame.
 
@@ -181,62 +180,53 @@ class SurfaceJets:
         tensorial, so pointwise coefficients suffice; keeping them as
         jets makes the result a differentiable field).
         """
-        key = "second"
-        if key not in self._cache:
-            h_xx = self.tangent_project_off(self.partial(2, 0))
-            h_xy = self.tangent_project_off(self.partial(1, 1))
-            h_yy = self.tangent_project_off(self.partial(0, 2))
-            a, b, c = self.tangent_coeff_jets()
-            a11 = h_xx.scale(a * a)
-            a12 = h_xx.scale(a * b) + h_xy.scale(a * c)
-            a22 = h_xx.scale(b * b) + h_xy.scale((b * c).scale(2.0)) + h_yy.scale(c * c)
-            self._cache[key] = (a11, a12, a22)
-        return self._cache[key]
+        h_xx = self.tangent_project_off(self.partial(2, 0))
+        h_xy = self.tangent_project_off(self.partial(1, 1))
+        h_yy = self.tangent_project_off(self.partial(0, 2))
+        a, b, c = self.tangent_coeff_jets
+        a11 = h_xx.scale(a * a)
+        a12 = h_xx.scale(a * b) + h_xy.scale(a * c)
+        a22 = h_xx.scale(b * b) + h_xy.scale((b * c).scale(2.0)) + h_yy.scale(c * c)
+        return a11, a12, a22
 
     def mean_curvature(self) -> JetVec:
-        a11, _, a22 = self.second_fundamental()
+        a11, _, a22 = self.second_fundamental
         return (a11 + a22).scale(0.5)
 
     def traceless_second(self):
         """(xi1, xi2) = ((a11 - a22)/2, a12): semi-diameters of the first ellipse."""
-        a11, a12, a22 = self.second_fundamental()
+        a11, a12, a22 = self.second_fundamental
         return (a11 - a22).scale(0.5), a12
 
+    @cached_property
     def alpha_wirtinger(self) -> JetVec:
         """Second form on the coordinate Wirtinger pair: normal part of f_zz."""
-        key = "alpha_zz"
-        if key not in self._cache:
-            fzz = (self.partial(2, 0) - self.partial(0, 2) - self.partial(1, 1).scale(2j)).scale(0.25)
-            self._cache[key] = self.tangent_project_off(fzz)
-        return self._cache[key]
+        fzz = (self.partial(2, 0) - self.partial(0, 2) - self.partial(1, 1).scale(2j)).scale(0.25)
+        return self.tangent_project_off(fzz)
 
     def laplacian(self) -> JetVec:
         return self.partial(2, 0) + self.partial(0, 2)
 
     # -- curvature scalars ----------------------------------------------------
 
+    @cached_property
     def curvature_scalars(self):
         """Dict of K, K_N (unsigned; signed for n=4), ||H||^2, Wintgen defect."""
-        key = "scalars"
-        if key not in self._cache:
-            a11, a12, a22 = self.second_fundamental()
-            xi1, xi2 = self.traceless_second()
-            x1 = _nvalue(xi1)
-            x2 = _nvalue(xi2)
-            K = np.sum(_nvalue(a11) * _nvalue(a22), axis=0) - np.sum(_nvalue(a12) ** 2, axis=0)
-            p = np.sum(x1 * x1, axis=0)
-            q = np.sum(x2 * x2, axis=0)
-            r = np.sum(x1 * x2, axis=0)
-            KN = 2.0 * np.sqrt(np.maximum(p * q - r * r, 0.0))
-            if self.n == 4:
-                KN = KN * self._normal_orientation_sign(x1, x2)
-            H = self.mean_curvature()
-            H2 = np.sum(_nvalue(H) ** 2, axis=0)
-            wintgen = H2 - K - np.abs(KN)
-            self._cache[key] = {
-                "K": K, "K_N": KN, "H_norm_sq": H2, "wintgen_defect": wintgen,
-            }
-        return self._cache[key]
+        a11, a12, a22 = self.second_fundamental
+        xi1, xi2 = self.traceless_second()
+        x1 = _nvalue(xi1)
+        x2 = _nvalue(xi2)
+        K = np.sum(_nvalue(a11) * _nvalue(a22), axis=0) - np.sum(_nvalue(a12) ** 2, axis=0)
+        p = np.sum(x1 * x1, axis=0)
+        q = np.sum(x2 * x2, axis=0)
+        r = np.sum(x1 * x2, axis=0)
+        KN = 2.0 * np.sqrt(np.maximum(p * q - r * r, 0.0))
+        if self.n == 4:
+            KN = KN * self._normal_orientation_sign(x1, x2)
+        H = self.mean_curvature()
+        H2 = np.sum(_nvalue(H) ** 2, axis=0)
+        wintgen = H2 - K - np.abs(KN)
+        return {"K": K, "K_N": KN, "H_norm_sq": H2, "wintgen_defect": wintgen}
 
     def _normal_orientation_sign(self, x1, x2):
         """Orientation sign of (xi1, xi2) against the ambient for n = 4."""
@@ -346,28 +336,29 @@ class SurfaceJets:
         to jet order - 2) can be differentiated, so deeper levels are left
         out.
         """
-        key = "connection"
-        if key not in self._cache:
-            levels = self.flag(min(self.flag_capacity(), self.order - 2))
-            nfr = [fr for lev in levels for fr in lev.frames]
-            # e1 = a d/dx and e2 = b d/dx + c d/dy; only the pairings'
-            # values are read, so the derivatives along them take the
-            # order-0 coefficients
-            a, b, c = (t.truncate(0) for t in self.tangent_coeff_jets())
-            dx = [ea.dx() for ea in nfr]
-            dy = [ea.dy() for ea in nfr]
-            along = ([d.scale(a) for d in dx],
-                     [d.scale(b) + e.scale(c) for d, e in zip(dx, dy)])
-            nf = len(nfr)
-            omega = np.zeros((2, nf, nf) + self.batch)
-            for i, ders in enumerate(along):
-                for aa in range(nf):
-                    for bb in range(aa + 1, nf):
-                        val = ders[aa].dot_value(nfr[bb]).real
-                        omega[i, aa, bb] = val
-                        omega[i, bb, aa] = -val
-            self._cache[key] = {"omega": omega, "valid": self._levels_valid}
-        return self._cache[key]
+        return self._connection
+
+    @cached_property
+    def _connection(self):
+        levels = self.flag(min(self.flag_capacity(), self.order - 2))
+        nfr = [fr for lev in levels for fr in lev.frames]
+        # e1 = a d/dx and e2 = b d/dx + c d/dy; only the pairings' values
+        # are read, so the derivatives along them take the order-0
+        # coefficients
+        a, b, c = (t.truncate(0) for t in self.tangent_coeff_jets)
+        dx = [ea.dx() for ea in nfr]
+        dy = [ea.dy() for ea in nfr]
+        along = ([d.scale(a) for d in dx],
+                 [d.scale(b) + e.scale(c) for d, e in zip(dx, dy)])
+        nf = len(nfr)
+        omega = np.zeros((2, nf, nf) + self.batch)
+        for i, ders in enumerate(along):
+            for aa in range(nf):
+                for bb in range(aa + 1, nf):
+                    val = ders[aa].dot_value(nfr[bb]).real
+                    omega[i, aa, bb] = val
+                    omega[i, bb, aa] = -val
+        return {"omega": omega, "valid": self._levels_valid}
 
 
 def hodge_relation_residuals(bundle: SurfaceJets):
@@ -422,7 +413,7 @@ def first_normal_rank(bundle: SurfaceJets):
     span of {alpha(e_i, e_j)} can have rank up to 3.  Returns (rank,
     singular values).
     """
-    a11, a12, a22 = bundle.second_fundamental()
+    a11, a12, a22 = bundle.second_fundamental
     mat = np.stack([_nvalue(a11), _nvalue(a12), _nvalue(a22)], axis=-1)
     return _rank(np.moveaxis(mat, 0, -2))  # of (*batch, n, 3)
 

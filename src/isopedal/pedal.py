@@ -50,20 +50,38 @@ REGULARITY_RTOL = 1e-6  # relative floor for the tangent / first-normal parts
 
 @dataclass
 class PedalBundle:
-    """Jet-level pedal decomposition over a batch of points.
-
-    The per-point values its consumers share are built once, on first
-    use: theta, the frames e1 ... e4 and the two explicit normal sections
-    of the pedal.
-    """
+    """Jet-level pedal decomposition of a bundle's position vector, each
+    part built on first use and kept.  The tangential part and the pedal
+    point read only the tangent frame; `valid`, the first-normal part and
+    every part that reads it build the first flag level."""
 
     base: SurfaceJets
-    tangent_part: JetVec      # projection of the position onto the tangent plane
-    foot: JetVec              # pedal point g = f - tangent_part
-    first_normal_part: JetVec  # component of g in the first normal space
-    higher_normal_part: JetVec  # g minus that component
-    osc_norm_sq: Jet          # ||tangent_part||^2 + ||first_normal_part||^2
-    valid: np.ndarray
+
+    @cached_property
+    def tangent_part(self) -> JetVec:  # projection of the position onto the tangent plane
+        f, e1, e2 = self.base.f, self.base.e1, self.base.e2
+        return e1.scale(f.dot(e1)) + e2.scale(f.dot(e2))
+
+    @cached_property
+    def foot(self) -> JetVec:  # pedal point g = f - tangent_part
+        return normal_part(self.base, self.base.f)
+
+    @cached_property
+    def first_normal_part(self) -> JetVec:  # component of g in the first normal space
+        e3, e4 = self.base.flag(1)[0].frames  # N_1 has rank 2 in every ambient dimension n >= 4
+        return e3.scale(self.foot.dot(e3)) + e4.scale(self.foot.dot(e4))
+
+    @cached_property
+    def higher_normal_part(self) -> JetVec:  # g minus that component
+        return self.foot - self.first_normal_part
+
+    @cached_property
+    def osc_norm_sq(self) -> Jet:  # ||tangent_part||^2 + ||first_normal_part||^2
+        return self.tangent_part.norm_sq() + self.first_normal_part.norm_sq()
+
+    @cached_property
+    def valid(self) -> np.ndarray:
+        return self.base.flag(1)[0].valid
 
     @cached_property
     def theta(self) -> np.ndarray:
@@ -103,46 +121,20 @@ class PedalBundle:
 
     def conformal_factor_predicted(self) -> np.ndarray:
         """-K * osc_norm_sq / 2 pointwise (the pedal/base metric ratio)."""
-        K = self.base.curvature_scalars()["K"]
+        K = self.base.curvature_scalars["K"]
         return -K * self.theta / 2.0
 
 
 def pedal_split(bundle: SurfaceJets) -> PedalBundle:
-    """Split the position vector along tangent plane and normal flag.
-
-    All five parts are returned as jets; the first-normal component is
-    only trustworthy to (bundle order - 2).
-    """
-    f = bundle.f
-    z1 = f.dot(bundle.e1)
-    z2 = f.dot(bundle.e2)
-    tangent_part = bundle.e1.scale(z1) + bundle.e2.scale(z2)
-    foot = f - tangent_part
-    lev1 = bundle.flag(1)[0]
-    e3, e4 = lev1.frames  # N_1 has rank 2 in every ambient dimension n >= 4
-    delta = e3.scale(foot.dot(e3)) + e4.scale(foot.dot(e4))
-    eta = foot - delta
-    osc = tangent_part.norm_sq() + delta.norm_sq()
-    return PedalBundle(
-        base=bundle,
-        tangent_part=tangent_part,
-        foot=foot,
-        first_normal_part=delta,
-        higher_normal_part=eta,
-        osc_norm_sq=osc,
-        valid=lev1.valid,
-    )
+    """Split the position vector along tangent plane and normal flag; the
+    first-normal component is only trustworthy to (bundle order - 2)."""
+    return PedalBundle(bundle)
 
 
-def normal_part(bundle: SurfaceJets, order: int, v=None):
-    """(jets, valid) of w - e1<w, e1> - e2<w, e2> truncated to `order`,
-    for w the position f (the pedal) or the constant vector v (its
-    normal shadow); exact to one order less than the bundle."""
-    w = bundle.f
-    if v is not None:
-        w = JetVec.const(v, w.order, bundle.batch)
-    part = w - bundle.e1.scale(w.dot(bundle.e1)) - bundle.e2.scale(w.dot(bundle.e2))
-    return part.truncate(order), bundle.valid
+def normal_part(bundle: SurfaceJets, w: JetVec) -> JetVec:
+    """w - e1<w, e1> - e2<w, e2>: the pedal for w the position f, the normal
+    shadow of v for w constant v; exact to one order less than the bundle."""
+    return w - bundle.e1.scale(w.dot(bundle.e1)) - bundle.e2.scale(w.dot(bundle.e2))
 
 
 def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
@@ -155,7 +147,8 @@ def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
     """
 
     def fn(x, y, order):
-        return normal_part(SurfaceJets(surface, x, y, order + 1), order)
+        bundle = SurfaceJets(surface, x, y, order + 1)
+        return pedal_split(bundle).foot.truncate(order), bundle.valid
 
     return SurfaceEvaluator(surface.ambient_dim, f"pedal({surface.provenance})", fn)
 
@@ -167,7 +160,7 @@ class SurfacePipeline:
     `base` is the surface's bundle at the pipeline's jet order, `split`
     the pedal decomposition of its position vector, `pedal_evaluated` and
     `pedal` the pedal's jets and bundle one order lower, built from
-    `base`'s jets; `on(res)` is the same surface on the res x res subgrid
+    `split.foot`; `on(res)` is the same surface on the res x res subgrid
     of the window at MIN_ORDER, or the pipeline itself when that subgrid
     is its grid.  Each is built on first use and kept.
     """
@@ -194,14 +187,16 @@ class SurfacePipeline:
         return pedal_split(self.base)
 
     def normal_surface(self, v=None) -> SurfaceEvaluator:
-        """The pedal (v None) or the normal shadow of the constant vector v
-        on the grid, from the base bundle's jets, one order lower.  The
+        """The pedal (v None, `split.foot`) or the normal shadow of the
+        constant vector v on the grid, one order lower.  The
         shadow is the c = 0 member of the shifted pedal family: the pedal
         of c*f + v is c*(pedal of f) + (shadow of v), and the shadow
         survives c -> 0."""
         kind = "pedal" if v is None else "shadow"
+        jets = (self.split.foot if v is None
+                else normal_part(self.base, JetVec.const(v, self.order, self.base.batch)))
         return SurfaceEvaluator.of_jets(f"{kind}({self.evaluator.provenance})", self.x, self.y,
-                                        *normal_part(self.base, self.order - 1, v))
+                                        jets.truncate(self.order - 1), self.base.valid)
 
     @cached_property
     def pedal_evaluated(self) -> SurfaceEvaluator:

@@ -167,8 +167,8 @@ CHECKS = (
     Check("pedal_mean.laplacian", "verify_meancurvature", 1e-6,
           "the metric Laplacian of the pedal equals 2K(delta - Z) (relative defect)"),
     Check("pedal_mean.scaling", "verify_meancurvature", 1e-9,
-          "doubling the base surface halves the pedal's mean curvature pointwise "
-          "(homothety control)"),
+          "tripling the base surface divides the pedal's mean curvature by three "
+          "pointwise (homothety control)"),
     Check("pedal_secondform.span", "verify_pedal_secondform", 1e-7,
           "the (2,0) second form of the pedal lies in the base's second osculating "
           "flag (checked also in R^8 where the complement is nontrivial)"),
@@ -357,7 +357,7 @@ def verify_generation(run: Run) -> dict:
     pipe = run.surface
     base = pipe.base
     H = _nvalue(base.mean_curvature())
-    a11, a12, a22 = (_nvalue(a) for a in base.second_fundamental())
+    a11, a12, a22 = (_nvalue(a) for a in base.second_fundamental)
     scale = np.sqrt(np.sum(a11 * a11, axis=0) + 2 * np.sum(a12 * a12, axis=0)
                     + np.sum(a22 * a22, axis=0))
     return {
@@ -383,7 +383,7 @@ def verify_superconformal(run: Run) -> dict:
     """
     gb = run.surface.pedal
     defect1, _ = gb.circle_defect(1)
-    sc = gb.curvature_scalars()
+    sc = gb.curvature_scalars
     scale = np.abs(sc["K"]) + np.abs(sc["K_N"]) + sc["H_norm_sq"]
     ctrl = run.control
     cdef, _ = ctrl.pedal.circle_defect(1)
@@ -486,21 +486,21 @@ def verify_meancurvature(run: Run) -> dict:
     defect = _norms(H_direct - H_pred) / np.maximum(_norms(H_pred), _TINY)
 
     lap = _nvalue(pipe.pedal.laplacian()) / np.maximum(pipe.base.E0, _TINY)
-    K = pipe.base.curvature_scalars()["K"]
+    K = pipe.base.curvature_scalars["K"]
     rhs = 2.0 * K * (_nvalue(sp.first_normal_part) - _nvalue(sp.tangent_part))
     ldef = _norms(lap - rhs) / np.maximum(_norms(rhs), _TINY)
 
-    # homothety control: the pedal of 2f is 2g, so its mean curvature is
-    # half that of g, pointwise
+    # homothety control: the pedal of 3f is 3g, so its mean curvature is a
+    # third of g's, pointwise (not 2: doubling is exact, the defect reads 0)
     sub = pipe.on(7)
-    twice = SurfacePipeline(sub.evaluated.affine(scale=2.0), sub.grid, MIN_ORDER).pedal
+    thrice = SurfacePipeline(sub.evaluated.affine(scale=3.0), sub.grid, MIN_ORDER).pedal
     H_base = _nvalue(sub.pedal.mean_curvature())
-    H_twice = _nvalue(twice.mean_curvature())
-    sdef = _norms(H_twice - 0.5 * H_base) / np.maximum(_norms(0.5 * H_base), _TINY)
+    H_thrice = _nvalue(thrice.mean_curvature())
+    sdef = _norms(H_thrice - H_base / 3.0) / np.maximum(_norms(H_base / 3.0), _TINY)
     return {
         "pedal_mean.formula": Outcome(defect),
         "pedal_mean.laplacian": Outcome(ldef),
-        "pedal_mean.scaling": Outcome(sdef, sub.pre & sub.pedal.valid & twice.valid, sub.grid),
+        "pedal_mean.scaling": Outcome(sdef, sub.pre & sub.pedal.valid & thrice.valid, sub.grid),
     }
 
 
@@ -524,7 +524,7 @@ def _alpha_dz_position(base: SurfaceJets, Z, n3, n4):
     tangent = [base.e1.truncate(0), base.e2.truncate(0)]
     hxx, hxy, hyy = (_nvalue(base.partial(*key).truncate(0).project_off(tangent))
                      for key in ((2, 0), (1, 1), (0, 2)))
-    a, b, c = (j.value().real for j in base.tangent_coeff_jets())
+    a, b, c = (j.value().real for j in base.tangent_coeff_jets)
     z1 = np.sum(Z * _nvalue(base.e1), axis=0)
     z2 = np.sum(Z * _nvalue(base.e2), axis=0)
     p = z1 * a + z2 * b
@@ -539,7 +539,7 @@ def _secondform_span_pairing(pipe: SurfacePipeline):
     flag level's (a degenerate ellipse there leaves no frame to pair)."""
     base = pipe.base
     sp = pipe.split
-    ag = pipe.pedal.alpha_wirtinger().value()  # complex (n, points)
+    ag = pipe.pedal.alpha_wirtinger.value()  # complex (n, points)
     lev = base.flag(min(2, base.flag_capacity()))
     u1, u2 = sp.sections
     frames = [*sp.frames, *(_nvalue(fr) for level in lev[1:] for fr in level.frames)]
@@ -566,7 +566,7 @@ def _secondform_top_defect(pipe: SurfacePipeline):
     """
     base = pipe.base
     sp = pipe.split
-    ag = pipe.pedal.alpha_wirtinger().value()
+    ag = pipe.pedal.alpha_wirtinger.value()
     lev = base.flag(2)
     f3, f4 = lev[0].frames
     f5, f6 = lev[1].frames
@@ -685,7 +685,7 @@ def verify_swillmore(run: Run) -> dict:
     mask = pipe.mask()
     H = gb.mean_curvature()
     nabH = H.wirtinger().truncate(0).project_off([gb.e1.truncate(0), gb.e2.truncate(0)]).value()
-    ag = gb.alpha_wirtinger().value()
+    ag = gb.alpha_wirtinger.value()
     direct, both_ok = _plane_angle_defect(nabH, ag)
     mask_d = mask & both_ok
 
@@ -705,7 +705,7 @@ def verify_swillmore(run: Run) -> dict:
     f5 = lev[1].frames[0]
     omega_dz = e3.wirtinger().dot_value(f5)
 
-    alpha_zz = base.alpha_wirtinger()
+    alpha_zz = base.alpha_wirtinger
     A3 = alpha_zz.dot_value(e3)
     fx, fy = base.partial(1, 0), base.partial(0, 1)
     fz = (fx - fy.scale(1j)).scale(0.5)

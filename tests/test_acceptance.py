@@ -70,11 +70,11 @@ def test_criterion_02_generated_surfaces_minimal(checks):
 def test_criterion_03_gauss_curvature_closed_form():
     ev = surface_evaluator(preset_curve("holo3"))
     x, y = Grid().points()
-    K = SurfaceJets(ev, x, y, 3).curvature_scalars()["K"]
+    K = SurfaceJets(ev, x, y, 3).curvature_scalars["K"]
     want = -8.0 / (1.0 + 2.0 * (x * x + y * y)) ** 4
     rel = float(np.max(np.abs(K - want) / np.abs(want)))
     x0, y0 = Grid(x0=-0.5, x1=0.5, y0=-0.5, y1=0.5, nx=3, ny=3).points()
-    K0 = SurfaceJets(ev, x0, y0, 3).curvature_scalars()["K"][4]
+    K0 = SurfaceJets(ev, x0, y0, 3).curvature_scalars["K"][4]
     origin_rel = abs(K0 + 8.0) / 8.0
     ok = rel <= 1e-6 and origin_rel <= 1e-6
     assert _line(3, "Gauss curvature matches -8/(1+2(x^2+y^2))^4, relative "

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, summaries, exit codes."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -11,9 +12,11 @@ import pytest
 
 from isopedal import cli
 from isopedal.cli import main
+from isopedal.config import RunConfig
 from isopedal.export import GEOMETRY_COLUMNS
 from isopedal.geometry import SurfaceJets
 from isopedal.pedal import MIN_ORDER
+from isopedal.verify import report_to_json, run_all
 from isopedal.weierstrass import surface_evaluator
 
 SMALL = "0.3,1.3,0.3,1.3,5,5"
@@ -190,6 +193,21 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     assert len(report["checks"]) == 30
     assert all(rec["pass"] for rec in report["checks"])
     assert report["environment"]["points"] == {"total": 25, "usable": 25}
+
+
+def test_verify_writes_the_report_bytes(tmp_path):
+    assert main(["verify", "--out", str(tmp_path), "--grid", SMALL, "--check", "generator"]) == 0
+    cfg = RunConfig.from_document({"seed_preset": "holo3", "grid": SMALL, "checks": "generator"})
+    assert (tmp_path / "report.json").read_bytes() == report_to_json(run_all(cfg)).encode()
+
+
+def test_pedal_mesh_and_table_carry_the_same_pedal(tmp_path):
+    assert main(["pedal", "--out", str(tmp_path)]) == 0
+    mesh = [[float(c) for c in line.split()[1:]]
+            for line in (tmp_path / "g.obj").read_text().splitlines() if line.startswith("v ")]
+    rows = list(csv.DictReader((tmp_path / "pedal.csv").open(newline="")))
+    table = [[float(row[f"g_{k}"]) for k in range(3)] for row in rows]
+    assert len(mesh) == 441 and mesh == table
 
 
 def test_verify_reports_are_deterministic(tmp_path):

@@ -57,14 +57,14 @@ def test_gauss_curvature_closed_form_on_grid():
     grid = Grid()
     x, y = grid.points()
     b = SurfaceJets(ev, x, y, 3)
-    K = b.curvature_scalars()["K"]
+    K = b.curvature_scalars["K"]
     want = closed_form_K(x, y)
     assert np.max(np.abs(K - want) / np.abs(want)) < 1e-10
 
 
 def test_gauss_curvature_at_origin():
     b = SurfaceJets(holo3(), np.array([0.0, 1.0]), np.array([0.0, 0.0]), 4)
-    K = b.curvature_scalars()["K"]
+    K = b.curvature_scalars["K"]
     assert abs(K[0] + 8.0) < 1e-12
     assert abs(K[1] + 8.0 / 81.0) < 1e-12
 
@@ -74,7 +74,7 @@ def test_extrinsic_matches_intrinsic_gauss():
     x = np.array([0.5, 0.9, 1.2])
     y = np.array([0.8, 0.35, 1.1])
     b = SurfaceJets(ev, x, y, 4)
-    K_ext = b.curvature_scalars()["K"]
+    K_ext = b.curvature_scalars["K"]
     K_int = intrinsic_gauss(b)
     assert np.max(np.abs(K_ext - K_int)) < 1e-8 * np.max(np.abs(K_ext))
 
@@ -84,7 +84,7 @@ def test_minimal_surface_has_vanishing_mean_curvature():
     grid = Grid(nx=9, ny=9)
     x, y = grid.points()
     b = SurfaceJets(ev, x, y, 3)
-    a11, a12, a22 = b.second_fundamental()
+    a11, a12, a22 = b.second_fundamental
     H = (np.linalg.norm(a11.value().real + a22.value().real, axis=0)) / 2
     scale = np.linalg.norm(a11.value().real, axis=0) + np.linalg.norm(a12.value().real, axis=0)
     assert np.max(H / np.maximum(scale, 1e-300)) < 1e-12
@@ -142,14 +142,14 @@ def test_ellipse_samples_match_flag_levels():
 def test_wintgen_equality_for_superconformal_minimal():
     # K + |K_N| <= ||H||^2 with equality iff the first ellipse is a circle
     b = SurfaceJets(holo3(), np.array([0.9]), np.array([0.4]), 4)
-    sc = b.curvature_scalars()
+    sc = b.curvature_scalars
     K, KN, H2 = sc["K"][0], sc["K_N"][0], sc["H_norm_sq"][0]
     assert abs(K + abs(KN) - H2) < 1e-12 * max(abs(K), 1.0)
 
 
 def test_second_fundamental_traceless_split():
     b = SurfaceJets(holo3(), np.array([1.1]), np.array([0.3]), 4)
-    v11 = b.second_fundamental()[0].value().real[:, 0]
+    v11 = b.second_fundamental[0].value().real[:, 0]
     H = b.mean_curvature().value().real[:, 0]
     xi1, xi2 = (xi.value().real[:, 0] for xi in b.traceless_second())
     assert np.max(np.abs(H)) < 1e-12 * np.max(np.abs(v11))
@@ -198,7 +198,7 @@ def test_tangent_coefficients_express_the_frame_as_jets():
     assert np.all(b.valid)
     fx, fy = b.partial(1, 0), b.partial(0, 1)
     assert np.min(np.abs(fx.dot(fy).value())) > 0.1
-    a, bb, c = b.tangent_coeff_jets()
+    a, bb, c = b.tangent_coeff_jets
     # every jet coefficient, not just the values
     for frame, combination in ((b.e1, fx.scale(a)), (b.e2, fx.scale(bb) + fy.scale(c))):
         assert frame.order == combination.order == 3
@@ -234,7 +234,7 @@ def test_degenerate_point_is_not_immersed():
 def test_geometry_sample_roundtrip():
     b = SurfaceJets(holo3(), np.array([0.9]), np.array([0.9]), 4)
     assert b.valid[0]
-    assert abs(b.curvature_scalars()["K"][0] - closed_form_K(0.9, 0.9)) < 1e-10
+    assert abs(b.curvature_scalars["K"][0] - closed_form_K(0.9, 0.9)) < 1e-10
     assert b.circle_defect(1)[0][0] < 1e-12
     lev2 = b.flag(2)[1]
     assert len(lev2.frames) == 2 and lev2.valid[0]

@@ -410,6 +410,6 @@ def test_table_dtype_follows_the_inputs():
             pb.tangent_part, pb.first_normal_part, inverted.jets(x, y, 3)]
     for jv in real:
         assert jv.t.dtype == np.float64
-    for jv in (bundle.f.wirtinger(), bundle.alpha_wirtinger()):
+    for jv in (bundle.f.wirtinger(), bundle.alpha_wirtinger):
         assert jv.t.dtype == np.complex128
     assert bundle.f.wirtinger().real().t.dtype == np.float64

@@ -17,6 +17,7 @@ import numpy as np
 
 from isopedal.geometry import SurfaceJets
 from isopedal.pedal import (
+    SurfacePipeline,
     pedal_regularity,
     pedal_split,
     pedal_surface,
@@ -82,13 +83,33 @@ def test_pedal_evaluator_matches_split_foot():
     assert np.max(np.abs(deriv(jets, 2, 1) - deriv(pb.foot, 2, 1))) < 1e-11
 
 
+def test_every_route_to_the_pedal_reads_the_split_foot():
+    ev = holo3()
+    pipe = SurfacePipeline(ev, Grid(nx=5, ny=5), 4)
+    g = pipe.pedal_evaluated.jets(pipe.x, pipe.y, 3)
+    assert np.array_equal(g.t, pipe.split.foot.truncate(3).t)
+    x = np.array([0.5, 0.9, 1.3])
+    y = np.array([0.8, 0.4, 0.6])
+    for k in (2, 3):
+        foot = pedal_split(SurfaceJets(ev, x, y, k + 1)).foot
+        assert np.array_equal(pedal_surface(ev).jets(x, y, k).t, foot.truncate(k).t)
+
+
+def test_the_pedal_alone_builds_no_flag_level():
+    pipe = SurfacePipeline(holo3(), Grid(nx=5, ny=5), 4)
+    assert pipe.pedal.valid.shape == (25,)
+    assert len(pipe.base._levels) == 0
+    assert pipe.split.valid.shape == (25,)
+    assert len(pipe.base._levels) == 1
+
+
 def test_predicted_mean_curvature_matches_direct_jets():
     ev = holo3()
     g_ev = pedal_surface(ev)
     x = np.array([0.45, 0.8, 1.25])
     y = np.array([0.95, 0.55, 0.35])
     gb = SurfaceJets(g_ev, x, y, 3)
-    a11, _, a22 = gb.second_fundamental()
+    a11, _, a22 = gb.second_fundamental
     H_direct = (a11.value().real + a22.value().real) / 2
     pb = pedal_split(SurfaceJets(ev, x, y, 4))
     H_pred = pb.mean_curvature_predicted().value().real
@@ -105,7 +126,7 @@ def test_laplace_identity_against_curvature():
     gxx = deriv(pb.foot, 2, 0).real
     gyy = deriv(pb.foot, 0, 2).real
     E = pb.base.E0
-    K = pb.base.curvature_scalars()["K"]
+    K = pb.base.curvature_scalars["K"]
     lhs = (gxx + gyy) / E
     rhs = 2.0 * K * (pb.first_normal_part - pb.tangent_part).value().real
     assert np.max(np.abs(lhs - rhs)) < 1e-11 * np.max(np.abs(rhs))
@@ -154,6 +175,6 @@ def test_pedal_is_superconformal_but_not_minimal():
     gb = SurfaceJets(g_ev, x, y, 3)
     defect, _ = gb.circle_defect(1)
     assert np.max(defect) < 1e-12
-    sc = gb.curvature_scalars()
+    sc = gb.curvature_scalars
     assert np.min(sc["H_norm_sq"]) > 1e-3  # genuinely non-minimal
     assert np.max(np.abs(sc["wintgen_defect"])) < 1e-12 * np.max(sc["H_norm_sq"])

@@ -20,6 +20,7 @@ from isopedal.config import RunConfig
 from isopedal.errors import ConfigError
 from isopedal.geometry import SurfaceJets
 from isopedal.grid import Grid
+from isopedal.jets import JetVec
 from isopedal.pedal import SurfacePipeline, normal_part, pedal_surface
 from isopedal.verify import (
     _center_lattice,
@@ -104,6 +105,20 @@ def test_verdicts_are_invariant_under_a_power_of_two_homothety(k):
                 for r in run_all(RunConfig.from_document(doc))["checks"]]
 
     assert report(k) == report(0)
+
+
+# tripling is not exact in floating point, so the homothety control
+# measures rounding: a defect of 0 would mean it compares equal numbers
+@pytest.mark.parametrize("doc", [
+    {"seed_preset": "holo3"},
+    {"seed_preset": "holo4"},
+    {"seed_preset": "holo3", "grid": "-0.5,0.5,-0.5,0.5,11,11"},
+], ids=["holo3", "holo4", "branch-window"])
+def test_the_homothety_control_reads_a_nonzero_passing_defect(doc):
+    report = run_all(RunConfig.from_document({**doc, "checks": "pedal_mean.scaling"}))
+    rec = by_id(report)["pedal_mean.scaling"]
+    assert rec["status"] == "evaluated" and rec["pass"]
+    assert 0.0 < rec["defect"] <= rec["threshold"]
 
 
 R5_SPEC = {"ambient_dim": 5, "isotropy_order": 1,
@@ -249,7 +264,7 @@ def test_shadow_surface_is_pedal_family_limit():
     v = np.array([0.9, -0.4, 0.7, 0.3, -0.8, 0.5])
     x = np.array([0.6, 1.0])
     y = np.array([0.8, 0.5])
-    shadow, _ = normal_part(SurfaceJets(ev, x, y, 3), 2, v)
+    shadow = normal_part(SurfaceJets(ev, x, y, 3), JetVec.const(v, 3, x.shape))
     c = 0.25
     lhs = pedal_surface(ev.affine(scale=c, translation=v)).jets(x, y, 2).value().real
     g = pedal_surface(ev).jets(x, y, 2).value().real
@@ -536,7 +551,7 @@ def test_selected_check_runs_only_its_part_of_the_group(monkeypatch):
 
 def test_subgrid_checks_share_the_surface_bundle_on_the_7x7_subgrid(monkeypatch):
     # the scaling control and the random inversions read one bundle of
-    # the surface there (the control's doubled surface has its own)
+    # the surface there (the control's tripled surface has its own)
     cfg = small_config(checks=("pedal_mean.scaling", "first_normal_rank.inverted"))
     builds = []
     init = verify.SurfaceJets.__init__
