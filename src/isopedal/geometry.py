@@ -222,13 +222,13 @@ class SurfaceJets:
         r = np.sum(x1 * x2, axis=0)
         KN = 2.0 * np.sqrt(np.maximum(p * q - r * r, 0.0))
         if self.n == 4:
-            KN = KN * self._normal_orientation_sign(x1, x2)
+            KN = KN * self._normal_orientation_sign()
         H = self.mean_curvature()
         H2 = np.sum(_nvalue(H) ** 2, axis=0)
         wintgen = H2 - K - np.abs(KN)
         return {"K": K, "K_N": KN, "H_norm_sq": H2, "wintgen_defect": wintgen}
 
-    def _normal_orientation_sign(self, x1, x2):
+    def _normal_orientation_sign(self):
         """Orientation sign of (xi1, xi2) against the ambient for n = 4."""
         frames = (self.e1, self.e2, *self.flag(1)[0].frames)  # N_1 has rank 2
         mats = np.stack([_nvalue(e) for e in frames], axis=-1)
@@ -278,7 +278,7 @@ class SurfaceJets:
         # detected rank of the projected span at order 0: the partials'
         # order-0 values, stacked on a leading batch axis, projected off
         # the frames' order-0 values
-        vals = JetVec._of(np.stack([p.t[:1, :1] for p in raws], axis=3))
+        vals = JetVec._of(np.stack([p.truncate(0).t for p in raws], axis=2))
         mat = _nvalue(vals.project_off([e.truncate(0) for e in frames_all]))  # (n, s+1, *batch)
         rank, _ = _rank(np.moveaxis(mat, (0, 1), (-2, -1)))  # of (*batch, n, s+1)
 

@@ -5,23 +5,26 @@ A jet of order d at a base point stores the scaled Taylor coefficients
     c[i, j] = (d^{i+j} u / dx^i dy^j) / (i! j!),   i + j <= d,
 
 so that multiplication of jets is truncated coefficient convolution and
-polynomial lifts are exact in floating point up to rounding.  Entries of
-the square table with i + j > d are kept at zero.
+polynomial lifts are exact in floating point up to rounding.  Only the
+triangle i + j <= d is stored: T = (d+1)(d+2)/2 coefficients, packed in
+row-major order, so that c[i, j] sits at index i(d+1) - i(i-1)/2 + j
+and each row i of the triangle is one contiguous run of d+1-i entries.
 
 Jets are batched and every operation is vectorized over the batch axes.
 This is how grid evaluation is parallelized - one jet pipeline runs for
 all grid points at once.  Tables are stored coefficient-leading, so that
 each coefficient c[i, j] is one contiguous block and a product works on
-whole rows of such blocks:
+whole row segments of such blocks:
 
-* a `Jet` holds `t` of shape (d+1, d+1, *batch);
+* a `Jet` holds `t` of shape (T, *batch);
 * a `JetVec` (the jet of a map into R^n) holds one `t` of shape
-  (d+1, d+1, n, *batch), coefficients first, then components, so that a
-  vector operation (`dot`, `scale`, `project_off`, ...) is one pass of
-  numpy calls over all n components.
+  (T, n, *batch), coefficients first, then components, so that a vector
+  operation (`dot`, `scale`, `project_off`, ...) is one pass of numpy
+  calls over all n components.
 
-The public scalar layout is batch-leading: `Jet(c)` takes, and `Jet.c`
-returns as a view, an array of shape (*batch, d+1, d+1).
+The public scalar layout is the square, batch-leading one: `Jet(c)`
+takes an array of shape (*batch, d+1, d+1) and packs its triangle, and
+`Jet.c` returns a new array of that shape, zero above the triangle.
 
 The table dtype follows the inputs.  Real pipelines (surface jets,
 frames, pedals, inversions) carry float64 tables; complex tables occur
@@ -46,31 +49,78 @@ import numpy as np
 
 from .errors import DegenerateJet
 
-_TRI = {}
+_COORDS = {}
+_TRUNCATION = {}
+_DERIVATIVE = {}
 _MUL_PLAN = {}
 
 
-def _tri(D):
-    m = _TRI.get(D)
-    if m is None:
+def _size(D):
+    """T = D(D+1)/2, the coefficients of an order-(D-1) table."""
+    return D * (D + 1) // 2
+
+
+def _side(T):
+    """D = d + 1 for a packed table of T = D(D+1)/2 coefficients."""
+    return (int((8 * T + 1) ** 0.5) - 1) // 2
+
+
+def _at(D, i, j):
+    """Packed index of coefficient (i, j) of an order-(D-1) table."""
+    return i * D - i * (i - 1) // 2 + j
+
+
+def _coords(D):
+    """(rows, cols): the (i, j) of each packed coefficient of an
+    order-(D-1) table, in storage order."""
+    rc = _COORDS.get(D)
+    if rc is None:
         k = np.arange(D)
-        m = (k[:, None] + k[None, :]) <= (D - 1)
-        _TRI[D] = m
-    return m
+        rc = _COORDS[D] = np.nonzero(k[:, None] + k[None, :] <= D - 1)
+    return rc
 
 
-def _mul_plan(D):
-    """Schedule of the truncated product of two order-(D-1) tables.
+def _truncation(D, E):
+    """Packed indices, in an order-(D-1) table, of the coefficients an
+    order-(E-1) table keeps, in its storage order."""
+    idx = _TRUNCATION.get((D, E))
+    if idx is None:
+        rows, cols = _coords(D)
+        idx = _TRUNCATION[D, E] = np.flatnonzero(rows + cols < E)
+    return idx
 
-    Returns (left rows, output rows, steps).  The steps follow the right
-    factor's coefficients (i, j) in the order i, then j; each lists the
-    row segments it touches as index pairs into the two row lists: row p
-    of the left factor, columns 0..n-1, adds onto output row p + i,
-    columns j..j+n-1, with n = D - i - j - p so that only the triangle is
-    written.  Every segment is listed once, so a product slices each once.
+
+def _derivative(D):
+    """(x weights, y indices, y weights) of dx and dy on an order-(D-1)
+    table.  Coefficient (i, j) of dx is (i+1) c[i+1, j], and the rows
+    i+1 >= 1 are the packed tail t[D:]; coefficient (i, j) of dy is
+    (j+1) c[i, j+1], gathered from the columns j+1 >= 1."""
+    got = _DERIVATIVE.get(D)
+    if got is None:
+        rows, cols = _coords(D)
+        iy = np.flatnonzero(cols >= 1)
+        got = _DERIVATIVE[D] = (rows[D:].astype(float), iy, cols[iy].astype(float))
+    return got
+
+
+def _mul_plan(Ta, Tb):
+    """Schedule of the truncated product of a table of Ta packed
+    coefficients (order Da-1) by one of Tb (order Db-1), at order D-1 with
+    D = min(Da, Db).
+
+    Returns (D, left segments, output segments, steps).  The steps follow
+    the right factor's coefficients (i, j) in the order i, then j; each
+    holds that coefficient's packed slice and the row segments it touches
+    as index pairs into the two segment lists: row p of the left factor,
+    columns 0..n-1, adds onto output row p + i, columns j..j+n-1, with
+    n = D - i - j - p so that only the triangle is written.  Every
+    segment is one contiguous slice of its packed table, listed once, so
+    a product slices each once.
     """
-    plan = _MUL_PLAN.get(D)
+    plan = _MUL_PLAN.get((Ta, Tb))
     if plan is None:
+        Da, Db = _side(Ta), _side(Tb)
+        D = min(Da, Db)
         left, out, steps = {}, {}, []
         for i in range(D):
             for j in range(D - i):
@@ -79,20 +129,21 @@ def _mul_plan(D):
                     n = D - i - j - p
                     pairs.append((left.setdefault((p, n), len(left)),
                                   out.setdefault((p + i, j, n), len(out))))
-                steps.append(((i, slice(j, j + 1)), pairs))
-        plan = ([(p, slice(0, n)) for p, n in left],
-                [(row, slice(col, col + n)) for row, col, n in out], steps)
-        _MUL_PLAN[D] = plan
+                k = _at(Db, i, j)
+                steps.append((slice(k, k + 1), pairs))
+        plan = _MUL_PLAN[Ta, Tb] = (
+            D, [slice(_at(Da, p, 0), _at(Da, p, n)) for p, n in left],
+            [slice(_at(D, row, col), _at(D, row, col + n)) for row, col, n in out], steps)
     return plan
 
 
-def _fit(t, D, ndim, lead):
-    """Table `t` truncated to D coefficients per axis, with 1-axes
-    inserted after its `lead` leading axes until it has `ndim` axes."""
-    if t.shape[0] != D:
-        if t.shape[0] < D:
+def _fit(t, T, ndim, lead):
+    """Table `t` truncated to T packed coefficients, with 1-axes inserted
+    after its `lead` leading axes until it has `ndim` axes."""
+    if t.shape[0] != T:
+        if t.shape[0] < T:
             raise ValueError("cannot raise jet order by truncation")
-        t = t[:D, :D] * _tri(D).reshape((D, D) + (1,) * (t.ndim - 2))
+        t = t[_truncation(_side(t.shape[0]), _side(T))]
     if t.ndim < ndim:
         t = t.reshape(t.shape[:lead] + (1,) * (ndim - t.ndim) + t.shape[lead:])
     return t
@@ -102,31 +153,32 @@ def _align(a, b, lead):
     """Tables `a` and `b` at the lower order of the two, with equal rank."""
     if a.shape == b.shape:
         return a, b
-    D, ndim = min(a.shape[0], b.shape[0]), max(a.ndim, b.ndim)
-    return _fit(a, D, ndim, lead), _fit(b, D, ndim, lead)
+    T, ndim = min(a.shape[0], b.shape[0]), max(a.ndim, b.ndim)
+    return _fit(a, T, ndim, lead), _fit(b, T, ndim, lead)
 
 
 def _product(a, b, lead):
-    """Truncated Cauchy product of two tables, written only on the
-    triangle p + q <= d and broadcast over the axes after the first two.
+    """Truncated Cauchy product of two packed tables, broadcast over the
+    axes after the first.
 
     Each output coefficient receives its terms a[p, q] * b[i, j] in the
     order of (i, j), starting from zero, one row segment of `a` per numpy
     call.  The right factor's coefficient keeps a length-1 axis so that
-    both operands of every call have equal rank.
+    both operands of every call have equal rank.  The segments read only
+    the lower order's triangle, so a higher-order operand is read in
+    place, not truncated first.
     """
-    # the steps read only the triangle, so a higher-order operand is
-    # sliced to the lower order, not copied with its new triangle masked
-    D = min(a.shape[0], b.shape[0])
-    a, b = _align(a[:D, :D], b[:D, :D], lead)
-    shape = a.shape[2:] if a.shape == b.shape else np.broadcast_shapes(a.shape[2:], b.shape[2:])
-    out = np.zeros((D, D) + shape, dtype=np.result_type(a, b))
-    left_index, row_index, steps = _mul_plan(D)
+    D, left_index, row_index, steps = _mul_plan(a.shape[0], b.shape[0])
+    if a.ndim != b.ndim:
+        ndim = max(a.ndim, b.ndim)
+        a, b = _fit(a, a.shape[0], ndim, lead), _fit(b, b.shape[0], ndim, lead)
+    shape = a.shape[1:] if a.shape[1:] == b.shape[1:] else np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.zeros((_size(D),) + shape, dtype=np.result_type(a, b))
     left = [a[k] for k in left_index]
     rows = [out[k] for k in row_index]
     add, mul = np.add, np.multiply
-    for ij, pairs in steps:
-        bij = b[ij]
+    for bk, pairs in steps:
+        bij = b[bk]
         for k, r in pairs:
             o = rows[r]
             add(o, mul(left[k], bij), out=o)
@@ -140,11 +192,11 @@ def _divided(t, s):
 
 
 class _Table:
-    """Operations shared by `Jet` and `JetVec`: one table `t` with `_LEAD`
-    axes (coefficients, then components) before the batch axes."""
+    """Operations shared by `Jet` and `JetVec`: one packed table `t` with
+    `_LEAD` axes (coefficients, then components) before the batch axes."""
 
     __slots__ = ("t",)
-    _LEAD = 2
+    _LEAD = 1
 
     @classmethod
     def _of(cls, t):
@@ -155,7 +207,7 @@ class _Table:
 
     @property
     def order(self):
-        return self.t.shape[0] - 1
+        return _side(self.t.shape[0]) - 1
 
     @property
     def batch(self):
@@ -163,12 +215,12 @@ class _Table:
 
     def value(self):
         """Order-0 values, shape (*batch) or (n, *batch); a view into the table."""
-        return self.t[0, 0]
+        return self.t[0]
 
     def truncate(self, order):
         if order == self.order:
             return self
-        return self._of(_fit(self.t, order + 1, 0, 0))
+        return self._of(_fit(self.t, _size(order + 1), 0, 0))
 
     def scale(self, s):
         """Each coefficient times the number or batch array `s`."""
@@ -195,15 +247,17 @@ class _Table:
     def _weights(self, w):
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return w.reshape(w.shape + (1,) * (self.t.ndim - 2))
+        return w.reshape(w.shape + (1,) * (self.t.ndim - 1))
 
     def dx(self):
-        w = np.arange(1, self.order + 1, dtype=float)[:, None]
-        return self._of(self.t[1:, :-1] * self._weights(w))
+        D = self.order + 1
+        return self._of(self.t[D:] * self._weights(_derivative(D)[0]))
 
     def dy(self):
-        w = np.arange(1, self.order + 1, dtype=float)[None, :]
-        return self._of(self.t[:-1, 1:] * self._weights(w))
+        _, iy, wy = _derivative(self.order + 1)
+        t = self.t[iy]
+        t *= self._weights(wy)
+        return self._of(t)
 
     def wirtinger(self):
         """The Wirtinger derivative (d/dx - i d/dy)/2, one order lower."""
@@ -219,25 +273,28 @@ class _Table:
 class Jet(_Table):
     """One truncated Taylor table, batched over trailing axes.
 
-    `t` stores the table as (d+1, d+1, *batch), each coefficient a
-    contiguous plane over the batch; `Jet(c)` and `.c` use the
+    `t` stores the packed triangle as (T, *batch), each coefficient a
+    contiguous plane over the batch; `Jet(c)` and `.c` use the square,
     batch-leading (*batch, d+1, d+1) layout.
     """
 
     __slots__ = ()
 
     def __init__(self, c):
-        self.t = np.ascontiguousarray(np.moveaxis(np.asarray(c), (-2, -1), (0, 1)))
+        c = np.asarray(c)
+        rows, cols = _coords(c.shape[-1])
+        self.t = np.ascontiguousarray(np.moveaxis(c, (-2, -1), (0, 1))[rows, cols])
 
     @property
     def c(self):
-        """The table as a (*batch, d+1, d+1) view.
-
-        It is the view `np.moveaxis(t, (0, 1), (-2, -1))` gives, built
-        with one `transpose` call, which costs far less per access.
-        """
+        """The table as a new (*batch, d+1, d+1) array, zero above the
+        triangle (a copy: writing to it leaves the jet unchanged)."""
         t = self.t
-        return t.transpose(tuple(range(2, t.ndim)) + (0, 1))
+        D = self.order + 1
+        rows, cols = _coords(D)
+        c = np.zeros(t.shape[1:] + (D, D), dtype=t.dtype)
+        c[..., rows, cols] = np.moveaxis(t, 0, -1)
+        return c
 
     # -- constructors (float64 tables unless given complex values) ----------
 
@@ -245,27 +302,27 @@ class Jet(_Table):
     def const(value, order, batch=()):
         value = np.asarray(value)
         shape = np.broadcast_shapes(value.shape, tuple(batch))
-        t = np.zeros((order + 1, order + 1) + shape, dtype=np.result_type(value, float))
-        t[0, 0] = value
+        t = np.zeros((_size(order + 1),) + shape, dtype=np.result_type(value, float))
+        t[0] = value
         return Jet._of(t)
 
     @staticmethod
     def zeros(order, batch=()):
-        return Jet._of(np.zeros((order + 1, order + 1) + tuple(batch)))
+        return Jet._of(np.zeros((_size(order + 1),) + tuple(batch)))
 
     # -- ring operations -------------------------------------------------
 
     def add_const(self, value):
         value = np.asarray(value)
         t = self.t.astype(np.result_type(self.t, value))
-        t[0, 0] += value
+        t[0] += value
         return Jet._of(t)
 
     def __mul__(self, other):
         """Truncated Cauchy product (see `_product`), or `scale`."""
         if not isinstance(other, Jet):
             return self.scale(other)
-        return Jet._of(_product(self.t, other.t, 2))
+        return Jet._of(_product(self.t, other.t, 1))
 
     def _binomial(self, alpha, bad, guard, what):
         """The table of (1 + u)^alpha, u = self/a0 - 1, by Horner's rule on
@@ -281,14 +338,14 @@ class Jet(_Table):
         else:
             a0 = np.where(np.asarray(guard, dtype=bool) & ~bad, a0, 1.0)
         u = Jet._of(_divided(self.t, a0))
-        u.t[0, 0] = 0.0
+        u.t[0] = 0.0
         coeffs = [1.0]  # binomial(alpha, k) for k = 0..order
         for k in range(self.order):
             coeffs.append(coeffs[-1] * (alpha - k) / (k + 1))
         acc = Jet.const(np.full(u.batch, coeffs[-1]), self.order)
         for c in reversed(coeffs[:-1]):
             acc = u * acc
-            acc.t[0, 0] += c
+            acc.t[0] += c
         return acc.t, a0
 
     def recip(self, guard=None):
@@ -300,7 +357,7 @@ class Jet(_Table):
         and left for the caller's mask.
         """
         v = self.value()
-        bad = ~(np.abs(v) > 1e-12 * np.max(np.abs(self.t), axis=(0, 1)))
+        bad = ~(np.abs(v) > 1e-12 * np.max(np.abs(self.t), axis=0))
         t, a0 = self._binomial(-1.0, bad, guard, "division by a vanishing jet")
         return Jet._of(_divided(t, a0))
 
@@ -315,29 +372,29 @@ class Jet(_Table):
 
 class JetVec(_Table):
     """The jet of a vector map: n jets sharing order and batch, stored as
-    one table `t` of shape (d+1, d+1, n, *batch)."""
+    one packed table `t` of shape (T, n, *batch)."""
 
     __slots__ = ()
-    _LEAD = 3
+    _LEAD = 2
 
     def __init__(self, comps):
         """Stack jets of one order and batch shape."""
-        self.t = np.stack([c.t for c in comps], axis=2)
+        self.t = np.stack([c.t for c in comps], axis=1)
 
     @staticmethod
     def const(vec, order, batch=()):
         """The constant map with value `vec` (n entries) over the batch."""
         vec = np.asarray(vec)
-        t = np.zeros((order + 1, order + 1) + vec.shape + tuple(batch),
+        t = np.zeros((_size(order + 1),) + vec.shape + tuple(batch),
                      dtype=np.result_type(vec, float))
-        t[0, 0] = vec.reshape(vec.shape + (1,) * len(batch))
+        t[0] = vec.reshape(vec.shape + (1,) * len(batch))
         return JetVec._of(t)
 
     def __len__(self):
-        return self.t.shape[2]
+        return self.t.shape[1]
 
     def __getitem__(self, k):
-        return Jet._of(self.t[:, :, k])
+        return Jet._of(self.t[:, k])
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
@@ -346,7 +403,7 @@ class JetVec(_Table):
         """Each component times the jet `s` (a truncated product with
         the component on the left), or times a number or batch array."""
         if isinstance(s, Jet):
-            return JetVec._of(_product(self.t, s.t[:, :, None], 3))
+            return JetVec._of(_product(self.t, s.t[:, None], 2))
         return super().scale(s)
 
     def dot(self, other):
@@ -358,21 +415,30 @@ class JetVec(_Table):
         """
         if len(self) != len(other):
             raise ValueError(f"component mismatch: {len(self)} vs {len(other)}")
-        p = _product(self.t, other.t, 3)
-        acc = p[:, :, 0]
+        p = _product(self.t, other.t, 2)
+        acc = p[:, 0]
         for k in range(1, len(self)):
-            acc = acc + p[:, :, k]
+            acc = acc + p[:, k]
         return Jet._of(acc)
 
     def norm_sq(self):
         return self.dot(self)
 
     def dot_value(self, other):
-        """Order-0 values of `dot(other)`, shape (*batch): the pairing of
-        the order-0 coefficients alone, bitwise the value of the full
-        pairing (a product writes its order-0 entry from the operands'
-        order-0 entries only)."""
-        return self.truncate(0).dot(other.truncate(0)).value()
+        """Order-0 values of `dot(other)`, shape (*batch): the products of
+        the order-0 coefficients summed in component order, plus 0.0.
+
+        A product writes its order-0 entry from the operands' order-0
+        entries alone, as 0 + a_k b_k; the final 0.0 turns a zero sum
+        positive as those zeroed accumulators do, so the result is
+        bitwise the value of the full pairing."""
+        if len(self) != len(other):
+            raise ValueError(f"component mismatch: {len(self)} vs {len(other)}")
+        a, b = self.value(), other.value()
+        acc = a[0] * b[0]
+        for k in range(1, len(self)):
+            acc = acc + a[k] * b[k]
+        return acc + 0.0
 
     def translate(self, vec):
         """Add a constant ambient vector (one entry per component).
@@ -384,7 +450,7 @@ class JetVec(_Table):
         if vec.shape[:1] != (len(self),) or vec.shape[1:] != self.batch[:vec.ndim - 1]:
             raise ValueError("translation dimension mismatch")
         t = self.t.astype(np.result_type(self.t, vec))
-        t[0, 0] += vec.reshape(vec.shape + (1,) * (len(self.batch) + 1 - vec.ndim))
+        t[0] += vec.reshape(vec.shape + (1,) * (len(self.batch) + 1 - vec.ndim))
         return JetVec._of(t)
 
     def project_off(self, frames):
@@ -412,26 +478,28 @@ def jet_lift(curve, x, y, order):
     batch = np.broadcast_shapes(x.shape, y.shape)
     D = order + 1
     z0 = x + 1j * y
-    outside = ~_tri(D)
+    # the y step adds c[i, j-1] onto c[i, j] for j >= 1; the x step adds
+    # c[i-1, j] onto the rows i >= 1, the packed tail, from the order-(d-1)
+    # triangle in its storage order
+    y_to = _derivative(D)[1]
+    y_from, x_from = y_to - 1, _truncation(D, D - 1)
     comps = []
     for p in curve:
         if not p:
             comps.append(Jet.zeros(order, batch))
             continue
-        acc = np.zeros((D, D) + batch, dtype=complex)
-        acc[0, 0] = p[-1]
+        acc = np.zeros((_size(D),) + batch, dtype=complex)
+        acc[0] = p[-1]
         for c in reversed(p[:-1]):
             # acc * (z0 + dx + i dy): the terms a product with the jet of z
             # adds, in its order (the value, then the y step, then the x
-            # step), with the spill past the triangle cleared; adding 0.0
-            # first turns negative zeros positive, as a product's zeroed
-            # accumulator does
+            # step); adding 0.0 first turns negative zeros positive, as a
+            # product's zeroed accumulator does
             nxt = acc * z0
             nxt += 0.0
-            nxt[:, 1:] += acc[:, :-1] * 1j
-            nxt[1:] += acc[:-1]
-            nxt[outside] = 0.0
-            nxt[0, 0] += c
+            nxt[y_to] += acc[y_from] * 1j
+            nxt[D:] += acc[x_from]
+            nxt[0] += c
             acc = nxt
         comps.append(Jet._of(acc))
     return JetVec(comps)

@@ -54,7 +54,7 @@ def invert_jets(f: JetVec, valid, centers):
     """
     C = np.asarray(centers, dtype=float)
     if C.ndim == 2:
-        f = JetVec._of(np.repeat(f.t[:, :, :, None], len(C), axis=3))
+        f = JetVec._of(np.repeat(f.t[:, :, None], len(C), axis=2))
     c = C.T
     d = f.translate(-c)
     dsq = d.norm_sq()

@@ -112,11 +112,17 @@ class PedalBundle:
         d4 = np.sum(delta * e4, axis=0)
         return Z - delta, (z1 * e2 - z2 * e1) + (d3 * e4 - d4 * e3)
 
-    def mean_curvature_predicted(self) -> JetVec:
-        """(2 / osc_norm_sq)(tangent_part - first_normal_part) as jets."""
+    @cached_property
+    def theta_ok(self) -> np.ndarray:
+        """Points where `mean_curvature_predicted` may divide by
+        osc_norm_sq: the flag level is valid and theta exceeds 1e-14 |f|^2."""
         f_sq = np.sum(_nvalue(self.base.f) ** 2, axis=0)
-        guard = self.valid & (np.abs(self.theta) > 1e-14 * f_sq)
-        two_over = self.osc_norm_sq.recip(guard=guard).scale(2.0)
+        return self.valid & (np.abs(self.theta) > 1e-14 * f_sq)
+
+    def mean_curvature_predicted(self) -> JetVec:
+        """(2 / osc_norm_sq)(tangent_part - first_normal_part) as jets;
+        junk outside `theta_ok`."""
+        two_over = self.osc_norm_sq.recip(guard=self.theta_ok).scale(2.0)
         return (self.tangent_part - self.first_normal_part).scale(two_over)
 
     def conformal_factor_predicted(self) -> np.ndarray:

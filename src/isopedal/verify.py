@@ -498,7 +498,7 @@ def verify_meancurvature(run: Run) -> dict:
     H_thrice = _nvalue(thrice.mean_curvature())
     sdef = _norms(H_thrice - H_base / 3.0) / np.maximum(_norms(H_base / 3.0), _TINY)
     return {
-        "pedal_mean.formula": Outcome(defect),
+        "pedal_mean.formula": Outcome(defect, pipe.mask(sp.theta_ok)),
         "pedal_mean.laplacian": Outcome(ldef),
         "pedal_mean.scaling": Outcome(sdef, sub.pre & sub.pedal.valid & thrice.valid, sub.grid),
     }

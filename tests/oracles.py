@@ -20,7 +20,7 @@ from numpy.polynomial.polynomial import polyval
 
 from isopedal.cpoly import cp_add, cp_scale
 from isopedal.geometry import SurfaceJets, _nvalue
-from isopedal.jets import Jet, _divided
+from isopedal.jets import Jet, _at, _divided
 from isopedal.moebius import invert_evaluator, minimality_residuals
 from isopedal.verify import _traceless_scale
 from isopedal.weierstrass import IsotropicSpec, SurfaceEvaluator
@@ -54,13 +54,13 @@ def cv_linear_map(mat, u):
 def coordinate(x0, axis, order):
     """The jet of the coordinate function x (axis=0) or y (axis=1) at x0."""
     x0 = np.asarray(x0)
-    t = np.zeros((order + 1, order + 1) + x0.shape, dtype=np.result_type(x0, float))
-    t[0, 0] = x0
+    t = np.zeros(((order + 1) * (order + 2) // 2,) + x0.shape, dtype=np.result_type(x0, float))
+    t[0] = x0
     if order >= 1:
         if axis == 0:
-            t[1, 0] = 1.0
+            t[_at(order + 1, 1, 0)] = 1.0
         else:
-            t[0, 1] = 1.0
+            t[_at(order + 1, 0, 1)] = 1.0
     return Jet._of(t)
 
 
@@ -68,7 +68,7 @@ def deriv(jet, i, j):
     """Derivative value d^{i+j}/dx^i dy^j (unscaled) of a jet or jet vector."""
     if i + j > jet.order:
         raise ValueError(f"derivative ({i},{j}) beyond jet order {jet.order}")
-    return jet.t[i, j] * (math.factorial(i) * math.factorial(j))
+    return jet.t[_at(jet.order + 1, i, j)] * (math.factorial(i) * math.factorial(j))
 
 
 def _normalized(a: Jet, bad, guard):
@@ -78,7 +78,7 @@ def _normalized(a: Jet, bad, guard):
     if guard is not None:
         a0 = np.where(np.asarray(guard, dtype=bool) & ~bad, a0, 1.0)
     u = Jet._of(_divided(a.t, a0))
-    u.t[0, 0] = 0.0
+    u.t[0] = 0.0
     return u, a0
 
 
@@ -87,11 +87,11 @@ def alternating_recip(a: Jet, guard=None):
     times from acc = 1 (the loop `Jet.recip` ran before the binomial
     kernel)."""
     a0 = a.value()
-    u, a0 = _normalized(a, ~(np.abs(a0) > 1e-12 * np.max(np.abs(a.t), axis=(0, 1))), guard)
+    u, a0 = _normalized(a, ~(np.abs(a0) > 1e-12 * np.max(np.abs(a.t), axis=0)), guard)
     acc = Jet.const(np.ones(u.batch), a.order)
     for _ in range(a.order):
         acc = -(u * acc)
-        acc.t[0, 0] += 1.0
+        acc.t[0] += 1.0
     return Jet._of(_divided(acc.t, a0))
 
 
@@ -107,7 +107,7 @@ def horner_sqrt(a: Jet, guard=None):
     acc = Jet.const(np.full(u.batch, series[-1]), a.order)
     for k in range(a.order - 1, -1, -1):
         acc = u * acc
-        acc.t[0, 0] += series[k]
+        acc.t[0] += series[k]
     return Jet._of(acc.t * np.sqrt(a0))
 
 

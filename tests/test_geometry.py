@@ -291,8 +291,8 @@ def test_flag_pair_equals_the_complex_route(monkeypatch, which):
         assert which == "surface" or np.any(rank > len(lev.frames))
         for got, want in zip(pair, (u, v)):
             assert got.t.dtype == np.float64
-            scale = np.max(np.abs(want.t), axis=(0, 1, 2))
-            assert np.all(np.max(np.abs(got.t - want.t), axis=(0, 1, 2)) <= 1e-12 * scale)
+            scale = np.max(np.abs(want.t), axis=(0, 1))
+            assert np.all(np.max(np.abs(got.t - want.t), axis=(0, 1)) <= 1e-12 * scale)
         prev = bundle.valid if r == 1 else levels[r - 2].valid
         assert np.array_equal(guard, prev & (rank == len(lev.frames)))
         assert np.array_equal(lev.valid, valid)
@@ -305,5 +305,5 @@ def test_flag_makes_no_complex_vector_product(monkeypatch):
         (lead, np.iscomplexobj(a) or np.iscomplexobj(b))) or product(a, b, lead))
     x, y = np.meshgrid(np.linspace(0.3, 1.3, 3), np.linspace(0.3, 1.3, 3))
     SurfaceJets(holo3(), x, y, 4).flag(2)
-    assert (3, False) in calls and (2, True) in calls
-    assert (3, True) not in calls
+    assert (2, False) in calls and (1, True) in calls
+    assert (2, True) not in calls

@@ -100,15 +100,15 @@ def product_lift(curve, x, y, order):
     """Reference lift: Horner's rule with jet products by the jet of z."""
     batch = np.broadcast_shapes(x.shape, y.shape)
     Z = Jet.const(x + 1j * y, order, batch)
-    Z.t[1, 0], Z.t[0, 1] = 1.0, 1j
+    Z.t[jets._at(order + 1, 1, 0)], Z.t[jets._at(order + 1, 0, 1)] = 1.0, 1j
     tables = []
     for p in curve:
         acc = Jet.const(np.full(batch, p[-1], dtype=complex), order)
         for c in reversed(p[:-1]):
             acc = acc * Z
-            acc.t[0, 0] += c
+            acc.t[0] += c
         tables.append(acc.t)
-    return np.stack(tables, axis=2)
+    return np.stack(tables, axis=1)
 
 
 R5_SPEC = IsotropicSpec(ambient_dim=5, isotropy_order=1, alpha0=[[1, 0, 0.5]], betas=[[1], [0, 1]])
@@ -136,7 +136,7 @@ def test_lift_makes_no_jet_product(monkeypatch):
     jet_lift(preset_curve("holo4").phi, x, y, 5)
     assert calls == []
     coordinate(x, 0, 3) * coordinate(y, 1, 3)  # the spy sees products
-    assert calls == [2]
+    assert calls == [1]
 
 
 def test_lift_of_an_empty_component_is_zero():
@@ -145,9 +145,9 @@ def test_lift_of_an_empty_component_is_zero():
     assert phi[4:] == [[], []]
     x, y = np.linspace(0.3, 1.3, 4), np.full(4, 0.7)
     t = jet_lift(phi, x, y, 4).t
-    assert t.shape == (5, 5, 6, 4)
-    assert not np.any(t[:, :, 4:])
-    assert np.array_equal(t[:, :, :4], product_lift(phi[:4], x, y, 4))
+    assert t.shape == (15, 6, 4)
+    assert not np.any(t[:, 4:])
+    assert np.array_equal(t[:, :4], product_lift(phi[:4], x, y, 4))
 
 
 def test_recip_raises_on_degenerate_without_guard():
@@ -337,7 +337,7 @@ def test_stacked_vector_ops_are_bitwise_the_per_component_products(batch, n, com
     us, vs, es = (random_tables(rng, n, batch, order, complex_) for _ in range(3))
     s = random_tables(rng, 1, batch, order, complex_)[0]
     u, v, e = (JetVec([Jet(c) for c in cs]) for cs in (us, vs, es))
-    assert u.t.shape == (order + 1, order + 1, n) + batch
+    assert u.t.shape == ((order + 1) * (order + 2) // 2, n) + batch
 
     assert np.array_equal(u.dot(v).c, ordered_dot(us, vs))
 
@@ -413,3 +413,75 @@ def test_table_dtype_follows_the_inputs():
     for jv in (bundle.f.wirtinger(), bundle.alpha_wirtinger):
         assert jv.t.dtype == np.complex128
     assert bundle.f.wirtinger().real().t.dtype == np.float64
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_dot_value_is_bitwise_the_order_zero_pairing(monkeypatch, complex_):
+    rng = np.random.default_rng(41 + complex_)
+    cases = [(1, (), ()), (3, (7,), (7,)), (8, (3, 4), (4,)), (9, (), (5,))]
+    for n, batch_a, batch_b in cases:
+        u, v = (JetVec([Jet(c) for c in random_tables(rng, n, batch, 3, complex_)])
+                for batch in (batch_a, batch_b))
+        a, b = u.value(), v.value()
+        a[0] = -0.0  # products that are -0.0, alone and in sums
+        b[-1] = -np.abs(b[-1])
+        if n > 1:
+            a[1].flat[:1] = np.nan
+            a[-1].flat[-1:] = -0.0
+        want = u.truncate(0).dot(v.truncate(0)).value()
+        calls = []
+        product = jets._product
+        monkeypatch.setattr(jets, "_product",
+                            lambda a, b, lead: calls.append(lead) or product(a, b, lead))
+        got = u.dot_value(v)
+        monkeypatch.setattr(jets, "_product", product)
+        assert calls == []
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (n, batch_a, batch_b)  # zero signs and NaNs too
+
+
+def _cached_tables(obj, seen):
+    """Every jet a pipeline object holds, through its containers."""
+    from isopedal.geometry import FlagLevel, SurfaceJets
+    from isopedal.pedal import PedalBundle
+
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (Jet, JetVec)):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif isinstance(obj, (SurfaceJets, PedalBundle, FlagLevel)):
+        items = vars(obj).values()
+    else:
+        return
+    for item in items:
+        yield from _cached_tables(item, seen)
+
+
+def test_every_cached_table_of_a_default_run_is_packed():
+    from isopedal import verify
+    from isopedal.config import RunConfig
+    from isopedal.grid import Grid
+
+    run = verify.Run(RunConfig(curve=preset_curve("holo3"), grid=Grid(nx=5, ny=5)))
+    for group in dict.fromkeys(c.group for c in verify.CHECKS):
+        getattr(verify, group)(run)
+    pipe = run.surface
+    assert (pipe.base.order, pipe.pedal.order) == (4, 3)
+    assert len(pipe.base._partials) > 3 and pipe.base._levels
+    found = 0
+    for part in (pipe.base, pipe.split, pipe.pedal):
+        for jet in _cached_tables(part, set()):
+            T = (jet.order + 1) * (jet.order + 2) // 2
+            comps = (len(jet),) if isinstance(jet, JetVec) else ()
+            assert jet.t.shape == (T,) + comps + pipe.base.batch
+            assert np.shares_memory(jet.value(), jet.t)
+            found += 1
+    assert found > 40
+    assert pipe.base.f.t.shape[0] == 15  # order 4
+    assert pipe.split.foot.t.shape[0] == pipe.pedal.f.t.shape[0] == 10  # order 3

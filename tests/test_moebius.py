@@ -37,7 +37,7 @@ def _homothety(jets, centers, factor):
 def _inverted_points(points, center, radius):
     """Raw points, shape (n, ...), inverted by `invert_jets` as order-0 jets
     and scaled by radius^2 about the center."""
-    jets, _ = invert_jets(JetVec._of(points[None, None]), True, center)
+    jets, _ = invert_jets(JetVec._of(points[None]), True, center)
     return _homothety(jets, center, radius**2).value()
 
 
@@ -222,7 +222,7 @@ def test_stacked_inversions_equal_the_single_inversions():
     assert jets.batch == (4, 25) and valid.shape == (4, 25)
     for k, center in enumerate(centers):
         want, want_valid = invert_evaluator(g, center).evaluate(x, y, 3)
-        assert np.array_equal(jets.t[:, :, :, k], _homothety(want, center, 1.3**2).t)
+        assert np.array_equal(jets.t[:, :, k], _homothety(want, center, 1.3**2).t)
         assert np.array_equal(valid[k], want_valid)
     assert np.array_equal(np.flatnonzero(~valid), [3 * 25 + 7])
     # the evaluator of the stack serves the same stacked jets

@@ -609,6 +609,26 @@ def test_unknown_check_prefix_is_a_config_error():
         run_all(small_config(checks=("generator", "bogus")))
 
 
+def test_a_point_whose_theta_the_formula_guards_is_excluded_not_failed():
+    formula = next(c for c in verify.CHECKS if c.id == "pedal_mean.formula")
+
+    def record(theta_at=None):
+        run = verify.Run(small_config())
+        if theta_at is not None:
+            theta = run.surface.split.theta.copy()
+            theta.flat[theta_at] = 0.0  # the formula cannot divide by it
+            run.surface.split.theta = theta
+        outcome = verify.verify_meancurvature(run)["pedal_mean.formula"]
+        return verify._record(formula, run, outcome, None), run.surface.mask()
+
+    before, kept = record()
+    point = int(np.flatnonzero(kept)[len(np.flatnonzero(kept)) // 2])
+    after, _ = record(point)
+    assert before["pass"] and after["pass"]
+    assert after["excluded"] == before["excluded"] + 1
+    assert after["defect"] <= before["defect"]
+
+
 def test_holo4_report_bytes_are_frozen():
     doc = {"seed_preset": "holo4", "grid": "0.3,1.3,0.3,1.3,13,13", "jet_order": 5}
     report = run_all(RunConfig.from_document(doc))

@@ -200,7 +200,7 @@ def test_stacked_affine_members_equal_the_single_members():
     assert jets.batch == (3, 3) and valid.shape == (3, 3)
     for k, c in enumerate(scales):
         want = ev.affine(scale=c, translation=shifts[:, k]).jets(x, y, 3)
-        assert np.array_equal(jets.t[:, :, :, k], want.t)
+        assert np.array_equal(jets.t[:, :, k], want.t)
     with pytest.raises(ConfigError):
         ev.affine(scales, shifts[:, :2])
 
