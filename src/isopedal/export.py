@@ -198,6 +198,4 @@ def rank_note(bundle: SurfaceJets, grid: Grid):
     """Distinct first-normal ranks of the bundle's surface over the grid
     (diagnostic)."""
     keep = grid.premask() & bundle.valid
-    rank, _ = first_normal_rank(bundle)
-    vals = sorted(set(int(r) for r in rank[keep])) if np.any(keep) else []
-    return vals
+    return sorted(set(int(r) for r in first_normal_rank(bundle)[keep]))

@@ -63,13 +63,30 @@ def _nvalue(jv: JetVec):
     return jv.value().real
 
 
-def _rank(mats):
-    """(numerical rank, singular values) of each matrix of the stack
-    `mats` (*batch, rows, cols): the singular values above RANK_SV_RTOL
-    of the largest are counted."""
-    sv = np.linalg.svd(mats, compute_uv=False)
-    top = np.maximum(sv[..., 0], _TINY)
-    return np.sum(sv > RANK_SV_RTOL * top[..., None], axis=-1), sv
+def _rank(mat):
+    """Numerical rank of each matrix of the stack `mat` (rows, cols, *batch),
+    by modified Gram-Schmidt with column pivoting and one reorthogonalisation
+    pass: each step takes the column of largest residual, which counts when
+    its norm exceeds RANK_SV_RTOL times the largest column norm.  A matrix
+    with a non-finite entry has rank 0."""
+    rows, cols = mat.shape[:2]
+    res = np.where(np.all(np.isfinite(mat), axis=(0, 1)), mat, 0.0).reshape(rows, cols, -1)
+    each = np.arange(res.shape[2])
+    rank = np.zeros(res.shape[2], dtype=int)
+    norms = np.sqrt(np.einsum("ijk,ijk->jk", res, res))
+    cut = RANK_SV_RTOL * np.max(norms, axis=0)
+    for _ in range(cols):
+        best = np.argmax(norms, axis=0)
+        top = norms[best, each]
+        counts = top > cut
+        if not np.any(counts):  # no residual left above the cut
+            break
+        rank += counts
+        q = res[:, best, each] / np.where(counts, top, np.inf)
+        for _ in range(2):
+            res -= q[:, None] * np.einsum("ik,ijk->jk", q, res)
+        norms = np.sqrt(np.einsum("ijk,ijk->jk", res, res))
+    return rank.reshape(mat.shape[2:])
 
 
 @dataclass
@@ -280,7 +297,7 @@ class SurfaceJets:
         # the frames' order-0 values
         vals = JetVec._of(np.stack([p.truncate(0).t for p in raws], axis=2))
         mat = _nvalue(vals.project_off([e.truncate(0) for e in frames_all]))  # (n, s+1, *batch)
-        rank, _ = _rank(np.moveaxis(mat, (0, 1), (-2, -1)))  # of (*batch, n, s+1)
+        rank = _rank(mat)
 
         # top-frequency pair through the complexified tangent (see the
         # module docstring): the real and imaginary parts of the c_k weight
@@ -410,10 +427,8 @@ def first_normal_rank(bundle: SurfaceJets):
     """Rank of the span of the second-form values (works for any surface).
 
     Unlike the flag machinery this makes no minimality assumption: the
-    span of {alpha(e_i, e_j)} can have rank up to 3.  Returns (rank,
-    singular values).
+    span of {alpha(e_i, e_j)} can have rank up to 3.  Returns the rank
+    at each point.
     """
-    a11, a12, a22 = bundle.second_fundamental
-    mat = np.stack([_nvalue(a11), _nvalue(a12), _nvalue(a22)], axis=-1)
-    return _rank(np.moveaxis(mat, 0, -2))  # of (*batch, n, 3)
+    return _rank(np.stack([_nvalue(a) for a in bundle.second_fundamental], axis=1))
 

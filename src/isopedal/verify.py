@@ -752,10 +752,8 @@ def verify_swillmore(run: Run) -> dict:
 # temporaries stay in cache.
 _LATTICE_BLOCK = 1 << 16
 
-# the lattice walk bounds the surviving centers on every stride-th kept
-# point, coarsest first; the slack absorbs the rounding difference between
-# a product over a column subset and one over the whole grid
-_PRUNE_STRIDES = (16, 4)
+# the slack absorbs the rounding difference between a lattice bound's
+# product over a column subset and one over the whole grid
 _PRUNE_SLACK = 1e-12
 
 
@@ -801,13 +799,14 @@ def verify_inversion_minimality(run: Run) -> dict:
 
     Both defects are a min over centers of a max over kept points, and a
     center's max over some of the points bounds its max over all of them
-    from below.  Each level of _PRUNE_STRIDES bounds the surviving centers
-    on a strided subset, grades (evaluates on the whole grid) the centers
-    of least bound, and drops each center whose two bounds both exceed the
-    least graded values, as it can hold neither minimum; the survivors are
-    graded last.  So each defect, the least graded value, is the whole
-    lattice's.  Every call is a block of at most _LATTICE_BLOCK center x
-    point elements.
+    from below.  The walk's levels take every stride-th kept point, for
+    the strides 4, 16, 64, ... that leave at least 4 points, coarsest
+    first.  Each level bounds the surviving centers on its points, grades
+    (evaluates on the whole grid) the centers of least bound, and drops
+    each center whose two bounds both exceed the least graded values, as
+    it can hold neither minimum; the survivors are graded last.  So each
+    defect, the least graded value, is the whole lattice's.  Every call is
+    a block of at most _LATTICE_BLOCK center x point elements.
     """
     pipe = run.surface
     n = pipe.evaluator.ambient_dim
@@ -841,7 +840,11 @@ def verify_inversion_minimality(run: Run) -> dict:
             top[:] = np.minimum(top, [values.min() for values in reduced(idx)])
 
         alive = np.arange(centers.shape[0])
-        for stride in _PRUNE_STRIDES:
+        ladder, stride = [], 4
+        while 3 * stride < kept.size:  # kept[::stride] holds at least 4 points
+            ladder.insert(0, stride)
+            stride *= 4
+        for stride in ladder:
             if not alive.size:
                 break
             low_norm, low_system = reduced(alive, kept[::stride])
@@ -880,8 +883,7 @@ def verify_inversion_minimality(run: Run) -> dict:
 
 def _rank_deviation(bundle: SurfaceJets):
     """|rank - 3| of the first normal bundle at each point of the bundle."""
-    rank, _ = first_normal_rank(bundle)
-    return np.abs(rank.astype(float) - 3.0)
+    return np.abs(first_normal_rank(bundle) - 3.0)
 
 
 def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
@@ -902,8 +904,9 @@ def _random_inversion_rank_defect(pipe: SurfacePipeline, rng, count, span):
 
 def _inverted_rank(pipe: SurfacePipeline, seed: int):
     """Random inversions of the pedal on the 7 x 7 subgrid, the centers
-    scaled to the pedal's extent over the whole grid."""
-    span = 3.0 * float(np.max(np.abs(_nvalue(pipe.split.foot)))) + 1.0
+    scaled to the pedal's finite extent over the whole grid."""
+    foot = np.abs(_nvalue(pipe.split.foot))
+    span = 3.0 * float(np.max(foot, where=np.isfinite(foot), initial=0.0)) + 1.0
     return _random_inversion_rank_defect(pipe.on(7), np.random.default_rng(seed), 10, span)
 
 

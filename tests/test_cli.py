@@ -170,6 +170,21 @@ def test_a_curve_of_tiny_coefficients_ends_in_an_exit_code(tmp_path, command, co
     assert main(command + ["--config", cfg, "--out", str(tmp_path)]) == code
 
 
+# values that overflow inside the run (a huge coefficient, a huge scale)
+# warn, and the run ends in its outputs with exit 3, not in a traceback or
+# a configuration error
+@pytest.mark.parametrize("command, doc, written", [
+    (["verify"], {"curve": [[0, 1e150], [0, 0, 1]]}, "report.json"),
+    (["pedal"], {"seed_preset": "holo3", "scale": 1e200}, "pedal.csv"),
+], ids=["verify-huge-curve", "pedal-huge-scale"])
+def test_overflow_inside_a_run_ends_in_exit_3(tmp_path, command, doc, written):
+    cfg = write_json(tmp_path / "cfg.json", {**doc, "grid": SMALL})
+    with pytest.warns(RuntimeWarning) as caught:
+        assert main(command + ["--config", cfg, "--out", str(tmp_path)]) == 3
+    assert any("overflow" in str(w.message) for w in caught)
+    assert (tmp_path / written).exists()
+
+
 def test_pedal_exclusion_overflow_exits_3(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {
         "seed_preset": "holo3",

@@ -17,6 +17,7 @@ import pytest
 import sympy as sp
 
 from isopedal import geometry, jets
+from isopedal.config import RunConfig
 from isopedal.geometry import (
     FRAME_EPS,
     RANK_SV_RTOL,
@@ -27,6 +28,7 @@ from isopedal.geometry import (
 from isopedal.grid import Grid
 from isopedal.jets import Jet, JetVec, jet_gram_schmidt
 from isopedal.pedal import SurfacePipeline
+from isopedal.verify import run_all
 from isopedal.weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
 from oracles import coordinate, intrinsic_gauss, isotropy_order, third_form_recursive_defect
 
@@ -164,8 +166,70 @@ def test_first_normal_rank_two_for_minimal_immersion():
     grid = Grid(nx=5, ny=5)
     x, y = grid.points()
     b = SurfaceJets(ev, x, y, 2)
-    rank, _ = first_normal_rank(b)
+    rank = first_normal_rank(b)
     assert np.all(rank == 2)
+
+
+def svd_rank(mat):
+    """Reference rank of each matrix of the stack `mat` (rows, cols,
+    *batch): its singular values above RANK_SV_RTOL of the largest."""
+    sv = np.linalg.svd(np.moveaxis(mat, (0, 1), (-2, -1)), compute_uv=False)
+    return np.sum(sv > RANK_SV_RTOL * np.maximum(sv[..., :1], 1e-300), axis=-1)
+
+
+# singular values of the synthetic matrices, relative to the largest: the
+# cut RANK_SV_RTOL = 1e-7 sits between 1e-5 and 1e-9
+SV_RATIOS = (1.0, 1e-3, 1e-5, 1e-9, 1e-12, 0.0)
+
+
+def gapped(rng, rows, cols):
+    """A (rows, cols) matrix whose singular values are drawn from
+    SV_RATIOS times a random scale."""
+    k = min(rows, cols)
+    u = np.linalg.qr(rng.normal(size=(rows, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(cols, k)))[0]
+    sv = np.concatenate([[1.0], rng.choice(SV_RATIOS, k - 1)]) * 10.0 ** rng.uniform(-8, 8)
+    return (u * sv) @ v.T
+
+
+def synthetic_stack(rng, rows, cols, count):
+    """`count` gapped matrices, then one with a zero first column, one with
+    a duplicated column and an all-zero one, stacked as (rows, cols, *)."""
+    mats = [gapped(rng, rows, cols) for _ in range(count)]
+    if cols > 1:
+        a = gapped(rng, rows, cols - 1)
+        mats += [np.column_stack([np.zeros(rows), a]), np.column_stack([a, a[:, :1]])]
+    return np.stack(mats + [np.zeros((rows, cols))], axis=-1)
+
+
+def test_rank_equals_the_svd_rank_on_synthetic_stacks():
+    rng = np.random.default_rng(20261020)
+    for rows in (4, 5, 8, 13, 24):
+        for cols in range(1, 6):
+            mat = synthetic_stack(rng, rows, cols, 40)
+            want = svd_rank(mat)
+            assert np.array_equal(geometry._rank(mat), want), (rows, cols)
+            assert np.array_equal(geometry._rank(mat.astype(np.longdouble)), want), (rows, cols)
+
+
+def test_rank_of_a_non_finite_matrix_is_zero():
+    mat = np.ones((6, 3, 3))
+    mat[2, 1, 0], mat[0, 0, 1] = np.nan, np.inf
+    assert geometry._rank(mat).tolist() == [0, 0, 1]
+
+
+@pytest.mark.parametrize("preset", ["holo3", "holo4", "noniso"])
+def test_rank_equals_the_svd_rank_on_a_run(monkeypatch, preset):
+    rank, calls = geometry._rank, []
+
+    def spy(mat):
+        got = rank(mat)
+        calls.append(np.array_equal(got, svd_rank(mat)))
+        return got
+
+    monkeypatch.setattr(geometry, "_rank", spy)
+    run_all(RunConfig.from_document({"seed_preset": preset}))
+    assert calls and all(calls)
 
 
 def test_hodge_relations_select_minus_convention():
@@ -254,9 +318,7 @@ def complex_route_level(bundle, r):
     levels = bundle.flag(r)
     frames = [bundle.e1, bundle.e2] + [e for lev in levels[:r - 1] for e in lev.frames]
     projs = [bundle.partial(s - k, k).project_off(frames) for k in range(s + 1)]
-    mat = np.moveaxis(np.stack([p.value() for p in projs], axis=-1), 0, -2)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    rank = np.sum(sv > RANK_SV_RTOL * np.maximum(sv[..., 0], 1e-300)[..., None], axis=-1)
+    rank = svd_rank(np.stack([p.value() for p in projs], axis=1))
     cx, cy = bundle.complex_tangent_coeffs()
     cx_pow = [Jet.const(np.ones(bundle.batch), cx.order)]
     cy_pow = [Jet.const(np.ones(bundle.batch), cy.order)]

@@ -144,7 +144,7 @@ def test_first_normal_rank_point_api():
     for surface, rank in ((holo3(), 2), (pedal_surface(holo3()), 3)):
         b = SurfaceJets(surface, x, y, 2)
         assert b.immersed[0]
-        assert first_normal_rank(b)[0][0] == rank
+        assert first_normal_rank(b)[0] == rank
 
 
 def test_minimality_residual_system_positive_on_lattice():

@@ -359,18 +359,33 @@ def _spec_doc(n, m):
 
 # holo4 at order 5 prunes least of the presets; the branch window
 # excludes its origin; in R^10 on 5 x 5 points most of the 59,049
-# centers reach the whole grid, in many blocks at every level
-@pytest.mark.parametrize("doc", [
-    {"seed_preset": "holo4", "grid": "0.3,1.3,0.3,1.3,9,9", "jet_order": 5},
-    {"seed_preset": "holo3", "grid": "-0.5,0.5,-0.5,0.5,11,11"},
-    {"seed_preset": "noniso", "grid": "0.3,1.3,0.3,1.3,9,9"},
-    {"spec": _spec_doc(10, 4), "grid": "0.3,1.3,0.3,1.3,5,5"},
-], ids=["holo4-order5", "branch-window", "noniso", "r10"])
-def test_pruned_inversion_lattice_equals_the_dense_lattice(doc):
+# centers reach the whole grid, in many blocks at every level; holo3's
+# 441 kept points give a three-level walk.  Each case names the strides
+# its walk takes: 4, 16, 64, ... up to the largest that leaves at least 4
+# kept points, coarsest first, until no center survives (the branch
+# window's first level grades or drops every center)
+@pytest.mark.parametrize("doc, ladder", [
+    ({"seed_preset": "holo4", "grid": "0.3,1.3,0.3,1.3,9,9", "jet_order": 5}, (16, 4)),
+    ({"seed_preset": "holo3", "grid": "-0.5,0.5,-0.5,0.5,11,11"}, (16,)),
+    ({"seed_preset": "noniso", "grid": "0.3,1.3,0.3,1.3,9,9"}, (16, 4)),
+    ({"spec": _spec_doc(10, 4), "grid": "0.3,1.3,0.3,1.3,5,5"}, (4,)),
+    ({"seed_preset": "holo3"}, (64, 16, 4)),
+], ids=["holo4-order5", "branch-window", "noniso", "r10", "holo3-21x21"])
+def test_pruned_inversion_lattice_equals_the_dense_lattice(monkeypatch, doc, ladder):
+    levels = []
+
+    def spy(pedal_bundle, C, **kw):
+        if kw.get("points") is not None:
+            levels.append(tuple(kw["points"]))
+        return moebius.minimality_residuals(pedal_bundle, C, **kw)
+
+    monkeypatch.setattr(verify, "minimality_residuals", spy)
     run = verify.Run(RunConfig.from_document(doc))
     got = verify_inversion_minimality(run)
     ref = dense_inversion_defects(run.surface, _center_lattice(run.surface.evaluator.ambient_dim))
     assert (got["inversion.norm"].defect, got["inversion.system"].defect) == ref
+    kept = np.flatnonzero(run.surface.mask())
+    assert list(dict.fromkeys(levels)) == [tuple(kept[::stride]) for stride in ladder]
 
 
 def test_inversion_lattice_without_a_kept_point_has_no_defect():
