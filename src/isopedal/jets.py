@@ -45,14 +45,11 @@ batch entries hold junk and the caller keeps the mask.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import DegenerateJet
-
-_COORDS = {}
-_TRUNCATION = {}
-_DERIVATIVE = {}
-_MUL_PLAN = {}
 
 
 def _size(D):
@@ -70,39 +67,34 @@ def _at(D, i, j):
     return i * D - i * (i - 1) // 2 + j
 
 
+@cache
 def _coords(D):
     """(rows, cols): the (i, j) of each packed coefficient of an
     order-(D-1) table, in storage order."""
-    rc = _COORDS.get(D)
-    if rc is None:
-        k = np.arange(D)
-        rc = _COORDS[D] = np.nonzero(k[:, None] + k[None, :] <= D - 1)
-    return rc
+    k = np.arange(D)
+    return np.nonzero(k[:, None] + k[None, :] <= D - 1)
 
 
+@cache
 def _truncation(D, E):
     """Packed indices, in an order-(D-1) table, of the coefficients an
     order-(E-1) table keeps, in its storage order."""
-    idx = _TRUNCATION.get((D, E))
-    if idx is None:
-        rows, cols = _coords(D)
-        idx = _TRUNCATION[D, E] = np.flatnonzero(rows + cols < E)
-    return idx
+    rows, cols = _coords(D)
+    return np.flatnonzero(rows + cols < E)
 
 
+@cache
 def _derivative(D):
     """(x weights, y indices, y weights) of dx and dy on an order-(D-1)
     table.  Coefficient (i, j) of dx is (i+1) c[i+1, j], and the rows
     i+1 >= 1 are the packed tail t[D:]; coefficient (i, j) of dy is
     (j+1) c[i, j+1], gathered from the columns j+1 >= 1."""
-    got = _DERIVATIVE.get(D)
-    if got is None:
-        rows, cols = _coords(D)
-        iy = np.flatnonzero(cols >= 1)
-        got = _DERIVATIVE[D] = (rows[D:].astype(float), iy, cols[iy].astype(float))
-    return got
+    rows, cols = _coords(D)
+    iy = np.flatnonzero(cols >= 1)
+    return rows[D:].astype(float), iy, cols[iy].astype(float)
 
 
+@cache
 def _mul_plan(Ta, Tb):
     """Schedule of the truncated product of a table of Ta packed
     coefficients (order Da-1) by one of Tb (order Db-1), at order D-1 with
@@ -117,24 +109,20 @@ def _mul_plan(Ta, Tb):
     segment is one contiguous slice of its packed table, listed once, so
     a product slices each once.
     """
-    plan = _MUL_PLAN.get((Ta, Tb))
-    if plan is None:
-        Da, Db = _side(Ta), _side(Tb)
-        D = min(Da, Db)
-        left, out, steps = {}, {}, []
-        for i in range(D):
-            for j in range(D - i):
-                pairs = []
-                for p in range(D - i - j):
-                    n = D - i - j - p
-                    pairs.append((left.setdefault((p, n), len(left)),
-                                  out.setdefault((p + i, j, n), len(out))))
-                k = _at(Db, i, j)
-                steps.append((slice(k, k + 1), pairs))
-        plan = _MUL_PLAN[Ta, Tb] = (
-            D, [slice(_at(Da, p, 0), _at(Da, p, n)) for p, n in left],
+    Da, Db = _side(Ta), _side(Tb)
+    D = min(Da, Db)
+    left, out, steps = {}, {}, []
+    for i in range(D):
+        for j in range(D - i):
+            pairs = []
+            for p in range(D - i - j):
+                n = D - i - j - p
+                pairs.append((left.setdefault((p, n), len(left)),
+                              out.setdefault((p + i, j, n), len(out))))
+            k = _at(Db, i, j)
+            steps.append((slice(k, k + 1), pairs))
+    return (D, [slice(_at(Da, p, 0), _at(Da, p, n)) for p, n in left],
             [slice(_at(D, row, col), _at(D, row, col + n)) for row, col, n in out], steps)
-    return plan
 
 
 def _fit(t, T, ndim, lead):
@@ -505,7 +493,7 @@ def jet_lift(curve, x, y, order):
     return JetVec(comps)
 
 
-def jet_gram_schmidt(vectors, guard, eps=1e-9):
+def jet_gram_schmidt(vectors, guard, eps):
     """Classical Gram-Schmidt on jet vectors, in jet arithmetic.
 
     Returns `(frames, invs, ok)`: orthonormal jet frames spanning the same

@@ -278,12 +278,12 @@ def _max_defined(*values):
     return max(defined) if defined else None
 
 
-def _low_quantile(values, mask, q=1.0 - REFUTE_QUANTILE):
-    """Conservative low quantile of values over the mask."""
+def _low_quantile(values, mask):
+    """Conservative low quantile, 1 - REFUTE_QUANTILE, of values over the mask."""
     if not np.any(mask):
         return None
     vals = np.sort(np.asarray(values)[mask])
-    idx = min(len(vals) - 1, int(math.floor(q * len(vals))))
+    idx = min(len(vals) - 1, int(math.floor((1.0 - REFUTE_QUANTILE) * len(vals))))
     return float(vals[idx])
 
 
@@ -661,6 +661,9 @@ def _plane_angle_defect(u, w):
         np.stack([np.sum(p0 * q0, axis=0), np.sum(p0 * q1, axis=0)], axis=-1),
         np.stack([np.sum(p1 * q0, axis=0), np.sum(p1 * q1, axis=0)], axis=-1),
     ], axis=-2)  # (P, 2, 2)
+    # overflowed points are outside both masks; zeroing their matrices, as
+    # geometry._rank does, keeps NaN out of the SVD
+    m = np.where(np.all(np.isfinite(m), axis=(-2, -1))[..., None, None], m, 0.0)
     sv = np.linalg.svd(m, compute_uv=False)
     cos_small = np.clip(sv[..., -1], 0.0, 1.0)
     defect = np.sqrt(np.maximum(0.0, 1.0 - cos_small**2))

@@ -52,7 +52,7 @@ class SurfaceEvaluator:
 
     `fn(x, y, order)` makes one evaluation and returns `(jets, valid)`:
     the jets of the map at the points, and a boolean mask of the points
-    where they are trustworthy, or None when every point is.  `fn` must
+    where they are trustworthy (True when every point is).  `fn` must
     be deterministic and consistent across orders (lower-order requests
     are truncations of higher ones).  Callers AND `valid` into their own
     regularity masks; `evaluate` is the one call, and `jets` / `mask`
@@ -70,7 +70,7 @@ class SurfaceEvaluator:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         jets, valid = self.fn(x, y, order)
-        return jets, np.broadcast_to(True if valid is None else valid, jets.batch)
+        return jets, np.broadcast_to(valid, jets.batch)
 
     def jets(self, x, y, order) -> JetVec:
         return self.evaluate(x, y, order)[0]
@@ -272,7 +272,7 @@ def surface_evaluator(curve: IsotropicCurve) -> SurfaceEvaluator:
     phi = curve.phi
 
     def fn(x, y, order):
-        return jet_lift(phi, x, y, order).real(), None
+        return jet_lift(phi, x, y, order).real(), True
 
     return SurfaceEvaluator(len(phi), curve.provenance, fn)
 

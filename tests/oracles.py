@@ -3,7 +3,8 @@
 None of this is reached by a command.  Each function recomputes, along a
 second route, something the library derives along its own (the Gauss
 curvature from the metric alone, the third form by differentiating the
-second, the inversion laws against direct jets of an inverted surface,
+second, the first flag level and the (2,0) form from the coordinate
+partials, the inversion laws against direct jets of an inverted surface,
 polynomial values by numpy's `polyval`, the number of curvature circles
 from float flag levels at a few points, the reciprocal and square root by
 the Horner loops `Jet` ran before its binomial kernel), reads a jet (derivative values,
@@ -240,6 +241,47 @@ def third_form_recursive_defect(bundle: SurfaceJets):
             diff = np.max(np.abs(_nvalue(rec) - _nvalue(tgt)), axis=0)
             worst = np.maximum(worst, diff / scale)
     return worst
+
+
+# -- second-order quantities along the coordinate partials ------------------------
+
+
+def ck_first_level_pair(bundle: SurfaceJets):
+    """(u, v) of flag level 1 from the second partials d_k f: the sums of
+    d_k f weighted by the real and the imaginary parts of the complex
+    coefficient jets c_k = C(2, k) cx^(2-k) cy^k, each projected off the
+    tangent plane once, u = 2 P(sum d_k f Re c_k), v = -2 P(sum d_k f Im c_k)."""
+    cx, cy = bundle.complex_tangent_coeffs()
+    coeffs = (cx * cx, (cx * cy).scale(2), cy * cy)
+    re = im = None
+    for k, c in enumerate(coeffs):
+        raw = bundle.partial(2 - k, k)
+        re_k, im_k = raw.scale(c.real()), raw.scale(c.imag())
+        re = re_k if re is None else re + re_k
+        im = im_k if im is None else im + im_k
+    return bundle.tangent_project_off(re).scale(2.0), bundle.tangent_project_off(im).scale(-2.0)
+
+
+def projected_fzz(bundle: SurfaceJets):
+    """The (2,0) form as a complex jet: the normal part of
+    f_zz = (f_xx - f_yy - 2i f_xy)/4."""
+    fzz = (bundle.partial(2, 0) - bundle.partial(0, 2) - bundle.partial(1, 1).scale(2j)).scale(0.25)
+    return bundle.tangent_project_off(fzz)
+
+
+def coordinate_alpha_dz(bundle: SurfaceJets, Z):
+    """alpha(dz, Z), values, for tangent vectors Z (n, *batch): Z written as
+    p f_x + q f_y through the frame coefficients, against the second
+    partials' normal parts h_xx, h_xy, h_yy."""
+    tangent = [bundle.e1.truncate(0), bundle.e2.truncate(0)]
+    hxx, hxy, hyy = (_nvalue(bundle.partial(*key).truncate(0).project_off(tangent))
+                     for key in ((2, 0), (1, 1), (0, 2)))
+    a, b, c = (j.value().real for j in bundle.tangent_coeff_jets)
+    z1 = np.sum(Z * _nvalue(bundle.e1), axis=0)
+    z2 = np.sum(Z * _nvalue(bundle.e2), axis=0)
+    p = z1 * a + z2 * b
+    q = z2 * c
+    return 0.5 * ((p * hxx + q * hxy) - 1j * (p * hxy + q * hyy))
 
 
 # -- sphere inversions on raw points and their closed-form laws ------------------

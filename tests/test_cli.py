@@ -170,15 +170,19 @@ def test_a_curve_of_tiny_coefficients_ends_in_an_exit_code(tmp_path, command, co
     assert main(command + ["--config", cfg, "--out", str(tmp_path)]) == code
 
 
-# values that overflow inside the run (a huge coefficient, a huge scale)
-# warn, and the run ends in its outputs with exit 3, not in a traceback or
-# a configuration error
+# values that overflow inside the run (a huge coefficient, a huge scale, a
+# huge window) warn, and the run ends in its outputs with exit 3, not in a
+# traceback or a configuration error
 @pytest.mark.parametrize("command, doc, written", [
     (["verify"], {"curve": [[0, 1e150], [0, 0, 1]]}, "report.json"),
     (["pedal"], {"seed_preset": "holo3", "scale": 1e200}, "pedal.csv"),
-], ids=["verify-huge-curve", "pedal-huge-scale"])
+    (["verify"], {"seed_preset": "holo3", "grid": {
+        "x0": 1e100, "x1": 1e100, "y0": 0.3, "y1": 1.3, "nx": 5, "ny": 5}}, "report.json"),
+    (["verify"], {"seed_preset": "holo3", "grid": {
+        "x0": -1e30, "x1": 1e30, "y0": -1e30, "y1": 1e30, "nx": 5, "ny": 5}}, "report.json"),
+], ids=["verify-huge-curve", "pedal-huge-scale", "verify-far-window", "verify-wide-window"])
 def test_overflow_inside_a_run_ends_in_exit_3(tmp_path, command, doc, written):
-    cfg = write_json(tmp_path / "cfg.json", {**doc, "grid": SMALL})
+    cfg = write_json(tmp_path / "cfg.json", {"grid": SMALL, **doc})
     with pytest.warns(RuntimeWarning) as caught:
         assert main(command + ["--config", cfg, "--out", str(tmp_path)]) == 3
     assert any("overflow" in str(w.message) for w in caught)

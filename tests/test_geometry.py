@@ -30,7 +30,14 @@ from isopedal.jets import Jet, JetVec, jet_gram_schmidt
 from isopedal.pedal import SurfacePipeline
 from isopedal.verify import run_all
 from isopedal.weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
-from oracles import coordinate, intrinsic_gauss, isotropy_order, third_form_recursive_defect
+from oracles import (
+    ck_first_level_pair,
+    coordinate,
+    intrinsic_gauss,
+    isotropy_order,
+    projected_fzz,
+    third_form_recursive_defect,
+)
 
 
 def holo3():
@@ -255,7 +262,7 @@ def test_tangent_coefficients_express_the_frame_as_jets():
     # a polynomial map that is not isothermal: <f_x, f_y> = 2x + xy + 2x^3 y
     def fn(x, y, order):
         X, Y = coordinate(x, 0, order), coordinate(y, 1, order)
-        return JetVec([X, Y + X * X, X * Y, (X * X) * Y]), None
+        return JetVec([X, Y + X * X, X * Y, (X * X) * Y]), True
 
     b = SurfaceJets(SurfaceEvaluator(4, "polynomial", fn), np.array([0.4, 0.9]),
                     np.array([0.7, -0.3]), 4)
@@ -358,6 +365,46 @@ def test_flag_pair_equals_the_complex_route(monkeypatch, which):
         prev = bundle.valid if r == 1 else levels[r - 2].valid
         assert np.array_equal(guard, prev & (rank == len(lev.frames)))
         assert np.array_equal(lev.valid, valid)
+
+
+SECOND_ORDER_SURFACES = ["holo3", "holo4", "noniso", "holo3-pedal"]
+
+
+def second_order_bundle(name):
+    """A preset's bundle, or (name ending in -pedal) its pedal's, which is
+    not minimal, on a 5 x 5 grid at order 4."""
+    preset, _, pedal = name.partition("-")
+    pipe = SurfacePipeline(surface_evaluator(preset_curve(preset)), Grid(nx=5, ny=5), 4)
+    return pipe.pedal if pedal else pipe.base
+
+
+@pytest.mark.parametrize("name", SECOND_ORDER_SURFACES)
+def test_first_flag_level_pair_is_the_ck_projection(monkeypatch, name):
+    # level 1's pair is the traceless second form; the complexified
+    # tangent's coefficient jets on the second partials are a second route
+    bundle = second_order_bundle(name)
+    seen = []
+    gram_schmidt = geometry.jet_gram_schmidt
+    monkeypatch.setattr(geometry, "jet_gram_schmidt", lambda vecs, guard, eps: (
+        seen.append(vecs) or gram_schmidt(vecs, guard=guard, eps=eps)))
+    bundle.flag(1)
+    pair = seen[0]
+    want = ck_first_level_pair(bundle)
+    assert len(pair) == 2
+    for got, ref in zip(pair, want):
+        assert got.order == ref.order == bundle.order - 2
+        scale = np.max(np.abs(ref.t), axis=(0, 1))
+        assert np.all(np.max(np.abs(got.t - ref.t), axis=(0, 1)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("name", SECOND_ORDER_SURFACES)
+def test_wirtinger_second_form_is_the_normal_part_of_f_zz(name):
+    bundle = second_order_bundle(name)
+    got = bundle.alpha_wirtinger.value()
+    want = projected_fzz(bundle).value()
+    norm = np.sqrt(np.sum(np.abs(want) ** 2, axis=0))
+    assert np.min(norm) > 0
+    assert np.max(np.sqrt(np.sum(np.abs(got - want) ** 2, axis=0)) / norm) <= 1e-13
 
 
 def test_flag_makes_no_complex_vector_product(monkeypatch):

@@ -12,6 +12,7 @@ import sympy as sp
 
 from isopedal import jets
 from isopedal.errors import DegenerateJet
+from isopedal.geometry import FRAME_EPS
 from isopedal.jets import Jet, JetVec, jet_gram_schmidt, jet_lift
 from isopedal.weierstrass import IsotropicSpec, holomorphic_curve, preset_curve, w_generate
 from oracles import alternating_recip, coordinate, deriv, horner_sqrt
@@ -244,7 +245,7 @@ def test_project_off_removes_components():
     x = coordinate(x0, 0, 3)
     y = coordinate(y0, 1, 3)
     u = JetVec([x, y, x * y])
-    frames, _, ok = jet_gram_schmidt([u], guard=np.ones(x0.shape, dtype=bool))
+    frames, _, ok = jet_gram_schmidt([u], guard=np.ones(x0.shape, dtype=bool), eps=FRAME_EPS)
     assert np.all(ok)
     w = JetVec([y, x, (x + y)])
     res = w.project_off(frames)
@@ -262,7 +263,7 @@ def test_gram_schmidt_orthonormal_in_jets():
         JetVec([x, y, x * y]),
         JetVec([y, x * x, x + y]),
     ]
-    frames, _, ok = jet_gram_schmidt(vecs, guard=np.ones(x0.shape, dtype=bool))
+    frames, _, ok = jet_gram_schmidt(vecs, guard=np.ones(x0.shape, dtype=bool), eps=FRAME_EPS)
     assert np.all(ok)
     for a in range(2):
         for b in range(2):

@@ -30,7 +30,7 @@ from isopedal.verify import (
     verify_inversion_minimality,
 )
 from isopedal.weierstrass import ambient_curve, preset_curve, surface_evaluator
-from oracles import cv_linear_map, dense_inversion_defects
+from oracles import coordinate_alpha_dz, cv_linear_map, dense_inversion_defects
 
 SMALL_GRID = Grid(nx=9, ny=9)
 # the holo3 report on the window through the branch point, frozen: its
@@ -682,3 +682,15 @@ def test_every_check_passes_on_a_window_through_the_branch_point(grid):
     assert recs["shifted_pedal.family"]["excluded"] == (1 if grid.endswith("11") else 0)
     assert recs["inversion.crosscheck"]["excluded"] == 1
     assert recs["first_normal_rank.inverted"]["excluded"] == 1
+
+
+@pytest.mark.parametrize("preset", ["holo3", "holo4", "noniso"])
+def test_alpha_on_dz_and_the_position_is_the_coordinate_assembly(preset):
+    pipe = SurfacePipeline(surface_evaluator(preset_curve(preset)), Grid(nx=5, ny=5), 4)
+    sp = pipe.split
+    Z = sp.tangent_part.value().real
+    got = verify._alpha_dz_position(pipe.base, Z, *sp.frames[2:])[0]
+    want = coordinate_alpha_dz(pipe.base, Z)
+    norm = np.sqrt(np.sum(np.abs(want) ** 2, axis=0))
+    assert np.min(norm) > 0
+    assert np.max(np.sqrt(np.sum(np.abs(got - want) ** 2, axis=0)) / norm) <= 1e-13
