@@ -23,10 +23,12 @@ Conventions fixed here and used by the rest of the package:
   on the rotating unit tangent; the top-frequency pair (u_s, v_s) is
   extracted through the complex combination A_s = form(E, ..., E) with
   E = (e1 - i e2)/2 = cx f_x + cy f_y, via u_s = 2 Re A_s,
-  v_s = -2 Im A_s.  With P the projection off the lower osculating
-  frames, A_s = P(sum_k c_k d_k f) over the pure (s+1)-th partials d_k f
-  and the complex scalar jets c_k = C(s+1, k) cx^(s+1-k) cy^k.  P is
-  linear over jet scalars, so u_s = 2 P(sum_k d_k f Re c_k) and
+  v_s = -2 Im A_s.  At s = 1, A_1 = alpha(E, E) = (xi1 - i xi2)/2, so
+  the first level's pair is the traceless second form (xi1, xi2) itself.
+  For s >= 2, with P the projection off the lower osculating frames,
+  A_s = P(sum_k c_k d_k f) over the pure (s+1)-th partials d_k f and the
+  complex scalar jets c_k = C(s+1, k) cx^(s+1-k) cy^k.  P is linear over
+  jet scalars, so u_s = 2 P(sum_k d_k f Re c_k) and
   v_s = -2 P(sum_k d_k f Im c_k): two real projections per level, and
   no vector table is complex.  The rank of a level is read from order-0
   values: the partials' values projected off the frames' values.  For
@@ -261,9 +263,10 @@ class SurfaceJets:
     def flag(self, upto: int):
         """Normal flag levels N_1 .. N_upto (minimal surfaces).
 
-        Levels are built by projecting real combinations of the pure
-        (s+1)-th partials off the accumulated osculating frames (see the
-        module docstring); each level is oriented by its
+        Level 1 is spanned by the traceless second form; deeper levels are
+        built by projecting real combinations of the pure (s+1)-th
+        partials off the accumulated osculating frames (see the module
+        docstring).  Each level is oriented by its
         conjugate semi-diameter pair and orthonormalized in jet
         arithmetic.
         """
@@ -274,15 +277,16 @@ class SurfaceJets:
                 f"{self.order}, dimension {self.n}"
             )
         if len(self._levels) < upto:
-            powers = tuple([c] for c in self.complex_tangent_coeffs())
+            # only levels >= 2 read the tangent coefficients' powers
+            powers = tuple([c] for c in self.complex_tangent_coeffs()) if upto >= 2 else None
             while len(self._levels) < upto:
                 self._build_level(powers)
         return self._levels[:upto]
 
     def _build_level(self, powers):
         """Append flag level N_r, r = len(levels) + 1.  `powers` holds the
-        lists [cx, cx^2, ...] and [cy, cy^2, ...] that the levels of one
-        `flag` call share; they are extended here as far as N_r needs."""
+        lists [cx, cx^2, ...] and [cy, cy^2, ...] that the levels >= 2 of
+        one `flag` call share; they are extended here as far as N_r needs."""
         r = len(self._levels) + 1
         s = r + 1  # derivative order feeding N_r
         frames_all = [self.e1, self.e2]
@@ -299,25 +303,28 @@ class SurfaceJets:
         mat = _nvalue(vals.project_off([e.truncate(0) for e in frames_all]))  # (n, s+1, *batch)
         rank = _rank(mat)
 
-        # top-frequency pair through the complexified tangent (see the
-        # module docstring): the real and imaginary parts of the c_k weight
-        # the unprojected partials, and each of the two sums is projected
-        # once
-        cx_pow, cy_pow = powers  # cx_pow[j - 1] = cx^j, cy_pow[j - 1] = cy^j
-        for p in powers:
-            while len(p) < s:
-                p.append(p[-1] * p[0])
-        coeffs = [cx_pow[s - 1]]
-        coeffs += [cx_pow[s - k - 1] * cy_pow[k - 1] for k in range(1, s)]
-        coeffs.append(cy_pow[s - 1])
-        re = im = None
-        for k, ck in enumerate(coeffs):
-            c = ck.scale(math.comb(s, k))
-            re_k, im_k = raws[k].scale(c.real()), raws[k].scale(c.imag())
-            re = re_k if re is None else re + re_k
-            im = im_k if im is None else im + im_k
-        u = re.project_off(frames_all).scale(2.0)
-        v = im.project_off(frames_all).scale(-2.0)
+        # top-frequency pair (see the module docstring): level 1's is the
+        # traceless second form; deeper levels go through the complexified
+        # tangent, whose c_k weight the unprojected partials by their real
+        # and imaginary parts, and each of the two sums is projected once
+        if r == 1:
+            u, v = self.traceless_second()
+        else:
+            cx_pow, cy_pow = powers  # cx_pow[j - 1] = cx^j, cy_pow[j - 1] = cy^j
+            for p in powers:
+                while len(p) < s:
+                    p.append(p[-1] * p[0])
+            coeffs = [cx_pow[s - 1]]
+            coeffs += [cx_pow[s - k - 1] * cy_pow[k - 1] for k in range(1, s)]
+            coeffs.append(cy_pow[s - 1])
+            re = im = None
+            for k, ck in enumerate(coeffs):
+                c = ck.scale(math.comb(s, k))
+                re_k, im_k = raws[k].scale(c.real()), raws[k].scale(c.imag())
+                re = re_k if re is None else re + re_k
+                im = im_k if im is None else im + im_k
+            u = re.project_off(frames_all).scale(2.0)
+            v = im.project_off(frames_all).scale(-2.0)
 
         defect, lam = _ellipse_from_diameters(_nvalue(u), _nvalue(v))
 
