@@ -218,10 +218,24 @@ class SurfaceJets:
         return (a11 - a22).scale(0.5), a12
 
     @cached_property
-    def alpha_wirtinger(self) -> JetVec:
-        """Second form on the coordinate Wirtinger pair: normal part of f_zz."""
-        fzz = (self.partial(2, 0) - self.partial(0, 2) - self.partial(1, 1).scale(2j)).scale(0.25)
-        return self.tangent_project_off(fzz)
+    def wirtinger_coords(self):
+        """(<f_z, e1>, <f_z, e2>), values: the frame coordinates of the
+        Wirtinger vector f_z = (f_x - i f_y)/2."""
+        fz = 0.5 * (_nvalue(self.partial(1, 0)) - 1j * _nvalue(self.partial(0, 1)))
+        return tuple(np.sum(fz * _nvalue(e), axis=0) for e in (self.e1, self.e2))
+
+    def second_form_on(self, u, v):
+        """alpha(u, v) = sum_ij u_i v_j a_ij, values (n, *batch), for
+        tangent vectors given by their frame coordinates u = (u1, u2) and
+        v = (v1, v2)."""
+        a11, a12, a22 = (_nvalue(a) for a in self.second_fundamental)
+        (u1, u2), (v1, v2) = u, v
+        return u1 * v1 * a11 + (u1 * v2 + u2 * v1) * a12 + u2 * v2 * a22
+
+    @cached_property
+    def alpha_wirtinger(self) -> np.ndarray:
+        """alpha(f_z, f_z), complex values (n, *batch): the (2,0) form."""
+        return self.second_form_on(self.wirtinger_coords, self.wirtinger_coords)
 
     def laplacian(self) -> JetVec:
         return self.partial(2, 0) + self.partial(0, 2)

@@ -96,6 +96,13 @@ class PedalBundle:
         return tuple(_nvalue(e) for e in (self.base.e1, self.base.e2, e3, e4))
 
     @cached_property
+    def tangent_coords(self) -> tuple:
+        """(z1, z2) = (<Z, e1>, <Z, e2>), the frame coordinates of the
+        tangential part's values Z, each of shape (*batch)."""
+        Z = _nvalue(self.tangent_part)
+        return tuple(np.sum(Z * _nvalue(e), axis=0) for e in (self.base.e1, self.base.e2))
+
+    @cached_property
     def sections(self) -> tuple:
         """Values of u1 = Z - delta and u2 = JZ + J1(delta), each of shape
         (n, *batch).
@@ -106,8 +113,7 @@ class PedalBundle:
         Z = _nvalue(self.tangent_part)
         delta = _nvalue(self.first_normal_part)
         e1, e2, e3, e4 = self.frames
-        z1 = np.sum(Z * e1, axis=0)
-        z2 = np.sum(Z * e2, axis=0)
+        z1, z2 = self.tangent_coords
         d3 = np.sum(delta * e3, axis=0)
         d4 = np.sum(delta * e4, axis=0)
         return Z - delta, (z1 * e2 - z2 * e1) + (d3 * e4 - d4 * e3)

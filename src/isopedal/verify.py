@@ -77,7 +77,7 @@ from .geometry import (
 )
 from .grid import Grid
 from .moebius import invert_evaluator, minimality_residuals
-from .pedal import MIN_ORDER, SurfacePipeline
+from .pedal import MIN_ORDER, PedalBundle, SurfacePipeline
 from .weierstrass import preset_curve, surface_evaluator
 
 REPORT_VERSION = "1"
@@ -514,22 +514,11 @@ def _complex_dot(values_c, frame_values):
     return np.sum(values_c * frame_values, axis=0)
 
 
-def _alpha_dz_position(base: SurfaceJets, Z, n3, n4):
-    """Base second form on (Wirtinger vector, Z) and its pairing with a
-    first-normal frame: (alpha(dz, Z), <alpha(dz, Z), n3 + i n4>).
-
-    alpha(dz, Z) is assembled from the coordinate partials and the frame
-    coefficients of the tangent vector Z; Z, n3 and n4 are values.
-    """
-    tangent = [base.e1.truncate(0), base.e2.truncate(0)]
-    hxx, hxy, hyy = (_nvalue(base.partial(*key).truncate(0).project_off(tangent))
-                     for key in ((2, 0), (1, 1), (0, 2)))
-    a, b, c = (j.value().real for j in base.tangent_coeff_jets)
-    z1 = np.sum(Z * _nvalue(base.e1), axis=0)
-    z2 = np.sum(Z * _nvalue(base.e2), axis=0)
-    p = z1 * a + z2 * b
-    q = z2 * c
-    alpha = 0.5 * ((p * hxx + q * hxy) - 1j * (p * hxy + q * hyy))
+def _alpha_dz_position(sp: PedalBundle, n3, n4):
+    """The base's second form on (Wirtinger vector, tangential part Z) and
+    its pairing with a first-normal frame given by its values n3, n4:
+    (alpha(dz, Z), <alpha(dz, Z), n3 + i n4>)."""
+    alpha = sp.base.second_form_on(sp.base.wirtinger_coords, sp.tangent_coords)
     return alpha, _complex_dot(alpha, n3) + 1j * _complex_dot(alpha, n4)
 
 
@@ -539,7 +528,7 @@ def _secondform_span_pairing(pipe: SurfacePipeline):
     flag level's (a degenerate ellipse there leaves no frame to pair)."""
     base = pipe.base
     sp = pipe.split
-    ag = pipe.pedal.alpha_wirtinger.value()  # complex (n, points)
+    ag = pipe.pedal.alpha_wirtinger  # complex (n, points)
     lev = base.flag(min(2, base.flag_capacity()))
     u1, u2 = sp.sections
     frames = [*sp.frames, *(_nvalue(fr) for level in lev[1:] for fr in level.frames)]
@@ -566,7 +555,7 @@ def _secondform_top_defect(pipe: SurfacePipeline):
     """
     base = pipe.base
     sp = pipe.split
-    ag = pipe.pedal.alpha_wirtinger.value()
+    ag = pipe.pedal.alpha_wirtinger
     lev = base.flag(2)
     f3, f4 = lev[0].frames
     f5, f6 = lev[1].frames
@@ -574,7 +563,7 @@ def _secondform_top_defect(pipe: SurfacePipeline):
 
     # connection form on the Wirtinger vector: <D_dz f3, f5>
     omega_dz = f3.wirtinger().dot_value(f5)
-    _, zpair = _alpha_dz_position(base, _nvalue(sp.tangent_part), _nvalue(f3), _nvalue(f4))
+    _, zpair = _alpha_dz_position(sp, _nvalue(f3), _nvalue(f4))
 
     carried = omega_dz * zpair
     lhs5 = _complex_dot(ag, _nvalue(f5))
@@ -688,7 +677,7 @@ def verify_swillmore(run: Run) -> dict:
     mask = pipe.mask()
     H = gb.mean_curvature()
     nabH = H.wirtinger().truncate(0).project_off([gb.e1.truncate(0), gb.e2.truncate(0)]).value()
-    ag = gb.alpha_wirtinger.value()
+    ag = gb.alpha_wirtinger
     direct, both_ok = _plane_angle_defect(nabH, ag)
     mask_d = mask & both_ok
 
@@ -709,17 +698,15 @@ def verify_swillmore(run: Run) -> dict:
     omega_dz = e3.wirtinger().dot_value(f5)
 
     alpha_zz = base.alpha_wirtinger
-    A3 = alpha_zz.dot_value(e3)
-    fx, fy = base.partial(1, 0), base.partial(0, 1)
-    fz = (fx - fy.scale(1j)).scale(0.5)
-    Z = sp.tangent_part
-    pairing_Z = fz.dot_value(Z)
+    A3 = _complex_dot(alpha_zz, _nvalue(e3))
+    (w1, w2), (z1, z2) = base.wirtinger_coords, sp.tangent_coords
+    pairing_Z = w1 * z1 + w2 * z2  # <f_z, Z>
 
-    alpha_dz_Z, zpair = _alpha_dz_position(base, _nvalue(Z), _nvalue(e3), _nvalue(e4))
+    alpha_dz_Z, zpair = _alpha_dz_position(sp, _nvalue(e3), _nvalue(e4))
 
     scalar = omega_dz * (dval * A3 + pairing_Z * zpair)
     scale = np.abs(omega_dz) * (
-        dval * np.maximum(_norms(alpha_zz.value()), _TINY)
+        dval * np.maximum(_norms(alpha_zz), _TINY)
         + np.abs(pairing_Z) * np.maximum(_norms(alpha_dz_Z), _TINY)
     )
     scalar_n = np.abs(scalar) / np.maximum(scale, _TINY)

@@ -400,7 +400,8 @@ def test_first_flag_level_pair_is_the_ck_projection(monkeypatch, name):
 @pytest.mark.parametrize("name", SECOND_ORDER_SURFACES)
 def test_wirtinger_second_form_is_the_normal_part_of_f_zz(name):
     bundle = second_order_bundle(name)
-    got = bundle.alpha_wirtinger.value()
+    got = bundle.alpha_wirtinger
+    assert got.dtype == np.complex128 and got.shape == (bundle.n, *bundle.batch)
     want = projected_fzz(bundle).value()
     norm = np.sqrt(np.sum(np.abs(want) ** 2, axis=0))
     assert np.min(norm) > 0

@@ -121,3 +121,22 @@ def test_src_calls_the_svd_only_for_the_plane_angle():
                  if isinstance(node, ast.FunctionDef) and node.name == "_plane_angle_defect")
     assert _named(plane)["svd"] == 1
     assert {mod: k for mod, k in named.items() if k} == {"verify": 1}
+
+
+def test_only_geometry_reads_second_partials():
+    # each second-order quantity has one route: the second partials are
+    # projected off the tangent plane in geometry.py, and every other
+    # module reads the forms built there, taking at most first partials
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "partial"):
+                args = node.args
+                literal = (len(args) == 2 and not node.keywords and all(
+                    isinstance(a, ast.Constant) and type(a.value) is int for a in args))
+                if not (literal and args[0].value + args[1].value <= 1):
+                    calls.append(f"{path.stem}:{node.lineno}")
+    assert calls == []

@@ -689,7 +689,7 @@ def test_alpha_on_dz_and_the_position_is_the_coordinate_assembly(preset):
     pipe = SurfacePipeline(surface_evaluator(preset_curve(preset)), Grid(nx=5, ny=5), 4)
     sp = pipe.split
     Z = sp.tangent_part.value().real
-    got = verify._alpha_dz_position(pipe.base, Z, *sp.frames[2:])[0]
+    got = verify._alpha_dz_position(sp, *sp.frames[2:])[0]
     want = coordinate_alpha_dz(pipe.base, Z)
     norm = np.sqrt(np.sum(np.abs(want) ** 2, axis=0))
     assert np.min(norm) > 0
