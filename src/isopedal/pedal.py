@@ -58,13 +58,12 @@ class PedalBundle:
     base: SurfaceJets
 
     @cached_property
-    def tangent_part(self) -> JetVec:  # projection of the position onto the tangent plane
-        f, e1, e2 = self.base.f, self.base.e1, self.base.e2
-        return e1.scale(f.dot(e1)) + e2.scale(f.dot(e2))
+    def foot(self) -> JetVec:  # pedal point g: the position projected off the tangent plane
+        return normal_part(self.base, self.base.f)
 
     @cached_property
-    def foot(self) -> JetVec:  # pedal point g = f - tangent_part
-        return normal_part(self.base, self.base.f)
+    def tangent_part(self) -> JetVec:  # Z = f - g, the position's tangential component
+        return self.base.f - self.foot
 
     @cached_property
     def first_normal_part(self) -> JetVec:  # component of g in the first normal space
