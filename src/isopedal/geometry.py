@@ -219,15 +219,13 @@ class SurfaceJets:
 
     @cached_property
     def wirtinger_coords(self):
-        """(<f_z, e1>, <f_z, e2>), values: the frame coordinates of the
-        Wirtinger vector f_z = (f_x - i f_y)/2."""
+        """Frame coordinates (<f_z, e1>, <f_z, e2>) of f_z = (f_x - i f_y)/2, values."""
         fz = 0.5 * (_nvalue(self.partial(1, 0)) - 1j * _nvalue(self.partial(0, 1)))
         return tuple(np.sum(fz * _nvalue(e), axis=0) for e in (self.e1, self.e2))
 
     def second_form_on(self, u, v):
-        """alpha(u, v) = sum_ij u_i v_j a_ij, values (n, *batch), for
-        tangent vectors given by their frame coordinates u = (u1, u2) and
-        v = (v1, v2)."""
+        """alpha(u, v) = sum_ij u_i v_j a_ij, values (n, *batch), for tangent
+        vectors given by their frame coordinates u = (u1, u2), v = (v1, v2)."""
         a11, a12, a22 = (_nvalue(a) for a in self.second_fundamental)
         (u1, u2), (v1, v2) = u, v
         return u1 * v1 * a11 + (u1 * v2 + u2 * v1) * a12 + u2 * v2 * a22
@@ -280,9 +278,8 @@ class SurfaceJets:
         Level 1 is spanned by the traceless second form; deeper levels are
         built by projecting real combinations of the pure (s+1)-th
         partials off the accumulated osculating frames (see the module
-        docstring).  Each level is oriented by its
-        conjugate semi-diameter pair and orthonormalized in jet
-        arithmetic.
+        docstring).  Each level is oriented by its conjugate semi-diameter
+        pair and orthonormalized in jet arithmetic.
         """
         if upto > self.flag_capacity():
             raise ValueError(
@@ -291,7 +288,7 @@ class SurfaceJets:
                 f"{self.order}, dimension {self.n}"
             )
         if len(self._levels) < upto:
-            # only levels >= 2 read the tangent coefficients' powers
+            # only levels >= 2 read the powers; they end with this call
             powers = tuple([c] for c in self.complex_tangent_coeffs()) if upto >= 2 else None
             while len(self._levels) < upto:
                 self._build_level(powers)
@@ -303,11 +300,8 @@ class SurfaceJets:
         one `flag` call share; they are extended here as far as N_r needs."""
         r = len(self._levels) + 1
         s = r + 1  # derivative order feeding N_r
-        frames_all = [self.e1, self.e2]
-        for lev in self._levels:
-            frames_all.extend(lev.frames)
-        used = sum(len(lev.frames) for lev in self._levels)
-        expected = min(2, self.n - 2 - used)
+        frames_all = [self.e1, self.e2, *(e for lev in self._levels for e in lev.frames)]
+        expected = min(2, self.n - len(frames_all))
         raws = [self.partial(s - k, k) for k in range(s + 1)]
 
         # detected rank of the projected span at order 0: the partials'

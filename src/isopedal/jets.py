@@ -30,7 +30,8 @@ The table dtype follows the inputs.  Real pipelines (surface jets,
 frames, pedals, inversions) carry float64 tables; complex tables occur
 only where the mathematics is complex: the holomorphic lift
 (`jet_lift`), Wirtinger derivatives (d = (d/dx - i d/dy)/2) and what is
-built from them.  `.real()` returns float64 tables.  A real table gives
+built from them, but not the (2,0) second form, a value array read off
+the real frame form.  `.real()` returns float64 tables.  A real table gives
 the same bits as the real part of the same computation on complex tables
 with zero imaginary parts, with one care: numpy divides complex numbers
 as a * (1/b), so real division by a jet's value is written t * (1/b).

@@ -96,8 +96,7 @@ class PedalBundle:
 
     @cached_property
     def tangent_coords(self) -> tuple:
-        """(z1, z2) = (<Z, e1>, <Z, e2>), the frame coordinates of the
-        tangential part's values Z, each of shape (*batch)."""
+        """Frame coordinates (<Z, e1>, <Z, e2>) of Z's values, each (*batch)."""
         Z = _nvalue(self.tangent_part)
         return tuple(np.sum(Z * _nvalue(e), axis=0) for e in (self.base.e1, self.base.e2))
 
@@ -113,8 +112,7 @@ class PedalBundle:
         delta = _nvalue(self.first_normal_part)
         e1, e2, e3, e4 = self.frames
         z1, z2 = self.tangent_coords
-        d3 = np.sum(delta * e3, axis=0)
-        d4 = np.sum(delta * e4, axis=0)
+        d3, d4 = (np.sum(delta * e, axis=0) for e in (e3, e4))
         return Z - delta, (z1 * e2 - z2 * e1) + (d3 * e4 - d4 * e3)
 
     @cached_property
