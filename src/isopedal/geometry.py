@@ -58,6 +58,9 @@ IMMERSION_RTOL = 1e-12
 FRAME_EPS = 1e-9
 RANK_SV_RTOL = 1e-7
 _TINY = 1e-300
+# the highest jet order any reader takes of second-order data (the second
+# form, the flag frames and the pedal's parts): values and one derivative
+SECOND_ORDER_CAP = 1
 
 
 def _nvalue(jv: JetVec):
@@ -135,6 +138,7 @@ class SurfaceJets:
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.order = order
+        self.second_order = min(order - 2, SECOND_ORDER_CAP)  # the order second-order jets keep
         self.f, base = surface.evaluate(self.x, self.y, order)
         self.n = len(self.f)
         self.batch = self.f.batch
@@ -173,11 +177,12 @@ class SurfaceJets:
 
     @cached_property
     def tangent_coeff_jets(self):
-        """(a, b, c) with e1 = a f_x and e2 = b f_x + c f_y: a and c are
-        the reciprocal norms of f_x and of f_y's residual off e1, and
-        b = -a <f_y, e1> c."""
-        a, c = self._invs
-        return a, -(a * self.partial(0, 1).dot(self.e1)) * c, c
+        """(a, b, c) with e1 = a f_x and e2 = b f_x + c f_y, at order
+        `second_order`: a and c are the reciprocal norms of f_x and of f_y's
+        residual off e1, and b = -a <f_y, e1> c."""
+        k = self.second_order
+        a, c = (inv.truncate(k) for inv in self._invs)
+        return a, -(a * self.partial(0, 1).truncate(k).dot(self.e1)) * c, c
 
     def complex_tangent_coeffs(self):
         """(cx, cy) with (e1 - i e2)/2 = cx f_x + cy f_y (jets)."""
@@ -193,15 +198,17 @@ class SurfaceJets:
     def second_fundamental(self):
         """Jets of the second-form values on the orthonormal frame.
 
-        Returns (alpha11, alpha12, alpha22) of order d-2, obtained by
-        projecting the coordinate second derivatives off the tangent
-        plane and contracting with the frame coefficients (the form is
-        tensorial, so pointwise coefficients suffice; keeping them as
-        jets makes the result a differentiable field).
+        Returns (alpha11, alpha12, alpha22) at order `second_order` =
+        min(d - 2, SECOND_ORDER_CAP), obtained by projecting the coordinate
+        second derivatives, truncated to it, off the tangent plane and
+        contracting with the frame coefficients (the form is tensorial, so
+        pointwise coefficients suffice; keeping them as jets makes the
+        result a differentiable field).
         """
-        h_xx = self.tangent_project_off(self.partial(2, 0))
-        h_xy = self.tangent_project_off(self.partial(1, 1))
-        h_yy = self.tangent_project_off(self.partial(0, 2))
+        k = self.second_order
+        h_xx = self.tangent_project_off(self.partial(2, 0).truncate(k))
+        h_xy = self.tangent_project_off(self.partial(1, 1).truncate(k))
+        h_yy = self.tangent_project_off(self.partial(0, 2).truncate(k))
         a, b, c = self.tangent_coeff_jets
         a11 = h_xx.scale(a * a)
         a12 = h_xx.scale(a * b) + h_xy.scale(a * c)
@@ -279,7 +286,8 @@ class SurfaceJets:
         built by projecting real combinations of the pure (s+1)-th
         partials off the accumulated osculating frames (see the module
         docstring).  Each level is oriented by its conjugate semi-diameter
-        pair and orthonormalized in jet arithmetic.
+        pair and orthonormalized in jet arithmetic; level r is carried to
+        order min(d - r - 1, SECOND_ORDER_CAP).
         """
         if upto > self.flag_capacity():
             raise ValueError(
@@ -374,10 +382,10 @@ class SurfaceJets:
     def _connection(self):
         levels = self.flag(min(self.flag_capacity(), self.order - 2))
         nfr = [fr for lev in levels for fr in lev.frames]
-        # e1 = a d/dx and e2 = b d/dx + c d/dy; only the pairings' values
-        # are read, so the derivatives along them take the order-0
-        # coefficients
-        a, b, c = (t.truncate(0) for t in self.tangent_coeff_jets)
+        # e1 = a d/dx and e2 = b d/dx + c d/dy; the frames are carried to
+        # order <= 1, so their derivatives, and the derivatives along e1
+        # and e2, are order-0 jets, which is all the pairings read
+        a, b, c = self.tangent_coeff_jets
         dx = [ea.dx() for ea in nfr]
         dy = [ea.dy() for ea in nfr]
         along = ([d.scale(a) for d in dx],

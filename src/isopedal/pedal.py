@@ -63,7 +63,8 @@ class PedalBundle:
 
     @cached_property
     def tangent_part(self) -> JetVec:  # Z = f - g, the position's tangential component
-        return self.base.f - self.foot
+        k = self.base.second_order
+        return self.base.f.truncate(k) - self.foot.truncate(k)
 
     @cached_property
     def first_normal_part(self) -> JetVec:  # component of g in the first normal space
@@ -75,7 +76,7 @@ class PedalBundle:
         return self.foot - self.first_normal_part
 
     @cached_property
-    def osc_norm_sq(self) -> Jet:  # ||tangent_part||^2 + ||first_normal_part||^2
+    def osc_norm_sq(self) -> Jet:  # ||tangent_part||^2 + ||first_normal_part||^2, order <= 1
         return self.tangent_part.norm_sq() + self.first_normal_part.norm_sq()
 
     @cached_property
@@ -135,8 +136,8 @@ class PedalBundle:
 
 
 def pedal_split(bundle: SurfaceJets) -> PedalBundle:
-    """Split the position vector along tangent plane and normal flag; the
-    first-normal component is only trustworthy to (bundle order - 2)."""
+    """Split the position vector along tangent plane and normal flag; every
+    part but the pedal point is carried to the bundle's `second_order`."""
     return PedalBundle(bundle)
 
 

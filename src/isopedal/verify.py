@@ -676,7 +676,7 @@ def verify_swillmore(run: Run) -> dict:
     gb = pipe.pedal
     mask = pipe.mask()
     H = gb.mean_curvature()
-    nabH = H.wirtinger().truncate(0).project_off([gb.e1.truncate(0), gb.e2.truncate(0)]).value()
+    nabH = H.wirtinger().project_off([gb.e1, gb.e2]).value()  # H is carried to order <= 1
     ag = gb.alpha_wirtinger
     direct, both_ok = _plane_angle_defect(nabH, ag)
     mask_d = mask & both_ok

@@ -4,7 +4,8 @@ None of this is reached by a command.  Each function recomputes, along a
 second route, something the library derives along its own (the Gauss
 curvature from the metric alone, the third form by differentiating the
 second, the first flag level and the (2,0) form from the coordinate
-partials, the inversion laws against direct jets of an inverted surface,
+partials, the second-order data at the bundle's full order, the
+inversion laws against direct jets of an inverted surface,
 polynomial values by numpy's `polyval`, the number of curvature circles
 from float flag levels at a few points, the reciprocal and square root by
 the Horner loops `Jet` ran before its binomial kernel), reads a jet (derivative values,
@@ -20,9 +21,10 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from isopedal.cpoly import cp_add, cp_scale
-from isopedal.geometry import SurfaceJets, _nvalue
-from isopedal.jets import Jet, _at, _divided
+from isopedal.geometry import FRAME_EPS, SurfaceJets, _nvalue
+from isopedal.jets import Jet, _at, _divided, jet_gram_schmidt
 from isopedal.moebius import invert_evaluator, minimality_residuals
+from isopedal.pedal import normal_part
 from isopedal.verify import _traceless_scale
 from isopedal.weierstrass import IsotropicSpec, SurfaceEvaluator
 
@@ -260,6 +262,28 @@ def ck_first_level_pair(bundle: SurfaceJets):
         re = re_k if re is None else re + re_k
         im = im_k if im is None else im + im_k
     return bundle.tangent_project_off(re).scale(2.0), bundle.tangent_project_off(im).scale(-2.0)
+
+
+def uncapped_second_order(bundle: SurfaceJets):
+    """The second form, the pedal's first-normal part and osc_norm_sq at
+    the bundle's exact order d - 2, uncapped: the full second partials
+    projected off the tangent plane and contracted with the frame
+    coefficients at order d - 1, flag level 1's frames orthonormalised from
+    the traceless pair at that order, and the pedal point and tangential
+    part at order d - 1."""
+    a, c = bundle._invs
+    b = -(a * bundle.partial(0, 1).dot(bundle.e1)) * c
+    h_xx, h_xy, h_yy = (bundle.tangent_project_off(bundle.partial(*key))
+                        for key in ((2, 0), (1, 1), (0, 2)))
+    a11 = h_xx.scale(a * a)
+    a12 = h_xx.scale(a * b) + h_xy.scale(a * c)
+    a22 = h_xx.scale(b * b) + h_xy.scale((b * c).scale(2.0)) + h_yy.scale(c * c)
+    (e3, e4), _, _ = jet_gram_schmidt([(a11 - a22).scale(0.5), a12],
+                                      guard=bundle.flag(1)[0].valid, eps=FRAME_EPS)
+    g = normal_part(bundle, bundle.f)
+    delta = e3.scale(g.dot(e3)) + e4.scale(g.dot(e4))
+    return {"second_fundamental": (a11, a12, a22), "first_normal_part": delta,
+            "osc_norm_sq": (bundle.f - g).norm_sq() + delta.norm_sq()}
 
 
 def projected_fzz(bundle: SurfaceJets):

@@ -37,6 +37,7 @@ from oracles import (
     isotropy_order,
     projected_fzz,
     third_form_recursive_defect,
+    uncapped_second_order,
 )
 
 
@@ -270,10 +271,10 @@ def test_tangent_coefficients_express_the_frame_as_jets():
     fx, fy = b.partial(1, 0), b.partial(0, 1)
     assert np.min(np.abs(fx.dot(fy).value())) > 0.1
     a, bb, c = b.tangent_coeff_jets
-    # every jet coefficient, not just the values
+    # every jet coefficient a, b and c carry, not just the values
     for frame, combination in ((b.e1, fx.scale(a)), (b.e2, fx.scale(bb) + fy.scale(c))):
-        assert frame.order == combination.order == 3
-        assert np.max(np.abs(frame.t - combination.t)) < 1e-12
+        assert combination.order == b.second_order == 1
+        assert np.max(np.abs(frame.truncate(1).t - combination.t)) < 1e-12
 
 
 def test_connection_omega_antisymmetric():
@@ -392,9 +393,26 @@ def test_first_flag_level_pair_is_the_ck_projection(monkeypatch, name):
     want = ck_first_level_pair(bundle)
     assert len(pair) == 2
     for got, ref in zip(pair, want):
-        assert got.order == ref.order == bundle.order - 2
+        assert got.order == ref.order == bundle.second_order
         scale = np.max(np.abs(ref.t), axis=(0, 1))
         assert np.all(np.max(np.abs(got.t - ref.t), axis=(0, 1)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("name, order", [("holo3", 4), ("holo4", 5), ("noniso", 4)])
+def test_second_order_data_is_the_uncapped_data_truncated_to_the_cap(name, order):
+    # the cap drops coefficients and changes none it keeps: each capped jet
+    # equals the uncapped route bitwise, at the points of flag level 1
+    pipe = SurfacePipeline(surface_evaluator(preset_curve(name)), Grid(nx=5, ny=5), order)
+    base, split = pipe.base, pipe.split
+    carried = [*base.second_fundamental, split.first_normal_part, split.osc_norm_sq]
+    assert [jet.order for jet in carried] == [geometry.SECOND_ORDER_CAP] * 5
+    ok = base.flag(1)[0].valid
+    assert np.any(ok)
+    uncapped = uncapped_second_order(base)
+    for got, ref in zip(carried, [*uncapped["second_fundamental"], uncapped["first_normal_part"],
+                                  uncapped["osc_norm_sq"]]):
+        assert ref.order == order - 2
+        np.testing.assert_array_equal(got.t[..., ok], ref.truncate(got.order).t[..., ok])
 
 
 @pytest.mark.parametrize("name", SECOND_ORDER_SURFACES)

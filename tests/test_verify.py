@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isopedal import moebius, pedal, verify
+from isopedal import geometry, moebius, pedal, verify
 from isopedal.config import RunConfig
 from isopedal.errors import ConfigError
 from isopedal.geometry import SurfaceJets
@@ -181,11 +181,14 @@ def test_a_higher_jet_order_changes_no_record(monkeypatch, doc):
 
 
 # holo3's 13 x 13 grid holds all three subgrids (5, 7 and 11) of the run
-@pytest.mark.parametrize("doc", [
+ORDER_GUARD_DOCS = pytest.mark.parametrize("doc", [
     {"seed_preset": "holo3", "grid": "0.3,1.3,0.3,1.3,13,13"},
     {"seed_preset": "holo4", "grid": "0.3,1.3,0.3,1.3,9,9"},
     {"spec": R5_SPEC, "grid": "0.3,1.3,0.3,1.3,7,7"},
 ], ids=["holo3", "holo4", "r5"])
+
+
+@ORDER_GUARD_DOCS
 def test_a_higher_pipeline_floor_changes_no_record(monkeypatch, doc):
     # guards MIN_ORDER: a check that reads a coefficient above it on a
     # reference, subgrid or sample pipeline would change here
@@ -194,6 +197,15 @@ def test_a_higher_pipeline_floor_changes_no_record(monkeypatch, doc):
     for module in (pedal, verify):
         monkeypatch.setattr(module, "MIN_ORDER", raised)
     assert run_all(RunConfig.from_document(doc))["checks"] == at_floor
+
+
+@ORDER_GUARD_DOCS
+def test_a_higher_second_order_cap_changes_no_record(monkeypatch, doc):
+    # guards geometry.SECOND_ORDER_CAP: a check that reads second-order data
+    # above it would read truncated data at the cap and change here
+    at_cap = run_all(RunConfig.from_document(doc))["checks"]
+    monkeypatch.setattr(geometry, "SECOND_ORDER_CAP", geometry.SECOND_ORDER_CAP + 1)
+    assert run_all(RunConfig.from_document(doc))["checks"] == at_cap
 
 
 def test_a_default_run_builds_only_its_surface_above_the_floor(monkeypatch):
