@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import SurfaceJets, first_normal_rank
 from .grid import Grid
+from .jets import dot_values
 from .pedal import PedalBundle
 from .weierstrass import SurfaceEvaluator
 
@@ -182,12 +183,10 @@ def write_pedal_csv(pb: PedalBundle, grid: Grid, path, reg):
     the grid excludes it."""
     x, y = grid.points()
     pre = grid.premask()
-    Z = pb.tangent_part.value().real
     g = pb.foot.value().real
-    delta, eta = pb.first_normal_part, pb.higher_normal_part
-    dn = np.sqrt(np.maximum(delta.dot_value(delta).real, 0.0))
-    en = np.sqrt(np.maximum(eta.dot_value(eta).real, 0.0))
-    columns = [_floats(v) for v in (x, y, *Z, *g, dn, en, pb.theta)]
+    dn, en = (np.sqrt(np.maximum(dot_values(v, v), 0.0))
+              for v in (pb.first_normal_part, pb.higher_normal_part))
+    columns = [_floats(v) for v in (x, y, *pb.tangent_part, *g, dn, en, pb.theta)]
     columns += [_flags(v) for v in (reg["tangent_nonzero"], reg["first_normal_nonzero"],
                                     reg["immersed"] & pre)]
     _write_csv(path, pedal_columns(len(pb.foot)), columns)

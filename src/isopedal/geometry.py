@@ -59,7 +59,7 @@ FRAME_EPS = 1e-9
 RANK_SV_RTOL = 1e-7
 _TINY = 1e-300
 # the highest jet order any reader takes of second-order data (the second
-# form, the flag frames and the pedal's parts): values and one derivative
+# form and the flag frames): values and the connection forms' one derivative
 SECOND_ORDER_CAP = 1
 
 
@@ -287,7 +287,8 @@ class SurfaceJets:
         partials off the accumulated osculating frames (see the module
         docstring).  Each level is oriented by its conjugate semi-diameter
         pair and orthonormalized in jet arithmetic; level r is carried to
-        order min(d - r - 1, SECOND_ORDER_CAP).
+        order min(d - r - 1, SECOND_ORDER_CAP), which the connection forms
+        differentiate once.
         """
         if upto > self.flag_capacity():
             raise ValueError(
@@ -295,17 +296,12 @@ class SurfaceJets:
                 f"and ambient dimension {2 * upto + 2}; have order "
                 f"{self.order}, dimension {self.n}"
             )
-        if len(self._levels) < upto:
-            # only levels >= 2 read the powers; they end with this call
-            powers = tuple([c] for c in self.complex_tangent_coeffs()) if upto >= 2 else None
-            while len(self._levels) < upto:
-                self._build_level(powers)
+        while len(self._levels) < upto:
+            self._build_level()
         return self._levels[:upto]
 
-    def _build_level(self, powers):
-        """Append flag level N_r, r = len(levels) + 1.  `powers` holds the
-        lists [cx, cx^2, ...] and [cy, cy^2, ...] that the levels >= 2 of
-        one `flag` call share; they are extended here as far as N_r needs."""
+    def _build_level(self):
+        """Append flag level N_r, r = len(levels) + 1."""
         r = len(self._levels) + 1
         s = r + 1  # derivative order feeding N_r
         frames_all = [self.e1, self.e2, *(e for lev in self._levels for e in lev.frames)]
@@ -326,8 +322,8 @@ class SurfaceJets:
         if r == 1:
             u, v = self.traceless_second()
         else:
-            cx_pow, cy_pow = powers  # cx_pow[j - 1] = cx^j, cy_pow[j - 1] = cy^j
-            for p in powers:
+            cx_pow, cy_pow = ([c] for c in self.complex_tangent_coeffs())
+            for p in (cx_pow, cy_pow):  # p[j - 1] = c^j, j = 1..s
                 while len(p) < s:
                     p.append(p[-1] * p[0])
             coeffs = [cx_pow[s - 1]]
@@ -371,10 +367,12 @@ class SurfaceJets:
 
         Returns a dict with
           omega: array (2, nf, nf, *batch), omega[i, a, b] = <D_{e_i} e_{a+3}, e_{b+3}>
+          omega_dz: complex array (nf, nf, *batch), omega_dz[a, b] = <D_dz e_{a+3}, e_{b+3}>
+            on the Wirtinger vector dz = (d/dx - i d/dy)/2
           valid: mask
-        Only flag levels whose frames are jets of order >= 1 (levels up
-        to jet order - 2) can be differentiated, so deeper levels are left
-        out.
+        Both are antisymmetric in (a, b).  Only flag levels whose frames are
+        jets of order >= 1 (levels up to jet order - 2) can be differentiated,
+        so deeper levels are left out.  No other reader differentiates them.
         """
         return self._connection
 
@@ -392,13 +390,15 @@ class SurfaceJets:
                  [d.scale(b) + e.scale(c) for d, e in zip(dx, dy)])
         nf = len(nfr)
         omega = np.zeros((2, nf, nf) + self.batch)
-        for i, ders in enumerate(along):
-            for aa in range(nf):
-                for bb in range(aa + 1, nf):
-                    val = ders[aa].dot_value(nfr[bb]).real
-                    omega[i, aa, bb] = val
+        omega_dz = np.zeros((nf, nf) + self.batch, dtype=complex)
+        for aa in range(nf):
+            for bb in range(aa + 1, nf):
+                for i, ders in enumerate(along):
+                    omega[i, aa, bb] = val = ders[aa].dot_value(nfr[bb]).real
                     omega[i, bb, aa] = -val
-        return {"omega": omega, "valid": self._levels_valid}
+                dz = 0.5 * (dx[aa].dot_value(nfr[bb]) - 1j * dy[aa].dot_value(nfr[bb]))
+                omega_dz[aa, bb], omega_dz[bb, aa] = dz, -dz
+        return {"omega": omega, "omega_dz": omega_dz, "valid": self._levels_valid}
 
 
 def hodge_relation_residuals(bundle: SurfaceJets):

@@ -308,9 +308,7 @@ class Jet(_Table):
         return Jet._of(t)
 
     def __mul__(self, other):
-        """Truncated Cauchy product (see `_product`), or `scale`."""
-        if not isinstance(other, Jet):
-            return self.scale(other)
+        """Truncated Cauchy product with the jet `other` (see `_product`)."""
         return Jet._of(_product(self.t, other.t, 1))
 
     def _binomial(self, alpha, bad, guard, what):
@@ -414,20 +412,11 @@ class JetVec(_Table):
         return self.dot(self)
 
     def dot_value(self, other):
-        """Order-0 values of `dot(other)`, shape (*batch): the products of
-        the order-0 coefficients summed in component order, plus 0.0.
-
-        A product writes its order-0 entry from the operands' order-0
-        entries alone, as 0 + a_k b_k; the final 0.0 turns a zero sum
-        positive as those zeroed accumulators do, so the result is
-        bitwise the value of the full pairing."""
+        """Order-0 values of `dot(other)`, shape (*batch), bitwise (see
+        `dot_values`)."""
         if len(self) != len(other):
             raise ValueError(f"component mismatch: {len(self)} vs {len(other)}")
-        a, b = self.value(), other.value()
-        acc = a[0] * b[0]
-        for k in range(1, len(self)):
-            acc = acc + a[k] * b[k]
-        return acc + 0.0
+        return dot_values(self.value(), other.value())
 
     def translate(self, vec):
         """Add a constant ambient vector (one entry per component).
@@ -451,6 +440,17 @@ class JetVec(_Table):
 
 
 # -- public operations -------------------------------------------------------
+
+
+def dot_values(a, b):
+    """sum_k a[k] b[k] over the leading (component) axis of two value
+    arrays, in component order, plus 0.0: bitwise the order-0 value of the
+    jet pairing `JetVec.dot`, whose products write that entry as 0 + a_k b_k,
+    turning a zero sum positive as the final 0.0 does."""
+    acc = a[0] * b[0]
+    for k in range(1, len(a)):
+        acc = acc + a[k] * b[k]
+    return acc + 0.0
 
 
 def jet_lift(curve, x, y, order):

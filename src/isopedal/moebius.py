@@ -94,8 +94,8 @@ def _minimality_points(pb):
     """Per-point arrays of the residual system, flattened to (n, points)
     or (points,), from the pedal bundle's values."""
     n = len(pb.foot)
-    g, delta, eta = (_nvalue(v).reshape(n, -1)
-                     for v in (pb.foot, pb.first_normal_part, pb.higher_normal_part))
+    g, delta, eta = (v.reshape(n, -1)
+                     for v in (_nvalue(pb.foot), pb.first_normal_part, pb.higher_normal_part))
     frames = [e.reshape(n, -1) for e in pb.frames]
     u1, u2 = (u.reshape(n, -1) for u in pb.sections)
     return (g, np.sum(g * g, axis=0), u1, np.sum(delta * delta, axis=0), u2, eta,

@@ -15,15 +15,15 @@ normal flag of a minimal f,
                        space),
 
 yields the quantities controlling the pedal's geometry; in particular
-with  osc_norm_sq = ||tangential part||^2 + ||delta||^2  (the squared
-length of the position's projection onto the second osculating space),
-the pedal is an immersion exactly where K * osc_norm_sq != 0, its metric
-is conformal to the original with factor -K * osc_norm_sq / 2, and its
-mean curvature is (2/osc_norm_sq)(tangential part - delta).
+with  theta = ||tangential part||^2 + ||delta||^2  (the squared length
+of the position's projection onto the second osculating space), the
+pedal is an immersion exactly where K * theta != 0, its metric is
+conformal to the original with factor -K * theta / 2, and its mean
+curvature is (2/theta)(tangential part - delta).
 
-Jet bookkeeping: g involves first derivatives of f and delta second
-ones, so a pedal jet of trusted order k is built from an f jet of order
-k + 1.  `pedal_surface` is the pedal as a lazy evaluator; a
+Jet bookkeeping: g involves first derivatives of f, so a pedal jet of
+trusted order k is built from an f jet of order k + 1; the other parts
+are values.  `pedal_surface` is the pedal as a lazy evaluator; a
 `SurfacePipeline` composes the pedal, and the normal shadow of a
 constant vector, on one evaluation of f over a grid.
 """
@@ -37,7 +37,7 @@ import numpy as np
 
 from .geometry import _TINY, SurfaceJets, _nvalue
 from .grid import Grid
-from .jets import Jet, JetVec
+from .jets import JetVec, dot_values
 from .weierstrass import SurfaceEvaluator
 
 # the least jet order a pipeline takes: a pipeline other than a run's own
@@ -50,10 +50,11 @@ REGULARITY_RTOL = 1e-6  # relative floor for the tangent / first-normal parts
 
 @dataclass
 class PedalBundle:
-    """Jet-level pedal decomposition of a bundle's position vector, each
-    part built on first use and kept.  The tangential part and the pedal
-    point read only the tangent frame; `valid`, the first-normal part and
-    every part that reads it build the first flag level."""
+    """Pedal decomposition of a bundle's position vector, each part built
+    on first use and kept: the pedal point `foot` as a jet of the bundle's
+    order, every other part as a value array.  The tangential part and
+    the pedal point read only the tangent frame; `valid`, the first-normal
+    part and every part that reads it build the first flag level."""
 
     base: SurfaceJets
 
@@ -62,22 +63,18 @@ class PedalBundle:
         return normal_part(self.base, self.base.f)
 
     @cached_property
-    def tangent_part(self) -> JetVec:  # Z = f - g, the position's tangential component
-        k = self.base.second_order
-        return self.base.f.truncate(k) - self.foot.truncate(k)
+    def tangent_part(self) -> np.ndarray:  # Z = f - g, the position's tangential component
+        return _nvalue(self.base.f) - _nvalue(self.foot)
 
     @cached_property
-    def first_normal_part(self) -> JetVec:  # component of g in the first normal space
-        e3, e4 = self.base.flag(1)[0].frames  # N_1 has rank 2 in every ambient dimension n >= 4
-        return e3.scale(self.foot.dot(e3)) + e4.scale(self.foot.dot(e4))
+    def first_normal_part(self) -> np.ndarray:  # component delta of g in the first normal space
+        g = _nvalue(self.foot)
+        _, _, e3, e4 = self.frames  # N_1 has rank 2 in every ambient dimension n >= 4
+        return e3 * dot_values(g, e3) + e4 * dot_values(g, e4) + 0.0
 
     @cached_property
-    def higher_normal_part(self) -> JetVec:  # g minus that component
-        return self.foot - self.first_normal_part
-
-    @cached_property
-    def osc_norm_sq(self) -> Jet:  # ||tangent_part||^2 + ||first_normal_part||^2, order <= 1
-        return self.tangent_part.norm_sq() + self.first_normal_part.norm_sq()
+    def higher_normal_part(self) -> np.ndarray:  # eta = g - delta
+        return _nvalue(self.foot) - self.first_normal_part
 
     @cached_property
     def valid(self) -> np.ndarray:
@@ -85,8 +82,9 @@ class PedalBundle:
 
     @cached_property
     def theta(self) -> np.ndarray:
-        """Values of osc_norm_sq, shape (*batch)."""
-        return self.osc_norm_sq.value().real
+        """||Z||^2 + ||delta||^2 (see the module docstring), shape (*batch)."""
+        Z, delta = self.tangent_part, self.first_normal_part
+        return dot_values(Z, Z) + dot_values(delta, delta)
 
     @cached_property
     def frames(self) -> tuple:
@@ -97,20 +95,17 @@ class PedalBundle:
 
     @cached_property
     def tangent_coords(self) -> tuple:
-        """Frame coordinates (<Z, e1>, <Z, e2>) of Z's values, each (*batch)."""
-        Z = _nvalue(self.tangent_part)
-        return tuple(np.sum(Z * _nvalue(e), axis=0) for e in (self.base.e1, self.base.e2))
+        """Frame coordinates (<Z, e1>, <Z, e2>), each (*batch)."""
+        return tuple(np.sum(self.tangent_part * e, axis=0) for e in self.frames[:2])
 
     @cached_property
     def sections(self) -> tuple:
-        """Values of u1 = Z - delta and u2 = JZ + J1(delta), each of shape
-        (n, *batch).
+        """u1 = Z - delta and u2 = JZ + J1(delta), each of shape (n, *batch).
 
         u2 is the tangential part turned a quarter in the tangent plane
         plus the first-normal part turned a quarter in its oriented plane.
         """
-        Z = _nvalue(self.tangent_part)
-        delta = _nvalue(self.first_normal_part)
+        Z, delta = self.tangent_part, self.first_normal_part
         e1, e2, e3, e4 = self.frames
         z1, z2 = self.tangent_coords
         d3, d4 = (np.sum(delta * e, axis=0) for e in (e3, e4))
@@ -118,26 +113,24 @@ class PedalBundle:
 
     @cached_property
     def theta_ok(self) -> np.ndarray:
-        """Points where `mean_curvature_predicted` may divide by
-        osc_norm_sq: the flag level is valid and theta exceeds 1e-14 |f|^2."""
+        """Points where `mean_curvature_predicted` may divide by theta:
+        the flag level is valid and theta exceeds 1e-14 |f|^2."""
         f_sq = np.sum(_nvalue(self.base.f) ** 2, axis=0)
         return self.valid & (np.abs(self.theta) > 1e-14 * f_sq)
 
-    def mean_curvature_predicted(self) -> JetVec:
-        """(2 / osc_norm_sq)(tangent_part - first_normal_part) as jets;
-        junk outside `theta_ok`."""
-        two_over = self.osc_norm_sq.recip(guard=self.theta_ok).scale(2.0)
-        return (self.tangent_part - self.first_normal_part).scale(two_over)
+    def mean_curvature_predicted(self) -> np.ndarray:
+        """(2 / theta)(Z - delta), shape (n, *batch); junk outside `theta_ok`."""
+        two_over = (1.0 / np.where(self.theta_ok, self.theta, 1.0)) * 2.0
+        return (self.tangent_part - self.first_normal_part) * two_over + 0.0
 
     def conformal_factor_predicted(self) -> np.ndarray:
-        """-K * osc_norm_sq / 2 pointwise (the pedal/base metric ratio)."""
+        """-K * theta / 2 pointwise (the pedal/base metric ratio)."""
         K = self.base.curvature_scalars["K"]
         return -K * self.theta / 2.0
 
 
 def pedal_split(bundle: SurfaceJets) -> PedalBundle:
-    """Split the position vector along tangent plane and normal flag; every
-    part but the pedal point is carried to the bundle's `second_order`."""
+    """Split the position vector along tangent plane and normal flag."""
     return PedalBundle(bundle)
 
 
@@ -153,7 +146,7 @@ def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
     Base jets are requested one order higher, so the result is exact at
     the requested order.  The mask marks points where the base surface is
     an immersion with well-conditioned frames; degeneracy of the pedal's
-    own metric (K * osc_norm_sq -> 0) is left to downstream geometry.
+    own metric (K * theta -> 0) is left to downstream geometry.
     """
 
     def fn(x, y, order):
@@ -257,8 +250,8 @@ def pedal_regularity(pb: PedalBundle):
     gscale = np.maximum(gx_sq, gy_sq)
     immersed = pb.valid & (gram > PEDAL_IMMERSION_RTOL * gscale * gscale)
     f_scale = REGULARITY_RTOL * np.maximum(np.linalg.norm(_nvalue(pb.base.f), axis=0), _TINY)
-    tangent_nonzero = np.linalg.norm(_nvalue(pb.tangent_part), axis=0) > f_scale
-    first_normal_nonzero = np.linalg.norm(_nvalue(pb.first_normal_part), axis=0) > f_scale
+    tangent_nonzero = np.linalg.norm(pb.tangent_part, axis=0) > f_scale
+    first_normal_nonzero = np.linalg.norm(pb.first_normal_part, axis=0) > f_scale
     excluded = ~(pb.valid & immersed & tangent_nonzero & first_normal_nonzero)
     reasons = []
     for idx in np.argwhere(excluded):

@@ -76,6 +76,7 @@ from .geometry import (
     hodge_relation_residuals,
 )
 from .grid import Grid
+from .jets import dot_values
 from .moebius import invert_evaluator, minimality_residuals
 from .pedal import MIN_ORDER, PedalBundle, SurfacePipeline
 from .weierstrass import preset_curve, surface_evaluator
@@ -482,12 +483,12 @@ def verify_meancurvature(run: Run) -> dict:
     sp = pipe.split
 
     H_direct = _nvalue(pipe.pedal.mean_curvature())
-    H_pred = _nvalue(sp.mean_curvature_predicted())
+    H_pred = sp.mean_curvature_predicted()
     defect = _norms(H_direct - H_pred) / np.maximum(_norms(H_pred), _TINY)
 
     lap = _nvalue(pipe.pedal.laplacian()) / np.maximum(pipe.base.E0, _TINY)
     K = pipe.base.curvature_scalars["K"]
-    rhs = 2.0 * K * (_nvalue(sp.first_normal_part) - _nvalue(sp.tangent_part))
+    rhs = 2.0 * K * (sp.first_normal_part - sp.tangent_part)
     ldef = _norms(lap - rhs) / np.maximum(_norms(rhs), _TINY)
 
     # homothety control: the pedal of 3f is 3g, so its mean curvature is a
@@ -557,17 +558,15 @@ def _secondform_top_defect(pipe: SurfacePipeline):
     sp = pipe.split
     ag = pipe.pedal.alpha_wirtinger
     lev = base.flag(2)
-    f3, f4 = lev[0].frames
-    f5, f6 = lev[1].frames
+    f3, f4, f5, f6 = (_nvalue(fr) for level in lev for fr in level.frames)
     lam = lev[1].lam
 
     # connection form on the Wirtinger vector: <D_dz f3, f5>
-    omega_dz = f3.wirtinger().dot_value(f5)
-    _, zpair = _alpha_dz_position(sp, _nvalue(f3), _nvalue(f4))
+    omega_dz = base.connection_forms()["omega_dz"][0, 2]
+    _, zpair = _alpha_dz_position(sp, f3, f4)
 
     carried = omega_dz * zpair
-    lhs5 = _complex_dot(ag, _nvalue(f5))
-    lhs6 = _complex_dot(ag, _nvalue(f6))
+    lhs5, lhs6 = _complex_dot(ag, f5), _complex_dot(ag, f6)
     rhs5 = -carried
     rhs6 = 1j * lam * carried
     scale = np.maximum(
@@ -681,28 +680,27 @@ def verify_swillmore(run: Run) -> dict:
     direct, both_ok = _plane_angle_defect(nabH, ag)
     mask_d = mask & both_ok
 
-    # scalar route, entirely from base-surface data
+    # scalar route, entirely from base-surface data: e3 = delta/|delta| is
+    # c f3 + s f4 as a jet identity, and f3, f4 are orthogonal to f5, so
+    # <D_dz e3, f5> = c omega_35(dz) + s omega_45(dz)
     base = pipe.base
     sp = pipe.split
     delta = sp.first_normal_part
-    dsq = delta.norm_sq()
-    dval = dsq.value().real
+    dval = dot_values(delta, delta)
     guard = mask & (dval > 1e-20 * np.sum(_nvalue(base.f) ** 2, axis=0))
-    e3 = delta.scale(dsq.sqrt(guard=guard).recip(guard=guard))
-    lev = base.flag(2)
-    f3, f4 = lev[0].frames
-    # e4 is read at order 0 only
-    e3_0, f3_0, f4_0 = (e.truncate(0) for e in (e3, f3, f4))
-    e4 = f4_0.scale(e3_0.dot(f3_0)) - f3_0.scale(e3_0.dot(f4_0))
-    f5 = lev[1].frames[0]
-    omega_dz = e3.wirtinger().dot_value(f5)
+    e3 = delta * (1.0 / np.sqrt(np.where(guard, dval, 1.0)))
+    _, _, f3, f4 = sp.frames
+    c, s = dot_values(e3, f3), dot_values(e3, f4)
+    e4 = f4 * c - f3 * s
+    w35, w45 = base.connection_forms()["omega_dz"][:2, 2]
+    omega_dz = c * w35 + s * w45
 
     alpha_zz = base.alpha_wirtinger
-    A3 = _complex_dot(alpha_zz, _nvalue(e3))
+    A3 = _complex_dot(alpha_zz, e3)
     (w1, w2), (z1, z2) = base.wirtinger_coords, sp.tangent_coords
     pairing_Z = w1 * z1 + w2 * z2  # <f_z, Z>
 
-    alpha_dz_Z, zpair = _alpha_dz_position(sp, _nvalue(e3), _nvalue(e4))
+    alpha_dz_Z, zpair = _alpha_dz_position(sp, e3, e4)
 
     scalar = omega_dz * (dval * A3 + pairing_Z * zpair)
     scale = np.abs(omega_dz) * (

@@ -265,12 +265,12 @@ def ck_first_level_pair(bundle: SurfaceJets):
 
 
 def uncapped_second_order(bundle: SurfaceJets):
-    """The second form, the pedal's first-normal part and osc_norm_sq at
-    the bundle's exact order d - 2, uncapped: the full second partials
-    projected off the tangent plane and contracted with the frame
-    coefficients at order d - 1, flag level 1's frames orthonormalised from
-    the traceless pair at that order, and the pedal point and tangential
-    part at order d - 1."""
+    """The second form, the pedal's first-normal part delta and theta =
+    |Z|^2 + |delta|^2 as jets at the bundle's exact order d - 2, uncapped:
+    the full second partials projected off the tangent plane and
+    contracted with the frame coefficients at order d - 1, flag level 1's
+    frames orthonormalised from the traceless pair at that order, and the
+    pedal point and tangential part at order d - 1."""
     a, c = bundle._invs
     b = -(a * bundle.partial(0, 1).dot(bundle.e1)) * c
     h_xx, h_xy, h_yy = (bundle.tangent_project_off(bundle.partial(*key))
@@ -283,7 +283,19 @@ def uncapped_second_order(bundle: SurfaceJets):
     g = normal_part(bundle, bundle.f)
     delta = e3.scale(g.dot(e3)) + e4.scale(g.dot(e4))
     return {"second_fundamental": (a11, a12, a22), "first_normal_part": delta,
-            "osc_norm_sq": (bundle.f - g).norm_sq() + delta.norm_sq()}
+            "theta": (bundle.f - g).norm_sq() + delta.norm_sq()}
+
+
+def unit_delta_wirtinger(bundle: SurfaceJets):
+    """<d_z e3, f5>, complex values, with e3 = delta/|delta| rebuilt as a
+    jet from the uncapped first-normal part and f5 the first frame of flag
+    level 2: the derivative the S-Willmore scalar route takes, by jet
+    differentiation of e3 itself.  Junk where delta vanishes."""
+    delta = uncapped_second_order(bundle)["first_normal_part"]
+    dsq = delta.norm_sq()
+    ok = bundle.flag(1)[0].valid & (dsq.value() > 0)
+    e3 = delta.scale(dsq.sqrt(guard=ok).recip(guard=ok))
+    return e3.wirtinger().dot_value(bundle.flag(2)[1].frames[0])
 
 
 def projected_fzz(bundle: SurfaceJets):

@@ -502,6 +502,7 @@ NON_FINITE = [
     ("hi-inf", "grid.y1", grid5(y1=-INF)),
     ("window-nan", "grid.y0", grid5(y0=NAN)),
     ("nx-inf", "grid.nx", {"grid": {"nx": INF, "ny": 5}}),
+    ("nx-400-digits", "grid.nx", {"grid": {"nx": 10**400, "ny": 5}}),
     ("ny-nan", "grid.ny", {"grid": {"nx": 5, "ny": NAN}}),
     ("disk-center-nan", "grid.excluded_disks[0].center[1]",
      grid5(excluded_disks=[[0.8, NAN, 0.1]])),
@@ -516,6 +517,7 @@ NON_FINITE = [
 # has a bad value here.
 BAD_FIELDS = [
     ("translation", "translation", {"translation": 5}, "a list"),
+    ("translation-short", "translation", {"translation": [1, 2]}, "dimension 2, surface has 6"),
     ("lattice", "lattice", {"lattice": {}}, "unknown"),
     ("tolerances", "tolerances", {"tolerances": {}}, "unknown"),
     ("checks", "checks", {"checks": 5}, "a list"),
@@ -626,6 +628,36 @@ def test_bad_projection_exits_2(tmp_path, capsys, matrix):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: projection"), lines
     assert not (tmp_path / "f.obj").exists()
+
+
+# (command, config document or None, a fragment of the message): errors
+# the command line meets before a config field is read or after it is
+@pytest.mark.parametrize("command, doc, fragment", [
+    (["verify"], [1, 2], "config document must be an object"),
+    (["pedal"], {"seed_preset": "holo3", "scale": 0}, "scale 0 needs a translation vector"),
+    (["verify", "--grid", "1,2,3"], None, "grid string needs 6 comma-separated fields"),
+], ids=["document-a-list", "pedal-scale-0", "grid-three-fields"])
+def test_command_line_errors_exit_2(tmp_path, capsys, command, doc, fragment):
+    args = command + ["--out", str(tmp_path)]
+    if doc is not None:
+        args += ["--config", write_json(tmp_path / "cfg.json", doc)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and fragment in captured.err, captured.err
+    assert captured.out == "" and not any(tmp_path.glob("*.obj"))
+
+
+def test_a_check_the_dimension_cannot_hold_is_inconclusive_and_exits_3(tmp_path, capsys):
+    # the README's R^5 curve has no second normal plane
+    cfg = write_json(tmp_path / "cfg.json", {"spec": {
+        "ambient_dim": 5, "isotropy_order": 1, "alpha0": [[1, 0, 0.5]], "betas": [[1], [0, 1]]},
+        "grid": SMALL})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                 "--check", "pedal_secondform.normal2"]) == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "inconclusive"
+    assert [(rec["id"], rec["status"]) for rec in report["checks"]] == [
+        ("pedal_secondform.normal2", "inconclusive")]
 
 
 def test_bad_grid_string_exits_2(tmp_path, capsys):

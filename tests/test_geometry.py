@@ -38,6 +38,7 @@ from oracles import (
     projected_fzz,
     third_form_recursive_defect,
     uncapped_second_order,
+    unit_delta_wirtinger,
 )
 
 
@@ -401,18 +402,53 @@ def test_first_flag_level_pair_is_the_ck_projection(monkeypatch, name):
 @pytest.mark.parametrize("name, order", [("holo3", 4), ("holo4", 5), ("noniso", 4)])
 def test_second_order_data_is_the_uncapped_data_truncated_to_the_cap(name, order):
     # the cap drops coefficients and changes none it keeps: each capped jet
-    # equals the uncapped route bitwise, at the points of flag level 1
+    # equals the uncapped route bitwise, at the points of flag level 1, and
+    # the pedal's delta and theta are the uncapped jets' order-0 values
     pipe = SurfacePipeline(surface_evaluator(preset_curve(name)), Grid(nx=5, ny=5), order)
     base, split = pipe.base, pipe.split
-    carried = [*base.second_fundamental, split.first_normal_part, split.osc_norm_sq]
-    assert [jet.order for jet in carried] == [geometry.SECOND_ORDER_CAP] * 5
+    carried = base.second_fundamental
+    assert [jet.order for jet in carried] == [geometry.SECOND_ORDER_CAP] * 3
     ok = base.flag(1)[0].valid
     assert np.any(ok)
     uncapped = uncapped_second_order(base)
-    for got, ref in zip(carried, [*uncapped["second_fundamental"], uncapped["first_normal_part"],
-                                  uncapped["osc_norm_sq"]]):
+    for got, ref in zip(carried, uncapped["second_fundamental"]):
         assert ref.order == order - 2
         np.testing.assert_array_equal(got.t[..., ok], ref.truncate(got.order).t[..., ok])
+    for got, ref in ((split.first_normal_part, uncapped["first_normal_part"]),
+                     (split.theta, uncapped["theta"])):
+        assert ref.order == order - 2 and isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got[..., ok], ref.value()[..., ok])
+
+
+@pytest.mark.parametrize("name", ["holo3", "holo4"])
+def test_omega_dz_is_the_wirtinger_pairing_of_the_flag_frames(name):
+    base = SurfacePipeline(surface_evaluator(preset_curve(name)), Grid(nx=5, ny=5), 4).base
+    omega_dz = base.connection_forms()["omega_dz"]
+    frames = [fr for lev in base.flag(2) for fr in lev.frames]
+    assert omega_dz.shape == (len(frames), len(frames), 25)
+    np.testing.assert_array_equal(omega_dz, -np.swapaxes(omega_dz, 0, 1))
+    for a in range(len(frames)):
+        for b in range(a + 1, len(frames)):
+            np.testing.assert_array_equal(omega_dz[a, b],
+                                          frames[a].wirtinger().dot_value(frames[b]))
+
+
+@pytest.mark.parametrize("name", ["holo3", "holo4", "noniso"])
+def test_unit_delta_derivative_is_carried_by_the_connection_forms(name):
+    # delta lies in span(f3, f4) as a jet identity, so e3 = delta/|delta| =
+    # c f3 + s f4 and <d_z e3, f5> = c omega_35(d_z) + s omega_45(d_z)
+    pipe = SurfacePipeline(surface_evaluator(preset_curve(name)), Grid(nx=5, ny=5), 4)
+    base, delta = pipe.base, pipe.split.first_normal_part
+    ok = base.flag(2)[1].valid
+    assert np.any(ok)
+    e3 = delta / np.sqrt(np.sum(delta * delta, axis=0))
+    f3, f4 = (fr.value() for fr in base.flag(1)[0].frames)
+    c, s = np.sum(e3 * f3, axis=0), np.sum(e3 * f4, axis=0)
+    w35, w45 = base.connection_forms()["omega_dz"][:2, 2]
+    got = (c * w35 + s * w45)[ok]
+    want = unit_delta_wirtinger(base)[ok]
+    assert np.min(np.abs(want)) > 0
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 @pytest.mark.parametrize("name", SECOND_ORDER_SURFACES)

@@ -407,10 +407,10 @@ def test_table_dtype_follows_the_inputs():
     pb = pedal_split(bundle)
     inverted = invert_evaluator(surface, (2.0,) * 6)
     frames = [fr for lev in bundle.flag(bundle.flag_capacity()) for fr in lev.frames]
-    real = [bundle.f, bundle.e1, bundle.e2, *frames, pb.foot,
-            pb.tangent_part, pb.first_normal_part, inverted.jets(x, y, 3)]
+    real = [bundle.f, bundle.e1, bundle.e2, *frames, pb.foot, inverted.jets(x, y, 3)]
     for jv in real:
         assert jv.t.dtype == np.float64
+    assert pb.tangent_part.dtype == pb.first_normal_part.dtype == np.float64
     assert bundle.f.wirtinger().t.dtype == np.complex128
     assert bundle.f.wirtinger().real().t.dtype == np.float64
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isopedal import geometry, moebius, pedal, verify
+from isopedal import geometry, jets, moebius, pedal, verify
 from isopedal.config import RunConfig
 from isopedal.errors import ConfigError
 from isopedal.geometry import SurfaceJets
@@ -696,13 +696,29 @@ def test_every_check_passes_on_a_window_through_the_branch_point(grid):
     assert recs["first_normal_rank.inverted"]["excluded"] == 1
 
 
+def test_a_small_run_does_at_most_the_recorded_jet_work(monkeypatch):
+    # jet work, counted as ROADMAP counts it: the products of jet tables,
+    # and their multiply-adds, the terms of each truncated product times the
+    # components and points it runs over
+    work = []
+    product = jets._product
+
+    def counted(a, b, lead):
+        out = product(a, b, lead)
+        work.append(math.comb(jets._side(len(out)) + 3, 4) * math.prod(out.shape[1:]))
+        return out
+
+    monkeypatch.setattr(jets, "_product", counted)
+    run_all(small_config(grid=Grid(nx=5, ny=5)))
+    assert len(work) <= 763 and sum(work) <= 787_350
+
+
 @pytest.mark.parametrize("preset", ["holo3", "holo4", "noniso"])
 def test_alpha_on_dz_and_the_position_is_the_coordinate_assembly(preset):
     pipe = SurfacePipeline(surface_evaluator(preset_curve(preset)), Grid(nx=5, ny=5), 4)
     sp = pipe.split
-    Z = sp.tangent_part.value().real
     got = verify._alpha_dz_position(sp, *sp.frames[2:])[0]
-    want = coordinate_alpha_dz(pipe.base, Z)
+    want = coordinate_alpha_dz(pipe.base, sp.tangent_part)
     norm = np.sqrt(np.sum(np.abs(want) ** 2, axis=0))
     assert np.min(norm) > 0
     assert np.max(np.sqrt(np.sum(np.abs(got - want) ** 2, axis=0)) / norm) <= 1e-13
