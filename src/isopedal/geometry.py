@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import JetVec, jet_gram_schmidt
+from .jets import JetVec, dot_values, jet_gram_schmidt, reject_values
 from .weierstrass import SurfaceEvaluator
 
 IMMERSION_RTOL = 1e-12
@@ -308,11 +308,10 @@ class SurfaceJets:
         expected = min(2, self.n - len(frames_all))
         raws = [self.partial(s - k, k) for k in range(s + 1)]
 
-        # detected rank of the projected span at order 0: the partials'
-        # order-0 values, stacked on a leading batch axis, projected off
-        # the frames' order-0 values
-        vals = JetVec._of(np.stack([p.truncate(0).t for p in raws], axis=2))
-        mat = _nvalue(vals.project_off([e.truncate(0) for e in frames_all]))  # (n, s+1, *batch)
+        # detected rank of the projected span at order 0: the partials' values,
+        # stacked on a leading batch axis, projected off the frames' values
+        mat = reject_values(np.stack([_nvalue(p) for p in raws], axis=1),
+                            [_nvalue(e)[:, None] for e in frames_all])  # (n, s+1, *batch)
         rank = _rank(mat)
 
         # top-frequency pair (see the module docstring): level 1's is the
@@ -372,7 +371,8 @@ class SurfaceJets:
           valid: mask
         Both are antisymmetric in (a, b).  Only flag levels whose frames are
         jets of order >= 1 (levels up to jet order - 2) can be differentiated,
-        so deeper levels are left out.  No other reader differentiates them.
+        so deeper levels are left out, and no pairing a < b differentiates
+        the last frame.  No other reader differentiates them.
         """
         return self._connection
 
@@ -380,23 +380,22 @@ class SurfaceJets:
     def _connection(self):
         levels = self.flag(min(self.flag_capacity(), self.order - 2))
         nfr = [fr for lev in levels for fr in lev.frames]
-        # e1 = a d/dx and e2 = b d/dx + c d/dy; the frames are carried to
-        # order <= 1, so their derivatives, and the derivatives along e1
-        # and e2, are order-0 jets, which is all the pairings read
-        a, b, c = self.tangent_coeff_jets
-        dx = [ea.dx() for ea in nfr]
-        dy = [ea.dy() for ea in nfr]
-        along = ([d.scale(a) for d in dx],
-                 [d.scale(b) + e.scale(c) for d, e in zip(dx, dy)])
+        # e1 = a d/dx and e2 = b d/dx + c d/dy; the pairings read values:
+        # those of a, b, c, of the frames and of their first derivatives
+        a, b, c = (_nvalue(t) for t in self.tangent_coeff_jets)
+        dx = [_nvalue(ea.dx()) for ea in nfr[:-1]]
+        dy = [_nvalue(ea.dy()) for ea in nfr[:-1]]
+        along = ([d * a for d in dx], [d * b + e * c for d, e in zip(dx, dy)])
+        vals = [_nvalue(ea) for ea in nfr]
         nf = len(nfr)
         omega = np.zeros((2, nf, nf) + self.batch)
         omega_dz = np.zeros((nf, nf) + self.batch, dtype=complex)
         for aa in range(nf):
             for bb in range(aa + 1, nf):
                 for i, ders in enumerate(along):
-                    omega[i, aa, bb] = val = ders[aa].dot_value(nfr[bb]).real
+                    omega[i, aa, bb] = val = dot_values(ders[aa], vals[bb])
                     omega[i, bb, aa] = -val
-                dz = 0.5 * (dx[aa].dot_value(nfr[bb]) - 1j * dy[aa].dot_value(nfr[bb]))
+                dz = 0.5 * (dot_values(dx[aa], vals[bb]) - 1j * dot_values(dy[aa], vals[bb]))
                 omega_dz[aa, bb], omega_dz[bb, aa] = dz, -dz
         return {"omega": omega, "omega_dz": omega_dz, "valid": self._levels_valid}
 

@@ -217,16 +217,13 @@ class _Table:
         return self._of(_fit(self.t, self.t.shape[0], s.ndim + self._LEAD, self._LEAD) * s)
 
     def __add__(self, other):
-        if isinstance(other, type(self)):
-            a, b = _align(self.t, other.t, self._LEAD)
-            return self._of(a + b)
-        return self.add_const(other)
+        """The sum with a jet of the same kind, at the lower order."""
+        a, b = _align(self.t, other.t, self._LEAD)
+        return self._of(a + b)
 
     def __sub__(self, other):
-        if isinstance(other, type(self)):
-            a, b = _align(self.t, other.t, self._LEAD)
-            return self._of(a - b)
-        return self.add_const(-np.asarray(other))
+        a, b = _align(self.t, other.t, self._LEAD)
+        return self._of(a - b)
 
     def __neg__(self):
         return self._of(-self.t)
@@ -300,12 +297,6 @@ class Jet(_Table):
         return Jet._of(np.zeros((_size(order + 1),) + tuple(batch)))
 
     # -- ring operations -------------------------------------------------
-
-    def add_const(self, value):
-        value = np.asarray(value)
-        t = self.t.astype(np.result_type(self.t, value))
-        t[0] += value
-        return Jet._of(t)
 
     def __mul__(self, other):
         """Truncated Cauchy product with the jet `other` (see `_product`)."""
@@ -451,6 +442,15 @@ def dot_values(a, b):
     for k in range(1, len(a)):
         acc = acc + a[k] * b[k]
     return acc + 0.0
+
+
+def reject_values(v, frames):
+    """Order-0 values of `JetVec.project_off`, bitwise: the value array `v`
+    (n, ...) minus its components along the value arrays `frames`, each
+    written 0 + e <v, e> as a jet product writes it."""
+    for e in frames:
+        v = v - (e * dot_values(v, e) + 0.0)
+    return v
 
 
 def jet_lift(curve, x, y, order):

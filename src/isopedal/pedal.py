@@ -23,9 +23,8 @@ curvature is (2/theta)(tangential part - delta).
 
 Jet bookkeeping: g involves first derivatives of f, so a pedal jet of
 trusted order k is built from an f jet of order k + 1; the other parts
-are values.  `pedal_surface` is the pedal as a lazy evaluator; a
-`SurfacePipeline` composes the pedal, and the normal shadow of a
-constant vector, on one evaluation of f over a grid.
+are values.  A `SurfacePipeline` composes the pedal, and the normal
+shadow of a constant vector, on one evaluation of f over a grid.
 """
 
 from __future__ import annotations
@@ -138,22 +137,6 @@ def normal_part(bundle: SurfaceJets, w: JetVec) -> JetVec:
     """w - e1<w, e1> - e2<w, e2>: the pedal for w the position f, the normal
     shadow of v for w constant v; exact to one order less than the bundle."""
     return w - bundle.e1.scale(w.dot(bundle.e1)) - bundle.e2.scale(w.dot(bundle.e2))
-
-
-def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
-    """Evaluator of the pedal surface of `surface`.
-
-    Base jets are requested one order higher, so the result is exact at
-    the requested order.  The mask marks points where the base surface is
-    an immersion with well-conditioned frames; degeneracy of the pedal's
-    own metric (K * theta -> 0) is left to downstream geometry.
-    """
-
-    def fn(x, y, order):
-        bundle = SurfaceJets(surface, x, y, order + 1)
-        return pedal_split(bundle).foot.truncate(order), bundle.valid
-
-    return SurfaceEvaluator(surface.ambient_dim, f"pedal({surface.provenance})", fn)
 
 
 class SurfacePipeline:

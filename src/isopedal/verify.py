@@ -76,7 +76,7 @@ from .geometry import (
     hodge_relation_residuals,
 )
 from .grid import Grid
-from .jets import dot_values
+from .jets import dot_values, reject_values
 from .moebius import invert_evaluator, minimality_residuals
 from .pedal import MIN_ORDER, PedalBundle, SurfacePipeline
 from .weierstrass import preset_curve, surface_evaluator
@@ -675,7 +675,8 @@ def verify_swillmore(run: Run) -> dict:
     gb = pipe.pedal
     mask = pipe.mask()
     H = gb.mean_curvature()
-    nabH = H.wirtinger().project_off([gb.e1, gb.e2]).value()  # H is carried to order <= 1
+    # H is carried to order <= 1, so dH/dz is an order-0 jet, read as values
+    nabH = reject_values(H.wirtinger().value(), [gb.e1.value(), gb.e2.value()])
     ag = gb.alpha_wirtinger
     direct, both_ok = _plane_angle_defect(nabH, ag)
     mask_d = mask & both_ok

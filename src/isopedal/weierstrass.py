@@ -20,6 +20,7 @@ curves (w_1, i w_1, w_2, i w_2, ...).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -198,10 +199,13 @@ class IsotropicCurve:
 def _square_residual(u):
     """Max |coefficient| of the bilinear square of u, relative to the
     largest coefficient of u squared."""
-    res = cv_dot(u, u)
     scale = cv_max_abs(u)
-    # two divisions: scale * scale underflows below about 1e-154
-    return cp_max_abs(res) / scale / scale if scale > 0 else cp_max_abs(res)
+    # the coefficients times 2^-e, with 2^-e scale in [1/2, 1), square without
+    # overflow; the scaling is exact, and dividing twice keeps the unscaled bits
+    e = math.frexp(scale)[1]
+    v = [[complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in p] for p in u]
+    unit = math.ldexp(scale, -e)
+    return cp_max_abs(cv_dot(v, v)) / unit / unit if unit > 0 else 0.0
 
 
 def _check_isotropy(curve: IsotropicCurve, source: str):

@@ -5,12 +5,13 @@ second route, something the library derives along its own (the Gauss
 curvature from the metric alone, the third form by differentiating the
 second, the first flag level and the (2,0) form from the coordinate
 partials, the second-order data at the bundle's full order, the
-inversion laws against direct jets of an inverted surface,
+connection forms by jet products, the pedal as an evaluator of its own,
+the inversion laws against direct jets of an inverted surface,
 polynomial values by numpy's `polyval`, the number of curvature circles
 from float flag levels at a few points, the reciprocal and square root by
 the Horner loops `Jet` ran before its binomial kernel), reads a jet (derivative values,
-metric jets), or builds test inputs (coordinate jets, random specs,
-rotated curves).
+metric jets), or builds test inputs (coordinate jets, jets plus a
+constant, random specs, rotated curves).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from isopedal.cpoly import cp_add, cp_scale
 from isopedal.geometry import FRAME_EPS, SurfaceJets, _nvalue
 from isopedal.jets import Jet, _at, _divided, jet_gram_schmidt
 from isopedal.moebius import invert_evaluator, minimality_residuals
-from isopedal.pedal import normal_part
+from isopedal.pedal import normal_part, pedal_split
 from isopedal.verify import _traceless_scale
 from isopedal.weierstrass import IsotropicSpec, SurfaceEvaluator
 
@@ -72,6 +73,14 @@ def deriv(jet, i, j):
     if i + j > jet.order:
         raise ValueError(f"derivative ({i},{j}) beyond jet order {jet.order}")
     return jet.t[_at(jet.order + 1, i, j)] * (math.factorial(i) * math.factorial(j))
+
+
+def add_const(jet: Jet, value):
+    """The jet plus the number or batch array `value` (in its order-0 entry)."""
+    value = np.asarray(value)
+    t = jet.t.astype(np.result_type(jet.t, value))
+    t[0] += value
+    return Jet._of(t)
 
 
 def _normalized(a: Jet, bad, guard):
@@ -318,6 +327,46 @@ def coordinate_alpha_dz(bundle: SurfaceJets, Z):
     p = z1 * a + z2 * b
     q = z2 * c
     return 0.5 * ((p * hxx + q * hxy) - 1j * (p * hxy + q * hyy))
+
+
+def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
+    """Evaluator of the pedal surface of `surface`, one bundle per call.
+
+    Base jets are requested one order higher, so the result is exact at
+    the requested order.  The mask marks points where the base surface is
+    an immersion with well-conditioned frames; degeneracy of the pedal's
+    own metric (K * theta -> 0) is left to downstream geometry.
+    """
+
+    def fn(x, y, order):
+        bundle = SurfaceJets(surface, x, y, order + 1)
+        return pedal_split(bundle).foot.truncate(order), bundle.valid
+
+    return SurfaceEvaluator(surface.ambient_dim, f"pedal({surface.provenance})", fn)
+
+
+def jet_connection(bundle: SurfaceJets):
+    """(omega, omega_dz) of `SurfaceJets.connection_forms` in jet
+    arithmetic: every flag frame differentiated, the derivatives along e1
+    and e2 as order-0 jet products with the frame coefficients, and each
+    pairing the order-0 value of a jet pairing."""
+    levels = bundle.flag(min(bundle.flag_capacity(), bundle.order - 2))
+    nfr = [fr for lev in levels for fr in lev.frames]
+    a, b, c = bundle.tangent_coeff_jets
+    dx = [ea.dx() for ea in nfr]
+    dy = [ea.dy() for ea in nfr]
+    along = ([d.scale(a) for d in dx], [d.scale(b) + e.scale(c) for d, e in zip(dx, dy)])
+    nf = len(nfr)
+    omega = np.zeros((2, nf, nf) + bundle.batch)
+    omega_dz = np.zeros((nf, nf) + bundle.batch, dtype=complex)
+    for aa in range(nf):
+        for bb in range(aa + 1, nf):
+            for i, ders in enumerate(along):
+                omega[i, aa, bb] = val = ders[aa].dot_value(nfr[bb]).real
+                omega[i, bb, aa] = -val
+            dz = 0.5 * (dx[aa].dot_value(nfr[bb]) - 1j * dy[aa].dot_value(nfr[bb]))
+            omega_dz[aa, bb], omega_dz[bb, aa] = dz, -dz
+    return omega, omega_dz
 
 
 # -- sphere inversions on raw points and their closed-form laws ------------------

@@ -16,10 +16,9 @@ import pytest
 from isopedal.config import RunConfig
 from isopedal.geometry import SurfaceJets
 from isopedal.grid import Grid
-from isopedal.pedal import pedal_surface
 from isopedal.verify import report_to_json, run_all
 from isopedal.weierstrass import preset_curve, surface_evaluator, w_generate
-from oracles import deriv, sample_spec
+from oracles import deriv, pedal_surface, sample_spec
 
 DEFAULT_DOC = {"seed_preset": "holo3"}
 # the default report, frozen: a change that alters its bytes replaces this

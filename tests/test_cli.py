@@ -74,11 +74,13 @@ def test_generate_summary_and_roundtrip(tmp_path, capsys, preset, summary, reque
     assert (d1 / "curve.json").read_bytes() == (d2 / "curve.json").read_bytes()
 
 
-# the doubled (z, z^2) with tiny and with huge coefficients has one
-# circle, and the plane (z, z) doubled has a point for its ellipse
+# the doubled (z, z^2) with tiny, with huge and with squares-overflowing
+# coefficients has one circle, and the plane (z, z) doubled has a point
+# for its ellipse
 @pytest.mark.parametrize("curve, circles", [
-    (TINY_CURVE, 1), ([[0, 1e150], [0, 0, 1]], 1), ([[0, 1], [0, 1]], 0)],
-    ids=["tiny", "huge", "plane"])
+    (TINY_CURVE, 1), ([[0, 1e150], [0, 0, 1]], 1), ([[0, 1e300], [0, 0, 1]], 1),
+    ([[0, 1], [0, 1]], 0)],
+    ids=["tiny", "huge", "overflowing-square", "plane"])
 def test_generate_counts_circles_from_the_coefficients(tmp_path, capsys, monkeypatch,
                                                        curve, circles):
     built = []
@@ -175,12 +177,14 @@ def test_a_curve_of_tiny_coefficients_ends_in_an_exit_code(tmp_path, command, co
 # traceback or a configuration error
 @pytest.mark.parametrize("command, doc, written", [
     (["verify"], {"curve": [[0, 1e150], [0, 0, 1]]}, "report.json"),
+    (["verify"], {"curve": [[0, 1e300], [0, 0, 1]]}, "report.json"),
     (["pedal"], {"seed_preset": "holo3", "scale": 1e200}, "pedal.csv"),
     (["verify"], {"seed_preset": "holo3", "grid": {
         "x0": 1e100, "x1": 1e100, "y0": 0.3, "y1": 1.3, "nx": 5, "ny": 5}}, "report.json"),
     (["verify"], {"seed_preset": "holo3", "grid": {
         "x0": -1e30, "x1": 1e30, "y0": -1e30, "y1": 1e30, "nx": 5, "ny": 5}}, "report.json"),
-], ids=["verify-huge-curve", "pedal-huge-scale", "verify-far-window", "verify-wide-window"])
+], ids=["verify-huge-curve", "verify-overflowing-square", "pedal-huge-scale",
+        "verify-far-window", "verify-wide-window"])
 def test_overflow_inside_a_run_ends_in_exit_3(tmp_path, command, doc, written):
     cfg = write_json(tmp_path / "cfg.json", {"grid": SMALL, **doc})
     with pytest.warns(RuntimeWarning) as caught:

@@ -16,8 +16,9 @@ from isopedal.export import (
 )
 from isopedal.geometry import SurfaceJets
 from isopedal.grid import Grid
-from isopedal.pedal import pedal_regularity, pedal_split, pedal_surface
+from isopedal.pedal import pedal_regularity, pedal_split
 from isopedal.weierstrass import preset_curve, surface_evaluator
+from oracles import pedal_surface
 
 
 def holo3():

@@ -35,6 +35,7 @@ from oracles import (
     coordinate,
     intrinsic_gauss,
     isotropy_order,
+    jet_connection,
     projected_fzz,
     third_form_recursive_defect,
     uncapped_second_order,
@@ -431,6 +432,22 @@ def test_omega_dz_is_the_wirtinger_pairing_of_the_flag_frames(name):
         for b in range(a + 1, len(frames)):
             np.testing.assert_array_equal(omega_dz[a, b],
                                           frames[a].wirtinger().dot_value(frames[b]))
+
+
+@pytest.mark.parametrize("name, order", [("holo3", 4), ("holo4", 5)])
+def test_connection_forms_pair_values_bit_for_bit_as_jets(monkeypatch, name, order):
+    # the pairings read the values of the frames, of their derivatives and
+    # of the frame coefficients: the bits of the order-0 jet products and
+    # pairings, from no product of jet tables
+    base = SurfacePipeline(surface_evaluator(preset_curve(name)), Grid(), order).base
+    want = jet_connection(base)
+    products = []
+    product = jets._product
+    monkeypatch.setattr(jets, "_product", lambda *a: products.append(a) or product(*a))
+    conn = base.connection_forms()
+    assert products == [] and want[0].shape[1] == 2 * (order - 2)
+    for got, ref in zip((conn["omega"], conn["omega_dz"]), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", ["holo3", "holo4", "noniso"])

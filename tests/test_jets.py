@@ -15,7 +15,7 @@ from isopedal.errors import DegenerateJet
 from isopedal.geometry import FRAME_EPS
 from isopedal.jets import Jet, JetVec, jet_gram_schmidt, jet_lift
 from isopedal.weierstrass import IsotropicSpec, holomorphic_curve, preset_curve, w_generate
-from oracles import alternating_recip, coordinate, deriv, horner_sqrt
+from oracles import add_const, alternating_recip, coordinate, deriv, horner_sqrt
 
 X, Y = sp.symbols("x y", real=True)
 
@@ -53,7 +53,7 @@ def test_polynomial_jet_derivatives():
 def test_recip_jet_derivatives():
     x0, y0 = 0.5, 0.8
     jet = build_jet(
-        lambda x, y: (x * x + y * y).add_const(1.0).recip(), x0, y0, 5
+        lambda x, y: add_const(x * x + y * y, 1.0).recip(), x0, y0, 5
     )
     compare(jet, 1 / (1 + X**2 + Y**2), x0, y0)
 
@@ -61,7 +61,7 @@ def test_recip_jet_derivatives():
 def test_sqrt_jet_derivatives():
     x0, y0 = 1.1, -0.3
     jet = build_jet(
-        lambda x, y: (x * x + y * y).add_const(2.0).sqrt(), x0, y0, 5
+        lambda x, y: add_const(x * x + y * y, 2.0).sqrt(), x0, y0, 5
     )
     compare(jet, sp.sqrt(2 + X**2 + Y**2), x0, y0)
 
@@ -69,7 +69,7 @@ def test_sqrt_jet_derivatives():
 def test_composite_rational_jet():
     x0, y0 = 0.9, 0.2
     jet = build_jet(
-        lambda x, y: (x * y).add_const(1.0) * (x * x + y.scale(2.0)).add_const(3.0).recip(),
+        lambda x, y: add_const(x * y, 1.0) * add_const(x * x + y.scale(2.0), 3.0).recip(),
         x0, y0, 4,
     )
     compare(jet, (1 + X * Y) / (3 + X**2 + 2 * Y), x0, y0)
@@ -178,7 +178,7 @@ def test_batched_matches_scalar_loop():
     ys = rng.uniform(0.3, 1.3, size=7)
 
     def expr(x, y):
-        return (x * x * y).add_const(1.5).recip() * (x + y)
+        return add_const(x * x * y, 1.5).recip() * (x + y)
 
     batch = expr(coordinate(xs, 0, 3), coordinate(ys, 1, 3))
     for k in range(7):
@@ -281,7 +281,7 @@ def test_jet_derivatives_match_central_differences():
     rng = np.random.default_rng(13)
 
     def expr(x, y):
-        return ((x * x + y * y).add_const(1.0)).sqrt() * (x * y).add_const(0.5).recip()
+        return add_const(x * x + y * y, 1.0).sqrt() * add_const(x * y, 0.5).recip()
 
     def value(xv, yv):
         return expr(
@@ -354,6 +354,23 @@ def test_stacked_vector_ops_are_bitwise_the_per_component_products(batch, n, com
         assert np.array_equal(got[k].c, want[k]), k
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_value_projection_is_bitwise_the_order_0_jet_projection(complex_):
+    # an order-0 vector off higher-order real frames, as the flag rank and
+    # grad H project; a zero frame entry against a -0.0 entry of v keeps
+    # the sign the jet product's 0 + e <v, e> gives it
+    rng = np.random.default_rng(31)
+    batch = (3, 4)
+    v = JetVec([Jet(c) for c in random_tables(rng, 5, batch, 0, complex_)])
+    frames = [JetVec([Jet(c) for c in random_tables(rng, 5, batch, 3)]) for _ in range(2)]
+    v.t[0, 0, 0] = -0.0
+    for e in frames:
+        e.t[0, 0, 0] = 0.0
+    want = v.project_off(frames).value()
+    got = jets.reject_values(v.value(), [e.value() for e in frames])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_real_recip_and_sqrt_are_the_real_part_of_the_complex_path():
     rng = np.random.default_rng(21)
     for batch in STACK_BATCHES:
@@ -400,7 +417,7 @@ def test_table_dtype_follows_the_inputs():
     assert Jet.const(2.0, 3).t.dtype == np.float64
     assert Jet.const(2j, 3).t.dtype == np.complex128
     assert Jet.zeros(3).t.dtype == np.float64
-    assert coordinate(np.asarray(0.5), 0, 3).scale(2.0).add_const(1.0).t.dtype == np.float64
+    assert add_const(coordinate(np.asarray(0.5), 0, 3).scale(2.0), 1.0).t.dtype == np.float64
 
     surface = surface_evaluator(curve)
     bundle = SurfaceJets(surface, x, y, 4)

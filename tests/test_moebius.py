@@ -16,10 +16,10 @@ from isopedal.geometry import SurfaceJets, first_normal_rank
 from isopedal.grid import Grid
 from isopedal.jets import JetVec
 from isopedal.moebius import POLE_RTOL, invert_evaluator, invert_jets, minimality_residuals
-from isopedal.pedal import PedalBundle, pedal_split, pedal_surface
+from isopedal.pedal import PedalBundle, pedal_split
 from isopedal.verify import _PRUNE_SLACK
 from isopedal.weierstrass import holomorphic_curve, preset_curve, surface_evaluator
-from oracles import invert_points, reflect, transformation_residuals
+from oracles import invert_points, pedal_surface, reflect, transformation_residuals
 
 
 def holo3():

@@ -20,11 +20,10 @@ from isopedal.pedal import (
     SurfacePipeline,
     pedal_regularity,
     pedal_split,
-    pedal_surface,
 )
 from isopedal.grid import Grid
 from isopedal.weierstrass import preset_curve, surface_evaluator
-from oracles import deriv
+from oracles import deriv, pedal_surface
 
 
 def holo3():
