@@ -2,10 +2,13 @@
 
 Everything here is computed pointwise from the jet of the immersion:
 orthonormal tangent/normal frames come from Gram-Schmidt *in jet
-arithmetic* (so the frames are differentiable fields, not just values),
-fundamental forms of all orders come from projecting pure partial
-derivatives onto the orthogonal complement of the lower osculating
-spaces, and connection forms come from differentiating the frame fields.
+arithmetic* (so the tangent frame and the first normal plane's frames
+are differentiable fields, not just values; the normal flag past its
+first level is values), fundamental forms of all orders come from
+projecting pure partial derivatives onto the orthogonal complement of
+the lower osculating spaces, and the connection forms from the first
+normal plane toward the second pair the derivatives of the first's
+frames with the values of the second's.
 
 Conventions fixed here and used by the rest of the package:
 
@@ -27,8 +30,8 @@ Conventions fixed here and used by the rest of the package:
   the first level's pair is the traceless second form (xi1, xi2) itself.
   For s >= 2, with P the projection off the lower osculating frames,
   A_s = P(sum_k c_k d_k f) over the pure (s+1)-th partials d_k f and the
-  complex scalar jets c_k = C(s+1, k) cx^(s+1-k) cy^k.  P is linear over
-  jet scalars, so u_s = 2 P(sum_k d_k f Re c_k) and
+  complex scalars c_k = C(s+1, k) cx^(s+1-k) cy^k, all read at order 0.
+  P is linear over scalars, so u_s = 2 P(sum_k d_k f Re c_k) and
   v_s = -2 P(sum_k d_k f Im c_k): two real projections per level, and
   no vector table is complex.  The rank of a level is read from order-0
   values: the partials' values projected off the frames' values.  For
@@ -59,7 +62,8 @@ FRAME_EPS = 1e-9
 RANK_SV_RTOL = 1e-7
 _TINY = 1e-300
 # the highest jet order any reader takes of second-order data (the second
-# form and the flag frames): values and the connection forms' one derivative
+# form and the first normal plane's frames): values and the connection
+# forms' one derivative
 SECOND_ORDER_CAP = 1
 
 
@@ -157,7 +161,6 @@ class SurfaceJets:
             [fx, fy], eps=FRAME_EPS, guard=self.immersed)
         self.valid = self.immersed & ok
         self._levels = []
-        self._levels_valid = self.valid
 
     # -- derivatives -----------------------------------------------------
 
@@ -286,9 +289,9 @@ class SurfaceJets:
         built by projecting real combinations of the pure (s+1)-th
         partials off the accumulated osculating frames (see the module
         docstring).  Each level is oriented by its conjugate semi-diameter
-        pair and orthonormalized in jet arithmetic; level r is carried to
-        order min(d - r - 1, SECOND_ORDER_CAP), which the connection forms
-        differentiate once.
+        pair and orthonormalized in jet arithmetic.  Level 1 is carried to
+        order `second_order`, which the connection forms differentiate
+        once; deeper levels are values (order-0 jets) at every order d.
         """
         if upto > self.flag_capacity():
             raise ValueError(
@@ -306,7 +309,7 @@ class SurfaceJets:
         s = r + 1  # derivative order feeding N_r
         frames_all = [self.e1, self.e2, *(e for lev in self._levels for e in lev.frames)]
         expected = min(2, self.n - len(frames_all))
-        raws = [self.partial(s - k, k) for k in range(s + 1)]
+        raws = [self.partial(s - k, k).truncate(0) for k in range(s + 1)]
 
         # detected rank of the projected span at order 0: the partials' values,
         # stacked on a leading batch axis, projected off the frames' values
@@ -315,13 +318,14 @@ class SurfaceJets:
         rank = _rank(mat)
 
         # top-frequency pair (see the module docstring): level 1's is the
-        # traceless second form; deeper levels go through the complexified
-        # tangent, whose c_k weight the unprojected partials by their real
-        # and imaginary parts, and each of the two sums is projected once
+        # traceless second form; deeper levels are values, through the
+        # complexified tangent, whose c_k weight the unprojected partials by
+        # their real and imaginary parts, and each of the two sums is
+        # projected once
         if r == 1:
             u, v = self.traceless_second()
         else:
-            cx_pow, cy_pow = ([c] for c in self.complex_tangent_coeffs())
+            cx_pow, cy_pow = ([c.truncate(0)] for c in self.complex_tangent_coeffs())
             for p in (cx_pow, cy_pow):  # p[j - 1] = c^j, j = 1..s
                 while len(p) < s:
                     p.append(p[-1] * p[0])
@@ -339,13 +343,9 @@ class SurfaceJets:
 
         defect, lam = _ellipse_from_diameters(_nvalue(u), _nvalue(v))
 
-        prev_valid = self._levels_valid
-        ok = prev_valid & (rank == expected)
-        frames, _, gs_ok = jet_gram_schmidt([u, v][:expected], eps=FRAME_EPS, guard=ok)
-        ok = ok & gs_ok
-        level = FlagLevel(frames=frames, lam=lam, circle_defect=defect, valid=ok)
-        self._levels.append(level)
-        self._levels_valid = ok
+        guard = (self._levels[-1].valid if self._levels else self.valid) & (rank == expected)
+        frames, _, ok = jet_gram_schmidt([u, v][:expected], eps=FRAME_EPS, guard=guard)
+        self._levels.append(FlagLevel(frames=frames, lam=lam, circle_defect=defect, valid=ok))
 
     def circle_defect(self, s: int):
         """(circle defect, axis ratio) of the s-th curvature ellipse.
@@ -362,42 +362,33 @@ class SurfaceJets:
     # -- connection forms ------------------------------------------------------
 
     def connection_forms(self):
-        """Connection 1-forms on the frame directions.
+        """Connection 1-forms from the first normal plane N_1 toward N_2.
 
         Returns a dict with
-          omega: array (2, nf, nf, *batch), omega[i, a, b] = <D_{e_i} e_{a+3}, e_{b+3}>
-          omega_dz: complex array (nf, nf, *batch), omega_dz[a, b] = <D_dz e_{a+3}, e_{b+3}>
+          omega: array (2, 2, r, *batch), omega[i, a, b] = <D_{e_i} e_{a+3}, e_{b+5}>
+          omega_dz: complex array (2, r, *batch), omega_dz[a, b] = <D_dz e_{a+3}, e_{b+5}>
             on the Wirtinger vector dz = (d/dx - i d/dy)/2
           valid: mask
-        Both are antisymmetric in (a, b).  Only flag levels whose frames are
-        jets of order >= 1 (levels up to jet order - 2) can be differentiated,
-        so deeper levels are left out, and no pairing a < b differentiates
-        the last frame.  No other reader differentiates them.
+        with r the rank of N_2.  Only N_1's frames are differentiated, once;
+        N_2's frames enter by their values.
         """
         return self._connection
 
     @cached_property
     def _connection(self):
-        levels = self.flag(min(self.flag_capacity(), self.order - 2))
-        nfr = [fr for lev in levels for fr in lev.frames]
+        n1, n2 = self.flag(2)
         # e1 = a d/dx and e2 = b d/dx + c d/dy; the pairings read values:
-        # those of a, b, c, of the frames and of their first derivatives
+        # those of a, b, c, of N_1's frames and their first derivatives, and
+        # of N_2's frames
         a, b, c = (_nvalue(t) for t in self.tangent_coeff_jets)
-        dx = [_nvalue(ea.dx()) for ea in nfr[:-1]]
-        dy = [_nvalue(ea.dy()) for ea in nfr[:-1]]
+        dx = [_nvalue(e.dx()) for e in n1.frames]
+        dy = [_nvalue(e.dy()) for e in n1.frames]
         along = ([d * a for d in dx], [d * b + e * c for d, e in zip(dx, dy)])
-        vals = [_nvalue(ea) for ea in nfr]
-        nf = len(nfr)
-        omega = np.zeros((2, nf, nf) + self.batch)
-        omega_dz = np.zeros((nf, nf) + self.batch, dtype=complex)
-        for aa in range(nf):
-            for bb in range(aa + 1, nf):
-                for i, ders in enumerate(along):
-                    omega[i, aa, bb] = val = dot_values(ders[aa], vals[bb])
-                    omega[i, bb, aa] = -val
-                dz = 0.5 * (dot_values(dx[aa], vals[bb]) - 1j * dot_values(dy[aa], vals[bb]))
-                omega_dz[aa, bb], omega_dz[bb, aa] = dz, -dz
-        return {"omega": omega, "omega_dz": omega_dz, "valid": self._levels_valid}
+        vals = [_nvalue(f) for f in n2.frames]
+        omega = np.array([[[dot_values(d, f) for f in vals] for d in ders] for ders in along])
+        omega_dz = np.array([[0.5 * (dot_values(x, f) - 1j * dot_values(y, f)) for f in vals]
+                             for x, y in zip(dx, dy)])
+        return {"omega": omega, "omega_dz": omega_dz, "valid": n2.valid}
 
 
 def hodge_relation_residuals(bundle: SurfaceJets):
@@ -411,19 +402,16 @@ def hodge_relation_residuals(bundle: SurfaceJets):
 
     The star on 1-forms is evaluated under both sign conventions
     *w(X) = -w(JX) ("minus") and *w(X) = +w(JX) ("plus"); the caller
-    records which one is satisfied.  Needs at least two rank-2 normal
-    spaces (ambient dimension >= 6).
+    records which one is satisfied.  Needs two rank-2 normal planes
+    (ambient dimension >= 6), at any jet order >= 3.
     """
     conn = bundle.connection_forms()
     omega = conn["omega"]
-    if omega.shape[1] < 4:
+    if omega.shape[2] < 2:
         raise ValueError("connection relations need two rank-2 normal bundles")
-    lev2 = bundle.flag(2)[1]
-    lam = lev2.lam
-    w35 = omega[:, 0, 2]
-    w45 = omega[:, 1, 2]
-    w36 = omega[:, 0, 3]
-    w46 = omega[:, 1, 3]
+    lam = bundle.flag(2)[1].lam
+    w35, w36 = omega[:, 0, 0], omega[:, 0, 1]
+    w45, w46 = omega[:, 1, 0], omega[:, 1, 1]
     scale = np.maximum.reduce([np.abs(w) for w in (w35, w45, w36, w46)])
     scale = np.maximum(np.max(scale, axis=0), _TINY)
 
@@ -440,7 +428,6 @@ def hodge_relation_residuals(bundle: SurfaceJets):
         r4 = w46 - lam * star(w45, sign)
         res = np.maximum.reduce([np.max(np.abs(r), axis=0) for r in (r1, r2, r3, r4)])
         out[name] = res / scale
-    out["lam"] = lam
     out["valid"] = conn["valid"]
     return out
 

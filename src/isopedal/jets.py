@@ -40,8 +40,9 @@ Division and square root are one binomial series, (1 + u)^alpha at
 alpha = -1 and 1/2, in the normalized remainder u = a/a0 - 1, which is
 nilpotent at order d+1, so `order` Horner steps give the exact
 truncation.  A degenerate a0 raises `DegenerateJet` unless a `guard`
-array is given; with one, which every grid pipeline passes, the affected
-batch entries hold junk and the caller keeps the mask.
+array is given.  With one, which every grid pipeline passes, an entry
+divides if and only if its guard holds, so the guard must imply a usable
+a0; the entries it drops hold junk and the caller keeps the mask.
 """
 
 from __future__ import annotations
@@ -302,19 +303,19 @@ class Jet(_Table):
         """Truncated Cauchy product with the jet `other` (see `_product`)."""
         return Jet._of(_product(self.t, other.t, 1))
 
-    def _binomial(self, alpha, bad, guard, what):
+    def _binomial(self, alpha, degenerate, guard, what):
         """The table of (1 + u)^alpha, u = self/a0 - 1, by Horner's rule on
         the binomial coefficients, and the order-0 values a0 it divided by.
 
-        Entries where `bad` holds raise DegenerateJet (`what`) without a
-        `guard`; with one, they and the entries it drops divide by 1 and
-        hold junk."""
+        Without a `guard`, raises DegenerateJet (`what`) where the callable
+        `degenerate` marks a0; with one, exactly the entries it drops divide
+        by 1 and hold junk."""
         a0 = self.value()
         if guard is None:
-            if np.any(bad):
+            if np.any(degenerate(a0)):
                 raise DegenerateJet(f"{what} (order-0 coefficient {a0.flat[:1]})")
         else:
-            a0 = np.where(np.asarray(guard, dtype=bool) & ~bad, a0, 1.0)
+            a0 = np.where(np.asarray(guard, dtype=bool), a0, 1.0)
         u = Jet._of(_divided(self.t, a0))
         u.t[0] = 0.0
         coeffs = [1.0]  # binomial(alpha, k) for k = 0..order
@@ -330,21 +331,22 @@ class Jet(_Table):
         """Multiplicative inverse as a jet: the series at alpha = -1.
 
         With `guard=None`, raises DegenerateJet when the order-0
-        coefficient vanishes (relative magnitude below 1e-12); with a
-        boolean `guard`, degenerate batch entries are replaced by junk
-        and left for the caller's mask.
+        coefficient vanishes (magnitude at most 1e-12 times the largest
+        coefficient's); with a boolean `guard`, which must imply a nonzero
+        value, exactly the entries it drops hold junk, for the caller's mask.
         """
-        v = self.value()
-        bad = ~(np.abs(v) > 1e-12 * np.max(np.abs(self.t), axis=0))
-        t, a0 = self._binomial(-1.0, bad, guard, "division by a vanishing jet")
+        t, a0 = self._binomial(
+            -1.0, lambda v: ~(np.abs(v) > 1e-12 * np.max(np.abs(self.t), axis=0)), guard,
+            "division by a vanishing jet")
         return Jet._of(_divided(t, a0))
 
     def sqrt(self, guard=None):
         """Principal square root, the series at alpha = 1/2; the order-0
-        coefficient must be a positive real (`guard` as for `recip`)."""
-        v = self.value()
-        bad = ~((v.real > 0) & (np.abs(v.imag) <= 1e-9 * np.abs(v) + 1e-300))
-        t, a0 = self._binomial(0.5, bad, guard, "square root needs a positive real value")
+        coefficient must be a positive real (`guard` as for `recip`, and
+        implying one)."""
+        t, a0 = self._binomial(
+            0.5, lambda v: ~((v.real > 0) & (np.abs(v.imag) <= 1e-9 * np.abs(v) + 1e-300)),
+            guard, "square root needs a positive real value")
         return Jet._of(t * np.sqrt(a0))
 
 

@@ -82,9 +82,10 @@ from .pedal import MIN_ORDER, PedalBundle, SurfacePipeline
 from .weierstrass import preset_curve, surface_evaluator
 
 REPORT_VERSION = "1"
-# the highest jet order any check reads (the Hodge relations and the
-# S-Willmore checks, on the run's own surface); truncated jets are exact in
-# every coefficient they keep, so a higher order would change no record
+# the highest jet order any check reads: the S-Willmore checks take the
+# derivative of the pedal's mean curvature, on the run's own surface (every
+# other check reads order 3 there); truncated jets are exact in every
+# coefficient they keep, so a higher order would change no record
 JET_ORDER = 4
 REFUTE_QUANTILE = 0.90  # a refutation holds if the defect exceeds threshold here
 # the parallelism defect at which the pedal counts as not S-Willmore: the
@@ -562,7 +563,7 @@ def _secondform_top_defect(pipe: SurfacePipeline):
     lam = lev[1].lam
 
     # connection form on the Wirtinger vector: <D_dz f3, f5>
-    omega_dz = base.connection_forms()["omega_dz"][0, 2]
+    omega_dz = base.connection_forms()["omega_dz"][0, 0]
     _, zpair = _alpha_dz_position(sp, f3, f4)
 
     carried = omega_dz * zpair
@@ -645,16 +646,13 @@ def _plane_angle_defect(u, w):
         b1 = a1 / n1
         planes.append((b0, b1, (n0 > 1e3 * _TINY) & (n1 > 1e-12 * n0)))
     (p0, p1, ok_u), (q0, q1, ok_w) = planes
-    m = np.stack([
-        np.stack([np.sum(p0 * q0, axis=0), np.sum(p0 * q1, axis=0)], axis=-1),
-        np.stack([np.sum(p1 * q0, axis=0), np.sum(p1 * q1, axis=0)], axis=-1),
-    ], axis=-2)  # (P, 2, 2)
-    # overflowed points are outside both masks; zeroing their matrices, as
-    # geometry._rank does, keeps NaN out of the SVD
-    m = np.where(np.all(np.isfinite(m), axis=(-2, -1))[..., None, None], m, 0.0)
-    sv = np.linalg.svd(m, compute_uv=False)
-    cos_small = np.clip(sv[..., -1], 0.0, 1.0)
-    defect = np.sqrt(np.maximum(0.0, 1.0 - cos_small**2))
+    # the sines of the principal angles are the singular values of u's pair
+    # rejected off w's plane; the largest comes from their 2 x 2 Gram matrix
+    # in closed form, as in geometry._ellipse_from_diameters
+    r0, r1 = (reject_values(p, [q0, q1]) for p in (p0, p1))
+    g00, g01, g11 = dot_values(r0, r0), dot_values(r0, r1), dot_values(r1, r1)
+    top = (g00 + g11 + np.sqrt(np.maximum((g00 - g11) ** 2 + 4 * g01 * g01, 0.0))) / 2
+    defect = np.sqrt(np.clip(top, 0.0, 1.0))
     return np.where(ok_u & ok_w, defect, 0.0), ok_u & ok_w
 
 
@@ -693,7 +691,7 @@ def verify_swillmore(run: Run) -> dict:
     _, _, f3, f4 = sp.frames
     c, s = dot_values(e3, f3), dot_values(e3, f4)
     e4 = f4 * c - f3 * s
-    w35, w45 = base.connection_forms()["omega_dz"][:2, 2]
+    w35, w45 = base.connection_forms()["omega_dz"][:, 0]
     omega_dz = c * w35 + s * w45
 
     alpha_zz = base.alpha_wirtinger

@@ -15,13 +15,14 @@ own that imports that tree's `src`:
 
 It prints every report record that moved, with its defect's relative
 change as `perfbench/report_diff.compare` reads it, and the largest
-such change; every pass/fail flip or status change, and every run that
-crashes on one tree only; and every report, artifact or output file
-(stdout, stderr and exit code) whose bytes differ.  Exit code 1 when a
-check flips or changes status or a crash differs; moved values and
-files are printed, not failed.  The outputs are kept under `--work DIR`
-when it is given, and removed otherwise.  Pytest does not collect this
-file.
+such change, overall and apart for the records whose defect at COMMIT
+is above 1e-10 and for those at or below it; every pass/fail flip or
+status change, and every run that crashes on one tree only; and every
+report, artifact or output file (stdout, stderr and exit code) whose
+bytes differ.  Exit code 1 when a check flips or changes status or a
+crash differs; moved values and files are printed, not failed.  The
+outputs are kept under `--work DIR` when it is given, and removed
+otherwise.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from report_diff import compare  # noqa: E402
 from specgen import generate  # noqa: E402
 
+TINY_DEFECT = 1e-10
 R5_SPEC = {"ambient_dim": 5, "isotropy_order": 1,
            "alpha0": [[1, 0, 0.5]], "betas": [[1], [0, 1]]}
 
@@ -132,6 +134,9 @@ def compare_outputs(old: Path, new: Path):
     """(lines to print, whether a check flipped or a crash differs)."""
     moved, flips, files = [], [], []
     largest = 0.0
+    # the largest relative change among records whose parent defect is
+    # above TINY_DEFECT, and among those at or below it (rounding level)
+    by_size = {True: 0.0, False: 0.0}
     for name, _ in configs():
         a, b = (Path(root, "reports", name + ".json").read_text(encoding="utf-8")
                 for root in (old, new))
@@ -149,6 +154,9 @@ def compare_outputs(old: Path, new: Path):
         for rec, (cid, da, db, ratio, _, _) in zip(ra["checks"], diff["rows"]):
             if after.get(cid) == _record_key(rec):
                 continue
+            if ratio is not None:
+                above = da > TINY_DEFECT
+                by_size[above] = max(by_size[above], abs(ratio - 1.0))
             change = "details only" if da == db else (
                 "n/a" if ratio is None else f"relative change {abs(ratio - 1.0):.3e}")
             moved.append(f"{name} {cid}: defect {da!r} -> {db!r} ({change})")
@@ -160,6 +168,8 @@ def compare_outputs(old: Path, new: Path):
             files.append(f"commands/{rel}")
     lines = [f"moved records: {len(moved)}", *("  " + m for m in moved),
              f"largest relative defect change: {largest:.3e}",
+             f"  among defects above {TINY_DEFECT:g}: {by_size[True]:.3e}",
+             f"  among defects at or below {TINY_DEFECT:g}: {by_size[False]:.3e}",
              f"flips, status changes and crashes: {len(flips)}", *("  " + f for f in flips),
              f"files that differ: {len(files)}", *("  " + f for f in files)]
     return lines, bool(flips)

@@ -83,12 +83,12 @@ def add_const(jet: Jet, value):
     return Jet._of(t)
 
 
-def _normalized(a: Jet, bad, guard):
+def _normalized(a: Jet, guard):
     """u = a/a0 - 1 and the a0 it divides by; with a guard, a0 is 1 where
-    the guard fails or `bad` holds."""
+    the guard fails."""
     a0 = a.value()
     if guard is not None:
-        a0 = np.where(np.asarray(guard, dtype=bool) & ~bad, a0, 1.0)
+        a0 = np.where(np.asarray(guard, dtype=bool), a0, 1.0)
     u = Jet._of(_divided(a.t, a0))
     u.t[0] = 0.0
     return u, a0
@@ -98,8 +98,7 @@ def alternating_recip(a: Jet, guard=None):
     """1/a by the alternating Horner loop acc <- 1 - u * acc, `order`
     times from acc = 1 (the loop `Jet.recip` ran before the binomial
     kernel)."""
-    a0 = a.value()
-    u, a0 = _normalized(a, ~(np.abs(a0) > 1e-12 * np.max(np.abs(a.t), axis=0)), guard)
+    u, a0 = _normalized(a, guard)
     acc = Jet.const(np.ones(u.batch), a.order)
     for _ in range(a.order):
         acc = -(u * acc)
@@ -110,9 +109,7 @@ def alternating_recip(a: Jet, guard=None):
 def horner_sqrt(a: Jet, guard=None):
     """sqrt(a) by Horner's rule on the binomial(1/2, k) table (the loop
     `Jet.sqrt` ran before the binomial kernel)."""
-    a0 = a.value()
-    u, a0 = _normalized(
-        a, ~((a0.real > 0) & (np.abs(a0.imag) <= 1e-9 * np.abs(a0) + 1e-300)), guard)
+    u, a0 = _normalized(a, guard)
     series = [1.0]
     for k in range(a.order):
         series.append(series[-1] * (0.5 - k) / (k + 1))
@@ -347,25 +344,22 @@ def pedal_surface(surface: SurfaceEvaluator) -> SurfaceEvaluator:
 
 def jet_connection(bundle: SurfaceJets):
     """(omega, omega_dz) of `SurfaceJets.connection_forms` in jet
-    arithmetic: every flag frame differentiated, the derivatives along e1
-    and e2 as order-0 jet products with the frame coefficients, and each
-    pairing the order-0 value of a jet pairing."""
-    levels = bundle.flag(min(bundle.flag_capacity(), bundle.order - 2))
-    nfr = [fr for lev in levels for fr in lev.frames]
+    arithmetic: flag level 1's frames differentiated, the derivatives along
+    e1 and e2 as order-0 jet products with the frame coefficients, and each
+    pairing with a frame of level 2 the order-0 value of a jet pairing."""
+    n1, n2 = bundle.flag(2)
     a, b, c = bundle.tangent_coeff_jets
-    dx = [ea.dx() for ea in nfr]
-    dy = [ea.dy() for ea in nfr]
+    dx = [ea.dx() for ea in n1.frames]
+    dy = [ea.dy() for ea in n1.frames]
     along = ([d.scale(a) for d in dx], [d.scale(b) + e.scale(c) for d, e in zip(dx, dy)])
-    nf = len(nfr)
-    omega = np.zeros((2, nf, nf) + bundle.batch)
-    omega_dz = np.zeros((nf, nf) + bundle.batch, dtype=complex)
-    for aa in range(nf):
-        for bb in range(aa + 1, nf):
+    r = len(n2.frames)
+    omega = np.zeros((2, 2, r) + bundle.batch)
+    omega_dz = np.zeros((2, r) + bundle.batch, dtype=complex)
+    for aa in range(2):
+        for bb, fb in enumerate(n2.frames):
             for i, ders in enumerate(along):
-                omega[i, aa, bb] = val = ders[aa].dot_value(nfr[bb]).real
-                omega[i, bb, aa] = -val
-            dz = 0.5 * (dx[aa].dot_value(nfr[bb]) - 1j * dy[aa].dot_value(nfr[bb]))
-            omega_dz[aa, bb], omega_dz[bb, aa] = dz, -dz
+                omega[i, aa, bb] = ders[aa].dot_value(fb).real
+            omega_dz[aa, bb] = 0.5 * (dx[aa].dot_value(fb) - 1j * dy[aa].dot_value(fb))
     return omega, omega_dz
 
 

@@ -29,7 +29,13 @@ from isopedal.grid import Grid
 from isopedal.jets import Jet, JetVec, jet_gram_schmidt
 from isopedal.pedal import SurfacePipeline
 from isopedal.verify import run_all
-from isopedal.weierstrass import SurfaceEvaluator, preset_curve, surface_evaluator
+from isopedal.weierstrass import (
+    IsotropicSpec,
+    SurfaceEvaluator,
+    preset_curve,
+    surface_evaluator,
+    w_generate,
+)
 from oracles import (
     ck_first_level_pair,
     coordinate,
@@ -250,15 +256,32 @@ def test_hodge_relations_select_minus_convention():
     res = hodge_relation_residuals(b)
     assert np.max(res["minus"]) < 1e-10
     assert np.min(res["plus"]) > 1e-1
-    assert np.max(np.abs(res["lam"] - 1.0)) < 1e-10
+    assert np.max(np.abs(b.flag(2)[1].lam - 1.0)) < 1e-10
 
 
-def test_hodge_relations_need_two_differentiable_normal_planes():
-    # order-3 jets differentiate N_1 only: N_2's frames are order-0 jets
-    b = SurfaceJets(holo3(), np.array([0.6]), np.array([0.8]), 3)
-    assert b.connection_forms()["omega"].shape[1] == 2
+R5_SPEC = IsotropicSpec(ambient_dim=5, isotropy_order=1, alpha0=[[1, 0, 0.5]], betas=[[1], [0, 1]])
+
+
+def test_hodge_relations_need_two_rank_2_normal_planes():
+    # in R^5 the second normal plane has rank 1: one form per N_1 frame
+    b = SurfaceJets(surface_evaluator(w_generate(R5_SPEC)), np.array([0.6]), np.array([0.8]), 4)
+    assert b.connection_forms()["omega"].shape == (2, 2, 1, 1)
     with pytest.raises(ValueError, match="two rank-2 normal bundles"):
         hodge_relation_residuals(b)
+
+
+@pytest.mark.parametrize("name", ["holo3", "holo4"])
+def test_connection_forms_and_hodge_relations_do_not_depend_on_the_order(name):
+    # N_1's frames carry one derivative at every order d >= 3, and the
+    # levels past it are values
+    got = []
+    for order in (3, 4):
+        b = SurfacePipeline(surface_evaluator(preset_curve(name)), Grid(nx=7, ny=7), order).base
+        conn, hodge = b.connection_forms(), hodge_relation_residuals(b)
+        assert [fr.order for lev in b.flag(2) for fr in lev.frames] == [1, 1, 0, 0]
+        got.append([conn[k].tobytes() for k in ("omega", "omega_dz", "valid")]
+                   + [hodge[k].tobytes() for k in ("minus", "plus", "valid")])
+    assert got[0] == got[1]
 
 
 def test_tangent_coefficients_express_the_frame_as_jets():
@@ -280,11 +303,22 @@ def test_tangent_coefficients_express_the_frame_as_jets():
 
 
 def test_connection_omega_antisymmetric():
-    ev = holo3()
-    b = SurfaceJets(ev, np.array([0.7]), np.array([0.6]), 4)
-    conn = b.connection_forms()
-    om = conn["omega"]
-    assert np.max(np.abs(om + np.swapaxes(om, 1, 2))) < 1e-12
+    # <D f3, f5> = -<f3, D f5>, with N_2's frames differentiated as jets:
+    # orthonormalised from the complex route's pair, which keeps order 1
+    b = SurfaceJets(holo3(), np.array([0.7, 1.1]), np.array([0.6, 0.9]), 4)
+    n1, n2 = b.flag(2)
+    u, v, _, valid = complex_route_level(b, 2)
+    assert np.all(valid)
+    jet_n2, _, _ = jet_gram_schmidt([u, v], guard=valid, eps=FRAME_EPS)
+    a, bb, c = (t.value() for t in b.tangent_coeff_jets)
+    om = b.connection_forms()["omega"]
+    for j, f in enumerate(jet_n2):
+        assert f.order == 1
+        dx, dy = f.dx().value(), f.dy().value()
+        for i, d in enumerate((dx * a, dx * bb + dy * c)):
+            for k, e in enumerate(n1.frames):
+                want = -np.sum(e.value() * d, axis=0)
+                assert np.max(np.abs(om[i, k, j] - want)) < 1e-12 * np.max(np.abs(om))
 
 
 def test_third_form_two_routes_agree():
@@ -362,6 +396,9 @@ def test_flag_pair_equals_the_complex_route(monkeypatch, which):
         u, v, rank, valid = complex_route_level(bundle, r)
         assert which == "surface" or np.any(rank > len(lev.frames))
         for got, want in zip(pair, (u, v)):
+            # levels past the first are values
+            assert got.order == (bundle.second_order if r == 1 else 0)
+            want = want.truncate(got.order)
             assert got.t.dtype == np.float64
             scale = np.max(np.abs(want.t), axis=(0, 1))
             assert np.all(np.max(np.abs(got.t - want.t), axis=(0, 1)) <= 1e-12 * scale)
@@ -425,13 +462,11 @@ def test_second_order_data_is_the_uncapped_data_truncated_to_the_cap(name, order
 def test_omega_dz_is_the_wirtinger_pairing_of_the_flag_frames(name):
     base = SurfacePipeline(surface_evaluator(preset_curve(name)), Grid(nx=5, ny=5), 4).base
     omega_dz = base.connection_forms()["omega_dz"]
-    frames = [fr for lev in base.flag(2) for fr in lev.frames]
-    assert omega_dz.shape == (len(frames), len(frames), 25)
-    np.testing.assert_array_equal(omega_dz, -np.swapaxes(omega_dz, 0, 1))
-    for a in range(len(frames)):
-        for b in range(a + 1, len(frames)):
-            np.testing.assert_array_equal(omega_dz[a, b],
-                                          frames[a].wirtinger().dot_value(frames[b]))
+    n1, n2 = base.flag(2)
+    assert omega_dz.shape == (2, len(n2.frames), 25)
+    for a, e in enumerate(n1.frames):
+        for b, f in enumerate(n2.frames):
+            np.testing.assert_array_equal(omega_dz[a, b], e.wirtinger().dot_value(f))
 
 
 @pytest.mark.parametrize("name, order", [("holo3", 4), ("holo4", 5)])
@@ -445,7 +480,7 @@ def test_connection_forms_pair_values_bit_for_bit_as_jets(monkeypatch, name, ord
     product = jets._product
     monkeypatch.setattr(jets, "_product", lambda *a: products.append(a) or product(*a))
     conn = base.connection_forms()
-    assert products == [] and want[0].shape[1] == 2 * (order - 2)
+    assert products == [] and want[0].shape[:3] == (2, 2, 2)
     for got, ref in zip((conn["omega"], conn["omega_dz"]), want):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
@@ -461,7 +496,7 @@ def test_unit_delta_derivative_is_carried_by_the_connection_forms(name):
     e3 = delta / np.sqrt(np.sum(delta * delta, axis=0))
     f3, f4 = (fr.value() for fr in base.flag(1)[0].frames)
     c, s = np.sum(e3 * f3, axis=0), np.sum(e3 * f4, axis=0)
-    w35, w45 = base.connection_forms()["omega_dz"][:2, 2]
+    w35, w45 = base.connection_forms()["omega_dz"][:, 0]
     got = (c * w35 + s * w45)[ok]
     want = unit_delta_wirtinger(base)[ok]
     assert np.min(np.abs(want)) > 0

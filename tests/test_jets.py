@@ -166,6 +166,16 @@ def test_recip_guard_masks_bad_lanes():
     assert np.all(np.isfinite(r.c))  # junk but finite in the masked lane
 
 
+def test_guarded_recip_divides_exactly_where_the_guard_holds():
+    # the value is small against the other coefficients, which the unguarded
+    # test calls degenerate; under a guard only the guard decides
+    a = Jet([[[1e-13, 1.0], [1.0, 0.0]]])
+    with pytest.raises(DegenerateJet):
+        a.recip()
+    assert (a * a.recip(guard=True)).value()[0] == pytest.approx(1.0, rel=1e-15)
+    assert a.recip(guard=[False]).value()[0] == 1.0  # junk: divided by 1
+
+
 def test_sqrt_rejects_negative_values():
     x = coordinate(np.asarray(-1.0), 0, 3)
     with pytest.raises(DegenerateJet):
@@ -395,7 +405,8 @@ def test_recip_and_sqrt_are_bitwise_the_horner_loops(complex_):
         bad = c.copy()
         bad[2, 0, 0], bad[3, 0, 0] = -1.0, 0.0  # no sqrt; no sqrt, no recip
         guard = np.arange(9) != 4
-        for a, g in ((Jet(c), None), (Jet(c), guard), (Jet(bad), guard)):
+        usable = guard & (np.arange(9) != 2) & (np.arange(9) != 3)  # drops bad's entries
+        for a, g in ((Jet(c), None), (Jet(c), guard), (Jet(bad), usable)):
             got, want = a.sqrt(guard=g).t, horner_sqrt(a, g).t
             assert got.tobytes() == want.tobytes(), order  # zero signs too
             got, want = a.recip(guard=g).t, alternating_recip(a, g).t

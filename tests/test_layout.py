@@ -111,16 +111,12 @@ def test_no_module_level_name_is_assigned_in_two_src_modules():
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
-def test_src_calls_the_svd_only_for_the_plane_angle():
+def test_src_calls_no_svd():
     # ranks come from a Gram-Schmidt that works at any dtype
-    # (geometry._rank); the 2 x 2 principal angles of the S-Willmore check
-    # are the one LAPACK call left
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
-    named = {mod: _named(tree)["svd"] for mod, tree in trees.items()}
-    plane = next(node for node in trees["verify"].body
-                 if isinstance(node, ast.FunctionDef) and node.name == "_plane_angle_defect")
-    assert _named(plane)["svd"] == 1
-    assert {mod: k for mod, k in named.items() if k} == {"verify": 1}
+    # (geometry._rank), and the largest principal angle of the S-Willmore
+    # check from a 2 x 2 Gram matrix in closed form
+    assert [p.stem for p in sorted(SRC.glob("*.py"))
+            if _named(ast.parse(p.read_text(encoding="utf-8")))["svd"]] == []
 
 
 def test_only_geometry_reads_second_partials():
