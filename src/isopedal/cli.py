@@ -110,14 +110,12 @@ def _member(cfg: RunConfig, order: int):
                   else pipe.evaluated.affine(scale=0.0, translation=v)), v
 
 
-def _exported(cfg: RunConfig, what: str, order: int):
-    """(evaluation on the grid with jets up to `order`, label) of the
-    surface `export` writes; the member's pipeline is dropped on return.
-
-    The member f is evaluated at MIN_ORDER, the pipeline's floor (`order`
-    is at most MIN_ORDER); the pedal g needs the member one order higher,
-    and the inverted pedal is g's inversion at `order`."""
-    pipe, f_at, v = _member(cfg, MIN_ORDER if what == "f" else order + 1)
+def _exported(cfg: RunConfig, what: str):
+    """(evaluation on the grid, label) of the surface `export` writes; the
+    member's pipeline, built at MIN_ORDER, is dropped on return.  The
+    member f is evaluated at MIN_ORDER, the pedal g at MIN_ORDER - 1 = 2
+    and the inverted pedal is g's inversion at order 2."""
+    pipe, f_at, v = _member(cfg, MIN_ORDER)
     if what == "f":
         return f_at, "surface"
     g_at = pipe.normal_surface(v)
@@ -125,7 +123,7 @@ def _exported(cfg: RunConfig, what: str, order: int):
         return g_at, "pedal surface"
     center = cfg.shift_vector()
     center_txt = ", ".join(f"{c:g}" for c in center)
-    return (invert_evaluator(g_at, center).evaluated(pipe.x, pipe.y, order),
+    return (invert_evaluator(g_at, center).evaluated(pipe.x, pipe.y, 2),
             f"inverted pedal surface (center [{center_txt}])")
 
 
@@ -242,9 +240,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_export(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     grid = cfg.grid
-    # the CSV reads nothing above order 3; at 2 its second-circle columns are NaN
-    order = 2 if args.format == "obj" else min(cfg.jet_order, MIN_ORDER)
-    target, label = _exported(cfg, args.what, order)
+    # f's CSV reads nothing above order 3; the mesh, the pedal's and the
+    # inverted pedal's tables read order 2, so their second-circle columns
+    # (a minimal surface's) are NaN
+    order = min(cfg.jet_order, MIN_ORDER) if args.format == "csv" and args.what == "f" else 2
+    target, label = _exported(cfg, args.what)
     # one bundle of the exported surface feeds the mesh's mask, the table
     # and the rank note, so both formats exclude the same points
     bundle = SurfaceJets(target, *grid.points(), order)
@@ -307,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", metavar="PATH", help="JSON config document")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument("--jet-order", type=int, metavar="K",
-                        help="jet order of the export CSV (default 4); it reads order 3 "
-                             "at most, so only 2 changes it (NaN second-circle columns)")
+                        help="jet order of the export CSV of f (default 4); it reads "
+                             "order 3 at most, so only 2 changes it (NaN second-circle "
+                             "columns); g and inverted are read at order 2")
     shared.add_argument("--grid", metavar="SPEC",
                         help="grid as 'x0,x1,y0,y1,nx,ny'")
     shared.add_argument("--seed-preset", choices=["holo3", "holo4", "noniso"],

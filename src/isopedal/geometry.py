@@ -30,7 +30,9 @@ Conventions fixed here and used by the rest of the package:
   the first level's pair is the traceless second form (xi1, xi2) itself.
   For s >= 2, with P the projection off the lower osculating frames,
   A_s = P(sum_k c_k d_k f) over the pure (s+1)-th partials d_k f and the
-  complex scalars c_k = C(s+1, k) cx^(s+1-k) cy^k, all read at order 0.
+  complex scalars c_k = C(s+1, k) cx^(s+1-k) cy^k, value arrays formed
+  from the values of the frame coefficients a, b, c (e1 = a f_x,
+  e2 = b f_x + c f_y), so cx = (a - i b)/2 and cy = -i c/2.
   P is linear over scalars, so u_s = 2 P(sum_k d_k f Re c_k) and
   v_s = -2 P(sum_k d_k f Im c_k): two real projections per level, and
   no vector table is complex.  The rank of a level is read from order-0
@@ -187,11 +189,6 @@ class SurfaceJets:
         a, c = (inv.truncate(k) for inv in self._invs)
         return a, -(a * self.partial(0, 1).truncate(k).dot(self.e1)) * c, c
 
-    def complex_tangent_coeffs(self):
-        """(cx, cy) with (e1 - i e2)/2 = cx f_x + cy f_y (jets)."""
-        a, b, c = self.tangent_coeff_jets
-        return (a - b.scale(1j)).scale(0.5), (-c.scale(1j)).scale(0.5)
-
     def tangent_project_off(self, v: JetVec) -> JetVec:
         return v.project_off([self.e1, self.e2])
 
@@ -319,13 +316,14 @@ class SurfaceJets:
 
         # top-frequency pair (see the module docstring): level 1's is the
         # traceless second form; deeper levels are values, through the
-        # complexified tangent, whose c_k weight the unprojected partials by
-        # their real and imaginary parts, and each of the two sums is
-        # projected once
+        # complexified tangent (e1 - i e2)/2 = cx f_x + cy f_y, whose c_k
+        # weight the unprojected partials by their real and imaginary parts,
+        # and each of the two sums is projected once
         if r == 1:
             u, v = self.traceless_second()
         else:
-            cx_pow, cy_pow = ([c.truncate(0)] for c in self.complex_tangent_coeffs())
+            a, b, c = (_nvalue(t) for t in self.tangent_coeff_jets)
+            cx_pow, cy_pow = [(a - b * 1j) * 0.5], [-(c * 1j) * 0.5]
             for p in (cx_pow, cy_pow):  # p[j - 1] = c^j, j = 1..s
                 while len(p) < s:
                     p.append(p[-1] * p[0])
@@ -334,8 +332,8 @@ class SurfaceJets:
             coeffs.append(cy_pow[s - 1])
             re = im = None
             for k, ck in enumerate(coeffs):
-                c = ck.scale(math.comb(s, k))
-                re_k, im_k = raws[k].scale(c.real()), raws[k].scale(c.imag())
+                w = ck * math.comb(s, k)
+                re_k, im_k = raws[k].scale(w.real), raws[k].scale(w.imag)
                 re = re_k if re is None else re + re_k
                 im = im_k if im is None else im + im_k
             u = re.project_off(frames_all).scale(2.0)

@@ -463,10 +463,7 @@ def verify_normal_span(run: Run) -> dict:
         # containment: the pedal's tangent plane sits inside the base's
         # tangent + first-normal span, i.e. normal sections of the base
         # beyond that span are normal to the pedal too
-        rem = tangent.copy()
-        for fr in sp.frames:
-            rem = rem - np.sum(tangent * fr, axis=0) * fr
-        residuals.append(_norms(rem) / tn)
+        residuals.append(_norms(reject_values(tangent, sp.frames)) / tn)
     residuals.append(np.abs(np.sum(u1 * u2, axis=0)) / tfloor)
     residuals.append(np.abs(np.sum(u1 * u1, axis=0) - theta) / tfloor)
     residuals.append(np.abs(np.sum(u2 * u2, axis=0) - theta) / tfloor)
@@ -511,17 +508,12 @@ def verify_meancurvature(run: Run) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _complex_dot(values_c, frame_values):
-    """Bilinear pairing of a complex vector field with a real frame."""
-    return np.sum(values_c * frame_values, axis=0)
-
-
 def _alpha_dz_position(sp: PedalBundle, n3, n4):
     """The base's second form on (Wirtinger vector, tangential part Z) and
     its pairing with a first-normal frame given by its values n3, n4:
     (alpha(dz, Z), <alpha(dz, Z), n3 + i n4>)."""
     alpha = sp.base.second_form_on(sp.base.wirtinger_coords, sp.tangent_coords)
-    return alpha, _complex_dot(alpha, n3) + 1j * _complex_dot(alpha, n4)
+    return alpha, dot_values(alpha, n3) + 1j * dot_values(alpha, n4)
 
 
 def _secondform_span_pairing(pipe: SurfacePipeline):
@@ -534,12 +526,9 @@ def _secondform_span_pairing(pipe: SurfacePipeline):
     lev = base.flag(min(2, base.flag_capacity()))
     u1, u2 = sp.sections
     frames = [*sp.frames, *(_nvalue(fr) for level in lev[1:] for fr in level.frames)]
-    rem = ag.copy()
-    for fr in frames:
-        rem = rem - _complex_dot(rem, fr) * fr
     amag = np.maximum(_norms(ag), _TINY)
-    span_defect = _norms(rem) / amag
-    pair = _complex_dot(ag, u2) - 1j * _complex_dot(ag, u1)
+    span_defect = _norms(reject_values(ag, frames)) / amag
+    pair = dot_values(ag, u2) - 1j * dot_values(ag, u1)
     # the product of the floored factors underflows, as in verify_normal_span
     pair_defect = np.abs(pair) / np.maximum(amag * np.sqrt(np.maximum(sp.theta, _TINY)), _TINY)
     return span_defect, pair_defect, pipe.mask(lev[-1].valid)
@@ -567,7 +556,7 @@ def _secondform_top_defect(pipe: SurfacePipeline):
     _, zpair = _alpha_dz_position(sp, f3, f4)
 
     carried = omega_dz * zpair
-    lhs5, lhs6 = _complex_dot(ag, f5), _complex_dot(ag, f6)
+    lhs5, lhs6 = dot_values(ag, f5), dot_values(ag, f6)
     rhs5 = -carried
     rhs6 = 1j * lam * carried
     scale = np.maximum(
@@ -636,12 +625,10 @@ def _plane_angle_defect(u, w):
     """
     planes = []
     for v in (u, w):
-        a = np.stack([v.real, v.imag], axis=0)  # (2, n, P)
-        # orthonormalize the two rows per point
-        a0 = a[0]
-        n0 = np.maximum(_norms(a0), _TINY)
-        b0 = a0 / n0
-        a1 = a[1] - np.sum(a[1] * b0, axis=0) * b0
+        # orthonormalize the real and imaginary parts per point
+        n0 = np.maximum(_norms(v.real), _TINY)
+        b0 = v.real / n0
+        a1 = reject_values(v.imag, [b0])
         n1 = np.maximum(_norms(a1), _TINY)
         b1 = a1 / n1
         planes.append((b0, b1, (n0 > 1e3 * _TINY) & (n1 > 1e-12 * n0)))
@@ -695,7 +682,7 @@ def verify_swillmore(run: Run) -> dict:
     omega_dz = c * w35 + s * w45
 
     alpha_zz = base.alpha_wirtinger
-    A3 = _complex_dot(alpha_zz, e3)
+    A3 = dot_values(alpha_zz, e3)
     (w1, w2), (z1, z2) = base.wirtinger_coords, sp.tangent_coords
     pairing_Z = w1 * z1 + w2 * z2  # <f_z, Z>
 

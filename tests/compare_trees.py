@@ -5,10 +5,11 @@
 Extracts COMMIT (default HEAD) with `git archive`, then runs the same
 inputs on it and on the working tree, each in a Python process of its
 own that imports that tree's `src`:
-- 38 configs through `verify.run_all`: holo3, holo4 and noniso at
+- 39 configs through `verify.run_all`: holo3, holo4 and noniso at
   21 x 21; holo3 at 41 x 41 and 81 x 81; holo4 at 41 x 41, order 5; the
   window through the branch point; an excluded disk; scale 0.7; the
-  README's R^5 spec; the doubled (z, z^2) in R^4; and the 27 specs of
+  README's R^5 spec; the doubled (z, z^2) in R^4; holo3 on the far
+  window x in [-1e30, 1e30] at 5 x 5; and the 27 specs of
   `perfbench/specgen.py` for seeds 1, 7 and 13, at 11 x 11;
 - 42 CLI commands: `pedal` and `export --what f|g|inverted --format
   csv|obj` for holo3, holo4 and noniso at 21 x 21 and 41 x 41.
@@ -16,13 +17,14 @@ own that imports that tree's `src`:
 It prints every report record that moved, with its defect's relative
 change as `perfbench/report_diff.compare` reads it, and the largest
 such change, overall and apart for the records whose defect at COMMIT
-is above 1e-10 and for those at or below it; every pass/fail flip or
-status change, and every run that crashes on one tree only; and every
-report, artifact or output file (stdout, stderr and exit code) whose
-bytes differ.  Exit code 1 when a check flips or changes status or a
-crash differs; moved values and files are printed, not failed.  The
-outputs are kept under `--work DIR` when it is given, and removed
-otherwise.  Pytest does not collect this file.
+is above 1e-10 and for those at or below it; the records whose defect
+at COMMIT is 0 and is not 0 now, with the largest new defect; every
+pass/fail flip or status change, and every run that crashes on one tree
+only; and every report, artifact or output file (stdout, stderr and
+exit code) whose bytes differ.  Exit code 1 when a check flips or
+changes status or a crash differs; moved values and files are printed,
+not failed.  The outputs are kept under `--work DIR` when it is given,
+and removed otherwise.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ def configs():
         ("scale-0.7", {"seed_preset": "holo3", "scale": 0.7}),
         ("readme-r5-spec", {"spec": R5_SPEC}),
         ("r4-curve", {"curve": [[0, 1], [0, 0, 1]]}),
+        ("far-window", {"seed_preset": "holo3", "grid": "-1e30,1e30,0.3,1.3,5,5"}),
     ]
     for seed in (1, 7, 13):
         out += [(f"spec-s{seed}-{k:02d}", doc) for k, doc in enumerate(generate(seed))]
@@ -137,6 +140,9 @@ def compare_outputs(old: Path, new: Path):
     # the largest relative change among records whose parent defect is
     # above TINY_DEFECT, and among those at or below it (rounding level)
     by_size = {True: 0.0, False: 0.0}
+    # records whose parent defect is 0 and whose new one is not have no
+    # relative change; they are counted apart, with their new defect
+    from_zero = []
     for name, _ in configs():
         a, b = (Path(root, "reports", name + ".json").read_text(encoding="utf-8")
                 for root in (old, new))
@@ -154,11 +160,17 @@ def compare_outputs(old: Path, new: Path):
         for rec, (cid, da, db, ratio, _, _) in zip(ra["checks"], diff["rows"]):
             if after.get(cid) == _record_key(rec):
                 continue
-            if ratio is not None:
+            if da == db:
+                change = "details only"
+            elif ratio is not None:
                 above = da > TINY_DEFECT
                 by_size[above] = max(by_size[above], abs(ratio - 1.0))
-            change = "details only" if da == db else (
-                "n/a" if ratio is None else f"relative change {abs(ratio - 1.0):.3e}")
+                change = f"relative change {abs(ratio - 1.0):.3e}"
+            elif da == 0 and db is not None:
+                from_zero.append(abs(db))
+                change = "from a zero defect"
+            else:
+                change = "n/a"
             moved.append(f"{name} {cid}: defect {da!r} -> {db!r} ({change})")
     old_files, new_files = _files(old / "commands"), _files(new / "commands")
     for rel in sorted(old_files | new_files):
@@ -170,6 +182,8 @@ def compare_outputs(old: Path, new: Path):
              f"largest relative defect change: {largest:.3e}",
              f"  among defects above {TINY_DEFECT:g}: {by_size[True]:.3e}",
              f"  among defects at or below {TINY_DEFECT:g}: {by_size[False]:.3e}",
+             f"records moved from a zero defect: {len(from_zero)}"
+             + (f", largest new defect {max(from_zero):.3e}" if from_zero else ""),
              f"flips, status changes and crashes: {len(flips)}", *("  " + f for f in flips),
              f"files that differ: {len(files)}", *("  " + f for f in files)]
     return lines, bool(flips)

@@ -4,9 +4,10 @@ None of this is reached by a command.  Each function recomputes, along a
 second route, something the library derives along its own (the Gauss
 curvature from the metric alone, the third form by differentiating the
 second, the first flag level and the (2,0) form from the coordinate
-partials, the second-order data at the bundle's full order, the
-connection forms by jet products, the pedal as an evaluator of its own,
-the inversion laws against direct jets of an inverted surface,
+partials, the complexified tangent's coefficients as jets (the flag
+weighs by their values), the second-order data at the bundle's full
+order, the connection forms by jet products, the pedal as an evaluator
+of its own, the inversion laws against direct jets of an inverted surface,
 polynomial values by numpy's `polyval`, the number of curvature circles
 from float flag levels at a few points, the reciprocal and square root by
 the Horner loops `Jet` ran before its binomial kernel), reads a jet (derivative values,
@@ -254,12 +255,19 @@ def third_form_recursive_defect(bundle: SurfaceJets):
 # -- second-order quantities along the coordinate partials ------------------------
 
 
+def complex_tangent_coeffs(bundle: SurfaceJets):
+    """(cx, cy) with (e1 - i e2)/2 = cx f_x + cy f_y, as complex jets at the
+    order of the bundle's frame coefficients a, b, c."""
+    a, b, c = bundle.tangent_coeff_jets
+    return (a - b.scale(1j)).scale(0.5), (-c.scale(1j)).scale(0.5)
+
+
 def ck_first_level_pair(bundle: SurfaceJets):
     """(u, v) of flag level 1 from the second partials d_k f: the sums of
     d_k f weighted by the real and the imaginary parts of the complex
     coefficient jets c_k = C(2, k) cx^(2-k) cy^k, each projected off the
     tangent plane once, u = 2 P(sum d_k f Re c_k), v = -2 P(sum d_k f Im c_k)."""
-    cx, cy = bundle.complex_tangent_coeffs()
+    cx, cy = complex_tangent_coeffs(bundle)
     coeffs = (cx * cx, (cx * cy).scale(2), cy * cy)
     re = im = None
     for k, c in enumerate(coeffs):

@@ -380,8 +380,8 @@ def _table_bytes(order):
 
 
 def test_tables_are_the_same_at_every_jet_order_from_3(tmp_path, monkeypatch):
-    # pedal and export read no coefficient above order 3, and so never
-    # differentiate f past order 4 (the pedal's order 3 needs f's order 4)
+    # pedal and export read no coefficient above order 3 of f and above
+    # order 2 of the pedal, and so never differentiate f past MIN_ORDER
     orders = _spy_orders(monkeypatch)
     tables = []
     for order in (3, 4, 12):
@@ -390,7 +390,7 @@ def test_tables_are_the_same_at_every_jet_order_from_3(tmp_path, monkeypatch):
         tables.append(_table_bytes(order))
     assert tables[0] == tables[1] == tables[2]
     assert len(tables[0]) == 4 and all(code == 0 for code, _, _ in tables[0].values())
-    assert max(orders) == MIN_ORDER + 1
+    assert max(orders) == MIN_ORDER
 
 
 def test_export_table_at_jet_order_2_has_no_second_circle(tmp_path):
@@ -403,6 +403,24 @@ def test_export_table_at_jet_order_2_has_no_second_circle(tmp_path):
         rows = (out / "f.csv").read_text().splitlines()[1:]
         cells[order] = {row.split(",")[i] for row in rows for i in second}
     assert cells[2] == {"nan"} and "nan" not in cells[3]
+
+
+@pytest.mark.parametrize("what", ["g", "inverted"])
+def test_non_minimal_tables_are_read_at_order_2_without_a_flag(tmp_path, monkeypatch, what):
+    # the normal flag is a minimal surface's: the pedal and its inversion
+    # are read at order 2, so their second-circle columns are NaN
+    orders, levels = [], []
+    pipeline, build_level = cli.SurfacePipeline, SurfaceJets._build_level
+    monkeypatch.setattr(cli, "SurfacePipeline", lambda surface, grid, order: (
+        orders.append(order) or pipeline(surface, grid, order)))
+    monkeypatch.setattr(SurfaceJets, "_build_level", lambda self: (
+        levels.append(self) or build_level(self)))
+    assert main(["export", "--what", what, "--format", "csv", "--grid", SMALL,
+                 "--out", str(tmp_path)]) == 0
+    assert orders == [MIN_ORDER] and levels == []
+    second = [GEOMETRY_COLUMNS.index(c) for c in ("circle_defect_2", "lambda_2")]
+    rows = (tmp_path / f"{what}.csv").read_text().splitlines()[1:]
+    assert len(rows) == 25 and {row.split(",")[i] for row in rows for i in second} == {"nan"}
 
 
 @pytest.mark.parametrize("what, fmt", [("f", "obj"), ("g", "csv"), ("inverted", "csv"),

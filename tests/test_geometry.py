@@ -38,6 +38,7 @@ from isopedal.weierstrass import (
 )
 from oracles import (
     ck_first_level_pair,
+    complex_tangent_coeffs,
     coordinate,
     intrinsic_gauss,
     isotropy_order,
@@ -363,7 +364,7 @@ def complex_route_level(bundle, r):
     frames = [bundle.e1, bundle.e2] + [e for lev in levels[:r - 1] for e in lev.frames]
     projs = [bundle.partial(s - k, k).project_off(frames) for k in range(s + 1)]
     rank = svd_rank(np.stack([p.value() for p in projs], axis=1))
-    cx, cy = bundle.complex_tangent_coeffs()
+    cx, cy = complex_tangent_coeffs(bundle)
     cx_pow = [Jet.const(np.ones(bundle.batch), cx.order)]
     cy_pow = [Jet.const(np.ones(bundle.batch), cy.order)]
     for _ in range(s):
@@ -521,5 +522,5 @@ def test_flag_makes_no_complex_vector_product(monkeypatch):
         (lead, np.iscomplexobj(a) or np.iscomplexobj(b))) or product(a, b, lead))
     x, y = np.meshgrid(np.linspace(0.3, 1.3, 3), np.linspace(0.3, 1.3, 3))
     SurfaceJets(holo3(), x, y, 4).flag(2)
-    assert (2, False) in calls and (1, True) in calls
-    assert (2, True) not in calls
+    assert (2, False) in calls
+    assert not any(is_complex for _, is_complex in calls)
